@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHistogramUnmarshal -fuzztime=$(FUZZTIME) ./internal/hist/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/durable/
+	$(GO) test -run=^$$ -fuzz=FuzzSketchDecode -fuzztime=$(FUZZTIME) ./internal/sketch/
 
 # chaos-durable is the crash-recovery chaos gate: the in-process prefix
 # property (100 randomized kill points under disk-fault injection) plus the

@@ -6,22 +6,25 @@ import (
 	"math/bits"
 )
 
-// HLL is a HyperLogLog distinct-count sketch with the classic sparse→dense
-// promotion: while few registers are touched the sketch stores (index, rank)
-// pairs in a map, and once the map outgrows an eighth of the register file
-// it promotes to the dense 2^p-byte array. Register state is a pointwise
-// maximum, so merge is commutative and associative and the merged sketch is
-// byte-identical to the serial one under any lane sharding.
+// HLL is a HyperLogLog distinct-count sketch over one flat file of 2^p
+// registers. Register state is a pointwise maximum, so merge is commutative
+// and associative and the merged sketch is byte-identical to the serial one
+// under any lane sharding.
+//
+// Sparse and dense are forms of the *encoding*, not of the state: while at
+// most an eighth of the registers are touched the sketch serialises as
+// (index, rank) pairs, and once it has passed that mark — or absorbed a
+// sketch that had — it serialises as the whole register file, for good.
 type HLL struct {
 	blockBase
 	p uint8  // precision: 2^p registers
 	m uint32 // register count
 
-	sparse map[uint32]uint8 // idx → max rank; nil once dense
-	dense  []uint8
-	// denseSpare is a retired register file kept across pooled reuse so a
-	// re-promoted sketch does not reallocate (see pool.go).
-	denseSpare []uint8
+	regs    []uint8 // max rank per register; 0 = untouched
+	touched uint32  // registers holding a non-zero rank
+	// dense is the sticky encoding form: set once touched passes m/8, or
+	// when a dense sketch is merged in or decoded.
+	dense bool
 }
 
 // hllMinPrecision..hllMaxPrecision bound the register file: 16 registers to
@@ -46,9 +49,9 @@ func clampPrecision(precision int) int {
 func NewHLL(precision int) *HLL {
 	precision = clampPrecision(precision)
 	return &HLL{
-		p:      uint8(precision),
-		m:      1 << precision,
-		sparse: make(map[uint32]uint8, 1<<precision/8+1),
+		p:    uint8(precision),
+		m:    1 << precision,
+		regs: make([]uint8, 1<<precision),
 	}
 }
 
@@ -61,8 +64,8 @@ func (h *HLL) Name() string { return "hll" }
 // Precision returns p (tests, rendering).
 func (h *HLL) Precision() int { return int(h.p) }
 
-// Sparse reports whether the sketch is still in its sparse representation.
-func (h *HLL) Sparse() bool { return h.sparse != nil }
+// Sparse reports whether the sketch still encodes in its sparse form.
+func (h *HLL) Sparse() bool { return !h.dense }
 
 // hashValue mixes a column value into 64 well-distributed bits (the
 // splitmix64 finaliser — the same mixer the fault injector's streams use).
@@ -79,70 +82,43 @@ func hashValue(v int64) uint64 {
 // Push implements StatBlock. The stream position is irrelevant to a
 // distinct count; the signature is the chain's uniform contract.
 func (h *HLL) Push(_, v int64) {
-	h.items++
-	h.observe(v)
+	h.PushBatch(0, []int64{v})
 }
 
 // PushBatch implements StatBlock. The position argument is irrelevant to a
 // distinct count.
 func (h *HLL) PushBatch(_ int64, vals []int64) {
 	h.items += int64(len(vals))
+	regs, touched := h.regs, h.touched
+	shift := 64 - h.p
+	// The guard bit sits just below the rank bits: it stops the zero count
+	// at 64-p when they are all zero, and is out of reach otherwise.
+	guard := uint64(1) << (h.p - 1)
 	for _, v := range vals {
-		h.observe(v)
-	}
-}
-
-func (h *HLL) observe(v int64) {
-	x := hashValue(v)
-	idx := uint32(x >> (64 - h.p))
-	rest := x << h.p
-	var rank uint8
-	if rest == 0 {
-		rank = uint8(64 - h.p + 1)
-	} else {
-		rank = uint8(bits.LeadingZeros64(rest)) + 1
-	}
-	h.set(idx, rank)
-}
-
-func (h *HLL) set(idx uint32, rank uint8) {
-	if h.dense != nil {
-		if rank > h.dense[idx] {
-			h.dense[idx] = rank
+		x := hashValue(v)
+		idx := x >> shift
+		rank := uint8(bits.LeadingZeros64(x<<h.p|guard)) + 1
+		if old := regs[idx]; rank > old {
+			if old == 0 {
+				touched++
+			}
+			regs[idx] = rank
 		}
-		return
 	}
-	if rank > h.sparse[idx] {
-		h.sparse[idx] = rank
-	}
-	if uint32(len(h.sparse)) > h.m/8 {
-		h.promote()
+	h.touched = touched
+	h.noteFill()
+}
+
+// noteFill latches the dense form once more than an eighth of the register
+// file is in use.
+func (h *HLL) noteFill() {
+	if h.touched > h.m/8 {
+		h.dense = true
 	}
 }
 
-// promote moves the sparse pairs into the dense register file, reusing a
-// pooled spare file when one is available.
-func (h *HLL) promote() {
-	if uint32(len(h.denseSpare)) == h.m {
-		h.dense = h.denseSpare
-		h.denseSpare = nil
-		clear(h.dense)
-	} else {
-		h.dense = make([]uint8, h.m)
-	}
-	for idx, rank := range h.sparse {
-		h.dense[idx] = rank
-	}
-	h.sparse = nil
-}
-
-// register reads one register in either representation.
-func (h *HLL) register(idx uint32) uint8 {
-	if h.dense != nil {
-		return h.dense[idx]
-	}
-	return h.sparse[idx]
-}
+// register reads one register.
+func (h *HLL) register(idx uint32) uint8 { return h.regs[idx] }
 
 // Estimate returns the distinct-count estimate: the standard bias-corrected
 // harmonic mean, with linear counting below 2.5·m where raw HLL is biased.
@@ -150,8 +126,7 @@ func (h *HLL) Estimate() float64 {
 	m := float64(h.m)
 	var sum float64
 	var zeros float64
-	for idx := uint32(0); idx < h.m; idx++ {
-		r := h.register(idx)
+	for _, r := range h.regs {
 		sum += 1 / float64(uint64(1)<<r)
 		if r == 0 {
 			zeros++
@@ -188,20 +163,16 @@ func (h *HLL) Merge(other StatBlock) error {
 	if o.p != h.p {
 		return fmt.Errorf("sketch: merging hll precision %d into %d", o.p, h.p)
 	}
-	if o.dense != nil {
-		if h.dense == nil {
-			h.promote()
-		}
-		for idx, rank := range o.dense {
-			if rank > h.dense[idx] {
-				h.dense[idx] = rank
+	for idx, rank := range o.regs {
+		if old := h.regs[idx]; rank > old {
+			if old == 0 {
+				h.touched++
 			}
-		}
-	} else {
-		for idx, rank := range o.sparse {
-			h.set(idx, rank)
+			h.regs[idx] = rank
 		}
 	}
+	h.dense = h.dense || o.dense
+	h.noteFill()
 	h.absorb(&o.blockBase)
 	return nil
 }

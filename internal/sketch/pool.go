@@ -3,16 +3,17 @@ package sketch
 import "sync"
 
 // Block-state pools. A scan's parallel side path builds one chain per lane
-// and throws all but the merge survivor away; without reuse that is three
-// map/slice allocations per lane per scan, plus every buffer the blocks grew
-// during the stream. Chain.Release parks the retired blocks here once the
+// and throws all but the merge survivor away; without reuse that is a
+// register file, a counter arena with its table, and a window buffer
+// allocated per lane per scan, plus whatever the blocks grew during the
+// stream. Chain.Release parks the retired blocks here once the
 // lane goroutine is joined (and only when the blocks provably did not escape
 // into a catalog entry or scan result), and NewChain prefers pooled state
 // with matching geometry.
 //
 // Reset discipline: a reused block must be observationally identical to a
 // fresh one — same encoding bytes for the same stream, same degraded flag,
-// same sparse/dense representation. The pooled-reuse property tests compare
+// same sparse/dense encoding form. The pooled-reuse property tests compare
 // a recycled lane against a fresh lane bytewise.
 var (
 	hllPool sync.Pool
@@ -69,29 +70,22 @@ func releaseBlock(b StatBlock) {
 }
 
 // reset restores the sketch to its freshly-constructed state, keeping the
-// grown buffers. A retired dense register file is kept as the spare so a
-// later promotion does not reallocate.
+// register file.
 func (h *HLL) reset() {
 	h.blockBase = blockBase{}
-	if h.dense != nil {
-		h.denseSpare = h.dense
-		h.dense = nil
-	}
-	if h.sparse == nil {
-		h.sparse = make(map[uint32]uint8, h.m/8+1)
-	} else {
-		clear(h.sparse)
-	}
+	clear(h.regs)
+	h.touched = 0
+	h.dense = false
 }
 
 func (s *SpaceSaving) reset() {
 	s.blockBase = blockBase{}
 	s.entries = s.entries[:0]
-	clear(s.index)
+	clear(s.tab)
+	s.heap = s.heap[:0]
 }
 
 func (w *Window) reset() {
 	w.blockBase = blockBase{}
-	w.h = w.h[:0]
-	w.seen = false
+	w.buf = w.buf[:0]
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Binary serialisation for catalog persistence and the STATS wire, in the
@@ -58,22 +57,19 @@ func appendHeader(out []byte, kind Kind, degraded bool, items int64) []byte {
 func (h *HLL) MarshalBinary() ([]byte, error) {
 	out := appendHeader(make([]byte, 0, headerSize+2+4+int(h.m)), KindHLL, h.degraded, h.items)
 	out = append(out, h.p)
-	if h.dense != nil {
+	if h.dense {
 		out = append(out, 1)
 		out = binary.LittleEndian.AppendUint32(out, h.m)
-		out = append(out, h.dense...)
+		out = append(out, h.regs...)
 		return out, nil
 	}
 	out = append(out, 0)
-	idxs := make([]uint32, 0, len(h.sparse))
-	for idx := range h.sparse {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(idxs)))
-	for _, idx := range idxs {
-		out = binary.LittleEndian.AppendUint32(out, idx)
-		out = append(out, h.sparse[idx])
+	out = binary.LittleEndian.AppendUint32(out, h.touched)
+	for idx, rank := range h.regs {
+		if rank != 0 {
+			out = binary.LittleEndian.AppendUint32(out, uint32(idx))
+			out = append(out, rank)
+		}
 	}
 	return out, nil
 }
@@ -94,7 +90,7 @@ func (s *SpaceSaving) MarshalBinary() ([]byte, error) {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (w *Window) MarshalBinary() ([]byte, error) {
-	es := w.entries()
+	es := w.live()
 	out := appendHeader(make([]byte, 0, headerSize+8+16*len(es)), KindWindow, w.degraded, w.items)
 	out = binary.LittleEndian.AppendUint32(out, uint32(w.w))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(es)))
@@ -235,6 +231,7 @@ func decodeHLL(d *decoder) *HLL {
 			d.fail("hll sparse count exceeds register file")
 			return nil
 		}
+		lastIdx := int64(-1)
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			idx := d.u32()
 			rank := d.u8()
@@ -245,8 +242,14 @@ func decodeHLL(d *decoder) *HLL {
 				d.fail("hll sparse entry out of range")
 				break
 			}
-			h.sparse[idx] = rank
+			if int64(idx) <= lastIdx {
+				d.fail("hll sparse indices not strictly ascending")
+				break
+			}
+			lastIdx = int64(idx)
+			h.regs[idx] = rank
 		}
+		h.touched = n
 	case 1:
 		m := d.u32()
 		if d.err == nil && m != h.m {
@@ -257,13 +260,15 @@ func decodeHLL(d *decoder) *HLL {
 		if d.err != nil {
 			return nil
 		}
-		h.dense = make([]uint8, m)
-		copy(h.dense, regs)
-		h.sparse = nil
-		for _, r := range h.dense {
+		copy(h.regs, regs)
+		h.dense = true
+		for _, r := range regs {
 			if r > maxRank {
 				d.fail("hll dense register out of range")
 				break
+			}
+			if r != 0 {
+				h.touched++
 			}
 		}
 	default:
@@ -294,11 +299,11 @@ func decodeSpaceSaving(d *decoder) *SpaceSaving {
 			d.fail("spacesaving counter out of range")
 			break
 		}
-		if _, dup := s.index[v]; dup {
+		if s.find(v) >= 0 {
 			d.fail("spacesaving duplicate value")
 			break
 		}
-		s.insertRaw(v, count, errBound)
+		s.track(v, count, errBound)
 	}
 	return s
 }
@@ -326,36 +331,9 @@ func decodeWindow(d *decoder) *Window {
 			break
 		}
 		lastPos = pos
-		w.h = append(w.h, winEntry{pos: pos, val: val})
-		w.seen = true
-	}
-	// Restore the heap invariant over the sorted entries (already valid for
-	// a min-heap, but heap.Init keeps this robust against layout changes).
-	if len(w.h) > 1 {
-		for i := len(w.h)/2 - 1; i >= 0; i-- {
-			siftDown(w.h, i)
-		}
+		w.buf = append(w.buf, winEntry{pos: pos, val: val})
 	}
 	return w
-}
-
-// siftDown restores the min-heap property at index i.
-func siftDown(h posHeap, i int) {
-	n := len(h)
-	for {
-		l, r, smallest := 2*i+1, 2*i+2, i
-		if l < n && h[l].pos < h[smallest].pos {
-			smallest = l
-		}
-		if r < n && h[r].pos < h[smallest].pos {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
 }
 
 // DecodeBlocks parses a list of serialized sketches.

@@ -111,16 +111,19 @@ func TestHLLSparseDenseBoundary(t *testing.T) {
 	right := NewHLL(8)
 	for i := 0; i < 600; i++ {
 		serial.Push(int64(i), int64(i*37))
-		if i < 300 {
+		if i < 580 {
 			left.Push(int64(i), int64(i*37))
 		} else {
 			right.Push(int64(i), int64(i*37))
 		}
 	}
-	if !serial.Sparse() == false && left.Sparse() {
-		// serial promoted; left may still be sparse — exactly the mixed merge
-		// we want to cover.
-		_ = left
+	// The mixed merge needs a dense target and a sparse source: 20 values
+	// cannot touch more than the m/8 = 32 registers that end the sparse form.
+	if serial.Sparse() || left.Sparse() {
+		t.Fatal("precondition: serial and left sketches should be dense")
+	}
+	if !right.Sparse() {
+		t.Fatal("precondition: right sketch should still be sparse")
 	}
 	if err := left.Merge(right); err != nil {
 		t.Fatal(err)

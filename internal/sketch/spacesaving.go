@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -25,14 +26,27 @@ import (
 // information-theoretically impossible — the property tests check the
 // guarantees instead, and DESIGN.md spells the distinction out.
 //
-// The k counters live in a flat entries arena indexed by a value→slot map:
-// the steady state (hits and evictions alike) recycles slots in place and
+// The k counters live in a flat entries arena. A small open-addressed table
+// (linear probing, backward-shift delete) maps a value to its arena slot, and
+// an indexed binary min-heap of slot ids, ordered by (count ascending, value
+// descending), names the eviction victim — so a hit and a miss are both
+// O(log k) array work, and the steady state recycles slots in place and
 // never allocates, which is what lets the summary ride the hot side path.
+// The heap order is total, so the victim does not depend on arena order.
 type SpaceSaving struct {
 	blockBase
 	k       int
 	entries []ssEntry
-	index   map[int64]int32 // value → index into entries
+	// tab is the value→slot table: at least 8k cells, a power of two, each
+	// holding an arena slot + 1, or 0 when empty. The value itself is read
+	// from the arena; at a load of 1/8 a probe rarely meets a foreign cell.
+	tab      []int32
+	tabShift uint8 // 64 − log2(len(tab)): the hash keeps its top bits
+	// heap holds every slot id once the first eviction has built it; Merge,
+	// decode and reset empty it and the next eviction builds it again.
+	// hpos[slot] is the slot's index in heap.
+	heap []int32
+	hpos []int32
 }
 
 // ssEntry is one tracked value's state, stored in the arena.
@@ -56,10 +70,12 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		k = 1
 	}
+	logCells := bits.Len(uint(8*k - 1))
 	return &SpaceSaving{
-		k:       k,
-		entries: make([]ssEntry, 0, k),
-		index:   make(map[int64]int32, k),
+		k:        k,
+		entries:  make([]ssEntry, 0, k),
+		tab:      make([]int32, 1<<logCells),
+		tabShift: uint8(64 - logCells),
 	}
 }
 
@@ -72,27 +88,124 @@ func (s *SpaceSaving) Name() string { return "spacesaving" }
 // Capacity returns k.
 func (s *SpaceSaving) Capacity() int { return s.k }
 
+// home is the table cell a value's probe sequence starts at.
+func (s *SpaceSaving) home(v int64) int {
+	return int(uint64(v) * 0x9E3779B97F4A7C15 >> s.tabShift)
+}
+
+// find returns the arena slot tracking v, or -1.
+func (s *SpaceSaving) find(v int64) int32 {
+	mask := len(s.tab) - 1
+	for i := s.home(v); ; i = (i + 1) & mask {
+		slot := s.tab[i] - 1
+		if slot < 0 || s.entries[slot].val == v {
+			return slot
+		}
+	}
+}
+
+// tabInsert maps v, which must be absent, to an arena slot.
+func (s *SpaceSaving) tabInsert(v int64, slot int32) {
+	mask := len(s.tab) - 1
+	i := s.home(v)
+	for s.tab[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.tab[i] = slot + 1
+}
+
+// tabDelete unmaps the value held in an arena slot and closes the gap by
+// shifting back every later cell of the run that may legally sit nearer its
+// home.
+func (s *SpaceSaving) tabDelete(slot int32) {
+	mask := len(s.tab) - 1
+	i := s.home(s.entries[slot].val)
+	for s.tab[i] != slot+1 { // no empty cell lies between a value and its home
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.tab[j] != 0; j = (j + 1) & mask {
+		if (j-s.home(s.entries[s.tab[j]-1].val))&mask >= (j-i)&mask {
+			s.tab[i] = s.tab[j]
+			i = j
+		}
+	}
+	s.tab[i] = 0
+}
+
+// reindex rebuilds the table from the arena and drops the heap.
+func (s *SpaceSaving) reindex() {
+	clear(s.tab)
+	for i := range s.entries {
+		s.tabInsert(s.entries[i].val, int32(i))
+	}
+	s.heap = s.heap[:0]
+}
+
+// evictsBefore is the heap order over (count, value) keys: a is evicted
+// before b when its count is lower, ties broken toward the larger value.
+func evictsBefore(aCount, aVal, bCount, bVal int64) bool {
+	return aCount < bCount || (aCount == bCount && aVal > bVal)
+}
+
+// siftDown restores the heap below index i after that slot's count grew.
+func (s *SpaceSaving) siftDown(i int) {
+	es, h, hpos := s.entries, s.heap, s.hpos
+	slot := h[i]
+	count, val := es[slot].count, es[slot].val
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		child := h[c]
+		cCount, cVal := es[child].count, es[child].val
+		if c+1 < len(h) {
+			r := h[c+1]
+			if rCount, rVal := es[r].count, es[r].val; evictsBefore(rCount, rVal, cCount, cVal) {
+				c, child, cCount, cVal = c+1, r, rCount, rVal
+			}
+		}
+		if !evictsBefore(cCount, cVal, count, val) {
+			break
+		}
+		h[i], hpos[child] = child, int32(i)
+		i = c
+	}
+	h[i], hpos[slot] = slot, int32(i)
+}
+
+// buildHeap heapifies the full arena.
+func (s *SpaceSaving) buildHeap() {
+	if cap(s.heap) < s.k {
+		s.heap = make([]int32, s.k)
+		s.hpos = make([]int32, s.k)
+	}
+	s.heap = s.heap[:s.k]
+	for i := range s.heap {
+		s.heap[i] = int32(i)
+		s.hpos[i] = int32(i)
+	}
+	for i := s.k/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
 // Push implements StatBlock. A full summary evicts the minimum counter —
 // ties broken toward the largest value, so eviction is deterministic — and
 // the newcomer inherits the evicted count as its error bound.
 func (s *SpaceSaving) Push(_, v int64) {
-	s.items++
-	if i, ok := s.index[v]; ok {
-		s.entries[i].count++
-		return
-	}
-	s.admit(v)
+	s.PushBatch(0, []int64{v})
 }
 
 // PushBatch implements StatBlock.
 func (s *SpaceSaving) PushBatch(_ int64, vals []int64) {
 	s.items += int64(len(vals))
 	for _, v := range vals {
-		if i, ok := s.index[v]; ok {
-			s.entries[i].count++
+		slot := s.find(v)
+		if slot < 0 {
+			s.admit(v)
 			continue
 		}
-		s.admit(v)
+		s.entries[slot].count++
+		if len(s.heap) != 0 {
+			s.siftDown(int(s.hpos[slot]))
+		}
 	}
 }
 
@@ -101,27 +214,24 @@ func (s *SpaceSaving) PushBatch(_ int64, vals []int64) {
 // allocation on the steady-state path.
 func (s *SpaceSaving) admit(v int64) {
 	if len(s.entries) < s.k {
-		s.index[v] = int32(len(s.entries))
-		s.entries = append(s.entries, ssEntry{val: v, count: 1})
+		s.track(v, 1, 0)
 		return
 	}
-	min := 0
-	for i := 1; i < len(s.entries); i++ {
-		e, m := &s.entries[i], &s.entries[min]
-		if e.count < m.count || (e.count == m.count && e.val > m.val) {
-			min = i
-		}
+	if len(s.heap) == 0 {
+		s.buildHeap()
 	}
-	minCount := s.entries[min].count
-	delete(s.index, s.entries[min].val)
-	s.entries[min] = ssEntry{val: v, count: minCount + 1, err: minCount}
-	s.index[v] = int32(min)
+	min := s.heap[0]
+	e := &s.entries[min]
+	s.tabDelete(min)
+	*e = ssEntry{val: v, count: e.count + 1, err: e.count}
+	s.tabInsert(v, min)
+	s.siftDown(0)
 }
 
-// insertRaw installs a counter verbatim (merge spill, decode). Unlike admit
-// it may grow the arena past k; Merge truncates afterwards.
-func (s *SpaceSaving) insertRaw(v, count, errBound int64) {
-	s.index[v] = int32(len(s.entries))
+// track installs a counter for an untracked value verbatim (first sighting,
+// decode). The arena must have room.
+func (s *SpaceSaving) track(v, count, errBound int64) {
+	s.tabInsert(v, int32(len(s.entries)))
 	s.entries = append(s.entries, ssEntry{val: v, count: count, err: errBound})
 }
 
@@ -149,8 +259,8 @@ func (s *SpaceSaving) Top(n int) []HeavyHitter {
 // value is untracked, in which case its true frequency is at most the
 // summary's minimum count.
 func (s *SpaceSaving) Estimate(v int64) (hh HeavyHitter, ok bool) {
-	i, ok := s.index[v]
-	if !ok {
+	i := s.find(v)
+	if i < 0 {
 		return HeavyHitter{}, false
 	}
 	e := &s.entries[i]
@@ -194,28 +304,30 @@ func (s *SpaceSaving) Merge(other StatBlock) error {
 	minS, minO := s.minCount(), o.minCount()
 	for i := range s.entries {
 		e := &s.entries[i]
-		if _, shared := o.index[e.val]; !shared {
+		if o.find(e.val) < 0 {
 			e.count += minO
 			e.err += minO
 		}
 	}
+	// Values only the other side tracks spill past the arena's k slots and
+	// stay out of the table until the truncation below has picked survivors;
+	// the other side's values are distinct, so no lookup can miss them.
 	for j := range o.entries {
 		oe := &o.entries[j]
-		if i, exists := s.index[oe.val]; exists {
+		if i := s.find(oe.val); i >= 0 {
 			s.entries[i].count += oe.count
 			s.entries[i].err += oe.err
 		} else {
-			s.insertRaw(oe.val, oe.count+minS, oe.err+minS)
+			s.entries = append(s.entries, ssEntry{val: oe.val, count: oe.count + minS, err: oe.err + minS})
 		}
 	}
 	if len(s.entries) > s.k {
-		all := s.Top(0)
-		s.entries = s.entries[:0]
-		clear(s.index)
-		for _, hh := range all[:s.k] {
-			s.insertRaw(hh.Value, hh.Count, hh.Err)
+		for i, hh := range s.Top(0)[:s.k] {
+			s.entries[i] = ssEntry{val: hh.Value, count: hh.Count, err: hh.Err}
 		}
+		s.entries = s.entries[:s.k]
 	}
+	s.reindex()
 	s.absorb(&o.blockBase)
 	return nil
 }

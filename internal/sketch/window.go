@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Window is the bounded-state sliding-window aggregate: count, sum, min, and
@@ -9,37 +10,30 @@ import (
 // stream position each Push carries, not by arrival order — the parallel
 // path delivers pages to lanes out of order (and replays retired lanes'
 // chunks late), so the block keeps the W entries with the largest positions
-// in a min-heap and evicts by position. Positions are unique per row, which
-// makes the kept set — and therefore the merged aggregate — identical to the
-// serial path's, whatever the sharding or replay interleaving.
+// and evicts by position. Positions are unique per row, which makes the kept
+// set — and therefore the merged aggregate — identical to the serial path's,
+// whatever the sharding or replay interleaving.
+//
+// The retained pairs live in one slice, ascending by position. A lane sees
+// its pages in storage order, so nearly every batch starts past the newest
+// retained position and is a plain append; the slice is cut back to its W
+// newest entries once it reaches 2W, which makes a push O(1) amortised. A
+// batch that arrives out of order (a retired lane's replay) and Merge are
+// the same two-run sorted merge.
 type Window struct {
 	blockBase
-	w    int
-	h    posHeap
-	seen bool // at least one value consumed with w > 0
+	w int
+	// buf is ascending by position; the window is its last min(len, w)
+	// entries, anything before them is awaiting compaction.
+	buf []winEntry
+	// spare is the merge's output buffer, swapped with buf after each merge.
+	spare []winEntry
 }
 
 // winEntry is one retained (position, value) pair.
 type winEntry struct {
 	pos int64
 	val int64
-}
-
-// posHeap is a min-heap on stream position, maintained by the hand-rolled
-// siftUp/siftDown below: container/heap would box every winEntry through an
-// interface value, and the window's Push is on the side path's hot loop.
-type posHeap []winEntry
-
-// siftUp restores the min-heap property after appending at index i.
-func siftUp(h posHeap, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].pos <= h[i].pos {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
 }
 
 // NewWindow returns a window over the last w values. w = 0 is legal and
@@ -61,14 +55,24 @@ func (w *Window) Name() string { return "window" }
 // W returns the configured window width.
 func (w *Window) W() int { return w.w }
 
+// live returns the retained window: the W newest entries, ascending by
+// position.
+func (w *Window) live() []winEntry {
+	if len(w.buf) > w.w {
+		return w.buf[len(w.buf)-w.w:]
+	}
+	return w.buf
+}
+
+// inOrder reports whether pos lies past every retained position, i.e.
+// whether a run starting there can simply be appended.
+func (w *Window) inOrder(pos int64) bool {
+	return len(w.buf) == 0 || pos > w.buf[len(w.buf)-1].pos
+}
+
 // Push implements StatBlock.
 func (w *Window) Push(pos, v int64) {
-	w.items++
-	if w.w == 0 {
-		return
-	}
-	w.seen = true
-	w.push1(pos, v)
+	w.PushBatch(pos, []int64{v})
 }
 
 // PushBatch implements StatBlock: value i carries position pos+i.
@@ -77,23 +81,65 @@ func (w *Window) PushBatch(pos int64, vals []int64) {
 	if w.w == 0 || len(vals) == 0 {
 		return
 	}
-	w.seen = true
-	for _, v := range vals {
-		w.push1(pos, v)
-		pos++
+	if !w.inOrder(pos) {
+		mid := len(w.buf)
+		w.appendRun(pos, vals)
+		w.mergeTail(mid)
+		return
+	}
+	if len(vals) >= w.w {
+		// The batch alone covers the window: only its last W values survive.
+		skip := len(vals) - w.w
+		pos, vals = pos+int64(skip), vals[skip:]
+		w.buf = w.buf[:0]
+	} else if len(w.buf)+len(vals) > 2*w.w {
+		w.compact()
+	}
+	w.appendRun(pos, vals)
+}
+
+// appendRun appends the consecutive-position run (pos+i, vals[i]) to buf.
+func (w *Window) appendRun(pos int64, vals []int64) {
+	base := len(w.buf)
+	w.buf = slices.Grow(w.buf, len(vals))[:base+len(vals)]
+	run := w.buf[base:]
+	for i, v := range vals {
+		run[i] = winEntry{pos: pos + int64(i), val: v}
 	}
 }
 
-func (w *Window) push1(pos, v int64) {
-	if len(w.h) < w.w {
-		w.h = append(w.h, winEntry{pos: pos, val: v})
-		siftUp(w.h, len(w.h)-1)
-		return
+// compact drops everything before the window.
+func (w *Window) compact() {
+	w.buf = w.buf[:copy(w.buf, w.live())]
+}
+
+// mergeTail restores the invariant after a second ascending run was appended
+// at buf[mid:]: the window and that run are merged from their newest ends,
+// keeping the W largest positions.
+func (w *Window) mergeTail(mid int) {
+	a, b := w.buf[:mid], w.buf[mid:]
+	if len(a) > w.w {
+		a = a[len(a)-w.w:]
 	}
-	if pos > w.h[0].pos {
-		w.h[0] = winEntry{pos: pos, val: v}
-		siftDown(w.h, 0)
+	k := len(a) + len(b)
+	if k > w.w {
+		k = w.w
 	}
+	if cap(w.spare) < k {
+		w.spare = make([]winEntry, k)
+	}
+	out := w.spare[:k]
+	i, j := len(a)-1, len(b)-1
+	for k--; k >= 0; k-- {
+		if j < 0 || (i >= 0 && a[i].pos > b[j].pos) {
+			out[k] = a[i]
+			i--
+		} else {
+			out[k] = b[j]
+			j--
+		}
+	}
+	w.buf, w.spare = out, w.buf[:0]
 }
 
 // Aggregate is the windowed result.
@@ -108,7 +154,7 @@ type Aggregate struct {
 // Aggregate computes count/sum/min/max over the retained window.
 func (w *Window) Aggregate() Aggregate {
 	var a Aggregate
-	for i, e := range w.h {
+	for i, e := range w.live() {
 		a.Count++
 		a.Sum += e.val
 		if i == 0 || e.val < a.Min {
@@ -121,24 +167,6 @@ func (w *Window) Aggregate() Aggregate {
 	return a
 }
 
-// entries returns the retained pairs sorted by position (serialization,
-// tests). The heap itself stays untouched.
-func (w *Window) entries() []winEntry {
-	out := make([]winEntry, len(w.h))
-	copy(out, w.h)
-	sortEntries(out)
-	return out
-}
-
-func sortEntries(es []winEntry) {
-	// Positions are unique, so ordering by pos alone is total.
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].pos < es[j-1].pos; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
-}
-
 // Merge implements StatBlock: the union's W largest positions win, exactly
 // reproducing the serial window over the combined stream.
 func (w *Window) Merge(other StatBlock) error {
@@ -149,12 +177,11 @@ func (w *Window) Merge(other StatBlock) error {
 	if o.w != w.w {
 		return fmt.Errorf("sketch: merging window W=%d into W=%d", o.w, w.w)
 	}
-	if w.w > 0 {
-		for _, e := range o.h {
-			w.push1(e.pos, e.val)
-		}
+	if run := o.live(); len(run) > 0 {
+		mid := len(w.buf)
+		w.buf = append(w.buf, run...)
+		w.mergeTail(mid)
 	}
-	w.seen = w.seen || o.seen
 	w.absorb(&o.blockBase)
 	return nil
 }
