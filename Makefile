@@ -8,11 +8,12 @@ FUZZTIME ?= 30s
 BENCHJSON ?= BENCH_PR10.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
-# data path with and without the sketch chain, plus the Table 1 binner
-# cases); the iteration budget and scheduler width are pinned so a base run
+# data path with and without the sketch chain on the friendly column, the
+# same path over the wide-domain column, plus the Table 1 binner cases); the
+# iteration budget and scheduler width are pinned so a base run
 # and a head run on the same machine are comparable, and the 5 repeats are
 # collapsed to a per-metric median by benchjson.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkTable1Binner
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkTable1Binner
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4
@@ -83,9 +84,13 @@ perf-gate:
 	$(GO) run ./cmd/benchdiff -base $(PERF_BASE) -head $(PERF_HEAD) \
 		-gate-throughput -max-throughput-drop 10 -max-allocs-growth 5
 
-# lint runs staticcheck when it is installed (CI installs it; locally it is
+# lint fails on any file gofmt would rewrite (the benchmark module included),
+# then runs staticcheck when it is installed (CI installs it; locally it is
 # optional because the repo builds with the stdlib toolchain alone).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

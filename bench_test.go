@@ -486,6 +486,38 @@ func BenchmarkParallelDataPathSketch(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelDataPathWide is the same path over the wide-domain column
+// the benchmark of record calls `widedomain`: l_extendedprice spans ~10 M
+// bins of which a scan fills at most one per row, so host cost is whatever
+// the bin region costs per scan — building or recycling it per lane, merging
+// the lanes, walking it for the histogram chain and the distinct count — and
+// almost nothing per value. The default sketch chain rides along, as it does
+// on a served scan. sim-agg-cycles is the Δ-priced fan-in pass: it must not
+// move when the host stops paying per bin.
+func BenchmarkParallelDataPathWide(b *testing.B) {
+	rel := tpch.Lineitem(100_000, 1, 306)
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			dp, err := stream.NewParallelDataPath(rel, "l_extendedprice", stream.TenGbE, shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dp.Sketch = sketch.DefaultChainSpec()
+			b.ReportAllocs()
+			var res *stream.ParallelScanResult
+			for i := 0; i < b.N; i++ {
+				res, err = dp.Scan(io.Discard, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(res.HostBytes)
+			b.ReportMetric(float64(res.AggregationCycles), "sim-agg-cycles")
+			b.ReportMetric(float64(res.Results.Chain.TotalCycles), "sim-chain-cycles")
+		})
+	}
+}
+
 func BenchmarkHistogramSerialization(b *testing.B) {
 	vec := bins.Build(datagen.Take(datagen.NewZipf(302, 0, 5000, 0.8, true), 100_000), 1)
 	h := hist.BuildCompressed(vec, 64, 256)

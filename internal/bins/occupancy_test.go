@@ -1,0 +1,284 @@
+package bins
+
+import (
+	"reflect"
+	"testing"
+
+	"streamhist/internal/datagen"
+)
+
+// The occupancy index is an optimisation of the per-bin walks, and the
+// Cardinality tally one of the count over them, never a change of their
+// result. These tests hold every walk and the tally to a dense reference
+// that loops over the whole count row the way the package did before either
+// existed.
+
+// occupancySizes straddle the index's word boundary and one batch of the
+// Occupied walk.
+var occupancySizes = []int{1, 63, 64, 65, 4097}
+
+func denseCardinality(counts []int64) int {
+	n := 0
+	for _, c := range counts {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func denseNonZero(min, divisor int64, counts []int64) []Bin {
+	out := []Bin{}
+	for i, c := range counts {
+		if c > 0 {
+			out = append(out, Bin{Value: min + int64(i)*divisor, Count: c})
+		}
+	}
+	return out
+}
+
+func denseTotal(counts []int64) int64 {
+	var t int64
+	for _, c := range counts {
+		t += c
+	}
+	return t
+}
+
+// checkAgainstDense compares everything observable about v with the dense
+// reference row want.
+func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
+	t.Helper()
+	if v.NumBins() != len(want) {
+		t.Fatalf("%s: NumBins = %d, want %d", label, v.NumBins(), len(want))
+	}
+	if !reflect.DeepEqual(append([]int64{}, v.Counts()...), append([]int64{}, want...)) {
+		t.Fatalf("%s: counts differ from the dense reference", label)
+	}
+	if got, w := v.Total(), denseTotal(want); got != w {
+		t.Fatalf("%s: Total = %d, want %d", label, got, w)
+	}
+	if got, w := v.Cardinality(), denseCardinality(want); got != w {
+		t.Fatalf("%s: Cardinality = %d, want %d", label, got, w)
+	}
+	if got, w := v.NonZero(), denseNonZero(v.Min, v.Divisor, want); !reflect.DeepEqual(append([]Bin{}, got...), w) {
+		t.Fatalf("%s: NonZero = %v, want %v", label, got, w)
+	}
+	// The primitive itself: ascending, every non-empty bin exactly once, with
+	// its count.
+	last := -1
+	seen := 0
+	v.Occupied(func(i int, c int64) {
+		if i <= last {
+			t.Fatalf("%s: Occupied not ascending: %d after %d", label, i, last)
+		}
+		if c == 0 || c != want[i] {
+			t.Fatalf("%s: Occupied(%d) = %d, want %d", label, i, c, want[i])
+		}
+		last = i
+		seen++
+	})
+	nonEmpty := 0
+	for _, c := range want {
+		if c != 0 {
+			nonEmpty++
+		}
+	}
+	if seen != nonEmpty {
+		t.Fatalf("%s: Occupied visited %d bins, want %d", label, seen, nonEmpty)
+	}
+}
+
+// randomRow draws a count row of n bins: fill is the probability that a bin
+// is non-empty (0 = all-empty, 1 = all-full).
+func randomRow(rng *datagen.RNG, n int, fill float64) []int64 {
+	row := make([]int64, n)
+	for i := range row {
+		if rng.Float64() < fill {
+			row[i] = 1 + rng.Int63n(9)
+		}
+	}
+	return row
+}
+
+// fillVector builds the row through the public write path, in random order,
+// with AddCount(·, 0) calls sprinkled over empty bins: they set occupancy
+// bits over zero counts, which every walk must see through.
+func fillVector(rng *datagen.RNG, min, divisor int64, row []int64) *Vector {
+	v := NewVector(min, min+int64(len(row)-1)*divisor, divisor)
+	for _, i := range rng.Perm(len(row)) {
+		val := min + int64(i)*divisor + rng.Int63n(divisor)
+		switch c := row[i]; {
+		case c == 0 && rng.Intn(4) == 0:
+			v.AddCount(val, 0)
+		case c == 1:
+			v.Add(val)
+		case c > 1:
+			v.AddCount(val, c-1)
+			v.Add(val)
+		}
+	}
+	return v
+}
+
+func TestOccupancyWalkEqualsDenseWalk(t *testing.T) {
+	rng := datagen.NewRNG(20140622)
+	for _, n := range occupancySizes {
+		for _, fill := range []float64{0, 0.02, 0.5, 1} {
+			for _, divisor := range []int64{1, 7} {
+				min := rng.Int63n(1000) - 500
+				a := randomRow(rng, n, fill)
+				b := randomRow(rng, n, 0.3)
+				c := randomRow(rng, n, 1)
+
+				va := fillVector(rng, min, divisor, a)
+				checkAgainstDense(t, "Add/AddCount", va, a)
+				checkAgainstDense(t, "FromCounts", FromCounts(min, divisor, append([]int64{}, a...)), a)
+
+				clone := va.Clone()
+				checkAgainstDense(t, "Clone", clone, a)
+
+				// Merge into the clone; the original must not move.
+				vb := fillVector(rng, min, divisor, b)
+				if err := clone.Merge(vb); err != nil {
+					t.Fatal(err)
+				}
+				ab := make([]int64, n)
+				for i := range ab {
+					ab[i] = a[i] + b[i]
+				}
+				checkAgainstDense(t, "Merge", clone, ab)
+				checkAgainstDense(t, "Merge left its source", vb, b)
+				checkAgainstDense(t, "Clone is deep", va, a)
+
+				vc := FromCounts(min, divisor, append([]int64{}, c...))
+				all, err := MergeAll(va, vb, vc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				abc := make([]int64, n)
+				for i := range abc {
+					abc[i] = ab[i] + c[i]
+				}
+				checkAgainstDense(t, "MergeAll", all, abc)
+				checkAgainstDense(t, "MergeAll left its inputs", va, a)
+
+				// Reset empties everything, and the vector fills again.
+				all.Reset()
+				checkAgainstDense(t, "Reset", all, make([]int64, n))
+				if all.Min != min || all.Divisor != divisor {
+					t.Fatalf("Reset moved the geometry: min %d divisor %d", all.Min, all.Divisor)
+				}
+				if err := all.Merge(vb); err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstDense(t, "refill after Reset", all, b)
+			}
+		}
+	}
+}
+
+// TestAddCountZeroSetsNoCount: AddCount of 0 may set an occupancy bit, and
+// counts may cancel back to zero or go below it; none of that may show up
+// as a non-empty bin in any walk or in the Cardinality tally.
+func TestAddCountZeroSetsNoCount(t *testing.T) {
+	v := NewVector(0, 129, 1)
+	v.AddCount(64, 0)
+	v.AddCount(65, 5)
+	v.AddCount(65, -5)
+	v.AddCount(3, -2)
+	v.AddCount(129, 2)
+	want := make([]int64, 130)
+	want[3] = -2
+	want[129] = 2
+	checkAgainstDense(t, "zero-count bits", v, want)
+	other := NewVector(0, 129, 1)
+	if err := other.Merge(v); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, "merged zero-count bits", other, want)
+}
+
+// TestRecycleAcrossGeometries drives one vector through shrinking and
+// growing geometries. After each Recycle the vector must be empty under the
+// new geometry — and, looking at the backing arrays over their whole
+// capacity, hold no stale count and no stale occupancy bit anywhere, which
+// is what makes growing back into spare capacity sound.
+func TestRecycleAcrossGeometries(t *testing.T) {
+	rng := datagen.NewRNG(7)
+	v := new(Vector)
+	for step, n := range []int{4097, 65, 4097, 1, 64, 63, 5000, 64, 4097, 9000, 65} {
+		min, divisor := rng.Int63n(100), 1+rng.Int63n(3)
+		var cleared []int
+		prev := append([]int64{}, v.Counts()...)
+		v.Recycle(min, divisor, n, func(i int) { cleared = append(cleared, i) })
+
+		// cleared saw exactly the non-empty bins of the previous fill.
+		var wantCleared []int
+		for i, c := range prev {
+			if c != 0 {
+				wantCleared = append(wantCleared, i)
+			}
+		}
+		if !reflect.DeepEqual(cleared, wantCleared) {
+			t.Fatalf("step %d: cleared %d bins, want %d", step, len(cleared), len(wantCleared))
+		}
+		if v.Min != min || v.Divisor != divisor {
+			t.Fatalf("step %d: geometry not taken", step)
+		}
+		checkAgainstDense(t, "recycled", v, make([]int64, n))
+		for i, c := range v.counts[:cap(v.counts)] {
+			if c != 0 {
+				t.Fatalf("step %d: stale count %d at %d (len %d, cap %d)", step, c, i, n, cap(v.counts))
+			}
+		}
+		for w, word := range v.occ[:cap(v.occ)] {
+			if word != 0 {
+				t.Fatalf("step %d: stale occupancy word %d (len %d)", step, w, len(v.occ))
+			}
+		}
+
+		// Dirty it for the next round: a random fill that always touches
+		// the last bin, the one a shrink is most likely to strand.
+		row := randomRow(rng, n, 0.4)
+		row[n-1] = 3
+		for i, c := range row {
+			if c != 0 {
+				v.AddCount(min+int64(i)*divisor, c)
+			}
+		}
+		checkAgainstDense(t, "refilled", v, row)
+	}
+}
+
+// TestFromCountsDoesNotTrustSpareCapacity: the caller's slice may have
+// garbage past its length; a later Recycle must not grow into it.
+func TestFromCountsDoesNotTrustSpareCapacity(t *testing.T) {
+	buf := []int64{1, 2, 3, 99, 99, 99}
+	v := FromCounts(0, 1, buf[:3])
+	v.Recycle(0, 1, 6, nil)
+	checkAgainstDense(t, "grown past a clipped slice", v, make([]int64, 6))
+}
+
+// TestWarmRecycleDoesNotAllocate: once the backing arrays fit, emptying and
+// re-aiming a vector is allocation-free, whatever it held.
+func TestWarmRecycleDoesNotAllocate(t *testing.T) {
+	v := new(Vector)
+	v.Recycle(0, 1, 4097, nil)
+	fill := func() {
+		for i := 0; i < v.NumBins(); i += 37 {
+			v.AddCount(v.Value(i), 2)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(50, func() {
+		v.Recycle(5, 1, 4000, nil)
+		fill()
+		v.Recycle(0, 1, 4097, nil)
+		fill()
+		v.Reset()
+		fill()
+	}); allocs != 0 {
+		t.Fatalf("warm recycle allocates %.0f times per run", allocs)
+	}
+}

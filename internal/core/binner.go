@@ -154,11 +154,9 @@ type Binner struct {
 
 	// pending tracks, per memory line, the cycle at which the line's most
 	// recent write commits; used to detect RAW hazards when the cache
-	// cannot forward. For the bounded line universes real columns produce it
-	// is a flat array indexed by line (allocation-free, branch-cheap);
-	// pendingMap is the fallback for astronomically wide bin ranges.
-	pending    []float64
-	pendingMap map[int64]float64
+	// cannot forward. It is a flat table indexed by line — eight bytes per
+	// line, one per bin, beside the eight per bin of the region itself.
+	pending []float64
 
 	randomPeriod float64
 	burstPeriod  float64
@@ -190,28 +188,22 @@ func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
 	if cfg.PipelineCyclesPerItem == 0 {
 		cfg.PipelineCyclesPerItem = float64(hw.DefaultClockHz) / 75_000_000
 	}
-	numLines := (pre.NumBins + int64(cfg.Mem.BinsPerLine) - 1) / int64(cfg.Mem.BinsPerLine)
-	scratch := getBinnerScratch()
-	vec := bins.FromCounts(pre.Min, pre.Divisor, scratch.counts(pre.NumBins))
-	var mem *hw.Memory
-	if cfg.Faults != nil {
-		mem = hw.NewMemory(int(pre.NumBins), cfg.Faults)
-		mem.SetEvents(cfg.MemEvents)
-	}
 	b := &Binner{
 		cfg:          cfg,
 		pre:          pre,
-		cache:        scratch.cacheFor(cfg.CacheBytes, hw.LineBytes, numLines),
-		vec:          vec,
-		mem:          mem,
 		randomPeriod: float64(cfg.Clock.Hz) / float64(cfg.Mem.RandomOpsPerSec),
 		burstPeriod:  float64(cfg.Clock.Hz) / float64(cfg.Mem.BurstOpsPerSec),
 		latency:      float64(cfg.Mem.LatencyCycles),
 	}
-	if numLines > 0 && numLines <= maxFlatPendingLines {
-		b.pending = scratch.pendingFor(numLines)
+	if cfg.Faults == nil {
+		getBinnerScratch().fit(b, pre.NumBins)
 	} else {
-		b.pendingMap = make(map[int64]float64)
+		// The ECC-checked memory model holds the counts until finalizeMem
+		// swaps them in, so the lane carries no bin row of its own — and
+		// stays out of the pool (see binnerScratch).
+		newBinnerScratch().fit(b, 0)
+		b.mem = hw.NewMemory(int(pre.NumBins), cfg.Faults)
+		b.mem.SetEvents(cfg.MemEvents)
 	}
 	if cfg.Prof != nil {
 		lane := cfg.ProfLane
@@ -299,15 +291,9 @@ func (b *Binner) pushBatch(values []int64) {
 			readIssue := maxf(b.pipeTime, b.opTime)
 			// Without forwarding, a read that overlaps an in-flight write to
 			// the same line must stall the pipeline until that write commits
-			// (§5.1.3). The flat table's zero value never exceeds readIssue,
-			// so untouched lines behave exactly like absent map entries.
-			var pendingCommit float64
-			if b.pending != nil {
-				pendingCommit = b.pending[line]
-			} else {
-				pendingCommit = b.pendingMap[line]
-			}
-			if pendingCommit > readIssue {
+			// (§5.1.3). The table's zero value never exceeds readIssue, so
+			// an untouched line never stalls.
+			if pendingCommit := b.pending[line]; pendingCommit > readIssue {
 				if prof != nil {
 					stallSum += pendingCommit - readIssue
 					prof.stallN++
@@ -347,26 +333,11 @@ func (b *Binner) pushBatch(values []int64) {
 		writeIssue := maxf(b.opTime, dataReady)
 		commit := writeIssue + b.latency + spike
 		b.stats.MemWriteOps++
-		if b.pending != nil {
-			b.pending[line] = commit
-		} else {
-			b.pendingMap[line] = commit
-		}
+		b.pending[line] = commit
 		if commit > b.lastCommit {
 			b.lastCommit = commit
 		}
 		b.cache.Insert(line)
-
-		// Retire pending-commit entries lazily so the fallback map stays
-		// small (the flat table needs no retirement).
-		if b.pendingMap != nil && len(b.pendingMap) > 4*b.cache.Lines()+1024 {
-			horizon := minf(b.pipeTime, b.opTime)
-			for l, c := range b.pendingMap {
-				if c <= horizon {
-					delete(b.pendingMap, l)
-				}
-			}
-		}
 	}
 
 	if prof != nil {
@@ -467,13 +438,6 @@ func (b *Binner) CacheHitRate() float64 { return b.cache.HitRate() }
 
 func maxf(a, b float64) float64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
 		return a
 	}
 	return b

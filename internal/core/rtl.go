@@ -73,10 +73,11 @@ func NewRTLBinner(cfg BinnerConfig, pre *Preprocessor) *RTLBinner {
 		cfg.PipelineCyclesPerItem = float64(hw.DefaultClockHz) / 75_000_000
 	}
 	burstCost := float64(cfg.Mem.RandomOpsPerSec) / float64(cfg.Mem.BurstOpsPerSec)
+	numLines := (pre.NumBins + int64(cfg.Mem.BinsPerLine) - 1) / int64(cfg.Mem.BinsPerLine)
 	return &RTLBinner{
 		cfg:            cfg,
 		pre:            pre,
-		cache:          hw.NewCache(cfg.CacheBytes, hw.LineBytes),
+		cache:          hw.NewCache(cfg.CacheBytes, hw.LineBytes, numLines),
 		vec:            bins.FromCounts(pre.Min, pre.Divisor, make([]int64, pre.NumBins)),
 		creditPerCycle: float64(cfg.Mem.RandomOpsPerSec) / float64(cfg.Clock.Hz),
 		burstCost:      burstCost,

@@ -79,19 +79,17 @@ func (s *Scanner) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 				b.BeginScan(scan)
 			}
 		}
-		n := vec.NumBins()
-		for i := 0; i < n; i++ {
-			c := vec.Count(i)
-			if c == 0 {
-				continue // invalid-flagged: empty bin
-			}
+		// Empty bins are invalid-flagged and never reach a block, so the
+		// host walks the occupied ones only; the cycle model below still
+		// charges the full Δ read-out.
+		vec.Occupied(func(i int, c int64) {
 			v := vec.Value(i)
 			for _, b := range blocks {
 				if b.NeedsScan(scan) {
 					b.Consume(scan, v, c)
 				}
 			}
-		}
+		})
 		for _, b := range blocks {
 			if b.NeedsScan(scan) {
 				b.EndScan(scan)

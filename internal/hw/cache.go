@@ -11,12 +11,11 @@ package hw
 // the pipeline" framing (the set of recently touched lines within the
 // memory-latency window).
 //
-// Two representations back the same semantics. When the caller can bound the
-// line universe (NewCacheFor), residence is a flat byte array indexed by
-// line address and the FIFO is a fixed ring — zero allocation per access,
-// the form the hot binning loop uses. Otherwise residence is a map keyed by
-// line address with the same fixed ring, so even the unbounded form never
-// reallocates in steady state.
+// Residence is a flat byte table indexed by line address over the line
+// universe the caller declares, and the FIFO is a fixed ring: no allocation
+// and no hashing per access. One byte per line is an eighth of a byte per
+// bin at eight bins per line — beside a bin region that costs eight bytes
+// per bin it never decides whether a geometry fits in memory.
 type Cache struct {
 	lines int
 
@@ -25,52 +24,35 @@ type Cache struct {
 	ring []int64
 	head int
 
-	// resident is the flat residence table (dense form); universe is its
-	// extent. present is the map fallback.
+	// resident[line] is non-zero while the line is in the ring.
 	resident []uint8
-	universe int64
-	present  map[int64]struct{}
 
 	hits   int64
 	misses int64
 }
 
 // NewCache builds a cache holding sizeBytes worth of memory lines of
-// lineBytes each. A size of zero disables the cache (every access misses).
-func NewCache(sizeBytes, lineBytes int) *Cache {
+// lineBytes each, for line addresses in [0, universe). A size of zero
+// disables the cache (every access misses). Lines outside the universe are
+// uncacheable: they always miss and Insert ignores them.
+func NewCache(sizeBytes, lineBytes int, universe int64) *Cache {
 	if lineBytes <= 0 {
 		panic("hw: cache line size must be positive")
 	}
 	n := sizeBytes / lineBytes
 	return &Cache{
-		lines:   n,
-		ring:    make([]int64, 0, n),
-		present: make(map[int64]struct{}, n+1),
+		lines:    n,
+		ring:     make([]int64, 0, n),
+		resident: make([]uint8, max(universe, 0)),
 	}
-}
-
-// maxDenseUniverse bounds the flat residence table (1 MiB of bytes).
-const maxDenseUniverse = 1 << 20
-
-// NewCacheFor builds a cache like NewCache for accesses known to stay in
-// [0, universe). Small universes get the dense allocation-free residence
-// table; larger ones fall back to the map form.
-func NewCacheFor(sizeBytes, lineBytes int, universe int64) *Cache {
-	c := NewCache(sizeBytes, lineBytes)
-	if universe > 0 && universe <= maxDenseUniverse {
-		c.resident = make([]uint8, universe)
-		c.universe = universe
-		c.present = nil
-	}
-	return c
 }
 
 // Lines returns the capacity in memory lines.
 func (c *Cache) Lines() int { return c.lines }
 
-// Universe returns the dense residence extent (0 for the map form) — the
+// Universe returns the extent of the residence table — with Lines, the
 // geometry key pooled reuse matches on.
-func (c *Cache) Universe() int64 { return c.universe }
+func (c *Cache) Universe() int64 { return int64(len(c.resident)) }
 
 // Lookup reports whether the line is resident, counting a hit or a miss.
 func (c *Cache) Lookup(lineAddr int64) bool {
@@ -84,44 +66,28 @@ func (c *Cache) Lookup(lineAddr int64) bool {
 
 // Contains reports residence without touching the statistics.
 func (c *Cache) Contains(lineAddr int64) bool {
-	if c.resident != nil {
-		return uint64(lineAddr) < uint64(c.universe) && c.resident[lineAddr] != 0
-	}
-	_, ok := c.present[lineAddr]
-	return ok
+	return uint64(lineAddr) < uint64(len(c.resident)) && c.resident[lineAddr] != 0
 }
 
 // Insert makes the line resident (write-through: the caller has also issued
 // the memory write). The oldest line is evicted when at capacity.
 func (c *Cache) Insert(lineAddr int64) {
-	if c.lines == 0 || c.Contains(lineAddr) {
-		return
-	}
-	if c.resident != nil && uint64(lineAddr) >= uint64(c.universe) {
-		// Outside the declared universe the dense table cannot track the
-		// line; treat it as uncacheable rather than corrupt the ring.
+	// Outside the declared universe the table cannot track the line; treat
+	// it as uncacheable rather than corrupt the ring.
+	if c.lines == 0 || uint64(lineAddr) >= uint64(len(c.resident)) || c.resident[lineAddr] != 0 {
 		return
 	}
 	if len(c.ring) < c.lines {
 		c.ring = append(c.ring, lineAddr)
 	} else {
-		evict := c.ring[c.head]
-		if c.resident != nil {
-			c.resident[evict] = 0
-		} else {
-			delete(c.present, evict)
-		}
+		c.resident[c.ring[c.head]] = 0
 		c.ring[c.head] = lineAddr
 		c.head++
 		if c.head == c.lines {
 			c.head = 0
 		}
 	}
-	if c.resident != nil {
-		c.resident[lineAddr] = 1
-	} else {
-		c.present[lineAddr] = struct{}{}
-	}
+	c.resident[lineAddr] = 1
 }
 
 // Hits returns the number of lookup hits so far.
@@ -142,12 +108,8 @@ func (c *Cache) HitRate() float64 {
 // Reset clears contents and statistics, keeping the backing storage — a
 // reset cache is indistinguishable from a new one with the same geometry.
 func (c *Cache) Reset() {
-	if c.resident != nil {
-		for _, line := range c.ring {
-			c.resident[line] = 0
-		}
-	} else {
-		clear(c.present)
+	for _, line := range c.ring {
+		c.resident[line] = 0
 	}
 	c.ring = c.ring[:0]
 	c.head = 0

@@ -96,7 +96,7 @@ func TestFIFOCapacity(t *testing.T) {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(1024, LineBytes) // 16 lines
+	c := NewCache(1024, LineBytes, 64) // 16 lines
 	if c.Lines() != 16 {
 		t.Fatalf("lines = %d", c.Lines())
 	}
@@ -116,7 +116,7 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheEvictionFIFO(t *testing.T) {
-	c := NewCache(2*LineBytes, LineBytes) // 2 lines
+	c := NewCache(2*LineBytes, LineBytes, 64) // 2 lines
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(3) // evicts 1
@@ -134,7 +134,7 @@ func TestCacheEvictionFIFO(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0, LineBytes)
+	c := NewCache(0, LineBytes, 64)
 	c.Insert(1)
 	if c.Lookup(1) {
 		t.Error("zero-size cache should always miss")
@@ -145,7 +145,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewCache(1024, LineBytes)
+	c := NewCache(1024, LineBytes, 64)
 	c.Insert(7)
 	c.Lookup(7)
 	c.Reset()
@@ -154,8 +154,68 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
+// TestCacheOutOfUniverseLine: a line address outside the declared universe
+// (negative, at the edge, far past it) is uncacheable — it misses, Insert
+// ignores it, and it can neither evict a resident line nor take a ring slot.
+func TestCacheOutOfUniverseLine(t *testing.T) {
+	c := NewCache(2*LineBytes, LineBytes, 8) // 2 lines over lines 0..7
+	if c.Universe() != 8 {
+		t.Fatalf("universe = %d", c.Universe())
+	}
+	c.Insert(3)
+	c.Insert(7)
+	for _, line := range []int64{-1, 8, 1 << 40} {
+		c.Insert(line)
+		if c.Contains(line) || c.Lookup(line) {
+			t.Errorf("line %d outside the universe is resident", line)
+		}
+	}
+	if !c.Contains(3) || !c.Contains(7) {
+		t.Error("an out-of-universe insert evicted a resident line")
+	}
+	if c.Hits() != 0 || c.Misses() != 3 {
+		t.Errorf("hits=%d misses=%d, want 0 and 3", c.Hits(), c.Misses())
+	}
+	// The ring still holds exactly the two in-universe lines: the next
+	// insert evicts the oldest of them, not a phantom.
+	c.Insert(5)
+	if c.Contains(3) || !c.Contains(7) || !c.Contains(5) {
+		t.Error("FIFO order disturbed by out-of-universe inserts")
+	}
+}
+
+// TestCacheResetIsSparse: Reset clears residence through the ring, so a
+// reset cache over a wide universe is indistinguishable from a new one
+// whatever was resident, including after the ring wrapped.
+func TestCacheResetIsSparse(t *testing.T) {
+	const universe = 1<<20 + 17 // past the old map-form cut-off
+	c := NewCache(4*LineBytes, LineBytes, universe)
+	for i := int64(0); i < 100; i++ {
+		c.Insert(i * 10_007 % universe)
+		c.Lookup(i)
+	}
+	c.Reset()
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Error("Reset kept statistics")
+	}
+	for i := int64(0); i < universe; i++ {
+		if c.Contains(i) {
+			t.Fatalf("line %d still resident after Reset", i)
+		}
+	}
+	// And it fills from empty again: four inserts, no eviction.
+	for i := int64(0); i < 4; i++ {
+		c.Insert(universe - 1 - i)
+	}
+	for i := int64(0); i < 4; i++ {
+		if !c.Contains(universe - 1 - i) {
+			t.Fatalf("line %d missing after refill", universe-1-i)
+		}
+	}
+}
+
 func TestCacheHitRateEmpty(t *testing.T) {
-	c := NewCache(1024, LineBytes)
+	c := NewCache(1024, LineBytes, 64)
 	if c.HitRate() != 0 {
 		t.Error("hit rate of untouched cache should be 0")
 	}
@@ -167,7 +227,7 @@ func TestCacheRejectsBadLineSize(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCache(1024, 0)
+	NewCache(1024, 0, 64)
 }
 
 // TestCacheCoversLatencyWindow checks the §5.1.3 sizing argument: the 1 KB

@@ -923,11 +923,11 @@ type sideFrame struct {
 type sideLane struct {
 	idx    int // lane index within the scan, for traces and gauges
 	parser *core.Parser
-	binner *core.Binner
 	ch     chan sideFrame
 	inj    *faults.Injector
 
 	// Written only by the lane goroutine, read after done.
+	binner      *core.Binner // built by the lane itself, see run
 	parseErr    error
 	faulted     bool // injected panic/stall: the lane's partial work is void
 	quarantined int64
@@ -1079,12 +1079,11 @@ func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta,
 		sp.lanes[i] = &sideLane{
 			idx:    i,
 			parser: core.NewParser(meta.spec),
-			binner: core.NewBinner(bcfg, pre),
 			ch:     make(chan sideFrame, s.cfg.SideBufDepth),
 			done:   make(chan struct{}),
 			inj:    linj,
 		}
-		go sp.run(sp.lanes[i])
+		go sp.run(sp.lanes[i], bcfg, pre)
 	}
 	if s.cfg.ScanDeadline > 0 {
 		sp.watchdog = time.AfterFunc(s.cfg.ScanDeadline, func() {
@@ -1173,8 +1172,11 @@ func (sp *sidePath) retireLane(l *sideLane) {
 // against its storage checksum — corrupt or missing pages are quarantined,
 // counted, and skipped — and the surviving pages flow through the Parser
 // FSM into the Binner, exactly as in stream.Tap but decoupled from the wire
-// by the lane channel.
-func (sp *sidePath) run(l *sideLane) {
+// by the lane channel. The lane builds its own Binner first: sizing (or
+// recycling) the bin region is the one set-up step whose cost grows with the
+// value range, so the lanes do it in parallel and under the first frames
+// instead of one after the other in front of them.
+func (sp *sidePath) run(l *sideLane, bcfg core.BinnerConfig, pre *core.Preprocessor) {
 	l.wallStart.Store(time.Now().UnixNano())
 	defer func() {
 		if r := recover(); r != nil {
@@ -1183,6 +1185,7 @@ func (sp *sidePath) run(l *sideLane) {
 		l.wallEnd.Store(time.Now().UnixNano())
 		close(l.done)
 	}()
+	l.binner = core.NewBinner(bcfg, pre)
 	var vals []int64
 	for f := range l.ch {
 		if l.faulted || l.parseErr != nil || sp.cancelled.Load() {
@@ -1280,18 +1283,6 @@ func (sp *sidePath) stop() {
 	}
 	sp.s.metrics.pagesQuarantined.Add(sp.quarantinedPages)
 	sp.s.metrics.lanesRetired.Add(int64(sp.retired))
-	// A retired lane that did join is quiescent and its partial state is
-	// discarded by construction (only healthy lanes merge into the installed
-	// result), so its binner scratch and sketch chain go back to the pools.
-	// A lane that missed the drain deadline may still be running and keeps
-	// its state — the pools never see memory a goroutine could touch.
-	for _, l := range sp.lanes {
-		if l.dead && l.joined && l.binner != nil {
-			l.binner.SketchChain().Release()
-			l.binner.Release()
-			l.binner = nil
-		}
-	}
 	<-sp.s.drainSem
 }
 
@@ -1430,12 +1421,13 @@ func (sp *sidePath) finish() sideResult {
 	// The merge span is charged everything past the lanes' own binning: the
 	// fan-in aggregation pass, the histogram chain, and the sketch chain.
 	sp.tr.End(mi, agg+chain.TotalCycles+sketchCycles)
+	distinct := int64(vec.Cardinality())
 	h := &hist.Histogram{
 		Kind:          hist.Compressed,
 		Buckets:       comp.Buckets(),
 		Frequent:      comp.Frequent(),
 		Total:         vec.Total(),
-		DistinctTotal: int64(vec.Cardinality()),
+		DistinctTotal: distinct,
 		Degraded:      degraded,
 		Skipped:       skipped,
 	}
@@ -1448,7 +1440,7 @@ func (sp *sidePath) finish() sideResult {
 	sp.s.catalog.Put(sp.req.Table, sp.req.Column, &dbms.ColumnStats{
 		Histogram: h,
 		Sketches:  sideChain.Blocks(),
-		NDistinct: int64(vec.Cardinality()),
+		NDistinct: distinct,
 		RowCount:  relRows,
 	})
 	sp.tr.End(ii, 0)
@@ -1467,9 +1459,12 @@ func (sp *sidePath) finish() sideResult {
 	res.skippedTuples = uint64(skipped)
 
 	// The merged-away lanes folded everything they knew into the survivor,
-	// whose chain blocks now live in the catalog; their own scratch returns
-	// to the pools. The survivor is never recycled — the install owns it.
-	for _, l := range healthy[1:] {
+	// and what the install keeps of the survivor is the histogram and the
+	// sketch blocks: vec is not referenced past this point. So every lane's
+	// binner scratch returns to the pool, the survivor's bin region included;
+	// only the survivor's chain (and a chain it adopted) stays out, because
+	// its blocks now live in the catalog.
+	for _, l := range healthy {
 		if sc := l.binner.SketchChain(); sc != sideChain {
 			sc.Release()
 		}
@@ -1479,9 +1474,22 @@ func (sp *sidePath) finish() sideResult {
 	return res
 }
 
-// abandon releases the side path without finishing it: the scan failed
-// before its summary, so nothing is installed and the workers just drain.
-// Idempotent, and a no-op after finish.
+// abandon releases the side path: handleScan defers it, so it runs whether
+// the scan failed before its summary (nothing installed, the workers just
+// drain) or finish() completed. Whatever lane state finish() did not hand on
+// or release itself — every lane of a failed scan, retired lanes, the lanes
+// of a scan that finished Degraded without installing — is discarded by
+// construction, so once the lane's goroutine has joined it is private and
+// its binner scratch and sketch chain go back to the pools. A lane that
+// missed the drain deadline may still be running and keeps its state: the
+// pools never see memory a goroutine could touch. Idempotent.
 func (sp *sidePath) abandon() {
 	sp.stop()
+	for _, l := range sp.lanes {
+		if l.joined && l.binner != nil {
+			l.binner.SketchChain().Release()
+			l.binner.Release()
+			l.binner = nil
+		}
+	}
 }

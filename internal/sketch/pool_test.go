@@ -18,10 +18,11 @@ func poolChainRun(t *testing.T, spec ChainSpec, vals []int64) [][]byte {
 }
 
 // TestChainReleaseReuseBitIdentical: a chain whose blocks come out of the
-// pools (previous chains' released HLL register files, SpaceSaving arenas,
-// window heaps) must encode byte-for-byte like a chain built cold. Enough
-// distinct values are pushed to promote the HLL to dense, so the retired
-// dense register file round-trips through denseSpare and back.
+// pools (previous chains' released HLL register files, SpaceSaving arenas
+// with their slot table and eviction heap, window buffers) must encode
+// byte-for-byte like a chain built cold. Enough distinct values are pushed
+// to make the HLL sticky-dense, so the recycled register file has to come
+// back with its dense flag and touched count reset, not just its registers.
 func TestChainReleaseReuseBitIdentical(t *testing.T) {
 	spec := ChainSpec{NDVPrecision: 10, HeavyK: 16, WindowW: 64}
 	vals := make([]int64, 20_000)
@@ -63,7 +64,7 @@ func TestChainReuseAcrossGeometries(t *testing.T) {
 
 // TestChainReuseAfterDegradedRelease: a chain that took sketch faults
 // (degraded and retired blocks) releases state in an unusual shape — a
-// retired HLL's dense file parked in denseSpare, degraded flags set. The
+// retired HLL's register file still marked dense, degraded flags set. The
 // next chain built over that state must be indistinguishable from clean.
 func TestChainReuseAfterDegradedRelease(t *testing.T) {
 	spec := ChainSpec{NDVPrecision: 10, HeavyK: 16, WindowW: 64}

@@ -188,7 +188,7 @@ type pageChunk struct {
 // page chunks from its own channel, under supervision.
 type lane struct {
 	parser *core.Parser
-	binner *core.Binner
+	binner *core.Binner // built by run; like err, read only after done closes
 	ch     chan pageChunk
 	err    error // parse error or recovered panic; written before done closes
 	done   chan struct{}
@@ -211,7 +211,10 @@ type lane struct {
 	chClosed bool
 }
 
-func (l *lane) run() {
+// run is the lane goroutine. It builds its own Binner before the first
+// chunk, so the lanes size (or recycle) their bin regions in parallel rather
+// than one after the other on the supervisor.
+func (l *lane) run(bcfg core.BinnerConfig, pre *core.Preprocessor) {
 	l.startNS.Store(time.Now().UnixNano())
 	defer func() {
 		if r := recover(); r != nil {
@@ -224,6 +227,7 @@ func (l *lane) run() {
 		l.endNS.Store(time.Now().UnixNano())
 		close(l.done)
 	}()
+	l.binner = core.NewBinner(bcfg, pre)
 	var vals []int64
 	for chunk := range l.ch {
 		if l.err != nil {
@@ -319,13 +323,12 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 		bcfg.Sketches = laneChain
 		lanes[i] = &lane{
 			parser:  core.NewParser(d.Config.Column),
-			binner:  core.NewBinner(bcfg, p),
 			ch:      make(chan pageChunk, 4),
 			done:    make(chan struct{}),
 			inj:     inj,
 			release: make(chan struct{}),
 		}
-		go lanes[i].run()
+		go lanes[i].run(bcfg, p)
 	}
 	// survivor is the binner whose Finish results escape into the scan
 	// result; every other lane's state is recycled once its goroutine joins.
