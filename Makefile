@@ -5,15 +5,15 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-BENCHJSON ?= BENCH_PR10.json
+BENCHJSON ?= BENCH_PR14.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
-# same path over the wide-domain column, plus the Table 1 binner cases); the
-# iteration budget and scheduler width are pinned so a base run
-# and a head run on the same machine are comparable, and the 5 repeats are
-# collapsed to a per-metric median by benchjson.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkTable1Binner
+# same path over the wide-domain column, the served scan over loopback TCP,
+# plus the Table 1 binner cases); the iteration budget and scheduler width
+# are pinned so a base run and a head run on the same machine are comparable,
+# and the 5 repeats are collapsed to a per-metric median by benchjson.
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4
@@ -41,10 +41,13 @@ race:
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzHistogramUnmarshal -fuzztime=$(FUZZTIME) ./internal/hist/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/durable/
 	$(GO) test -run=^$$ -fuzz=FuzzSketchDecode -fuzztime=$(FUZZTIME) ./internal/sketch/
+	$(GO) test -run=^$$ -fuzz=FuzzParserFeed -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzCommandUnmarshal -fuzztime=$(FUZZTIME) ./internal/core/
 
 # chaos-durable is the crash-recovery chaos gate: the in-process prefix
 # property (100 randomized kill points under disk-fault injection) plus the

@@ -6,12 +6,15 @@
 package streamhist_test
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"testing"
 
 	"streamhist"
 	"streamhist/internal/bins"
+	"streamhist/internal/client"
 	"streamhist/internal/core"
 	"streamhist/internal/datagen"
 	"streamhist/internal/dbms"
@@ -21,6 +24,7 @@ import (
 	"streamhist/internal/obs"
 	"streamhist/internal/obs/timeline"
 	"streamhist/internal/page"
+	"streamhist/internal/server"
 	"streamhist/internal/sketch"
 	"streamhist/internal/stream"
 	"streamhist/internal/table"
@@ -514,6 +518,57 @@ func BenchmarkParallelDataPathWide(b *testing.B) {
 			b.SetBytes(res.HostBytes)
 			b.ReportMetric(float64(res.AggregationCycles), "sim-agg-cycles")
 			b.ReportMetric(float64(res.Results.Chain.TotalCycles), "sim-chain-cycles")
+		})
+	}
+}
+
+// BenchmarkServedScan is the whole chain a user sees — page images, frames,
+// a real loopback TCP socket, client verify, sink — with the benchmark of
+// record's relation and server configuration. "raw" moves bytes only, so it
+// is all transport; "l_quantity" adds the side path with the default sketch
+// chain. allocs/op is what the perf gate watches: transport is allocation-free
+// per frame (the server sends its stored frames, the client reads in place),
+// so a per-frame allocation creeping back shows as ~100 more allocs/op.
+func BenchmarkServedScan(b *testing.B) {
+	rel := tpch.Lineitem(200_000, 1, 307)
+	srv := server.New(server.Config{ShardLanes: 2})
+	if err := srv.Register(rel); err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+	for _, mode := range []struct{ name, column string }{
+		{"raw", ""},
+		{"l_quantity", "l_quantity"},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			c, err := client.Dial(ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			// Warm up: the first scan encodes the relation and fills the pools.
+			sum, err := c.Scan(rel.Name, mode.column, io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(sum.Bytes))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Scan(rel.Name, mode.column, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

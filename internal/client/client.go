@@ -23,8 +23,10 @@ import (
 // concurrent use; open one Client per goroutine (the server is built for
 // many connections).
 type Client struct {
-	conn    net.Conn
-	br      *bufio.Reader
+	conn net.Conn
+	// fr receives replies in place: a page frame's payload aliases its buffer
+	// until the next recv, so pages go from the kernel to the sink uncopied.
+	fr      *server.FrameReader
 	bw      *bufio.Writer
 	timeout time.Duration
 
@@ -98,7 +100,7 @@ func Dial(addr string) (*Client, error) {
 func New(conn net.Conn) *Client {
 	return &Client{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 64<<10),
+		fr:      server.NewFrameReader(conn),
 		bw:      bufio.NewWriterSize(conn, 64<<10),
 		timeout: time.Minute,
 	}
@@ -106,7 +108,14 @@ func New(conn net.Conn) *Client {
 
 // SetTimeout bounds each request round-trip and each response frame read.
 // Zero disables deadlines.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
+func (c *Client) SetTimeout(d time.Duration) {
+	if d <= 0 && c.timeout > 0 {
+		// recv arms the read deadline only while a timeout is in force, so
+		// the last one armed is cleared here, once.
+		c.conn.SetReadDeadline(time.Time{})
+	}
+	c.timeout = d
+}
 
 // SetRedial installs a reconnect function, enabling resumable scans: when a
 // scan dies mid-stream (connection reset, timeout) or a page arrives with a
@@ -140,7 +149,7 @@ func (c *Client) reconnect() error {
 	}
 	c.conn.Close()
 	c.conn = conn
-	c.br = bufio.NewReaderSize(conn, 64<<10)
+	c.fr = server.NewFrameReader(conn)
 	c.bw = bufio.NewWriterSize(conn, 64<<10)
 	return nil
 }
@@ -173,10 +182,13 @@ func (e *serverReplyError) Error() string { return e.err.Error() }
 func (e *serverReplyError) Unwrap() error { return e.err }
 
 // recv reads one response frame, translating FrameError payloads into
-// errors that wrap the protocol sentinels.
+// errors that wrap the protocol sentinels. A page frame's payload is valid
+// only until the next recv.
 func (c *Client) recv() (server.Frame, error) {
-	c.conn.SetReadDeadline(c.deadline())
-	f, err := server.ReadFrame(c.br)
+	if c.timeout > 0 {
+		c.conn.SetReadDeadline(c.deadline())
+	}
+	f, err := c.fr.Next()
 	if err != nil {
 		return server.Frame{}, err
 	}

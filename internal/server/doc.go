@@ -6,12 +6,14 @@
 // roles map one to one:
 //
 //   - Storage is the registered relation's encoded page images
-//     (internal/page), exposed as one byte stream by stream.PagesReader —
-//     the same bytes the in-process DataPath reads.
-//   - The Splitter is the scan loop: every FramePages payload written to
-//     the client is also copied into a fixed-depth side channel. The relay
-//     path does no transformation — the client receives storage's bytes,
-//     byte for byte.
+//     (internal/page) — the same bytes stream.PagesReader yields and the
+//     in-process DataPath reads — held once, already laid out as the page
+//     frames a scan sends.
+//   - The Splitter is the scan loop: every page frame written to the
+//     client, straight from storage, is also handed to a fixed-depth side
+//     channel as a window into the same images (copied only when a page
+//     fault point is armed). The relay path does no transformation — the
+//     client receives storage's bytes, byte for byte.
 //   - The statistical circuit is the drain worker behind the channel: the
 //     Parser FSM extracts the requested column from the copied page bytes
 //     and the cycle-accounted Binner bin-sorts it (internal/core), exactly
@@ -24,7 +26,7 @@
 // Concurrency model. Each connection gets a goroutine running a
 // request/response loop with idle and write deadlines. Each scan's side
 // path takes a slot from a bounded drain-worker pool; within a scan, the
-// fixed-depth channel applies backpressure so memory stays bounded while
+// fixed-depth channel applies backpressure instead of dropping frames, so
 // the refreshed histogram stays complete. When the pool is saturated the
 // scan fails open — pages stream at full speed and only the statistics
 // refresh is skipped — preserving the paper's §4 invariant that the

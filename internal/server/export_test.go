@@ -1,0 +1,15 @@
+package server
+
+// WireForm exposes a registered table's stored state to the external tests:
+// the wire-form slab, the page images scans and lanes alias, and the
+// encode-time checksums. It triggers the lazy encode like a first scan does.
+func (s *Server) WireForm(table string) (slab []byte, images [][]byte, sums []uint32, err error) {
+	e, err := s.lookup(table)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, p := range e.pageImages() {
+		images = append(images, p.Bytes())
+	}
+	return e.slab, images, e.pageSums(), nil
+}

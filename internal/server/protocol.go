@@ -132,15 +132,16 @@ type Frame struct {
 	Payload []byte
 }
 
+// appendHeader appends the header of a frame whose payload is n bytes long.
+func appendHeader(dst []byte, typ uint8, n int) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, FrameMagic)
+	dst = append(dst, typ, 0)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
 // AppendFrame appends the encoding of one frame to dst.
 func AppendFrame(dst []byte, typ uint8, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], FrameMagic)
-	hdr[2] = typ
-	hdr[3] = 0
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(appendHeader(dst, typ, len(payload)), payload...)
 }
 
 // WriteFrame writes one frame to w.
@@ -149,11 +150,7 @@ func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
 		return fmt.Errorf("%w: payload %d exceeds limit %d", ErrBadFrame, len(payload), MaxPayload)
 	}
 	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], FrameMagic)
-	hdr[2] = typ
-	hdr[3] = 0
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(hdr[:0], typ, len(payload))); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -192,6 +189,76 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// FrameReader is the receive side of a connection that carries page frames:
+// one reusable buffer, filled straight from the connection, in which each
+// frame is validated and handed out where the kernel put it. ReadFrame stays
+// the reader for peers whose frames are small and must be owned (requests).
+type FrameReader struct {
+	r   io.Reader
+	buf []byte
+	// buf[pos:end] is read but not yet handed out: at most one frame header,
+	// because fill never asks the connection for more than that past a frame.
+	pos, end int
+}
+
+// NewFrameReader returns a FrameReader on r. The buffer starts at a size that
+// fits every non-page reply and grows to the page-frame size on first need.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, buf: make([]byte, 4<<10)}
+}
+
+// Next returns the next frame, with ReadFrame's error contract: io.EOF only
+// when the stream ends cleanly between frames, io.ErrUnexpectedEOF inside one,
+// ErrBadFrame for a header that fails validation — before the buffer grows.
+// The payload of a page frame (FramePages, FramePagesCk) aliases the reader's
+// buffer and is valid only until the next call; any other payload is a copy
+// the caller owns, because reply decoders may retain sub-slices.
+func (fr *FrameReader) Next() (Frame, error) {
+	fr.end = copy(fr.buf, fr.buf[fr.pos:fr.end])
+	fr.pos = 0
+	if err := fr.fill(FrameHeaderSize); err != nil {
+		return Frame{}, err
+	}
+	f, n, err := decodeHeader(fr.buf[:FrameHeaderSize])
+	if err != nil {
+		return Frame{}, err
+	}
+	total := FrameHeaderSize + n
+	if err := fr.fill(total); err != nil {
+		return Frame{}, err
+	}
+	fr.pos = total
+	if f.Type == FramePages || f.Type == FramePagesCk {
+		f.Payload = fr.buf[FrameHeaderSize:total:total]
+	} else if n > 0 {
+		f.Payload = append([]byte(nil), fr.buf[FrameHeaderSize:total]...)
+	}
+	return f, nil
+}
+
+// fill reads until buf[:need] is valid. Each read may run one header past
+// need, so the next frame's header usually arrives with this frame's tail and
+// no payload byte is ever moved after the kernel delivered it.
+func (fr *FrameReader) fill(need int) error {
+	limit := need + FrameHeaderSize
+	if len(fr.buf) < limit {
+		grown := make([]byte, limit)
+		copy(grown, fr.buf[:fr.end])
+		fr.buf = grown
+	}
+	for fr.end < need {
+		n, err := fr.r.Read(fr.buf[fr.end:limit])
+		fr.end += n
+		if err != nil && fr.end < need {
+			if err == io.EOF && fr.end > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeHeader validates a frame header and returns the declared payload

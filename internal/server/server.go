@@ -37,8 +37,14 @@ type Config struct {
 	// never slow the regular flow of data).
 	DrainWorkers int
 	// SideBufDepth is the per-lane side-channel depth in frames. A full
-	// buffer applies backpressure to that scan, bounding memory instead of
-	// dropping values, so a refreshed histogram is always complete.
+	// buffer applies backpressure to that scan instead of dropping values, so
+	// a refreshed histogram is always complete. Queued frames alias the stored
+	// page images and pin no memory (only a scan with a page fault point armed
+	// copies them), so the depth is a yield quantum: how many frames a lane
+	// works through before it must block and hand its P to the network
+	// poller, where requests on other connections wait to be noticed. Zero
+	// means 3: scans gain nothing measurable from more, Stats reads beside a
+	// scan get slower with every frame added (EXPERIMENTS.md "Transport").
 	SideBufDepth int
 	// ShardLanes is how many parallel Parser+Binner lanes each scan's side
 	// path fans out to (the §7 replication design). Frames are distributed
@@ -101,7 +107,7 @@ func (c Config) withDefaults() Config {
 		c.DrainWorkers = 8
 	}
 	if c.SideBufDepth <= 0 {
-		c.SideBufDepth = 8
+		c.SideBufDepth = 3
 	}
 	if c.ShardLanes <= 0 {
 		c.ShardLanes = runtime.GOMAXPROCS(0)
@@ -153,27 +159,61 @@ type colMeta struct {
 }
 
 // tableEntry is one registered relation plus its lazily encoded page images
-// and their storage-authoritative checksums.
+// and their storage-authoritative checksums, held in wire form: the stored
+// bytes are the bytes a scan sends.
 type tableEntry struct {
 	rel  *table.Relation
 	cols map[string]colMeta
+	ppf  int // Config.PagesPerFrame: how many pages each slab frame carries
 
 	once  sync.Once
 	pages []*page.Page
 	sums  []uint32
+	// slab is the relation as the exact byte sequence of its FramePagesCk
+	// frames (header, page images, checksum trailer, back to back), so a
+	// frame is served as one Write of a sub-slice. pages point into it. It is
+	// never written after encode: scans on every connection share it.
+	slab []byte
 }
 
 func (e *tableEntry) encode() {
 	e.once.Do(func() {
-		e.pages = page.Encode(e.rel)
+		pages := page.Encode(e.rel)
 		// Checksums are taken here, at encode time, before the images can
 		// travel anywhere: every later consumer verifies against what
 		// storage actually held, not against a possibly corrupted relay.
-		e.sums = make([]uint32, len(e.pages))
-		for i, p := range e.pages {
+		e.sums = make([]uint32, len(pages))
+		for i, p := range pages {
 			e.sums[i] = p.Checksum()
 		}
+		frames := (len(pages) + e.ppf - 1) / e.ppf
+		e.slab = make([]byte, 0, frames*FrameHeaderSize+len(pages)*(page.Size+PageChecksumSize))
+		for off := 0; off < len(pages); off += e.ppf {
+			end := min(off+e.ppf, len(pages))
+			e.slab = appendHeader(e.slab, FramePagesCk, (end-off)*(page.Size+PageChecksumSize))
+			for i := off; i < end; i++ {
+				at := len(e.slab)
+				e.slab = append(e.slab, pages[i].Bytes()...)
+				// Re-point the image into the slab and drop the encoder's
+				// copy, so the relation is held once. FromBytes cannot fail
+				// on an image Encode just produced.
+				pages[i], _ = page.FromBytes(e.slab[at:len(e.slab):len(e.slab)])
+			}
+			for _, ck := range e.sums[off:end] {
+				e.slab = binary.LittleEndian.AppendUint32(e.slab, ck)
+			}
+		}
+		e.pages = pages
 	})
+}
+
+// frame returns the wire bytes (header, images, trailer) of the frame whose
+// first page is off, a multiple of ppf below the page count.
+func (e *tableEntry) frame(off int) []byte {
+	stride := FrameHeaderSize + e.ppf*(page.Size+PageChecksumSize)
+	lo := off / e.ppf * stride
+	hi := min(lo+stride, len(e.slab))
+	return e.slab[lo:hi:hi]
 }
 
 func (e *tableEntry) pageImages() []*page.Page {
@@ -320,7 +360,7 @@ func (s *Server) Register(rel *table.Relation) error {
 	}
 	s.mu.Lock()
 	_, replaced := s.tables[rel.Name]
-	s.tables[rel.Name] = &tableEntry{rel: rel, cols: cols}
+	s.tables[rel.Name] = &tableEntry{rel: rel, cols: cols, ppf: s.cfg.PagesPerFrame}
 	s.mu.Unlock()
 	if replaced {
 		s.catalog.BumpVersion(rel.Name)
@@ -525,7 +565,9 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		conn.Close()
 		s.wg.Done()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	// Requests are a few dozen bytes; the 64 KiB goes to the writer, which
+	// batches small replies and passes page frames through untouched.
+	br := bufio.NewReaderSize(conn, 4<<10)
 	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: s.cfg.WriteTimeout}, 64<<10)
 	for {
 		if s.shuttingDown() {
@@ -700,7 +742,6 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 		}
 	}
 	pages := entry.pageImages()
-	sums := entry.pageSums()
 	if req.Offset > uint32(len(pages)) {
 		failure = fmt.Errorf("%w: resume offset %d beyond %d pages", ErrBadRequest, req.Offset, len(pages))
 		return s.writeError(bw, failure)
@@ -729,7 +770,7 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 		// here are byte-identical to the original delivery (same page
 		// windows, same checksum trailers), and the client skips the
 		// overlap it already verified.
-		start -= start % s.cfg.PagesPerFrame
+		start -= start % entry.ppf
 		if werr := WriteFrame(bw, FrameResumeInfo, EncodeResumeInfo(uint32(start))); werr != nil {
 			return werr
 		}
@@ -767,28 +808,25 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 	sideWanted := req.Column != "" && meta.ok
 
 	si := tr.Begin("stream")
-	frame := make([]byte, 0, s.cfg.PagesPerFrame*(page.Size+PageChecksumSize))
-	for off := start; off < len(pages); off += s.cfg.PagesPerFrame {
-		end := off + s.cfg.PagesPerFrame
-		if end > len(pages) {
-			end = len(pages)
-		}
-		frame = frame[:0]
-		for _, pg := range pages[off:end] {
-			frame = append(frame, pg.Bytes()...)
-		}
-		for _, ck := range sums[off:end] {
-			frame = binary.LittleEndian.AppendUint32(frame, ck)
-		}
-		// Injected in-flight corruption: the damage lands after the
-		// checksum trailer was appended, exactly like a relay flipping
-		// bits after storage vouched for the bytes. The wire carries the
-		// corrupt image (the raw path fails open and never rewrites
-		// data); the trailer is what lets the consumers catch it.
-		for i := off; i < end; i++ {
-			if inj.Should(faults.PageCorrupt) {
-				pos := (i-off)*page.Size + int(inj.Intn(faults.PageCorrupt, page.Size))
-				frame[pos] ^= byte(1 + inj.Intn(faults.PageCorrupt, 255))
+	// Injected in-flight corruption is the one case that needs a scratch
+	// frame: the damage lands after the checksum trailer was laid down,
+	// exactly like a relay flipping bits after storage vouched for the
+	// bytes. The wire carries the corrupt image (the raw path fails open and
+	// never rewrites data); the trailer is what lets the consumers catch it.
+	// Every other scan sends the stored frames as they are.
+	corrupt := inj.Enabled(faults.PageCorrupt)
+	var scratch []byte
+	for off := start; off < len(pages); off += entry.ppf {
+		end := min(off+entry.ppf, len(pages))
+		frame := entry.frame(off)
+		if corrupt {
+			scratch = append(scratch[:0], frame...)
+			frame = scratch
+			for i := off; i < end; i++ {
+				if inj.Should(faults.PageCorrupt) {
+					pos := FrameHeaderSize + (i-off)*page.Size + int(inj.Intn(faults.PageCorrupt, page.Size))
+					frame[pos] ^= byte(1 + inj.Intn(faults.PageCorrupt, 255))
+				}
 			}
 		}
 		if inj.Should(faults.ConnReset) {
@@ -797,7 +835,7 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 			conn.Close()
 			return fmt.Errorf("server: injected connection reset")
 		}
-		if werr := WriteFrame(bw, FramePagesCk, frame); werr != nil {
+		if _, werr := bw.Write(frame); werr != nil {
 			return werr
 		}
 		n := (end - off) * page.Size
@@ -806,7 +844,7 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 		dm.ScanProgress(jid, uint32(end))
 		journalHW = uint32(end)
 		if sp != nil {
-			sp.feed(frame[:n], off, inj)
+			sp.feed(frame[FrameHeaderSize:FrameHeaderSize+n], off, inj)
 		}
 	}
 	tr.End(si, 0)
