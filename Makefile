@@ -5,7 +5,7 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-BENCHJSON ?= BENCH_PR14.json
+BENCHJSON ?= BENCH_PR16.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
@@ -38,16 +38,27 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz passes over every decoder that faces attacker-controlled bytes.
-# FUZZTIME=30s is the CI smoke setting; the nightly job raises it.
+# FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
+# target runs even when an earlier one fails — a red target must not hide the
+# ones listed after it — and the failures are named together at the end.
+FUZZ_TARGETS = \
+	FuzzDecodeFrame:./internal/server/ \
+	FuzzFrameReader:./internal/server/ \
+	FuzzHistogramUnmarshal:./internal/hist/ \
+	FuzzDecodeSnapshot:./internal/durable/ \
+	FuzzDecodeWALRecord:./internal/durable/ \
+	FuzzSketchDecode:./internal/sketch/ \
+	FuzzParserFeed:./internal/core/ \
+	FuzzCommandUnmarshal:./internal/core/
+
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzFrameReader -fuzztime=$(FUZZTIME) ./internal/server/
-	$(GO) test -run=^$$ -fuzz=FuzzHistogramUnmarshal -fuzztime=$(FUZZTIME) ./internal/hist/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/durable/
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeWALRecord -fuzztime=$(FUZZTIME) ./internal/durable/
-	$(GO) test -run=^$$ -fuzz=FuzzSketchDecode -fuzztime=$(FUZZTIME) ./internal/sketch/
-	$(GO) test -run=^$$ -fuzz=FuzzParserFeed -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=^$$ -fuzz=FuzzCommandUnmarshal -fuzztime=$(FUZZTIME) ./internal/core/
+	@failed=""; \
+	for target in $(FUZZ_TARGETS); do \
+		name=$${target%%:*}; pkg=$${target#*:}; \
+		echo "$(GO) test -run=^$$ -fuzz=$$name -fuzztime=$(FUZZTIME) $$pkg"; \
+		$(GO) test -run='^$$' -fuzz=$$name -fuzztime=$(FUZZTIME) $$pkg || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: FAILED:$$failed"; exit 1; fi
 
 # chaos-durable is the crash-recovery chaos gate: the in-process prefix
 # property (100 randomized kill points under disk-fault injection) plus the

@@ -5,8 +5,11 @@
 //	benchdiff -base base.json -head head.json \
 //	    -max-throughput-drop 10 -max-allocs-growth 5
 //
-// Two metric families are gated, matching what is trustworthy where:
+// Three metric families are gated, matching what is trustworthy where:
 //
+//   - simulated cycle counts (exactMetrics) — deterministic functions of the
+//     input, so base and head must agree to the unit, on any runner; a host
+//     optimisation that moves one has changed the model, not the speed.
 //   - allocs/op growth — machine-independent (the allocator counts, the
 //     hardware doesn't), so it is gated everywhere, any runner.
 //   - throughput drop (MB/s and every other */s rate) — only meaningful when
@@ -57,6 +60,13 @@ type Thresholds struct {
 	GateThroughput bool
 }
 
+// exactMetrics are compared for equality, not against a threshold.
+var exactMetrics = map[string]bool{
+	// BenchmarkParallelDataPathSketch/chain: Σ items·cycles-per-value, whether
+	// a block streamed its values or only booked them.
+	"sim-sketch-cycles": true,
+}
+
 // Delta is one compared metric of one benchmark.
 type Delta struct {
 	Bench, Metric string
@@ -103,6 +113,9 @@ func Diff(base, head *File, th Thresholds) (deltas []Delta, missing []string, fa
 func compare(bench, metric string, base, head float64, th Thresholds) Delta {
 	d := Delta{Bench: bench, Metric: metric, Base: base, Head: head}
 	switch {
+	case exactMetrics[metric]:
+		d.Pct = growthPct(base, head)
+		d.Regressed = base != head
 	case metric == "allocs/op":
 		d.Gated = th.MaxAllocsGrowthPct > 0
 		d.Pct = growthPct(base, head)
@@ -139,7 +152,7 @@ func growthPct(base, head float64) float64 {
 func Report(deltas []Delta, missing []string, verbose bool) string {
 	var sb strings.Builder
 	for _, d := range deltas {
-		if !verbose && !d.Gated {
+		if !verbose && !d.Gated && !d.Regressed {
 			continue
 		}
 		mark := " "

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +92,28 @@ func TestDiffZeroBaseAllocs(t *testing.T) {
 	_, _, failed := Diff(base, head, gateAll())
 	if !failed {
 		t.Fatal("0 -> 3 allocs/op did not fail")
+	}
+}
+
+// TestDiffExactSimCycles: a simulated cycle count is a property of the model,
+// not of the runner, so one cycle of drift fails the diff with every
+// threshold off, and shows in the short report.
+func TestDiffExactSimCycles(t *testing.T) {
+	bench := func(cycles float64) *File {
+		return &File{Benchmarks: []Benchmark{{
+			Name:    "BenchmarkParallelDataPathSketch/chain-4",
+			Metrics: map[string]float64{"sim-sketch-cycles": cycles, "ns/op": 1},
+		}}}
+	}
+	if _, _, failed := Diff(bench(900000), bench(900000), Thresholds{}); failed {
+		t.Fatal("equal sim-sketch-cycles failed the diff")
+	}
+	deltas, _, failed := Diff(bench(900000), bench(900001), Thresholds{})
+	if !failed {
+		t.Fatal("900000 -> 900001 sim-sketch-cycles passed the diff")
+	}
+	if got := Report(deltas, nil, false); !strings.Contains(got, "sim-sketch-cycles") {
+		t.Fatalf("short report hides the drift:\n%s", got)
 	}
 }
 

@@ -179,8 +179,8 @@ func printSketches(blocks sketch.Blocks) {
 	}
 	if ss := blocks.Heavy(); ss != nil {
 		for i, hh := range ss.Top(8) {
-			fmt.Printf("  heavy #%-2d value %-12d count %d (overcount ≤ %d)\n",
-				i+1, hh.Value, hh.Count, hh.Err)
+			fmt.Printf("  heavy #%-2d value %-12d count %d (%s)\n",
+				i+1, hh.Value, hh.Count, hh.Accuracy())
 		}
 	}
 	if w := blocks.Window(); w != nil {

@@ -384,7 +384,7 @@ func printHeavySection(st *client.Stats) {
 	fmt.Printf("heavy hitters: top %d of %d values seen%s\n",
 		ss.Capacity(), ss.Items(), degradedSuffix(ss.Degraded()))
 	for i, hh := range ss.Top(8) {
-		fmt.Printf("  #%d value %d: count %d (overcount ≤ %d)\n", i+1, hh.Value, hh.Count, hh.Err)
+		fmt.Printf("  #%d value %d: count %d (%s)\n", i+1, hh.Value, hh.Count, hh.Accuracy())
 	}
 }
 

@@ -45,7 +45,9 @@ type BinnerConfig struct {
 	// this lane of the side path (internal/sketch). The chain sees every raw
 	// value — including ones the preprocessor drops as out of range — before
 	// binning, and merges across lanes like the bin state does. Nil is the
-	// zero-cost baseline.
+	// zero-cost baseline. When the bin region is lossless (Divisor 1, no
+	// Faults here or on the chain) the order-insensitive blocks are not fed
+	// value by value but completed from the bins at fan-in; see SketchChain.
 	Sketches *sketch.Chain
 }
 
@@ -213,6 +215,11 @@ func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
 		b.prof = &binnerProf{p: cfg.Prof, lane: lane}
 	}
 	b.chain = cfg.Sketches
+	// One value per bin and no fault that could lose a count: the region is
+	// the column's exact multiset, and HLL and SpaceSaving can be read off it.
+	if cfg.Faults == nil && pre.Divisor == 1 {
+		b.chain.Defer()
+	}
 	return b
 }
 
@@ -259,6 +266,8 @@ func (b *Binner) pushBatch(values []int64) {
 		addr, ok := b.pre.Address(value)
 		if !ok {
 			b.stats.Dropped++
+			// The bins will not hold this value: show it to a deferred chain.
+			b.chain.Observe(value)
 			continue
 		}
 		b.stats.Items++
@@ -356,6 +365,13 @@ func (b *Binner) pushBatch(values []int64) {
 func (b *Binner) Merge(other *Binner) error {
 	b.finalizeMem()
 	other.finalizeMem()
+	// Two deferred chains merge as they are and fold once over the merged
+	// region. If only one side deferred, its fold has to happen now, over its
+	// own region, while that still holds its values and nothing else.
+	if b.chain != nil && other.chain != nil && b.chain.Deferred() != other.chain.Deferred() {
+		b.chain.Fold(b.vec)
+		other.chain.Fold(other.vec)
+	}
 	if err := b.vec.Merge(other.vec); err != nil {
 		return err
 	}
@@ -385,9 +401,22 @@ func (b *Binner) SetStreamPos(pos int64) {
 	}
 }
 
-// SketchChain returns the lane's sketch chain (nil when sketches are off).
-// After Merge it covers every merged lane.
-func (b *Binner) SketchChain() *sketch.Chain { return b.chain }
+// FoldSketches does the part of a deferred chain's fold that needs only this
+// lane's bins — the HLL registers — so that lanes can do it side by side,
+// each when its input ends, before they merge. Optional: SketchChain folds
+// whatever is still owed. Idempotent, and a no-op for a streaming chain.
+func (b *Binner) FoldSketches() { b.chain.FoldDistinct(b.vec) }
+
+// SketchChain returns the lane's sketch chain (nil when sketches are off),
+// complete: blocks that were deferred to the bin region are folded from it
+// here, once. After Merge the chain covers every merged lane, so read it off
+// the binner that survived the last Merge, after that Merge.
+func (b *Binner) SketchChain() *sketch.Chain {
+	// No finalizeMem needed: deferral excludes the fault-injected memory
+	// model, and Merge finalises before a chain can be adopted.
+	b.chain.Fold(b.vec)
+	return b.chain
+}
 
 // finalizeMem folds the ECC-checked memory model (if one is wired) back
 // into the plain bin vector: the final scrub pass corrects what it can,

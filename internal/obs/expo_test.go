@@ -96,6 +96,7 @@ func TestValidateExpositionAccepts(t *testing.T) {
 		"# TYPE a_total counter",
 		"a_total 1",
 		`b{l="x",m="y"} 2.5`,
+		`e{l="a\"b\\",m="c,d"} 4`,
 		"c 3 1712345678",
 		"d +Inf",
 		"# arbitrary comment",
@@ -115,6 +116,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 		"bad timestamp":       "a 1 soon\n",
 		"unterminated labels": "a{l=\"x\" 1\n",
 		"unquoted label":      "a{l=x} 1\n",
+		"after escaped \\":    `a{l="x\\",m=y} 1` + "\n",
 		"bad TYPE":            "# TYPE a sometype\na 1\n",
 		"malformed HELP":      "# HELP 9bad docs\na 1\n",
 		"too many fields":     "a 1 2 3\n",

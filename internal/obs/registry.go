@@ -208,10 +208,12 @@ func splitLabelPairs(s string) []string {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
+		case '\\':
+			if depth {
+				i++ // an escape: the next byte is not a delimiter
 			}
+		case '"':
+			depth = !depth
 		case ',':
 			if !depth {
 				out = append(out, s[start:i])
@@ -222,12 +224,15 @@ func splitLabelPairs(s string) []string {
 	return append(out, s[start:])
 }
 
+// labelEscaper is built once: a Replacer compiles its table on first use and
+// is safe for concurrent callers.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // LabelValue escapes a raw string for use inside a label block: backslash,
-// double quote, and newline get escaped per the exposition format.
-func LabelValue(raw string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(raw)
-}
+// double quote, and newline get escaped per the exposition format. The result
+// goes between the quotes as it is — format it with "%s", not %q, which
+// would escape it a second time.
+func LabelValue(raw string) string { return labelEscaper.Replace(raw) }
 
 // register get-or-creates the entry for name, enforcing kind agreement. The
 // instrument itself is instantiated here, before the entry becomes visible

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,14 @@ func TestLabelValueEscaping(t *testing.T) {
 	}
 	if err := ValidateExposition([]byte(sb.String())); err != nil {
 		t.Fatalf("escaped label broke the exposition: %v", err)
+	}
+	// Published escaped once: the way every caller formats a label value
+	// ("%s" between literal quotes) must not escape the escapes again.
+	if want := `path="a\"b\\c\nd"`; !strings.Contains(sb.String(), want) {
+		t.Fatalf("exposition lacks %s:\n%s", want, sb.String())
+	}
+	if got := fmt.Sprintf(`m{l="%s"}`, LabelValue(`a"b`)); got != `m{l="a\"b"}` {
+		t.Fatalf("label formatted as %s", got)
 	}
 }
 

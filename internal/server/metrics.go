@@ -145,7 +145,7 @@ func (s *Server) publishHwprof() {
 	}
 	for k, v := range totals {
 		reg.Gauge(
-			fmt.Sprintf("streamhist_hwprof_cycles{module=%q,stage=%q,reason=%q}",
+			fmt.Sprintf(`streamhist_hwprof_cycles{module="%s",stage="%s",reason="%s"}`,
 				obs.LabelValue(k[0]), obs.LabelValue(k[1]), obs.LabelValue(k[2])),
 			"Simulated cycles attributed by the hardware profiler, summed over lanes.").Set(v)
 	}
@@ -163,14 +163,14 @@ func (s *Server) publishSketch(c *sketch.Chain) {
 	for _, b := range c.Blocks() {
 		name := obs.LabelValue(b.Name())
 		reg.Gauge(
-			fmt.Sprintf("streamhist_sketch_items{block=%q}", name),
+			fmt.Sprintf(`streamhist_sketch_items{block="%s"}`, name),
 			"Values consumed per sketch block by the most recent refreshed scan's merged chain.").Set(b.Items())
 		var deg int64
 		if b.Degraded() {
 			deg = 1
 		}
 		reg.Gauge(
-			fmt.Sprintf("streamhist_sketch_degraded{block=%q}", name),
+			fmt.Sprintf(`streamhist_sketch_degraded{block="%s"}`, name),
 			"1 when the sketch block's state is suspect (fault-corrupted, retired, or fed an incomplete stream).").Set(deg)
 	}
 	if ndv, ok := c.Blocks().NDVEstimate(); ok {

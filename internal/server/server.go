@@ -307,7 +307,7 @@ func New(cfg Config) *Server {
 		for _, p := range faults.Points() {
 			p := p
 			cfg.Obs.Registry().GaugeFunc(
-				fmt.Sprintf("streamhist_fault_injections{point=%q}", obs.LabelValue(string(p))),
+				fmt.Sprintf(`streamhist_fault_injections{point="%s"}`, obs.LabelValue(string(p))),
 				"Fault-injection hits per point across the whole fork tree.",
 				func() float64 { return float64(inj.TotalHits(p)) })
 		}
@@ -1278,6 +1278,9 @@ func (sp *sidePath) run(l *sideLane, bcfg core.BinnerConfig, pre *core.Preproces
 		}
 		sp.putBuf(f)
 	}
+	// The lane's share of the sketch fold, done here so the lanes do it side
+	// by side rather than the serial finish doing it for all of them.
+	l.binner.FoldSketches()
 }
 
 // stop tears the side path down: it unblocks injected stalls, closes the

@@ -89,6 +89,14 @@ func (h *HLL) Push(_, v int64) {
 // distinct count.
 func (h *HLL) PushBatch(_ int64, vals []int64) {
 	h.items += int64(len(vals))
+	h.observe(vals)
+}
+
+// observe raises the registers for vals without counting them as consumed:
+// the half of PushBatch a deferred chain runs later, once per distinct value
+// (Chain.FoldDistinct). Registers are a pointwise maximum over the value
+// *set*, so how often and in what order a value is observed does not show.
+func (h *HLL) observe(vals []int64) {
 	regs, touched := h.regs, h.touched
 	shift := 64 - h.p
 	// The guard bit sits just below the rank bits: it stops the zero count

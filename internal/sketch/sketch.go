@@ -6,9 +6,13 @@
 // the catalog and the wire.
 //
 // Where core.Block runs over the *binned* view after the stream has passed,
-// a StatBlock here sees every raw value in stream order — the HyperLogLog
-// distinct counter, the SpaceSaving heavy-hitter summary, and the
-// sliding-window aggregate all need the values themselves, not bin counts.
+// a StatBlock here can see every raw value in stream order. The
+// sliding-window aggregate has to: it is a function of position. The
+// HyperLogLog distinct counter and the SpaceSaving heavy-hitter summary are
+// functions of the multiset of values, so they stream only when no lossless
+// bin region holds that multiset already — otherwise they are completed from
+// the bins at fan-in, to the same bytes (HLL) or to exact counts
+// (SpaceSaving); see fold.go.
 //
 // Every Push carries the value's global stream position (its row ordinal in
 // storage order). Positions are what make the parallel path's merge exact:
@@ -61,9 +65,10 @@ func (k Kind) String() string {
 // StatBlock is one statistic block of the daisy chain. Implementations hold
 // bounded state, accept the raw stream via Push, and must be mergeable: for
 // HLL and the window the merged result is *identical* to the serial result
-// whatever the lane sharding; for SpaceSaving identity holds exactly when
-// capacity covers the distinct count, and the ε = N/k error guarantee is
-// preserved under merge otherwise (order-sensitive summaries cannot do
+// whatever the lane sharding; so it is for a SpaceSaving block folded from
+// the bins, which is exact. A SpaceSaving block that streamed is identical
+// when capacity covers the distinct count, and keeps the ε = N/k error
+// guarantee under merge otherwise (an order-sensitive summary cannot do
 // better; see DESIGN.md).
 type StatBlock interface {
 	// Kind identifies the implementation.
@@ -167,6 +172,12 @@ type Chain struct {
 	pos   int64
 	inj   *faults.Injector
 
+	// deferred: HLL and SpaceSaving only book what is pushed and wait for a
+	// fold over the bin region to give them the values (fold.go). distinct:
+	// the HLL half of that fold has run and nothing was pushed since.
+	deferred bool
+	distinct bool
+
 	flushed bool
 }
 
@@ -206,10 +217,13 @@ func NewChain(spec ChainSpec) *Chain {
 
 // SetFaults wires the sketch injection points (faults.SketchCorrupt,
 // faults.SketchRetire) into this chain. They are evaluated at SetPos —
-// page boundaries — never per value.
+// page boundaries — never per value. A corrupted or retired block is defined
+// by where in the stream it stopped, so a chain with an injector streams; wire
+// it before the chain is handed to a Binner, which is when deferral is decided.
 func (c *Chain) SetFaults(inj *faults.Injector) {
 	if c != nil {
 		c.inj = inj
+		c.deferred = c.deferred && inj == nil
 	}
 }
 
@@ -251,10 +265,13 @@ func (c *Chain) Push(v int64) {
 	if c == nil {
 		return
 	}
+	c.distinct = false
 	for i := range c.slots {
-		if !c.slots[i].retired {
-			c.slots[i].block.Push(c.pos, v)
+		s := &c.slots[i]
+		if s.retired || (c.deferred && book(s.block, 1)) {
+			continue
 		}
+		s.block.Push(c.pos, v)
 	}
 	c.pos++
 }
@@ -266,10 +283,13 @@ func (c *Chain) PushAll(vals []int64) {
 	if c == nil || len(vals) == 0 {
 		return
 	}
+	c.distinct = false
 	for i := range c.slots {
-		if !c.slots[i].retired {
-			c.slots[i].block.PushBatch(c.pos, vals)
+		s := &c.slots[i]
+		if s.retired || (c.deferred && book(s.block, int64(len(vals)))) {
+			continue
 		}
+		s.block.PushBatch(c.pos, vals)
 	}
 	c.pos += int64(len(vals))
 }
@@ -298,11 +318,18 @@ func (c *Chain) Merge(other *Chain) error {
 	if len(c.slots) != len(other.slots) {
 		return fmt.Errorf("sketch: merging chains with %d and %d blocks", len(c.slots), len(other.slots))
 	}
+	if c.deferred != other.deferred {
+		// One fold over the merged bins would count the streamed side twice.
+		return fmt.Errorf("sketch: merging a deferred chain with a streamed one; Fold it first")
+	}
 	for i := range c.slots {
 		if err := c.slots[i].block.Merge(other.slots[i].block); err != nil {
 			return err
 		}
 	}
+	// What the other chain still owed a fold, this one now owes.
+	c.distinct = c.distinct && other.distinct
+	other.deferred = false
 	return nil
 }
 

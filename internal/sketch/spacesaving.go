@@ -19,12 +19,13 @@ import (
 // back to the k largest. Each side's minimum is at most N_i/k, so the merged
 // ε = N/k error bound survives (the mergeable-summaries result).
 //
-// Unlike HLL and the window, a merged SpaceSaving summary is byte-identical
-// to the serial one only when capacity covers the distinct count (then no
-// eviction ever fires and every counter is exact). In the approximate regime
-// the summary is order-sensitive and identity under resharding is
-// information-theoretically impossible — the property tests check the
-// guarantees instead, and DESIGN.md spells the distinction out.
+// A summary that *streamed* its values is order-sensitive once an eviction
+// has fired: merged lanes then equal the serial run bytewise only when
+// capacity covers the distinct count, and otherwise keep the guarantees above,
+// which is all the property tests ask of them. A summary filled from a
+// lossless bin region (Chain.Fold, offerExact) is not streamed: it is the
+// exact top-k of the merged counts, Err 0, the same bytes under any sharding
+// and for any k. DESIGN.md spells the distinction out.
 //
 // The k counters live in a flat entries arena. A small open-addressed table
 // (linear probing, backward-shift delete) maps a value to its arena slot, and
@@ -63,6 +64,14 @@ type HeavyHitter struct {
 	// guaranteed lower bound.
 	Count int64
 	Err   int64
+}
+
+// Accuracy renders the error bound the way the CLIs print it.
+func (hh HeavyHitter) Accuracy() string {
+	if hh.Err == 0 {
+		return "exact"
+	}
+	return fmt.Sprintf("overcount ≤ %d", hh.Err)
 }
 
 // NewSpaceSaving returns a summary with k counters (minimum 1).
@@ -196,6 +205,12 @@ func (s *SpaceSaving) Push(_, v int64) {
 // PushBatch implements StatBlock.
 func (s *SpaceSaving) PushBatch(_ int64, vals []int64) {
 	s.items += int64(len(vals))
+	s.observe(vals)
+}
+
+// observe counts vals into the summary without booking them as consumed (see
+// HLL.observe).
+func (s *SpaceSaving) observe(vals []int64) {
 	for _, v := range vals {
 		slot := s.find(v)
 		if slot < 0 {
@@ -220,12 +235,39 @@ func (s *SpaceSaving) admit(v int64) {
 	if len(s.heap) == 0 {
 		s.buildHeap()
 	}
+	evicted := s.entries[s.heap[0]].count
+	s.replaceMin(v, evicted+1, evicted)
+}
+
+// replaceMin recycles the minimum counter's slot for v; the heap must be
+// built.
+func (s *SpaceSaving) replaceMin(v, count, errBound int64) {
 	min := s.heap[0]
-	e := &s.entries[min]
 	s.tabDelete(min)
-	*e = ssEntry{val: v, count: e.count + 1, err: e.count}
+	s.entries[min] = ssEntry{val: v, count: count, err: errBound}
 	s.tabInsert(v, min)
 	s.siftDown(0)
+}
+
+// offerExact is one step of a top-k selection over exact (value, frequency)
+// pairs, each value offered once: the summary keeps the k largest counts,
+// ties toward the smaller value — the order Merge truncates by — with Err 0.
+// What it holds afterwards is a SpaceSaving summary in good standing (every
+// value it does not track has a frequency of at most its minimum count), so
+// it merges and serialises like a streamed one; it is just never wrong. The
+// return value is a count below which no later offer can enter.
+func (s *SpaceSaving) offerExact(v, count int64) (floor int64) {
+	if len(s.entries) < s.k {
+		s.track(v, count, 0)
+		return 0
+	}
+	if len(s.heap) == 0 {
+		s.buildHeap()
+	}
+	if min := &s.entries[s.heap[0]]; evictsBefore(min.count, min.val, count, v) {
+		s.replaceMin(v, count, 0)
+	}
+	return s.entries[s.heap[0]].count
 }
 
 // track installs a counter for an untracked value verbatim (first sighting,

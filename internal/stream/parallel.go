@@ -250,6 +250,8 @@ func (l *lane) run(bcfg core.BinnerConfig, pre *core.Preprocessor) {
 			l.binner.PushAll(vals)
 		}
 	}
+	// The lane's share of the sketch fold, in parallel with the other lanes'.
+	l.binner.FoldSketches()
 }
 
 // retire marks the lane dead and hands back its full chunk share for replay.
@@ -698,9 +700,9 @@ func (d *ParallelDataPath) instrument(res *ParallelScanResult, wall time.Duratio
 		"Chunks reprocessed after a lane retirement across parallel scans.").Add(int64(res.ReplayedChunks))
 	for i, ls := range res.PerShard {
 		lane := obs.LabelValue(fmt.Sprint(i))
-		reg.Gauge(fmt.Sprintf("streamhist_stream_lane_cycles{lane=%q}", lane),
+		reg.Gauge(fmt.Sprintf(`streamhist_stream_lane_cycles{lane="%s"}`, lane),
 			"Binning completion cycles per lane for the most recent parallel scan.").Set(ls.Cycles)
-		reg.Gauge(fmt.Sprintf("streamhist_stream_lane_stall_cycles{lane=%q}", lane),
+		reg.Gauge(fmt.Sprintf(`streamhist_stream_lane_stall_cycles{lane="%s"}`, lane),
 			"Cycles lost to read-after-write hazards per lane for the most recent parallel scan.").Set(ls.StallCycles)
 	}
 	reg.Distribution("streamhist_stream_scan_duration_seconds",
