@@ -6,6 +6,7 @@ import (
 	"streamhist/internal/bins"
 	"streamhist/internal/hist"
 	"streamhist/internal/hw"
+	"streamhist/internal/hwprof"
 	"streamhist/internal/page"
 	"streamhist/internal/sketch"
 	"streamhist/internal/table"
@@ -125,7 +126,6 @@ type Results struct {
 // Circuit is the assembled statistical accelerator.
 type Circuit struct {
 	cfg    Config
-	clock  hw.Clock
 	parser *Parser
 	pre    *Preprocessor
 }
@@ -147,7 +147,6 @@ func NewCircuit(cfg Config) (*Circuit, error) {
 	}
 	return &Circuit{
 		cfg:    cfg,
-		clock:  cfg.Binner.Clock,
 		parser: NewParser(cfg.Column),
 		pre:    pre,
 	}, nil
@@ -169,45 +168,69 @@ func (c *Circuit) Process(pages []*page.Page) (*Results, error) {
 func (c *Circuit) ProcessValues(values []int64) *Results {
 	binner := NewBinner(c.cfg.Binner, c.pre)
 	binner.PushAll(values)
-	vec, bstats := binner.Finish()
+	_, bstats := binner.Finish()
+	return c.cfg.Results(binner, bstats, nil)
+}
 
-	var blocks []Block
-	var topk *TopKBlock
-	var ed *EquiDepthBlock
-	var md *MaxDiffBlock
-	var comp *CompressedBlock
-	if c.cfg.TopK > 0 {
-		topk = NewTopKBlock(c.cfg.TopK)
+// Results is the unchanged Histogram module of Figure 9 and everything that
+// follows it: it instantiates the configured statistic blocks, runs the
+// Scanner over b's bin region, and assembles the scan's Results — histograms,
+// the finished sketch chain, and the simulated timing on the circuit clock
+// (the default clock when the configuration names none). Every path that
+// fills a bin region ends here, whether one Binner filled it or it is the
+// survivor of a lane merge; bstats is passed in because a fan-in replaces the
+// survivor's completion cycle with the critical path. The histogram chain
+// and the sketch chain are charged to prof under the "merged" frame (nil
+// leaves the profile alone).
+func (c Config) Results(b *Binner, bstats BinnerStats, prof *hwprof.Profiler) *Results {
+	vec := b.Vector()
+	total := vec.Total()
+	var (
+		topk *TopKBlock
+		ed   *EquiDepthBlock
+		md   *MaxDiffBlock
+		comp *CompressedBlock
+	)
+	blocks := make([]Block, 0, 4)
+	if c.TopK > 0 {
+		topk = NewTopKBlock(c.TopK)
 		blocks = append(blocks, topk)
 	}
-	if c.cfg.EquiDepthBuckets > 0 {
-		ed = NewEquiDepthBlock(c.cfg.EquiDepthBuckets, vec.Total())
+	if c.EquiDepthBuckets > 0 {
+		ed = NewEquiDepthBlock(c.EquiDepthBuckets, total)
 		blocks = append(blocks, ed)
 	}
-	if c.cfg.MaxDiffBuckets > 0 {
-		md = NewMaxDiffBlock(c.cfg.MaxDiffBuckets)
+	if c.MaxDiffBuckets > 0 {
+		md = NewMaxDiffBlock(c.MaxDiffBuckets)
 		blocks = append(blocks, md)
 	}
-	if c.cfg.CompressedBuckets > 0 && c.cfg.CompressedT > 0 {
-		comp = NewCompressedBlock(c.cfg.CompressedT, c.cfg.CompressedBuckets, vec.Total())
+	if c.CompressedBuckets > 0 && c.CompressedT > 0 {
+		comp = NewCompressedBlock(c.CompressedT, c.CompressedBuckets, total)
 		blocks = append(blocks, comp)
 	}
-
 	chain := NewScanner().Run(vec, blocks...)
+	chain.ChargeProfile(prof, "merged")
 
+	clk := c.Binner.Clock
+	if clk.Hz == 0 {
+		clk = hw.NewClock(hw.DefaultClockHz)
+	}
 	res := &Results{
 		Bins:                 vec,
 		BinnerStats:          bstats,
 		Chain:                chain,
-		BinningSeconds:       bstats.Seconds(c.clock),
-		HistogramSeconds:     chain.Seconds(c.clock),
-		HostPathAddedSeconds: c.cfg.Splitter.AddedLatencySeconds(),
+		BinningSeconds:       bstats.Seconds(clk),
+		HistogramSeconds:     chain.Seconds(clk),
+		HostPathAddedSeconds: c.Splitter.AddedLatencySeconds(),
 	}
-	res.TotalSeconds = c.cfg.ParseLatencyMicros*1e-6 + res.BinningSeconds + res.HistogramSeconds
-	if sc := binner.SketchChain(); sc != nil {
+	res.TotalSeconds = c.ParseLatencyMicros*1e-6 + res.BinningSeconds + res.HistogramSeconds
+	if sc := b.SketchChain(); sc != nil {
+		// After a merge the chain covers every surviving lane plus replays;
+		// retired lanes' discarded sketch work is never attributed.
+		sc.Charge(prof, "merged")
 		res.Sketches = sc.Blocks()
 		res.SketchCycles = sc.TotalCycles()
-		res.SketchSeconds = c.clock.Seconds(res.SketchCycles)
+		res.SketchSeconds = clk.Seconds(res.SketchCycles)
 	}
 
 	distinct := int64(vec.Cardinality())
@@ -217,19 +240,19 @@ func (c *Circuit) ProcessValues(values []int64) *Results {
 	if ed != nil {
 		res.EquiDepth = &hist.Histogram{
 			Kind: hist.EquiDepth, Buckets: ed.Result(),
-			Total: vec.Total(), DistinctTotal: distinct,
+			Total: total, DistinctTotal: distinct,
 		}
 	}
 	if md != nil {
 		res.MaxDiff = &hist.Histogram{
 			Kind: hist.MaxDiff, Buckets: md.Result(),
-			Total: vec.Total(), DistinctTotal: distinct,
+			Total: total, DistinctTotal: distinct,
 		}
 	}
 	if comp != nil {
 		res.Compressed = &hist.Histogram{
 			Kind: hist.Compressed, Buckets: comp.Buckets(), Frequent: comp.Frequent(),
-			Total: vec.Total(), DistinctTotal: distinct,
+			Total: total, DistinctTotal: distinct,
 		}
 	}
 	return res
@@ -243,7 +266,7 @@ func ProcessRelation(rel *table.Relation, column string, cfg func(Config) Config
 		return nil, err
 	}
 	col := rel.ColumnByName(column)
-	min, max, err := columnRange(col)
+	min, max, err := ColumnRange(col)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +281,10 @@ func ProcessRelation(rel *table.Relation, column string, cfg func(Config) Config
 	return circuit.Process(page.Encode(rel))
 }
 
-func columnRange(col []int64) (min, max int64, err error) {
+// ColumnRange returns the smallest and largest value of a column — the
+// host-provided metadata a circuit is sized from. An empty column is an
+// error: there is no range to size for.
+func ColumnRange(col []int64) (min, max int64, err error) {
 	if len(col) == 0 {
 		return 0, 0, fmt.Errorf("core: empty column")
 	}

@@ -83,6 +83,12 @@ func NewPipelinedCircuit(cfg Config, regions int) (*PipelinedCircuit, error) {
 	if cfg.Binner.Clock.Hz == 0 {
 		cfg.Binner = DefaultBinnerConfig()
 	}
+	if cfg.TopK <= 0 && cfg.EquiDepthBuckets <= 0 && cfg.MaxDiffBuckets <= 0 &&
+		(cfg.CompressedBuckets <= 0 || cfg.CompressedT <= 0) {
+		// The timeline needs a Histogram phase to overlap: with no block
+		// configured, run the evaluation's 256-bucket equi-depth.
+		cfg.EquiDepthBuckets = 256
+	}
 	return &PipelinedCircuit{cfg: cfg, regions: regions}, nil
 }
 
@@ -98,7 +104,7 @@ func (p *PipelinedCircuit) Process(scans []TableScan) (*PipelineResult, error) {
 	regionFree := make([]int64, p.regions) // cycle when each region frees up
 	var binnerFree, histFree int64
 
-	for i, scan := range scans {
+	for _, scan := range scans {
 		if scan.Divisor == 0 {
 			scan.Divisor = 1
 		}
@@ -111,9 +117,7 @@ func (p *PipelinedCircuit) Process(scans []TableScan) (*PipelineResult, error) {
 		binner := NewBinner(p.cfg.Binner, pre)
 		binner.PushAll(scan.Values)
 		vec, bstats := binner.Finish()
-
-		blocks := p.blocksFor(vec)
-		chain := NewScanner().Run(vec, blocks...)
+		chain := p.cfg.Results(binner, bstats, nil).Chain
 
 		// Schedule: pick the region that frees earliest.
 		region := 0
@@ -146,30 +150,8 @@ func (p *PipelinedCircuit) Process(scans []TableScan) (*PipelineResult, error) {
 		if histEnd > res.TotalCycles {
 			res.TotalCycles = histEnd
 		}
-		_ = i
 	}
 	return res, nil
-}
-
-// blocksFor instantiates the configured statistic blocks for one scan.
-func (p *PipelinedCircuit) blocksFor(vec *bins.Vector) []Block {
-	var blocks []Block
-	if p.cfg.TopK > 0 {
-		blocks = append(blocks, NewTopKBlock(p.cfg.TopK))
-	}
-	if p.cfg.EquiDepthBuckets > 0 {
-		blocks = append(blocks, NewEquiDepthBlock(p.cfg.EquiDepthBuckets, vec.Total()))
-	}
-	if p.cfg.MaxDiffBuckets > 0 {
-		blocks = append(blocks, NewMaxDiffBlock(p.cfg.MaxDiffBuckets))
-	}
-	if p.cfg.CompressedBuckets > 0 && p.cfg.CompressedT > 0 {
-		blocks = append(blocks, NewCompressedBlock(p.cfg.CompressedT, p.cfg.CompressedBuckets, vec.Total()))
-	}
-	if len(blocks) == 0 {
-		blocks = append(blocks, NewEquiDepthBlock(256, vec.Total()))
-	}
-	return blocks
 }
 
 func max64(a, b int64) int64 {

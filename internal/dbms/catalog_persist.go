@@ -1,7 +1,6 @@
 package dbms
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,7 +14,7 @@ import (
 // catalog serialises to a compact binary image (histograms use
 // hist.Histogram's own binary format, sketches their "SK" encoding).
 //
-// The current (v2) layout is:
+// The layout (v2) is:
 //
 //	magic uint32 = 0x32544154 ("TAT2")
 //	table-version count uint32
@@ -27,18 +26,10 @@ import (
 //	  entry body   (see AppendColumnStats)
 //
 // Tables and entries are written in sorted order so the encoding is
-// deterministic. v2 carries the table-version map explicitly (v1 inferred it
-// from the max entry version, losing bumps made after the last gather) and
-// adds the sketch blocks to each entry. v1 images still decode.
-//
-// The v1 layout (magic 0x53544154 "STAT") was: entry count, then per entry
-// table/column strings, ndistinct/rowcount/version, and the histogram blob —
-// no versions section and no sketches.
+// deterministic. The magic is the image's version: a v1 image ("TATS", no
+// table versions, no sketches) is refused by name, not migrated.
 
-const (
-	catalogMagicV1 uint32 = 0x53544154
-	catalogMagicV2 uint32 = 0x32544154
-)
+const catalogMagicV2 uint32 = 0x32544154
 
 // ErrCorruptCatalog reports an undecodable catalog image.
 var ErrCorruptCatalog = errors.New("dbms: corrupt catalog image")
@@ -184,24 +175,15 @@ func (c *Catalog) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler; the decoded
-// entries replace the catalog's statistics. Both the current v2 layout and
-// the legacy v1 layout decode (v1 restores table versions from the entries'
-// recorded max, the best it can reconstruct).
-func (c *Catalog) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
+// entries replace the catalog's statistics.
+func (c *Catalog) UnmarshalBinary(buf []byte) error {
+	if len(buf) < 4 {
 		return fmt.Errorf("%w: bad header", ErrCorruptCatalog)
 	}
-	switch binary.LittleEndian.Uint32(data) {
-	case catalogMagicV2:
-		return c.unmarshalV2(data[4:])
-	case catalogMagicV1:
-		return c.unmarshalV1(data[4:])
-	default:
-		return fmt.Errorf("%w: bad header", ErrCorruptCatalog)
+	if binary.LittleEndian.Uint32(buf) != catalogMagicV2 {
+		return fmt.Errorf("%w: image version %q (this build reads \"TAT2\" only)", ErrCorruptCatalog, buf[:4])
 	}
-}
-
-func (c *Catalog) unmarshalV2(buf []byte) error {
+	buf = buf[4:]
 	readStr := func() (string, bool) {
 		if len(buf) < 2 {
 			return "", false
@@ -258,83 +240,6 @@ func (c *Catalog) unmarshalV2(buf []byte) error {
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptCatalog, len(buf))
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = stats
-	c.versions = versions
-	return nil
-}
-
-func (c *Catalog) unmarshalV1(body []byte) error {
-	r := bytes.NewReader(body)
-	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	readStr := func() (string, error) {
-		var n uint16
-		if err := read(&n); err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := r.Read(b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-
-	var count uint32
-	if err := read(&count); err != nil {
-		return fmt.Errorf("%w: missing entry count", ErrCorruptCatalog)
-	}
-
-	stats := make(map[string]map[string]*ColumnStats)
-	versions := make(map[string]uint64)
-	for i := uint32(0); i < count; i++ {
-		tbl, err := readStr()
-		if err != nil {
-			return fmt.Errorf("%w: entry %d table name", ErrCorruptCatalog, i)
-		}
-		col, err := readStr()
-		if err != nil {
-			return fmt.Errorf("%w: entry %d column name", ErrCorruptCatalog, i)
-		}
-		s := &ColumnStats{}
-		if err := read(&s.NDistinct); err != nil {
-			return fmt.Errorf("%w: entry %d", ErrCorruptCatalog, i)
-		}
-		if err := read(&s.RowCount); err != nil {
-			return fmt.Errorf("%w: entry %d", ErrCorruptCatalog, i)
-		}
-		if err := read(&s.Version); err != nil {
-			return fmt.Errorf("%w: entry %d", ErrCorruptCatalog, i)
-		}
-		var hlen uint32
-		if err := read(&hlen); err != nil {
-			return fmt.Errorf("%w: entry %d histogram length", ErrCorruptCatalog, i)
-		}
-		if hlen > 0 {
-			if int(hlen) > r.Len() {
-				return fmt.Errorf("%w: entry %d histogram truncated", ErrCorruptCatalog, i)
-			}
-			hbytes := make([]byte, hlen)
-			if _, err := r.Read(hbytes); err != nil {
-				return fmt.Errorf("%w: entry %d histogram", ErrCorruptCatalog, i)
-			}
-			s.Histogram = &hist.Histogram{}
-			if err := s.Histogram.UnmarshalBinary(hbytes); err != nil {
-				return fmt.Errorf("dbms: entry %d: %w", i, err)
-			}
-		}
-		if stats[tbl] == nil {
-			stats[tbl] = make(map[string]*ColumnStats)
-		}
-		stats[tbl][col] = s
-		if s.Version > versions[tbl] {
-			versions[tbl] = s.Version
-		}
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptCatalog, r.Len())
 	}
 
 	c.mu.Lock()

@@ -2,7 +2,8 @@ package dbms
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"streamhist/internal/sketch"
@@ -100,6 +101,11 @@ func TestCatalogUnmarshalRejectsGarbage(t *testing.T) {
 	if err := c.UnmarshalBinary(append(good, 9)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// A v1 image is refused by the version its magic names, not migrated.
+	err := c.UnmarshalBinary([]byte("TATS\x00\x00\x00\x00"))
+	if !errors.Is(err, ErrCorruptCatalog) || !strings.Contains(err.Error(), `"TATS"`) {
+		t.Errorf("v1 image: got %v, want ErrCorruptCatalog naming the version", err)
+	}
 }
 
 // sketchedCatalog builds a catalog whose entries carry sketch blocks and
@@ -160,59 +166,6 @@ func TestCatalogPersistenceV2SketchesAndVersions(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("restored catalog re-encodes differently")
-	}
-}
-
-// marshalV1 reproduces the legacy v1 image layout so the compat path stays
-// covered after MarshalBinary moved to v2.
-func marshalV1(t *testing.T, cat *Catalog) []byte {
-	t.Helper()
-	type flat struct {
-		tbl, col string
-		s        *ColumnStats
-	}
-	var entries []flat
-	for _, tbl := range []string{"customer", "lineitem"} {
-		for _, col := range cat.StatsColumns(tbl) {
-			entries = append(entries, flat{tbl, col, cat.Get(tbl, col)})
-		}
-	}
-	buf := binary.LittleEndian.AppendUint32(nil, 0x53544154)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.tbl)))
-		buf = append(buf, e.tbl...)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.col)))
-		buf = append(buf, e.col...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.s.NDistinct))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.s.RowCount))
-		buf = binary.LittleEndian.AppendUint64(buf, e.s.Version)
-		hb, err := e.s.Histogram.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hb)))
-		buf = append(buf, hb...)
-	}
-	return buf
-}
-
-func TestCatalogUnmarshalLegacyV1(t *testing.T) {
-	cat := persistedCatalog(t)
-	restored := NewCatalog()
-	if err := restored.UnmarshalBinary(marshalV1(t, cat)); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ tbl, col string }{
-		{"lineitem", "l_quantity"}, {"customer", "c_acctbal"},
-	} {
-		orig, back := cat.Get(tc.tbl, tc.col), restored.Get(tc.tbl, tc.col)
-		if back == nil {
-			t.Fatalf("%s.%s missing from v1 restore", tc.tbl, tc.col)
-		}
-		if back.NDistinct != orig.NDistinct || back.RowCount != orig.RowCount || back.Version != orig.Version {
-			t.Errorf("%s.%s: metadata differs via v1", tc.tbl, tc.col)
-		}
 	}
 }
 

@@ -14,6 +14,7 @@ func FuzzHistogramUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 23))
 	f.Add(good[:len(good)-3])
+	f.Add(append([]byte("SH\x00"), make([]byte, 24)...)) // the unversioned layout, refused
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var back Histogram
 		if err := back.UnmarshalBinary(data); err != nil {

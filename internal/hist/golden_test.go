@@ -2,7 +2,6 @@ package hist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"os"
 	"path/filepath"
@@ -43,39 +42,6 @@ func goldenFixtures() map[string]*Histogram {
 			Kind: EquiWidth,
 		},
 	}
-}
-
-// writeV1 encodes h in the pre-robustness layout: kind byte straight after
-// the magic, no version, flags, or skipped fields. This is what seeded
-// catalogs on disk look like.
-func writeV1(h *Histogram) []byte {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	var tmp [8]byte
-	le.PutUint16(tmp[:2], serialMagic)
-	buf.Write(tmp[:2])
-	buf.WriteByte(byte(h.Kind))
-	le.PutUint64(tmp[:], uint64(h.Total))
-	buf.Write(tmp[:])
-	le.PutUint64(tmp[:], uint64(h.DistinctTotal))
-	buf.Write(tmp[:])
-	le.PutUint32(tmp[:4], uint32(len(h.Frequent)))
-	buf.Write(tmp[:4])
-	for _, f := range h.Frequent {
-		le.PutUint64(tmp[:], uint64(f.Value))
-		buf.Write(tmp[:])
-		le.PutUint64(tmp[:], uint64(f.Count))
-		buf.Write(tmp[:])
-	}
-	le.PutUint32(tmp[:4], uint32(len(h.Buckets)))
-	buf.Write(tmp[:4])
-	for _, b := range h.Buckets {
-		for _, v := range []int64{b.Low, b.High, b.Count, b.Distinct} {
-			le.PutUint64(tmp[:], uint64(v))
-			buf.Write(tmp[:])
-		}
-	}
-	return buf.Bytes()
 }
 
 func goldenCompare(t *testing.T, name string, got []byte) {
@@ -125,32 +91,8 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// Old catalog payloads — v1 layout, no version byte — must keep decoding,
-// with the robustness fields zeroed.
-func TestGoldenV1Compatibility(t *testing.T) {
-	for name, h := range goldenFixtures() {
-		if h.Degraded {
-			continue // v1 cannot express a degraded histogram
-		}
-		t.Run(name, func(t *testing.T) {
-			v1 := writeV1(h)
-			goldenCompare(t, name+"_v1", v1)
-			var back Histogram
-			if err := back.UnmarshalBinary(v1); err != nil {
-				t.Fatalf("v1 payload rejected: %v", err)
-			}
-			if !back.Equal(h) {
-				t.Fatalf("v1 decode drift:\n got %s\nwant %s", back.String(), h.String())
-			}
-			if back.Degraded || back.Skipped != 0 {
-				t.Fatalf("v1 decode invented robustness fields: (%v,%d)", back.Degraded, back.Skipped)
-			}
-		})
-	}
-}
-
-// A degraded histogram re-encoded through v1 would silently lose its
-// Degraded mark; Equal must therefore distinguish the two.
+// Equal must tell a degraded histogram from the same histogram without the
+// mark.
 func TestEqualDistinguishesDegraded(t *testing.T) {
 	h := goldenFixtures()["equidepth_degraded"]
 	clean := *h

@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// Binary serialisation for catalog persistence. Version 2 is a compact
-// little-endian layout:
+// Binary serialisation for catalog persistence: one compact little-endian
+// layout, version 2.
 //
 //	magic   uint16  = 0x4853 ("HS")
 //	version uint8   = 0xF2
@@ -19,11 +19,8 @@ import (
 //	nFrequent uint32, then (value, count) int64 pairs
 //	nBuckets  uint32, then (low, high, count, distinct) int64 quadruples
 //
-// Version 1 payloads (written before the robustness fields existed) had the
-// kind byte directly after the magic and no flags/skipped fields. Every
-// legal kind is ≤ TopFrequency (6) while the v2 version byte is ≥ 0x80, so
-// the byte at offset 2 disambiguates the two layouts and old catalog
-// entries keep decoding — with the new fields zeroed.
+// An image from before the version byte existed (the kind, ≤ 6, sat where the
+// version, ≥ 0x80, sits now) is refused, naming the byte found, not migrated.
 
 const (
 	serialMagic    uint16 = 0x4853
@@ -95,43 +92,30 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 		off += 8
 		return v
 	}
-	if err := need(2 + 1 + 16 + 4); err != nil {
+	if err := need(2 + 1); err != nil {
 		return err
 	}
 	if binary.LittleEndian.Uint16(data) != serialMagic {
 		return fmt.Errorf("%w: bad magic", ErrCorruptHistogram)
 	}
-	off = 2
-	var degraded bool
-	var skipped int64
-	if data[off] >= 0x80 {
-		// Versioned layout; the only published version is 2.
-		if data[off] != serialVersion2 {
-			return fmt.Errorf("%w: unknown version %#x", ErrCorruptHistogram, data[off])
-		}
-		off++
-		if err := need(1 + 1 + 24 + 4); err != nil {
-			return err
-		}
+	if data[2] != serialVersion2 {
+		return fmt.Errorf("%w: unsupported version %#x (this build reads %#x only)", ErrCorruptHistogram, data[2], serialVersion2)
 	}
-	kind := Kind(data[off])
+	if err := need(2 + 1 + 1 + 1 + 24 + 4); err != nil {
+		return err
+	}
+	kind := Kind(data[3])
 	if kind > TopFrequency {
 		return fmt.Errorf("%w: unknown kind %d", ErrCorruptHistogram, kind)
 	}
-	off++
-	if data[2] == serialVersion2 {
-		flags := data[off]
-		off++
-		if flags&^flagDegraded != 0 {
-			return fmt.Errorf("%w: unknown flags %#x", ErrCorruptHistogram, flags)
-		}
-		degraded = flags&flagDegraded != 0
+	flags := data[4]
+	if flags&^flagDegraded != 0 {
+		return fmt.Errorf("%w: unknown flags %#x", ErrCorruptHistogram, flags)
 	}
+	off = 5
 	total := get64()
 	distinct := get64()
-	if data[2] == serialVersion2 {
-		skipped = get64()
-	}
+	skipped := get64()
 	nf := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if err := need(16 * nf); err != nil {
@@ -168,7 +152,7 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	}
 	*h = Histogram{
 		Kind: kind, Total: total, DistinctTotal: distinct,
-		Degraded: degraded, Skipped: skipped,
+		Degraded: flags&flagDegraded != 0, Skipped: skipped,
 		Frequent: freq, Buckets: buckets,
 	}
 	return nil

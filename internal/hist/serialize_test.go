@@ -1,8 +1,10 @@
 package hist
 
 import (
+	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -67,9 +69,17 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	// Unknown kind byte.
 	bad := append([]byte(nil), good...)
-	bad[2] = 99
+	bad[3] = 99
 	if err := h.UnmarshalBinary(bad); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	// An image from before the version byte existed (kind 0 straight after
+	// the magic, then total, distinct and two empty sections) is refused by
+	// version, not migrated.
+	old := append([]byte("SH\x00"), make([]byte, 24)...)
+	err := h.UnmarshalBinary(old)
+	if !errors.Is(err, ErrCorruptHistogram) || !strings.Contains(err.Error(), "version 0x0") {
+		t.Errorf("unversioned image: got %v, want ErrCorruptHistogram naming version 0x0", err)
 	}
 }
 

@@ -14,9 +14,10 @@
 //     channel as a window into the same images (copied only when a page
 //     fault point is armed). The relay path does no transformation — the
 //     client receives storage's bytes, byte for byte.
-//   - The statistical circuit is the drain worker behind the channel: the
-//     Parser FSM extracts the requested column from the copied page bytes
-//     and the cycle-accounted Binner bin-sorts it (internal/core), exactly
+//   - The statistical circuit is the lane engine behind the channel
+//     (internal/lanes, the same one stream.ParallelDataPath runs): each
+//     lane's Parser FSM extracts the requested column from the page bytes
+//     and its cycle-accounted Binner bin-sorts it (internal/core), exactly
 //     as stream.Tap does in-process.
 //   - The host is the client (internal/client): it consumes raw pages with
 //     only framing added, and can fetch the by-product — the freshest

@@ -17,9 +17,7 @@ import (
 	"streamhist/internal/dbms"
 	"streamhist/internal/durable"
 	"streamhist/internal/faults"
-	"streamhist/internal/hist"
-	"streamhist/internal/hw"
-	"streamhist/internal/hwprof"
+	"streamhist/internal/lanes"
 	"streamhist/internal/obs"
 	"streamhist/internal/page"
 	"streamhist/internal/sketch"
@@ -345,16 +343,8 @@ func (s *Server) Register(rel *table.Relation) error {
 			return err
 		}
 		m := colMeta{spec: spec}
-		if vals := rel.ColumnByName(c.Name); len(vals) > 0 {
-			m.min, m.max, m.ok = vals[0], vals[0], true
-			for _, v := range vals {
-				if v < m.min {
-					m.min = v
-				}
-				if v > m.max {
-					m.max = v
-				}
-			}
+		if lo, hi, err := core.ColumnRange(rel.ColumnByName(c.Name)); err == nil {
+			m.min, m.max, m.ok = lo, hi, true
 		}
 		cols[c.Name] = m
 	}
@@ -941,102 +931,31 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 	return bw.Flush()
 }
 
-// sideFrame is one unit of side-path work: a copied span of page bytes plus
-// where in the relation it came from, so the lane can verify each page
-// against the storage-authoritative checksum.
-type sideFrame struct {
-	bufp *[]byte
-	// pageOff is the relation-wide index of the first page in the buffer.
-	pageOff int
-	// intended is how many pages the frame was supposed to carry; when the
-	// buffer holds fewer whole pages (an injected truncation), the missing
-	// tail is quarantined.
-	intended int
-}
-
-// sideLane is one shard of a scan's side path: a private Parser+Binner pair
-// consuming page frames from its own channel. Frames always hold whole
-// pages and the Parser FSM resets at page boundaries, so lanes never share
-// parser state.
-type sideLane struct {
-	idx    int // lane index within the scan, for traces and gauges
-	parser *core.Parser
-	ch     chan sideFrame
-	inj    *faults.Injector
-
-	// Written only by the lane goroutine, read after done.
-	binner      *core.Binner // built by the lane itself, see run
-	parseErr    error
-	faulted     bool // injected panic/stall: the lane's partial work is void
-	quarantined int64
-	done        chan struct{}
-
-	// wallStart/wallEnd bracket the lane goroutine's lifetime in unix
-	// nanoseconds. They are atomics because a lane retired for stalling is
-	// still running when the serving goroutine copies them into the trace.
-	wallStart, wallEnd atomic.Int64
-
-	// dead is the serving goroutine's view: stop feeding this lane.
-	dead bool
-	// joined records that stop() observed the lane goroutine exit, so the
-	// lane's state is quiescent and may be recycled.
-	joined bool
-}
-
-// sidePath is one scan's splitter copy: frames are duplicated and dealt
-// round-robin across ShardLanes lanes, each running the Parser→Binner
-// pipeline while the serving goroutine keeps streaming. At finish the lane
-// states fan back in — bin vectors merge via core.Binner.Merge and the
-// completion cycle is the max-lane critical path plus one aggregation pass
-// (hw.CriticalPath) — before the unchanged histogram chain runs.
-//
-// The side path is strictly subordinate to the raw stream: a lane that
-// panics or stalls is retired (its partial state discarded), a page that
-// fails its checksum is quarantined, a watchdog cancels work that overruns
-// the scan deadline — and in every one of those cases the page stream is
-// already complete or still completing at full speed. What degrades is only
-// the statistic, and the degradation is always reported, never silent.
+// sidePath is the server's policy around one scan's lanes.Engine: it builds
+// the units (the splitter copy), owns the drain-pool slot and the watchdog,
+// and turns what the engine reports into the scan's statistics yield. The
+// side path is strictly subordinate to the raw stream: whatever happens to a
+// lane, a page or the deadline, the page stream is already complete or still
+// completing at full speed. The server cannot re-read the wire, so what the
+// engine lost degrades the statistic — and the degradation is always
+// reported, never silent.
 type sidePath struct {
 	s     *Server
 	entry *tableEntry
 	req   ScanRequest
-	sums  []uint32
-
-	lanes []*sideLane
-	next  int // round-robin cursor, serving goroutine only
-	clock hw.Clock
-	// pageCap is the relation's rows-per-page (pages are fully packed), so
-	// lanes can turn a page index into the global row ordinal the sketch
-	// chain's position cursor needs.
-	pageCap int
-	// pages are the relation's stable page images. When zeroCopy is set (no
-	// corruption or truncation fault points armed for this scan), the wire
-	// frame is byte-identical to these images, so lanes parse them directly
-	// instead of a copied side buffer — the splitter aliases the verified
-	// page buffer rather than duplicating it.
-	pages    []*page.Page
+	eng   *lanes.Engine
+	// zeroCopy is set when no corruption or truncation fault point is armed
+	// for this scan: the wire frame is then byte-identical to the stable page
+	// images, so lanes parse those in place and the side copy is skipped.
 	zeroCopy bool
-
 	// tr is the owning scan's trace; finish() appends the lane, merge, and
 	// install spans to it. Nil when tracing is off.
-	tr *obs.ScanTrace
-
-	// release unblocks injected lane stalls at teardown so no goroutine
-	// outlives the scan.
-	release chan struct{}
-	// cancelled is set by the watchdog; lanes drain without binning and
-	// finish() refuses to install.
-	cancelled atomic.Bool
-	watchdog  *time.Timer
-
+	tr       *obs.ScanTrace
+	watchdog *time.Timer
 	// framesLost notes frames no live lane would take (all retired or all
 	// stalled past the timeout): the merged view is missing that data.
 	framesLost bool
-	retired    int
-	// quarantinedPages is settled in stop(), after the lanes are joined.
-	quarantinedPages int64
-
-	stopped bool
+	stopped    bool
 }
 
 // startSidePath acquires a drain worker and wires the side path, or returns
@@ -1045,10 +964,7 @@ type sidePath struct {
 // fails open and the catalog simply isn't refreshed this time). Injected
 // drain-pool saturation exercises the same skip path as the real thing.
 func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta, inj *faults.Injector, tr *obs.ScanTrace) *sidePath {
-	if req.Column == "" {
-		return nil
-	}
-	if !meta.ok {
+	if req.Column == "" || !meta.ok {
 		return nil
 	}
 	if inj.Should(faults.DrainSaturate) {
@@ -1061,231 +977,68 @@ func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta,
 		s.metrics.sideSkipped.Add(1)
 		return nil
 	}
-	sp := &sidePath{
-		s:       s,
-		entry:   entry,
-		req:     req,
-		sums:    entry.pageSums(),
-		clock:   s.cfg.Binner.Clock,
-		lanes:   make([]*sideLane, s.cfg.ShardLanes),
-		release: make(chan struct{}),
-		tr:      tr,
+	eng, err := lanes.Start(lanes.Config{
+		Lanes: s.cfg.ShardLanes, Depth: s.cfg.SideBufDepth, StallTimeout: s.cfg.SideStallTimeout,
+		Column: meta.spec, Min: meta.min, Max: meta.max, Divisor: 1,
+		Pages: entry.pageImages(), Sums: entry.pageSums(), Bufs: &s.bufPool,
+		Sketch: s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
+		Binner: s.laneBinner,
+	})
+	if err != nil {
+		<-s.drainSem
+		s.metrics.sideSkipped.Add(1)
+		return nil
 	}
-	sp.pages = entry.pageImages()
-	if len(sp.pages) > 0 {
-		sp.pageCap = sp.pages[0].Capacity()
-	}
+	sp := &sidePath{s: s, entry: entry, req: req, eng: eng, tr: tr}
 	// The only ways a side copy can differ from the stable page images are
-	// the in-flight corruption and truncation points; with neither armed the
-	// copy is provably redundant and the lanes alias the images instead.
+	// the in-flight corruption and truncation points.
 	sp.zeroCopy = !inj.Enabled(faults.PageCorrupt) && !inj.Enabled(faults.PageTruncate)
-	for i := range sp.lanes {
-		pre, err := core.RangeFor(meta.min, meta.max, 1)
-		if err != nil {
-			<-s.drainSem
-			s.metrics.sideSkipped.Add(1)
-			return nil
-		}
-		// Each lane's injector drives both its lane faults and its binner's
-		// hw.mem.* points. Forking per lane (rather than letting every lane
-		// of every concurrent scan draw from one shared root injector) keeps
-		// memory-fault decisions reproducible from the seed alone, whatever
-		// the goroutine interleaving — the guarantee Fork exists to provide.
-		linj := inj.Fork(fmt.Sprintf("side-lane%d", i))
-		bcfg := s.cfg.Binner
-		if bcfg.Faults == nil {
-			bcfg.Faults = linj
-		}
-		// Live ECC/latency event sinks: these fire as faults are handled in
-		// any lane (including lanes later retired), where the folded
-		// ecc_corrected/bins_quarantined counters only see merged state.
-		bcfg.MemEvents = s.metrics.memEvents
-		// Every lane charges its cycle attribution under its lane frame;
-		// lanes that never reach Finish (retired, watchdogged, abandoned)
-		// never flush, so discarded work stays out of the profile — the
-		// property the consistency gauge checks.
-		bcfg.Prof = s.obs.Profiler()
-		bcfg.ProfLane = fmt.Sprintf("lane%d", i)
-		// Each lane runs its own sketch chain beside its binner; the chains
-		// merge with the bin state at fan-in, and a retired lane's chain is
-		// discarded with its binner. The lane injector also drives the
-		// sketch.corrupt / sketch.retire points, evaluated at page
-		// boundaries.
-		laneChain := sketch.NewChain(s.cfg.Sketch)
-		laneChain.SetFaults(linj)
-		bcfg.Sketches = laneChain
-		sp.lanes[i] = &sideLane{
-			idx:    i,
-			parser: core.NewParser(meta.spec),
-			ch:     make(chan sideFrame, s.cfg.SideBufDepth),
-			done:   make(chan struct{}),
-			inj:    linj,
-		}
-		go sp.run(sp.lanes[i], bcfg, pre)
-	}
 	if s.cfg.ScanDeadline > 0 {
-		sp.watchdog = time.AfterFunc(s.cfg.ScanDeadline, func() {
-			sp.cancelled.Store(true)
-		})
+		sp.watchdog = time.AfterFunc(s.cfg.ScanDeadline, eng.Cancel)
 	}
 	return sp
 }
 
-// feed hands the next live lane a copy of one relayed frame, round-robin. A
-// full lane channel applies backpressure up to SideStallTimeout — bounded
-// memory — after which the lane is presumed stuck and retired; a lane whose
-// goroutine died is retired on sight. When no live lane remains the frame
-// is dropped and the eventual histogram honestly reports the loss.
-func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
-	if sp.cancelled.Load() {
-		return // watchdog fired: the side path is already forfeit
+// laneBinner is the Binner configuration of one side-path lane. The lane's
+// injector drives its binner's hw.mem.* points as well as its lane faults:
+// forking per lane (rather than letting every lane of every concurrent scan
+// draw from one shared root injector) keeps memory-fault decisions
+// reproducible from the seed alone, whatever the goroutine interleaving.
+func (s *Server) laneBinner(linj *faults.Injector) core.BinnerConfig {
+	bcfg := s.cfg.Binner
+	if bcfg.Faults == nil {
+		bcfg.Faults = linj
 	}
-	intended := len(b) / page.Size
-	var f sideFrame
-	if sp.zeroCopy {
-		// No fault point can shorten or damage the side copy, so the frame
-		// bytes are provably identical to the relation's stable page images
-		// and the copy is skipped: the frame carries only its page window and
-		// the lane parses the images in place.
-		f = sideFrame{pageOff: pageOff, intended: intended}
-	} else {
+	// Live ECC/latency event sinks: these fire as faults are handled in any
+	// lane (including lanes later retired), where the folded
+	// ecc_corrected/bins_quarantined counters only see merged state.
+	bcfg.MemEvents = s.metrics.memEvents
+	bcfg.Prof = s.obs.Profiler()
+	return bcfg
+}
+
+// feed deals one relayed frame to the lanes. With a fault point armed the
+// lanes get a pooled copy — possibly a short one: an injected truncation is
+// the splitter's DMA slipping, so the side buffer holds only a prefix of a
+// frame the wire already carried whole. A frame no lane takes is dropped and
+// the eventual histogram honestly reports the loss.
+func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
+	u := lanes.Unit{First: pageOff, N: len(b) / page.Size}
+	if !sp.zeroCopy {
 		if inj.Should(faults.PageTruncate) {
-			// Injected short copy: the splitter's DMA slipped and the side
-			// buffer holds only a prefix of the frame. The wire already
-			// carried the full bytes; only the statistic's copy is short.
 			b = b[:inj.Intn(faults.PageTruncate, int64(len(b)))]
 		}
-		bufp := sp.s.bufPool.Get().(*[]byte)
-		*bufp = append((*bufp)[:0], b...)
-		f = sideFrame{bufp: bufp, pageOff: pageOff, intended: intended}
+		u.Buf = sp.s.bufPool.Get().(*[]byte)
+		*u.Buf = append((*u.Buf)[:0], b...)
 	}
-
-	for tries := 0; tries < len(sp.lanes); tries++ {
-		l := sp.lanes[sp.next]
-		sp.next = (sp.next + 1) % len(sp.lanes)
-		if l.dead {
-			continue
-		}
-		select {
-		case l.ch <- f:
-			return
-		case <-l.done:
-			sp.retireLane(l)
-			continue
-		default:
-		}
-		timer := time.NewTimer(sp.s.cfg.SideStallTimeout)
-		select {
-		case l.ch <- f:
-			timer.Stop()
-			return
-		case <-l.done:
-			timer.Stop()
-			sp.retireLane(l)
-		case <-timer.C:
-			sp.retireLane(l)
-		}
-	}
-	// No lane took it: the side path loses this frame's rows, and says so.
-	sp.framesLost = true
-	sp.putBuf(f)
-}
-
-// putBuf returns a frame's side buffer to the pool; zero-copy frames carry
-// none.
-func (sp *sidePath) putBuf(f sideFrame) {
-	if f.bufp != nil {
-		sp.s.bufPool.Put(f.bufp)
+	if sp.eng.Feed(u) < 0 {
+		sp.framesLost = true
 	}
 }
 
-func (sp *sidePath) retireLane(l *sideLane) {
-	if !l.dead {
-		l.dead = true
-		sp.retired++
-	}
-}
-
-// run is one lane's drain worker: each whole page in the frame is verified
-// against its storage checksum — corrupt or missing pages are quarantined,
-// counted, and skipped — and the surviving pages flow through the Parser
-// FSM into the Binner, exactly as in stream.Tap but decoupled from the wire
-// by the lane channel. The lane builds its own Binner first: sizing (or
-// recycling) the bin region is the one set-up step whose cost grows with the
-// value range, so the lanes do it in parallel and under the first frames
-// instead of one after the other in front of them.
-func (sp *sidePath) run(l *sideLane, bcfg core.BinnerConfig, pre *core.Preprocessor) {
-	l.wallStart.Store(time.Now().UnixNano())
-	defer func() {
-		if r := recover(); r != nil {
-			l.faulted = true
-		}
-		l.wallEnd.Store(time.Now().UnixNano())
-		close(l.done)
-	}()
-	l.binner = core.NewBinner(bcfg, pre)
-	var vals []int64
-	for f := range l.ch {
-		if l.faulted || l.parseErr != nil || sp.cancelled.Load() {
-			sp.putBuf(f)
-			continue // drain only: fail open, never block the feeder
-		}
-		if l.inj.Should(faults.LanePanic) {
-			sp.putBuf(f)
-			panic("injected side-lane fault")
-		}
-		if l.inj.Should(faults.LaneStall) {
-			l.faulted = true
-			sp.putBuf(f)
-			<-sp.release // hold until teardown, then drain
-			continue
-		}
-		var buf []byte
-		whole := f.intended
-		if f.bufp != nil {
-			buf = *f.bufp
-			whole = len(buf) / page.Size
-		}
-		for k := 0; k < f.intended; k++ {
-			if k >= whole || (buf == nil && f.pageOff+k >= len(sp.pages)) {
-				// Truncated away: the page never reached the side buffer.
-				l.quarantined++
-				continue
-			}
-			var img []byte
-			if buf != nil {
-				img = buf[k*page.Size : (k+1)*page.Size]
-			} else {
-				// Zero-copy frame: the verified, immutable page image itself.
-				img = sp.pages[f.pageOff+k].Bytes()
-			}
-			if page.Checksum(img) != sp.sums[f.pageOff+k] {
-				l.quarantined++
-				continue
-			}
-			var err error
-			vals, err = l.parser.Feed(img, vals[:0])
-			if err != nil {
-				l.parseErr = err
-				break
-			}
-			// Pages are fully packed, so this page's first row ordinal is
-			// its index times the per-page capacity; repositioning the
-			// sketch cursor here keeps position-sensitive blocks exact no
-			// matter which lane the frame landed on.
-			l.binner.SetStreamPos(int64(f.pageOff+k) * int64(sp.pageCap))
-			l.binner.PushAll(vals)
-		}
-		sp.putBuf(f)
-	}
-	// The lane's share of the sketch fold, done here so the lanes do it side
-	// by side rather than the serial finish doing it for all of them.
-	l.binner.FoldSketches()
-}
-
-// stop tears the side path down: it unblocks injected stalls, closes the
-// lane channels, waits for the drain workers against a shared deadline —
-// retiring any lane that will not finish in time — and releases the pool
+// stop ends the side path's input: it joins the lanes (bounded by
+// SideStallTimeout), accounts for the casualties — even a scan abandoned
+// mid-stream reports what it quarantined and retired — and releases the pool
 // slot. Idempotent; called from the serving goroutine only.
 func (sp *sidePath) stop() {
 	if sp.stopped {
@@ -1295,35 +1048,9 @@ func (sp *sidePath) stop() {
 	if sp.watchdog != nil {
 		sp.watchdog.Stop()
 	}
-	close(sp.release)
-	for _, l := range sp.lanes {
-		close(l.ch)
-	}
-	deadline := time.NewTimer(sp.s.cfg.SideStallTimeout)
-	defer deadline.Stop()
-	for _, l := range sp.lanes {
-		select {
-		case <-l.done:
-			l.joined = true
-		case <-deadline.C:
-			// The lane is wedged past the drain deadline. Its goroutine
-			// can only be blocked on the (now closed) release channel or
-			// mid-drain, so it will exit on its own; the scan does not
-			// wait, and the lane's partial state is discarded.
-			sp.retireLane(l)
-		}
-	}
-	// Settle the casualty list now that the joined lanes' flags are
-	// visible, and account for it — even a scan abandoned mid-stream
-	// (connection death) reports what it quarantined and retired.
-	for _, l := range sp.lanes {
-		if l.faulted {
-			sp.retireLane(l)
-		}
-		sp.quarantinedPages += l.quarantined
-	}
-	sp.s.metrics.pagesQuarantined.Add(sp.quarantinedPages)
-	sp.s.metrics.lanesRetired.Add(int64(sp.retired))
+	sp.eng.Join()
+	sp.s.metrics.pagesQuarantined.Add(sp.eng.Quarantined())
+	sp.s.metrics.lanesRetired.Add(int64(sp.eng.Retired()))
 	<-sp.s.drainSem
 }
 
@@ -1339,8 +1066,7 @@ type sideResult struct {
 	lanesRetired     uint32
 }
 
-// finish completes the side path: it fans the surviving lane states back in
-// (merged bin counts, max-lane critical path plus one aggregation pass),
+// finish completes the side path: it fans the surviving lane states back in,
 // runs the histogram chain over the merged view, installs the Compressed
 // histogram in the catalog, and reports the scan's statistics yield plus
 // the simulated hardware cost. Faults reaching this point shape the result
@@ -1349,188 +1075,109 @@ type sideResult struct {
 // quantified — there is no silent third outcome.
 func (sp *sidePath) finish() sideResult {
 	sp.stop()
+	s := sp.s
 	var res sideResult
-
-	// Retired lanes still get a trace span — marked, with their discarded
-	// hardware accounting zeroed — so /scans shows which shard died.
-	for _, l := range sp.lanes {
-		if l.dead {
-			sp.tr.AddSpan("lane", l.idx, l.wallStart.Load(), l.wallEnd.Load(), 0, true)
-		}
-	}
-
-	healthy := sp.lanes[:0:0]
-	for _, l := range sp.lanes {
-		if l.dead {
-			continue
-		}
-		if l.parseErr != nil {
-			// A real data error (not injected): fail open like before.
-			sp.s.metrics.parseErrors.Add(1)
-			res.degraded = true
-			return res
-		}
-		healthy = append(healthy, l)
-	}
-	res.quarantinedPages = uint32(sp.quarantinedPages)
-	res.lanesRetired = uint32(sp.retired)
-
-	if sp.cancelled.Load() {
-		// Watchdog: whatever the lanes hold is incomplete in an unknown
-		// way. Report the overrun; install nothing.
-		res.degraded = true
-		return res
-	}
-	if len(healthy) == 0 {
-		res.degraded = true
-		return res
-	}
-
-	laneCycles := make([]int64, len(healthy))
+	prof := s.obs.Profiler()
+	fan, err := sp.eng.FanIn(sp.tr, 0, prof, s.cfg.Binner.Mem.BinsPerLine)
+	// The lanes FanIn finished flushed their attribution; record the matching
+	// expectation now, so profile and counter agree whatever happens next.
 	var laneSum int64
-	for i, l := range healthy {
-		_, ls := l.binner.Finish()
-		laneCycles[i] = ls.Cycles
+	for _, ls := range fan.PerLane {
 		laneSum += ls.Cycles
-		// Healthy lane span: wall clock from the lane goroutine's own
-		// stamps, hardware cost from the lane's binning completion cycle.
-		// The trace invariant max(lane HWCycles) + merge HWCycles ==
-		// AccelCycles follows from hw.CriticalPath below.
-		sp.tr.AddSpan("lane", l.idx, l.wallStart.Load(), l.wallEnd.Load(), ls.Cycles, false)
-		sp.s.metrics.setLaneCycles(l.idx, ls.Cycles)
 	}
-	// Healthy lanes flushed their attribution when Finish ran above; record
-	// the matching expectation now, so even the cannot-happen merge-failure
-	// return below leaves profile and counter agreeing.
-	sp.s.metrics.hwprofAttributed.Add(laneSum)
-	mi := sp.tr.Begin("merge")
-	merged := healthy[0].binner
-	for _, l := range healthy[1:] {
-		if err := merged.Merge(l.binner); err != nil {
-			// Lanes share one geometry, so this cannot happen; treat it
-			// like a parse failure and fail open.
-			sp.s.metrics.parseErrors.Add(1)
-			res.degraded = true
-			return res
-		}
+	s.metrics.hwprofAttributed.Add(laneSum)
+	if err != nil {
+		// A real data error (not injected), or the cannot-happen merge of
+		// unlike geometries: fail open.
+		s.metrics.parseErrors.Add(1)
+		res.degraded = true
+		return res
 	}
-	sp.s.metrics.laneMerges.Add(int64(len(healthy) - 1))
-	vec, bstats := merged.Finish()
-	sp.s.metrics.faultsCorrected.Add(bstats.FaultsCorrected)
-	sp.s.metrics.binsQuarantined.Add(bstats.BinsQuarantined)
+	res.quarantinedPages = uint32(sp.eng.Quarantined())
+	res.lanesRetired = uint32(sp.eng.Retired())
+	if fan.Survivor == nil {
+		// The watchdog fired — whatever the lanes hold is incomplete in an
+		// unknown way — or no lane survived. Install nothing.
+		res.degraded = true
+		return res
+	}
+	for i, ls := range fan.PerLane {
+		s.metrics.setLaneCycles(i, ls.Cycles)
+	}
+	s.metrics.laneMerges.Add(int64(fan.Merges))
+	bstats := fan.Stats
+	s.metrics.faultsCorrected.Add(bstats.FaultsCorrected)
+	s.metrics.binsQuarantined.Add(bstats.BinsQuarantined)
 	if bstats.Items == 0 {
 		res.degraded = true
 		return res
 	}
 
+	out := core.Config{
+		CompressedT: s.cfg.TopK, CompressedBuckets: s.cfg.Buckets, Binner: s.cfg.Binner,
+	}.Results(fan.Survivor, bstats, prof)
+	// The merge span is charged everything past the lanes' own binning: the
+	// fan-in aggregation pass, the histogram chain, and the merged sketch
+	// chain — so max(lane cycles) + merge cycles == AccelCycles, and the
+	// hwprof consistency gauge keeps holding with sketches on.
+	past := fan.AggregationCycles + out.Chain.TotalCycles + out.SketchCycles
+	if prof != nil {
+		s.metrics.hwprofAttributed.Add(past)
+	}
+	sp.tr.End(fan.Span, past)
+
 	// The one honesty invariant everything above funnels into: any gap
 	// between what the relation holds and what the merged view counted —
 	// retired lanes, quarantined pages, dropped frames, bin-memory losses
 	// — makes the histogram Degraded, with the gap as its skipped count.
+	h := out.Compressed
 	relRows := int64(sp.entry.rel.NumRows())
-	skipped := relRows - vec.Total()
-	if skipped < 0 {
-		skipped = 0
-	}
-	degraded := skipped > 0 || sp.retired > 0 || sp.quarantinedPages > 0 ||
+	h.Skipped = max(relRows-h.Total, 0)
+	h.Degraded = h.Skipped > 0 || res.lanesRetired > 0 || res.quarantinedPages > 0 ||
 		bstats.BinsQuarantined > 0 || sp.framesLost
-
-	var agg int64
-	if len(healthy) > 1 {
-		agg = hw.AggregationCycles(vec.NumBins(), sp.s.cfg.Binner.Mem.BinsPerLine)
-	}
-	bstats.Cycles = hw.CriticalPath(laneCycles, agg)
-	comp := core.NewCompressedBlock(sp.s.cfg.TopK, sp.s.cfg.Buckets, vec.Total())
-	chain := core.NewScanner().Run(vec, comp)
-	// The merged sketch chain covers every healthy lane (retired lanes'
-	// chains were discarded with their binners). Its cycles ride the merge
-	// span beside the aggregation pass and the histogram chain, so the
-	// trace invariant — max(lane cycles) + merge cycles == AccelCycles —
-	// and the hwprof consistency gauge both keep holding with sketches on.
-	sideChain := merged.SketchChain()
-	sketchCycles := sideChain.TotalCycles()
-	if prof := sp.s.obs.Profiler(); prof != nil {
-		if agg > 0 {
-			n := prof.Node("merged", "aggregate", "fanin", hwprof.ReasonAgg)
-			n.Add(agg)
-			n.AddEvents(1)
-		}
-		chain.ChargeProfile(prof, "merged")
-		sideChain.Charge(prof, "merged")
-		sp.s.metrics.hwprofAttributed.Add(agg + chain.TotalCycles + sketchCycles)
-	}
-	// The merge span is charged everything past the lanes' own binning: the
-	// fan-in aggregation pass, the histogram chain, and the sketch chain.
-	sp.tr.End(mi, agg+chain.TotalCycles+sketchCycles)
-	distinct := int64(vec.Cardinality())
-	h := &hist.Histogram{
-		Kind:          hist.Compressed,
-		Buckets:       comp.Buckets(),
-		Frequent:      comp.Frequent(),
-		Total:         vec.Total(),
-		DistinctTotal: distinct,
-		Degraded:      degraded,
-		Skipped:       skipped,
-	}
-	if degraded {
+	sideChain := fan.Survivor.SketchChain()
+	if h.Degraded {
 		// The sketches saw the same incomplete stream the histogram did;
 		// they are served, but flagged, never silently wrong.
 		sideChain.MarkDegraded()
 	}
 	ii := sp.tr.Begin("install")
-	sp.s.catalog.Put(sp.req.Table, sp.req.Column, &dbms.ColumnStats{
+	s.catalog.Put(sp.req.Table, sp.req.Column, &dbms.ColumnStats{
 		Histogram: h,
-		Sketches:  sideChain.Blocks(),
-		NDistinct: distinct,
+		Sketches:  out.Sketches,
+		NDistinct: h.DistinctTotal,
 		RowCount:  relRows,
 	})
 	sp.tr.End(ii, 0)
-	sp.s.publishSketch(sideChain)
-	total := uint64(bstats.Cycles + chain.TotalCycles + sketchCycles)
-	sp.s.metrics.rowsBinned.Add(bstats.Items)
-	sp.s.metrics.histRefreshed.Add(1)
-	sp.s.metrics.accelCycles.Add(int64(total))
-	sp.s.publishHwprof()
+	s.publishSketch(sideChain)
+	total := bstats.Cycles + out.Chain.TotalCycles + out.SketchCycles
+	s.metrics.rowsBinned.Add(bstats.Items)
+	s.metrics.histRefreshed.Add(1)
+	s.metrics.accelCycles.Add(total)
+	s.publishHwprof()
 
 	res.rows = uint64(bstats.Items)
 	res.refreshed = true
-	res.degraded = degraded
-	res.cycles = total
-	res.seconds = sp.clock.Seconds(int64(total))
-	res.skippedTuples = uint64(skipped)
+	res.degraded = h.Degraded
+	res.cycles = uint64(total)
+	res.seconds = s.cfg.Binner.Clock.Seconds(total)
+	res.skippedTuples = uint64(h.Skipped)
 
-	// The merged-away lanes folded everything they knew into the survivor,
-	// and what the install keeps of the survivor is the histogram and the
-	// sketch blocks: vec is not referenced past this point. So every lane's
-	// binner scratch returns to the pool, the survivor's bin region included;
-	// only the survivor's chain (and a chain it adopted) stays out, because
-	// its blocks now live in the catalog.
-	for _, l := range healthy {
-		if sc := l.binner.SketchChain(); sc != sideChain {
-			sc.Release()
-		}
-		l.binner.Release()
-		l.binner = nil
-	}
+	// What the install keeps of the survivor is the histogram and the sketch
+	// blocks: its bin region is not referenced past this point and goes back
+	// to the pool. Its chain stays out — the blocks now live in the catalog.
+	// The merged-away lanes follow here, before the summary is written, not
+	// in the deferred abandon(): a client's next request is often a Stats
+	// read, and it should not find the handler still tidying up.
+	fan.Survivor.Release()
+	sp.eng.Close()
 	return res
 }
 
 // abandon releases the side path: handleScan defers it, so it runs whether
-// the scan failed before its summary (nothing installed, the workers just
-// drain) or finish() completed. Whatever lane state finish() did not hand on
-// or release itself — every lane of a failed scan, retired lanes, the lanes
-// of a scan that finished Degraded without installing — is discarded by
-// construction, so once the lane's goroutine has joined it is private and
-// its binner scratch and sketch chain go back to the pools. A lane that
-// missed the drain deadline may still be running and keeps its state: the
-// pools never see memory a goroutine could touch. Idempotent.
+// the scan failed before its summary (nothing installed, the lanes just
+// drain) or finish() completed. Idempotent.
 func (sp *sidePath) abandon() {
 	sp.stop()
-	for _, l := range sp.lanes {
-		if l.joined && l.binner != nil {
-			l.binner.SketchChain().Release()
-			l.binner.Release()
-			l.binner = nil
-		}
-	}
+	sp.eng.Close()
 }

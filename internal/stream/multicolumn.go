@@ -79,18 +79,9 @@ func MultiColumnScan(rel *table.Relation, columns []string, hostSink io.Writer, 
 			return nil, err
 		}
 		specs[i] = spec
-		vals := rel.ColumnByName(col)
-		if len(vals) == 0 {
-			return nil, fmt.Errorf("stream: column %q is empty", col)
-		}
-		min, max := vals[0], vals[0]
-		for _, v := range vals {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
+		min, max, err := core.ColumnRange(rel.ColumnByName(col))
+		if err != nil {
+			return nil, fmt.Errorf("stream: column %q: %w", col, err)
 		}
 		c := core.DefaultConfig(spec, min, max)
 		if cfg != nil {
@@ -120,17 +111,8 @@ func MultiColumnScan(rel *table.Relation, columns []string, hostSink io.Writer, 
 
 	out := make(map[string]*core.Results, len(columns))
 	for i, col := range columns {
-		vec, bstats := binners[i].Finish()
-		blocks := blocksFor(configs[i], vec)
-		chain := core.NewScanner().Run(vec, blocks.list...)
-		res := &core.Results{Bins: vec, BinnerStats: bstats, Chain: chain}
-		clk := configs[i].Binner.Clock
-		res.BinningSeconds = bstats.Seconds(clk)
-		res.HistogramSeconds = chain.Seconds(clk)
-		res.TotalSeconds = configs[i].ParseLatencyMicros*1e-6 + res.BinningSeconds + res.HistogramSeconds
-		res.HostPathAddedSeconds = configs[i].Splitter.AddedLatencySeconds()
-		blocks.fill(res, vec)
-		out[col] = res
+		_, bstats := binners[i].Finish()
+		out[col] = configs[i].Results(binners[i], bstats, nil)
 	}
 	return out, nil
 }

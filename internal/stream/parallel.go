@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,8 +11,8 @@ import (
 	"streamhist/internal/bins"
 	"streamhist/internal/core"
 	"streamhist/internal/faults"
-	"streamhist/internal/hw"
 	"streamhist/internal/hwprof"
+	"streamhist/internal/lanes"
 	"streamhist/internal/obs"
 	"streamhist/internal/page"
 	"streamhist/internal/sketch"
@@ -30,12 +29,10 @@ import (
 // the serial DataPath's view.
 //
 // The host-visible path is untouched: bytes are still relayed to the host in
-// storage order; only the statistical side path fans out. That asymmetry is
-// also the failure model: a lane that panics or stalls is retired by the
-// supervisor and every chunk it was ever assigned is replayed (its partial
-// binner is discarded wholesale, so replay can never double count), which
-// masks lane faults completely — the merged result stays exact — while the
-// host stream never waits on a sick lane.
+// storage order; only the statistical side path fans out, through one
+// lanes.Engine per scan. This path can read its pages again, so its policy
+// toward whatever the engine lost is to replay it (see Scan): lane faults
+// are masked completely and the merged result stays exact.
 type ParallelDataPath struct {
 	Rel    *table.Relation
 	Column string
@@ -52,7 +49,7 @@ type ParallelDataPath struct {
 	// deterministic stream. Nil disables injection.
 	Faults *faults.Injector
 	// StallTimeout bounds how long the splitter will wait on a lane that
-	// stops accepting chunks, and how long the fan-in waits for lanes to
+	// stops accepting chunks, and how long the fan-in waits for all lanes to
 	// drain, before retiring them. Zero means DefaultStallTimeout.
 	StallTimeout time.Duration
 	// SelfCheck recomputes the binned view serially after the merge and
@@ -169,104 +166,20 @@ type ParallelScanResult struct {
 	ReplayedChunks int
 }
 
-// errInjectedLaneFault is the panic value of a chaos-injected lane fault, so
-// the supervisor can tell harness-made failures from real data errors with
-// errors.Is rather than by matching message text.
-var errInjectedLaneFault = errors.New("injected lane fault")
+// laneQueueDepth is how many chunks may wait in front of one lane: enough
+// that a lane finishing a chunk finds the next one queued while the splitter
+// is busy with the host copy, small enough to stay a bounded buffer.
+const laneQueueDepth = 4
 
-// pageChunk is one fan-out unit: a run of consecutive pages plus the index
-// of its first page in the relation's page sequence. Pages are fully packed
-// (page.Encode), so firstPage·capacity is the global row ordinal of the
-// chunk's first value — what the sketch chain's position cursor needs to stay
-// exact no matter which lane a chunk lands on or when it is replayed.
-type pageChunk struct {
-	pages     []*page.Page
-	firstPage int
-}
-
-// lane is one shard of the side path: a private Parser and Binner consuming
-// page chunks from its own channel, under supervision.
-type lane struct {
-	parser *core.Parser
-	binner *core.Binner // built by run; like err, read only after done closes
-	ch     chan pageChunk
-	err    error // parse error or recovered panic; written before done closes
-	done   chan struct{}
-	inj    *faults.Injector
-	// release unblocks an injected stall; the supervisor closes it during
-	// cleanup so stalled goroutines never outlive the scan.
-	release chan struct{}
-	// assigned records every chunk ever sent to this lane, so a retirement
-	// can replay the lane's full share.
-	assigned []pageChunk
-	retired  bool
-	// startNS/endNS bound the lane goroutine's wall window for its trace
-	// span: two clock reads per lane per scan, never per page. Atomics
-	// because a retired lane's goroutine can still be running (stalled)
-	// when the supervisor reads the window for the retirement span; an
-	// unfinished lane reads as 0 and AddSpan clamps it to "still open".
-	startNS, endNS atomic.Int64
-	// chClosed tracks whether the supervisor has closed ch yet; lanes
-	// retired mid-fan-out keep theirs open until cleanup.
-	chClosed bool
-}
-
-// run is the lane goroutine. It builds its own Binner before the first
-// chunk, so the lanes size (or recycle) their bin regions in parallel rather
-// than one after the other on the supervisor.
-func (l *lane) run(bcfg core.BinnerConfig, pre *core.Preprocessor) {
-	l.startNS.Store(time.Now().UnixNano())
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok {
-				l.err = fmt.Errorf("lane panic: %w", err)
-			} else {
-				l.err = fmt.Errorf("lane panic: %v", r)
-			}
-		}
-		l.endNS.Store(time.Now().UnixNano())
-		close(l.done)
-	}()
-	l.binner = core.NewBinner(bcfg, pre)
-	var vals []int64
-	for chunk := range l.ch {
-		if l.err != nil {
-			continue // drain: a poisoned lane fails open, never blocks feeders
-		}
-		if l.inj.Should(faults.LanePanic) {
-			panic(errInjectedLaneFault)
-		}
-		if l.inj.Should(faults.LaneStall) {
-			<-l.release // hold until the supervisor tears the scan down
-		}
-		for j, pg := range chunk.pages {
-			var err error
-			vals, err = l.parser.Feed(pg.Bytes(), vals[:0])
-			if err != nil {
-				l.err = err
-				break
-			}
-			l.binner.SetStreamPos(int64(chunk.firstPage+j) * int64(pg.Capacity()))
-			l.binner.PushAll(vals)
-		}
-	}
-	// The lane's share of the sketch fold, in parallel with the other lanes'.
-	l.binner.FoldSketches()
-}
-
-// retire marks the lane dead and hands back its full chunk share for replay.
-func (l *lane) retire() []pageChunk {
-	l.retired = true
-	return l.assigned
-}
-
-// Scan streams the relation to the host in page order while fanning page
-// chunks out to the shard lanes round-robin, then fans the lane states back
-// in: bin vectors merge via core.Binner.Merge and the completion cycle
-// becomes the max-lane critical path plus the aggregation pass. The
-// histogram chain then runs over the merged view exactly as in the serial
-// path, so the produced histograms are hist.Equal to DataPath.Scan's — even
-// when lanes are retired, because a retired lane's whole share is replayed.
+// Scan streams the relation to the host in page order while dealing page
+// chunks to the shard lanes of one lanes.Engine, then fans the lane states
+// back in: bin vectors merge and the completion cycle becomes the max-lane
+// critical path plus the aggregation pass. The histogram chain then runs over
+// the merged view exactly as in the serial path, so the produced histograms
+// are hist.Equal to DataPath.Scan's — even when lanes are retired, because
+// this path can read its pages again: everything a retired lane was ever
+// given (its partial state is discarded whole, so nothing is counted twice)
+// and everything no lane would take is replayed inline.
 func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelScanResult, error) {
 	scanStart := time.Now()
 	shards := d.Shards
@@ -300,360 +213,96 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 		rootIdx = tr.BeginRoot("scan")
 	}
 
-	pre := func() (*core.Preprocessor, error) {
-		return core.RangeFor(d.Config.Min, d.Config.Max, d.Config.Divisor)
+	pages := d.encodedPages()
+	bcfg := d.Config.Binner
+	if d.Prof != nil {
+		bcfg.Prof = d.Prof
 	}
-
-	lanes := make([]*lane, shards)
-	for i := range lanes {
-		p, err := pre()
-		if err != nil {
-			return nil, err
-		}
-		bcfg := d.Config.Binner
-		if d.Prof != nil {
-			bcfg.Prof = d.Prof
-			bcfg.ProfLane = fmt.Sprintf("lane%d", i)
-		}
-		inj := d.Faults.Fork(fmt.Sprintf("lane%d", i))
-		// Each lane runs its own sketch chain over its share of the pages;
-		// the chains merge at fan-in via Binner.Merge. A retired lane's
-		// chain is discarded with its binner, so replayed chunks are never
-		// double counted by the sketches either.
-		laneChain := sketch.NewChain(d.Sketch)
-		laneChain.SetFaults(inj)
-		bcfg.Sketches = laneChain
-		lanes[i] = &lane{
-			parser:  core.NewParser(d.Config.Column),
-			ch:      make(chan pageChunk, 4),
-			done:    make(chan struct{}),
-			inj:     inj,
-			release: make(chan struct{}),
-		}
-		go lanes[i].run(bcfg, p)
+	eng, err := lanes.Start(lanes.Config{
+		Lanes: shards, Depth: laneQueueDepth, StallTimeout: stallTimeout,
+		Column: d.Config.Column, Min: d.Config.Min, Max: d.Config.Max, Divisor: d.Config.Divisor,
+		Pages: pages, Sketch: d.Sketch, Faults: d.Faults, Fork: "lane%d",
+		// Lane faults never reach the bin memory here: only an injector the
+		// caller put on Config.Binner switches on the ECC model.
+		Binner: func(*faults.Injector) core.BinnerConfig { return bcfg },
+	})
+	if err != nil {
+		return nil, err
 	}
-	// survivor is the binner whose Finish results escape into the scan
-	// result; every other lane's state is recycled once its goroutine joins.
-	// inline is declared here so the cleanup below can see the replay lane.
-	var survivor *core.Binner
-	var inline *lane
-	defer func() {
-		// Unblock any injected stalls, close the channels of lanes retired
-		// mid-fan-out (their goroutines resume on release and must see EOF,
-		// or they would block in the range forever), and join every lane so
-		// no goroutine — healthy, stalled, or retired — outlives the scan.
-		// Retired lanes may drain leftover chunks on the way out; their
-		// binners are never merged, so the work is discarded, not counted.
-		for _, l := range lanes {
-			close(l.release)
-			if !l.chClosed {
-				close(l.ch)
-				l.chClosed = true
-			}
-		}
-		for _, l := range lanes {
-			<-l.done
-		}
-		// Every goroutine is joined, so the non-surviving lanes' state is
-		// provably private: park it for the next scan. The survivor's vector
-		// and sketch blocks are the scan result and are never recycled; nor
-		// is a chain the survivor adopted wholesale during Merge (the
-		// pointer comparison below catches the adoption case).
-		recycle := func(l *lane) {
-			if l == nil || l.binner == nil || l.binner == survivor {
-				return
-			}
-			if sc := l.binner.SketchChain(); sc != nil && (survivor == nil || sc != survivor.SketchChain()) {
-				sc.Release()
-			}
-			l.binner.Release()
-		}
-		for _, l := range lanes {
-			recycle(l)
-		}
-		recycle(inline)
-	}()
-
-	healthy := append([]*lane(nil), lanes...)
-	var pendingReplay []pageChunk // chunks owed to the side path
-	var retiredCount, replayed int
-
-	retire := func(idx int) {
-		l := healthy[idx]
-		healthy = append(healthy[:idx], healthy[idx+1:]...)
-		retiredCount++
-		pendingReplay = append(pendingReplay, l.retire()...)
-	}
-
-	// deliver hands one chunk to some healthy lane, retiring lanes that are
-	// dead (done closed early) or that refuse the chunk past the stall
-	// timeout. It reports false when no healthy lane is left.
-	next := 0
-	deliver := func(chunk pageChunk) bool {
-		for len(healthy) > 0 {
-			idx := next % len(healthy)
-			l := healthy[idx]
-			// Fast path: a keeping-up lane has buffer space, so the send
-			// succeeds without arming a timer (one allocation per chunk
-			// otherwise). The timer only exists while the lane is suspect.
-			select {
-			case l.ch <- chunk:
-				l.assigned = append(l.assigned, chunk)
-				next++
-				return true
-			case <-l.done:
-				retire(idx)
-				continue
-			default:
-			}
-			timer := time.NewTimer(stallTimeout)
-			select {
-			case l.ch <- chunk:
-				timer.Stop()
-				l.assigned = append(l.assigned, chunk)
-				next++
-				return true
-			case <-l.done:
-				timer.Stop()
-				retire(idx)
-			case <-timer.C:
-				retire(idx)
-			}
-		}
-		return false
-	}
+	defer eng.Close()
 
 	// Fan out: the host gets every byte in storage order; lanes get whole
 	// pages round-robin, chunked to amortise channel traffic. The host copy
-	// always runs first and never waits on the side path.
+	// always runs first and never waits on the side path. owner remembers
+	// which lane took each chunk, so a retirement can replay its full share.
 	fanoutIdx := tr.Begin("fanout")
-	pages := d.encodedPages()
+	owner := make([]int, 0, (len(pages)+chunkPages-1)/chunkPages)
 	var hostBytes int64
 	var writeErr error
-	var orphaned []pageChunk // chunks no lane could take
 	for off := 0; off < len(pages); off += chunkPages {
-		end := off + chunkPages
-		if end > len(pages) {
-			end = len(pages)
-		}
-		chunk := pageChunk{pages: pages[off:end], firstPage: off}
-		if writeErr == nil {
-			for _, pg := range chunk.pages {
-				n, err := hostSink.Write(pg.Bytes())
-				hostBytes += int64(n)
-				if err != nil {
-					writeErr = fmt.Errorf("stream: host copy: %w", err)
-					break
-				}
+		end := min(off+chunkPages, len(pages))
+		for _, pg := range pages[off:end] {
+			if writeErr != nil {
+				break
+			}
+			n, err := hostSink.Write(pg.Bytes())
+			hostBytes += int64(n)
+			if err != nil {
+				writeErr = fmt.Errorf("stream: host copy: %w", err)
 			}
 		}
-		if !deliver(chunk) {
-			orphaned = append(orphaned, chunk)
-		}
-	}
-
-	// Redistribute shares of lanes retired during the fan-out. Lanes can
-	// keep failing during replay; the healthy set only shrinks, so this
-	// terminates, with still-homeless chunks falling through to the
-	// supervisor's inline path.
-	for len(pendingReplay) > 0 && len(healthy) > 0 {
-		chunk := pendingReplay[0]
-		pendingReplay = pendingReplay[1:]
-		replayed++
-		if !deliver(chunk) {
-			orphaned = append(orphaned, chunk)
-		}
+		owner = append(owner, eng.Feed(lanes.Unit{First: off, N: end - off}))
 	}
 	tr.End(fanoutIdx, 0)
 
-	// Fan in: close the surviving lanes and wait for them against a shared
-	// absolute drain deadline — a lane that stalled after accepting its
-	// chunks is caught here and retired like any other. The deadline is a
-	// wall-clock instant, re-armed as a fresh timer per wait, so two or more
-	// lanes stalled at drain time are each retired in turn (a one-shot timer
-	// would fire once and leave the next stalled lane blocking forever).
 	drainIdx := tr.Begin("drain")
-	for _, l := range healthy {
-		close(l.ch)
-		l.chClosed = true
-	}
-	drainDeadline := time.Now().Add(stallTimeout)
-	for idx := 0; idx < len(healthy); {
-		l := healthy[idx]
-		timer := time.NewTimer(time.Until(drainDeadline))
-		select {
-		case <-l.done:
-			timer.Stop()
-			if l.err != nil && isInjectedFault(l.err) {
-				retire(idx)
-				continue
-			}
-			idx++
-		case <-timer.C:
-			retire(idx)
-		}
-	}
+	eng.Join()
 	tr.End(drainIdx, 0)
 	if writeErr != nil {
 		return nil, writeErr
 	}
 
-	// Anything still owed to the side path — chunks of lanes retired at
-	// drain time plus orphans — is binned inline by the supervisor. The
-	// inline path has no lane faults by construction, so the scan always
-	// terminates with an exact side-path view.
-	orphaned = append(orphaned, pendingReplay...)
-	if len(orphaned) > 0 {
-		p, err := pre()
-		if err != nil {
-			return nil, err
+	// Whatever the side path is still owed is binned inline, which has no
+	// lane faults by construction, so the scan always ends with an exact view.
+	var lost []lanes.Unit
+	for k, lane := range owner {
+		if eng.Lost(lane) {
+			lost = append(lost, lanes.Unit{First: k * chunkPages, N: min(chunkPages, len(pages)-k*chunkPages)})
 		}
-		bcfg := d.Config.Binner
-		if d.Prof != nil {
-			bcfg.Prof = d.Prof
-			bcfg.ProfLane = "inline"
+	}
+	if eng.Retired() > 0 || len(lost) > 0 {
+		if err := eng.Replay(lost); err != nil {
+			return nil, fmt.Errorf("stream: side path (inline replay): %w", err)
 		}
-		// The inline replay lane carries a chain too, but no sketch faults:
-		// the supervisor's path is exact by construction.
-		bcfg.Sketches = sketch.NewChain(d.Sketch)
-		inline = &lane{
-			parser: core.NewParser(d.Config.Column),
-			binner: core.NewBinner(bcfg, p),
-		}
-		inline.startNS.Store(time.Now().UnixNano())
-		var vals []int64
-		for _, chunk := range orphaned {
-			replayed++
-			for j, pg := range chunk.pages {
-				vals, err = inline.parser.Feed(pg.Bytes(), vals[:0])
-				if err != nil {
-					return nil, fmt.Errorf("stream: side path (inline replay): %w", err)
-				}
-				inline.binner.SetStreamPos(int64(chunk.firstPage+j) * int64(pg.Capacity()))
-				inline.binner.PushAll(vals)
-			}
-		}
-		inline.endNS.Store(time.Now().UnixNano())
 	}
 
-	// Surface real (non-injected) parse errors from surviving lanes, then
-	// merge survivors plus the inline binner.
-	perShard := make([]core.BinnerStats, shards)
-	var laneCycles []int64
-	var toMerge []*core.Binner
-	fanoutSpan := tr.SpanIDAt(fanoutIdx)
-	for i, l := range lanes {
-		if l.retired {
-			tr.Reparent(tr.AddSpan("lane", i, l.startNS.Load(), l.endNS.Load(), 0, true), fanoutSpan)
-			continue
-		}
-		if l.err != nil {
-			return nil, fmt.Errorf("stream: side path (lane %d): %w", i, l.err)
-		}
-		_, perShard[i] = l.binner.Finish()
-		laneCycles = append(laneCycles, perShard[i].Cycles)
-		toMerge = append(toMerge, l.binner)
-		tr.Reparent(tr.AddSpan("lane", i, l.startNS.Load(), l.endNS.Load(), perShard[i].Cycles, false), fanoutSpan)
+	fan, err := eng.FanIn(tr, tr.SpanIDAt(fanoutIdx), d.Prof, d.Config.Binner.Mem.BinsPerLine)
+	if err != nil {
+		return nil, fmt.Errorf("stream: side path: %w", err)
 	}
-	mergeIdx := tr.Begin("merge")
-	if inline != nil {
-		_, istats := inline.binner.Finish()
-		laneCycles = append(laneCycles, istats.Cycles)
-		toMerge = append(toMerge, inline.binner)
-		tr.Reparent(tr.AddSpan("inline", -1, inline.startNS.Load(), inline.endNS.Load(), istats.Cycles, false), fanoutSpan)
-	}
-	if len(toMerge) == 0 {
-		// Every lane retired and nothing needed replay: the relation was
-		// empty. An empty binner keeps the downstream arithmetic uniform
-		// (with an empty chain, so Results.Sketches stays shape-consistent).
-		p, err := pre()
-		if err != nil {
-			return nil, err
-		}
-		bcfg := d.Config.Binner
-		bcfg.Sketches = sketch.NewChain(d.Sketch)
-		toMerge = append(toMerge, core.NewBinner(bcfg, p))
-	}
-	merged := toMerge[0]
-	for _, b := range toMerge[1:] {
-		if err := merged.Merge(b); err != nil {
-			return nil, fmt.Errorf("stream: lane merge: %w", err)
-		}
-	}
-	survivor = merged
-	vec, mstats := merged.Finish()
-
+	mstats := fan.Stats
 	if d.SelfCheck && mstats.BinsQuarantined == 0 {
-		if err := d.selfCheck(pages, vec); err != nil {
+		if err := d.selfCheck(pages, fan.Survivor.Vector()); err != nil {
 			return nil, err
 		}
 	}
-
-	// A single lane needs no adder tree, so its accounting matches the
-	// serial DataPath exactly; with several lanes the fan-in pays one
-	// aggregation pass over the bin regions. When Δ is large relative to
-	// the per-lane work (sparse, wide-domain columns) this pass can
-	// dominate and sharding stops paying — the model makes that visible
-	// rather than hiding it.
-	var agg int64
-	if shards > 1 {
-		agg = hw.AggregationCycles(vec.NumBins(), d.Config.Binner.Mem.BinsPerLine)
-	}
-	mstats.Cycles = hw.CriticalPath(laneCycles, agg)
-	if agg > 0 && d.Prof != nil {
-		n := d.Prof.Node("merged", "aggregate", "fanin", hwprof.ReasonAgg)
-		n.Add(agg)
-		n.AddEvents(1)
-	}
-
-	blocks := blocksFor(d.Config, vec)
-	chain := core.NewScanner().Run(vec, blocks.list...)
-	chain.ChargeProfile(d.Prof, "merged")
-	tr.End(mergeIdx, agg)
-
-	clk := d.Config.Binner.Clock
-	if clk.Hz == 0 {
-		clk = hw.NewClock(hw.DefaultClockHz)
-	}
-	res := &core.Results{
-		Bins:        vec,
-		BinnerStats: mstats,
-		Chain:       chain,
-	}
-	res.BinningSeconds = mstats.Seconds(clk)
-	res.HistogramSeconds = chain.Seconds(clk)
-	res.TotalSeconds = d.Config.ParseLatencyMicros*1e-6 + res.BinningSeconds + res.HistogramSeconds
-	res.HostPathAddedSeconds = d.Config.Splitter.AddedLatencySeconds()
-	blocks.fill(res, vec)
-	if sc := merged.SketchChain(); sc != nil {
-		// The merged chain covers every surviving lane plus replays; like
-		// the histogram chain it is charged under the "merged" frame, so
-		// retired lanes' discarded sketch work is never attributed.
-		sc.Charge(d.Prof, "merged")
-		res.Sketches = sc.Blocks()
-		res.SketchCycles = sc.TotalCycles()
-		res.SketchSeconds = clk.Seconds(res.SketchCycles)
-	}
-
-	transfer := float64(hostBytes) / d.Link.BytesPerSec
-	rowWidth := float64(d.Rel.Schema.RowWidth())
-	arrival := d.Link.BytesPerSec / rowWidth
-	kept := mstats.ValuesPerSecond(clk) >= arrival || mstats.Items == 0
+	res := d.Config.Results(fan.Survivor, mstats, d.Prof)
+	tr.End(fan.Span, fan.AggregationCycles)
 
 	out := &ParallelScanResult{
 		ScanResult: ScanResult{
 			HostBytes:           hostBytes,
 			Results:             res,
-			TransferSeconds:     transfer,
+			TransferSeconds:     float64(hostBytes) / d.Link.BytesPerSec,
 			AddedLatencySeconds: d.Config.Splitter.AddedLatencySeconds(),
-			AcceleratorKeptUp:   kept,
+			AcceleratorKeptUp:   keptUp(res, d.Link, d.Rel),
 		},
 		Shards:             shards,
-		PerShard:           perShard,
-		AggregationCycles:  agg,
+		PerShard:           fan.PerLane,
+		AggregationCycles:  fan.AggregationCycles,
 		CriticalPathCycles: mstats.Cycles,
-		LanesRetired:       retiredCount,
-		ReplayedChunks:     replayed,
+		LanesRetired:       eng.Retired(),
+		ReplayedChunks:     len(lost),
 	}
 	if tr != nil {
 		tr.End(rootIdx, mstats.Cycles)
@@ -707,13 +356,6 @@ func (d *ParallelDataPath) instrument(res *ParallelScanResult, wall time.Duratio
 	}
 	reg.Distribution("streamhist_stream_scan_duration_seconds",
 		"Wall-clock duration of parallel scans.", 1e-9).ObserveWithExemplar(wall.Nanoseconds(), traceID)
-}
-
-// isInjectedFault reports whether a lane error came from the chaos harness
-// (and should be masked by replay) rather than from the data (and should
-// surface to the caller).
-func isInjectedFault(err error) bool {
-	return errors.Is(err, errInjectedLaneFault)
 }
 
 // selfCheck re-bins the page stream serially — no lanes, no injected lane

@@ -13,8 +13,6 @@ import (
 	"sync"
 
 	"streamhist/internal/core"
-	"streamhist/internal/hist"
-	"streamhist/internal/hw"
 	"streamhist/internal/hwprof"
 	"streamhist/internal/page"
 	"streamhist/internal/sketch"
@@ -190,18 +188,9 @@ func NewDataPath(rel *table.Relation, column string, link Link) (*DataPath, erro
 	if err != nil {
 		return nil, err
 	}
-	col := rel.ColumnByName(column)
-	if len(col) == 0 {
-		return nil, fmt.Errorf("stream: column %q is empty", column)
-	}
-	min, max := col[0], col[0]
-	for _, v := range col {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+	min, max, err := core.ColumnRange(rel.ColumnByName(column))
+	if err != nil {
+		return nil, fmt.Errorf("stream: column %q: %w", column, err)
 	}
 	return &DataPath{Rel: rel, Column: column, Link: link, Config: core.DefaultConfig(spec, min, max)}, nil
 }
@@ -239,47 +228,24 @@ func (d *DataPath) Scan(hostSink io.Writer, readBufBytes int) (*ScanResult, erro
 		return nil, fmt.Errorf("stream: side path: %w", err)
 	}
 
-	vec, bstats := binner.Finish()
-	blocks := blocksFor(d.Config, vec)
-	chain := core.NewScanner().Run(vec, blocks.list...)
-	chain.ChargeProfile(d.Prof, "merged")
-
-	clk := d.Config.Binner.Clock
-	if clk.Hz == 0 {
-		clk = hw.NewClock(hw.DefaultClockHz)
-	}
-	res := &core.Results{
-		Bins:        vec,
-		BinnerStats: bstats,
-		Chain:       chain,
-	}
-	res.BinningSeconds = bstats.Seconds(clk)
-	res.HistogramSeconds = chain.Seconds(clk)
-	res.TotalSeconds = d.Config.ParseLatencyMicros*1e-6 + res.BinningSeconds + res.HistogramSeconds
-	res.HostPathAddedSeconds = d.Config.Splitter.AddedLatencySeconds()
-	blocks.fill(res, vec)
-	if sc := binner.SketchChain(); sc != nil {
-		sc.Charge(d.Prof, "merged")
-		res.Sketches = sc.Blocks()
-		res.SketchCycles = sc.TotalCycles()
-		res.SketchSeconds = clk.Seconds(res.SketchCycles)
-	}
-
-	transfer := float64(tap.BytesRelayed()) / d.Link.BytesPerSec
-	// The link delivers rows at bytes/s ÷ rowWidth; the accelerator sees
-	// one value per row. It keeps up when its sustained rate is at least
-	// that arrival rate.
-	rowWidth := float64(d.Rel.Schema.RowWidth())
-	arrival := d.Link.BytesPerSec / rowWidth
-	kept := bstats.ValuesPerSecond(clk) >= arrival || bstats.Items == 0
-
+	_, bstats := binner.Finish()
+	res := d.Config.Results(binner, bstats, d.Prof)
 	return &ScanResult{
 		HostBytes:           tap.BytesRelayed(),
 		Results:             res,
-		TransferSeconds:     transfer,
+		TransferSeconds:     float64(tap.BytesRelayed()) / d.Link.BytesPerSec,
 		AddedLatencySeconds: d.Config.Splitter.AddedLatencySeconds(),
-		AcceleratorKeptUp:   kept,
+		AcceleratorKeptUp:   keptUp(res, d.Link, d.Rel),
 	}, nil
+}
+
+// keptUp reports whether the Binner's sustained rate matched the link's
+// value arrival rate: the link delivers rows at bytes/s ÷ rowWidth and the
+// accelerator sees one value per row.
+func keptUp(res *core.Results, link Link, rel *table.Relation) bool {
+	arrival := link.BytesPerSec / float64(rel.Schema.RowWidth())
+	st := res.BinnerStats
+	return st.Items == 0 || float64(st.Items)/res.BinningSeconds >= arrival
 }
 
 // onlyReader hides any WriteTo/ReadFrom fast paths so the copy really goes
@@ -287,52 +253,3 @@ func (d *DataPath) Scan(hostSink io.Writer, readBufBytes int) (*ScanResult, erro
 type onlyReader struct{ r io.Reader }
 
 func (o onlyReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-
-// blockSet instantiates and later harvests the configured blocks.
-type blockSet struct {
-	list []core.Block
-	topk *core.TopKBlock
-	ed   *core.EquiDepthBlock
-	md   *core.MaxDiffBlock
-	comp *core.CompressedBlock
-}
-
-func blocksFor(cfg core.Config, vec interface{ Total() int64 }) *blockSet {
-	s := &blockSet{}
-	if cfg.TopK > 0 {
-		s.topk = core.NewTopKBlock(cfg.TopK)
-		s.list = append(s.list, s.topk)
-	}
-	if cfg.EquiDepthBuckets > 0 {
-		s.ed = core.NewEquiDepthBlock(cfg.EquiDepthBuckets, vec.Total())
-		s.list = append(s.list, s.ed)
-	}
-	if cfg.MaxDiffBuckets > 0 {
-		s.md = core.NewMaxDiffBlock(cfg.MaxDiffBuckets)
-		s.list = append(s.list, s.md)
-	}
-	if cfg.CompressedBuckets > 0 && cfg.CompressedT > 0 {
-		s.comp = core.NewCompressedBlock(cfg.CompressedT, cfg.CompressedBuckets, vec.Total())
-		s.list = append(s.list, s.comp)
-	}
-	return s
-}
-
-func (s *blockSet) fill(res *core.Results, vec interface {
-	Total() int64
-	Cardinality() int
-}) {
-	distinct := int64(vec.Cardinality())
-	if s.topk != nil {
-		res.TopK = s.topk.Result()
-	}
-	if s.ed != nil {
-		res.EquiDepth = &hist.Histogram{Kind: hist.EquiDepth, Buckets: s.ed.Result(), Total: vec.Total(), DistinctTotal: distinct}
-	}
-	if s.md != nil {
-		res.MaxDiff = &hist.Histogram{Kind: hist.MaxDiff, Buckets: s.md.Result(), Total: vec.Total(), DistinctTotal: distinct}
-	}
-	if s.comp != nil {
-		res.Compressed = &hist.Histogram{Kind: hist.Compressed, Buckets: s.comp.Buckets(), Frequent: s.comp.Frequent(), Total: vec.Total(), DistinctTotal: distinct}
-	}
-}
