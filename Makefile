@@ -5,7 +5,7 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-BENCHJSON ?= BENCH_PR17.json
+BENCHJSON ?= BENCH_PR18.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
@@ -25,11 +25,16 @@ PERF_HEAD ?= perf_head.json
 
 check: vet build race
 
+# The nested benchmark module is frozen between benchmark PRs and compiles
+# against internal/server, internal/client and friends: vet and build it here so
+# a change to those packages that breaks the benchmark of record fails check.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 build:
 	$(GO) build ./...
+	$(GO) build -C benchmark -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -49,6 +54,7 @@ loc:
 FUZZ_TARGETS = \
 	FuzzDecodeFrame:./internal/server/ \
 	FuzzFrameReader:./internal/server/ \
+	FuzzTraceReport:./internal/server/ \
 	FuzzHistogramUnmarshal:./internal/hist/ \
 	FuzzDecodeSnapshot:./internal/durable/ \
 	FuzzDecodeWALRecord:./internal/durable/ \

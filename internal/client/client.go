@@ -45,27 +45,17 @@ type Client struct {
 
 	// Distributed tracing state (EnableTracing): the client originates a
 	// trace per logical scan, records its own spans, and ships them back to
-	// the server in a trailer frame once the handshake proved the server
-	// tracing-capable.
-	tracing bool
-	// serverLegacy remembers a server that rejected the trace-context tail;
-	// every later request is sent in the legacy layout, byte-identical to a
-	// pre-tracing client.
-	serverLegacy bool
-	lastTraceID  uint64
-	ct           *obs.ScanTrace // the in-flight scan's client-side trace
-	ctRoot       int            // root span index in ct
-	// traceOK records whether the current attempt saw FrameTraceInfo — the
-	// server's half of the handshake, and the licence to send the trailer.
-	traceOK bool
+	// the server in a trailer frame after the scan succeeds.
+	tracing     bool
+	lastTraceID uint64
+	ct          *obs.ScanTrace // the in-flight scan's client-side trace
+	ctRoot      int            // root span index in ct
 }
 
 // EnableTracing opts this client into distributed tracing: every Scan
-// originates a 64-bit trace ID, carries it to the server in the request's
-// trace context, records client-side spans (request, stream, sink, backoff,
-// redials), and ships them back on scan close. Against a server that
-// predates tracing the client falls back to the legacy request layout after
-// one rejected attempt and stays there for the connection's lifetime.
+// originates a 64-bit trace ID, carries it to the server in the request,
+// records client-side spans (request, stream, sink, backoff, redials), and
+// ships them back on scan close.
 func (c *Client) EnableTracing() { c.tracing = true }
 
 // LastTraceID returns the trace ID the most recent Scan originated (zero
@@ -224,7 +214,7 @@ var errBadPage = fmt.Errorf("client: page failed checksum in flight")
 // move the data without refreshing any statistics; pass io.Discard as sink
 // when only the side effect matters.
 //
-// Checksummed frames are verified page by page and only verified pages ever
+// Every page is verified against its checksum and only verified pages ever
 // reach the sink, so what the sink holds is always a clean prefix of the
 // relation. When a redial function is installed (SetRedial), a mid-scan
 // failure — reset, timeout, or a corrupt page — restarts the scan from the
@@ -256,9 +246,10 @@ func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error
 		}
 		// Publish into this process's own ring (nil-safe) so the client's
 		// /scans shows its half of the trace too, then ship the spans to
-		// the server — but only when the handshake proved it can take them.
+		// the server — only after a success: a failed scan's connection is
+		// in no known state to carry another frame.
 		c.o.Tracer().Publish(ct)
-		if err == nil && c.traceOK {
+		if err == nil {
 			c.sendTraceReport(ct)
 		}
 	}
@@ -342,20 +333,6 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 		if errors.Is(err, errBadPage) {
 			c.badPages.Inc()
 		}
-		if c.attachTrace() && errors.Is(err, server.ErrBadRequest) {
-			var reply *serverReplyError
-			if errors.As(err, &reply) {
-				// The server rejected a request whose only novelty was the
-				// trace-context tail: it predates tracing. Fall back to the
-				// legacy layout once — every subsequent request is
-				// byte-identical to an untraced client's — and re-send
-				// immediately, outside the stall budget.
-				c.serverLegacy = true
-				c.o.Logger().Warn("server rejected trace context, retrying legacy",
-					"scan", c.scanSeq, "table", table, "column", column)
-				continue
-			}
-		}
 		if delivered > before {
 			// Forward progress: the failure budget is for getting stuck,
 			// not for how often a long scan trips, so it resets — the loop
@@ -391,13 +368,6 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 	}
 }
 
-// attachTrace reports whether the next request should carry trace context:
-// tracing is on, a trace is in flight, and the server has not already
-// rejected the tail as a legacy peer.
-func (c *Client) attachTrace() bool {
-	return c.tracing && !c.serverLegacy && c.ct != nil
-}
-
 // scanAttempt runs one scan request starting at *delivered pages, sinking
 // every page it can verify and advancing the cursors as it goes. Any error
 // return leaves the cursors at the resume point.
@@ -407,11 +377,7 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 		Column: column,
 		Offset: uint32(*delivered),
 	}
-	// Each attempt re-handshakes: a redial may land on a different (or
-	// differently-versioned) server, so the trailer licence never outlives
-	// the connection that granted it.
-	c.traceOK = false
-	if c.attachTrace() {
+	if c.ct != nil {
 		sreq.TraceID = c.ct.TraceID
 		sreq.ParentSpanID = c.ct.RootSpanID
 	}
@@ -447,14 +413,6 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 			return nil, fmt.Errorf("client: SCAN %s.%s: %w", table, column, err)
 		}
 		switch f.Type {
-		case server.FrameTraceInfo:
-			ti, err := server.DecodeTraceInfo(f.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("client: SCAN %s.%s: %w", table, column, err)
-			}
-			if c.ct != nil && ti.TraceID == c.ct.TraceID {
-				c.traceOK = true
-			}
 		case server.FrameResumeInfo:
 			start, err := server.DecodeResumeInfo(f.Payload)
 			if err != nil {
@@ -468,22 +426,6 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 			if skip > 0 {
 				vi = c.ct.Begin("verify-skip")
 			}
-		case server.FramePages:
-			// Legacy unchecksummed frames: nothing to verify, sink as-is.
-			if len(f.Payload) == 0 {
-				return nil, fmt.Errorf("client: %w: empty pages frame", server.ErrBadFrame)
-			}
-			received += uint64(len(f.Payload))
-			payload := f.Payload
-			for skip > 0 && len(payload) >= page.Size {
-				payload = payload[page.Size:]
-				skip--
-			}
-			if _, err := sink.Write(payload); err != nil {
-				return nil, fmt.Errorf("client: writing to sink: %w", err)
-			}
-			*bytesOut += uint64(len(payload))
-			*delivered += uint64(len(payload) / page.Size)
 		case server.FramePagesCk:
 			unit := page.Size + server.PageChecksumSize
 			n := len(f.Payload) / unit
@@ -546,7 +488,7 @@ type Stats struct {
 	Histogram *hist.Histogram
 	// Sketches are the statistic blocks the same scan refreshed beside the
 	// histogram (HLL NDV, heavy hitters, sliding window). Empty when the
-	// server runs without a sketch chain or predates it.
+	// server runs without a sketch chain.
 	Sketches sketch.Blocks
 }
 

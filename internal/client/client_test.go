@@ -2,14 +2,18 @@ package client_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"streamhist/internal/client"
 	"streamhist/internal/hist"
+	"streamhist/internal/page"
 	"streamhist/internal/server"
 )
 
@@ -142,10 +146,38 @@ func TestScanServerRejectionNotRetried(t *testing.T) {
 	}
 }
 
+// A peer at another protocol version is not a transport failure: the first
+// reply header names the mismatch, the scan (or any request) fails with an
+// ErrBadFrame printing both versions, and an installed redial is never used
+// — the next connection would speak the same wrong version.
+func TestVersionMismatchIsTerminal(t *testing.T) {
+	c := fakeServer(t, func(conn net.Conn) {
+		readRequest(t, conn)
+		reply := server.AppendFrame(nil, server.FrameScanEnd, server.EncodeScanSummary(server.ScanSummary{}))
+		reply[3] = server.ProtocolVersion + 1
+		conn.Write(reply)
+	})
+	var redials int
+	c.SetRedial(func() (net.Conn, error) {
+		redials++
+		return nil, errors.New("no second server to dial")
+	})
+	_, err := c.Scan("t", "c", io.Discard)
+	want := fmt.Sprintf("frame is version %d, this build speaks version %d", server.ProtocolVersion+1, server.ProtocolVersion)
+	if !errors.Is(err, server.ErrBadFrame) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want ErrBadFrame naming both versions", err)
+	}
+	if redials != 0 {
+		t.Fatalf("version mismatch triggered %d redials", redials)
+	}
+}
+
 func TestScanByteCountMismatchDetected(t *testing.T) {
 	c := fakeServer(t, func(conn net.Conn) {
 		readRequest(t, conn)
-		server.WriteFrame(conn, server.FramePages, bytes.Repeat([]byte{1}, 100))
+		img := bytes.Repeat([]byte{1}, page.Size)
+		server.WriteFrame(conn, server.FramePagesCk,
+			binary.LittleEndian.AppendUint32(img, page.Checksum(img)))
 		// Lie about how much was sent.
 		server.WriteFrame(conn, server.FrameScanEnd,
 			server.EncodeScanSummary(server.ScanSummary{Pages: 1, Bytes: 50}))

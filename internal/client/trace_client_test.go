@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -22,79 +23,19 @@ func emptySummary() []byte {
 	return server.EncodeScanSummary(server.ScanSummary{})
 }
 
-// A tracing client against a legacy server: the first request carries the
-// trace-context tail, the server rejects it as a bad request, and the
-// client falls back — immediately, without burning the retry budget — to a
-// request byte-identical to an untraced client's, then never sends a
-// trailer (no FrameTraceInfo means no licence).
-func TestTracingClientFallsBackOnLegacyServer(t *testing.T) {
-	requests := make(chan server.ScanRequest, 2)
-	c := fakeServer(t, func(conn net.Conn) {
-		// First request: traced. Reject it the way a pre-tracing server
-		// would reject trailing bytes it cannot parse.
-		f := readRequest(t, conn)
-		req, err := server.DecodeScanRequest(f.Payload)
-		if err != nil {
-			t.Errorf("first request: %v", err)
-			return
-		}
-		requests <- req
-		writeFrame(t, conn, server.FrameError, server.EncodeError(server.ErrBadRequest))
-
-		// Second request: must be the legacy layout. Serve an empty scan.
-		f = readRequest(t, conn)
-		req, err = server.DecodeScanRequest(f.Payload)
-		if err != nil {
-			t.Errorf("second request: %v", err)
-			return
-		}
-		requests <- req
-		writeFrame(t, conn, server.FrameScanEnd, emptySummary())
-
-		// The client must NOT send a trace report; the next read should
-		// see the connection close, not a trailer frame.
-		if f, err := server.ReadFrame(conn); err == nil {
-			t.Errorf("legacy fallback still sent frame type %d", f.Type)
-		}
-	})
-	c.EnableTracing()
-
-	sum, err := c.Scan("lineitem", "l_tax", io.Discard)
-	if err != nil {
-		t.Fatalf("scan with legacy fallback: %v", err)
-	}
-	if sum.Retries != 0 {
-		t.Fatalf("legacy fallback consumed the retry budget: %d retries", sum.Retries)
-	}
-
-	first, second := <-requests, <-requests
-	if first.TraceID == 0 || first.ParentSpanID == 0 {
-		t.Fatalf("first request carried no trace context: %+v", first)
-	}
-	if second.TraceID != 0 || second.ParentSpanID != 0 {
-		t.Fatalf("fallback request still carried trace context: %+v", second)
-	}
-	if c.LastTraceID() != first.TraceID {
-		t.Fatalf("LastTraceID %#x, want the originated %#x", c.LastTraceID(), first.TraceID)
-	}
-}
-
-// Against a tracing server (FrameTraceInfo echoed), the client ships its
-// spans in a FrameTraceReport trailer after the scan summary: same trace
-// ID, client-side span names, root span parented at zero.
+// A tracing client ships its spans in a FrameTraceReport trailer after any
+// scan that succeeded — same trace ID, client-side span names, root span
+// parented at zero — and sends nothing after one that failed: the next thing
+// the server sees on that connection is the client going away.
 func TestTracingClientShipsTrailerAfterTraceInfo(t *testing.T) {
 	reports := make(chan server.TraceReport, 1)
 	c := fakeServer(t, func(conn net.Conn) {
 		f := readRequest(t, conn)
 		req, err := server.DecodeScanRequest(f.Payload)
-		if err != nil || req.TraceID == 0 {
+		if err != nil || req.TraceID == 0 || req.ParentSpanID == 0 {
 			t.Errorf("traced request: %+v (%v)", req, err)
 			return
 		}
-		writeFrame(t, conn, server.FrameTraceInfo, server.EncodeTraceInfo(server.TraceInfo{
-			TraceID:    req.TraceID,
-			RootSpanID: 0x1234,
-		}))
 		writeFrame(t, conn, server.FrameScanEnd, emptySummary())
 
 		f, err = server.ReadFrame(conn)
@@ -142,24 +83,17 @@ func TestTracingClientShipsTrailerAfterTraceInfo(t *testing.T) {
 	if rep.Spans[0].Name != "scan" || rep.Spans[0].ParentID != 0 {
 		t.Fatalf("first trailer span %+v, want the root scan span", rep.Spans[0])
 	}
-}
 
-// A FrameTraceInfo echoing the WRONG trace id (a confused proxy, a stale
-// server) must not license the trailer.
-func TestTracingClientIgnoresMismatchedTraceInfo(t *testing.T) {
-	c := fakeServer(t, func(conn net.Conn) {
+	failed := fakeServer(t, func(conn net.Conn) {
 		readRequest(t, conn)
-		writeFrame(t, conn, server.FrameTraceInfo, server.EncodeTraceInfo(server.TraceInfo{
-			TraceID:    0x1, // never the client's random id
-			RootSpanID: 0x2,
-		}))
-		writeFrame(t, conn, server.FrameScanEnd, emptySummary())
+		writeFrame(t, conn, server.FrameError, server.EncodeError(server.ErrUnknownTable))
 		if f, err := server.ReadFrame(conn); err == nil {
-			t.Errorf("mismatched trace info still drew a trailer (type %d)", f.Type)
+			t.Errorf("a failed scan still drew frame type %d", f.Type)
 		}
 	})
-	c.EnableTracing()
-	if _, err := c.Scan("lineitem", "l_tax", io.Discard); err != nil {
-		t.Fatalf("scan: %v", err)
+	failed.EnableTracing()
+	if _, err := failed.Scan("ghost", "c", io.Discard); !errors.Is(err, server.ErrUnknownTable) {
+		t.Fatalf("failed traced scan: %v, want ErrUnknownTable", err)
 	}
+	failed.Close() // lets the fake server's read return
 }

@@ -248,6 +248,11 @@ const DefaultTraceRing = 64
 // DefaultReportRing is how many client span reports a tracer retains.
 const DefaultReportRing = 64
 
+// MaxReportSpans bounds the client spans stored per trace ID. It is also the
+// most one trailer frame may carry (server.MaxTraceReportSpans), so a single
+// honest report is never cut and a replayed one cannot grow its slot.
+const MaxReportSpans = 4096
+
 // NewTracer returns a tracer retaining the last capacity published traces
 // (capacity <= 0 means DefaultTraceRing).
 func NewTracer(capacity int) *Tracer {
@@ -336,8 +341,9 @@ func (tr *Tracer) Recent(n int) []*ScanTrace {
 
 // Report stores a client-shipped span set for later assembly. A second
 // report for the same trace appends (one logical scan is still one report,
-// but the store tolerates retries of the trailer). The store is a bounded
-// ring: old reports are evicted, never accumulated. Nil-safe, fail-open.
+// but the store tolerates retries of the trailer) up to MaxReportSpans per
+// trace; spans past that are dropped. The store is a bounded ring of bounded
+// entries: old reports are evicted, never accumulated. Nil-safe, fail-open.
 func (tr *Tracer) Report(traceID uint64, spans []Span) {
 	if tr == nil || traceID == 0 || len(spans) == 0 {
 		return
@@ -348,10 +354,16 @@ func (tr *Tracer) Report(traceID uint64, spans []Span) {
 		tr.reports = make([]reportEntry, DefaultReportRing)
 	}
 	for i := range tr.reports {
-		if tr.reports[i].traceID == traceID {
-			tr.reports[i].spans = append(tr.reports[i].spans, spans...)
+		if e := &tr.reports[i]; e.traceID == traceID {
+			if room := MaxReportSpans - len(e.spans); len(spans) > room {
+				spans = spans[:room]
+			}
+			e.spans = append(e.spans, spans...)
 			return
 		}
+	}
+	if len(spans) > MaxReportSpans {
+		spans = spans[:MaxReportSpans]
 	}
 	tr.reports[tr.rnext] = reportEntry{traceID: traceID, spans: spans}
 	tr.rnext = (tr.rnext + 1) % len(tr.reports)

@@ -236,3 +236,35 @@ func TestWriteTraceEventsShape(t *testing.T) {
 		t.Fatalf("nil trace export: %s (err %v)", buf.Bytes(), err)
 	}
 }
+
+// The report store is bounded per trace as well as per ring: a peer that
+// replays a full trailer for one trace ID fills that trace's slot once and
+// every later span is dropped.
+func TestTracerReportCapsSpansPerTrace(t *testing.T) {
+	tracer := NewTracer(8)
+	const traceID = uint64(0xfeed)
+	full := make([]Span, MaxReportSpans)
+	for i := range full {
+		full[i] = Span{Name: "stream", Lane: -1, StartNS: int64(i), DurNS: 1, SpanID: uint64(i + 1)}
+	}
+	for i := 0; i < 100; i++ {
+		tracer.Report(traceID, full)
+	}
+	if got := len(tracer.Reported(traceID)); got != MaxReportSpans {
+		t.Fatalf("after 100 full reports the slot holds %d spans, want %d", got, MaxReportSpans)
+	}
+
+	// Small reports accumulate up to the same bound, and a single oversized
+	// one (no frame can carry it, but Report is an exported method) is cut.
+	const small = uint64(0xbeef)
+	for i := 0; i < 100; i++ {
+		tracer.Report(small, full[:100])
+	}
+	if got := len(tracer.Reported(small)); got != MaxReportSpans {
+		t.Fatalf("after 100 × 100 spans the slot holds %d, want %d", got, MaxReportSpans)
+	}
+	tracer.Report(0xcafe, append(full, full...))
+	if got := len(tracer.Reported(0xcafe)); got != MaxReportSpans {
+		t.Fatalf("oversized first report stored %d spans, want %d", got, MaxReportSpans)
+	}
+}

@@ -24,6 +24,10 @@
 //     hist.Histogram — with a STATS request answered straight from the
 //     dbms.Catalog the server refreshes on every served scan.
 //
+// Wire protocol (protocol.go). One version, named in every frame header
+// and checked before the payload is looked at; each message has one layout,
+// and a peer at another version is told so once and disconnected.
+//
 // Concurrency model. Each connection gets a goroutine running a
 // request/response loop with idle and write deadlines. Each scan's side
 // path takes a slot from a bounded drain-worker pool; within a scan, the

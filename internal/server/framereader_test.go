@@ -40,12 +40,12 @@ func FuzzFrameReader(f *testing.F) {
 	small = AppendFrame(small, FrameError, EncodeError(ErrNoStats))
 	pages := AppendFrame(nil, FramePagesCk, bytes.Repeat([]byte{0xA5}, 10<<10)) // larger than the initial buffer
 	pages = AppendFrame(pages, FrameStatsResult, bytes.Repeat([]byte{3}, 6<<10))
-	pages = AppendFrame(pages, FramePages, bytes.Repeat([]byte{7}, 64))
-	oversize := binary.LittleEndian.AppendUint32([]byte{0x46, 0x48, FramePagesCk, 0}, MaxPayload+1)
+	pages = AppendFrame(pages, FramePagesCk, bytes.Repeat([]byte{7}, 64))
+	oversize := binary.LittleEndian.AppendUint32([]byte{0x46, 0x48, FramePagesCk, ProtocolVersion}, MaxPayload+1)
 	for _, data := range [][]byte{
 		small, pages, oversize, append(bytes.Clone(small), oversize...),
 		{}, {0x46}, small[:len(small)-3], pages[:FrameHeaderSize+100], pages[:FrameHeaderSize],
-		{0x46, 0x48, FrameScan, 1, 0, 0, 0, 0},
+		{0x46, 0x48, FrameScan, ProtocolVersion + 1, 0, 0, 0, 0},
 	} {
 		for mode := uint8(0); mode < 4; mode++ {
 			f.Add(data, int64(len(data)), uint16(1+len(data)/3), mode)
@@ -91,7 +91,7 @@ func FuzzFrameReader(f *testing.F) {
 			if len(fr.buf) > MaxPayload+2*FrameHeaderSize {
 				t.Fatalf("buffer grew to %d bytes", len(fr.buf))
 			}
-			if got.Type != FramePages && got.Type != FramePagesCk {
+			if got.Type != FramePagesCk {
 				owned, ownedCopy = got.Payload, bytes.Clone(got.Payload)
 			}
 		}

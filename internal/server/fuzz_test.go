@@ -2,50 +2,26 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"testing"
 
 	"streamhist/internal/obs"
 )
-
-// canonicalScanRequest reports whether a scan-request payload is in the
-// form EncodeScanRequest itself produces. Decodable but non-canonical
-// layouts exist — an offset-only tail carrying offset 0, a trace tail with
-// trace ID 0, and a future-version trace tail (served untraced) — and all
-// of them legitimately re-encode shorter, so byte identity is only asserted
-// for canonical input.
-func canonicalScanRequest(buf []byte) bool {
-	if len(buf) < 4 {
-		return true
-	}
-	tl := int(binary.LittleEndian.Uint16(buf[0:2]))
-	if 4+tl > len(buf) {
-		return true
-	}
-	cl := int(binary.LittleEndian.Uint16(buf[2+tl : 4+tl]))
-	tail := buf[4+tl+cl:]
-	switch len(tail) {
-	case 4:
-		return binary.LittleEndian.Uint32(tail) != 0
-	case 4 + traceContextSize:
-		return tail[4] == traceContextVersion && binary.LittleEndian.Uint64(tail[5:13]) != 0
-	}
-	return true
-}
 
 // FuzzDecodeFrame hammers the wire decoder the way FuzzHistogramUnmarshal
 // hammers the catalog decoder: arbitrary bytes must decode-or-error without
 // panicking and without ballooning allocations, and every frame that
 // decodes must re-encode identically. Decoded payloads are then pushed
 // through every request/response payload parser, which must be equally
-// panic-free on attacker-controlled bytes.
+// panic-free on attacker-controlled bytes — and, because every message has
+// exactly one layout, whatever a parser accepts must re-encode to the very
+// bytes it was given.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, FrameScan, EncodeScanRequest(ScanRequest{Table: "lineitem", Column: "l_tax"})))
 	f.Add(AppendFrame(nil, FrameScan, EncodeScanRequest(ScanRequest{
 		Table: "lineitem", Column: "l_tax", Offset: 96,
 		TraceID: 0xdeadbeefcafef00d, ParentSpanID: 0x0123456789abcdef,
 	})))
-	f.Add(AppendFrame(nil, FrameTraceInfo, EncodeTraceInfo(TraceInfo{TraceID: 7, RootSpanID: 9})))
 	f.Add(AppendFrame(nil, FrameTraceReport, EncodeTraceReport(TraceReport{
 		TraceID: 3,
 		Spans: []obs.Span{
@@ -59,9 +35,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, FrameError, EncodeError(ErrNoStats)))
 	f.Add([]byte{})
 	f.Add([]byte{0x46, 0x48})
-	good := AppendFrame(nil, FramePages, bytes.Repeat([]byte{7}, 64))
+	good := AppendFrame(nil, FramePagesCk, bytes.Repeat([]byte{7}, 64))
 	f.Add(good)
 	f.Add(good[:len(good)-5])
+	wrong := bytes.Clone(good) // Add keeps the slice it is given
+	wrong[3] = ProtocolVersion + 1
+	f.Add(wrong)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
@@ -78,31 +57,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// Payload parsers must be total: decode-or-error, never panic.
 		if req, err := DecodeScanRequest(fr.Payload); err == nil {
-			// A valid request must survive re-encode + re-decode, and — when
-			// the input is in the canonical layout the encoder itself emits —
-			// must re-encode through the same bytes.
-			enc := EncodeScanRequest(req)
-			if req2, err2 := DecodeScanRequest(enc); err2 != nil || req2 != req {
-				t.Fatalf("scan request did not round trip: %+v vs %+v (%v)", req, req2, err2)
-			}
-			if canonicalScanRequest(fr.Payload) && !bytes.Equal(enc, fr.Payload) {
-				t.Fatalf("scan request bytes did not round trip")
+			if !bytes.Equal(EncodeScanRequest(req), fr.Payload) {
+				t.Fatalf("scan request did not round trip")
 			}
 		}
 		if sum, err := DecodeScanSummary(fr.Payload); err == nil {
-			// Legacy v1-size summaries decode with zeroed extended fields but
-			// always re-encode in the v2 layout, so byte identity only holds
-			// for v2-size input; the semantic round trip must hold for both.
-			// (Compare re-encodings, not structs: NaN AccelSeconds would fail
-			// != even though Float64bits preserves the exact bit pattern.)
-			enc := EncodeScanSummary(sum)
-			if sum2, err2 := DecodeScanSummary(enc); err2 != nil || !bytes.Equal(EncodeScanSummary(sum2), enc) {
-				t.Fatalf("scan summary did not round trip: %+v vs %+v (%v)", sum, sum2, err2)
-			}
-			if len(fr.Payload) == scanSummaryV2Size && !bytes.Equal(enc, fr.Payload) {
-				// NaN payloads re-encode to different bit patterns only if
-				// the float bits changed, which Float64bits never does.
-				t.Fatalf("scan summary bytes did not round trip")
+			// Compare bytes, not structs: a NaN AccelSeconds fails != even
+			// though Float64bits preserves its exact bit pattern.
+			if !bytes.Equal(EncodeScanSummary(sum), fr.Payload) {
+				t.Fatalf("scan summary did not round trip")
 			}
 		}
 		if res, err := DecodeStatsResult(fr.Payload); err == nil {
@@ -115,18 +78,58 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("table list did not round trip")
 			}
 		}
-		// Trace payloads are version-tolerant (any version ≥ 1 decodes), but
-		// re-encoding always stamps v1 — byte identity only holds for v1 input.
-		if ti, err := DecodeTraceInfo(fr.Payload); err == nil && fr.Payload[0] == traceContextVersion {
-			if !bytes.Equal(EncodeTraceInfo(ti), fr.Payload) {
-				t.Fatalf("trace info did not round trip")
-			}
-		}
-		if rep, err := DecodeTraceReport(fr.Payload); err == nil && fr.Payload[0] == traceContextVersion {
+		if rep, err := DecodeTraceReport(fr.Payload); err == nil {
 			if !bytes.Equal(EncodeTraceReport(rep), fr.Payload) {
 				t.Fatalf("trace report did not round trip")
 			}
 		}
 		DecodeError(fr.Payload)
+	})
+}
+
+// FuzzTraceReport follows a span trailer as far as attacker-controlled bytes
+// can reach: decoded, stored by the tracer, assembled into a tree and rendered
+// as the JSON /traces serves. Nothing on that path may panic, and however
+// often the same trailer is replayed the tracer's slot for its trace ID stays
+// within the per-trace cap.
+func FuzzTraceReport(f *testing.F) {
+	f.Add(EncodeTraceReport(TraceReport{TraceID: 1}), uint8(1))
+	f.Add(EncodeTraceReport(TraceReport{
+		TraceID: 0xf00d,
+		Spans: []obs.Span{
+			{Name: "scan", Lane: -1, StartNS: 100, DurNS: 900, SpanID: 4},
+			{Name: "lane", Lane: 2, StartNS: 120, DurNS: 40, HWCycles: 33, SpanID: 5, ParentID: 4, Retired: true},
+		},
+	}), uint8(3))
+	full := TraceReport{TraceID: 7, Spans: make([]obs.Span, MaxTraceReportSpans)}
+	f.Add(EncodeTraceReport(full), uint8(2))
+	f.Add([]byte{}, uint8(0))
+
+	f.Fuzz(func(t *testing.T, payload []byte, replays uint8) {
+		rep, err := DecodeTraceReport(payload)
+		if err != nil {
+			return
+		}
+		tracer := obs.NewTracer(4)
+		for i := 0; i <= int(replays%4); i++ {
+			tracer.Report(rep.TraceID, rep.Spans)
+		}
+		stored := tracer.Reported(rep.TraceID)
+		if len(stored) > obs.MaxReportSpans {
+			t.Fatalf("tracer holds %d spans for one trace, cap is %d", len(stored), obs.MaxReportSpans)
+		}
+		at := tracer.Assemble(rep.TraceID)
+		if (at == nil) != (len(rep.Spans) == 0) {
+			t.Fatalf("Assemble = %v for a report of %d spans", at, len(rep.Spans))
+		}
+		if at == nil {
+			return
+		}
+		if at.ClientSpans != len(stored) || len(at.Spans) != len(stored) {
+			t.Fatalf("assembled %d spans (%d client) from %d stored", len(at.Spans), at.ClientSpans, len(stored))
+		}
+		if _, err := json.Marshal(at); err != nil {
+			t.Fatalf("assembled trace does not render: %v", err)
+		}
 	})
 }

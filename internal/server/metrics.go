@@ -30,9 +30,9 @@ type metrics struct {
 	retriesServed    *obs.Counter
 	resumesAdopted   *obs.Counter
 
-	// traceReports / traceReportsBad count the client span trailers the
-	// tracing handshake delivered — and the malformed ones dropped without
-	// a reply (the trailer is one-way by contract).
+	// traceReports / traceReportsBad count the client span trailers stored
+	// — and the malformed ones dropped without a reply (the trailer is
+	// one-way by contract).
 	traceReports    *obs.Counter
 	traceReportsBad *obs.Counter
 

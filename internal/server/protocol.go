@@ -17,19 +17,29 @@ import (
 //
 //	[0:2]  magic 0x4846 ("HF")
 //	[2]    frame type
-//	[3]    reserved, must be zero
+//	[3]    protocol version (ProtocolVersion)
 //	[4:8]  payload length
 //
+// The version byte is all the negotiation there is: each message has one
+// layout per version, every frame names the version it was written in, and
+// a reader refuses any other before it looks at the payload — no hello
+// frame, no capability exchange, no per-connection state.
+//
 // Requests (client → server) name a table and optionally a column as
-// length-prefixed strings. Scan responses are a sequence of FramePages
+// length-prefixed strings. Scan responses are a sequence of FramePagesCk
 // frames — each payload is a whole number of raw 8 KiB page images, exactly
-// the bytes storage holds — terminated by a FrameScanEnd summary. The page
-// payloads are deliberately transparent: the serving path relays storage
-// bytes unchanged, the way the paper's splitter does, and every statistic is
-// computed from a copy on the side.
+// the bytes storage holds, followed by one CRC32C per page — terminated by a
+// FrameScanEnd summary. The page bytes are deliberately transparent: the
+// serving path relays storage bytes unchanged, the way the paper's splitter
+// does, and every statistic is computed from a copy on the side.
 
 // FrameMagic identifies a protocol frame.
 const FrameMagic uint16 = 0x4846
+
+// ProtocolVersion is the one wire version this build speaks, carried in
+// byte 3 of every frame header. Changing any payload layout means bumping
+// it; peers at different versions refuse each other's first frame.
+const ProtocolVersion uint8 = 1
 
 // FrameHeaderSize is the fixed size of a frame header in bytes.
 const FrameHeaderSize = 8
@@ -59,12 +69,9 @@ const (
 	// replies to it — not even with FrameError on a malformed payload —
 	// because the client does not read a response, and any reply would be
 	// consumed as the answer to the client's next request, desynchronising
-	// the stream. A client only sends it after seeing FrameTraceInfo on the
-	// same scan, so a legacy server is never handed an unknown frame.
+	// the stream.
 	FrameTraceReport uint8 = 4
 
-	// FramePages carries raw page images (a whole number of pages).
-	FramePages uint8 = 16
 	// FrameScanEnd terminates a scan: payload is a ScanSummary.
 	FrameScanEnd uint8 = 17
 	// FrameStatsResult answers FrameStats: payload is a StatsResult.
@@ -76,26 +83,17 @@ const (
 	// FramePagesCk carries raw page images followed by a checksum trailer:
 	// for N pages the payload is N×8 KiB of page bytes and then N
 	// little-endian uint32 CRC32C values, one per page, computed by storage
-	// at encode time. The page bytes themselves are identical to what a
-	// FramePages frame would carry — the trailer lets any consumer detect a
-	// page corrupted in flight without changing the data layout.
+	// at encode time. The page bytes themselves are what storage holds — the
+	// trailer lets any consumer detect a page corrupted in flight without
+	// changing the data layout.
 	FramePagesCk uint8 = 21
 	// FrameResumeInfo opens a resumed scan's response (Offset > 0): the
 	// payload is one little-endian uint32, the page index the server will
 	// actually stream from. The server aligns every resume down to a frame
 	// boundary so the page frames it re-sends are byte-identical to the
 	// original delivery; the client skips the pages it already holds. A
-	// zero-offset scan never carries this frame, so pre-resume peers
-	// interoperate unchanged.
+	// zero-offset scan never carries this frame.
 	FrameResumeInfo uint8 = 22
-	// FrameTraceInfo opens a traced scan's response: sent first, before any
-	// resume info or pages, if and only if the request carried valid trace
-	// context. Its payload echoes the trace ID and announces the server's
-	// root span ID. Its presence is the capability handshake: only after
-	// seeing it may the client send the FrameTraceReport trailer, so both
-	// directions of a legacy↔tracing pairing degrade to today's byte
-	// stream. An untraced request never sees this frame.
-	FrameTraceInfo uint8 = 23
 )
 
 // PageChecksumSize is the per-page trailer cost of a FramePagesCk frame.
@@ -103,6 +101,11 @@ const PageChecksumSize = 4
 
 // ErrBadFrame reports a malformed frame or payload.
 var ErrBadFrame = errors.New("server: bad protocol frame")
+
+// errVersion marks, inside an ErrBadFrame, a well-formed header written in
+// another protocol version: the one framing failure the server answers (one
+// FrameError naming both versions) before it closes the connection.
+var errVersion = errors.New("protocol version mismatch")
 
 // Sentinel request failures, carried over the wire as error codes so the
 // client can round-trip them through errors.Is.
@@ -135,7 +138,7 @@ type Frame struct {
 // appendHeader appends the header of a frame whose payload is n bytes long.
 func appendHeader(dst []byte, typ uint8, n int) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, FrameMagic)
-	dst = append(dst, typ, 0)
+	dst = append(dst, typ, ProtocolVersion)
 	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
@@ -212,9 +215,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // Next returns the next frame, with ReadFrame's error contract: io.EOF only
 // when the stream ends cleanly between frames, io.ErrUnexpectedEOF inside one,
 // ErrBadFrame for a header that fails validation — before the buffer grows.
-// The payload of a page frame (FramePages, FramePagesCk) aliases the reader's
-// buffer and is valid only until the next call; any other payload is a copy
-// the caller owns, because reply decoders may retain sub-slices.
+// The payload of a page frame (FramePagesCk) aliases the reader's buffer and
+// is valid only until the next call; any other payload is a copy the caller
+// owns, because reply decoders may retain sub-slices.
 func (fr *FrameReader) Next() (Frame, error) {
 	fr.end = copy(fr.buf, fr.buf[fr.pos:fr.end])
 	fr.pos = 0
@@ -230,7 +233,7 @@ func (fr *FrameReader) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	fr.pos = total
-	if f.Type == FramePages || f.Type == FramePagesCk {
+	if f.Type == FramePagesCk {
 		f.Payload = fr.buf[FrameHeaderSize:total:total]
 	} else if n > 0 {
 		f.Payload = append([]byte(nil), fr.buf[FrameHeaderSize:total]...)
@@ -262,13 +265,15 @@ func (fr *FrameReader) fill(need int) error {
 }
 
 // decodeHeader validates a frame header and returns the declared payload
-// length.
+// length. The version check comes before the length is even read: a frame
+// from another protocol version is refused whatever it claims to carry.
 func decodeHeader(hdr []byte) (Frame, int, error) {
 	if magic := binary.LittleEndian.Uint16(hdr[0:2]); magic != FrameMagic {
 		return Frame{}, 0, fmt.Errorf("%w: bad magic %#x", ErrBadFrame, magic)
 	}
-	if hdr[3] != 0 {
-		return Frame{}, 0, fmt.Errorf("%w: reserved byte %#x", ErrBadFrame, hdr[3])
+	if hdr[3] != ProtocolVersion {
+		return Frame{}, 0, fmt.Errorf("%w: %w: frame is version %d, this build speaks version %d",
+			ErrBadFrame, errVersion, hdr[3], ProtocolVersion)
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxPayload {
@@ -337,54 +342,33 @@ type ScanRequest struct {
 	Table  string
 	Column string
 	// Offset is the page index to start streaming from: a client resuming
-	// an interrupted scan passes the number of pages it already holds. A
-	// zero offset is a full scan and encodes identically to the original
-	// request layout, so old peers interoperate.
+	// an interrupted scan passes the number of pages it already holds. Zero
+	// is a full scan.
 	Offset uint32
 	// TraceID carries the distributed trace this scan continues; zero means
-	// untraced, and an untraced request encodes byte-identically to the
-	// pre-tracing layout. Non-zero adds a versioned trace-context tail.
+	// untraced.
 	TraceID uint64
 	// ParentSpanID is the client-side span the server's root span parents
 	// under (the client's root scan span). Meaningful only with TraceID.
 	ParentSpanID uint64
 }
 
-// traceContextVersion is the trace-context tail layout this build encodes.
-// Decoders reject version 0 (an impossible encoding — a tracing client
-// always stamps its version) and skip versions they do not know, treating
-// the request as untraced: an unknown future context must never break the
-// scan it rides on.
-const traceContextVersion = 1
+// scanRequestTail is the fixed part of a request after the two names:
+// offset, trace ID, parent span ID.
+const scanRequestTail = 4 + 8 + 8
 
-// traceContextSize is the tail's wire size: version byte + trace ID +
-// parent span ID.
-const traceContextSize = 1 + 8 + 8
-
-// EncodeScanRequest serialises a request payload.
+// EncodeScanRequest serialises a request payload: table, column, offset,
+// trace ID, parent span ID — every field, every time.
 func EncodeScanRequest(req ScanRequest) []byte {
-	out := make([]byte, 0, 8+traceContextSize+len(req.Table)+len(req.Column))
+	out := make([]byte, 0, 4+len(req.Table)+len(req.Column)+scanRequestTail)
 	out = appendString(out, req.Table)
 	out = appendString(out, req.Column)
-	if req.TraceID != 0 {
-		// The trace-context tail always carries the offset field, even at
-		// zero, so the decoder can discriminate layouts by length alone.
-		out = binary.LittleEndian.AppendUint32(out, req.Offset)
-		out = append(out, traceContextVersion)
-		out = binary.LittleEndian.AppendUint64(out, req.TraceID)
-		return binary.LittleEndian.AppendUint64(out, req.ParentSpanID)
-	}
-	if req.Offset > 0 {
-		out = binary.LittleEndian.AppendUint32(out, req.Offset)
-	}
-	return out
+	out = binary.LittleEndian.AppendUint32(out, req.Offset)
+	out = binary.LittleEndian.AppendUint64(out, req.TraceID)
+	return binary.LittleEndian.AppendUint64(out, req.ParentSpanID)
 }
 
-// DecodeScanRequest parses a request payload. The trailing-byte count picks
-// the layout: 0 is the legacy request, 4 adds the resume offset, 4+17 adds
-// the versioned trace context (offset, version byte, trace ID, parent span
-// ID). Anything else is malformed — the discrimination is fuzz-guarded by
-// FuzzDecodeFrame.
+// DecodeScanRequest parses a request payload.
 func DecodeScanRequest(buf []byte) (ScanRequest, error) {
 	table, rest, err := cutString(buf)
 	if err != nil {
@@ -394,60 +378,18 @@ func DecodeScanRequest(buf []byte) (ScanRequest, error) {
 	if err != nil {
 		return ScanRequest{}, err
 	}
-	req := ScanRequest{Table: table, Column: column}
-	switch len(rest) {
-	case 0:
-	case 4:
-		req.Offset = binary.LittleEndian.Uint32(rest)
-	case 4 + traceContextSize:
-		req.Offset = binary.LittleEndian.Uint32(rest)
-		switch ver := rest[4]; {
-		case ver == 0:
-			return ScanRequest{}, fmt.Errorf("%w: trace context version 0", ErrBadFrame)
-		case ver == traceContextVersion:
-			req.TraceID = binary.LittleEndian.Uint64(rest[5:13])
-			req.ParentSpanID = binary.LittleEndian.Uint64(rest[13:21])
-		default:
-			// A future context version this build cannot read: serve the
-			// scan untraced rather than fail it.
-		}
-	default:
-		return ScanRequest{}, fmt.Errorf("%w: %d trailing bytes in request", ErrBadFrame, len(rest))
+	if len(rest) != scanRequestTail {
+		return ScanRequest{}, fmt.Errorf("%w: %d bytes after the request's names, want %d", ErrBadFrame, len(rest), scanRequestTail)
 	}
 	if table == "" {
 		return ScanRequest{}, fmt.Errorf("%w: empty table name", ErrBadFrame)
 	}
-	return req, nil
-}
-
-// TraceInfo is a FrameTraceInfo payload: the server's half of the tracing
-// handshake, echoing the trace it agreed to continue and naming the root
-// span its own spans will hang under.
-type TraceInfo struct {
-	TraceID    uint64
-	RootSpanID uint64
-}
-
-// EncodeTraceInfo serialises a FrameTraceInfo payload.
-func EncodeTraceInfo(ti TraceInfo) []byte {
-	out := make([]byte, 0, traceContextSize)
-	out = append(out, traceContextVersion)
-	out = binary.LittleEndian.AppendUint64(out, ti.TraceID)
-	return binary.LittleEndian.AppendUint64(out, ti.RootSpanID)
-}
-
-// DecodeTraceInfo parses a FrameTraceInfo payload. Any version ≥ 1 with the
-// v1 size is accepted — the fields a v1 reader needs lead the layout.
-func DecodeTraceInfo(buf []byte) (TraceInfo, error) {
-	if len(buf) != traceContextSize {
-		return TraceInfo{}, fmt.Errorf("%w: trace info is %d bytes, want %d", ErrBadFrame, len(buf), traceContextSize)
-	}
-	if buf[0] == 0 {
-		return TraceInfo{}, fmt.Errorf("%w: trace info version 0", ErrBadFrame)
-	}
-	return TraceInfo{
-		TraceID:    binary.LittleEndian.Uint64(buf[1:9]),
-		RootSpanID: binary.LittleEndian.Uint64(buf[9:17]),
+	return ScanRequest{
+		Table:        table,
+		Column:       column,
+		Offset:       binary.LittleEndian.Uint32(rest[0:4]),
+		TraceID:      binary.LittleEndian.Uint64(rest[4:12]),
+		ParentSpanID: binary.LittleEndian.Uint64(rest[12:20]),
 	}, nil
 }
 
@@ -464,13 +406,13 @@ const traceReportSpanFixed = 4 + 8 + 8 + 8 + 8 + 8 + 1
 
 // MaxTraceReportSpans bounds the spans one trailer may carry; a client with
 // more (pathological redial storms) truncates rather than overflow the
-// count field or the payload limit.
-const MaxTraceReportSpans = maxListEntries
+// count field or the payload limit. It is the tracer's own per-trace cap,
+// so a whole trailer always fits the slot it is stored in.
+const MaxTraceReportSpans = obs.MaxReportSpans
 
 // EncodeTraceReport serialises a FrameTraceReport payload.
 func EncodeTraceReport(r TraceReport) []byte {
-	out := make([]byte, 0, 1+8+2+len(r.Spans)*(traceReportSpanFixed+16))
-	out = append(out, traceContextVersion)
+	out := make([]byte, 0, 8+2+len(r.Spans)*(traceReportSpanFixed+16))
 	out = binary.LittleEndian.AppendUint64(out, r.TraceID)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Spans)))
 	for _, sp := range r.Spans {
@@ -494,21 +436,18 @@ func EncodeTraceReport(r TraceReport) []byte {
 // posture as every other decoder here: counts and name lengths are bounded
 // before any allocation, trailing bytes are rejected.
 func DecodeTraceReport(buf []byte) (TraceReport, error) {
-	if len(buf) < 1+8+2 {
-		return TraceReport{}, fmt.Errorf("%w: trace report is %d bytes, want ≥ 11", ErrBadFrame, len(buf))
+	if len(buf) < 8+2 {
+		return TraceReport{}, fmt.Errorf("%w: trace report is %d bytes, want ≥ 10", ErrBadFrame, len(buf))
 	}
-	if buf[0] == 0 {
-		return TraceReport{}, fmt.Errorf("%w: trace report version 0", ErrBadFrame)
-	}
-	r := TraceReport{TraceID: binary.LittleEndian.Uint64(buf[1:9])}
+	r := TraceReport{TraceID: binary.LittleEndian.Uint64(buf[0:8])}
 	if r.TraceID == 0 {
 		return TraceReport{}, fmt.Errorf("%w: trace report with zero trace id", ErrBadFrame)
 	}
-	n := int(binary.LittleEndian.Uint16(buf[9:11]))
-	if n > maxListEntries {
+	n := int(binary.LittleEndian.Uint16(buf[8:10]))
+	if n > MaxTraceReportSpans {
 		return TraceReport{}, fmt.Errorf("%w: trace report claims %d spans", ErrBadFrame, n)
 	}
-	rest := buf[11:]
+	rest := buf[10:]
 	r.Spans = make([]obs.Span, 0, n)
 	for i := 0; i < n; i++ {
 		name, after, err := cutString(rest)
@@ -520,8 +459,8 @@ func DecodeTraceReport(buf []byte) (TraceReport, error) {
 			return TraceReport{}, fmt.Errorf("%w: trace report truncated in span %d", ErrBadFrame, i)
 		}
 		if rest[44]&^byte(1) != 0 {
-			// Reserved flag bits must be zero in this version: rejecting them
-			// keeps decode→encode byte-exact, which the fuzz harness enforces.
+			// Reserved flag bits must be zero: rejecting them keeps
+			// decode→encode byte-exact, which the fuzz harness enforces.
 			return TraceReport{}, fmt.Errorf("%w: trace report span %d reserved flag bits", ErrBadFrame, i)
 		}
 		sp := obs.Span{
@@ -576,15 +515,10 @@ type ScanSummary struct {
 	Retries uint32
 }
 
-// scanSummary sizes: the legacy layout and the extended one. The decoder
-// accepts both so old capture files and peers keep working.
-const (
-	scanSummaryV1Size = 37
-	scanSummaryV2Size = 53
-)
+// scanSummarySize is the fixed wire size of a ScanSummary.
+const scanSummarySize = 53
 
-// Summary flag bits (byte 20 of the encoding). The legacy layout stored a
-// 0/1 refreshed boolean in the same byte, so bit 0 is backward compatible.
+// Summary flag bits (byte 20 of the encoding).
 const (
 	summaryFlagRefreshed byte = 1 << 0
 	summaryFlagDegraded  byte = 1 << 1
@@ -592,7 +526,7 @@ const (
 
 // EncodeScanSummary serialises a FrameScanEnd payload.
 func EncodeScanSummary(s ScanSummary) []byte {
-	out := make([]byte, 0, scanSummaryV2Size)
+	out := make([]byte, 0, scanSummarySize)
 	out = binary.LittleEndian.AppendUint32(out, s.Pages)
 	out = binary.LittleEndian.AppendUint64(out, s.Bytes)
 	out = binary.LittleEndian.AppendUint64(out, s.Rows)
@@ -611,11 +545,10 @@ func EncodeScanSummary(s ScanSummary) []byte {
 	return binary.LittleEndian.AppendUint32(out, s.LanesRetired)
 }
 
-// DecodeScanSummary parses a FrameScanEnd payload, legacy or extended.
+// DecodeScanSummary parses a FrameScanEnd payload.
 func DecodeScanSummary(buf []byte) (ScanSummary, error) {
-	if len(buf) != scanSummaryV1Size && len(buf) != scanSummaryV2Size {
-		return ScanSummary{}, fmt.Errorf("%w: scan summary is %d bytes, want %d or %d",
-			ErrBadFrame, len(buf), scanSummaryV1Size, scanSummaryV2Size)
+	if len(buf) != scanSummarySize {
+		return ScanSummary{}, fmt.Errorf("%w: scan summary is %d bytes, want %d", ErrBadFrame, len(buf), scanSummarySize)
 	}
 	var s ScanSummary
 	s.Pages = binary.LittleEndian.Uint32(buf[0:4])
@@ -629,50 +562,38 @@ func DecodeScanSummary(buf []byte) (ScanSummary, error) {
 	s.Degraded = flags&summaryFlagDegraded != 0
 	s.AccelCycles = binary.LittleEndian.Uint64(buf[21:29])
 	s.AccelSeconds = math.Float64frombits(binary.LittleEndian.Uint64(buf[29:37]))
-	if len(buf) == scanSummaryV2Size {
-		s.SkippedTuples = binary.LittleEndian.Uint64(buf[37:45])
-		s.QuarantinedPages = binary.LittleEndian.Uint32(buf[45:49])
-		s.LanesRetired = binary.LittleEndian.Uint32(buf[49:53])
-	}
+	s.SkippedTuples = binary.LittleEndian.Uint64(buf[37:45])
+	s.QuarantinedPages = binary.LittleEndian.Uint32(buf[45:49])
+	s.LanesRetired = binary.LittleEndian.Uint32(buf[49:53])
 	return s, nil
 }
 
 // StatsResult is a STATS response: the catalog entry plus the histogram's
-// own binary encoding (hist.Histogram.MarshalBinary) carried opaquely, and —
-// since the sketch engine — the serialized sketch blocks the same scan
-// refreshed (sketch encodings, also opaque here).
+// own binary encoding (hist.Histogram.MarshalBinary) and the serialized
+// sketch blocks the same scan refreshed (internal/sketch encodings), both
+// carried opaquely.
 type StatsResult struct {
 	RowCount  int64
 	NDistinct int64
 	Version   uint64
 	Histogram []byte
-	// Sketches carries the catalog entry's serialized statistic blocks
-	// (internal/sketch encodings). Empty both for pre-sketch peers and for
-	// servers running with the chain disabled.
+	// Sketches carries the catalog entry's serialized statistic blocks.
+	// Empty for servers running with the chain disabled.
 	Sketches [][]byte
 }
 
-// statsResultV2Marker introduces the sectioned v2 layout after the fixed
-// 24-byte header. It cannot collide with a legacy payload: in the v1 layout
-// offset 24 is the first byte of the histogram encoding, which always starts
-// with 0x53 (the low byte of hist's little-endian magic).
-const statsResultV2Marker byte = 0xF2
+// statsResultFixed is the payload's fixed head: row count, distinct count,
+// catalog version, histogram length.
+const statsResultFixed = 8 + 8 + 8 + 4
 
-// EncodeStatsResult serialises a FrameStatsResult payload. Without sketches
-// it emits the legacy v1 layout (fixed header, histogram as the remainder),
-// byte-for-byte what pre-sketch servers sent, so old clients interoperate
-// whenever there is nothing new to say. With sketches it emits v2: the same
-// header, the marker byte, a length-prefixed histogram, and a counted list
-// of length-prefixed sketch encodings.
+// EncodeStatsResult serialises a FrameStatsResult payload: the fixed head,
+// the histogram, then a counted list of length-prefixed sketch encodings
+// (count zero when there are none).
 func EncodeStatsResult(s StatsResult) []byte {
-	out := make([]byte, 0, 24+len(s.Histogram))
+	out := make([]byte, 0, statsResultFixed+len(s.Histogram)+2)
 	out = binary.LittleEndian.AppendUint64(out, uint64(s.RowCount))
 	out = binary.LittleEndian.AppendUint64(out, uint64(s.NDistinct))
 	out = binary.LittleEndian.AppendUint64(out, s.Version)
-	if len(s.Sketches) == 0 {
-		return append(out, s.Histogram...)
-	}
-	out = append(out, statsResultV2Marker)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Histogram)))
 	out = append(out, s.Histogram...)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(s.Sketches)))
@@ -683,37 +604,28 @@ func EncodeStatsResult(s StatsResult) []byte {
 	return out
 }
 
-// DecodeStatsResult parses a FrameStatsResult payload, either layout. The
-// histogram and sketch bytes alias buf and are not themselves validated here
-// — the client decodes them with hist.Histogram.UnmarshalBinary and
-// sketch.Decode, which detect corruption.
+// DecodeStatsResult parses a FrameStatsResult payload. The histogram and
+// sketch bytes alias buf and are not themselves validated here — the client
+// decodes them with hist.Histogram.UnmarshalBinary and sketch.Decode, which
+// detect corruption.
 func DecodeStatsResult(buf []byte) (StatsResult, error) {
-	if len(buf) < 24 {
-		return StatsResult{}, fmt.Errorf("%w: stats result is %d bytes, want ≥ 24", ErrBadFrame, len(buf))
+	if len(buf) < statsResultFixed {
+		return StatsResult{}, fmt.Errorf("%w: stats result is %d bytes, want ≥ %d", ErrBadFrame, len(buf), statsResultFixed)
 	}
 	s := StatsResult{
 		RowCount:  int64(binary.LittleEndian.Uint64(buf[0:8])),
 		NDistinct: int64(binary.LittleEndian.Uint64(buf[8:16])),
 		Version:   binary.LittleEndian.Uint64(buf[16:24]),
 	}
-	rest := buf[24:]
-	if len(rest) == 0 || rest[0] != statsResultV2Marker {
-		s.Histogram = rest
-		return s, nil
-	}
-	rest = rest[1:]
-	if len(rest) < 4 {
-		return StatsResult{}, fmt.Errorf("%w: stats result v2 truncated before histogram length", ErrBadFrame)
-	}
-	histLen := int(binary.LittleEndian.Uint32(rest[0:4]))
-	rest = rest[4:]
+	histLen := int(binary.LittleEndian.Uint32(buf[24:28]))
+	rest := buf[statsResultFixed:]
 	if histLen > len(rest) {
 		return StatsResult{}, fmt.Errorf("%w: stats result histogram length %d exceeds payload", ErrBadFrame, histLen)
 	}
 	s.Histogram = rest[:histLen]
 	rest = rest[histLen:]
 	if len(rest) < 2 {
-		return StatsResult{}, fmt.Errorf("%w: stats result v2 truncated before sketch count", ErrBadFrame)
+		return StatsResult{}, fmt.Errorf("%w: stats result truncated before sketch count", ErrBadFrame)
 	}
 	n := int(binary.LittleEndian.Uint16(rest[0:2]))
 	rest = rest[2:]

@@ -6,31 +6,8 @@ import (
 	"testing"
 )
 
-// Without sketches the encoder must emit the exact legacy layout — the fixed
-// 24-byte header with the histogram as the remainder — so pre-sketch peers
-// interoperate whenever there is nothing new to carry.
-func TestStatsResultNoSketchesIsLegacyLayout(t *testing.T) {
-	s := StatsResult{RowCount: 7, NDistinct: 3, Version: 9, Histogram: []byte{0x53, 0x48, 1, 2}}
-	got := EncodeStatsResult(s)
-
-	var want []byte
-	want = binary.LittleEndian.AppendUint64(want, 7)
-	want = binary.LittleEndian.AppendUint64(want, 3)
-	want = binary.LittleEndian.AppendUint64(want, 9)
-	want = append(want, s.Histogram...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("sketch-free encoding is not the legacy layout:\n got % x\nwant % x", got, want)
-	}
-
-	back, err := DecodeStatsResult(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Sketches) != 0 || !bytes.Equal(back.Histogram, s.Histogram) {
-		t.Fatalf("legacy round trip drifted: %+v", back)
-	}
-}
-
+// The STATS payload is sectioned whether or not there are sketches: a
+// sketch-free entry carries a zero count, not a different layout.
 func TestStatsResultSketchV2RoundTrip(t *testing.T) {
 	s := StatsResult{
 		RowCount:  100,
@@ -39,11 +16,7 @@ func TestStatsResultSketchV2RoundTrip(t *testing.T) {
 		Histogram: []byte{0x53, 0x48, 9, 9, 9},
 		Sketches:  [][]byte{{0x53, 0x4B, 1}, {}, {0xAA, 0xBB, 0xCC, 0xDD}},
 	}
-	enc := EncodeStatsResult(s)
-	if enc[24] != statsResultV2Marker {
-		t.Fatalf("v2 payload missing marker at offset 24: %#x", enc[24])
-	}
-	back, err := DecodeStatsResult(enc)
+	back, err := DecodeStatsResult(EncodeStatsResult(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +34,19 @@ func TestStatsResultSketchV2RoundTrip(t *testing.T) {
 			t.Fatalf("sketch %d drifted", i)
 		}
 	}
-}
 
-// The marker byte cannot be mistaken for a legacy histogram: hist encodings
-// open with 0x53 ("SH" magic, little-endian low byte), never 0xF2.
-func TestStatsResultLegacyHistogramNotMistakenForV2(t *testing.T) {
-	s := StatsResult{RowCount: 1, Histogram: []byte{0x53, 0x48, 0x02, 0x00}}
-	back, err := DecodeStatsResult(EncodeStatsResult(s))
-	if err != nil {
-		t.Fatal(err)
+	s.Sketches = nil
+	bare := EncodeStatsResult(s)
+	if want := statsResultFixed + len(s.Histogram) + 2; len(bare) != want {
+		t.Fatalf("sketch-free payload is %d bytes, want %d (head, histogram, zero count)", len(bare), want)
 	}
-	if len(back.Sketches) != 0 || !bytes.Equal(back.Histogram, s.Histogram) {
-		t.Fatal("legacy histogram misparsed as v2")
+	back, err = DecodeStatsResult(bare)
+	if err != nil || len(back.Sketches) != 0 || !bytes.Equal(back.Histogram, s.Histogram) {
+		t.Fatalf("sketch-free round trip: %+v (%v)", back, err)
+	}
+	// The histogram is a counted section, never "the rest of the payload".
+	if _, err := DecodeStatsResult(append(bare[:24:24], s.Histogram...)); err == nil {
+		t.Fatal("a head followed by bare histogram bytes decoded")
 	}
 }
 
@@ -83,14 +57,15 @@ func TestStatsResultV2RejectsCorruption(t *testing.T) {
 		Sketches:  [][]byte{{9, 9}, {8}},
 	})
 	cases := map[string][]byte{
-		"truncated_after_marker": valid[:25],
 		"truncated_hist_len":     valid[:27],
+		"truncated_mid_hist":     valid[:statsResultFixed+2],
+		"truncated_sketch_count": valid[:statsResultFixed+3+1],
 		"truncated_mid_sketch":   valid[:len(valid)-1],
 		"trailing_bytes":         append(append([]byte(nil), valid...), 0x00),
 	}
 	for name, raw := range cases {
 		if _, err := DecodeStatsResult(raw); err == nil {
-			t.Errorf("%s: corrupt v2 payload decoded without error", name)
+			t.Errorf("%s: corrupt payload decoded without error", name)
 		}
 	}
 
@@ -100,7 +75,6 @@ func TestStatsResultV2RejectsCorruption(t *testing.T) {
 	huge = binary.LittleEndian.AppendUint64(huge, 1)
 	huge = binary.LittleEndian.AppendUint64(huge, 1)
 	huge = binary.LittleEndian.AppendUint64(huge, 1)
-	huge = append(huge, statsResultV2Marker)
 	huge = binary.LittleEndian.AppendUint32(huge, 0)
 	huge = binary.LittleEndian.AppendUint16(huge, 0xFFFF)
 	if _, err := DecodeStatsResult(huge); err == nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestReadFrameRejectsOversizedPayload(t *testing.T) {
-	enc := AppendFrame(nil, FramePages, []byte{1, 2, 3})
+	enc := AppendFrame(nil, FramePagesCk, []byte{1, 2, 3})
 	enc[4] = 0xFF
 	enc[5] = 0xFF
 	enc[6] = 0xFF
@@ -53,6 +54,39 @@ func TestReadFrameBadMagic(t *testing.T) {
 	}
 }
 
+// A header at any protocol version but ours is refused by all three frame
+// decoders, identically, with an ErrBadFrame that names both versions — and
+// refused at the header: the declared payload is never allocated or read.
+func TestFrameVersionMismatchRefused(t *testing.T) {
+	for _, ver := range []uint8{0, 2, 255} {
+		hdr := appendHeader(nil, FramePagesCk, MaxPayload) // a decoder that wanted the payload would hit EOF instead
+		hdr[3] = ver
+		want := fmt.Sprintf("frame is version %d, this build speaks version %d", ver, ProtocolVersion)
+
+		_, rerr := ReadFrame(bytes.NewReader(hdr))
+		fr := NewFrameReader(bytes.NewReader(hdr))
+		size := len(fr.buf)
+		_, nerr := fr.Next()
+		_, _, derr := DecodeFrame(hdr)
+		for name, err := range map[string]error{"ReadFrame": rerr, "FrameReader.Next": nerr, "DecodeFrame": derr} {
+			if !errors.Is(err, ErrBadFrame) || !errors.Is(err, errVersion) || !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: %s returned %v, want ErrBadFrame naming both versions", ver, name, err)
+			}
+		}
+		if len(fr.buf) != size {
+			t.Errorf("version %d: FrameReader grew its buffer from %d to %d for a refused header", ver, size, len(fr.buf))
+		}
+	}
+	// Every encoder stamps the version every decoder wants.
+	var w bytes.Buffer
+	if err := WriteFrame(&w, FrameList, nil); err != nil {
+		t.Fatal(err)
+	}
+	if w.Bytes()[3] != ProtocolVersion || AppendFrame(nil, FrameList, nil)[3] != ProtocolVersion {
+		t.Fatal("an encoder did not stamp ProtocolVersion into header byte 3")
+	}
+}
+
 func TestReadFrameEOFSemantics(t *testing.T) {
 	// A clean end between frames is io.EOF; a mid-frame end is unexpected.
 	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
@@ -70,6 +104,8 @@ func TestScanRequestRoundTrip(t *testing.T) {
 	for _, req := range []ScanRequest{
 		{Table: "lineitem", Column: "l_extendedprice"},
 		{Table: "t", Column: ""},
+		{Table: "t", Column: "c", Offset: 99},
+		{Table: "t", Column: "c", Offset: 7, TraceID: 0xdeadbeefcafef00d, ParentSpanID: 11},
 	} {
 		back, err := DecodeScanRequest(EncodeScanRequest(req))
 		if err != nil {
@@ -82,15 +118,23 @@ func TestScanRequestRoundTrip(t *testing.T) {
 }
 
 func TestScanRequestRejects(t *testing.T) {
+	good := EncodeScanRequest(ScanRequest{Table: "t", Column: "c", Offset: 5, TraceID: 9, ParentSpanID: 11})
+	names := len(good) - scanRequestTail
 	cases := map[string][]byte{
 		"empty":         {},
 		"empty table":   EncodeScanRequest(ScanRequest{Table: "", Column: "c"}),
-		"trailing junk": append(EncodeScanRequest(ScanRequest{Table: "t", Column: "c"}), 0xFF),
+		"trailing junk": append(bytes.Clone(good), 0xFF),
 		"huge name len": {0xFF, 0xFF},
+		// The request has one tail; every shorter one is malformed, the
+		// names-only and names-plus-offset shapes included.
+		"no tail":          good[:names],
+		"offset-only tail": good[:names+4],
+		"no parent span":   good[:names+12],
+		"one byte short":   good[:len(good)-1],
 	}
 	for name, buf := range cases {
-		if _, err := DecodeScanRequest(buf); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		if _, err := DecodeScanRequest(buf); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: decoded with err %v, want ErrBadFrame", name, err)
 		}
 	}
 }
@@ -104,8 +148,12 @@ func TestScanSummaryRoundTrip(t *testing.T) {
 	if back != s {
 		t.Fatalf("round trip changed summary: %+v -> %+v", s, back)
 	}
-	if _, err := DecodeScanSummary(EncodeScanSummary(s)[:20]); err == nil {
-		t.Fatal("truncated summary decoded without error")
+	// The summary is one fixed size; every other length is malformed.
+	enc := append(EncodeScanSummary(s), 0)
+	for n := 0; n <= len(enc); n++ {
+		if _, err := DecodeScanSummary(enc[:n]); (err == nil) != (n == scanSummarySize) {
+			t.Fatalf("%d-byte summary: err %v", n, err)
+		}
 	}
 }
 

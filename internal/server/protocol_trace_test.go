@@ -9,9 +9,9 @@ import (
 	"streamhist/internal/obs"
 )
 
-// A traced scan request round-trips through the versioned trace-context
-// tail, and an untraced request's encoding is byte-identical to the
-// pre-tracing layouts (no tail / offset-only tail).
+// A traced scan request round-trips, and tracing changes nothing about the
+// request but the two ID fields: an untraced request is the same bytes with
+// those fields zero.
 func TestScanRequestTraceContextRoundTrip(t *testing.T) {
 	req := ScanRequest{
 		Table: "lineitem", Column: "l_tax", Offset: 96,
@@ -25,89 +25,12 @@ func TestScanRequestTraceContextRoundTrip(t *testing.T) {
 	if got != req {
 		t.Fatalf("decoded %+v, want %+v", got, req)
 	}
-	// The tail always carries the offset field, even at zero, so length
-	// alone discriminates the layouts.
-	req.Offset = 0
-	if got, err = DecodeScanRequest(EncodeScanRequest(req)); err != nil || got != req {
-		t.Fatalf("zero-offset traced request: %+v (%v)", got, err)
-	}
-}
-
-// legacyRequestBytes hand-builds the pre-tracing wire layouts.
-func legacyRequestBytes(table, column string, offset uint32) []byte {
-	var out []byte
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(table)))
-	out = append(out, table...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(column)))
-	out = append(out, column...)
-	if offset > 0 {
-		out = binary.LittleEndian.AppendUint32(out, offset)
-	}
-	return out
-}
-
-func TestScanRequestUntracedStaysLegacyBytes(t *testing.T) {
-	for _, offset := range []uint32{0, 7} {
-		req := ScanRequest{Table: "lineitem", Column: "l_tax", Offset: offset}
-		if got, want := EncodeScanRequest(req), legacyRequestBytes("lineitem", "l_tax", offset); !bytes.Equal(got, want) {
-			t.Fatalf("offset %d: encoded % x, legacy layout % x", offset, got, want)
-		}
-	}
-}
-
-// Version gating on the trace tail: version 0 is malformed, a future
-// version is accepted but served untraced (never an error — a newer client
-// must not be locked out of its data).
-func TestScanRequestTraceVersionGate(t *testing.T) {
-	req := ScanRequest{Table: "t", Column: "c", Offset: 5, TraceID: 9, ParentSpanID: 11}
-	enc := EncodeScanRequest(req)
-	verAt := len(enc) - traceContextSize
-
-	enc[verAt] = 0
-	if _, err := DecodeScanRequest(enc); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("version 0 decoded: %v", err)
-	}
-
-	enc[verAt] = traceContextVersion + 1
-	got, err := DecodeScanRequest(enc)
-	if err != nil {
-		t.Fatalf("future version rejected: %v", err)
-	}
-	if got.TraceID != 0 || got.ParentSpanID != 0 || got.Offset != 5 {
-		t.Fatalf("future version decoded %+v, want untraced with offset kept", got)
-	}
-
-	// A tail length between the known layouts is malformed.
-	if _, err := DecodeScanRequest(enc[:len(enc)-1]); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("odd tail length decoded: %v", err)
-	}
-}
-
-func TestTraceInfoCodec(t *testing.T) {
-	ti := TraceInfo{TraceID: 0x1122334455667788, RootSpanID: 0x99aabbccddeeff00}
-	enc := EncodeTraceInfo(ti)
-	if len(enc) != traceContextSize {
-		t.Fatalf("encoded %d bytes, want %d", len(enc), traceContextSize)
-	}
-	got, err := DecodeTraceInfo(enc)
-	if err != nil || got != ti {
-		t.Fatalf("round trip: %+v (%v)", got, err)
-	}
-
-	if _, err := DecodeTraceInfo(enc[:16]); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("short payload decoded: %v", err)
-	}
-	if _, err := DecodeTraceInfo(append(enc, 0)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("long payload decoded: %v", err)
-	}
-	enc[0] = 0
-	if _, err := DecodeTraceInfo(enc); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("version 0 decoded: %v", err)
-	}
-	// Forward compat: a future version with the v1 size still decodes.
-	enc[0] = traceContextVersion + 3
-	if got, err := DecodeTraceInfo(enc); err != nil || got != ti {
-		t.Fatalf("future version: %+v (%v)", got, err)
+	untraced := req
+	untraced.TraceID, untraced.ParentSpanID = 0, 0
+	plain := EncodeScanRequest(untraced)
+	if len(plain) != len(enc) || !bytes.Equal(plain[:len(plain)-16], enc[:len(enc)-16]) ||
+		!bytes.Equal(plain[len(plain)-16:], make([]byte, 16)) {
+		t.Fatalf("untraced request is not the traced one with zero IDs:\n% x\n% x", plain, enc)
 	}
 }
 
@@ -138,11 +61,10 @@ func TestTraceReportCodec(t *testing.T) {
 		return err
 	}
 	cases := map[string]func(b []byte) []byte{
-		"short header":  func(b []byte) []byte { return b[:10] },
-		"version 0":     func(b []byte) []byte { b[0] = 0; return b },
-		"zero trace id": func(b []byte) []byte { copy(b[1:9], make([]byte, 8)); return b },
+		"short header":  func(b []byte) []byte { return b[:9] },
+		"zero trace id": func(b []byte) []byte { copy(b[0:8], make([]byte, 8)); return b },
 		"count overflow": func(b []byte) []byte {
-			binary.LittleEndian.PutUint16(b[9:11], uint16(maxListEntries+1))
+			binary.LittleEndian.PutUint16(b[8:10], uint16(MaxTraceReportSpans+1))
 			return b
 		},
 		"truncated span": func(b []byte) []byte { return b[:len(b)-3] },

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 )
 
-// The extended scan summary must round-trip every robustness field and stay
-// decodable by (and from) peers that only know the 37-byte legacy layout.
+// The scan summary must round-trip every robustness field.
 func TestScanSummaryV2RoundTrip(t *testing.T) {
 	in := ScanSummary{
 		Pages:            7,
@@ -20,8 +20,8 @@ func TestScanSummaryV2RoundTrip(t *testing.T) {
 		LanesRetired:     1,
 	}
 	raw := EncodeScanSummary(in)
-	if len(raw) != scanSummaryV2Size {
-		t.Fatalf("encoded %d bytes, want %d", len(raw), scanSummaryV2Size)
+	if len(raw) != scanSummarySize {
+		t.Fatalf("encoded %d bytes, want %d", len(raw), scanSummarySize)
 	}
 	out, err := DecodeScanSummary(raw)
 	if err != nil {
@@ -29,23 +29,6 @@ func TestScanSummaryV2RoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip: got %+v want %+v", out, in)
-	}
-}
-
-// A legacy 37-byte summary (the prefix of the v2 layout) must still decode,
-// with every robustness field zero and the Refreshed flag intact.
-func TestScanSummaryV1Compat(t *testing.T) {
-	in := ScanSummary{Pages: 2, Bytes: 16384, Rows: 900, Refreshed: true, AccelCycles: 10, AccelSeconds: 1e-6}
-	legacy := EncodeScanSummary(in)[:scanSummaryV1Size]
-	out, err := DecodeScanSummary(legacy)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if out != in {
-		t.Fatalf("v1 decode: got %+v want %+v", out, in)
-	}
-	if out.Degraded || out.SkippedTuples != 0 || out.QuarantinedPages != 0 || out.LanesRetired != 0 {
-		t.Fatalf("v1 payload produced nonzero robustness fields: %+v", out)
 	}
 }
 
@@ -60,20 +43,23 @@ func TestScanSummaryRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
-// A zero-offset scan request must keep the legacy encoding (no trailer), so
-// old peers can parse it; a nonzero offset rides in a 4-byte trailer and
-// round-trips.
+// The resume offset is a fixed field of the request, not an optional
+// trailer: a full scan and a resumed one encode to the same length and differ
+// only in those four bytes.
 func TestScanRequestOffsetRoundTrip(t *testing.T) {
 	plain := EncodeScanRequest(ScanRequest{Table: "t", Column: "c"})
-	legacyLen := len(plain)
 	got, err := DecodeScanRequest(plain)
 	if err != nil || got.Offset != 0 {
-		t.Fatalf("legacy request: %+v, %v", got, err)
+		t.Fatalf("full-scan request: %+v, %v", got, err)
 	}
 
 	resumed := EncodeScanRequest(ScanRequest{Table: "t", Column: "c", Offset: 99})
-	if len(resumed) != legacyLen+4 {
-		t.Fatalf("resumed request is %d bytes, want legacy %d + 4", len(resumed), legacyLen)
+	if len(resumed) != len(plain) {
+		t.Fatalf("resumed request is %d bytes, full-scan request %d", len(resumed), len(plain))
+	}
+	at := len(plain) - scanRequestTail
+	if !bytes.Equal(resumed[:at], plain[:at]) || !bytes.Equal(resumed[at+4:], plain[at+4:]) {
+		t.Fatalf("requests differ outside the offset field:\n% x\n% x", plain, resumed)
 	}
 	got, err = DecodeScanRequest(resumed)
 	if err != nil {

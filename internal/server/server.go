@@ -49,7 +49,7 @@ type Config struct {
 	// round-robin across the lanes and the lanes' binner states are merged
 	// before histogram creation. 0 means GOMAXPROCS.
 	ShardLanes int
-	// PagesPerFrame sets how many 8 KiB page images ride in one FramePages.
+	// PagesPerFrame sets how many 8 KiB page images ride in one FramePagesCk.
 	PagesPerFrame int
 	// IdleTimeout bounds the wait for the next request on a connection.
 	IdleTimeout time.Duration
@@ -338,6 +338,12 @@ func (s *Server) Register(rel *table.Relation) error {
 	}
 	cols := make(map[string]colMeta, rel.Schema.NumColumns())
 	for _, c := range rel.Schema.Columns {
+		// Column names cross the wire under the same bound as table names: a
+		// longer one could not be requested, and would make every LIST reply
+		// undecodable.
+		if len(c.Name) > maxNameLen {
+			return fmt.Errorf("server: column name %q of table %q exceeds %d bytes", c.Name, rel.Name, maxNameLen)
+		}
 		spec, err := core.SpecFor(rel.Schema, c.Name)
 		if err != nil {
 			return err
@@ -567,7 +573,11 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		f, err := ReadFrame(br)
 		if err != nil {
 			// EOF, idle timeout, or an unframeable stream: nothing to
-			// resynchronise on, drop the connection.
+			// resynchronise on, drop the connection. A peer framing correctly
+			// at another protocol version is told so first.
+			if errors.Is(err, errVersion) {
+				_ = s.writeError(bw, err) // closing either way
+			}
 			return
 		}
 		st.mu.Lock()
@@ -649,13 +659,9 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 	// The side salt folds in the local scan id so a redialled trace — several
 	// server scans continuing the same trace ID — gets distinct span IDs per
 	// attempt and each attempt's spans nest under their own "serve" root at
-	// assembly. The root ID is derived even when no tracer is wired, so the
-	// handshake frame is honest either way.
-	var traceRoot uint64
+	// assembly.
 	if req.TraceID != 0 {
-		side := obs.SpanSideServer | id<<8
-		traceRoot = obs.DeriveSpanID(req.TraceID, side, 0)
-		tr.EnableTrace(req.TraceID, req.ParentSpanID, side)
+		tr.EnableTrace(req.TraceID, req.ParentSpanID, obs.SpanSideServer|id<<8)
 	}
 	scanStart := time.Now()
 	resumed := req.Offset > 0
@@ -737,18 +743,6 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 		return s.writeError(bw, failure)
 	}
 	tr.End(ai, 0)
-
-	if req.TraceID != 0 {
-		// The tracing handshake: sent first, before resume info or pages,
-		// only for requests that carried trace context. Seeing it is what
-		// licenses the client to send its span trailer later.
-		if werr := WriteFrame(bw, FrameTraceInfo, EncodeTraceInfo(TraceInfo{
-			TraceID:    req.TraceID,
-			RootSpanID: traceRoot,
-		})); werr != nil {
-			return werr
-		}
-	}
 
 	inj := s.cfg.Faults.Fork(fmt.Sprintf("scan%d", id))
 

@@ -302,20 +302,32 @@ func TestSlowClientOutlivesWriteDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Decoding is linear in what has arrived (one FrameReader over the slow
+	// reader), so the gap between two reads is the pause and nothing else: a
+	// harness that re-parsed the whole stream after every read could itself
+	// outlast WriteTimeout under -race and fail the scan it was pacing.
 	start := time.Now()
-	var raw bytes.Buffer
-	buf := make([]byte, 24<<10)
-	for {
-		cc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		n, err := cc.Read(buf)
-		raw.Write(buf[:n])
+	fr := server.NewFrameReader(slowReader{cc})
+	var pages []byte
+	for finished := false; !finished; {
+		f, err := fr.Next()
 		if err != nil {
-			t.Fatalf("slow read after %d bytes: %v", raw.Len(), err)
+			t.Fatalf("slow read after %d page bytes: %v", len(pages), err)
 		}
-		time.Sleep(5 * time.Millisecond) // the slowness under test
-		if done := scanFinished(t, raw.Bytes(), want); done {
-			break
+		switch f.Type {
+		case server.FramePagesCk:
+			n := len(f.Payload) / (page.Size + server.PageChecksumSize)
+			pages = append(pages, f.Payload[:n*page.Size]...)
+		case server.FrameScanEnd:
+			finished = true
+		case server.FrameError:
+			t.Fatalf("server error frame: %v", server.DecodeError(f.Payload))
+		default:
+			t.Fatalf("unexpected frame type %d", f.Type)
 		}
+	}
+	if !bytes.Equal(pages, want) {
+		t.Fatal("slow-client stream differs from storage")
 	}
 	if elapsed := time.Since(start); elapsed < 160*time.Millisecond {
 		t.Skipf("transfer finished in %v — too fast to exercise the deadline", elapsed)
@@ -324,34 +336,18 @@ func TestSlowClientOutlivesWriteDeadline(t *testing.T) {
 	<-done
 }
 
-// scanFinished parses the accumulated raw stream; it reports true once a
-// ScanEnd frame arrives, and verifies the page bytes against storage.
-func scanFinished(t *testing.T, raw, want []byte) bool {
-	t.Helper()
-	br := bytes.NewReader(raw)
-	var pages []byte
-	for {
-		f, err := server.ReadFrame(br)
-		if err != nil {
-			return false // incomplete tail; keep reading
-		}
-		switch f.Type {
-		case server.FramePagesCk:
-			n := len(f.Payload) / (page.Size + server.PageChecksumSize)
-			pages = append(pages, f.Payload[:n*page.Size]...)
-		case server.FramePages:
-			pages = append(pages, f.Payload...)
-		case server.FrameScanEnd:
-			if !bytes.Equal(pages, want) {
-				t.Fatal("slow-client stream differs from storage")
-			}
-			return true
-		case server.FrameError:
-			t.Fatalf("server error frame: %v", server.DecodeError(f.Payload))
-		default:
-			t.Fatalf("unexpected frame type %d", f.Type)
-		}
+// slowReader drains a connection slowly and steadily: at most 24 KiB a read
+// and a pause after each — the slowness under test.
+type slowReader struct{ conn net.Conn }
+
+func (r slowReader) Read(p []byte) (int, error) {
+	if len(p) > 24<<10 {
+		p = p[:24<<10]
 	}
+	r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := r.conn.Read(p)
+	time.Sleep(5 * time.Millisecond)
+	return n, err
 }
 
 // Negative control for the deadline: a reader that stops draining entirely

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,6 +287,91 @@ func TestServeConnOverPipe(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	wantLeakFree(t, base)
+}
+
+// A request framed at another protocol version is answered exactly once —
+// a FrameError naming the version found and the version spoken — and then
+// the connection is closed; nothing is served at the wrong version and the
+// server keeps serving everyone else.
+func TestVersionMismatchAnsweredOnceThenClosed(t *testing.T) {
+	srv := server.New(server.Config{})
+	if err := srv.Register(testRelation(100)); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	sc, cc := net.Pipe()
+	done := make(chan struct{})
+	go func() { srv.ServeConn(sc); close(done) }()
+	defer cc.Close()
+
+	req := server.AppendFrame(nil, server.FrameScan,
+		server.EncodeScanRequest(server.ScanRequest{Table: "synthetic", Column: "c1"}))
+	req[3] = 0 // the header every peer wrote before the byte meant anything
+	go cc.Write(append(req, server.AppendFrame(nil, server.FrameList, nil)...))
+
+	cc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	f, err := server.ReadFrame(cc)
+	if err != nil {
+		t.Fatalf("reading the server's answer: %v", err)
+	}
+	if f.Type != server.FrameError {
+		t.Fatalf("answer is frame type %d, want FrameError", f.Type)
+	}
+	rerr := server.DecodeError(f.Payload)
+	if !errors.Is(rerr, server.ErrBadRequest) ||
+		!strings.Contains(rerr.Error(), "frame is version 0, this build speaks version 1") {
+		t.Fatalf("answer = %v, want ErrBadRequest naming versions 0 and 1", rerr)
+	}
+	if f, err := server.ReadFrame(cc); err != io.EOF {
+		t.Fatalf("after the one answer: frame %+v, err %v, want io.EOF", f, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server kept the mismatched connection open")
+	}
+
+	c := pipeClient(srv)
+	defer c.Close()
+	if _, err := c.Scan("synthetic", "c1", io.Discard); err != nil {
+		t.Fatalf("scan at the right version after a mismatched peer: %v", err)
+	}
+}
+
+// Column names cross the wire under the same length bound as table names;
+// Register refuses one the protocol could never carry, instead of letting it
+// poison every LIST reply.
+func TestRegisterRejectsOverlongColumnName(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+
+	long := strings.Repeat("x", 257)
+	rel := table.NewRelation("wide", table.NewSchema(
+		table.Column{Name: "ok", Type: table.Int64},
+		table.Column{Name: long, Type: table.Int64},
+	))
+	rel.Append(table.Row{1, 2})
+	err := srv.Register(rel)
+	if err == nil || !strings.Contains(err.Error(), "exceeds 256 bytes") {
+		t.Fatalf("Register with a 257-byte column name: %v", err)
+	}
+
+	// At the bound it registers, lists and scans.
+	rel = table.NewRelation("wide", table.NewSchema(table.Column{Name: long[:256], Type: table.Int64}))
+	rel.Append(table.Row{1})
+	if err := srv.Register(rel); err != nil {
+		t.Fatalf("Register with a 256-byte column name: %v", err)
+	}
+	c := pipeClient(srv)
+	defer c.Close()
+	tables, err := c.Tables()
+	if err != nil || len(tables) != 1 || tables[0].Columns[0] != long[:256] {
+		t.Fatalf("LIST with a 256-byte column name: %+v, %v", tables, err)
+	}
+	if _, err := c.Scan("wide", long[:256], io.Discard); err != nil {
+		t.Fatalf("scan of the 256-byte column: %v", err)
+	}
 }
 
 func TestRegisterReplaceMarksStatsStale(t *testing.T) {

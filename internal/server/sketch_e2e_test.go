@@ -84,8 +84,8 @@ func TestServedScanRefreshesSketches(t *testing.T) {
 }
 
 // TestServerSketchDisabled: with the chain off, scans still refresh
-// histograms, the catalog holds no sketches, and STATS falls back to the
-// legacy sketch-free payload.
+// histograms, the catalog holds no sketches, and STATS carries an empty
+// sketch list.
 func TestServerSketchDisabled(t *testing.T) {
 	srv := server.New(server.Config{SketchDisabled: true})
 	if err := srv.Register(testRelation(2000)); err != nil {

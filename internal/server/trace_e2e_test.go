@@ -163,62 +163,6 @@ func waitAssembled(t *testing.T, tr *obs.Tracer, traceID uint64, ready func(*obs
 	}
 }
 
-// The FrameTraceInfo handshake is strictly opt-in: an untraced request's
-// reply stream must be byte-compatible with a pre-tracing server (no trace
-// frames at all), while a traced request's very first reply frame is the
-// trace info.
-func TestTraceInfoFrameOnlyForTracedRequests(t *testing.T) {
-	srv := server.New(server.Config{})
-	if err := srv.Register(testRelation(200)); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	scanFrames := func(req server.ScanRequest) []server.Frame {
-		sc, cc := net.Pipe()
-		go srv.ServeConn(sc)
-		defer cc.Close()
-		var buf bytes.Buffer
-		if err := server.WriteFrame(&buf, server.FrameScan, server.EncodeScanRequest(req)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cc.Write(buf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		var frames []server.Frame
-		for {
-			cc.SetReadDeadline(time.Now().Add(5 * time.Second))
-			f, err := server.ReadFrame(cc)
-			if err != nil {
-				t.Fatalf("reading scan frames: %v", err)
-			}
-			frames = append(frames, f)
-			if f.Type == server.FrameScanEnd || f.Type == server.FrameError {
-				return frames
-			}
-		}
-	}
-
-	legacy := scanFrames(server.ScanRequest{Table: "synthetic", Column: "c1"})
-	for _, f := range legacy {
-		if f.Type == server.FrameTraceInfo {
-			t.Fatal("untraced scan received a FrameTraceInfo")
-		}
-	}
-
-	traced := scanFrames(server.ScanRequest{Table: "synthetic", Column: "c1", TraceID: 0xbeef, ParentSpanID: 0x11})
-	if traced[0].Type != server.FrameTraceInfo {
-		t.Fatalf("traced scan's first frame is type %d, want FrameTraceInfo", traced[0].Type)
-	}
-	ti, err := server.DecodeTraceInfo(traced[0].Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti.TraceID != 0xbeef || ti.RootSpanID == 0 {
-		t.Fatalf("trace info = %+v, want echo of trace 0xbeef with a root span", ti)
-	}
-}
-
 // A malformed trailer is dropped without a reply — replying would desync
 // the one-way frame — and without killing the connection: the next request
 // on the same conn is served normally, and the drop is counted.
@@ -283,18 +227,66 @@ func TestMalformedTraceReportDroppedWithoutReply(t *testing.T) {
 	}
 }
 
+// replyFrames sends one SCAN on a fresh connection and returns every frame
+// of the reply, through the closing summary (or error).
+func replyFrames(t *testing.T, srv *server.Server, req server.ScanRequest) []server.Frame {
+	t.Helper()
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	defer cc.Close()
+	if _, err := cc.Write(server.AppendFrame(nil, server.FrameScan, server.EncodeScanRequest(req))); err != nil {
+		t.Fatal(err)
+	}
+	var frames []server.Frame
+	for {
+		cc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := server.ReadFrame(cc)
+		if err != nil {
+			t.Fatalf("reading scan frames: %v", err)
+		}
+		frames = append(frames, f)
+		if f.Type == server.FrameScanEnd || f.Type == server.FrameError {
+			return frames
+		}
+	}
+}
+
 // Tracing must not perturb the data path: the same relation scanned with
-// and without tracing delivers identical bytes and an identical summary
-// shape (the side effect is statistics, not payload).
+// and without trace context gets the same reply frame for frame — no frame
+// added, none reordered, page payloads and CRC trailers and the summary all
+// byte-identical — and a tracing client delivers the bytes an untraced one
+// does.
 func TestTracedAndUntracedScansDeliverIdenticalBytes(t *testing.T) {
 	const rows = 1000
 	want := storageBytes(t, rows)
 
-	srv := server.New(server.Config{})
+	// A lane retired under test-machine load would show up in the summary;
+	// this test is about tracing, not stalls.
+	srv := server.New(server.Config{SideStallTimeout: time.Minute})
 	if err := srv.Register(testRelation(rows)); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+
+	plain := replyFrames(t, srv, server.ScanRequest{Table: "synthetic", Column: "c1"})
+	traced := replyFrames(t, srv, server.ScanRequest{Table: "synthetic", Column: "c1", TraceID: 0xbeef, ParentSpanID: 0x11})
+	if len(plain) != len(traced) {
+		t.Fatalf("untraced reply is %d frames, traced reply %d", len(plain), len(traced))
+	}
+	for i := range plain {
+		if plain[i].Type != traced[i].Type || !bytes.Equal(plain[i].Payload, traced[i].Payload) {
+			t.Fatalf("frame %d differs: untraced type %d (%d bytes), traced type %d (%d bytes)",
+				i, plain[i].Type, len(plain[i].Payload), traced[i].Type, len(traced[i].Payload))
+		}
+	}
+	if last := plain[len(plain)-1]; last.Type != server.FrameScanEnd {
+		t.Fatalf("reply ended in frame type %d", last.Type)
+	}
+	// The traced request did continue its trace (published once the reply
+	// is out, so wait for it).
+	waitAssembled(t, srv.Obs().Tracer(), 0xbeef, func(at *obs.AssembledTrace) bool {
+		return at.ServerScans == 1
+	})
 
 	for _, tracing := range []bool{false, true} {
 		c := pipeClient(srv)
