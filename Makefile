@@ -26,8 +26,11 @@ PERF_HEAD ?= perf_head.json
 check: vet build race
 
 # The nested benchmark module is frozen between benchmark PRs and compiles
-# against internal/server, internal/client and friends: vet and build it here so
-# a change to those packages that breaks the benchmark of record fails check.
+# against internal/server, internal/client and friends: vet, build and test it
+# here so a change to those packages that breaks the benchmark of record fails
+# check. Its few-second smoke test is the only thing that notices a change
+# which still compiles against the benchmark's reads but stops yielding what
+# it reads (the server.span_* layers come out of Obs().Tracer().Recent).
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
@@ -38,9 +41,11 @@ build:
 
 test:
 	$(GO) test ./...
+	$(GO) test -C benchmark ./...
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -C benchmark ./...
 
 # loc prints the number the ROADMAP tracks: non-test Go lines outside the
 # nested benchmark module.

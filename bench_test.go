@@ -365,14 +365,14 @@ func BenchmarkParallelDataPath(b *testing.B) {
 
 // BenchmarkParallelDataPathObs measures the instrumentation overhead of the
 // observability layer on the 4-shard parallel data path: "noop" runs with a
-// nil registry (every instrument call degrades to a pointer check — the
-// obs-off configuration), "registry" with a live registry receiving the
-// per-scan counters, per-lane gauges, and the latency distribution, and
-// "timeline" additionally with a flight recorder taking one wide event per
-// scan and a running timeline sampling every instrument once per second on
-// its own goroutine, and "tracing" layers a live tracer on top of "registry"
-// so every scan records a full distributed span tree (root, phases, one span
-// per lane) and a latency exemplar. All ns/op figures should be within a few
+// nil bundle (every span and publish call degrades to a pointer check — the
+// obs-off configuration), "registry" with a bundle holding only a registry,
+// which receives the per-scan counters, per-lane gauges, and the latency
+// distribution, "timeline" additionally with a flight recorder tail-sampling
+// the scan records and a running timeline sampling every instrument once per
+// second on its own goroutine, and "tracing" layers a recent-scans ring on
+// top of "registry", so every scan originates a trace ID (root, phases, one
+// span per lane) and a latency exemplar. All ns/op figures should be within a few
 // percent: instrumentation is charged once per scan, never per page or per
 // value, the timeline rides the sampling tick, never the data path, and a
 // traced scan pays one slab allocation plus a handful of clock reads.
@@ -384,20 +384,17 @@ func BenchmarkParallelDataPathObs(b *testing.B) {
 	}{
 		{"noop", func(b *testing.B, dp *stream.ParallelDataPath) {}},
 		{"registry", func(b *testing.B, dp *stream.ParallelDataPath) {
-			dp.Obs = obs.NewRegistry()
+			dp.Obs = &obs.Obs{Reg: obs.NewRegistry()}
 		}},
 		{"timeline", func(b *testing.B, dp *stream.ParallelDataPath) {
-			reg := obs.NewRegistry()
-			fr := obs.NewFlightRecorder(0, 0)
-			tl := timeline.New(timeline.Config{Registry: reg, Flight: fr})
+			o := &obs.Obs{Reg: obs.NewRegistry(), Flight: obs.NewFlightRecorder(0, 0)}
+			tl := timeline.New(timeline.Config{Registry: o.Reg, Flight: o.Flight})
 			tl.Start()
 			b.Cleanup(tl.Close)
-			dp.Obs = reg
-			dp.Flight = fr
+			dp.Obs = o
 		}},
 		{"tracing", func(b *testing.B, dp *stream.ParallelDataPath) {
-			dp.Obs = obs.NewRegistry()
-			dp.Trace = obs.NewTracer(0)
+			dp.Obs = &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

@@ -58,7 +58,7 @@ func runMetrics(args []string) error {
 		if err != nil {
 			return err
 		}
-		var traces []obs.ScanTrace
+		var traces []obs.ScanRecord
 		if err := json.Unmarshal(tb, &traces); err != nil {
 			return fmt.Errorf("decoding /scans: %w", err)
 		}
@@ -115,7 +115,7 @@ func printExposition(text, grep string) {
 	}
 }
 
-func printTraces(traces []obs.ScanTrace) {
+func printTraces(traces []obs.ScanRecord) {
 	if len(traces) == 0 {
 		fmt.Println("\nno scan traces recorded yet")
 		return

@@ -133,8 +133,8 @@ func runServe(args []string) error {
 	noDurability := fs.Bool("no-durability", false, "serve ephemeral even when -data-dir is set (bit-identical to a server without durability)")
 	noTimeline := fs.Bool("no-timeline", false, "disable the metrics timeline, flight-recorder sampling, and anomaly engine")
 	timelineRings := fs.String("timeline-rings", "1s:120,10s:360,5m:288", "timeline retention tiers as step:len pairs")
-	flightRing := fs.Int("flight-ring", 0, "flight-recorder capacity in wide events (0 = default 1024)")
-	flightSample := fs.Int("flight-sample", 0, "keep one in N healthy scan events; anomalous always kept (0 = default 4)")
+	flightRing := fs.Int("flight-ring", 0, "flight-recorder capacity in scan records (0 = default 1024)")
+	flightSample := fs.Int("flight-sample", 0, "keep one in N healthy scan records; anomalous always kept (0 = default 4)")
 	bundleDir := fs.String("bundle-dir", "", "where anomaly trips drop debug bundles (default <data-dir>/bundles; empty without -data-dir disables)")
 	fs.Parse(args)
 

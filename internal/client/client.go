@@ -39,17 +39,19 @@ type Client struct {
 	redials     *obs.Counter
 	badPages    *obs.Counter
 	scansFailed *obs.Counter
-	// scanSeq numbers this client's logical scans for its flight-recorder
-	// events (the server's events carry the server-side scan id).
+	// scanSeq numbers this client's logical scans for its records (the
+	// server's records carry the server-side scan id).
 	scanSeq uint64
+	// rec is the in-flight logical scan's record, all redial rounds folded
+	// in; nil (every span call a pointer check) on a client with neither
+	// tracing nor a bundle.
+	rec *obs.ScanRecord
 
 	// Distributed tracing state (EnableTracing): the client originates a
 	// trace per logical scan, records its own spans, and ships them back to
 	// the server in a trailer frame after the scan succeeds.
 	tracing     bool
 	lastTraceID uint64
-	ct          *obs.ScanTrace // the in-flight scan's client-side trace
-	ctRoot      int            // root span index in ct
 }
 
 // EnableTracing opts this client into distributed tracing: every Scan
@@ -223,59 +225,44 @@ var errBadPage = fmt.Errorf("client: page failed checksum in flight")
 // server rejection (unknown table or column, bad resume offset) is terminal
 // and surfaces immediately, without consuming the retry budget.
 func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error) {
-	start := time.Now()
 	// The scan id is assigned before any work so the retry loop's log
-	// records carry it (they used to log without one).
+	// records carry it.
 	c.scanSeq++
+	if c.tracing || c.o != nil {
+		c.rec = obs.StartScan(c.scanSeq, "client", table, column, 16)
+	}
 	if c.tracing {
-		traceID := obs.NewTraceID()
-		c.lastTraceID = traceID
-		c.ct = obs.StartScanTrace(c.scanSeq, table, column, 16)
-		c.ct.EnableTrace(traceID, 0, obs.SpanSideClient)
-		c.ctRoot = c.ct.BeginRoot("scan")
+		c.lastTraceID = obs.NewTraceID()
+		c.rec.EnableTrace(c.lastTraceID, 0, obs.SpanSideClient)
+		// The root span covers the whole logical scan: publishing the record
+		// closes it where the record ends.
+		c.rec.BeginRoot("scan")
 	}
 	sum, err := c.scanWithRetry(table, column, sink)
-	if ct := c.ct; ct != nil {
-		c.ct = nil
-		ct.End(c.ctRoot, 0)
-		if err != nil {
-			ct.Err = err.Error()
-		}
-		if sum != nil {
-			ct.Refreshed, ct.Degraded = sum.Refreshed, sum.Degraded
-		}
-		// Publish into this process's own ring (nil-safe) so the client's
-		// /scans shows its half of the trace too, then ship the spans to
-		// the server — only after a success: a failed scan's connection is
-		// in no known state to carry another frame.
-		c.o.Tracer().Publish(ct)
-		if err == nil {
-			c.sendTraceReport(ct)
-		}
-	}
-	// One wide event per logical scan (all redial rounds folded in), so the
-	// client's view of a scan joins the server's by table and wall-clock
-	// overlap even across process boundaries.
-	ev := obs.ScanEvent{
-		ScanID: c.scanSeq, Source: "client", Table: table, Column: column,
-		StartNS: start.UnixNano(), WallNS: time.Since(start).Nanoseconds(),
-	}
-	if c.tracing {
-		ev.TraceID = c.lastTraceID
-	}
-	if sum != nil {
-		ev.Pages, ev.Bytes, ev.Rows = sum.Pages, sum.Bytes, sum.Rows
-		ev.AccelCycles = sum.AccelCycles
-		ev.Refreshed, ev.Degraded = sum.Refreshed, sum.Degraded
-		ev.Retries = sum.Retries
-		ev.QuarantinedPages = sum.QuarantinedPages
-		ev.LanesRetired = sum.LanesRetired
-		ev.SkippedTuples = sum.SkippedTuples
+	rec := c.rec
+	c.rec = nil
+	if rec == nil {
+		return sum, err
 	}
 	if err != nil {
-		ev.Err = err.Error()
+		rec.Err = err.Error()
 	}
-	c.o.FlightRec().Record(ev)
+	if sum != nil {
+		rec.Pages, rec.Bytes, rec.Rows = sum.Pages, sum.Bytes, sum.Rows
+		rec.AccelCycles, rec.Retries = sum.AccelCycles, sum.Retries
+		rec.Refreshed, rec.Degraded = sum.Refreshed, sum.Degraded
+		rec.QuarantinedPages, rec.LanesRetired = sum.QuarantinedPages, sum.LanesRetired
+		rec.SkippedTuples = sum.SkippedTuples
+	}
+	// One record per logical scan, so the client's view of a scan joins the
+	// server's by trace ID, or by table and wall-clock overlap when untraced.
+	// A nil bundle still finalises it, so the spans shipped below are closed.
+	c.o.Publish(rec)
+	// Ship the spans to the server only after a success: a failed scan's
+	// connection is in no known state to carry another frame.
+	if c.tracing && err == nil {
+		c.sendTraceReport(rec)
+	}
 	return sum, err
 }
 
@@ -284,7 +271,7 @@ func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error
 // so a failed or refused trailer only costs trace completeness — the error
 // is logged at debug level and dropped, and no response is ever read (the
 // server never writes one).
-func (c *Client) sendTraceReport(ct *obs.ScanTrace) {
+func (c *Client) sendTraceReport(ct *obs.ScanRecord) {
 	spans := ct.Spans
 	if len(spans) > server.MaxTraceReportSpans {
 		spans = spans[:server.MaxTraceReportSpans]
@@ -311,8 +298,8 @@ func (tw *timedWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// scanWithRetry is Scan's redial loop, separated so the flight-recorder
-// event wraps every attempt.
+// scanWithRetry is Scan's redial loop, separated so the scan's one record
+// wraps every attempt.
 func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSummary, error) {
 	var (
 		delivered uint64 // verified pages written to sink, all attempts
@@ -354,13 +341,13 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 		c.o.Logger().Warn("scan interrupted, redialling", "scan", c.scanSeq,
 			"table", table, "column", column, "resume_page", delivered,
 			"backoff", backoff, "err", err.Error())
-		bi := c.ct.Begin("backoff")
+		bi := c.rec.Begin("backoff")
 		time.Sleep(backoff)
-		c.ct.End(bi, 0)
+		c.rec.End(bi, 0)
 		backoff *= 2
-		di := c.ct.Begin("redial")
+		di := c.rec.Begin("redial")
 		rerr := c.reconnect()
-		c.ct.End(di, 0)
+		c.rec.End(di, 0)
 		if rerr != nil {
 			c.scansFailed.Inc()
 			return nil, fmt.Errorf("%w (reconnect failed: %v)", err, rerr)
@@ -377,29 +364,29 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 		Column: column,
 		Offset: uint32(*delivered),
 	}
-	if c.ct != nil {
-		sreq.TraceID = c.ct.TraceID
-		sreq.ParentSpanID = c.ct.RootSpanID
+	if c.rec != nil {
+		sreq.TraceID = c.rec.TraceID
+		sreq.ParentSpanID = c.rec.RootSpanID
 	}
-	ri := c.ct.Begin("request")
+	ri := c.rec.Begin("request")
 	err := c.send(server.FrameScan, server.EncodeScanRequest(sreq))
-	c.ct.End(ri, 0)
+	c.rec.End(ri, 0)
 	if err != nil {
 		return nil, fmt.Errorf("client: sending SCAN: %w", err)
 	}
-	if c.ct != nil {
+	if c.rec != nil {
 		// Time the sink's writes: first-to-last write becomes the "sink"
 		// span, recorded however the attempt ends.
 		tw := &timedWriter{w: sink}
 		sink = tw
 		defer func() {
 			if tw.first != 0 {
-				c.ct.AddSpan("sink", -1, tw.first, tw.last, 0, false)
+				c.rec.AddSpan("sink", -1, tw.first, tw.last, 0, false)
 			}
 		}()
 	}
-	si := c.ct.Begin("stream")
-	defer func() { c.ct.End(si, 0) }()
+	si := c.rec.Begin("stream")
+	defer func() { c.rec.End(si, 0) }()
 	var received uint64 // page bytes this attempt, as the server counts them
 	// skip counts re-delivered duplicate pages still to swallow: a server
 	// that aligns the resume down to a frame boundary (FrameResumeInfo)
@@ -424,7 +411,7 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 			}
 			skip = *delivered - uint64(start)
 			if skip > 0 {
-				vi = c.ct.Begin("verify-skip")
+				vi = c.rec.Begin("verify-skip")
 			}
 		case server.FramePagesCk:
 			unit := page.Size + server.PageChecksumSize
@@ -470,7 +457,7 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 		if vi >= 0 && skip == 0 {
 			// The frame-aligned overlap has been re-verified; close the
 			// verify-skip span at the first frame past it.
-			c.ct.End(vi, 0)
+			c.rec.End(vi, 0)
 			vi = -1
 		}
 	}

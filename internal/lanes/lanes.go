@@ -427,7 +427,7 @@ type FanIn struct {
 // whatever FanIn returns; a live one when it is finished. A lane's real error
 // (a parse failure, a panic nobody injected) is returned before any lane is
 // finished, so nothing is flushed to prof for a scan that fails this way.
-func (e *Engine) FanIn(tr *obs.ScanTrace, parent uint64, prof *hwprof.Profiler, binsPerLine int) (FanIn, error) {
+func (e *Engine) FanIn(tr *obs.ScanRecord, parent uint64, prof *hwprof.Profiler, binsPerLine int) (FanIn, error) {
 	e.Join()
 	out := FanIn{PerLane: make([]core.BinnerStats, len(e.lanes)), Span: -1}
 	var live [16]*lane

@@ -1,12 +1,15 @@
 // Package obs is the repository's self-hosted observability layer: a
-// zero-dependency metrics registry, per-scan trace spans, and the HTTP
-// introspection surface histserved mounts on -metrics-addr.
+// zero-dependency metrics registry, one record per scan (ScanRecord: identity,
+// volume, outcome, fault accounting, spans) published exactly once through
+// Obs.Publish into two retention views — Tracer keeps every recent scan,
+// FlightRecorder tail-samples so anomalous ones outlive a quiet stretch — and
+// the HTTP introspection surface histserved mounts on -metrics-addr.
 //
 // The design discipline mirrors the paper's no-cost-to-the-stream rule: the
 // instrumentation primitives are single atomics (counters, gauges) or a
 // handful of atomics (distributions), registry lookups happen at wiring time
-// rather than on the hot path, and trace spans live in slabs allocated once
-// per scan — never per page. Turning every instrument off is a nil registry:
+// rather than on the hot path, and a scan's record and span slab are
+// allocated once per scan — never per page. Turning every instrument off is a nil registry:
 // all instrument methods are nil-safe no-ops, so the same call sites compile
 // to a pointer check when observability is unwired (the pattern
 // internal/faults established for chaos hooks).

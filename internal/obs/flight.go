@@ -4,108 +4,41 @@ import (
 	"sync"
 )
 
-// ScanEvent is one wide flight-recorder record: everything a single scan did,
-// in one row — identity, volume, outcome, fault accounting, and the span
-// timings — correlated with the scan's trace (ScanTrace.ID) and its slog
-// records by the shared scan ID. Wide events are the paper's thesis applied
-// to the monitoring plane: the scan already computed every one of these
-// numbers while it moved the data; recording them is one struct copy at the
-// tail of the scan, never per page or per value.
-type ScanEvent struct {
-	// Seq is the recorder-assigned sequence number. It counts every event
-	// *offered*, including those tail-sampling chose not to retain, so gaps
-	// in the retained ring quantify exactly what sampling dropped.
-	Seq uint64 `json:"seq"`
-	// ScanID is the scan's process-wide identifier — the same number in the
-	// ScanTrace, in the slog "scan" attribute, and here.
-	ScanID uint64 `json:"scan_id"`
-	// TraceID is the distributed trace the scan belonged to; zero for
-	// untraced scans (the legacy JSON shape is unchanged).
-	TraceID uint64 `json:"trace_id,omitempty"`
-	// Source is the layer that emitted the event: "server", "client", or
-	// "stream".
-	Source string `json:"source"`
-	Table  string `json:"table"`
-	Column string `json:"column,omitempty"`
-	// Client is the peer address for server-side events.
-	Client string `json:"client,omitempty"`
-
-	StartNS int64 `json:"start_ns"`
-	WallNS  int64 `json:"wall_ns"`
-
-	Pages       uint32 `json:"pages"`
-	Bytes       uint64 `json:"bytes"`
-	Rows        uint64 `json:"rows"`
-	AccelCycles uint64 `json:"accel_cycles,omitempty"`
-
-	Refreshed bool   `json:"refreshed"`
-	Degraded  bool   `json:"degraded,omitempty"`
-	Resumed   bool   `json:"resumed,omitempty"`
-	Retries   uint32 `json:"retries,omitempty"`
-	Err       string `json:"error,omitempty"`
-
-	QuarantinedPages uint32 `json:"quarantined_pages,omitempty"`
-	LanesRetired     uint32 `json:"lanes_retired,omitempty"`
-	SkippedTuples    uint64 `json:"skipped_tuples,omitempty"`
-	ReplayedChunks   uint32 `json:"replayed_chunks,omitempty"`
-
-	// Spans are copied from the scan's trace after it is published (and so
-	// immutable), joining the wide row to the per-phase timing breakdown.
-	Spans []Span `json:"spans,omitempty"`
-
-	// Anomalous is the recorder's tail-sampling verdict: anomalous events
-	// are always retained; healthy ones are 1-in-SampleEvery sampled.
-	Anomalous bool `json:"anomalous"`
-}
-
-// anomalous is the tail-sampling predicate: anything that failed, degraded,
-// retried, resumed, or shed work is worth keeping unconditionally.
-func (ev *ScanEvent) anomalous() bool {
-	return ev.Err != "" || ev.Degraded || ev.Resumed || ev.Retries > 0 ||
-		ev.QuarantinedPages > 0 || ev.LanesRetired > 0 || ev.SkippedTuples > 0 ||
-		ev.ReplayedChunks > 0
-}
-
-// flightEntity is the always-recorded identity pair of an offered event,
-// kept even when the wide event itself is sampled away, so per-window
+// flightEntity is the always-recorded identity pair of an offered record,
+// kept even when the record itself is sampled away, so per-window
 // distinct-table/client sketches see the full population.
 type flightEntity struct {
 	seq           uint64
 	table, client string
 }
 
-// DefaultFlightRing is how many wide events the recorder retains.
+// DefaultFlightRing is how many scan records the recorder retains.
 const DefaultFlightRing = 1024
 
-// DefaultFlightSample keeps one in this many healthy events (anomalous
-// events are always kept).
+// DefaultFlightSample keeps one in this many healthy records (anomalous
+// records are always kept).
 const DefaultFlightSample = 4
 
-// FlightRecorder is the always-on scan flight recorder: a bounded ring of
-// wide per-scan events with tail-based sampling. Every completed scan offers
-// one event; anomalous scans (errors, degradation, quarantine, retries) are
-// always retained, healthy scans are 1-in-N sampled so a long quiet stretch
-// cannot evict the interesting tail. A nil *FlightRecorder no-ops everywhere,
-// so recording sites never guard.
+// FlightRecorder is the tail-sampled view of the scan records: a bounded ring
+// in which anomalous scans (errors, degradation, quarantine, retries) are
+// always retained and healthy scans are 1-in-N sampled, so a long quiet
+// stretch cannot evict the interesting tail. /events, the timeline's entity
+// feed and the debug bundles read it. A nil *FlightRecorder no-ops everywhere.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	ring []ScanEvent
-	next int
+	mu       sync.Mutex
+	ring     Ring[*ScanRecord]
+	entities Ring[flightEntity]
 
-	entities    []flightEntity
-	entitiesNxt int
-
-	seq     uint64 // events offered (and sequence source)
-	kept    uint64
-	sampled uint64 // healthy events dropped by sampling
+	seq     uint64 // records offered (and sequence source)
+	sampled uint64 // healthy records dropped by sampling
 
 	sampleEvery uint64
 	healthySeen uint64
 }
 
-// NewFlightRecorder returns a recorder retaining up to capacity events
+// NewFlightRecorder returns a recorder retaining up to capacity records
 // (<=0 means DefaultFlightRing) and keeping one in sampleEvery healthy
-// events (<=0 means DefaultFlightSample; 1 keeps everything).
+// records (<=0 means DefaultFlightSample; 1 keeps everything).
 func NewFlightRecorder(capacity, sampleEvery int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightRing
@@ -114,75 +47,48 @@ func NewFlightRecorder(capacity, sampleEvery int) *FlightRecorder {
 		sampleEvery = DefaultFlightSample
 	}
 	return &FlightRecorder{
-		ring:        make([]ScanEvent, 0, capacity),
-		entities:    make([]flightEntity, 0, capacity),
+		ring:        NewRing[*ScanRecord](capacity),
+		entities:    NewRing[flightEntity](capacity),
 		sampleEvery: uint64(sampleEvery),
 	}
 }
 
-// Record offers one completed scan's wide event. The recorder assigns the
-// sequence number, applies the tail-sampling policy, and always notes the
-// event's (table, client) identity for the distinct-entity sketches even
-// when the wide row is sampled away. Nil-safe.
-func (f *FlightRecorder) Record(ev ScanEvent) {
-	if f == nil {
+// Record offers one scan record (*Obs).Publish finished — its one caller
+// outside tests. The recorder assigns the sequence number before the record
+// can be seen through it, applies the tail-sampling policy, and always notes
+// the (table, client) identity for the distinct-entity sketches even when
+// the record is sampled away. The caller must not mutate rec afterwards.
+func (f *FlightRecorder) Record(rec *ScanRecord) {
+	if f == nil || rec == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
-	ev.Seq = f.seq
-	ev.Anomalous = ev.anomalous()
+	rec.Seq = f.seq
+	f.entities.Push(flightEntity{seq: rec.Seq, table: rec.Table, client: rec.Client})
 
-	ent := flightEntity{seq: ev.Seq, table: ev.Table, client: ev.Client}
-	if len(f.entities) < cap(f.entities) {
-		f.entities = append(f.entities, ent)
-	} else {
-		f.entities[f.entitiesNxt] = ent
-		f.entitiesNxt = (f.entitiesNxt + 1) % len(f.entities)
-	}
-
-	if !ev.Anomalous {
+	if !rec.Anomalous {
 		f.healthySeen++
 		if f.sampleEvery > 1 && f.healthySeen%f.sampleEvery != 1 {
 			f.sampled++
 			return
 		}
 	}
-	f.kept++
-	if len(f.ring) < cap(f.ring) {
-		f.ring = append(f.ring, ev)
-	} else {
-		f.ring[f.next] = ev
-		f.next = (f.next + 1) % len(f.ring)
-	}
+	f.ring.Push(rec)
 }
 
-// Recent returns up to n retained events, newest first. Nil-safe.
-func (f *FlightRecorder) Recent(n int) []ScanEvent {
+// Recent returns up to n retained records, newest first. Nil-safe.
+func (f *FlightRecorder) Recent(n int) []*ScanRecord {
 	if f == nil || n <= 0 {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n > len(f.ring) {
-		n = len(f.ring)
-	}
-	out := make([]ScanEvent, 0, n)
-	// The newest event sits just behind the write cursor once the ring is
-	// full; while still filling, it is the last appended element.
-	newest := len(f.ring) - 1
-	if len(f.ring) == cap(f.ring) && cap(f.ring) > 0 {
-		newest = (f.next - 1 + len(f.ring)) % len(f.ring)
-	}
-	for i := 0; i < len(f.ring) && len(out) < n; i++ {
-		idx := (newest - i + 2*len(f.ring)) % len(f.ring)
-		out = append(out, f.ring[idx])
-	}
-	return out
+	return f.ring.Newest(n)
 }
 
-// EntitiesSince returns the (table, client) identities of events offered
+// EntitiesSince returns the (table, client) identities of records offered
 // after seq — all of them, retained or sampled away — oldest first, along
 // with the highest sequence number covered. Nil-safe.
 func (f *FlightRecorder) EntitiesSince(seq uint64) (tables, clients []string, last uint64) {
@@ -192,14 +98,8 @@ func (f *FlightRecorder) EntitiesSince(seq uint64) (tables, clients []string, la
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	last = seq
-	for i := 0; i < len(f.entities); i++ {
-		// Walk oldest → newest: the oldest entry sits at the write cursor
-		// once the ring is full, at index 0 while it is still filling.
-		idx := i
-		if len(f.entities) == cap(f.entities) && cap(f.entities) > 0 {
-			idx = (f.entitiesNxt + i) % len(f.entities)
-		}
-		e := f.entities[idx]
+	for i := 0; i < f.entities.Len(); i++ {
+		e := f.entities.At(i)
 		if e.seq <= seq {
 			continue
 		}
@@ -209,20 +109,18 @@ func (f *FlightRecorder) EntitiesSince(seq uint64) (tables, clients []string, la
 		if e.client != "" {
 			clients = append(clients, e.client)
 		}
-		if e.seq > last {
-			last = e.seq
-		}
+		last = max(last, e.seq)
 	}
 	return tables, clients, last
 }
 
-// Stats reports the recorder's accounting: events offered, events retained,
-// and healthy events dropped by sampling. Nil-safe.
+// Stats reports the recorder's accounting: records offered, records retained,
+// and healthy records dropped by sampling. Nil-safe.
 func (f *FlightRecorder) Stats() (offered, kept, sampledAway uint64) {
 	if f == nil {
 		return 0, 0, 0
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.seq, f.kept, f.sampled
+	return f.seq, f.seq - f.sampled, f.sampled
 }

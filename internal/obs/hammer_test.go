@@ -14,8 +14,8 @@ import (
 
 // TestRegistryScrapeHammer is the concurrency gate for the whole metrics
 // path (run it under -race): writer goroutines hammer counters, gauges,
-// distributions, trace publication, and GaugeFunc re-registration while a
-// scraper loops over the real /metrics handler. Every scrape must be a
+// distributions, scan-record publication, and GaugeFunc re-registration
+// while a scraper loops over the real /metrics, /scans and /events handlers. Every scrape must be a
 // well-formed exposition, and the hammered counter must read monotonically
 // non-decreasing across scrapes — a torn or racy read would show up as a
 // dip. The writers run until the scraper has seen enough overlapping
@@ -56,15 +56,23 @@ func TestRegistryScrapeHammer(t *testing.T) {
 					v := float64(i)
 					o.Reg.GaugeFunc("hammer_rewired", "", func() float64 { return v })
 				}
-				if i%100 == 0 {
-					tt := o.Trace.Start(uint64(w<<32+i), "hammer", "c0", 4)
-					tt.End(tt.Begin("accept"), int64(i))
-					o.Trace.Publish(tt)
-				}
 			}
 			counts[w] = int64(i)
 		}(w)
 	}
+	// One more writer hands scan records over through the single publish
+	// point while /scans and /events are read: a record must be finished and
+	// numbered before either view can see it, or -race reports the write.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < minIters || !stopWriters.Load(); i++ {
+			rec := StartScan(uint64(i), "server", "hammer", "c0", 4)
+			rec.Begin("accept") // left open: Publish closes it
+			rec.QuarantinedPages = uint32(i % 2)
+			o.Publish(rec)
+		}
+	}()
 
 	scrapeOnce := func(path string) []byte {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -87,8 +95,9 @@ func TestRegistryScrapeHammer(t *testing.T) {
 		if cur < prev {
 			t.Fatalf("hammer_total went backwards (%d -> %d)", prev, cur)
 		}
-		// Interleave a /scans read so the trace ring is hammered too.
+		// Interleave reads of both views over the published scan records.
 		scrapeOnce("/scans?n=8")
+		scrapeOnce("/events?n=8")
 		return cur
 	}
 

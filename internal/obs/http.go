@@ -12,14 +12,16 @@ import (
 //
 //	/metrics        Prometheus text exposition of every registered metric
 //	/healthz        200 "ok" (or 503 + reason when healthy() returns an error)
-//	/scans          recent scan traces as JSON, newest first (?n=K, default 32)
+//	/scans          the most recent scan records as JSON, newest first (?n=K,
+//	                default 32): every scan, evicted strictly by age
 //	/traces         one assembled distributed trace as JSON (?id=<trace id>,
 //	                hex or decimal): client-reported spans stitched with every
 //	                server scan that continued the trace, redials included
 //	/debug/tracez   the same assembled trace as Chrome trace-event JSON,
 //	                loadable in Perfetto / chrome://tracing (?id=<trace id>)
-//	/events         flight-recorder wide events as JSON, newest first
-//	                (?n=K, default 64); tail-sampled, anomalous scans always kept
+//	/events         the same records through the flight recorder's tail-sampled
+//	                ring, newest first (?n=K, default 64): anomalous scans
+//	                always kept, healthy ones 1-in-N
 //	/debug/hwprof   simulated-hardware cycle profile in pprof wire format
 //	                (?seconds=N for a delta window, ?format=text for the
 //	                line-oriented form histcli's renderers consume)
@@ -46,35 +48,16 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 
-	mux.HandleFunc("/scans", func(w http.ResponseWriter, r *http.Request) {
-		n := 32
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 {
-				http.Error(w, "scans: n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		traces := o.Tracer().Recent(n)
-		if traces == nil {
-			traces = []*ScanTrace{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(traces)
-	})
+	// The views are looked up per request, so a bundle whose Trace or Flight is
+	// swapped after the handler is mounted is still served from the live one.
+	mux.HandleFunc("/scans", recordsHandler("scans", 32, func(n int) []*ScanRecord { return o.Tracer().Recent(n) }))
 
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		at, ok := assembleParam(w, r, o)
 		if !ok {
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(at)
+		WriteJSON(w, at)
 	})
 
 	mux.HandleFunc("/debug/tracez", func(w http.ResponseWriter, r *http.Request) {
@@ -86,25 +69,7 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 		WriteTraceEvents(w, at)
 	})
 
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 {
-				http.Error(w, "events: n must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		events := o.FlightRec().Recent(n)
-		if events == nil {
-			events = []ScanEvent{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(events)
-	})
+	mux.HandleFunc("/events", recordsHandler("events", 64, func(n int) []*ScanRecord { return o.FlightRec().Recent(n) }))
 
 	mux.HandleFunc("/debug/hwprof", func(w http.ResponseWriter, r *http.Request) {
 		p := o.Profiler()
@@ -152,6 +117,35 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
+}
+
+// recordsHandler serves one view over the published scan records: up to ?n=
+// of them (def when absent), newest first, in the record's one JSON shape.
+func recordsHandler(name string, def int, recent func(int) []*ScanRecord) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := def
+		if q := r.URL.Query().Get("n"); q != "" {
+			v, err := strconv.Atoi(q)
+			if err != nil || v <= 0 {
+				http.Error(w, name+": n must be a positive integer", http.StatusBadRequest)
+				return
+			}
+			n = v
+		}
+		recs := recent(n)
+		if recs == nil {
+			recs = []*ScanRecord{}
+		}
+		WriteJSON(w, recs)
+	}
+}
+
+// WriteJSON is how every introspection endpoint answers: indented JSON.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 }
 
 // ParseTraceID parses a trace ID as printed by the tools: canonical

@@ -28,7 +28,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byt
 func TestHandlerEndpoints(t *testing.T) {
 	o := New()
 	o.Reg.Counter("streamhist_httptest_total", "docs").Add(11)
-	tt := o.Trace.Start(42, "lineitem", "l_quantity", 4)
+	tt := StartScan(42, "server", "lineitem", "l_quantity", 4)
 	tt.End(tt.Begin("accept"), 0)
 	o.Trace.Publish(tt)
 
@@ -72,7 +72,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/scans content type %q", ct)
 	}
-	var traces []ScanTrace
+	var traces []ScanRecord
 	if err := json.Unmarshal(body, &traces); err != nil {
 		t.Fatalf("/scans JSON: %v\n%s", err, body)
 	}

@@ -8,9 +8,11 @@ import (
 )
 
 // Obs bundles the observability facilities a component needs: the metrics
-// registry, the scan tracer, the hardware-cycle profiler, and a structured
-// logger. A nil *Obs is valid everywhere (all accessors degrade to no-ops),
-// so components accept one without guarding.
+// registry, the two views over published scan records (Trace keeps every
+// recent scan, Flight tail-samples so anomalous ones outlive a quiet
+// stretch), the hardware-cycle profiler, and a structured logger. A nil *Obs
+// is valid everywhere (all accessors degrade to no-ops), so components accept
+// one without guarding; so is a bundle with any field left nil.
 type Obs struct {
 	Reg    *Registry
 	Trace  *Tracer
@@ -29,6 +31,34 @@ func New() *Obs {
 		Prof:   hwprof.New(),
 		Log:    NopLogger(),
 		Flight: NewFlightRecorder(0, 0),
+	}
+}
+
+// Publish is the single hand-over point of a scan's record. It finalises the
+// record — the wall clock is stamped once, spans a failing stage left open
+// are closed, the tail-sampling verdict is computed — then offers the same
+// pointer to the flight recorder (which assigns Seq before anything can read
+// the record through it) and to the recent-scans ring, and emits the scan's
+// one log line. The record is immutable from here on: every reader, and the
+// caller's latency observation, sees the same ID, trace ID, start and wall
+// time. Nil-safe in both arguments; a nil bundle still finalises the record,
+// so a client with no bundle ships closed spans in its trailer.
+func (o *Obs) Publish(rec *ScanRecord) {
+	if rec == nil {
+		return
+	}
+	rec.seal()
+	if o == nil {
+		return
+	}
+	o.Flight.Record(rec)
+	o.Trace.Publish(rec)
+	level, msg := slog.LevelInfo, "scan served"
+	if rec.Err != "" {
+		level, msg = slog.LevelWarn, "scan failed"
+	}
+	if log := o.Logger(); log.Enabled(context.Background(), level) {
+		log.LogAttrs(context.Background(), level, msg, rec.LogValue().Group()...)
 	}
 }
 

@@ -167,18 +167,23 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var tr *Tracer
-	tt := tr.Start(1, "t", "c", 4)
-	if tt != nil {
-		t.Fatal("nil tracer handed out a live trace")
-	}
+	var tt *ScanRecord
 	tt.End(tt.Begin("x"), 1)
 	tt.AddSpan("x", 0, 0, 0, 0, false)
 	tr.Publish(tt)
-	if tr.Total() != 0 || tr.Recent(4) != nil {
+	tr.Publish(StartScan(1, "server", "t", "c", 4))
+	if tr.Recent(4) != nil {
 		t.Fatal("nil tracer reported published traces")
 	}
 
 	var o *Obs
+	o.Publish(tt)
+	live := StartScan(2, "client", "t", "c", 4)
+	live.Begin("scan")
+	o.Publish(live)
+	if live.WallNS <= 0 || live.Spans[0].DurNS <= 0 {
+		t.Fatalf("nil Obs did not finalise the record: %+v", live)
+	}
 	if o.Registry() != nil || o.Tracer() != nil {
 		t.Fatal("nil Obs handed out live facilities")
 	}

@@ -130,9 +130,7 @@ type engine struct {
 	dets []Detector
 
 	lastTrip map[string]time.Time
-	ring     []Anomaly
-	next     int
-	n        int
+	ring     obs.Ring[Anomaly]
 	trips    uint64
 
 	counters  map[string]*obs.Counter
@@ -144,7 +142,7 @@ func newEngine(t *Timeline, dets []Detector) *engine {
 		t:        t,
 		dets:     make([]Detector, 0, len(dets)),
 		lastTrip: make(map[string]time.Time, len(dets)),
-		ring:     make([]Anomaly, defaultAnomalyRing),
+		ring:     obs.NewRing[Anomaly](defaultAnomalyRing),
 		counters: make(map[string]*obs.Counter, len(dets)),
 	}
 	for _, d := range dets {
@@ -179,11 +177,7 @@ func (e *engine) evaluate(now time.Time) {
 		e.trips++
 		e.counters[d.Name].Inc()
 		e.t.writeBundleLocked(&a, now)
-		e.ring[e.next] = a
-		e.next = (e.next + 1) % len(e.ring)
-		if e.n < len(e.ring) {
-			e.n++
-		}
+		e.ring.Push(a)
 		e.t.cfg.Log.Warn("anomaly detected",
 			"detector", a.Detector, "metric", a.Metric,
 			"value", a.Value, "threshold", a.Threshold, "bundle", a.Bundle)
@@ -275,19 +269,7 @@ func (t *Timeline) Anomalies(n int) []Anomaly {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.eng
-	if n > e.n {
-		n = e.n
-	}
-	out := make([]Anomaly, 0, n)
-	newest := e.n - 1
-	if e.n == len(e.ring) {
-		newest = (e.next - 1 + len(e.ring)) % len(e.ring)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, e.ring[(newest-i+2*len(e.ring))%len(e.ring)])
-	}
-	return out
+	return t.eng.ring.Newest(n)
 }
 
 // Trips returns the total number of detector trips. Nil-safe.

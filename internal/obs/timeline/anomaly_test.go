@@ -153,7 +153,7 @@ func TestTripWritesDebugBundle(t *testing.T) {
 		BundleLimit: 2,
 		Cooldown:    time.Nanosecond,
 	})
-	fr.Record(obs.ScanEvent{ScanID: 7, Table: "lineitem", QuarantinedPages: 3})
+	fr.Record(&obs.ScanRecord{ID: 7, Table: "lineitem", QuarantinedPages: 3})
 
 	now := testEpoch
 	tl.Tick(now)
@@ -220,12 +220,12 @@ func TestTripWritesDebugBundle(t *testing.T) {
 	if !found {
 		t.Error("timeline.json does not replay the WAL-drop burst")
 	}
-	var evs []obs.ScanEvent
+	var evs []obs.ScanRecord
 	raw, _ = os.ReadFile(filepath.Join(a.Bundle, "events.json"))
 	if err := json.Unmarshal(raw, &evs); err != nil {
 		t.Fatalf("events.json: %v", err)
 	}
-	if len(evs) != 1 || evs[0].ScanID != 7 {
+	if len(evs) != 1 || evs[0].ID != 7 {
 		t.Errorf("events.json = %+v", evs)
 	}
 

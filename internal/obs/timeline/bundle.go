@@ -57,7 +57,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 		man.Files = append(man.Files, "timeline.json")
 	}
 
-	// Flight-recorder dump: every retained wide event.
+	// Flight-recorder dump: every scan record tail sampling retained.
 	if evs := t.cfg.Flight.Recent(1 << 20); len(evs) > 0 {
 		if writeJSON(filepath.Join(name, "events.json"), evs) == nil {
 			man.Files = append(man.Files, "events.json")
@@ -98,15 +98,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 
 	// Recent anomaly history (this trip is appended after the bundle write,
 	// so the file holds the trips that preceded it).
-	if e := t.eng; e.n > 0 {
-		hist := make([]Anomaly, 0, e.n)
-		for i := 0; i < e.n; i++ {
-			idx := i
-			if e.n == len(e.ring) {
-				idx = (e.next + i) % len(e.ring)
-			}
-			hist = append(hist, e.ring[idx])
-		}
+	if hist := t.eng.ring.Oldest(t.eng.ring.Len()); len(hist) > 0 {
 		if writeJSON(filepath.Join(name, "anomalies.json"), hist) == nil {
 			man.Files = append(man.Files, "anomalies.json")
 		}
@@ -157,16 +149,7 @@ func bundleName(seq uint64, detector string, now time.Time) string {
 			return '-'
 		}
 	}, detector)
-	return "bundle-" + pad6(seq) + "-" + safe + "-" + now.UTC().Format("20060102T150405")
-}
-
-func pad6(n uint64) string {
-	s := make([]byte, 6)
-	for i := 5; i >= 0; i-- {
-		s[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(s)
+	return fmt.Sprintf("bundle-%06d-%s-%s", seq, safe, now.UTC().Format("20060102T150405"))
 }
 
 // pruneBundles removes the oldest bundle directories beyond BundleLimit.

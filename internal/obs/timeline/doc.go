@@ -18,9 +18,10 @@
 //     (merged into coarser windows with the sketch package's pointwise-max
 //     HLL merge), exposed as the synthetic timeline_distinct_* series.
 //
-//   - The flight recorder (obs.FlightRecorder) feeds the timeline one wide
-//     event per scan; the timeline drains it each tick for the distinct-
-//     entity sketches, and /events serves its tail-sampled ring directly.
+//   - The flight recorder (obs.FlightRecorder) is offered every published
+//     scan record; the timeline drains its entity feed each tick for the
+//     distinct-entity sketches (every offered record, sampled away or not),
+//     and /events serves its tail-sampled ring directly.
 //
 //   - An anomaly engine runs burn-rate-style detectors over the base ring
 //     after every sealed window: throughput drop versus a trailing mean,

@@ -22,7 +22,7 @@ func TestBundleIncludesExemplarTraces(t *testing.T) {
 
 	d := reg.Distribution("streamhist_scan_seconds", "docs", 1e-9)
 	d.ObserveWithExemplar(2_000_000, traceID)
-	st := tracer.Start(1, "lineitem", "l_tax", 4)
+	st := obs.StartScan(1, "server", "lineitem", "l_tax", 4)
 	st.EnableTrace(traceID, 0, obs.SpanSideServer)
 	st.End(st.Begin("accept"), 0)
 	tracer.Publish(st)

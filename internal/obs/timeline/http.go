@@ -1,7 +1,6 @@
 package timeline
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -32,7 +31,7 @@ func Handler(t *Timeline, o *obs.Obs, healthy func() error) http.Handler {
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		metric := r.URL.Query().Get("metric")
 		if metric == "" {
-			writeJSONResp(w, struct {
+			obs.WriteJSON(w, struct {
 				Resolutions []string `json:"resolutions"`
 				Metrics     []string `json:"metrics"`
 				Trips       uint64   `json:"anomaly_trips"`
@@ -46,7 +45,7 @@ func Handler(t *Timeline, o *obs.Obs, healthy func() error) http.Handler {
 				metric, r.URL.Query().Get("res")), http.StatusNotFound)
 			return
 		}
-		writeJSONResp(w, sd)
+		obs.WriteJSON(w, sd)
 	})
 
 	mux.HandleFunc("/anomalies", func(w http.ResponseWriter, r *http.Request) {
@@ -63,7 +62,7 @@ func Handler(t *Timeline, o *obs.Obs, healthy func() error) http.Handler {
 		if out == nil {
 			out = []Anomaly{}
 		}
-		writeJSONResp(w, out)
+		obs.WriteJSON(w, out)
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -83,11 +82,4 @@ func Handler(t *Timeline, o *obs.Obs, healthy func() error) http.Handler {
 	})
 
 	return mux
-}
-
-func writeJSONResp(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -169,7 +169,7 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 	// /events replays the individual scans: wide events flagged anomalous by
 	// the fault fallout (degraded, resumed, retried), scan IDs matching the
 	// /scans traces.
-	var evs []obs.ScanEvent
+	var evs []obs.ScanRecord
 	if err := json.Unmarshal(get("/events"), &evs); err != nil {
 		t.Fatalf("decoding /events: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 		if ev.Source != "server" {
 			continue
 		}
-		ids[ev.ScanID] = true
+		ids[ev.ID] = true
 		if ev.Anomalous {
 			anomalous++
 		}
@@ -187,7 +187,7 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 	if anomalous == 0 {
 		t.Errorf("no anomalous events in /events: %+v", evs)
 	}
-	var traces []obs.ScanTrace
+	var traces []obs.ScanRecord
 	if err := json.Unmarshal(get("/scans"), &traces); err != nil {
 		t.Fatalf("decoding /scans: %v", err)
 	}

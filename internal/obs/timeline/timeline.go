@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -54,17 +55,18 @@ func DefaultResolutions() []Res {
 // into a resolution list.
 func ParseResolutions(s string) ([]Res, error) {
 	var out []Res
-	for _, part := range splitComma(s) {
-		i := indexByte(part, ':')
-		if i < 0 {
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		stepStr, lenStr, ok := strings.Cut(part, ":")
+		if !ok {
 			return nil, fmt.Errorf("timeline: resolution %q: want step:len", part)
 		}
-		step, err := time.ParseDuration(part[:i])
+		step, err := time.ParseDuration(stepStr)
 		if err != nil {
 			return nil, fmt.Errorf("timeline: resolution %q: %v", part, err)
 		}
 		var n int
-		if _, err := fmt.Sscanf(part[i+1:], "%d", &n); err != nil || n <= 0 {
+		if _, err := fmt.Sscanf(lenStr, "%d", &n); err != nil || n <= 0 {
 			return nil, fmt.Errorf("timeline: resolution %q: bad length", part)
 		}
 		out = append(out, Res{Step: step, Len: n})
@@ -73,37 +75,6 @@ func ParseResolutions(s string) ([]Res, error) {
 		return nil, fmt.Errorf("timeline: no resolutions in %q", s)
 	}
 	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			out = append(out, trimSpace(s[start:i]))
-			start = i + 1
-		}
-	}
-	return append(out, trimSpace(s[start:]))
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // Defaults for Config fields left zero.
@@ -204,9 +175,7 @@ type window struct {
 // bins.Vector for distributions, an HLL for the distinct-entity series.
 type resRing struct {
 	stepTicks int // window length in base windows (1 for the base tier)
-	ring      []window
-	head      int // next write slot
-	n         int // slots filled
+	ring      obs.Ring[window]
 
 	acc      float64
 	accSet   bool // gauge: a reading landed in this window
@@ -214,17 +183,6 @@ type resRing struct {
 	accCount int64
 	accSum   int64
 	accHLL   *sketch.HLL
-}
-
-func (rr *resRing) seal(w window) {
-	if len(rr.ring) == 0 {
-		return
-	}
-	rr.ring[rr.head] = w
-	rr.head = (rr.head + 1) % len(rr.ring)
-	if rr.n < len(rr.ring) {
-		rr.n++
-	}
 }
 
 // series is one tracked metric across all resolutions.
@@ -413,7 +371,7 @@ func (t *Timeline) getOrCreate(name string, kind seriesKind, scale float64) *ser
 		if i > 0 {
 			st = int(r.Step / t.res[0].Step)
 		}
-		s.rings[i] = resRing{stepTicks: st, ring: make([]window, r.Len)}
+		s.rings[i] = resRing{stepTicks: st, ring: obs.NewRing[window](r.Len)}
 	}
 	t.series[name] = s
 	t.order = append(t.order, s)
@@ -560,13 +518,13 @@ func (t *Timeline) sealSeries(s *series, endMS int64) {
 	baseSealed := t.ticks / uint64(t.baseTicks)
 	base := &s.rings[0]
 	w := closeOpen(s, base, endMS)
-	base.seal(w)
+	base.ring.Push(w)
 
 	for i := 1; i < len(s.rings); i++ {
 		rr := &s.rings[i]
 		t.foldBase(s, rr, base, w)
 		if baseSealed%uint64(rr.stepTicks) == 0 {
-			rr.seal(closeOpen(s, rr, endMS))
+			rr.ring.Push(closeOpen(s, rr, endMS))
 			resetOpen(s, rr)
 		}
 	}
@@ -728,22 +686,16 @@ func (t *Timeline) seriesLocked(metric, res string) (SeriesData, bool) {
 			return SeriesData{}, false
 		}
 	}
-	rr := &s.rings[ri]
+	ring := &s.rings[ri].ring
 	out := SeriesData{
 		Metric: s.name,
 		Kind:   s.kind.String(),
 		Res:    t.res[ri].Label(),
 		StepMS: t.res[ri].Step.Milliseconds(),
-		Points: make([]Point, 0, rr.n),
+		Points: make([]Point, 0, ring.Len()),
 	}
-	// Oldest window sits at the write cursor once the ring is full, at 0
-	// while still filling.
-	for i := 0; i < rr.n; i++ {
-		idx := i
-		if rr.n == len(rr.ring) {
-			idx = (rr.head + i) % len(rr.ring)
-		}
-		w := rr.ring[idx]
+	for i := 0; i < ring.Len(); i++ {
+		w := ring.At(i)
 		out.Points = append(out.Points, Point{T: w.endMS, V: w.val, Sum: w.sum, P50: w.p50, P90: w.p90, P99: w.p99})
 	}
 	return out, true
@@ -793,17 +745,10 @@ func (t *Timeline) lastVals(metric string, n int) []float64 {
 	if !ok || n <= 0 {
 		return nil
 	}
-	rr := &s.rings[0]
-	if n > rr.n {
-		n = rr.n
-	}
-	out := make([]float64, 0, n)
-	for i := rr.n - n; i < rr.n; i++ {
-		idx := i
-		if rr.n == len(rr.ring) {
-			idx = (rr.head + i) % len(rr.ring)
-		}
-		out = append(out, rr.ring[idx].val)
+	ring := &s.rings[0].ring
+	out := make([]float64, min(n, ring.Len()))
+	for i := range out {
+		out[i] = ring.At(ring.Len() - len(out) + i).val
 	}
 	return out
 }

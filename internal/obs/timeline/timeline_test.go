@@ -1,7 +1,9 @@
 package timeline
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -160,7 +162,7 @@ func TestDistinctEntitySketches(t *testing.T) {
 	})
 
 	for i := 0; i < 30; i++ {
-		fr.Record(obs.ScanEvent{
+		fr.Record(&obs.ScanRecord{
 			Table:  fmt.Sprintf("table%d", i%5),
 			Client: fmt.Sprintf("10.0.0.%d:555", i%3),
 		})
@@ -188,7 +190,7 @@ func TestDistinctEntitySketches(t *testing.T) {
 	tl2 := New(Config{Registry: obs.NewRegistry(), Flight: fr2,
 		Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
 	for i := 0; i < 20; i++ {
-		fr2.Record(obs.ScanEvent{Table: fmt.Sprintf("t%d", i)})
+		fr2.Record(&obs.ScanRecord{Table: fmt.Sprintf("t%d", i)})
 	}
 	tickN(tl2, testEpoch, 1)
 	td2, _ := tl2.Series(MetricDistinctTables, "")
@@ -318,15 +320,42 @@ func TestTimelineRaceHammer(t *testing.T) {
 				}
 				c.Inc()
 				d.Observe(int64(i%1000) * 1000)
-				fr.Record(obs.ScanEvent{Table: fmt.Sprintf("t%d", i%7), Client: "c", QuarantinedPages: uint32(i % 2)})
+				fr.Record(&obs.ScanRecord{Table: fmt.Sprintf("t%d", i%7), Client: "c", QuarantinedPages: uint32(i % 2)})
 			}
 		}(w)
 	}
+	// One more writer goes through the single publish point, and the readers
+	// below decode both record views while it runs.
+	o := &obs.Obs{Reg: reg, Flight: fr, Trace: obs.NewTracer(8)}
+	handler := Handler(tl, o, nil)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := obs.StartScan(uint64(i), "server", "hammer", "c", 4)
+			rec.Begin("stream") // left open: Publish closes it
+			rec.LanesRetired = uint32(i % 2)
+			o.Publish(rec)
+		}
+	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				for _, path := range []string{"/scans?n=8", "/events?n=8"} {
+					rec := httptest.NewRecorder()
+					handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+					var rows []obs.ScanRecord
+					if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
+						t.Errorf("decoding %s mid-hammer: %v", path, err)
+					}
+				}
 				tl.Series("hammer_total", "")
 				tl.Series("hammer_seconds", "3s")
 				tl.Metrics()

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Span is one timed phase of a scan: request decode, page streaming, one
@@ -25,6 +24,9 @@ type Span struct {
 	// Retired marks a lane span whose lane was removed by the supervisor;
 	// its partial hardware accounting was discarded.
 	Retired bool `json:"retired,omitempty"`
+	// open marks a span Begin opened and End has not closed yet; publishing
+	// the record closes it at the record's end.
+	open bool
 	// SpanID and ParentID place the span in a distributed trace tree. Both
 	// are zero outside distributed tracing, so the legacy JSON shape is
 	// unchanged for untraced scans.
@@ -33,43 +35,6 @@ type Span struct {
 	// Source names the process that recorded the span ("client", "server");
 	// filled in during cross-process assembly, empty inside one process.
 	Source string `json:"source,omitempty"`
-}
-
-// ScanTrace is the per-scan trace record. It has a single-writer lifecycle:
-// the serving goroutine mutates it while the scan runs and publishes it to
-// the tracer's ring exactly once, after which it is immutable — readers only
-// ever see published traces. The span slab is allocated once at Start (sized
-// by the expected span count), never per page. All methods are nil-safe so
-// an unwired tracer costs one pointer check per scan phase.
-type ScanTrace struct {
-	ID     uint64 `json:"id"`
-	Table  string `json:"table"`
-	Column string `json:"column,omitempty"`
-	// StartNS is the scan's start in unix nanoseconds.
-	StartNS int64 `json:"start_ns"`
-	// WallNS is the scan's total wall-clock duration.
-	WallNS int64 `json:"wall_ns"`
-	// AccelCycles is the scan's simulated accelerator total (max lane
-	// critical path + aggregation + histogram chain): the lane spans'
-	// maximum HWCycles plus the merge span's HWCycles reproduce it.
-	AccelCycles uint64 `json:"accel_cycles"`
-	Refreshed   bool   `json:"refreshed"`
-	Degraded    bool   `json:"degraded"`
-	Err         string `json:"error,omitempty"`
-	// TraceID links this scan into a distributed trace: the client
-	// originates the ID, the server continues it from the wire. Zero for
-	// untraced scans, which keeps the legacy JSON shape byte-identical.
-	TraceID uint64 `json:"trace_id,omitempty"`
-	// ParentSpanID is the remote span this scan's root parents under (the
-	// client's root scan span, carried in the request's trace context).
-	ParentSpanID uint64 `json:"parent_span_id,omitempty"`
-	// RootSpanID is the span every locally recorded span parents under by
-	// default; derived deterministically from TraceID and the side salt.
-	RootSpanID uint64 `json:"root_span_id,omitempty"`
-	Spans      []Span `json:"spans"`
-
-	begin time.Time // monotonic anchor for Begin/End
-	side  uint64    // span-ID derivation salt while tracing
 }
 
 // Span-ID derivation salts: one per process role, so the two sides of a
@@ -113,127 +78,14 @@ func DeriveSpanID(traceID, side uint64, n int) uint64 {
 	return x
 }
 
-// EnableTrace joins this scan to a distributed trace: subsequent Begin and
-// AddSpan calls assign span IDs derived from traceID under the given side
-// salt, parented under the scan's root span. Returns the root span ID (zero
-// when t is nil or traceID is zero — tracing stays off and the record keeps
-// its legacy shape).
-func (t *ScanTrace) EnableTrace(traceID, parentSpanID, side uint64) uint64 {
-	if t == nil || traceID == 0 {
-		return 0
-	}
-	t.TraceID = traceID
-	t.ParentSpanID = parentSpanID
-	t.side = side
-	t.RootSpanID = DeriveSpanID(traceID, side, 0)
-	return t.RootSpanID
-}
-
-// Begin opens a wall-clock span and returns its index for End. Nil-safe.
-func (t *ScanTrace) Begin(name string) int {
-	if t == nil {
-		return -1
-	}
-	t.Spans = append(t.Spans, Span{
-		Name:    name,
-		Lane:    -1,
-		StartNS: t.StartNS + int64(time.Since(t.begin)),
-	})
-	idx := len(t.Spans) - 1
-	t.assignID(idx)
-	return idx
-}
-
-// BeginRoot opens the trace's root span: it takes the root span ID itself
-// and parents under the remote ParentSpanID instead of the local root. The
-// side that originates a trace records its root explicitly (the spans ship
-// across the wire); the continuing side's root is synthesized at assembly.
-func (t *ScanTrace) BeginRoot(name string) int {
-	idx := t.Begin(name)
-	if idx >= 0 && t.TraceID != 0 {
-		t.Spans[idx].SpanID = t.RootSpanID
-		t.Spans[idx].ParentID = t.ParentSpanID
-	}
-	return idx
-}
-
-// assignID gives span idx its derived ID and default root parent when the
-// trace is distributed; a no-op (all zeros) otherwise.
-func (t *ScanTrace) assignID(idx int) {
-	if t.TraceID == 0 {
-		return
-	}
-	sp := &t.Spans[idx]
-	sp.SpanID = DeriveSpanID(t.TraceID, t.side, idx+1)
-	sp.ParentID = t.RootSpanID
-}
-
-// SpanIDAt returns the distributed span ID of span idx (zero when the trace
-// is not distributed or idx is out of range). Nil-safe.
-func (t *ScanTrace) SpanIDAt(idx int) uint64 {
-	if t == nil || idx < 0 || idx >= len(t.Spans) {
-		return 0
-	}
-	return t.Spans[idx].SpanID
-}
-
-// Reparent moves span idx under parentID — how lane spans nest under the
-// streaming phase instead of the root. Nil-safe, no-op outside tracing.
-func (t *ScanTrace) Reparent(idx int, parentID uint64) {
-	if t == nil || idx < 0 || idx >= len(t.Spans) || t.TraceID == 0 || parentID == 0 {
-		return
-	}
-	t.Spans[idx].ParentID = parentID
-}
-
-// End closes the span opened by Begin, attributing hw simulated cycles.
-func (t *ScanTrace) End(idx int, hwCycles int64) {
-	if t == nil || idx < 0 || idx >= len(t.Spans) {
-		return
-	}
-	sp := &t.Spans[idx]
-	sp.DurNS = t.StartNS + int64(time.Since(t.begin)) - sp.StartNS
-	sp.HWCycles = hwCycles
-}
-
-// AddSpan records a span whose endpoints were captured elsewhere (lane
-// goroutines record their own start/end into atomics; the serving goroutine
-// copies them here after joining the lane). Zero start/end fall back to the
-// trace's own window so a lane that never ran still renders.
-func (t *ScanTrace) AddSpan(name string, lane int, startNS, endNS, hwCycles int64, retired bool) int {
-	if t == nil {
-		return -1
-	}
-	now := t.StartNS + int64(time.Since(t.begin))
-	if startNS == 0 {
-		startNS = t.StartNS
-	}
-	if endNS == 0 || endNS < startNS {
-		endNS = now
-	}
-	t.Spans = append(t.Spans, Span{
-		Name:     name,
-		Lane:     lane,
-		StartNS:  startNS,
-		DurNS:    endNS - startNS,
-		HWCycles: hwCycles,
-		Retired:  retired,
-	})
-	idx := len(t.Spans) - 1
-	t.assignID(idx)
-	return idx
-}
-
-// Tracer keeps the most recent published scan traces in a fixed ring, plus
-// a bounded store of client-reported span sets for cross-process assembly.
-// Nil tracers hand out nil traces, so tracing disables to pointer checks.
+// Tracer is the recent-scans view: every published scan record, in a fixed
+// ring that evicts strictly by age, plus a bounded store of client-reported
+// span sets for cross-process assembly. /scans, TracesFor and Assemble read
+// it. A nil tracer no-ops everywhere.
 type Tracer struct {
 	mu      sync.Mutex
-	ring    []*ScanTrace
-	next    int
-	total   uint64
-	reports []reportEntry
-	rnext   int
+	ring    Ring[*ScanRecord]
+	reports Ring[reportEntry]
 }
 
 // reportEntry is one client-shipped span set, keyed by trace ID.
@@ -253,90 +105,37 @@ const DefaultReportRing = 64
 // honest report is never cut and a replayed one cannot grow its slot.
 const MaxReportSpans = 4096
 
-// NewTracer returns a tracer retaining the last capacity published traces
+// NewTracer returns a tracer retaining the last capacity published records
 // (capacity <= 0 means DefaultTraceRing).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceRing
 	}
 	return &Tracer{
-		ring:    make([]*ScanTrace, capacity),
-		reports: make([]reportEntry, DefaultReportRing),
+		ring:    NewRing[*ScanRecord](capacity),
+		reports: NewRing[reportEntry](DefaultReportRing),
 	}
 }
 
-// StartScanTrace opens a scan trace record outside any tracer — the client
-// side records spans this way even when it has no local ring to publish to,
-// because the spans' real destination is the trailer frame. spanCap sizes
-// the span slab (expected span count); the slab grows if the estimate is
-// short, but a correct estimate means one allocation per scan.
-func StartScanTrace(id uint64, table, column string, spanCap int) *ScanTrace {
-	if spanCap < 4 {
-		spanCap = 4
-	}
-	now := time.Now()
-	return &ScanTrace{
-		ID:      id,
-		Table:   table,
-		Column:  column,
-		StartNS: now.UnixNano(),
-		Spans:   make([]Span, 0, spanCap),
-		begin:   now,
-	}
-}
-
-// Start opens a trace for one scan. spanCap sizes the span slab (expected
-// span count: lanes + a few fixed phases); the slab grows if the estimate is
-// short, but a correct estimate means one allocation per scan.
-func (tr *Tracer) Start(id uint64, table, column string, spanCap int) *ScanTrace {
-	if tr == nil {
-		return nil
-	}
-	return StartScanTrace(id, table, column, spanCap)
-}
-
-// Publish finalises the trace's wall clock and makes it visible to readers.
-// The caller must not mutate t afterwards.
-func (tr *Tracer) Publish(t *ScanTrace) {
-	if tr == nil || t == nil {
+// Publish makes a record (*Obs).Publish finished — its one caller outside
+// tests — visible to readers. The caller must not mutate rec afterwards.
+func (tr *Tracer) Publish(rec *ScanRecord) {
+	if tr == nil || rec == nil {
 		return
 	}
-	t.WallNS = int64(time.Since(t.begin))
 	tr.mu.Lock()
-	tr.ring[tr.next] = t
-	tr.next = (tr.next + 1) % len(tr.ring)
-	tr.total++
+	tr.ring.Push(rec)
 	tr.mu.Unlock()
 }
 
-// Total returns how many traces have ever been published.
-func (tr *Tracer) Total() uint64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
-}
-
-// Recent returns up to n published traces, newest first.
-func (tr *Tracer) Recent(n int) []*ScanTrace {
+// Recent returns up to n published records, newest first.
+func (tr *Tracer) Recent(n int) []*ScanRecord {
 	if tr == nil || n <= 0 {
 		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if n > len(tr.ring) {
-		n = len(tr.ring)
-	}
-	out := make([]*ScanTrace, 0, n)
-	for i := 0; i < len(tr.ring) && len(out) < n; i++ {
-		idx := (tr.next - 1 - i + 2*len(tr.ring)) % len(tr.ring)
-		if t := tr.ring[idx]; t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
+	return tr.ring.Newest(n)
 }
 
 // Report stores a client-shipped span set for later assembly. A second
@@ -350,23 +149,27 @@ func (tr *Tracer) Report(traceID uint64, spans []Span) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.reports) == 0 {
-		tr.reports = make([]reportEntry, DefaultReportRing)
-	}
-	for i := range tr.reports {
-		if e := &tr.reports[i]; e.traceID == traceID {
-			if room := MaxReportSpans - len(e.spans); len(spans) > room {
-				spans = spans[:room]
-			}
-			e.spans = append(e.spans, spans...)
-			return
+	if e := tr.report(traceID); e != nil {
+		if room := MaxReportSpans - len(e.spans); len(spans) > room {
+			spans = spans[:room]
 		}
+		e.spans = append(e.spans, spans...)
+		return
 	}
 	if len(spans) > MaxReportSpans {
 		spans = spans[:MaxReportSpans]
 	}
-	tr.reports[tr.rnext] = reportEntry{traceID: traceID, spans: spans}
-	tr.rnext = (tr.rnext + 1) % len(tr.reports)
+	tr.reports.Push(reportEntry{traceID: traceID, spans: spans})
+}
+
+// report finds traceID's stored span set, nil if none. Caller holds tr.mu.
+func (tr *Tracer) report(traceID uint64) *reportEntry {
+	for i := 0; i < tr.reports.Len(); i++ {
+		if e := tr.reports.At(i); e.traceID == traceID {
+			return e
+		}
+	}
+	return nil
 }
 
 // Reported returns the client-shipped spans stored for traceID, nil if none.
@@ -376,35 +179,32 @@ func (tr *Tracer) Reported(traceID uint64) []Span {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for i := range tr.reports {
-		if tr.reports[i].traceID == traceID {
-			return tr.reports[i].spans
-		}
+	if e := tr.report(traceID); e != nil {
+		return e.spans
 	}
 	return nil
 }
 
-// TracesFor returns every published scan trace belonging to traceID, oldest
+// TracesFor returns every published record belonging to traceID, oldest
 // first. A redialled scan legitimately yields several: each server-side
-// attempt is its own ScanTrace continuing the same distributed trace.
-func (tr *Tracer) TracesFor(traceID uint64) []*ScanTrace {
+// attempt is its own record continuing the same distributed trace.
+func (tr *Tracer) TracesFor(traceID uint64) []*ScanRecord {
 	if tr == nil || traceID == 0 {
 		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	var out []*ScanTrace
-	for i := 0; i < len(tr.ring); i++ {
-		idx := (tr.next + i) % len(tr.ring) // oldest first
-		if t := tr.ring[idx]; t != nil && t.TraceID == traceID {
-			out = append(out, t)
+	var out []*ScanRecord
+	for i := 0; i < tr.ring.Len(); i++ {
+		if rec := *tr.ring.At(i); rec.TraceID == traceID {
+			out = append(out, rec)
 		}
 	}
 	return out
 }
 
 // AssembledTrace is the cross-process view of one distributed trace: the
-// client's reported spans and every server-side scan trace that continued
+// client's reported spans and every server-side scan record that continued
 // the same trace ID, stitched into a single tree via span/parent IDs.
 type AssembledTrace struct {
 	TraceID uint64 `json:"trace_id"`
@@ -412,7 +212,7 @@ type AssembledTrace struct {
 	Column  string `json:"column,omitempty"`
 	StartNS int64  `json:"start_ns"`
 	EndNS   int64  `json:"end_ns"`
-	// ServerScans counts the server-side scan traces folded in (>1 when the
+	// ServerScans counts the server-side scan records folded in (>1 when the
 	// client redialled and the resume was served as a fresh scan).
 	ServerScans int `json:"server_scans"`
 	// ClientSpans counts spans the client shipped back over the trailer.
@@ -421,7 +221,7 @@ type AssembledTrace struct {
 }
 
 // Assemble stitches everything known about traceID into one span tree:
-// client-reported spans (Source "client") plus, for each server scan trace,
+// client-reported spans (Source "client") plus, for each server scan record,
 // a synthesized "serve" root span parented under the client's root and the
 // scan's recorded spans beneath it (Source "server"). Spans are ordered by
 // start time, parents before children on ties. Returns nil when the tracer

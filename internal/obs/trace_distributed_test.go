@@ -47,7 +47,7 @@ func TestDeriveSpanIDDistinct(t *testing.T) {
 // Reparent moves lane spans under a phase span.
 func TestScanTraceDistributedIDs(t *testing.T) {
 	const traceID, parent = uint64(0x1234), uint64(0x9999)
-	tr := StartScanTrace(1, "lineitem", "l_tax", 8)
+	tr := StartScan(1, "client", "lineitem", "l_tax", 8)
 	if got := tr.EnableTrace(traceID, parent, SpanSideClient); got != DeriveSpanID(traceID, SpanSideClient, 0) {
 		t.Fatalf("EnableTrace root = %#x", got)
 	}
@@ -75,10 +75,10 @@ func TestScanTraceDistributedIDs(t *testing.T) {
 	}
 }
 
-// An untraced ScanTrace must keep the legacy JSON shape: no span IDs, no
+// An untraced scan record must keep the untraced JSON shape: no span IDs, no
 // trace fields — EnableTrace with a zero trace ID stays off.
 func TestScanTraceUntracedKeepsLegacyShape(t *testing.T) {
-	tr := StartScanTrace(1, "t", "c", 4)
+	tr := StartScan(1, "client", "t", "c", 4)
 	if got := tr.EnableTrace(0, 5, SpanSideClient); got != 0 {
 		t.Fatalf("EnableTrace(0) = %#x, want 0", got)
 	}
@@ -127,7 +127,7 @@ func TestTracerReportAndAssemble(t *testing.T) {
 	// Two server attempts continuing the same trace (a redialled scan): each
 	// gets its own side salt, so its own serve root at assembly.
 	for attempt := uint64(1); attempt <= 2; attempt++ {
-		st := tracer.Start(attempt, "lineitem", "l_tax", 4)
+		st := StartScan(attempt, "server", "lineitem", "l_tax", 4)
 		st.EnableTrace(traceID, clientRoot, SpanSideServer|attempt<<8)
 		st.End(st.Begin("accept"), 3)
 		tracer.Publish(st)
@@ -182,7 +182,7 @@ func TestWriteTraceEventsShape(t *testing.T) {
 	tracer := NewTracer(4)
 	clientRoot := DeriveSpanID(traceID, SpanSideClient, 0)
 	tracer.Report(traceID, []Span{{Name: "scan", Lane: -1, StartNS: 1000, DurNS: 5000, SpanID: clientRoot}})
-	st := tracer.Start(1, "t", "c", 4)
+	st := StartScan(1, "server", "t", "c", 4)
 	st.EnableTrace(traceID, clientRoot, SpanSideServer)
 	st.End(st.Begin("accept"), 0)
 	tracer.Publish(st)

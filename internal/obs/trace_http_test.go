@@ -42,7 +42,7 @@ func TestTraceEndpointsServeAssembledTrace(t *testing.T) {
 	o := New()
 	clientRoot := DeriveSpanID(traceID, SpanSideClient, 0)
 	o.Trace.Report(traceID, []Span{{Name: "scan", Lane: -1, StartNS: 10, DurNS: 50, SpanID: clientRoot}})
-	st := o.Trace.Start(1, "lineitem", "l_tax", 4)
+	st := StartScan(1, "server", "lineitem", "l_tax", 4)
 	st.EnableTrace(traceID, clientRoot, SpanSideServer)
 	st.End(st.Begin("accept"), 0)
 	o.Trace.Publish(st)

@@ -8,7 +8,7 @@ import (
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTracer(8)
-	tt := tr.Start(7, "lineitem", "l_quantity", 6)
+	tt := StartScan(7, "server", "lineitem", "l_quantity", 6)
 	if tt.ID != 7 || tt.Table != "lineitem" || tt.Column != "l_quantity" {
 		t.Fatalf("trace identity: %+v", tt)
 	}
@@ -53,22 +53,19 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatalf("fallback span: %+v", ghost)
 	}
 
-	tr.Publish(tt)
+	(&Obs{Trace: tr}).Publish(tt)
 	if tt.WallNS <= 0 {
 		t.Fatal("publish did not stamp the wall clock")
 	}
-	if got := tr.Total(); got != 1 {
-		t.Fatalf("Total = %d, want 1", got)
+	if got := tr.Recent(8); len(got) != 1 || got[0] != tt {
+		t.Fatalf("Recent = %v, want the one published record", got)
 	}
 }
 
 func TestTracerRingEvictsOldest(t *testing.T) {
 	tr := NewTracer(4)
 	for id := uint64(1); id <= 6; id++ {
-		tr.Publish(tr.Start(id, "t", "", 4))
-	}
-	if got := tr.Total(); got != 6 {
-		t.Fatalf("Total = %d, want 6", got)
+		tr.Publish(StartScan(id, "server", "t", "", 4))
 	}
 	recent := tr.Recent(10)
 	if len(recent) != 4 {
@@ -90,7 +87,7 @@ func TestTracerRingEvictsOldest(t *testing.T) {
 func TestTracerDefaultCapacity(t *testing.T) {
 	tr := NewTracer(0)
 	for id := uint64(1); id <= DefaultTraceRing+5; id++ {
-		tr.Publish(tr.Start(id, "t", "", 4))
+		tr.Publish(StartScan(id, "server", "t", "", 4))
 	}
 	if got := len(tr.Recent(DefaultTraceRing * 2)); got != DefaultTraceRing {
 		t.Fatalf("default ring held %d traces, want %d", got, DefaultTraceRing)
@@ -101,7 +98,7 @@ func TestTracerDefaultCapacity(t *testing.T) {
 // examples) promise.
 func TestTraceJSONShape(t *testing.T) {
 	tr := NewTracer(2)
-	tt := tr.Start(1, "lineitem", "l_tax", 4)
+	tt := StartScan(1, "server", "lineitem", "l_tax", 4)
 	tt.End(tt.Begin("accept"), 0)
 	tt.AddSpan("lane", 0, tt.StartNS, tt.StartNS+5, 9, true)
 	tt.AccelCycles = 99

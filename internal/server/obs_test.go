@@ -207,7 +207,7 @@ func TestTraceCycleInvariant(t *testing.T) {
 
 	// The trace publishes when the handler returns, which can trail the
 	// summary's arrival at the client.
-	var tr *obs.ScanTrace
+	var tr *obs.ScanRecord
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if recent := srv.Obs().Tracer().Recent(1); len(recent) == 1 {

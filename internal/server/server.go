@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -639,159 +640,151 @@ func (s *Server) writeError(bw *bufio.Writer, err error) error {
 	return bw.Flush()
 }
 
+// servedScan is one scan's working state, threaded through handleScan's
+// stages: the request, what accept resolved it to, and the record every stage
+// writes what it learned into.
+type servedScan struct {
+	req   ScanRequest
+	rec   *obs.ScanRecord
+	inj   *faults.Injector
+	entry *tableEntry
+	meta  colMeta
+	start int // first page streamed: the offset, frame-aligned when resuming
+	// jid is this serving attempt's scan-journal entry and journalHW the page
+	// high-water mark it closes with.
+	jid       uint64
+	journalHW uint32
+	side      *sidePath
+}
+
 // handleScan streams the relation's raw page images to the client and, on
 // the side, bins the requested column and refreshes the catalog histogram.
 // The serving path never waits for histogram construction: statistics are a
-// by-product of the bytes that were moving anyway. Frames carry a per-page
-// CRC32C trailer (FramePagesCk) computed at encode time, so corruption
-// anywhere downstream of storage is detectable by every consumer. A nonzero
-// request offset resumes an interrupted scan at that page: the remaining
-// pages stream normally, but the side path is skipped — a partial scan
-// cannot yield an honest histogram — and the summary reports Degraded.
+// by-product of the bytes that were moving anyway. It drives five stages —
+// accept, resume, stream, finish, summarise — that are also the span
+// boundaries; each writes what it learned into the scan's one record, which
+// is published exactly once whichever way the scan ends.
 func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (err error) {
 	// The scan number keys everything observable about this scan: its fault
-	// fork, its trace, and its log records.
+	// fork, its record, and its log line.
 	id := uint64(s.scanSeq.Add(1))
-	tr := s.obs.Tracer().Start(id, req.Table, req.Column, s.cfg.ShardLanes+4)
+	rec := obs.StartScan(id, "server", req.Table, req.Column, s.cfg.ShardLanes+4)
 	// A request carrying trace context makes this scan continue the client's
-	// distributed trace: the trace record keeps the wire identity and every
-	// span recorded below gets a derived span ID under the server-side root.
-	// The side salt folds in the local scan id so a redialled trace — several
-	// server scans continuing the same trace ID — gets distinct span IDs per
-	// attempt and each attempt's spans nest under their own "serve" root at
-	// assembly.
+	// distributed trace: every span recorded below gets a derived span ID
+	// under the server-side root. The side salt folds in the local scan id so
+	// a redialled trace — several server scans continuing the same trace ID —
+	// gets distinct span IDs per attempt and each attempt's spans nest under
+	// their own "serve" root at assembly.
 	if req.TraceID != 0 {
-		tr.EnableTrace(req.TraceID, req.ParentSpanID, obs.SpanSideServer|id<<8)
+		rec.EnableTrace(req.TraceID, req.ParentSpanID, obs.SpanSideServer|id<<8)
 	}
-	scanStart := time.Now()
-	resumed := req.Offset > 0
-	var sum ScanSummary
+	rec.Resumed = req.Offset > 0
+	if conn != nil && conn.RemoteAddr() != nil {
+		rec.Client = conn.RemoteAddr().String()
+	}
+	sc := &servedScan{req: req, rec: rec}
 	// failure captures request-level errors that are reported to the client
 	// in-band (the connection stays usable, so err stays nil).
 	var failure error
 	defer func() {
-		fail := err
-		if fail == nil {
-			fail = failure
+		if fail := cmp.Or(err, failure); fail != nil {
+			rec.Err = fail.Error()
 		}
-		if tr != nil {
-			tr.AccelCycles = sum.AccelCycles
-			tr.Refreshed = sum.Refreshed
-			tr.Degraded = sum.Degraded
-			if fail != nil {
-				tr.Err = fail.Error()
-			}
-		}
-		s.obs.Tracer().Publish(tr)
+		s.obs.Publish(rec)
 		// Traced scans pin their trace ID to the latency distribution's
 		// exemplar slot, so the /metrics p99 line links back to a trace.
-		s.metrics.scanLatency.ObserveWithExemplar(time.Since(scanStart).Nanoseconds(), req.TraceID)
-		// The wide event: everything this scan did in one flight-recorder
-		// row, keyed by the same id as the trace and the log records. The
-		// trace is published (immutable) by now, so sharing its span slice
-		// is safe.
-		ev := obs.ScanEvent{
-			ScanID: id, Source: "server",
-			Table: req.Table, Column: req.Column,
-			StartNS: scanStart.UnixNano(), WallNS: time.Since(scanStart).Nanoseconds(),
-			Pages: sum.Pages, Bytes: sum.Bytes, Rows: sum.Rows,
-			AccelCycles: sum.AccelCycles,
-			Refreshed:   sum.Refreshed, Degraded: sum.Degraded, Resumed: resumed,
-			QuarantinedPages: sum.QuarantinedPages, LanesRetired: sum.LanesRetired,
-			SkippedTuples: sum.SkippedTuples,
-		}
-		if conn != nil && conn.RemoteAddr() != nil {
-			ev.Client = conn.RemoteAddr().String()
-		}
-		if fail != nil {
-			ev.Err = fail.Error()
-		}
-		if tr != nil {
-			ev.Spans = tr.Spans
-		}
-		s.obs.FlightRec().Record(ev)
-		log := s.obs.Logger()
-		if fail != nil {
-			log.Warn("scan failed", "scan", id, "table", req.Table,
-				"column", req.Column, "err", fail.Error())
-		} else {
-			log.Info("scan served", "scan", id, "table", req.Table,
-				"column", req.Column, "pages", sum.Pages, "bytes", sum.Bytes,
-				"rows", sum.Rows, "refreshed", sum.Refreshed,
-				"degraded", sum.Degraded, "accel_cycles", sum.AccelCycles,
-				"dur", time.Since(scanStart))
-		}
+		s.metrics.scanLatency.ObserveWithExemplar(rec.WallNS, rec.TraceID)
 	}()
 
-	ai := tr.Begin("accept")
-	entry, failure := s.lookup(req.Table)
-	if failure != nil {
+	if failure = s.accept(sc); failure != nil {
 		return s.writeError(bw, failure)
 	}
-	var meta colMeta
-	if req.Column != "" {
+	sc.inj = s.cfg.Faults.Fork(fmt.Sprintf("scan%d", id))
+	if err := s.resume(bw, sc); err != nil {
+		return err
+	}
+	// The journal entry for this serving attempt closes whichever way it
+	// exits — only a crash leaves it open, which is exactly what the journal
+	// records.
+	defer func() { s.cfg.Durable.ScanEnded(sc.jid, sc.journalHW) }()
+	// A resumed scan runs no side path: a partial scan cannot yield an
+	// honest histogram.
+	if !rec.Resumed {
+		if sc.side = s.startSidePath(sc); sc.side != nil {
+			defer sc.side.abandon()
+		}
+	}
+	if err := s.stream(conn, bw, sc); err != nil {
+		return err
+	}
+	s.finish(sc)
+	return s.summarise(bw, rec)
+}
+
+// accept resolves the request against the registered relations: table,
+// column, and a resume offset inside the relation. What it returns is a
+// request-level failure, reported to the client in-band.
+func (s *Server) accept(sc *servedScan) error {
+	ai := sc.rec.Begin("accept")
+	defer sc.rec.End(ai, 0)
+	entry, err := s.lookup(sc.req.Table)
+	if err != nil {
+		return err
+	}
+	if sc.req.Column != "" {
 		var ok bool
-		meta, ok = entry.cols[req.Column]
-		if !ok {
-			failure = fmt.Errorf("%w: %q.%q", ErrUnknownColumn, req.Table, req.Column)
-			return s.writeError(bw, failure)
+		if sc.meta, ok = entry.cols[sc.req.Column]; !ok {
+			return fmt.Errorf("%w: %q.%q", ErrUnknownColumn, sc.req.Table, sc.req.Column)
 		}
 	}
-	pages := entry.pageImages()
-	if req.Offset > uint32(len(pages)) {
-		failure = fmt.Errorf("%w: resume offset %d beyond %d pages", ErrBadRequest, req.Offset, len(pages))
-		return s.writeError(bw, failure)
+	if n := len(entry.pageImages()); sc.req.Offset > uint32(n) {
+		return fmt.Errorf("%w: resume offset %d beyond %d pages", ErrBadRequest, sc.req.Offset, n)
 	}
-	tr.End(ai, 0)
+	sc.entry = entry
+	return nil
+}
 
-	inj := s.cfg.Faults.Fork(fmt.Sprintf("scan%d", id))
-
-	start := int(req.Offset)
-	if resumed {
-		s.metrics.retriesServed.Add(1)
-		// Align the resume down to a frame boundary and announce the
-		// effective start before any pages move: the frames re-sent from
-		// here are byte-identical to the original delivery (same page
-		// windows, same checksum trailers), and the client skips the
-		// overlap it already verified.
-		start -= start % entry.ppf
-		if werr := WriteFrame(bw, FrameResumeInfo, EncodeResumeInfo(uint32(start))); werr != nil {
-			return werr
-		}
-	}
-	var sp *sidePath
-	if !resumed {
-		sp = s.startSidePath(entry, req, meta, inj, tr)
-		if sp != nil {
-			defer sp.abandon()
-		}
-	}
-
+// resume fixes where the stream starts and opens the scan's journal entry.
+// A nonzero request offset resumes an interrupted scan at that page: the
+// start is aligned down to a frame boundary and announced before any pages
+// move, so the frames re-sent from there are byte-identical to the original
+// delivery (same page windows, same checksum trailers) and the client skips
+// the overlap it already verified.
+func (s *Server) resume(bw *bufio.Writer, sc *servedScan) error {
+	sc.start = int(sc.req.Offset)
 	// Scan journal: with durability attached the scan's lifecycle rides the
 	// WAL at frame granularity, so a kill -9 mid-scan leaves a recoverable
 	// in-flight record a restarted server can match a resume against. A
-	// resume consumes the entry the dead process left behind; the journal
-	// entry for this serving attempt closes whichever way it exits — only a
-	// crash leaves it open, which is exactly what the journal records.
+	// resume consumes the entry the dead process left behind.
 	dm := s.cfg.Durable
-	if resumed {
-		if rec, ok := dm.AdoptRecovered(req.Table, req.Column); ok {
+	if sc.rec.Resumed {
+		s.metrics.retriesServed.Add(1)
+		sc.start -= sc.start % sc.entry.ppf
+		if err := WriteFrame(bw, FrameResumeInfo, EncodeResumeInfo(uint32(sc.start))); err != nil {
+			return err
+		}
+		if jrec, ok := dm.AdoptRecovered(sc.req.Table, sc.req.Column); ok {
 			s.metrics.resumesAdopted.Add(1)
-			s.obs.Logger().Info("resume adopted recovered scan", "scan", id,
-				"journal", rec.ID, "table", req.Table, "column", req.Column,
-				"journal_pages", rec.Pages, "resume_page", req.Offset)
+			s.obs.Logger().Info("resume adopted recovered scan", "scan", sc.rec.ID,
+				"journal", jrec.ID, "table", sc.req.Table, "column", sc.req.Column,
+				"journal_pages", jrec.Pages, "resume_page", sc.req.Offset)
 		}
 	}
-	jid := dm.ScanStarted(req.Table, req.Column, uint32(start))
-	journalHW := uint32(start)
-	defer func() { dm.ScanEnded(jid, journalHW) }()
+	sc.jid = dm.ScanStarted(sc.req.Table, sc.req.Column, uint32(sc.start))
+	sc.journalHW = uint32(sc.start)
+	return nil
+}
 
-	// sideWanted: a statistics refresh was requested and possible, so a
-	// scan that ends without one must say so (Degraded), whatever the
-	// reason — saturation, resumption, faults, or the watchdog.
-	sideWanted := req.Column != "" && meta.ok
-
-	si := tr.Begin("stream")
+// stream is the page loop: one Write per stored frame, the journal's
+// progress mark, and the side path's feed. Frames carry a per-page CRC32C
+// trailer (FramePagesCk) computed at encode time, so corruption anywhere
+// downstream of storage is detectable by every consumer.
+func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
+	rec, entry, inj, sp := sc.rec, sc.entry, sc.inj, sc.side
+	si := rec.Begin("stream")
+	defer rec.End(si, 0)
+	pages := entry.pageImages()
+	dm := s.cfg.Durable
 	// Injected in-flight corruption is the one case that needs a scratch
 	// frame: the damage lands after the checksum trailer was laid down,
 	// exactly like a relay flipping bits after storage vouched for the
@@ -800,7 +793,7 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 	// Every other scan sends the stored frames as they are.
 	corrupt := inj.Enabled(faults.PageCorrupt)
 	var scratch []byte
-	for off := start; off < len(pages); off += entry.ppf {
+	for off := sc.start; off < len(pages); off += entry.ppf {
 		end := min(off+entry.ppf, len(pages))
 		frame := entry.frame(off)
 		if corrupt {
@@ -823,39 +816,54 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 			return werr
 		}
 		n := (end - off) * page.Size
-		sum.Pages += uint32(end - off)
-		sum.Bytes += uint64(n)
-		dm.ScanProgress(jid, uint32(end))
-		journalHW = uint32(end)
+		rec.Pages += uint32(end - off)
+		rec.Bytes += uint64(n)
+		dm.ScanProgress(sc.jid, uint32(end))
+		sc.journalHW = uint32(end)
 		if sp != nil {
 			sp.feed(frame[FrameHeaderSize:FrameHeaderSize+n], off, inj)
 		}
 	}
-	tr.End(si, 0)
+	return nil
+}
 
-	if sp != nil {
-		side := sp.finish()
-		sum.Rows = side.rows
-		sum.Refreshed = side.refreshed
-		sum.Degraded = side.degraded
-		sum.AccelCycles = side.cycles
-		sum.AccelSeconds = side.seconds
-		sum.SkippedTuples = side.skippedTuples
-		sum.QuarantinedPages = side.quarantinedPages
-		sum.LanesRetired = side.lanesRetired
+// finish completes the scan's side effect into the record. A statistics
+// refresh that was requested and possible but did not happen — saturation,
+// resumption, faults, or the watchdog — must say so: the summary must not
+// read like a clean no-op.
+func (s *Server) finish(sc *servedScan) {
+	if sc.side != nil {
+		sc.side.finish()
 	}
-	if sideWanted && !sum.Refreshed {
-		// No refresh where one was wanted: the scan's side effect is
-		// missing, and the summary must not read like a clean no-op.
-		sum.Degraded = true
+	if sc.req.Column != "" && sc.meta.ok && !sc.rec.Refreshed {
+		sc.rec.Degraded = true
 	}
-	if sum.Degraded {
+}
+
+// summarise bumps the once-per-scan counters and closes the scan on the
+// wire, both from the record: the summary frame carries the same numbers
+// every other view of this scan will report.
+func (s *Server) summarise(bw *bufio.Writer, rec *obs.ScanRecord) error {
+	if rec.Degraded {
 		s.metrics.scansDegraded.Add(1)
 	}
+	if rec.Refreshed {
+		s.metrics.rowsBinned.Add(int64(rec.Rows))
+		s.metrics.histRefreshed.Add(1)
+		s.metrics.accelCycles.Add(int64(rec.AccelCycles))
+	}
 	s.metrics.scansServed.Add(1)
-	s.metrics.pagesMoved.Add(int64(sum.Pages))
-	s.metrics.bytesMoved.Add(int64(sum.Bytes))
+	s.metrics.pagesMoved.Add(int64(rec.Pages))
+	s.metrics.bytesMoved.Add(int64(rec.Bytes))
 
+	sum := ScanSummary{
+		Pages: rec.Pages, Bytes: rec.Bytes, Rows: rec.Rows,
+		Refreshed: rec.Refreshed, Degraded: rec.Degraded,
+		AccelCycles:   rec.AccelCycles,
+		AccelSeconds:  s.cfg.Binner.Clock.Seconds(int64(rec.AccelCycles)),
+		SkippedTuples: rec.SkippedTuples, QuarantinedPages: rec.QuarantinedPages,
+		LanesRetired: rec.LanesRetired,
+	}
 	if err := WriteFrame(bw, FrameScanEnd, EncodeScanSummary(sum)); err != nil {
 		return err
 	}
@@ -934,17 +942,15 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 // engine lost degrades the statistic — and the degradation is always
 // reported, never silent.
 type sidePath struct {
-	s     *Server
-	entry *tableEntry
-	req   ScanRequest
-	eng   *lanes.Engine
+	s *Server
+	// sc is the owning scan: finish() writes the statistics yield into its
+	// record and appends the lane, merge, and install spans.
+	sc  *servedScan
+	eng *lanes.Engine
 	// zeroCopy is set when no corruption or truncation fault point is armed
 	// for this scan: the wire frame is then byte-identical to the stable page
 	// images, so lanes parse those in place and the side copy is skipped.
 	zeroCopy bool
-	// tr is the owning scan's trace; finish() appends the lane, merge, and
-	// install spans to it. Nil when tracing is off.
-	tr       *obs.ScanTrace
 	watchdog *time.Timer
 	// framesLost notes frames no live lane would take (all retired or all
 	// stalled past the timeout): the merged view is missing that data.
@@ -957,7 +963,8 @@ type sidePath struct {
 // column, or a fully busy worker pool (the stream always wins; the scan
 // fails open and the catalog simply isn't refreshed this time). Injected
 // drain-pool saturation exercises the same skip path as the real thing.
-func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta, inj *faults.Injector, tr *obs.ScanTrace) *sidePath {
+func (s *Server) startSidePath(sc *servedScan) *sidePath {
+	entry, req, meta, inj := sc.entry, sc.req, sc.meta, sc.inj
 	if req.Column == "" || !meta.ok {
 		return nil
 	}
@@ -983,7 +990,7 @@ func (s *Server) startSidePath(entry *tableEntry, req ScanRequest, meta colMeta,
 		s.metrics.sideSkipped.Add(1)
 		return nil
 	}
-	sp := &sidePath{s: s, entry: entry, req: req, eng: eng, tr: tr}
+	sp := &sidePath{s: s, sc: sc, eng: eng}
 	// The only ways a side copy can differ from the stable page images are
 	// the in-flight corruption and truncation points.
 	sp.zeroCopy = !inj.Enabled(faults.PageCorrupt) && !inj.Enabled(faults.PageTruncate)
@@ -1048,31 +1055,17 @@ func (sp *sidePath) stop() {
 	<-sp.s.drainSem
 }
 
-// sideResult is everything finish() learned about the scan's side effect.
-type sideResult struct {
-	rows             uint64
-	refreshed        bool
-	degraded         bool
-	cycles           uint64
-	seconds          float64
-	skippedTuples    uint64
-	quarantinedPages uint32
-	lanesRetired     uint32
-}
-
 // finish completes the side path: it fans the surviving lane states back in,
-// runs the histogram chain over the merged view, installs the Compressed
-// histogram in the catalog, and reports the scan's statistics yield plus
-// the simulated hardware cost. Faults reaching this point shape the result
-// in exactly one of two ways: either every loss was masked and the
-// histogram is exact, or the install is marked Degraded with the loss
-// quantified — there is no silent third outcome.
-func (sp *sidePath) finish() sideResult {
+// accounts for what the lanes lost, and — when a merged view exists — hands it
+// to install. Faults reaching this point shape the record in exactly one of
+// two ways: either every loss was masked and the histogram is exact, or the
+// scan is marked Degraded with the loss quantified — there is no silent third
+// outcome.
+func (sp *sidePath) finish() {
 	sp.stop()
-	s := sp.s
-	var res sideResult
+	s, rec := sp.s, sp.sc.rec
 	prof := s.obs.Profiler()
-	fan, err := sp.eng.FanIn(sp.tr, 0, prof, s.cfg.Binner.Mem.BinsPerLine)
+	fan, err := sp.eng.FanIn(rec, 0, prof, s.cfg.Binner.Mem.BinsPerLine)
 	// The lanes FanIn finished flushed their attribution; record the matching
 	// expectation now, so profile and counter agree whatever happens next.
 	var laneSum int64
@@ -1084,16 +1077,16 @@ func (sp *sidePath) finish() sideResult {
 		// A real data error (not injected), or the cannot-happen merge of
 		// unlike geometries: fail open.
 		s.metrics.parseErrors.Add(1)
-		res.degraded = true
-		return res
+		rec.Degraded = true
+		return
 	}
-	res.quarantinedPages = uint32(sp.eng.Quarantined())
-	res.lanesRetired = uint32(sp.eng.Retired())
+	rec.QuarantinedPages = uint32(sp.eng.Quarantined())
+	rec.LanesRetired = uint32(sp.eng.Retired())
 	if fan.Survivor == nil {
 		// The watchdog fired — whatever the lanes hold is incomplete in an
 		// unknown way — or no lane survived. Install nothing.
-		res.degraded = true
-		return res
+		rec.Degraded = true
+		return
 	}
 	for i, ls := range fan.PerLane {
 		s.metrics.setLaneCycles(i, ls.Cycles)
@@ -1103,10 +1096,18 @@ func (sp *sidePath) finish() sideResult {
 	s.metrics.faultsCorrected.Add(bstats.FaultsCorrected)
 	s.metrics.binsQuarantined.Add(bstats.BinsQuarantined)
 	if bstats.Items == 0 {
-		res.degraded = true
-		return res
+		rec.Degraded = true
+		return
 	}
+	sp.install(fan)
+}
 
+// install runs the histogram chain over the merged view, puts the Compressed
+// histogram and the sketch blocks in the catalog, and writes the scan's
+// statistics yield plus the simulated hardware cost into the record.
+func (sp *sidePath) install(fan lanes.FanIn) {
+	s, rec, bstats := sp.s, sp.sc.rec, fan.Stats
+	prof := s.obs.Profiler()
 	out := core.Config{
 		CompressedT: s.cfg.TopK, CompressedBuckets: s.cfg.Buckets, Binner: s.cfg.Binner,
 	}.Results(fan.Survivor, bstats, prof)
@@ -1118,16 +1119,16 @@ func (sp *sidePath) finish() sideResult {
 	if prof != nil {
 		s.metrics.hwprofAttributed.Add(past)
 	}
-	sp.tr.End(fan.Span, past)
+	rec.End(fan.Span, past)
 
 	// The one honesty invariant everything above funnels into: any gap
 	// between what the relation holds and what the merged view counted —
 	// retired lanes, quarantined pages, dropped frames, bin-memory losses
 	// — makes the histogram Degraded, with the gap as its skipped count.
 	h := out.Compressed
-	relRows := int64(sp.entry.rel.NumRows())
+	relRows := int64(sp.sc.entry.rel.NumRows())
 	h.Skipped = max(relRows-h.Total, 0)
-	h.Degraded = h.Skipped > 0 || res.lanesRetired > 0 || res.quarantinedPages > 0 ||
+	h.Degraded = h.Skipped > 0 || rec.LanesRetired > 0 || rec.QuarantinedPages > 0 ||
 		bstats.BinsQuarantined > 0 || sp.framesLost
 	sideChain := fan.Survivor.SketchChain()
 	if h.Degraded {
@@ -1135,27 +1136,22 @@ func (sp *sidePath) finish() sideResult {
 		// they are served, but flagged, never silently wrong.
 		sideChain.MarkDegraded()
 	}
-	ii := sp.tr.Begin("install")
-	s.catalog.Put(sp.req.Table, sp.req.Column, &dbms.ColumnStats{
+	ii := rec.Begin("install")
+	s.catalog.Put(sp.sc.req.Table, sp.sc.req.Column, &dbms.ColumnStats{
 		Histogram: h,
 		Sketches:  out.Sketches,
 		NDistinct: h.DistinctTotal,
 		RowCount:  relRows,
 	})
-	sp.tr.End(ii, 0)
+	rec.End(ii, 0)
 	s.publishSketch(sideChain)
-	total := bstats.Cycles + out.Chain.TotalCycles + out.SketchCycles
-	s.metrics.rowsBinned.Add(bstats.Items)
-	s.metrics.histRefreshed.Add(1)
-	s.metrics.accelCycles.Add(total)
 	s.publishHwprof()
 
-	res.rows = uint64(bstats.Items)
-	res.refreshed = true
-	res.degraded = h.Degraded
-	res.cycles = uint64(total)
-	res.seconds = s.cfg.Binner.Clock.Seconds(total)
-	res.skippedTuples = uint64(h.Skipped)
+	rec.Rows = uint64(bstats.Items)
+	rec.Refreshed = true
+	rec.Degraded = h.Degraded
+	rec.AccelCycles = uint64(bstats.Cycles + out.Chain.TotalCycles + out.SketchCycles)
+	rec.SkippedTuples = uint64(h.Skipped)
 
 	// What the install keeps of the survivor is the histogram and the sketch
 	// blocks: its bin region is not referenced past this point and goes back
@@ -1165,7 +1161,6 @@ func (sp *sidePath) finish() sideResult {
 	// read, and it should not find the handler still tidying up.
 	fan.Survivor.Release()
 	sp.eng.Close()
-	return res
 }
 
 // abandon releases the side path: handleScan defers it, so it runs whether

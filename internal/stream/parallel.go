@@ -57,24 +57,16 @@ type ParallelDataPath struct {
 	// tests; it doubles the side-path work. Skipped when bin memory
 	// quarantined words (the drift is then expected and accounted).
 	SelfCheck bool
-	// Obs, when non-nil, receives per-scan instrumentation: scan and
-	// retirement counters, per-lane cycle and stall gauges, and a scan
-	// duration distribution. All updates happen once per Scan, after the
-	// fan-in — never on the per-page hot path.
-	Obs *obs.Registry
-	// Flight, when non-nil, receives one wide event per completed scan —
-	// the same one-struct-copy-at-the-tail discipline as the server's
-	// recorder, keyed by a path-local scan sequence. Nil keeps the
-	// zero-overhead baseline.
-	Flight *obs.FlightRecorder
-	// Trace, when non-nil, receives one published ScanTrace per completed
-	// scan: a root span over the whole scan, fan-out / drain / merge phase
-	// spans, and one span per lane (parented under the fan-out span) carrying
-	// that lane's wall window and simulated cycle account. Each scan
-	// originates its own trace ID, so standalone stream traces are fetchable
-	// through the same /traces assembly as served scans. Nil keeps the
-	// zero-overhead baseline.
-	Trace *obs.Tracer
+	// Obs, when non-nil, receives one published obs.ScanRecord per scan — one
+	// hand-over at the tail, as on the server — and whatever the bundle holds
+	// reads it. With a Trace ring each scan originates its own trace ID (root
+	// span, fan-out / drain / merge phases, one span per lane under the
+	// fan-out), so standalone stream traces are fetchable through the same
+	// /traces assembly as served scans; a Flight recorder tail-samples the
+	// record; a Reg registry also takes a completed scan's counters, per-lane
+	// cycle and stall gauges and duration. Nothing runs on the per-page hot
+	// path. Nil keeps the zero-overhead baseline.
+	Obs *obs.Obs
 	// Prof, when non-nil, receives the cycle attribution of every scan:
 	// each surviving lane's pipeline decomposition under its "lane<i>"
 	// frame (the inline replay lane under "inline"), and the aggregation
@@ -96,8 +88,7 @@ type ParallelDataPath struct {
 	pageCacheMu sync.Mutex
 	pageCache   []*page.Page
 
-	// scanSeq numbers this path's scans for flight-recorder correlation when
-	// the path runs standalone (the server keys events by its own scan id).
+	// scanSeq numbers this path's scans in their records.
 	scanSeq atomic.Uint64
 }
 
@@ -180,8 +171,7 @@ const laneQueueDepth = 4
 // this path can read its pages again: everything a retired lane was ever
 // given (its partial state is discarded whole, so nothing is counted twice)
 // and everything no lane would take is replayed inline.
-func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelScanResult, error) {
-	scanStart := time.Now()
+func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *ParallelScanResult, err error) {
 	shards := d.Shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -197,20 +187,19 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 		stallTimeout = DefaultStallTimeout
 	}
 
-	// Tracing: every scan originates its own distributed trace under the
-	// stream side salt. The slab is sized for the fixed phases plus one span
-	// per lane, so a traced scan costs one allocation up front and struct
-	// appends at phase boundaries — nothing per page. tr==nil (no tracer
-	// wired) turns every span call below into a pointer check.
-	scanID := d.scanSeq.Add(1)
-	var tr *obs.ScanTrace
-	var traceID uint64
+	// The scan's one record: the slab is sized for the fixed phases plus one
+	// span per lane, so an observed scan costs two allocations up front and
+	// struct appends at phase boundaries — nothing per page. tr == nil (no
+	// bundle wired) turns every span call below into a pointer check.
+	var tr *obs.ScanRecord
 	rootIdx := -1
-	if d.Trace != nil {
-		traceID = obs.NewTraceID()
-		tr = d.Trace.Start(scanID, d.Rel.Name, d.Column, shards+8)
-		tr.EnableTrace(traceID, 0, obs.SpanSideStream)
+	if d.Obs != nil {
+		tr = obs.StartScan(d.scanSeq.Add(1), "stream", d.Rel.Name, d.Column, shards+8)
+		if d.Obs.Tracer() != nil {
+			tr.EnableTrace(obs.NewTraceID(), 0, obs.SpanSideStream)
+		}
 		rootIdx = tr.BeginRoot("scan")
+		defer func() { d.publish(tr, out, err) }()
 	}
 
 	pages := d.encodedPages()
@@ -289,7 +278,7 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 	res := d.Config.Results(fan.Survivor, mstats, d.Prof)
 	tr.End(fan.Span, fan.AggregationCycles)
 
-	out := &ParallelScanResult{
+	out = &ParallelScanResult{
 		ScanResult: ScanResult{
 			HostBytes:           hostBytes,
 			Results:             res,
@@ -306,37 +295,26 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 	}
 	if tr != nil {
 		tr.End(rootIdx, mstats.Cycles)
-		tr.AccelCycles = uint64(mstats.Cycles)
-		d.Trace.Publish(tr)
+		tr.Pages, tr.Bytes = uint32(len(pages)), uint64(hostBytes)
+		tr.Rows, tr.AccelCycles = uint64(mstats.Items), uint64(mstats.Cycles)
+		tr.LanesRetired, tr.ReplayedChunks = uint32(out.LanesRetired), uint32(out.ReplayedChunks)
 	}
-	d.instrument(out, time.Since(scanStart), scanID, traceID)
 	return out, nil
 }
 
-// instrument publishes one completed scan's accounting to the wired
-// registry: totals as counters, the last scan's per-lane cycle and stall
-// accounting as labelled gauges, and the wall-clock duration into the
-// scan-latency distribution. Runs once per Scan, entirely off the data path;
-// a nil registry makes every call here a no-op.
-func (d *ParallelDataPath) instrument(res *ParallelScanResult, wall time.Duration, scanID, traceID uint64) {
-	if d.Flight != nil {
-		ev := obs.ScanEvent{
-			ScanID: scanID, Source: "stream", TraceID: traceID,
-			Table:   d.Rel.Name,
-			Column:  d.Column,
-			StartNS: time.Now().Add(-wall).UnixNano(), WallNS: wall.Nanoseconds(),
-			Bytes:          uint64(res.HostBytes),
-			LanesRetired:   uint32(res.LanesRetired),
-			ReplayedChunks: uint32(res.ReplayedChunks),
-		}
-		if res.Results != nil {
-			ev.Rows = uint64(res.Results.BinnerStats.Items)
-			ev.AccelCycles = uint64(res.Results.BinnerStats.Cycles)
-		}
-		d.Flight.Record(ev)
+// publish hands one scan's record over — failed scans included, theirs are
+// the traces worth reading — and publishes a completed scan's accounting to
+// the wired registry: totals as counters, the last scan's per-lane cycle and
+// stall accounting as labelled gauges, and the record's wall clock and trace
+// ID into the scan-latency distribution. Runs once per Scan, entirely off the
+// data path.
+func (d *ParallelDataPath) publish(rec *obs.ScanRecord, res *ParallelScanResult, err error) {
+	if err != nil {
+		rec.Err = err.Error()
 	}
-	reg := d.Obs
-	if reg == nil {
+	d.Obs.Publish(rec)
+	reg := d.Obs.Registry()
+	if reg == nil || err != nil {
 		return
 	}
 	reg.Counter("streamhist_stream_scans_total",
@@ -355,7 +333,7 @@ func (d *ParallelDataPath) instrument(res *ParallelScanResult, wall time.Duratio
 			"Cycles lost to read-after-write hazards per lane for the most recent parallel scan.").Set(ls.StallCycles)
 	}
 	reg.Distribution("streamhist_stream_scan_duration_seconds",
-		"Wall-clock duration of parallel scans.", 1e-9).ObserveWithExemplar(wall.Nanoseconds(), traceID)
+		"Wall-clock duration of parallel scans.", 1e-9).ObserveWithExemplar(rec.WallNS, rec.TraceID)
 }
 
 // selfCheck re-bins the page stream serially — no lanes, no injected lane
