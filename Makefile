@@ -21,7 +21,7 @@ PERF_OUT ?= perf_head.json
 PERF_BASE ?= perf_base.json
 PERF_HEAD ?= perf_head.json
 
-.PHONY: check vet build test race fuzz bench bench-json perf-bench perf-gate lint chaos-durable loc
+.PHONY: check vet build test race fuzz bench bench-json perf-bench perf-gate lint chaos-durable loc knobs
 
 check: vet build race
 
@@ -51,6 +51,30 @@ race:
 # nested benchmark module.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+
+# knobs prints the configuration surface the ROADMAP tracks beside loc:
+# exported settable fields of the served configuration structs plus the
+# parameters of the timeline's constructor, then the flags of
+# `histserved serve` and of histcli and its subcommands, read from their
+# -h output.
+KNOB_STRUCTS = internal/server/server.go:Config internal/stream/parallel.go:ParallelDataPath \
+	internal/durable/manager.go:Options internal/obs/obs.go:Obs
+KNOB_FLAGS = "histserved serve" histcli "histcli metrics" "histcli profile" "histcli top" "histcli trace"
+knobs:
+	@fields=0; for s in $(KNOB_STRUCTS); do \
+		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" { in_ = 1; next } \
+			in_ && /^}/ { in_ = 0 } \
+			in_ && /^\t[A-Z]/ { for (i = 1; i <= NF && $$i ~ /,$$/; i++) n++; n++ } \
+			END { print n + 0 }' "$${s%%:*}"); \
+		fields=$$((fields + n)); \
+	done; \
+	n=$$(sed -n 's/^func New(\(.*\)) \*Timeline.*/\1/p' internal/obs/timeline/timeline.go | tr ',' '\n' | grep -c .); \
+	fields=$$((fields + n)); \
+	flags=0; for cmd in $(KNOB_FLAGS); do \
+		n=$$($(GO) run ./cmd/$$cmd -h 2>&1 | grep -c '^  -'); \
+		flags=$$((flags + n)); \
+	done; \
+	echo "config fields $$fields, flags $$flags, knobs $$((fields + flags))"
 
 # Fuzz passes over every decoder that faces attacker-controlled bytes.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every

@@ -368,11 +368,12 @@ func BenchmarkParallelDataPath(b *testing.B) {
 // nil bundle (every span and publish call degrades to a pointer check — the
 // obs-off configuration), "registry" with a bundle holding only a registry,
 // which receives the per-scan counters, per-lane gauges, and the latency
-// distribution, "timeline" additionally with a flight recorder tail-sampling
-// the scan records and a running timeline sampling every instrument once per
-// second on its own goroutine, and "tracing" layers a recent-scans ring on
-// top of "registry", so every scan originates a trace ID (root, phases, one
-// span per lane) and a latency exemplar. All ns/op figures should be within a few
+// distribution, "tracing" layers the scan-record store on top of "registry",
+// so every scan originates a trace ID (root, phases, one span per lane) and a
+// latency exemplar, and "timeline" additionally runs a timeline sampling
+// every instrument and draining the store's entity sketches once per second
+// on its own goroutine (the store is what the timeline reads, so it wires
+// one). All ns/op figures should be within a few
 // percent: instrumentation is charged once per scan, never per page or per
 // value, the timeline rides the sampling tick, never the data path, and a
 // traced scan pays one slab allocation plus a handful of clock reads.
@@ -387,8 +388,8 @@ func BenchmarkParallelDataPathObs(b *testing.B) {
 			dp.Obs = &obs.Obs{Reg: obs.NewRegistry()}
 		}},
 		{"timeline", func(b *testing.B, dp *stream.ParallelDataPath) {
-			o := &obs.Obs{Reg: obs.NewRegistry(), Flight: obs.NewFlightRecorder(0, 0)}
-			tl := timeline.New(timeline.Config{Registry: o.Reg, Flight: o.Flight})
+			o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
+			tl := timeline.New(o, "")
 			tl.Start()
 			b.Cleanup(tl.Close)
 			dp.Obs = o

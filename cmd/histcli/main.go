@@ -43,42 +43,38 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"streamhist/internal/core"
 	"streamhist/internal/hist"
 	"streamhist/internal/sketch"
 )
 
+// subcommands are the clients of a running histserved's introspection
+// endpoint (-metrics-addr); without one, histcli bins its input.
+var subcommands = map[string]func(args []string) error{
+	"metrics": runMetrics,
+	"profile": runProfile,
+	"top":     runTop,
+	"trace":   runTrace,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "metrics" {
-		if err := runMetrics(os.Args[2:]); err != nil {
-			fatalf("metrics: %v", err)
+	if len(os.Args) > 1 {
+		if run, ok := subcommands[os.Args[1]]; ok {
+			if err := run(os.Args[2:]); err != nil {
+				fatalf("%s: %v", os.Args[1], err)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "profile" {
-		if err := runProfile(os.Args[2:]); err != nil {
-			fatalf("profile: %v", err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "top" {
-		if err := runTop(os.Args[2:]); err != nil {
-			fatalf("top: %v", err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			fatalf("trace: %v", err)
-		}
-		return
 	}
 	kind := flag.String("kind", "all", "histogram kind: equidepth, maxdiff, compressed, topk, all")
 	buckets := flag.Int("buckets", 16, "number of buckets (B)")
@@ -232,4 +228,53 @@ func printTopK(top []hist.FrequentValue) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "histcli: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// addrFlag declares the -addr flag every introspection subcommand takes.
+func addrFlag(fs *flag.FlagSet) *string {
+	return fs.String("addr", "localhost:7745", "server introspection address (histserved -metrics-addr)")
+}
+
+// endpoint is the one fetch path of the introspection subcommands: a
+// histserved -metrics-addr ("host:port" or a URL) and the client that asks it.
+type endpoint struct {
+	base string
+	hc   *http.Client
+}
+
+func newEndpoint(addr string, timeout time.Duration) endpoint {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
+	}
+	return endpoint{base: addr, hc: &http.Client{Timeout: timeout}}
+}
+
+// get fetches path and returns the body, failing on any answer but 200.
+func (e endpoint) get(path string) ([]byte, error) {
+	u := e.base + path
+	resp, err := e.hc.Get(u)
+	if err != nil {
+		return nil, fmt.Errorf("fetching %s: %w", u, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", u, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
+	}
+	return body, nil
+}
+
+// getJSON fetches path and decodes its JSON body into v.
+func (e endpoint) getJSON(path string, v any) error {
+	body, err := e.get(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("decoding %s: %w", path, err)
+	}
+	return nil
 }

@@ -61,7 +61,7 @@ func TestMetricsAndTraceCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tl := timeline.New(timeline.Config{Registry: srv.Obs().Registry(), Flight: srv.Obs().FlightRec()})
+	tl := timeline.New(srv.Obs(), "")
 	web := httptest.NewServer(timeline.Handler(tl, srv.Obs(), nil))
 	defer web.Close()
 

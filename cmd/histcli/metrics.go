@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
+	"os"
 	"strings"
 	"time"
 
@@ -20,20 +18,15 @@ import (
 // CI can gate on a scrape without a real Prometheus in the loop.
 func runMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:7745", "server introspection address (histserved -metrics-addr)")
+	addr := addrFlag(fs)
 	nScans := fs.Int("scans", 5, "how many recent scan traces to show (0 skips /scans)")
 	check := fs.Bool("check", false, "validate the exposition format and fail on malformed lines")
 	raw := fs.Bool("raw", false, "print the exposition verbatim instead of the pretty form")
 	grep := fs.String("grep", "", "only show metrics whose name (labels included) contains this substring")
 	fs.Parse(args)
 
-	hc := &http.Client{Timeout: 10 * time.Second}
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-
-	body, err := httpGet(hc, base+"/metrics")
+	e := newEndpoint(*addr, 10*time.Second)
+	body, err := e.get("/metrics")
 	if err != nil {
 		return err
 	}
@@ -45,73 +38,50 @@ func runMetrics(args []string) error {
 	}
 	if *raw {
 		for _, line := range strings.SplitAfter(string(body), "\n") {
-			if *grep == "" || strings.Contains(line, *grep) {
+			if strings.Contains(line, *grep) {
 				fmt.Print(line)
 			}
 		}
 	} else {
-		printExposition(string(body), *grep)
+		printExposition(os.Stdout, string(body), *grep)
 	}
 
 	if *nScans > 0 {
-		tb, err := httpGet(hc, base+"/scans?n="+url.QueryEscape(fmt.Sprint(*nScans)))
-		if err != nil {
-			return err
-		}
 		var traces []obs.ScanRecord
-		if err := json.Unmarshal(tb, &traces); err != nil {
-			return fmt.Errorf("decoding /scans: %w", err)
+		if err := e.getJSON(fmt.Sprintf("/scans?n=%d", *nScans), &traces); err != nil {
+			return err
 		}
 		printTraces(traces)
 	}
 	return nil
 }
 
-func httpGet(hc *http.Client, u string) ([]byte, error) {
-	resp, err := hc.Get(u)
-	if err != nil {
-		return nil, fmt.Errorf("fetching %s: %w", u, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", u, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, nil
-}
-
 // printExposition renders the samples of a Prometheus text document aligned
-// in two columns, dropping the HELP/TYPE scaffolding a human reading a
-// terminal does not need. A non-empty grep keeps only samples whose full
-// name (labels included) contains the substring.
-func printExposition(text, grep string) {
-	type sample struct{ name, value string }
+// in two columns, series then value, dropping the HELP/TYPE scaffolding and
+// the timestamps a human reading a terminal does not need; an OpenMetrics
+// exemplar follows its value. A non-empty grep keeps only samples whose
+// line contains the substring.
+func printExposition(w io.Writer, text, grep string) {
+	type sample struct{ series, value, exemplar string }
 	var samples []sample
 	width := 0
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		if line == "" || strings.HasPrefix(line, "#") || !strings.Contains(line, grep) {
 			continue
 		}
-		if grep != "" && !strings.Contains(line, grep) {
+		series, fields, exemplar, err := obs.SplitSample(line)
+		if err != nil || len(fields) == 0 {
 			continue
 		}
-		// name[{labels}] value [timestamp] — split at the last space run.
-		cut := strings.LastIndexAny(line, " \t")
-		if cut < 0 {
-			continue
+		if exemplar != "" {
+			exemplar = "  # " + exemplar
 		}
-		s := sample{name: strings.TrimSpace(line[:cut]), value: line[cut+1:]}
-		if len(s.name) > width {
-			width = len(s.name)
-		}
-		samples = append(samples, s)
+		samples = append(samples, sample{series, fields[0], exemplar})
+		width = max(width, len(series))
 	}
 	for _, s := range samples {
-		fmt.Printf("  %-*s  %s\n", width, s.name, s.value)
+		fmt.Fprintf(w, "  %-*s  %s%s\n", width, s.series, s.value, s.exemplar)
 	}
 }
 

@@ -3,10 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"net/url"
 	"os"
-	"strings"
 	"time"
 
 	"streamhist/internal/hwprof"
@@ -20,29 +18,21 @@ import (
 // protobuf decoder; -o fetches the binary form verbatim.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:7745", "server introspection address (histserved -metrics-addr)")
+	addr := addrFlag(fs)
 	seconds := fs.Int("seconds", 0, "delta window in seconds (0 means the cumulative profile)")
 	top := fs.Int("top", 0, "show the N heaviest nodes as a flat table (0 with no other mode shows all)")
 	tree := fs.Bool("tree", false, "render the profile as an indented stack tree with subtree sums")
 	out := fs.String("o", "", "write the raw pprof protobuf (gzip) to this file instead of rendering")
 	fs.Parse(args)
 
-	hc := &http.Client{Timeout: time.Duration(*seconds+30) * time.Second}
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
+	e := newEndpoint(*addr, time.Duration(*seconds+30)*time.Second)
 	q := url.Values{}
 	if *seconds > 0 {
 		q.Set("seconds", fmt.Sprint(*seconds))
 	}
 
 	if *out != "" {
-		u := base + "/debug/hwprof"
-		if len(q) > 0 {
-			u += "?" + q.Encode()
-		}
-		body, err := httpGet(hc, u)
+		body, err := e.get("/debug/hwprof?" + q.Encode())
 		if err != nil {
 			return err
 		}
@@ -54,7 +44,7 @@ func runProfile(args []string) error {
 	}
 
 	q.Set("format", "text")
-	body, err := httpGet(hc, base+"/debug/hwprof?"+q.Encode())
+	body, err := e.get("/debug/hwprof?" + q.Encode())
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"net/url"
 	"sort"
 	"strings"
 	"time"
+
+	"streamhist/internal/obs/timeline"
 )
 
 // sparkRunes are the eight block heights a sparkline cell can take.
@@ -63,26 +63,6 @@ func renderSparkline(vals []float64, width int) string {
 	return string(out)
 }
 
-// timelineIndex mirrors the /timeline index response.
-type timelineIndex struct {
-	Resolutions []string `json:"resolutions"`
-	Metrics     []string `json:"metrics"`
-	Trips       uint64   `json:"anomaly_trips"`
-}
-
-// timelineSeries mirrors a /timeline?metric= response.
-type timelineSeries struct {
-	Metric string `json:"metric"`
-	Kind   string `json:"kind"`
-	Res    string `json:"res"`
-	StepMS int64  `json:"step_ms"`
-	Points []struct {
-		T   int64   `json:"t_ms"`
-		V   float64 `json:"v"`
-		P99 float64 `json:"p99,omitempty"`
-	} `json:"points"`
-}
-
 // defaultTopMetrics is the stock dashboard: movement, outcomes, fault
 // pressure, latency, and the distinct-entity sketches — shown when -metrics
 // is not given, filtered to what the server actually tracks.
@@ -102,7 +82,7 @@ var defaultTopMetrics = []string{
 // every refresh interval, latest value on the right.
 func runTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:7745", "server introspection address (histserved -metrics-addr)")
+	addr := addrFlag(fs)
 	res := fs.String("res", "", "timeline resolution to follow (default: finest)")
 	interval := fs.Duration("interval", time.Second, "refresh period")
 	iters := fs.Int("n", 0, "number of refreshes before exiting (0 = run until interrupted)")
@@ -110,12 +90,7 @@ func runTop(args []string) error {
 	width := fs.Int("width", 60, "sparkline width in cells")
 	fs.Parse(args)
 
-	hc := &http.Client{Timeout: 10 * time.Second}
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-
+	e := newEndpoint(*addr, 10*time.Second)
 	var want []string
 	if *metricsFlag != "" {
 		for _, m := range strings.Split(*metricsFlag, ",") {
@@ -130,8 +105,8 @@ func runTop(args []string) error {
 			time.Sleep(*interval)
 			fmt.Print("\033[2J\033[H") // clear + home between frames
 		}
-		idx, err := fetchIndex(hc, base)
-		if err != nil {
+		var idx timeline.Index
+		if err := e.getJSON("/timeline", &idx); err != nil {
 			return err
 		}
 		metrics := want
@@ -142,58 +117,36 @@ func runTop(args []string) error {
 		if r == "" && len(idx.Resolutions) > 0 {
 			r = idx.Resolutions[0]
 		}
-		fmt.Printf("histcli top — %s  res=%s  anomaly_trips=%d  %s\n\n",
-			*addr, r, idx.Trips, time.Now().Format("15:04:05"))
 		nameWidth := 0
 		for _, m := range metrics {
 			if len(m) > nameWidth {
 				nameWidth = len(m)
 			}
 		}
+		// The frame is stamped with its newest window, not the local clock.
+		var rows strings.Builder
+		var newest int64
 		for _, m := range metrics {
-			ts, err := fetchSeries(hc, base, m, r)
-			if err != nil {
-				fmt.Printf("  %-*s  (%v)\n", nameWidth, m, err)
+			var sd timeline.SeriesData
+			if err := e.getJSON("/timeline?metric="+url.QueryEscape(m)+"&res="+url.QueryEscape(r), &sd); err != nil {
+				fmt.Fprintf(&rows, "  %-*s  (%v)\n", nameWidth, m, err)
 				continue
 			}
-			vals := make([]float64, len(ts.Points))
-			last := 0.0
-			for j, p := range ts.Points {
+			vals := make([]float64, len(sd.Points))
+			for j, p := range sd.Points {
 				vals[j] = p.V
-				last = p.V
+				newest = max(newest, p.T)
 			}
-			fmt.Printf("  %-*s  %s  %s\n", nameWidth, m, renderSparkline(vals, *width), formatTopValue(ts.Kind, last))
+			last := 0.0
+			if len(vals) > 0 {
+				last = vals[len(vals)-1]
+			}
+			fmt.Fprintf(&rows, "  %-*s  %s  %s\n", nameWidth, m, renderSparkline(vals, *width), formatTopValue(sd.Kind, last))
 		}
+		fmt.Printf("histcli top — res=%s  anomaly_trips=%d  newest window %s UTC\n\n%s",
+			r, idx.Trips, time.UnixMilli(newest).UTC().Format("15:04:05"), rows.String())
 	}
 	return nil
-}
-
-func fetchIndex(hc *http.Client, base string) (*timelineIndex, error) {
-	body, err := httpGet(hc, base+"/timeline")
-	if err != nil {
-		return nil, err
-	}
-	var idx timelineIndex
-	if err := json.Unmarshal(body, &idx); err != nil {
-		return nil, fmt.Errorf("decoding /timeline: %w", err)
-	}
-	return &idx, nil
-}
-
-func fetchSeries(hc *http.Client, base, metric, res string) (*timelineSeries, error) {
-	u := base + "/timeline?metric=" + url.QueryEscape(metric)
-	if res != "" {
-		u += "&res=" + url.QueryEscape(res)
-	}
-	body, err := httpGet(hc, u)
-	if err != nil {
-		return nil, err
-	}
-	var ts timelineSeries
-	if err := json.Unmarshal(body, &ts); err != nil {
-		return nil, fmt.Errorf("decoding /timeline?metric=%s: %w", metric, err)
-	}
-	return &ts, nil
 }
 
 // pickDefaults intersects the stock dashboard with what the server tracks,

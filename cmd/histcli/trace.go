@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"net/url"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -23,7 +22,7 @@ import (
 // can gate on the exporter without a browser in the loop.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	addr := fs.String("addr", "localhost:7745", "server introspection address (histserved -metrics-addr)")
+	addr := addrFlag(fs)
 	tracez := fs.Bool("tracez", false, "fetch the Chrome trace-event export instead of the waterfall")
 	check := fs.Bool("check", false, "validate the Chrome trace-event export and exit (implies -tracez)")
 	out := fs.String("o", "", "with -tracez: write the JSON to this file instead of stdout")
@@ -37,15 +36,11 @@ func runTrace(args []string) error {
 		return fmt.Errorf("%q is not a trace id (hex or decimal)", fs.Arg(0))
 	}
 
-	hc := &http.Client{Timeout: 10 * time.Second}
-	base := *addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	q := url.QueryEscape(fmt.Sprintf("%016x", id))
+	e := newEndpoint(*addr, 10*time.Second)
+	q := fmt.Sprintf("?id=%016x", id)
 
 	if *tracez || *check {
-		body, err := httpGet(hc, base+"/debug/tracez?id="+q)
+		body, err := e.get("/debug/tracez" + q)
 		if err != nil {
 			return err
 		}
@@ -64,27 +59,25 @@ func runTrace(args []string) error {
 		return nil
 	}
 
-	body, err := httpGet(hc, base+"/traces?id="+q)
-	if err != nil {
+	var at obs.AssembledTrace
+	if err := e.getJSON("/traces"+q, &at); err != nil {
 		return err
 	}
-	var at obs.AssembledTrace
-	if err := json.Unmarshal(body, &at); err != nil {
-		return fmt.Errorf("decoding /traces: %w", err)
-	}
-	printWaterfall(&at, *width)
+	printWaterfall(os.Stdout, &at, *width)
 	return nil
 }
 
 // printWaterfall renders the assembled trace as an indented tree with one
 // time-scaled bar per span: bar position and length map the span's window
 // onto the trace's [start, end] interval, so a redialled scan reads as the
-// client's backoff gap followed by a second server block.
-func printWaterfall(at *obs.AssembledTrace, width int) {
+// client's backoff gap followed by a second server block. Every bar is
+// clamped onto the axis: a zero-length span at the trace's very end, or one
+// that malformed JSON starts before the trace, still gets one cell.
+func printWaterfall(w io.Writer, at *obs.AssembledTrace, width int) {
 	if width < 16 {
 		width = 16
 	}
-	fmt.Printf("trace %016x %s.%s: %.3f ms, %d server scan(s), %d client span(s)\n",
+	fmt.Fprintf(w, "trace %016x %s.%s: %.3f ms, %d server scan(s), %d client span(s)\n",
 		at.TraceID, at.Table, at.Column, float64(at.EndNS-at.StartNS)/1e6, at.ServerScans, at.ClientSpans)
 
 	// Index spans by ID and group children under parents; spans whose parent
@@ -121,26 +114,20 @@ func printWaterfall(at *obs.AssembledTrace, width int) {
 	render = func(idx, depth int) {
 		sp := at.Spans[idx]
 		label := strings.Repeat("  ", depth) + spanLabel(sp)
-		lo := int(int64(width) * (sp.StartNS - at.StartNS) / span)
-		hi := int(int64(width) * (sp.StartNS + sp.DurNS - at.StartNS) / span)
-		if hi >= width {
-			hi = width - 1
-		}
-		if hi < lo {
-			hi = lo
-		}
+		lo := min(max(int(int64(width)*(sp.StartNS-at.StartNS)/span), 0), width-1)
+		hi := min(max(int(int64(width)*(sp.StartNS+sp.DurNS-at.StartNS)/span), lo), width-1)
 		bar := []byte(strings.Repeat(" ", width))
 		for i := lo; i <= hi; i++ {
 			bar[i] = '#'
 		}
-		fmt.Printf("  %-*s |%s| %9.3f ms", nameW+2*depth, label, bar, float64(sp.DurNS)/1e6)
+		fmt.Fprintf(w, "  %-*s |%s| %9.3f ms", nameW+2*depth, label, bar, float64(sp.DurNS)/1e6)
 		if sp.HWCycles > 0 {
-			fmt.Printf("  hw %d", sp.HWCycles)
+			fmt.Fprintf(w, "  hw %d", sp.HWCycles)
 		}
 		if sp.Retired {
-			fmt.Printf("  [retired]")
+			fmt.Fprint(w, "  [retired]")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		kids := children[idx]
 		sort.Slice(kids, func(a, b int) bool { return at.Spans[kids[a]].StartNS < at.Spans[kids[b]].StartNS })
 		for _, k := range kids {

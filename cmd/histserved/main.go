@@ -70,8 +70,7 @@ func usage() {
                     [-chaos profile] [-chaos-seed S] [-metrics-addr host:port]
                     [-sketch-ndv p] [-sketch-k K] [-sketch-window W]
                     [-no-sketch] [-data-dir DIR] [-checkpoint-interval D]
-                    [-no-durability] [-no-timeline] [-timeline-rings SPEC]
-                    [-flight-ring N] [-flight-sample N] [-bundle-dir DIR]
+                    [-no-durability] [-bundle-dir DIR]
   histserved tables [-addr host:port]                   list served tables
   histserved scan   [-addr host:port] [-o file] [-trace] <table> <column>
   histserved stats  [-addr host:port] <table> <column>
@@ -85,16 +84,14 @@ server's -metrics-addr.
 -metrics-addr exposes live introspection over HTTP: /metrics (Prometheus
 text, with trace-id exemplars on distribution tails), /scans (recent scan
 traces as JSON), /traces (assembled distributed traces by id), /debug/tracez
-(Chrome trace-event JSON for Perfetto), /events (flight-recorder wide
-events), /timeline (multi-resolution metrics history), /anomalies (detector
-trips), /healthz, /debug/hwprof (simulated-hardware cycle profile in pprof
-format), /debug/pprof/*.
+(Chrome trace-event JSON for Perfetto), /events (the last 1024 tail-sampled
+scan records: every anomalous scan, one healthy scan in four), /timeline
+(multi-resolution metrics history: 1s x 120, 10s x 360, 5m x 288),
+/anomalies (detector trips), /healthz, /debug/hwprof (simulated-hardware
+cycle profile in pprof format), /debug/pprof/*.
 
--timeline-rings shapes the in-process metrics history (step:len pairs,
-default "1s:120,10s:360,5m:288"); -flight-ring/-flight-sample size the
-always-on scan flight recorder and its tail-sampling rate; -bundle-dir is
-where anomaly trips drop self-contained debug bundles (timeline slice +
-events + pprof profiles), defaulting to <data-dir>/bundles.
+-bundle-dir is where anomaly trips drop self-contained debug bundles
+(timeline slice + events + pprof profiles), defaulting to <data-dir>/bundles.
 
 -lanes fixes the side-path fan-out (parallel Parser+Binner lanes per scan);
 with -lanes 1 the profile total equals the accel-cycles counter exactly.
@@ -131,17 +128,12 @@ func runServe(args []string) error {
 	dataDir := fs.String("data-dir", "", "durability directory for the stats catalog (snapshots + WAL); empty serves ephemeral")
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "background checkpoint period for -data-dir (0 = 30s default, negative disables timed checkpoints)")
 	noDurability := fs.Bool("no-durability", false, "serve ephemeral even when -data-dir is set (bit-identical to a server without durability)")
-	noTimeline := fs.Bool("no-timeline", false, "disable the metrics timeline, flight-recorder sampling, and anomaly engine")
-	timelineRings := fs.String("timeline-rings", "1s:120,10s:360,5m:288", "timeline retention tiers as step:len pairs")
-	flightRing := fs.Int("flight-ring", 0, "flight-recorder capacity in scan records (0 = default 1024)")
-	flightSample := fs.Int("flight-sample", 0, "keep one in N healthy scan records; anomalous always kept (0 = default 4)")
 	bundleDir := fs.String("bundle-dir", "", "where anomaly trips drop debug bundles (default <data-dir>/bundles; empty without -data-dir disables)")
 	fs.Parse(args)
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	o := obs.New()
 	o.Log = log
-	o.Flight = obs.NewFlightRecorder(*flightRing, *flightSample)
 
 	cfg := server.Config{DrainWorkers: *workers, ShardLanes: *lanes, Obs: o}
 	cfg.SketchDisabled = *noSketch
@@ -211,29 +203,14 @@ func runServe(args []string) error {
 	log.Info("serving (^C for graceful shutdown)", "addr", ln.Addr().String(),
 		"tables", 2, "rows", *rows)
 
-	var tl *timeline.Timeline
-	if !*noTimeline {
-		rings, err := timeline.ParseResolutions(*timelineRings)
-		if err != nil {
-			return err
-		}
-		bdir := *bundleDir
-		if bdir == "" && *dataDir != "" {
-			bdir = filepath.Join(*dataDir, "bundles")
-		}
-		tl = timeline.New(timeline.Config{
-			Resolutions: rings,
-			Registry:    o.Registry(),
-			Flight:      o.FlightRec(),
-			Prof:        o.Profiler(),
-			Tracer:      o.Tracer(),
-			Log:         log,
-			BundleDir:   bdir,
-		})
-		tl.Start()
-		defer tl.Close()
-		log.Info("timeline sampling", "rings", *timelineRings, "bundle_dir", bdir)
+	bdir := *bundleDir
+	if bdir == "" && *dataDir != "" {
+		bdir = filepath.Join(*dataDir, "bundles")
 	}
+	tl := timeline.New(o, bdir)
+	tl.Start()
+	defer tl.Close()
+	log.Info("timeline sampling", "bundle_dir", bdir)
 
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)

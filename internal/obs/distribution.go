@@ -160,26 +160,36 @@ func (d *Distribution) Sum() int64 {
 // runs over the Binner's region. Returns nil when nothing was observed.
 // Under concurrent Observes the view is a consistent-enough snapshot for
 // monitoring: each bin is read once, atomically.
-func (d *Distribution) Histogram(buckets int) *hist.Histogram {
+func (d *Distribution) Histogram() *hist.Histogram {
 	if d == nil {
 		return nil
 	}
+	var counts [distNumBins]int64
+	d.CountsInto(counts[:])
+	return CountsHistogram(counts[:])
+}
+
+// CountsHistogram builds the equi-depth histogram Quantile and the /metrics
+// quantiles read, over per-bin counts laid out as CountsInto fills them —
+// how the timeline summarises one window's count deltas the same way the
+// live distribution is summarised. Returns nil when every count is zero.
+func CountsHistogram(counts []int64) *hist.Histogram {
 	nz := make([]bins.Bin, 0, 64)
-	for i := 0; i < distNumBins; i++ {
-		if n := d.bin[i].Load(); n > 0 {
+	for i, n := range counts {
+		if n > 0 {
 			nz = append(nz, bins.Bin{Value: distLow(i), Count: n})
 		}
 	}
 	if len(nz) == 0 {
 		return nil
 	}
-	return hist.BuildEquiDepthFromBins(nz, buckets)
+	return hist.BuildEquiDepthFromBins(nz, distQuantileBuckets)
 }
 
 // Quantile returns the approximate value (pre-scale units) at q ∈ [0,1], or
 // 0 when nothing was observed yet.
 func (d *Distribution) Quantile(q float64) int64 {
-	h := d.Histogram(distQuantileBuckets)
+	h := d.Histogram()
 	if h == nil {
 		return 0
 	}
@@ -191,14 +201,8 @@ func (d *Distribution) Quantile(q float64) int64 {
 }
 
 // DistNumBins is the fixed bin count of every Distribution: the size of the
-// counts slice CountsInto fills. Exported for the timeline's window
-// accumulators, which mirror the same geometry.
+// counts slice CountsInto fills and CountsHistogram reads.
 const DistNumBins = distNumBins
-
-// DistBinLow returns the lowest value mapping to bin i — the representative
-// value the timeline's window-merged quantile reconstruction keys its
-// run-length bins by. Monotonically increasing in i.
-func DistBinLow(i int) int64 { return distLow(i) }
 
 // CountsInto copies the distribution's raw per-bin counters into buf, which
 // must have length DistNumBins, and returns the observation count and sum at

@@ -74,7 +74,7 @@ func TestDistributionQuantiles(t *testing.T) {
 
 func TestDistributionNegativeClampsAndEmpty(t *testing.T) {
 	d := newDistribution("neg", 1)
-	if d.Histogram(8) != nil {
+	if d.Histogram() != nil {
 		t.Fatal("empty distribution produced a histogram")
 	}
 	if d.Quantile(0.5) != 0 {

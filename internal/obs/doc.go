@@ -1,9 +1,10 @@
 // Package obs is the repository's self-hosted observability layer: a
 // zero-dependency metrics registry, one record per scan (ScanRecord: identity,
 // volume, outcome, fault accounting, spans) published exactly once through
-// Obs.Publish into two retention views — Tracer keeps every recent scan,
-// FlightRecorder tail-samples so anomalous ones outlive a quiet stretch — and
-// the HTTP introspection surface histserved mounts on -metrics-addr.
+// Obs.Publish into one store, Tracer, under one lock — its recent ring keeps
+// every scan, its tail ring keeps anomalous ones through a quiet stretch, and
+// two HyperLogLog sketches fed at publish count distinct tables and clients —
+// and the HTTP introspection surface histserved mounts on -metrics-addr.
 //
 // The design discipline mirrors the paper's no-cost-to-the-stream rule: the
 // instrumentation primitives are single atomics (counters, gauges) or a

@@ -43,7 +43,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeSummary renders one distribution as a Prometheus summary family.
 func writeSummary(w io.Writer, m *metric) {
 	d := m.dist
-	h := d.Histogram(distQuantileBuckets)
+	h := d.Histogram()
 	base, labels := m.base, ""
 	if i := strings.IndexByte(m.name, '{'); i >= 0 {
 		labels = m.name[i+1 : len(m.name)-1]
@@ -149,40 +149,53 @@ func validateComment(line string) error {
 	return nil
 }
 
-func validateSample(line string) error {
-	// name[{labels}] value [timestamp] [# {labels} value [timestamp]]
-	// The trailing section is an OpenMetrics exemplar; split it off first
-	// and validate it with the same label/value rules as the sample proper.
+// SplitSample cuts one exposition sample line,
+//
+//	name[{labels}] value [timestamp] [# {labels} value [timestamp]]
+//
+// into its series (name and label block), the value and optional timestamp
+// fields, and the OpenMetrics exemplar section after " # " ("" when absent).
+// It checks only the shape it needs to cut; ValidateExposition checks the
+// rest.
+func SplitSample(line string) (series string, fields []string, exemplar string, err error) {
 	if i := strings.Index(line, " # "); i >= 0 {
-		if err := validateExemplar(strings.TrimSpace(line[i+3:])); err != nil {
-			return fmt.Errorf("%v in %q", err, line)
-		}
-		line = line[:i]
+		line, exemplar = line[:i], strings.TrimSpace(line[i+3:])
 	}
-	rest := line
-	var name string
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		name = rest[:i]
-		end := strings.LastIndexByte(rest, '}')
-		if end < i {
-			return fmt.Errorf("unterminated label block in %q", line)
+	end := strings.IndexAny(line, " \t")
+	if i := strings.IndexByte(line, '{'); i >= 0 {
+		end = strings.LastIndexByte(line, '}') + 1
+		if end <= i {
+			return "", nil, "", fmt.Errorf("unterminated label block in %q", line)
 		}
-		if err := validateLabels(rest[i+1 : end]); err != nil {
+	}
+	if end < 0 {
+		return "", nil, "", fmt.Errorf("sample %q has no value", line)
+	}
+	return line[:end], strings.Fields(line[end:]), exemplar, nil
+}
+
+func validateSample(line string) error {
+	// The trailing exemplar is validated with the same label/value rules as
+	// the sample proper.
+	series, fields, exemplar, err := SplitSample(line)
+	if err != nil {
+		return err
+	}
+	if exemplar != "" {
+		if err := validateExemplar(exemplar); err != nil {
 			return fmt.Errorf("%v in %q", err, line)
 		}
-		rest = strings.TrimSpace(rest[end+1:])
-	} else {
-		sp := strings.IndexAny(rest, " \t")
-		if sp < 0 {
-			return fmt.Errorf("sample %q has no value", line)
+	}
+	name := series
+	if i := strings.IndexByte(series, '{'); i >= 0 {
+		name = series[:i]
+		if err := validateLabels(series[i+1 : len(series)-1]); err != nil {
+			return fmt.Errorf("%v in %q", err, line)
 		}
-		name = rest[:sp]
-		rest = strings.TrimSpace(rest[sp:])
 	}
 	if !validMetricName(name) {
 		return fmt.Errorf("invalid metric name %q", name)
 	}
-	fields := strings.Fields(rest)
 	if len(fields) == 0 || len(fields) > 2 {
 		return fmt.Errorf("sample %q: want value [timestamp]", line)
 	}

@@ -15,7 +15,9 @@ import (
 // TestRegistryScrapeHammer is the concurrency gate for the whole metrics
 // path (run it under -race): writer goroutines hammer counters, gauges,
 // distributions, scan-record publication, and GaugeFunc re-registration
-// while a scraper loops over the real /metrics, /scans and /events handlers. Every scrape must be a
+// while a scraper loops over the real /metrics, /scans and /events handlers
+// and drains the store's entity sketches as the timeline's tick does. Every
+// scrape must be a
 // well-formed exposition, and the hammered counter must read monotonically
 // non-decreasing across scrapes — a torn or racy read would show up as a
 // dip. The writers run until the scraper has seen enough overlapping
@@ -61,13 +63,16 @@ func TestRegistryScrapeHammer(t *testing.T) {
 		}(w)
 	}
 	// One more writer hands scan records over through the single publish
-	// point while /scans and /events are read: a record must be finished and
-	// numbered before either view can see it, or -race reports the write.
+	// point while /scans and /events are read and the entity sketches are
+	// drained: a record must be finished and numbered before either view can
+	// see it, and the sketches swapped under the store's lock, or -race
+	// reports the write.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < minIters || !stopWriters.Load(); i++ {
 			rec := StartScan(uint64(i), "server", "hammer", "c0", 4)
+			rec.Client = fmt.Sprintf("10.0.0.%d:1", i%3)
 			rec.Begin("accept") // left open: Publish closes it
 			rec.QuarantinedPages = uint32(i % 2)
 			o.Publish(rec)
@@ -98,6 +103,7 @@ func TestRegistryScrapeHammer(t *testing.T) {
 		// Interleave reads of both views over the published scan records.
 		scrapeOnce("/scans?n=8")
 		scrapeOnce("/events?n=8")
+		o.Trace.DrainEntities()
 		return cur
 	}
 

@@ -19,9 +19,9 @@ import (
 //	                server scan that continued the trace, redials included
 //	/debug/tracez   the same assembled trace as Chrome trace-event JSON,
 //	                loadable in Perfetto / chrome://tracing (?id=<trace id>)
-//	/events         the same records through the flight recorder's tail-sampled
-//	                ring, newest first (?n=K, default 64): anomalous scans
-//	                always kept, healthy ones 1-in-N
+//	/events         the same records through the tracer's tail-sampled ring,
+//	                newest first (?n=K, default 64): anomalous scans always
+//	                kept, healthy ones 1-in-TailSample
 //	/debug/hwprof   simulated-hardware cycle profile in pprof wire format
 //	                (?seconds=N for a delta window, ?format=text for the
 //	                line-oriented form histcli's renderers consume)
@@ -48,8 +48,8 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 
-	// The views are looked up per request, so a bundle whose Trace or Flight is
-	// swapped after the handler is mounted is still served from the live one.
+	// The tracer is looked up per request, so a bundle whose Trace is swapped
+	// after the handler is mounted is still served from the live one.
 	mux.HandleFunc("/scans", recordsHandler("scans", 32, func(n int) []*ScanRecord { return o.Tracer().Recent(n) }))
 
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
@@ -69,7 +69,7 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 		WriteTraceEvents(w, at)
 	})
 
-	mux.HandleFunc("/events", recordsHandler("events", 64, func(n int) []*ScanRecord { return o.FlightRec().Recent(n) }))
+	mux.HandleFunc("/events", recordsHandler("events", 64, func(n int) []*ScanRecord { return o.Tracer().Tail(n) }))
 
 	mux.HandleFunc("/debug/hwprof", func(w http.ResponseWriter, r *http.Request) {
 		p := o.Profiler()

@@ -8,41 +8,38 @@ import (
 )
 
 // Obs bundles the observability facilities a component needs: the metrics
-// registry, the two views over published scan records (Trace keeps every
-// recent scan, Flight tail-samples so anomalous ones outlive a quiet
-// stretch), the hardware-cycle profiler, and a structured logger. A nil *Obs
-// is valid everywhere (all accessors degrade to no-ops), so components accept
-// one without guarding; so is a bundle with any field left nil.
+// registry, the store of published scan records (Trace, which keeps both the
+// every-scan and the tail-sampled view), the hardware-cycle profiler, and a
+// structured logger. A nil *Obs is valid everywhere (all accessors degrade to
+// no-ops), so components accept one without guarding; so is a bundle with any
+// field left nil.
 type Obs struct {
-	Reg    *Registry
-	Trace  *Tracer
-	Prof   *hwprof.Profiler
-	Log    *slog.Logger
-	Flight *FlightRecorder
+	Reg   *Registry
+	Trace *Tracer
+	Prof  *hwprof.Profiler
+	Log   *slog.Logger
 }
 
 // New returns a fully wired Obs: fresh registry, a DefaultTraceRing-deep
-// tracer, a hardware-cycle profiler, an always-on flight recorder, and a
-// no-op logger (replace Log to get output).
+// tracer, a hardware-cycle profiler, and a no-op logger (replace Log to get
+// output).
 func New() *Obs {
 	return &Obs{
-		Reg:    NewRegistry(),
-		Trace:  NewTracer(0),
-		Prof:   hwprof.New(),
-		Log:    NopLogger(),
-		Flight: NewFlightRecorder(0, 0),
+		Reg:   NewRegistry(),
+		Trace: NewTracer(0),
+		Prof:  hwprof.New(),
+		Log:   NopLogger(),
 	}
 }
 
 // Publish is the single hand-over point of a scan's record. It finalises the
 // record — the wall clock is stamped once, spans a failing stage left open
-// are closed, the tail-sampling verdict is computed — then offers the same
-// pointer to the flight recorder (which assigns Seq before anything can read
-// the record through it) and to the recent-scans ring, and emits the scan's
-// one log line. The record is immutable from here on: every reader, and the
-// caller's latency observation, sees the same ID, trace ID, start and wall
-// time. Nil-safe in both arguments; a nil bundle still finalises the record,
-// so a client with no bundle ships closed spans in its trailer.
+// are closed, the tail-sampling verdict is computed — then hands the pointer
+// to the tracer, the one store every view reads, and emits the scan's one log
+// line. The record is immutable from here on: every reader, and the caller's
+// latency observation, sees the same ID, trace ID, start and wall time.
+// Nil-safe in both arguments; a nil bundle still finalises the record, so a
+// client with no bundle ships closed spans in its trailer.
 func (o *Obs) Publish(rec *ScanRecord) {
 	if rec == nil {
 		return
@@ -51,7 +48,6 @@ func (o *Obs) Publish(rec *ScanRecord) {
 	if o == nil {
 		return
 	}
-	o.Flight.Record(rec)
 	o.Trace.Publish(rec)
 	level, msg := slog.LevelInfo, "scan served"
 	if rec.Err != "" {
@@ -85,15 +81,6 @@ func (o *Obs) Profiler() *hwprof.Profiler {
 		return nil
 	}
 	return o.Prof
-}
-
-// FlightRec returns the bundle's scan flight recorder; nil for a nil bundle
-// (a nil recorder is itself a valid no-op).
-func (o *Obs) FlightRec() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Flight
 }
 
 // Logger returns the bundle's logger, or the shared no-op logger when the

@@ -20,9 +20,9 @@ import (
 // once at StartScan. All methods are nil-safe, so an unwired scan costs one
 // pointer check per phase.
 type ScanRecord struct {
-	// Seq counts records offered to the flight recorder, including those its
-	// tail sampling chose not to retain, so gaps among retained records
-	// quantify exactly what sampling dropped. Zero without a recorder.
+	// Seq counts records published to the tracer, including those its tail
+	// sampling chose not to retain, so gaps among /events rows quantify
+	// exactly what sampling dropped. Zero without a tracer.
 	Seq uint64 `json:"seq"`
 	// ID is the scan's process-wide identifier — the same number in the slog
 	// "scan" attribute and in the scan's fault-injection fork.
@@ -71,8 +71,8 @@ type ScanRecord struct {
 	Spans []Span `json:"spans"`
 
 	// Anomalous is the tail-sampling verdict: anything that failed, degraded,
-	// retried, resumed or shed work is retained unconditionally by the flight
-	// recorder; healthy scans are 1-in-N sampled.
+	// retried, resumed or shed work is retained unconditionally by the
+	// tracer's tail ring; healthy scans are 1-in-TailSample sampled.
 	Anomalous bool `json:"anomalous"`
 
 	begin time.Time // monotonic anchor for Begin/End

@@ -159,7 +159,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || d.Count() != 0 || d.Sum() != 0 {
 		t.Fatal("nil instruments reported nonzero values")
 	}
-	if d.Histogram(4) != nil || d.Quantile(0.5) != 0 {
+	if d.Histogram() != nil || d.Quantile(0.5) != 0 {
 		t.Fatal("nil distribution produced a histogram")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {

@@ -2,8 +2,8 @@ package obs
 
 // Ring is a fixed-capacity buffer that overwrites its oldest element once
 // full — the one shape every bounded store in the observability plane has
-// (recent scans, tail-sampled scans, entity feed, client span reports, the
-// timeline's sealed windows and anomaly history). It is not synchronised:
+// (recent scans, tail-sampled scans, client span reports, the timeline's
+// sealed windows and anomaly history). It is not synchronised:
 // each owner guards its ring with the lock it already holds. A zero-capacity
 // ring drops every Push.
 type Ring[T any] struct {

@@ -60,15 +60,14 @@ func TestRing(t *testing.T) {
 	}
 }
 
-// TestFlightRetentionPolicy pins the tail-sampling policy through the real
-// hand-over path: anomalous records are always kept, healthy ones
-// 1-in-sampleEvery, the accounting adds up, the entity feed sees every
-// offered record, and Seq gaps among retained records are exactly what
-// sampling dropped.
+// TestFlightRetentionPolicy pins the tail-sampling policy of the one store
+// through the real hand-over path: anomalous records are always kept,
+// healthy ones 1-in-TailSample, the accounting adds up, Seq gaps among
+// retained records are exactly what sampling dropped, both views hold the
+// same pointers, and publishing allocates nothing.
 func TestFlightRetentionPolicy(t *testing.T) {
-	const sampleEvery, scans = 4, 41
-	fr := NewFlightRecorder(64, sampleEvery)
-	o := &Obs{Flight: fr, Trace: NewTracer(64)}
+	const scans = 41
+	o := &Obs{Trace: NewTracer(64)}
 	var anomalous, healthy int
 	for i := 1; i <= scans; i++ {
 		rec := StartScan(uint64(i), "server", fmt.Sprintf("t%d", i), "c", 0)
@@ -81,20 +80,17 @@ func TestFlightRetentionPolicy(t *testing.T) {
 		}
 		o.Publish(rec)
 		if rec.Seq != uint64(i) {
-			t.Fatalf("record %d got Seq %d: every offered record is numbered", i, rec.Seq)
+			t.Fatalf("record %d got Seq %d: every published record is numbered", i, rec.Seq)
 		}
 	}
 
-	offered, kept, sampledAway := fr.Stats()
-	wantKeptHealthy := (healthy + sampleEvery - 1) / sampleEvery // the 1st, 5th, 9th... healthy record
-	if offered != scans || kept != uint64(anomalous+wantKeptHealthy) || offered != kept+sampledAway {
-		t.Fatalf("Stats = offered %d, kept %d, sampled away %d; want %d, %d, and offered = kept + sampled away",
-			offered, kept, sampledAway, scans, anomalous+wantKeptHealthy)
-	}
-
-	retained := fr.Recent(scans)
-	if uint64(len(retained)) != kept {
-		t.Fatalf("ring retains %d records, Stats says %d kept", len(retained), kept)
+	retained := o.Trace.Tail(scans)
+	offered, kept := uint64(scans), uint64(len(retained))
+	wantKeptHealthy := (healthy + TailSample - 1) / TailSample // the 1st, 5th, 9th... healthy record
+	sampledAway := uint64(healthy - wantKeptHealthy)
+	if kept != uint64(anomalous+wantKeptHealthy) || offered != kept+sampledAway {
+		t.Fatalf("tail ring keeps %d of %d records; want %d anomalous + %d healthy, and offered = kept + sampled away",
+			kept, offered, anomalous, wantKeptHealthy)
 	}
 	var keptAnomalous int
 	gaps := uint64(0)
@@ -117,16 +113,6 @@ func TestFlightRetentionPolicy(t *testing.T) {
 		t.Errorf("Seq gaps among retained records add up to %d, sampling dropped %d", gaps, sampledAway)
 	}
 
-	// The entity feed is not sampled: every offered record's identity, once.
-	tables, clients, last := fr.EntitiesSince(0)
-	if len(tables) != scans || len(clients) != scans || last != offered {
-		t.Errorf("EntitiesSince(0) = %d tables, %d clients, last %d; want %d, %d, %d",
-			len(tables), len(clients), last, scans, scans, offered)
-	}
-	if tables, _, last := fr.EntitiesSince(offered - 3); len(tables) != 3 || last != offered {
-		t.Errorf("EntitiesSince(offered-3) = %d tables, last %d", len(tables), last)
-	}
-
 	// The recent-scans view is unsampled and holds the same pointers.
 	recent := o.Trace.Recent(scans)
 	if len(recent) != scans {
@@ -140,5 +126,12 @@ func TestFlightRetentionPolicy(t *testing.T) {
 		if bySeq[rec.Seq] != rec {
 			t.Fatalf("the two views hold different records for Seq %d", rec.Seq)
 		}
+	}
+
+	// Numbering, both ring pushes and both sketch updates allocate nothing.
+	rec := StartScan(1, "server", "lineitem", "l_tax", 0)
+	rec.Client = "10.0.0.2:1"
+	if n := testing.AllocsPerRun(100, func() { o.Trace.Publish(rec) }); n != 0 {
+		t.Errorf("Tracer.Publish allocates %v times per record", n)
 	}
 }

@@ -153,7 +153,7 @@ func newEngine(t *Timeline, dets []Detector) *engine {
 			d.Trailing = 6 * d.Window
 		}
 		e.dets = append(e.dets, d)
-		e.counters[d.Name] = t.cfg.Registry.Counter(
+		e.counters[d.Name] = t.o.Registry().Counter(
 			fmt.Sprintf(`streamhist_anomaly_trips_total{detector="%s"}`, obs.LabelValue(d.Name)),
 			"Anomaly detector trips.")
 	}
@@ -165,7 +165,7 @@ func newEngine(t *Timeline, dets []Detector) *engine {
 func (e *engine) evaluate(now time.Time) {
 	for i := range e.dets {
 		d := &e.dets[i]
-		if last, ok := e.lastTrip[d.Name]; ok && now.Sub(last) < e.t.cfg.Cooldown {
+		if last, ok := e.lastTrip[d.Name]; ok && now.Sub(last) < e.t.cooldown {
 			continue
 		}
 		a, tripped := e.check(d)
@@ -178,7 +178,7 @@ func (e *engine) evaluate(now time.Time) {
 		e.counters[d.Name].Inc()
 		e.t.writeBundleLocked(&a, now)
 		e.ring.Push(a)
-		e.t.cfg.Log.Warn("anomaly detected",
+		e.t.o.Logger().Warn("anomaly detected",
 			"detector", a.Detector, "metric", a.Metric,
 			"value", a.Value, "threshold", a.Threshold, "bundle", a.Bundle)
 	}

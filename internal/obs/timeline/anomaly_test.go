@@ -18,8 +18,7 @@ func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
 	reg := obs.NewRegistry()
 	quar := reg.Counter("streamhist_server_pages_quarantined_total", "")
 	moved := reg.Counter("streamhist_server_pages_moved_total", "")
-	tl := New(Config{
-		Registry:    reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 32}},
 		Detectors: []Detector{{
 			Name: "quarantine-ratio", Kind: KindRatio,
@@ -96,8 +95,7 @@ func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
 func TestDropDetectorNeedsBaselineAndActivity(t *testing.T) {
 	reg := obs.NewRegistry()
 	bytes := reg.Counter("streamhist_server_bytes_moved_total", "")
-	tl := New(Config{
-		Registry:    reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 64}},
 		Detectors: []Detector{{
 			Name: "throughput-drop", Kind: KindDrop,
@@ -139,21 +137,18 @@ func TestDropDetectorNeedsBaselineAndActivity(t *testing.T) {
 func TestTripWritesDebugBundle(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(32, 1)
+	o := &obs.Obs{Reg: reg, Trace: obs.NewTracer(0)}
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
-	tl := New(Config{
-		Registry:    reg,
-		Flight:      fr,
+	tl := NewForTest(o, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
 			Name: "wal-drops", Kind: KindNonZero,
 			Metric: "streamhist_durable_wal_dropped_total", Window: 1,
 		}},
-		BundleDir:   dir,
 		BundleLimit: 2,
 		Cooldown:    time.Nanosecond,
 	})
-	fr.Record(&obs.ScanRecord{ID: 7, Table: "lineitem", QuarantinedPages: 3})
+	o.Publish(&obs.ScanRecord{ID: 7, Table: "lineitem", QuarantinedPages: 3})
 
 	now := testEpoch
 	tl.Tick(now)
@@ -263,8 +258,7 @@ func TestHTTPHandlerSurfaces(t *testing.T) {
 	o := obs.New()
 	reg := o.Reg
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
-	tl := New(Config{
-		Registry:    reg,
+	tl := NewForTest(o, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
 			Name: "wal-drops", Kind: KindNonZero,
@@ -286,11 +280,7 @@ func TestHTTPHandlerSurfaces(t *testing.T) {
 
 	// Index.
 	rec := get("/timeline")
-	var idx struct {
-		Resolutions []string `json:"resolutions"`
-		Metrics     []string `json:"metrics"`
-		Trips       uint64   `json:"anomaly_trips"`
-	}
+	var idx Index
 	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil {
 		t.Fatalf("/timeline index: %v", err)
 	}

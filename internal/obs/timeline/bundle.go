@@ -24,21 +24,21 @@ type bundleManifest struct {
 }
 
 // writeBundleLocked writes a self-contained debug bundle for a — a directory
-// under cfg.BundleDir holding the verdict, a full timeline slice, the flight
-// recorder's retained events, and heap + simulated-hardware profiles in
-// pprof format — then prunes the oldest bundles beyond BundleLimit and
+// under the bundle directory holding the verdict, a full timeline slice, the
+// tracer's tail-sampled records, and heap + simulated-hardware profiles in
+// pprof format — then prunes the oldest bundles beyond the limit and
 // records the bundle path in a.Bundle. Caller holds t.mu; bundle writes are
 // rare (cooldown-debounced) so the held lock is cheaper than a consistent
 // copy of every series.
 func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
-	dir := t.cfg.BundleDir
+	dir := t.bundleDir
 	if dir == "" {
 		return
 	}
 	t.eng.bundleSeq++
 	name := filepath.Join(dir, bundleName(t.eng.bundleSeq, a.Detector, now))
 	if err := os.MkdirAll(name, 0o755); err != nil {
-		t.cfg.Log.Warn("debug bundle failed", "dir", name, "err", err)
+		t.o.Logger().Warn("debug bundle failed", "dir", name, "err", err)
 		return
 	}
 
@@ -57,8 +57,8 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 		man.Files = append(man.Files, "timeline.json")
 	}
 
-	// Flight-recorder dump: every scan record tail sampling retained.
-	if evs := t.cfg.Flight.Recent(1 << 20); len(evs) > 0 {
+	// Every scan record tail sampling retained.
+	if evs := t.o.Tracer().Tail(obs.TailRing); len(evs) > 0 {
 		if writeJSON(filepath.Join(name, "events.json"), evs) == nil {
 			man.Files = append(man.Files, "events.json")
 		}
@@ -68,7 +68,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 	// assembled distributed trace when the tracer still holds it — the bundle
 	// then carries not just "the tail was this slow" but the exact traced
 	// scan that put it there, spans and all.
-	if t.cfg.Tracer != nil {
+	if tracer := t.o.Tracer(); tracer != nil {
 		type exemplarEntry struct {
 			Metric  string              `json:"metric"`
 			Value   int64               `json:"value"`
@@ -76,7 +76,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 			Trace   *obs.AssembledTrace `json:"trace,omitempty"`
 		}
 		var exs []exemplarEntry
-		for _, s := range t.cfg.Registry.Samples(nil) {
+		for _, s := range t.o.Registry().Samples(nil) {
 			if s.Kind != obs.SampleDist {
 				continue
 			}
@@ -88,7 +88,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 				Metric:  s.Name,
 				Value:   ex.Value,
 				TraceID: fmt.Sprintf("%016x", ex.TraceID),
-				Trace:   t.cfg.Tracer.Assemble(ex.TraceID),
+				Trace:   tracer.Assemble(ex.TraceID),
 			})
 		}
 		if len(exs) > 0 && writeJSON(filepath.Join(name, "exemplars.json"), exs) == nil {
@@ -105,7 +105,7 @@ func (t *Timeline) writeBundleLocked(a *Anomaly, now time.Time) {
 	}
 
 	// Simulated-hardware cycle profile, pprof wire format.
-	if p := t.cfg.Prof; p != nil && p.TotalCycles() > 0 {
+	if p := t.o.Profiler(); p != nil && p.TotalCycles() > 0 {
 		if f, err := os.Create(filepath.Join(name, "hwprof.pb.gz")); err == nil {
 			if p.Snapshot().WritePprof(f) == nil {
 				man.Files = append(man.Files, "hwprof.pb.gz")
@@ -152,7 +152,7 @@ func bundleName(seq uint64, detector string, now time.Time) string {
 	return fmt.Sprintf("bundle-%06d-%s-%s", seq, safe, now.UTC().Format("20060102T150405"))
 }
 
-// pruneBundles removes the oldest bundle directories beyond BundleLimit.
+// pruneBundles removes the oldest bundle directories beyond the limit.
 func (t *Timeline) pruneBundles(dir string) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -164,11 +164,11 @@ func (t *Timeline) pruneBundles(dir string) {
 			names = append(names, e.Name())
 		}
 	}
-	if len(names) <= t.cfg.BundleLimit {
+	if len(names) <= t.bundleLimit {
 		return
 	}
 	sort.Strings(names)
-	for _, n := range names[:len(names)-t.cfg.BundleLimit] {
+	for _, n := range names[:len(names)-t.bundleLimit] {
 		os.RemoveAll(filepath.Join(dir, n))
 	}
 }

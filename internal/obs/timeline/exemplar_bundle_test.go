@@ -28,16 +28,13 @@ func TestBundleIncludesExemplarTraces(t *testing.T) {
 	tracer.Publish(st)
 
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
-	tl := New(Config{
-		Registry:    reg,
-		Tracer:      tracer,
+	tl := NewForTest(&obs.Obs{Reg: reg, Trace: tracer}, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
 			Name: "wal-drops", Kind: KindNonZero,
 			Metric: "streamhist_durable_wal_dropped_total", Window: 1,
 		}},
-		BundleDir: dir,
-		Cooldown:  time.Nanosecond,
+		Cooldown: time.Nanosecond,
 	})
 
 	now := testEpoch

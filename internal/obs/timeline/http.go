@@ -8,6 +8,16 @@ import (
 	"streamhist/internal/obs"
 )
 
+// Index is what /timeline answers without ?metric=: the resolution labels,
+// finest first, the tracked metrics, the anomaly trip count, and how many
+// instruments the series cap kept out.
+type Index struct {
+	Resolutions []string `json:"resolutions"`
+	Metrics     []string `json:"metrics"`
+	Trips       uint64   `json:"anomaly_trips"`
+	Dropped     int      `json:"series_dropped"`
+}
+
 // Handler extends obs.Handler with the timeline surface:
 //
 //	/timeline                 index: resolutions, tracked metrics, trip count
@@ -31,12 +41,7 @@ func Handler(t *Timeline, o *obs.Obs, healthy func() error) http.Handler {
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		metric := r.URL.Query().Get("metric")
 		if metric == "" {
-			obs.WriteJSON(w, struct {
-				Resolutions []string `json:"resolutions"`
-				Metrics     []string `json:"metrics"`
-				Trips       uint64   `json:"anomaly_trips"`
-				Dropped     int      `json:"series_dropped"`
-			}{t.Resolutions(), t.Metrics(), t.Trips(), t.Dropped()})
+			obs.WriteJSON(w, Index{t.Resolutions(), t.Metrics(), t.Trips(), t.Dropped()})
 			return
 		}
 		sd, ok := t.Series(metric, r.URL.Query().Get("res"))

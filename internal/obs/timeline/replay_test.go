@@ -47,9 +47,7 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tl := timeline.New(timeline.Config{
-		Registry:    o.Reg,
-		Flight:      o.Flight,
+	tl := timeline.NewForTest(o, t.TempDir(), timeline.TestConfig{
 		Resolutions: []timeline.Res{{Step: time.Second, Len: 60}},
 		Detectors: []timeline.Detector{{
 			Name: "quarantine-ratio", Kind: timeline.KindRatio,
@@ -57,7 +55,6 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 			Denom:  "streamhist_server_pages_moved_total",
 			Window: 4, Threshold: 0.01,
 		}},
-		BundleDir: t.TempDir(),
 	})
 
 	dial := func() (net.Conn, error) {

@@ -2,16 +2,10 @@ package timeline
 
 import (
 	"fmt"
-	"hash/fnv"
-	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"streamhist/internal/bins"
-	"streamhist/internal/hist"
-	"streamhist/internal/hwprof"
 	"streamhist/internal/obs"
 	"streamhist/internal/sketch"
 )
@@ -41,9 +35,10 @@ func fmtStep(d time.Duration) string {
 	}
 }
 
-// DefaultResolutions is the stock three-tier retention: two minutes at 1s,
-// an hour at 10s, a day at 5m.
-func DefaultResolutions() []Res {
+// defaultResolutions is the stock three-tier retention: two minutes at 1s,
+// an hour at 10s, a day at 5m. The finest tier's step is the sampling
+// period, and every coarser step is a multiple of it.
+func defaultResolutions() []Res {
 	return []Res{
 		{Step: time.Second, Len: 120},
 		{Step: 10 * time.Second, Len: 360},
@@ -51,86 +46,25 @@ func DefaultResolutions() []Res {
 	}
 }
 
-// ParseResolutions parses the histserved flag syntax "1s:120,10s:360,5m:288"
-// into a resolution list.
-func ParseResolutions(s string) ([]Res, error) {
-	var out []Res
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		stepStr, lenStr, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("timeline: resolution %q: want step:len", part)
-		}
-		step, err := time.ParseDuration(stepStr)
-		if err != nil {
-			return nil, fmt.Errorf("timeline: resolution %q: %v", part, err)
-		}
-		var n int
-		if _, err := fmt.Sscanf(lenStr, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("timeline: resolution %q: bad length", part)
-		}
-		out = append(out, Res{Step: step, Len: n})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("timeline: no resolutions in %q", s)
-	}
-	return out, nil
-}
-
-// Defaults for Config fields left zero.
 const (
-	DefaultBase        = time.Second
-	DefaultMaxSeries   = 512
-	DefaultHLLPrec     = 10
-	DefaultBundleLimit = 16
-	DefaultCooldown    = time.Minute
+	// defaultMaxSeries caps the instrument population; instruments
+	// registered after the cap is hit are counted but not tracked (fixed
+	// memory beats completeness for a flight recorder).
+	defaultMaxSeries = 512
+	// defaultBundleLimit caps how many debug bundles are kept (oldest pruned).
+	defaultBundleLimit = 16
+	// defaultCooldown debounces each detector: once tripped, it stays quiet
+	// this long.
+	defaultCooldown    = time.Minute
 	defaultAnomalyRing = 64
 )
 
-// Synthetic series names the timeline derives from the flight recorder's
-// entity stream rather than from a registry instrument.
+// Synthetic series names the timeline derives from the tracer's
+// distinct-entity sketches rather than from a registry instrument.
 const (
 	MetricDistinctTables  = "timeline_distinct_tables"
 	MetricDistinctClients = "timeline_distinct_clients"
 )
-
-// Config wires a Timeline. Zero-value fields take the defaults above;
-// Registry is the only field without which the timeline is pointless
-// (it still runs, recording only the synthetic distinct-entity series).
-type Config struct {
-	// Base is the sampling period; every instrument is read once per Base.
-	Base time.Duration
-	// Resolutions are the retention tiers, finest first. Steps are rounded up
-	// to multiples of the base step so window boundaries align with ticks.
-	Resolutions []Res
-	// MaxSeries caps the instrument population; instruments registered after
-	// the cap is hit are counted but not tracked (fixed memory beats
-	// completeness for a flight recorder).
-	MaxSeries int
-	// HLLPrecision is the register-count exponent for the per-window
-	// distinct-entity sketches.
-	HLLPrecision int
-
-	Registry *obs.Registry
-	Flight   *obs.FlightRecorder
-	Prof     *hwprof.Profiler
-	Log      *slog.Logger
-	// Tracer, when set alongside Registry, joins metric exemplars to their
-	// distributed traces in debug bundles: each anomaly bundle gains an
-	// exemplars.json mapping every distribution's retained exemplar to the
-	// assembled trace it points at (when the tracer still holds it).
-	Tracer *obs.Tracer
-
-	// Detectors override DefaultDetectors; nil keeps the stock set, an empty
-	// non-nil slice disables detection.
-	Detectors []Detector
-	// BundleDir, when set, is where anomaly trips drop debug bundles.
-	BundleDir string
-	// BundleLimit caps how many bundles are kept (oldest pruned).
-	BundleLimit int
-	// Cooldown debounces each detector: once tripped, it stays quiet this long.
-	Cooldown time.Duration
-}
 
 // seriesKind discriminates how a tracked series turns samples into windows.
 type seriesKind uint8
@@ -171,15 +105,14 @@ type window struct {
 
 // resRing is one series × one resolution: a fixed ring of sealed windows
 // plus the open window's accumulator. Open-window state is the only part
-// whose size depends on the series kind — a float for counters/gauges, a
-// bins.Vector for distributions, an HLL for the distinct-entity series.
+// whose size depends on the series kind — a float for counters/gauges,
+// per-bin counts for distributions, an HLL for the distinct-entity series.
 type resRing struct {
 	stepTicks int // window length in base windows (1 for the base tier)
 	ring      obs.Ring[window]
 
 	acc      float64
-	accSet   bool // gauge: a reading landed in this window
-	accVec   *bins.Vector
+	accBins  []int64 // dist only: per-bin count deltas, the Distribution's layout
 	accCount int64
 	accSum   int64
 	accHLL   *sketch.HLL
@@ -209,22 +142,22 @@ type series struct {
 // readers copy out; instruments themselves stay lock-free. A nil *Timeline
 // no-ops on every method.
 type Timeline struct {
-	cfg       Config
-	base      time.Duration
-	baseTicks int // base-tier window length in sampling ticks
-	res       []Res
-	maxSeries int
+	o         *obs.Obs
+	bundleDir string
+	res       []Res // finest first; res[0].Step is the sampling period
 
-	mu       sync.Mutex
-	series   map[string]*series
-	order    []*series
-	ticks    uint64
-	dropped  int // instruments beyond MaxSeries
-	flightAt uint64
+	maxSeries   int
+	bundleLimit int
+	cooldown    time.Duration
+
+	mu      sync.Mutex
+	series  map[string]*series
+	order   []*series
+	ticks   uint64
+	dropped int // instruments beyond maxSeries
 
 	sampleBuf []obs.Sample
 	distBuf   []int64
-	deltaVec  *bins.Vector
 
 	eng *engine
 
@@ -234,73 +167,26 @@ type Timeline struct {
 	done      chan struct{}
 }
 
-// New builds a Timeline from cfg, normalising zero fields to defaults and
-// rounding resolution steps up to multiples of the base period so every
-// window boundary lands on a tick.
-func New(cfg Config) *Timeline {
-	if cfg.Base <= 0 {
-		cfg.Base = DefaultBase
-	}
-	res := cfg.Resolutions
-	if len(res) == 0 {
-		res = DefaultResolutions()
-	}
-	norm := make([]Res, 0, len(res))
-	for _, r := range res {
-		if r.Len <= 0 {
-			continue
-		}
-		if r.Step < cfg.Base {
-			r.Step = cfg.Base
-		}
-		if rem := r.Step % cfg.Base; rem != 0 {
-			r.Step += cfg.Base - rem
-		}
-		norm = append(norm, r)
-	}
-	if len(norm) == 0 {
-		norm = []Res{{Step: cfg.Base, Len: 120}}
-	}
-	sort.SliceStable(norm, func(i, j int) bool { return norm[i].Step < norm[j].Step })
-	// Coarser tiers fold sealed base windows, so they must tile base windows.
-	for i := 1; i < len(norm); i++ {
-		if rem := norm[i].Step % norm[0].Step; rem != 0 {
-			norm[i].Step += norm[0].Step - rem
-		}
-	}
-	if cfg.MaxSeries <= 0 {
-		cfg.MaxSeries = DefaultMaxSeries
-	}
-	if cfg.HLLPrecision <= 0 {
-		cfg.HLLPrecision = DefaultHLLPrec
-	}
-	if cfg.BundleLimit <= 0 {
-		cfg.BundleLimit = DefaultBundleLimit
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = DefaultCooldown
-	}
-	if cfg.Log == nil {
-		cfg.Log = obs.NopLogger()
-	}
-	baseTicks := int(norm[0].Step / cfg.Base)
-	if baseTicks < 1 {
-		baseTicks = 1
-	}
+// New builds the timeline over a bundle: it samples o's registry, drains the
+// distinct-entity sketches of o's tracer, dumps the tracer's tail ring and
+// o's hardware profile into debug bundles, and logs through o's logger. A
+// non-empty bundleDir is where anomaly trips drop debug bundles.
+func New(o *obs.Obs, bundleDir string) *Timeline {
+	return newTimeline(o, bundleDir, defaultResolutions(), DefaultDetectors())
+}
+
+func newTimeline(o *obs.Obs, bundleDir string, res []Res, dets []Detector) *Timeline {
 	t := &Timeline{
-		cfg:       cfg,
-		base:      cfg.Base,
-		baseTicks: baseTicks,
-		res:       norm,
-		maxSeries: cfg.MaxSeries,
-		series:    make(map[string]*series),
-		distBuf:   make([]int64, obs.DistNumBins),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	dets := cfg.Detectors
-	if dets == nil {
-		dets = DefaultDetectors()
+		o:           o,
+		bundleDir:   bundleDir,
+		res:         res,
+		maxSeries:   defaultMaxSeries,
+		bundleLimit: defaultBundleLimit,
+		cooldown:    defaultCooldown,
+		series:      make(map[string]*series),
+		distBuf:     make([]int64, obs.DistNumBins),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	t.eng = newEngine(t, dets)
 	// The entity series exist from the start so /timeline lists them even
@@ -315,7 +201,7 @@ func (t *Timeline) Base() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return t.base
+	return t.res[0].Step
 }
 
 // Start launches the sampling goroutine, ticking every base period. Safe to
@@ -327,7 +213,7 @@ func (t *Timeline) Start() {
 	t.startOnce.Do(func() {
 		go func() {
 			defer close(t.done)
-			tick := time.NewTicker(t.base)
+			tick := time.NewTicker(t.Base())
 			defer tick.Stop()
 			for {
 				select {
@@ -353,7 +239,7 @@ func (t *Timeline) Close() {
 }
 
 // getOrCreate returns the tracked series for name, creating rings on first
-// sight. Caller holds t.mu (or is inside New, before publication).
+// sight. Caller holds t.mu (or is inside newTimeline, before publication).
 func (t *Timeline) getOrCreate(name string, kind seriesKind, scale float64) *series {
 	if s, ok := t.series[name]; ok {
 		return s
@@ -367,11 +253,10 @@ func (t *Timeline) getOrCreate(name string, kind seriesKind, scale float64) *ser
 		s.prevBins = make([]int64, obs.DistNumBins)
 	}
 	for i, r := range t.res {
-		st := t.baseTicks
-		if i > 0 {
-			st = int(r.Step / t.res[0].Step)
+		s.rings[i] = resRing{stepTicks: int(r.Step / t.res[0].Step), ring: obs.NewRing[window](r.Len)}
+		if kind == kindDist {
+			s.rings[i].accBins = make([]int64, obs.DistNumBins)
 		}
-		s.rings[i] = resRing{stepTicks: st, ring: obs.NewRing[window](r.Len)}
 	}
 	t.series[name] = s
 	t.order = append(t.order, s)
@@ -379,11 +264,11 @@ func (t *Timeline) getOrCreate(name string, kind seriesKind, scale float64) *ser
 }
 
 // Tick performs one sampling pass as of now: read every instrument, fold the
-// deltas into open base windows, seal windows whose boundary this tick is,
-// drain the flight recorder into the distinct-entity sketches, and run the
-// anomaly detectors over freshly sealed base windows. Exported so tests (and
-// the chaos CI job) can drive time deterministically; production use goes
-// through Start. Nil-safe.
+// deltas into open base windows, drain the tracer's distinct-entity sketches
+// into them, seal the base windows (and any coarser window whose boundary
+// this is), and run the anomaly detectors over the freshly sealed windows.
+// Exported so tests (and the chaos CI job) can drive time deterministically;
+// production use goes through Start. Nil-safe.
 func (t *Timeline) Tick(now time.Time) {
 	if t == nil {
 		return
@@ -392,7 +277,7 @@ func (t *Timeline) Tick(now time.Time) {
 	defer t.mu.Unlock()
 	t.ticks++
 
-	t.sampleBuf = t.cfg.Registry.Samples(t.sampleBuf[:0])
+	t.sampleBuf = t.o.Registry().Samples(t.sampleBuf[:0])
 	for i := range t.sampleBuf {
 		smp := &t.sampleBuf[i]
 		switch smp.Kind {
@@ -415,7 +300,6 @@ func (t *Timeline) Tick(now time.Time) {
 				continue
 			}
 			s.rings[0].acc = smp.Value
-			s.rings[0].accSet = true
 		case obs.SampleDist:
 			s := t.getOrCreate(smp.Name, kindDist, smp.Dist.Scale())
 			if s == nil {
@@ -425,17 +309,17 @@ func (t *Timeline) Tick(now time.Time) {
 		}
 	}
 
-	t.tickEntities()
+	tables, clients := t.o.Tracer().DrainEntities()
+	t.series[MetricDistinctTables].rings[0].accHLL = tables
+	t.series[MetricDistinctClients].rings[0].accHLL = clients
 
-	// Seal base windows at base boundaries, folding each sealed window into
-	// the coarser open windows; seal those at their own boundaries.
-	if t.ticks%uint64(t.baseTicks) == 0 {
-		endMS := now.UnixMilli()
-		for _, s := range t.order {
-			t.sealSeries(s, endMS)
-		}
-		t.eng.evaluate(now)
+	// Seal the base windows, folding each into the coarser open windows;
+	// seal those at their own boundaries.
+	endMS := now.UnixMilli()
+	for _, s := range t.order {
+		t.sealSeries(s, endMS)
 	}
+	t.eng.evaluate(now)
 }
 
 // tickDist folds one distribution's per-bin deltas since the last tick into
@@ -448,82 +332,28 @@ func (t *Timeline) tickDist(s *series, d *obs.Distribution) {
 		s.primed = true
 		return
 	}
-	if t.deltaVec == nil {
-		t.deltaVec = bins.FromCounts(0, 1, make([]int64, obs.DistNumBins))
-	}
-	t.deltaVec.Reset()
-	dirty := false
+	rr := &s.rings[0]
 	for i, cur := range t.distBuf {
 		if dd := cur - s.prevBins[i]; dd > 0 {
-			t.deltaVec.AddCount(int64(i), dd)
-			dirty = true
+			rr.accBins[i] += dd
 		}
 		s.prevBins[i] = cur
 	}
-	dc, ds := count-s.prevCount, sum-s.prevSum
+	rr.accCount += max(count-s.prevCount, 0)
+	rr.accSum += max(sum-s.prevSum, 0)
 	s.prevCount, s.prevSum = count, sum
-	if dc < 0 {
-		dc = 0
-	}
-	if ds < 0 {
-		ds = 0
-	}
-	if !dirty && dc == 0 {
-		return
-	}
-	rr := &s.rings[0]
-	if rr.accVec == nil {
-		rr.accVec = bins.FromCounts(0, 1, make([]int64, obs.DistNumBins))
-	}
-	rr.accVec.Merge(t.deltaVec)
-	rr.accCount += dc
-	rr.accSum += ds
-}
-
-// tickEntities drains new flight-recorder entities into the open
-// distinct-table/client sketches on the base tier.
-func (t *Timeline) tickEntities() {
-	tables, clients, last := t.cfg.Flight.EntitiesSince(t.flightAt)
-	t.flightAt = last
-	if len(tables) == 0 && len(clients) == 0 {
-		return
-	}
-	push := func(name string, vals []string) {
-		s := t.series[name]
-		if s == nil || len(vals) == 0 {
-			return
-		}
-		rr := &s.rings[0]
-		if rr.accHLL == nil {
-			rr.accHLL = sketch.NewHLL(t.cfg.HLLPrecision)
-		}
-		for _, v := range vals {
-			rr.accHLL.Push(0, hashString(v))
-		}
-	}
-	push(MetricDistinctTables, tables)
-	push(MetricDistinctClients, clients)
-}
-
-func hashString(s string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int64(h.Sum64())
 }
 
 // sealSeries closes the base window for s, folds it into coarser open
 // windows, and closes any coarser window whose boundary this base seal is.
 // Caller holds t.mu.
 func (t *Timeline) sealSeries(s *series, endMS int64) {
-	baseSealed := t.ticks / uint64(t.baseTicks)
 	base := &s.rings[0]
-	w := closeOpen(s, base, endMS)
-	base.ring.Push(w)
-
+	base.ring.Push(closeOpen(s, base, endMS))
 	for i := 1; i < len(s.rings); i++ {
 		rr := &s.rings[i]
-		t.foldBase(s, rr, base, w)
-		if baseSealed%uint64(rr.stepTicks) == 0 {
+		foldBase(s, rr, base)
+		if t.ticks%uint64(rr.stepTicks) == 0 {
 			rr.ring.Push(closeOpen(s, rr, endMS))
 			resetOpen(s, rr)
 		}
@@ -536,15 +366,17 @@ func (t *Timeline) sealSeries(s *series, endMS int64) {
 func closeOpen(s *series, rr *resRing, endMS int64) window {
 	w := window{endMS: endMS}
 	switch s.kind {
-	case kindCounter:
-		w.val = rr.acc
-	case kindGauge:
-		w.val = rr.acc // last reading persists across quiet windows
+	case kindCounter, kindGauge:
+		w.val = rr.acc // a gauge's last reading persists across quiet windows
 	case kindDist:
 		w.val = float64(rr.accCount)
 		w.sum = float64(rr.accSum) * s.scale
-		if rr.accVec != nil && rr.accCount > 0 {
-			w.p50, w.p90, w.p99 = distQuantiles(rr.accVec, s.scale)
+		if h := obs.CountsHistogram(rr.accBins); h != nil {
+			q := func(p float64) float64 {
+				v, _ := h.Quantile(p) // p is a constant in [0, 1]: cannot fail
+				return float64(v) * s.scale
+			}
+			w.p50, w.p90, w.p99 = q(0.5), q(0.9), q(0.99)
 		}
 	case kindEntity:
 		if rr.accHLL != nil {
@@ -561,77 +393,38 @@ func resetOpen(s *series, rr *resRing) {
 	switch s.kind {
 	case kindCounter:
 		rr.acc = 0
-	case kindGauge:
-		rr.accSet = false
 	case kindDist:
-		if rr.accVec != nil {
-			rr.accVec.Reset()
-		}
+		clear(rr.accBins)
 		rr.accCount, rr.accSum = 0, 0
 	case kindEntity:
 		rr.accHLL = nil
 	}
 }
 
-// foldBase merges a sealed base window into a coarser tier's open window:
-// counters add deltas, gauges take the latest reading, distributions merge
-// bin vectors via bins.MergeAll, entity sketches merge HLL registers.
-func (t *Timeline) foldBase(s *series, rr, baseRing *resRing, w window) {
+// foldBase merges the base tier's open window, just sealed, into a coarser
+// tier's open window: counters add deltas, gauges take the latest reading,
+// distributions add per-bin counts, entity sketches merge HLL registers.
+func foldBase(s *series, rr, base *resRing) {
 	switch s.kind {
 	case kindCounter:
-		rr.acc += w.val
+		rr.acc += base.acc
 	case kindGauge:
-		rr.acc = w.val
-		rr.accSet = true
+		rr.acc = base.acc
 	case kindDist:
-		if baseRing.accVec != nil && baseRing.accCount > 0 {
-			if rr.accVec == nil {
-				rr.accVec = baseRing.accVec.Clone()
-			} else if merged, err := bins.MergeAll(rr.accVec, baseRing.accVec); err == nil {
-				rr.accVec = merged
-			}
-			rr.accCount += baseRing.accCount
-			rr.accSum += baseRing.accSum
+		for i, n := range base.accBins {
+			rr.accBins[i] += n
 		}
+		rr.accCount += base.accCount
+		rr.accSum += base.accSum
 	case kindEntity:
-		if baseRing.accHLL != nil {
+		if base.accHLL != nil {
 			if rr.accHLL == nil {
-				rr.accHLL = sketch.NewHLL(t.cfg.HLLPrecision)
+				rr.accHLL = sketch.NewHLL(obs.EntityPrecision)
 			}
-			rr.accHLL.Merge(baseRing.accHLL)
+			rr.accHLL.Merge(base.accHLL)
 		}
 	}
 }
-
-// distQuantiles reconstructs p50/p90/p99 from a window's bin-delta vector by
-// mapping bin indices back to their representative values and running the
-// repo's equi-depth builder over them.
-func distQuantiles(v *bins.Vector, scale float64) (p50, p90, p99 float64) {
-	nz := v.NonZero()
-	if len(nz) == 0 {
-		return 0, 0, 0
-	}
-	for i := range nz {
-		nz[i].Value = obs.DistBinLow(int(nz[i].Value))
-	}
-	h := hist.BuildEquiDepthFromBins(nz, distWindowBuckets)
-	if h == nil {
-		return 0, 0, 0
-	}
-	q := func(p float64) float64 {
-		val, err := h.Quantile(p)
-		if err != nil {
-			return 0
-		}
-		return float64(val) * scale
-	}
-	return q(0.5), q(0.9), q(0.99)
-}
-
-// distWindowBuckets is the equi-depth resolution for per-window quantiles;
-// windows hold far fewer observations than a lifetime distribution, so 32
-// buckets is plenty.
-const distWindowBuckets = 32
 
 // Point is one sealed window as served by /timeline.
 type Point struct {

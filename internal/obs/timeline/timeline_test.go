@@ -26,8 +26,7 @@ func TestCounterDeltasPerWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("test_total", "")
 	c.Add(1000) // pre-existing total: must not appear as a burst
-	tl := New(Config{
-		Registry:    reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}, {Step: 4 * time.Second, Len: 4}},
 		Detectors:   []Detector{},
 	})
@@ -77,7 +76,7 @@ func TestCounterDeltasPerWindow(t *testing.T) {
 func TestGaugeKeepsLastReading(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("test_gauge", "")
-	tl := New(Config{Registry: reg, Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
 
 	g.Set(42)
 	now := tickN(tl, testEpoch, 1)
@@ -99,8 +98,7 @@ func TestGaugeKeepsLastReading(t *testing.T) {
 func TestDistributionWindowQuantiles(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := reg.Distribution("test_seconds", "", 1e-9)
-	tl := New(Config{
-		Registry:    reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}, {Step: 2 * time.Second, Len: 4}},
 		Detectors:   []Detector{},
 	})
@@ -141,8 +139,8 @@ func TestDistributionWindowQuantiles(t *testing.T) {
 		t.Errorf("window 1 sum = %v s, want ≈1.0", w1.Sum)
 	}
 
-	// The second 2s coarse window merged both bursts via bins.MergeAll:
-	// 2000 counts spanning the 1ms and 100ms populations.
+	// The second 2s coarse window added both bursts' per-bin counts: 2000
+	// counts spanning the 1ms and 100ms populations.
 	cd, _ := tl.Series("test_seconds", "2s")
 	if len(cd.Points) != 2 || cd.Points[1].V != 2000 {
 		t.Fatalf("coarse windows = %+v, want second with 2000 counts", cd.Points)
@@ -152,17 +150,15 @@ func TestDistributionWindowQuantiles(t *testing.T) {
 	}
 }
 
+// TestDistinctEntitySketches: the store counts every published record's
+// table and client, and each tick drains the counts into the base window —
+// including the records tail sampling drops.
 func TestDistinctEntitySketches(t *testing.T) {
-	fr := obs.NewFlightRecorder(64, 1)
-	tl := New(Config{
-		Registry:    obs.NewRegistry(),
-		Flight:      fr,
-		Resolutions: []Res{{Step: time.Second, Len: 4}},
-		Detectors:   []Detector{},
-	})
+	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
+	tl := NewForTest(o, "", TestConfig{Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
 
 	for i := 0; i < 30; i++ {
-		fr.Record(&obs.ScanRecord{
+		o.Publish(&obs.ScanRecord{
 			Table:  fmt.Sprintf("table%d", i%5),
 			Client: fmt.Sprintf("10.0.0.%d:555", i%3),
 		})
@@ -184,18 +180,43 @@ func TestDistinctEntitySketches(t *testing.T) {
 		t.Errorf("kind = %q, want distinct", td.Kind)
 	}
 
-	// Sampling must not hide entities: a recorder that samples away every
-	// healthy event still feeds the sketches the full population.
-	fr2 := obs.NewFlightRecorder(64, 1000)
-	tl2 := New(Config{Registry: obs.NewRegistry(), Flight: fr2,
-		Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
+	// Sampling must not hide entities: the tail ring keeps 5 of these 20
+	// healthy records, the sketches still see all 20 tables.
+	o2 := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
+	tl2 := NewForTest(o2, "", TestConfig{Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
 	for i := 0; i < 20; i++ {
-		fr2.Record(&obs.ScanRecord{Table: fmt.Sprintf("t%d", i)})
+		o2.Publish(&obs.ScanRecord{Table: fmt.Sprintf("t%d", i)})
+	}
+	if kept := len(o2.Trace.Tail(20)); kept != 5 {
+		t.Fatalf("tail ring kept %d of 20 healthy records, want 5", kept)
 	}
 	tickN(tl2, testEpoch, 1)
 	td2, _ := tl2.Series(MetricDistinctTables, "")
 	if got := td2.Points[0].V; got < 17 || got > 23 {
 		t.Errorf("sampled-away entities lost: distinct ≈ %v, want ≈20", got)
+	}
+}
+
+// TestDistinctEntitiesPastRingDepth: the count covers every record published
+// between two ticks, not the newest ring's worth — 3 000 distinct tables in
+// one tick read 3 000 within the sketch's error, not the 1 024 a ring of
+// copied identities would have held.
+func TestDistinctEntitiesPastRingDepth(t *testing.T) {
+	const tables = 3000
+	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
+	tl := NewForTest(o, "", TestConfig{Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
+	now := tickN(tl, testEpoch, 1)
+	for i := 0; i < tables; i++ {
+		o.Publish(&obs.ScanRecord{Table: fmt.Sprintf("table-%d", i), Client: "10.0.0.1:1"})
+	}
+	tickN(tl, now, 1)
+	td, _ := tl.Series(MetricDistinctTables, "")
+	if got := td.Points[len(td.Points)-1].V; got < 0.9*tables || got > 1.1*tables {
+		t.Errorf("distinct tables ≈ %.0f after %d distinct tables in one tick, want within 10%%", got, tables)
+	}
+	cd, _ := tl.Series(MetricDistinctClients, "")
+	if got := cd.Points[len(cd.Points)-1].V; got < 0.5 || got > 1.5 {
+		t.Errorf("distinct clients ≈ %v, want ≈1", got)
 	}
 }
 
@@ -217,7 +238,7 @@ func TestNilTimelineNoops(t *testing.T) {
 
 func TestMaxSeriesCap(t *testing.T) {
 	reg := obs.NewRegistry()
-	tl := New(Config{Registry: reg, MaxSeries: 4,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{MaxSeries: 4,
 		Resolutions: []Res{{Step: time.Second, Len: 2}}, Detectors: []Detector{}})
 	for i := 0; i < 10; i++ {
 		reg.Counter(fmt.Sprintf("overflow_%d_total", i), "")
@@ -237,31 +258,10 @@ func TestMaxSeriesCap(t *testing.T) {
 	}
 }
 
-func TestParseResolutions(t *testing.T) {
-	rs, err := ParseResolutions("1s:120, 10s:360,5m:288")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Res{{time.Second, 120}, {10 * time.Second, 360}, {5 * time.Minute, 288}}
-	for i, r := range rs {
-		if r != want[i] {
-			t.Errorf("res %d = %+v, want %+v", i, r, want[i])
-		}
-	}
-	if want[2].Label() != "5m" || want[0].Label() != "1s" {
-		t.Errorf("labels: %q %q", want[2].Label(), want[0].Label())
-	}
-	for _, bad := range []string{"", "1s", "1s:0", "x:5", "1s:-3"} {
-		if _, err := ParseResolutions(bad); err == nil {
-			t.Errorf("ParseResolutions(%q) accepted", bad)
-		}
-	}
-}
-
 func TestRingWraps(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("wrap_total", "")
-	tl := New(Config{Registry: reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 4}}, Detectors: []Detector{}})
 	now := testEpoch
 	tl.Tick(now)
@@ -292,11 +292,9 @@ func TestRingWraps(t *testing.T) {
 // value is running under -race (the tier-1 suite does).
 func TestTimelineRaceHammer(t *testing.T) {
 	reg := obs.NewRegistry()
-	fr := obs.NewFlightRecorder(128, 2)
-	tl := New(Config{
-		Registry: reg, Flight: fr,
+	o := &obs.Obs{Reg: reg, Trace: obs.NewTracer(8)}
+	tl := NewForTest(o, t.TempDir(), TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 16}, {Step: 3 * time.Second, Len: 8}},
-		BundleDir:   t.TempDir(),
 		Detectors: []Detector{{
 			Name: "hammer-nonzero", Kind: KindNonZero,
 			Metric: "hammer_total", Window: 1,
@@ -306,6 +304,9 @@ func TestTimelineRaceHammer(t *testing.T) {
 	c := reg.Counter("hammer_total", "")
 	d := reg.Distribution("hammer_seconds", "", 1e-9)
 
+	// The writers publish through the one store — numbering, tail sampling,
+	// entity sketches — while the readers below decode both record views and
+	// Tick drains the sketches.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -320,29 +321,15 @@ func TestTimelineRaceHammer(t *testing.T) {
 				}
 				c.Inc()
 				d.Observe(int64(i%1000) * 1000)
-				fr.Record(&obs.ScanRecord{Table: fmt.Sprintf("t%d", i%7), Client: "c", QuarantinedPages: uint32(i % 2)})
+				rec := obs.StartScan(uint64(i), "server", fmt.Sprintf("t%d", i%7), "c", 4)
+				rec.Client = fmt.Sprintf("10.0.0.%d:1", w)
+				rec.Begin("stream") // left open: Publish closes it
+				rec.LanesRetired = uint32(i % 2)
+				o.Publish(rec)
 			}
 		}(w)
 	}
-	// One more writer goes through the single publish point, and the readers
-	// below decode both record views while it runs.
-	o := &obs.Obs{Reg: reg, Flight: fr, Trace: obs.NewTracer(8)}
 	handler := Handler(tl, o, nil)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			rec := obs.StartScan(uint64(i), "server", "hammer", "c", 4)
-			rec.Begin("stream") // left open: Publish closes it
-			rec.LanesRetired = uint32(i % 2)
-			o.Publish(rec)
-		}
-	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -358,6 +345,7 @@ func TestTimelineRaceHammer(t *testing.T) {
 				}
 				tl.Series("hammer_total", "")
 				tl.Series("hammer_seconds", "3s")
+				tl.Series(MetricDistinctTables, "3s")
 				tl.Metrics()
 				tl.Anomalies(8)
 				tl.Trips()
@@ -388,7 +376,7 @@ func TestTimelineRaceHammer(t *testing.T) {
 func TestStartCloseLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("life_total", "")
-	tl := New(Config{Base: time.Millisecond, Registry: reg,
+	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Millisecond, Len: 64}}, Detectors: []Detector{}})
 	tl.Start()
 	deadline := time.Now().Add(2 * time.Second)

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
+
+	"streamhist/internal/sketch"
 )
 
 // Span is one timed phase of a scan: request decode, page streaming, one
@@ -78,14 +80,27 @@ func DeriveSpanID(traceID, side uint64, n int) uint64 {
 	return x
 }
 
-// Tracer is the recent-scans view: every published scan record, in a fixed
-// ring that evicts strictly by age, plus a bounded store of client-reported
-// span sets for cross-process assembly. /scans, TracesFor and Assemble read
-// it. A nil tracer no-ops everywhere.
+// Tracer is the one store of published scan records. Publish numbers each
+// record, decides its tail-sampling verdict once, and pushes the same pointer
+// into two retention views: the recent ring keeps every scan and evicts
+// strictly by age (/scans, TracesFor, Assemble, the benchmark's layer read);
+// the tail ring keeps every anomalous scan and one healthy scan in
+// TailSample, so a long quiet stretch cannot evict the interesting tail
+// (/events, debug bundles). Publish also raises the registers of two
+// HyperLogLog sketches with the record's table and client, which the
+// timeline drains each tick — distinct-entity counts see every scan, retained
+// or not, however many a tick brings. Client-reported span sets for
+// cross-process assembly live in a third ring. One mutex guards all of it. A
+// nil tracer no-ops everywhere.
 type Tracer struct {
 	mu      sync.Mutex
-	ring    Ring[*ScanRecord]
+	seq     uint64 // records published, and the sequence source
+	healthy uint64 // healthy records published, the tail sampler's count
+	recent  Ring[*ScanRecord]
+	tail    Ring[*ScanRecord]
 	reports Ring[reportEntry]
+
+	tables, clients *sketch.HLL
 }
 
 // reportEntry is one client-shipped span set, keyed by trace ID.
@@ -94,11 +109,20 @@ type reportEntry struct {
 	spans   []Span
 }
 
-// DefaultTraceRing is how many recent scans a tracer retains by default.
-const DefaultTraceRing = 64
-
-// DefaultReportRing is how many client span reports a tracer retains.
-const DefaultReportRing = 64
+const (
+	// DefaultTraceRing is how many recent scans a tracer retains by default.
+	DefaultTraceRing = 64
+	// TailRing is how many tail-sampled records a tracer retains.
+	TailRing = 1024
+	// TailSample keeps one in this many healthy records in the tail ring
+	// (anomalous records are always kept).
+	TailSample = 4
+	// DefaultReportRing is how many client span reports a tracer retains.
+	DefaultReportRing = 64
+	// EntityPrecision is the register-count exponent of the distinct-table
+	// and distinct-client sketches: 1 Ki registers, ≈3 % standard error.
+	EntityPrecision = 10
+)
 
 // MaxReportSpans bounds the client spans stored per trace ID. It is also the
 // most one trailer frame may carry (server.MaxTraceReportSpans), so a single
@@ -106,26 +130,57 @@ const DefaultReportRing = 64
 const MaxReportSpans = 4096
 
 // NewTracer returns a tracer retaining the last capacity published records
-// (capacity <= 0 means DefaultTraceRing).
+// in its recent ring (capacity <= 0 means DefaultTraceRing).
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceRing
 	}
 	return &Tracer{
-		ring:    NewRing[*ScanRecord](capacity),
+		recent:  NewRing[*ScanRecord](capacity),
+		tail:    NewRing[*ScanRecord](TailRing),
 		reports: NewRing[reportEntry](DefaultReportRing),
+		tables:  sketch.NewHLL(EntityPrecision),
+		clients: sketch.NewHLL(EntityPrecision),
 	}
 }
 
 // Publish makes a record (*Obs).Publish finished — its one caller outside
-// tests — visible to readers. The caller must not mutate rec afterwards.
+// tests — visible to readers: it assigns Seq before either view can show the
+// record, so gaps among the tail ring's records are exactly what sampling
+// dropped. It allocates nothing. The caller must not mutate rec afterwards.
 func (tr *Tracer) Publish(rec *ScanRecord) {
 	if tr == nil || rec == nil {
 		return
 	}
 	tr.mu.Lock()
-	tr.ring.Push(rec)
-	tr.mu.Unlock()
+	defer tr.mu.Unlock()
+	tr.seq++
+	rec.Seq = tr.seq
+	tr.recent.Push(rec)
+	if !rec.Anomalous {
+		tr.healthy++
+	}
+	if rec.Anomalous || tr.healthy%TailSample == 1 {
+		tr.tail.Push(rec)
+	}
+	if rec.Table != "" {
+		tr.tables.Push(0, entityKey(rec.Table))
+	}
+	if rec.Client != "" {
+		tr.clients.Push(0, entityKey(rec.Client))
+	}
+}
+
+// entityKey folds a table or client name into the value an HLL register
+// update takes (64-bit FNV-1a; the sketch mixes it again), without the
+// allocation hash/fnv's interface would cost on the publish path.
+func entityKey(s string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return int64(h)
 }
 
 // Recent returns up to n published records, newest first.
@@ -135,7 +190,32 @@ func (tr *Tracer) Recent(n int) []*ScanRecord {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.ring.Newest(n)
+	return tr.recent.Newest(n)
+}
+
+// Tail returns up to n records the tail sampling retained, newest first.
+func (tr *Tracer) Tail(n int) []*ScanRecord {
+	if tr == nil || n <= 0 {
+		return nil
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.tail.Newest(n)
+}
+
+// DrainEntities hands over the distinct-table and distinct-client sketches
+// of every record published since the previous drain, and starts empty ones.
+// A nil tracer returns nil sketches.
+func (tr *Tracer) DrainEntities() (tables, clients *sketch.HLL) {
+	if tr == nil {
+		return nil, nil
+	}
+	freshTables, freshClients := sketch.NewHLL(EntityPrecision), sketch.NewHLL(EntityPrecision)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tables, clients = tr.tables, tr.clients
+	tr.tables, tr.clients = freshTables, freshClients
+	return tables, clients
 }
 
 // Report stores a client-shipped span set for later assembly. A second
@@ -195,8 +275,8 @@ func (tr *Tracer) TracesFor(traceID uint64) []*ScanRecord {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	var out []*ScanRecord
-	for i := 0; i < tr.ring.Len(); i++ {
-		if rec := *tr.ring.At(i); rec.TraceID == traceID {
+	for i := 0; i < tr.recent.Len(); i++ {
+		if rec := *tr.recent.At(i); rec.TraceID == traceID {
 			out = append(out, rec)
 		}
 	}

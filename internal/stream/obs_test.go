@@ -18,14 +18,14 @@ func TestParallelScanPublishesOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(4), Flight: obs.NewFlightRecorder(4, 1)}
+	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(4)}
 	dp.Obs = o
 	res, err := dp.Scan(io.Discard, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	scans, events := o.Trace.Recent(4), o.Flight.Recent(4)
+	scans, events := o.Trace.Recent(4), o.Trace.Tail(4)
 	if len(scans) != 1 || len(events) != 1 || scans[0] != events[0] {
 		t.Fatalf("one scan published %d trace rows and %d event rows (same record: %v)",
 			len(scans), len(events), len(scans) == 1 && len(events) == 1 && scans[0] == events[0])

@@ -59,13 +59,13 @@ type ParallelDataPath struct {
 	SelfCheck bool
 	// Obs, when non-nil, receives one published obs.ScanRecord per scan — one
 	// hand-over at the tail, as on the server — and whatever the bundle holds
-	// reads it. With a Trace ring each scan originates its own trace ID (root
-	// span, fan-out / drain / merge phases, one span per lane under the
+	// reads it. With a Trace store each scan originates its own trace ID
+	// (root span, fan-out / drain / merge phases, one span per lane under the
 	// fan-out), so standalone stream traces are fetchable through the same
-	// /traces assembly as served scans; a Flight recorder tail-samples the
-	// record; a Reg registry also takes a completed scan's counters, per-lane
-	// cycle and stall gauges and duration. Nothing runs on the per-page hot
-	// path. Nil keeps the zero-overhead baseline.
+	// /traces assembly as served scans, and the store tail-samples the record
+	// for /events; a Reg registry also takes a completed scan's counters,
+	// per-lane cycle and stall gauges and duration. Nothing runs on the
+	// per-page hot path. Nil keeps the zero-overhead baseline.
 	Obs *obs.Obs
 	// Prof, when non-nil, receives the cycle attribution of every scan:
 	// each surviving lane's pipeline decomposition under its "lane<i>"
