@@ -5,7 +5,7 @@
 
 GO ?= go
 FUZZTIME ?= 30s
-BENCHJSON ?= BENCH_PR18.json
+BENCHJSON ?= BENCH_PR28.json
 
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
@@ -130,10 +130,10 @@ perf-bench:
 		| tee perf.out
 	$(GO) run ./cmd/benchjson -in perf.out -out $(PERF_OUT)
 
-# perf-gate fails on >10% same-runner throughput drop or >5% allocs/op
-# growth between two perf-bench artifacts (allocs are machine-independent;
-# the throughput gate is only sound because CI produces both files in one
-# job on one runner).
+# perf-gate fails on >10% same-runner throughput drop or >5% allocs/op or
+# writes/op growth between two perf-bench artifacts (both counts are
+# machine-independent; the throughput gate is only sound because CI produces
+# both files in one job on one runner).
 perf-gate:
 	$(GO) run ./cmd/benchdiff -base $(PERF_BASE) -head $(PERF_HEAD) \
 		-gate-throughput -max-throughput-drop 10 -max-allocs-growth 5

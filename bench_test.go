@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"streamhist"
@@ -524,19 +525,23 @@ func BenchmarkParallelDataPathWide(b *testing.B) {
 // a real loopback TCP socket, client verify, sink — with the benchmark of
 // record's relation and server configuration. "raw" moves bytes only, so it
 // is all transport; "l_quantity" adds the side path with the default sketch
-// chain. allocs/op is what the perf gate watches: transport is allocation-free
-// per frame (the server sends its stored frames, the client reads in place),
-// so a per-frame allocation creeping back shows as ~100 more allocs/op.
+// chain. allocs/op and writes/op are what the perf gate watches: transport is
+// allocation-free per frame (the server sends its stored frames, the client
+// reads in place), so a per-frame allocation creeping back shows as ~25 more
+// allocs/op; and the server hands each frame to the socket in one Write, so
+// writes/op is the frame count plus the summary's, and a return to chunked
+// writes multiplies it.
 func BenchmarkServedScan(b *testing.B) {
 	rel := tpch.Lineitem(200_000, 1, 307)
 	srv := server.New(server.Config{ShardLanes: 2})
 	if err := srv.Register(rel); err != nil {
 		b.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
+	ln := &writeCountingListener{Listener: tcp}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
@@ -562,13 +567,40 @@ func BenchmarkServedScan(b *testing.B) {
 			b.SetBytes(int64(sum.Bytes))
 			b.ReportAllocs()
 			b.ResetTimer()
+			writes := ln.writes.Load()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Scan(rel.Name, mode.column, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(ln.writes.Load()-writes)/float64(b.N), "writes/op")
 		})
 	}
+}
+
+// writeCountingListener counts the Write calls the server makes on every
+// connection it accepts.
+type writeCountingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCountingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return writeCountingConn{Conn: conn, writes: &l.writes}, nil
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 func BenchmarkHistogramSerialization(b *testing.B) {

@@ -10,8 +10,9 @@
 //   - simulated cycle counts (exactMetrics) — deterministic functions of the
 //     input, so base and head must agree to the unit, on any runner; a host
 //     optimisation that moves one has changed the model, not the speed.
-//   - allocs/op growth — machine-independent (the allocator counts, the
-//     hardware doesn't), so it is gated everywhere, any runner.
+//   - allocs/op and writes/op growth — machine-independent (the allocator
+//     and BenchmarkServedScan's connection wrapper count, the hardware
+//     doesn't), so they are gated everywhere, any runner.
 //   - throughput drop (MB/s and every other */s rate) — only meaningful when
 //     base and head ran on the same machine back to back; the CI job
 //     guarantees that by benchmarking the merge base and the head in one
@@ -53,7 +54,7 @@ type File struct {
 type Thresholds struct {
 	// MaxThroughputDropPct gates every higher-is-better */s rate.
 	MaxThroughputDropPct float64
-	// MaxAllocsGrowthPct gates allocs/op.
+	// MaxAllocsGrowthPct gates allocs/op and writes/op.
 	MaxAllocsGrowthPct float64
 	// GateThroughput asserts base and head ran on the same machine, making
 	// wall-clock rates comparable. Off, rates are informational.
@@ -116,7 +117,7 @@ func compare(bench, metric string, base, head float64, th Thresholds) Delta {
 	case exactMetrics[metric]:
 		d.Pct = growthPct(base, head)
 		d.Regressed = base != head
-	case metric == "allocs/op":
+	case metric == "allocs/op", metric == "writes/op":
 		d.Gated = th.MaxAllocsGrowthPct > 0
 		d.Pct = growthPct(base, head)
 		d.Regressed = d.Gated && d.Pct > th.MaxAllocsGrowthPct
@@ -177,7 +178,7 @@ func main() {
 	maxDrop := flag.Float64("max-throughput-drop", 10,
 		"max % drop in any */s rate before failing (0 disables)")
 	maxAllocs := flag.Float64("max-allocs-growth", 5,
-		"max % growth in allocs/op before failing (0 disables)")
+		"max % growth in allocs/op or writes/op before failing (0 disables)")
 	gateThroughput := flag.Bool("gate-throughput", false,
 		"base and head ran on the same machine: gate */s rates, not just report them")
 	verbose := flag.Bool("v", false, "print ungated metrics too")

@@ -95,7 +95,27 @@ func TestDiffZeroBaseAllocs(t *testing.T) {
 	}
 }
 
-// TestDiffExactSimCycles: a simulated cycle count is a property of the model,
+// TestDiffChunkedWrites: BenchmarkServedScan's writes/op is a count, so a
+// served scan going back to several socket writes per frame fails the diff
+// off-runner too, and one write per frame holding steady passes it.
+func TestDiffChunkedWrites(t *testing.T) {
+	bench := func(writes float64) *File {
+		return &File{Benchmarks: []Benchmark{{
+			Name:    "BenchmarkServedScan/raw-4",
+			Metrics: map[string]float64{"writes/op": writes, "MB/s": 4000},
+		}}}
+	}
+	th := gateAll()
+	th.GateThroughput = false
+	if _, _, failed := Diff(bench(26), bench(26), th); failed {
+		t.Fatal("steady writes/op failed the diff")
+	}
+	if _, _, failed := Diff(bench(26), bench(826), th); !failed {
+		t.Fatal("26 -> 826 writes/op passed the diff")
+	}
+}
+
+// TestDiffExactSimCycles:a simulated cycle count is a property of the model,
 // not of the runner, so one cycle of drift fails the diff with every
 // threshold off, and shows in the short report.
 func TestDiffExactSimCycles(t *testing.T) {

@@ -390,8 +390,11 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 	var received uint64 // page bytes this attempt, as the server counts them
 	// skip counts re-delivered duplicate pages still to swallow: a server
 	// that aligns the resume down to a frame boundary (FrameResumeInfo)
-	// re-sends pages the sink already holds. They are verified and counted
-	// as received — the server delivered them — but never sunk twice.
+	// re-sends pages the sink already holds. They are counted as received —
+	// the server delivered them — but neither sunk twice nor verified: the
+	// sink holds their verified copies, so a page damaged in flight inside
+	// the overlap costs nothing, and a resume into a long frame does not
+	// hinge on up to a frame's worth of pages arriving clean again.
 	var skip uint64
 	vi := -1 // open "verify-skip" span while duplicates are being swallowed
 	for {
@@ -421,20 +424,17 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 			}
 			trailer := f.Payload[n*page.Size:]
 			for i := 0; i < n; i++ {
+				received += page.Size
+				if skip > 0 {
+					skip--
+					continue
+				}
 				img := f.Payload[i*page.Size : (i+1)*page.Size]
-				want := binary.LittleEndian.Uint32(trailer[i*4:])
-				if page.Checksum(img) != want {
+				if page.Checksum(img) != binary.LittleEndian.Uint32(trailer[i*4:]) {
 					// The page was damaged in flight. Everything verified
 					// so far is already safely in the sink; abandon the
 					// attempt here so a retry resumes at exactly this page.
 					return nil, fmt.Errorf("%w (page %d of %s)", errBadPage, *delivered, table)
-				}
-				received += page.Size
-				if skip > 0 {
-					// Duplicate from the frame-aligned overlap; the sink
-					// already holds its verified copy.
-					skip--
-					continue
 				}
 				if _, err := sink.Write(img); err != nil {
 					return nil, fmt.Errorf("client: writing to sink: %w", err)
@@ -455,7 +455,7 @@ func (c *Client) scanAttempt(table, column string, sink io.Writer, delivered, by
 			return nil, fmt.Errorf("client: %w: unexpected frame type %d in scan", server.ErrBadFrame, f.Type)
 		}
 		if vi >= 0 && skip == 0 {
-			// The frame-aligned overlap has been re-verified; close the
+			// The frame-aligned overlap has been swallowed; close the
 			// verify-skip span at the first frame past it.
 			c.rec.End(vi, 0)
 			vi = -1

@@ -95,39 +95,48 @@ func (c *cannedConn) SetDeadline(time.Time) error      { return nil }
 func (c *cannedConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *cannedConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestScanAllocsPerFrame scans the benchmark relation's 1 575 pages (99
-// frames) from a canned connection: receiving, verifying and sinking them
-// must cost a fixed number of allocations per scan, none per frame.
+// TestScanAllocsPerFrame scans the benchmark relation's 1 575 pages from a
+// canned connection at every frame size from 16 pages (99 frames) to the
+// largest that fits MaxPayload (127 pages, 13 frames): receiving, verifying
+// and sinking them must cost a fixed number of allocations per scan, the same
+// at every frame size, none per frame.
 func TestScanAllocsPerFrame(t *testing.T) {
-	const pages, ppf = 1575, 16
+	const pages = 1575
 	img := make([]byte, page.Size)
-	var wire []byte
-	for off := 0; off < pages; off += ppf {
-		n := min(ppf, pages-off)
-		var payload []byte
-		var trailer []byte
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(img, uint64(off+i))
-			payload = append(payload, img...)
-			trailer = binary.LittleEndian.AppendUint32(trailer, page.Checksum(img))
+	perScan := -1.0
+	for _, ppf := range []int{16, 32, 64, 127} {
+		var wire []byte
+		for off := 0; off < pages; off += ppf {
+			n := min(ppf, pages-off)
+			var payload []byte
+			var trailer []byte
+			for i := 0; i < n; i++ {
+				binary.LittleEndian.PutUint64(img, uint64(off+i))
+				payload = append(payload, img...)
+				trailer = binary.LittleEndian.AppendUint32(trailer, page.Checksum(img))
+			}
+			wire = server.AppendFrame(wire, server.FramePagesCk, append(payload, trailer...))
 		}
-		wire = server.AppendFrame(wire, server.FramePagesCk, append(payload, trailer...))
-	}
-	wire = server.AppendFrame(wire, server.FrameScanEnd,
-		server.EncodeScanSummary(server.ScanSummary{Pages: pages, Bytes: pages * page.Size}))
+		wire = server.AppendFrame(wire, server.FrameScanEnd,
+			server.EncodeScanSummary(server.ScanSummary{Pages: pages, Bytes: pages * page.Size}))
 
-	conn := &cannedConn{wire: wire}
-	c := client.New(conn)
-	scan := func() {
-		conn.r.Reset(conn.wire)
-		sum, err := c.Scan("lineitem", "", io.Discard)
-		if err != nil || sum.Pages != pages {
-			t.Fatalf("scan: %+v, %v", sum, err)
+		conn := &cannedConn{wire: wire}
+		c := client.New(conn)
+		scan := func() {
+			conn.r.Reset(conn.wire)
+			sum, err := c.Scan("lineitem", "", io.Discard)
+			if err != nil || sum.Pages != pages {
+				t.Fatalf("ppf %d: scan: %+v, %v", ppf, sum, err)
+			}
 		}
-	}
-	scan() // grows the receive buffer to the frame size, once
-	if allocs := testing.AllocsPerRun(10, scan); allocs > 20 {
-		t.Fatalf("%.0f allocations per scan of %d frames; the receive path must not allocate per frame",
-			allocs, (pages+ppf-1)/ppf)
+		scan() // grows the receive buffer to the frame size, once
+		allocs := testing.AllocsPerRun(10, scan)
+		if allocs > 20 || perScan >= 0 && allocs != perScan {
+			t.Fatalf("ppf %d: %.0f allocations per scan of %d frames (%.0f at 16 pages); the receive path must not allocate per frame",
+				ppf, allocs, (pages+ppf-1)/ppf, perScan)
+		}
+		if perScan < 0 {
+			perScan = allocs
+		}
 	}
 }

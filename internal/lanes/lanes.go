@@ -47,6 +47,13 @@ type Unit struct {
 	Buf      *[]byte
 }
 
+// UnitPages is the splitter's dealing quantum. stream.ParallelDataPath deals
+// the relation in consecutive units of this many pages, and so does the scan
+// server whenever its frames are at least this long, so replica assignment —
+// and with it each lane's cycles, the critical path and every simulated
+// figure — is a function of the relation, not of a transport's frame size.
+const UnitPages = 16
+
 // Config wires one scan's engine. It is plumbing between packages, not a set
 // of options: every field is determined by the caller's own configuration.
 type Config struct {
@@ -121,6 +128,8 @@ type Engine struct {
 	pageCap int64
 	lanes   []lane
 	next    int // round-robin cursor
+	// stall is Feed's wait on a full lane queue, allocated on the first one.
+	stall *time.Timer
 
 	// release unblocks injected stalls at Join, so no goroutine outlives it.
 	release   chan struct{}
@@ -277,8 +286,8 @@ func (e *Engine) Feed(u Unit) int {
 			continue
 		}
 		// Fast path: a lane that keeps up has queue space, so the send
-		// succeeds without arming a timer (one allocation per unit
-		// otherwise). The timer exists only while the lane is suspect.
+		// succeeds without arming the stall timer. The timer runs only while
+		// the lane is suspect, and one per engine serves every wait.
 		select {
 		case l.ch <- u:
 			return l.idx
@@ -287,19 +296,31 @@ func (e *Engine) Feed(u Unit) int {
 			continue
 		default:
 		}
-		timer := time.NewTimer(e.cfg.StallTimeout)
+		if e.stall == nil {
+			e.stall = time.NewTimer(e.cfg.StallTimeout)
+		} else {
+			e.stall.Reset(e.cfg.StallTimeout)
+		}
 		select {
 		case l.ch <- u:
-			timer.Stop()
+			e.stopStall()
 			return l.idx
 		case <-l.done:
-			timer.Stop()
-		case <-timer.C:
+			e.stopStall()
+		case <-e.stall.C:
 		}
 		e.retire(l)
 	}
 	e.putBuf(u)
 	return -1
+}
+
+// stopStall disarms the stall timer after a wait that did not read its fire,
+// draining a fire that beat the Stop so the next Reset starts clean.
+func (e *Engine) stopStall() {
+	if !e.stall.Stop() {
+		<-e.stall.C
+	}
 }
 
 // Cancel forfeits the scan's statistics (the caller's watchdog): lanes drain

@@ -29,7 +29,20 @@ import (
 // STREAMHIST_CHAOS_SEEDS widens the sweep (CI runs 100 per profile) and
 // STREAMHIST_CHAOS_PROFILE pins one profile for a matrix job.
 func TestChaosNoThirdOutcome(t *testing.T) {
-	const rows = 3000
+	checkNoThirdOutcome(t, 3000, 2)
+}
+
+// TestChaosNoThirdOutcomeWindows holds the same property where the side path
+// assembles its units across frames: 20-page frames over 44 pages end
+// mid-unit twice, so every unit but the first is completed from a later
+// frame — copied, corrupted and cut short under the same fault points.
+func TestChaosNoThirdOutcomeWindows(t *testing.T) {
+	checkNoThirdOutcome(t, 11000, 20)
+}
+
+// checkNoThirdOutcome runs the chaos property over a rows-row relation served
+// at ppf pages a frame.
+func checkNoThirdOutcome(t *testing.T, rows, ppf int) {
 	rel := testRelation(rows)
 	want := storageBytes(t, rows)
 
@@ -82,7 +95,7 @@ func TestChaosNoThirdOutcome(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				srv := server.New(server.Config{
 					Faults:           faults.New(uint64(seed), profile),
-					PagesPerFrame:    2,
+					PagesPerFrame:    ppf,
 					ShardLanes:       4,
 					SideStallTimeout: 50 * time.Millisecond,
 				})

@@ -10,10 +10,11 @@
 //     in-process DataPath reads — held once, already laid out as the page
 //     frames a scan sends.
 //   - The Splitter is the scan loop: every page frame written to the
-//     client, straight from storage, is also handed to a fixed-depth side
-//     channel as a window into the same images (copied only when a page
-//     fault point is armed). The relay path does no transformation — the
-//     client receives storage's bytes, byte for byte.
+//     client, straight from storage, is also dealt to fixed-depth side
+//     channels as lanes.UnitPages-page windows into the same images (copied
+//     only when a page fault point is armed), the same units whatever the
+//     frame size. The relay path does no transformation — the client
+//     receives storage's bytes, byte for byte.
 //   - The statistical circuit is the lane engine behind the channel
 //     (internal/lanes, the same one stream.ParallelDataPath runs): each
 //     lane's Parser FSM extracts the requested column from the page bytes
@@ -29,9 +30,11 @@
 // and a peer at another version is told so once and disconnected.
 //
 // Concurrency model. Each connection gets a goroutine running a
-// request/response loop with idle and write deadlines. Each scan's side
-// path takes a slot from a bounded drain-worker pool; within a scan, the
-// fixed-depth channel applies backpressure instead of dropping frames, so
+// request/response loop with an idle deadline and a write deadline that
+// bounds progress (16 KiB per WriteTimeout), not a frame's transfer time.
+// Each scan's side path takes a slot from a bounded drain-worker pool;
+// within a scan, the fixed-depth channels apply backpressure instead of
+// dropping units, so
 // the refreshed histogram stays complete. When the pool is saturated the
 // scan fails open — pages stream at full speed and only the statistics
 // refresh is skipped — preserving the paper's §4 invariant that the

@@ -96,16 +96,16 @@ func rawScan(t *testing.T, srv *server.Server, req server.ScanRequest) (int64, [
 // down to the frame boundary and then deliver exactly the relation's pages
 // from that start, byte-identical to a clean scan's suffix.
 func TestResumeOffsetSweepFrameAligned(t *testing.T) {
-	rel := testRelation(4000)
+	rel := testRelation(35500)
 	want, err := io.ReadAll(stream.NewPagesReader(rel))
 	if err != nil {
 		t.Fatal(err)
 	}
 	npages := len(want) / page.Size
-	if npages < 5 {
-		t.Fatalf("relation too small for the sweep: %d pages", npages)
+	if npages <= 127 {
+		t.Fatalf("relation too small for the sweep: %d pages, want more than the largest frame", npages)
 	}
-	for _, fs := range []int{1, 2, 3, 4, 5, 8, 16} {
+	for _, fs := range []int{1, 2, 3, 4, 5, 8, 16, 32, 64, 127} {
 		fs := fs
 		t.Run(fmt.Sprintf("frame=%d", fs), func(t *testing.T) {
 			t.Parallel()
@@ -133,6 +133,80 @@ func TestResumeOffsetSweepFrameAligned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClientIgnoresDamageInRedeliveredOverlap: the pages a frame-aligned
+// resume sends again are duplicates of pages the sink already holds, so a
+// page damaged in flight among them must not cost the attempt — otherwise
+// resuming into a long frame under in-flight corruption stalls on pages the
+// client throws away. Attempt one fails at page 2 of a 4-page frame; every
+// redial lands on a server that re-sends from page 0 with pages 0 and 1
+// corrupted and everything after them clean. One retry must finish the scan
+// byte-identical to storage.
+func TestClientIgnoresDamageInRedeliveredOverlap(t *testing.T) {
+	const frame, badAt = 4, 2
+	want, err := io.ReadAll(stream.NewPagesReader(testRelation(4000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	npages := len(want) / page.Size
+	framePayload := func(off int, corrupt func(i int) bool) []byte {
+		end := min(off+frame, npages)
+		payload := append([]byte(nil), want[off*page.Size:end*page.Size]...)
+		for i := off; i < end; i++ {
+			payload = binary.LittleEndian.AppendUint32(payload, page.Checksum(want[i*page.Size:(i+1)*page.Size]))
+		}
+		for i := off; i < end; i++ {
+			if corrupt(i) {
+				payload[(i-off)*page.Size] ^= 0xFF // damage after the trailer was taken
+			}
+		}
+		return payload
+	}
+	// fake serves one request on a pipe: an optional resume announcement,
+	// then the frames from start, pages damaged where corrupt says.
+	fake := func(resume bool, start int, corrupt func(i int) bool, last int) net.Conn {
+		sc, cc := net.Pipe()
+		go func() {
+			defer sc.Close()
+			if _, err := server.ReadFrame(sc); err != nil {
+				return
+			}
+			if resume {
+				server.WriteFrame(sc, server.FrameResumeInfo, server.EncodeResumeInfo(uint32(start))) //nolint:errcheck
+			}
+			for off := start; off < last; off += frame {
+				if server.WriteFrame(sc, server.FramePagesCk, framePayload(off, corrupt)) != nil {
+					return
+				}
+			}
+			if last == npages {
+				sent := uint64(npages-start) * page.Size
+				server.WriteFrame(sc, server.FrameScanEnd, server.EncodeScanSummary( //nolint:errcheck
+					server.ScanSummary{Pages: uint32(npages - start), Bytes: sent}))
+			}
+		}()
+		return cc
+	}
+
+	c := client.New(fake(false, 0, func(i int) bool { return i == badAt }, frame))
+	c.SetTimeout(10 * time.Second)
+	c.SetRetryPolicy(3, time.Millisecond)
+	c.SetRedial(func() (net.Conn, error) {
+		return fake(true, 0, func(i int) bool { return i < badAt }, npages), nil
+	})
+	var got bytes.Buffer
+	sum, err := c.Scan("synthetic", "", &got)
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	c.Close()
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatal("sink differs from storage")
+	}
+	if sum.Retries != 1 {
+		t.Fatalf("summary reports %d retries, want 1: damage in the overlap cost an attempt", sum.Retries)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,26 +36,36 @@ type Config struct {
 	// it just skips the side path (fail open, §4: the accelerator must
 	// never slow the regular flow of data).
 	DrainWorkers int
-	// SideBufDepth is the per-lane side-channel depth in frames. A full
+	// SideBufDepth is the per-lane side-channel depth in lanes.Units. A full
 	// buffer applies backpressure to that scan instead of dropping values, so
-	// a refreshed histogram is always complete. Queued frames alias the stored
+	// a refreshed histogram is always complete. Queued units alias the stored
 	// page images and pin no memory (only a scan with a page fault point armed
-	// copies them), so the depth is a yield quantum: how many frames a lane
+	// copies them), so the depth is a yield quantum: how many units a lane
 	// works through before it must block and hand its P to the network
 	// poller, where requests on other connections wait to be noticed. Zero
 	// means 3: scans gain nothing measurable from more, Stats reads beside a
-	// scan get slower with every frame added (EXPERIMENTS.md "Transport").
+	// scan get slower with every unit added (EXPERIMENTS.md "Transport").
 	SideBufDepth int
 	// ShardLanes is how many parallel Parser+Binner lanes each scan's side
-	// path fans out to (the §7 replication design). Frames are distributed
-	// round-robin across the lanes and the lanes' binner states are merged
-	// before histogram creation. 0 means GOMAXPROCS.
+	// path fans out to (the §7 replication design). Units of
+	// lanes.UnitPages pages are dealt round-robin across the lanes and the
+	// lanes' binner states are merged before histogram creation. 0 means
+	// GOMAXPROCS.
 	ShardLanes int
-	// PagesPerFrame sets how many 8 KiB page images ride in one FramePagesCk.
+	// PagesPerFrame sets how many 8 KiB page images ride in one FramePagesCk,
+	// capped at what fits MaxPayload (127). It is the transport's unit: one
+	// Write, one journal progress mark and one resume boundary per frame.
+	// From lanes.UnitPages up the side path deals the relation's UnitPages
+	// windows to its lanes whatever this is, so no statistic or simulated
+	// cycle depends on it; a smaller frame is one unit. Zero means 64: of 16,
+	// 32, 64 and 127 it measured best on raw moves, the sketch-bound column
+	// and the durable mix, and within 10 % of 16 on the wide-domain one
+	// (EXPERIMENTS.md "Transport floor").
 	PagesPerFrame int
 	// IdleTimeout bounds the wait for the next request on a connection.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response frame write.
+	// WriteTimeout is the response write's progress window: a frame write
+	// that moves less than 16 KiB in one WriteTimeout fails (deadlineWriter).
 	WriteTimeout time.Duration
 	// ShutdownGrace bounds the drain when Serve's context is cancelled.
 	ShutdownGrace time.Duration
@@ -75,7 +86,7 @@ type Config struct {
 	// installing a possibly stale histogram. Zero means no watchdog.
 	ScanDeadline time.Duration
 	// SideStallTimeout bounds how long the serving goroutine will wait on
-	// a side-path lane that stopped accepting frames before retiring it.
+	// a side-path lane that stopped accepting units before retiring it.
 	// Zero means 500ms.
 	SideStallTimeout time.Duration
 	// Obs is the observability bundle: metrics registry, scan tracer, and
@@ -112,7 +123,7 @@ func (c Config) withDefaults() Config {
 		c.ShardLanes = runtime.GOMAXPROCS(0)
 	}
 	if c.PagesPerFrame <= 0 {
-		c.PagesPerFrame = 16
+		c.PagesPerFrame = 64
 	}
 	if c.PagesPerFrame*(page.Size+PageChecksumSize) > MaxPayload {
 		c.PagesPerFrame = MaxPayload / (page.Size + PageChecksumSize)
@@ -311,9 +322,8 @@ func New(cfg Config) *Server {
 				func() float64 { return float64(inj.TotalHits(p)) })
 		}
 	}
-	frameBytes := cfg.PagesPerFrame * page.Size
 	s.bufPool.New = func() any {
-		b := make([]byte, 0, frameBytes)
+		b := make([]byte, 0, lanes.UnitPages*page.Size)
 		return &b
 	}
 	return s
@@ -520,39 +530,42 @@ func (s *Server) closeAllConns() {
 	s.connMu.Unlock()
 }
 
-// deadlineWriter is the per-connection write path: every chunk it pushes to
-// the connection re-arms the write deadline first, so the deadline bounds
-// *lack of progress*, not total transfer time. A multi-frame scan to a slow
-// but live client keeps extending its own deadline with every chunk the
-// client absorbs; a dead client stops absorbing and trips the very next
-// chunk. Writes are split into modest chunks so that progress is measured
-// at sub-frame granularity even on unbuffered transports like net.Pipe.
+// deadlineWriter is the per-connection write path. It hands each write — a
+// whole page frame — to the connection in one call under a write deadline
+// armed once, so the deadline bounds *lack of progress*, not transfer time:
+// when it fires part-way, the writer re-arms and carries on only if at least
+// deadlineChunk went out since the last arm, and fails otherwise.
+//
+// A peer is thereby held to deadlineChunk per WriteTimeout, the rate a writer
+// re-arming before every 16 KiB chunk enforced. A slow but live client that
+// absorbs that much keeps extending its own deadline however long the frame
+// or the scan; one absorbing less is cut at the end of the first window that
+// falls short — within two windows of slowing down, since the window it
+// slowed in may still be credited with bytes the kernel had room for; and a
+// dead client trips the very next deadline, within one WriteTimeout of the
+// last arm. Short of the deadline the rule costs nothing: one syscall per
+// frame, not one per 16 KiB.
 type deadlineWriter struct {
 	conn    net.Conn
 	timeout time.Duration
 }
 
-// deadlineChunk is the largest single write between deadline refreshes.
+// deadlineChunk is the least a write must move per WriteTimeout to be
+// allowed another one.
 const deadlineChunk = 16 << 10
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
 	var total int
-	for len(p) > 0 {
-		n := len(p)
-		if n > deadlineChunk {
-			n = deadlineChunk
-		}
+	for {
 		if w.timeout > 0 {
 			w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 		}
-		wrote, err := w.conn.Write(p[:n])
-		total += wrote
-		if err != nil {
+		n, err := w.conn.Write(p[total:])
+		total += n
+		if err == nil || n < deadlineChunk || !errors.Is(err, os.ErrDeadlineExceeded) {
 			return total, err
 		}
-		p = p[wrote:]
 	}
-	return total, nil
 }
 
 // handleConn runs one connection's request loop.
@@ -951,11 +964,13 @@ type sidePath struct {
 	// for this scan: the wire frame is then byte-identical to the stable page
 	// images, so lanes parse those in place and the side copy is skipped.
 	zeroCopy bool
+	// pend is the unit feed is assembling.
+	pend     lanes.Unit
 	watchdog *time.Timer
-	// framesLost notes frames no live lane would take (all retired or all
+	// unitsLost notes units no live lane would take (all retired or all
 	// stalled past the timeout): the merged view is missing that data.
-	framesLost bool
-	stopped    bool
+	unitsLost bool
+	stopped   bool
 }
 
 // startSidePath acquires a drain worker and wires the side path, or returns
@@ -1018,22 +1033,52 @@ func (s *Server) laneBinner(linj *faults.Injector) core.BinnerConfig {
 	return bcfg
 }
 
-// feed deals one relayed frame to the lanes. With a fault point armed the
-// lanes get a pooled copy — possibly a short one: an injected truncation is
-// the splitter's DMA slipping, so the side buffer holds only a prefix of a
-// frame the wire already carried whole. A frame no lane takes is dropped and
-// the eventual histogram honestly reports the loss.
+// feed hands the lanes the page images of one relayed frame, which start at
+// page pageOff. A frame of at most lanes.UnitPages pages is one unit. A
+// longer one is cut at the relation's UnitPages boundaries, and the piece its
+// end leaves short of one waits in pend for the next frame to complete it:
+// the units are then the relation's consecutive UnitPages windows whatever
+// the frame size, so which lane bins a page — and every simulated cycle — is
+// what it is at UnitPages a frame. With a fault point armed each unit is a
+// pooled copy, possibly cut short when dealt: an injected truncation is the
+// splitter's DMA slipping, so the side buffer holds only a prefix of pages
+// the wire already carried whole. A unit no lane takes is dropped and the
+// eventual histogram honestly reports the loss.
 func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
-	u := lanes.Unit{First: pageOff, N: len(b) / page.Size}
-	if !sp.zeroCopy {
-		if inj.Should(faults.PageTruncate) {
-			b = b[:inj.Intn(faults.PageTruncate, int64(len(b)))]
+	windows := sp.sc.entry.ppf > lanes.UnitPages
+	for len(b) > 0 {
+		n := len(b) / page.Size
+		if windows {
+			n = min(n, lanes.UnitPages-pageOff%lanes.UnitPages)
 		}
-		u.Buf = sp.s.bufPool.Get().(*[]byte)
-		*u.Buf = append((*u.Buf)[:0], b...)
+		if sp.pend.N == 0 {
+			sp.pend.First = pageOff
+			if !sp.zeroCopy {
+				sp.pend.Buf = sp.s.bufPool.Get().(*[]byte)
+				*sp.pend.Buf = (*sp.pend.Buf)[:0]
+			}
+		}
+		sp.pend.N += n
+		if sp.pend.Buf != nil {
+			*sp.pend.Buf = append(*sp.pend.Buf, b[:n*page.Size]...)
+		}
+		b = b[n*page.Size:]
+		pageOff += n
+		if !windows || pageOff%lanes.UnitPages == 0 || pageOff == len(sp.sc.entry.pages) {
+			sp.deal(inj)
+		}
+	}
+}
+
+// deal feeds the assembled unit to the lanes.
+func (sp *sidePath) deal(inj *faults.Injector) {
+	u := sp.pend
+	sp.pend = lanes.Unit{}
+	if u.Buf != nil && inj.Should(faults.PageTruncate) {
+		*u.Buf = (*u.Buf)[:inj.Intn(faults.PageTruncate, int64(len(*u.Buf)))]
 	}
 	if sp.eng.Feed(u) < 0 {
-		sp.framesLost = true
+		sp.unitsLost = true
 	}
 }
 
@@ -1129,7 +1174,7 @@ func (sp *sidePath) install(fan lanes.FanIn) {
 	relRows := int64(sp.sc.entry.rel.NumRows())
 	h.Skipped = max(relRows-h.Total, 0)
 	h.Degraded = h.Skipped > 0 || rec.LanesRetired > 0 || rec.QuarantinedPages > 0 ||
-		bstats.BinsQuarantined > 0 || sp.framesLost
+		bstats.BinsQuarantined > 0 || sp.unitsLost
 	sideChain := fan.Survivor.SketchChain()
 	if h.Degraded {
 		// The sketches saw the same incomplete stream the histogram did;

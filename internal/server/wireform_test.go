@@ -17,10 +17,10 @@ import (
 // images followed by their checksum trailer — including a short last frame —
 // and the page images the side path parses are windows into it, not copies.
 func TestWireFormMatchesWriteFrame(t *testing.T) {
-	const rows = 4700 // 37 pages: short last frame for every ppf > 1
+	const rows = 76600 // 301 pages: short last frame for every ppf > 1
 	rel := testRelation(rows)
 	ref := page.Encode(rel)
-	for _, ppf := range []int{1, 2, 3, 4, 5, 8, 16} {
+	for _, ppf := range []int{1, 2, 3, 4, 5, 8, 16, 32, 64, 127} {
 		t.Run(fmt.Sprintf("ppf=%d", ppf), func(t *testing.T) {
 			if ppf > 1 && len(ref)%ppf == 0 {
 				t.Fatalf("%d pages: last frame is not short at ppf %d", len(ref), ppf)

@@ -40,9 +40,9 @@ type ParallelDataPath struct {
 	Config core.Config
 	// Shards is the number of parallel lanes; <= 0 means GOMAXPROCS.
 	Shards int
-	// ChunkPages is how many pages ride in one fan-out unit (default 16).
-	// Larger chunks amortise dispatch overhead; any positive size is
-	// functionally equivalent.
+	// ChunkPages is how many pages ride in one fan-out unit (default
+	// lanes.UnitPages). Larger chunks amortise dispatch overhead; any positive
+	// size is functionally equivalent.
 	ChunkPages int
 	// Faults optionally injects lane-level faults (faults.LanePanic,
 	// faults.LaneStall) into the side path. Each lane gets its own forked
@@ -180,7 +180,7 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *Parall
 		chunkPages = d.ChunkPages
 	}
 	if chunkPages <= 0 {
-		chunkPages = 16
+		chunkPages = lanes.UnitPages
 	}
 	stallTimeout := d.StallTimeout
 	if stallTimeout <= 0 {
