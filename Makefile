@@ -76,7 +76,8 @@ knobs:
 	done; \
 	echo "config fields $$fields, flags $$flags, knobs $$((fields + flags))"
 
-# Fuzz passes over every decoder that faces attacker-controlled bytes.
+# Fuzz passes over every decoder that faces attacker-controlled bytes, and
+# over the bin region's 32-bit store against an int64 reference.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
 # target runs even when an earlier one fails — a red target must not hide the
 # ones listed after it — and the failures are named together at the end.
@@ -89,7 +90,8 @@ FUZZ_TARGETS = \
 	FuzzDecodeWALRecord:./internal/durable/ \
 	FuzzSketchDecode:./internal/sketch/ \
 	FuzzParserFeed:./internal/core/ \
-	FuzzCommandUnmarshal:./internal/core/
+	FuzzCommandUnmarshal:./internal/core/ \
+	FuzzVectorOps:./internal/bins/
 
 fuzz:
 	@failed=""; \

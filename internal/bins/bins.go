@@ -12,6 +12,8 @@ package bins
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/bits"
 )
 
@@ -30,18 +32,76 @@ import (
 // is one-sided: every non-zero bin has its bit set. A set bit over a zero bin
 // is harmless, because the walk re-reads the count. Total and Cardinality
 // are tallies kept by the same writes, so neither walks anything.
+//
+// The host stores a count in 4 bytes, half the modelled 8-byte bin. A count
+// that does not fit — negative, or wideMark and above — is stored as
+// wideMark, and its full value lives in the wide map, which is nil while no
+// such bin exists. The methods take and return int64 counts either way.
 type Vector struct {
 	Min     int64
 	Divisor int64
 
-	counts   []int64
+	counts   []uint32
+	wide     map[int]int64
 	occ      []uint64
 	total    int64
 	nonEmpty int // bins with a count > 0
+
+	// Every write to a bin writes total and nonEmpty too. The pad makes a
+	// Vector two whole host cache lines, so that two lanes' vectors never
+	// share one (see alloc).
+	_ [40]byte
 }
+
+// wideMark in counts sends the bin's count to the wide map.
+const wideMark = math.MaxUint32
+
+// hostLine is the host's cache-line size in bytes.
+const hostLine = 64
 
 // occWords is the occupancy index length for n bins.
 func occWords(n int) int { return (n + 63) >> 6 }
+
+// alloc gives v zeroed arrays for n bins. Each array is a whole number of
+// host cache lines, and Go's allocator gives such a request a size class of
+// whole lines, so no other object shares its lines. Lanes write their
+// regions on every push, side by side: two lanes whose small regions shared
+// lines ran 4–5× slower, and the free list would keep such a pair for good.
+func (v *Vector) alloc(n int) {
+	v.counts = make([]uint32, n, roundUp(n, hostLine/4))
+	v.occ = make([]uint64, occWords(n), roundUp(occWords(n), hostLine/8))
+}
+
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
+
+// narrowPath reports whether v can take added more counts, spread over any
+// of its bins, on the uint32 counts alone. With no wide bin every count is in
+// [0, wideMark) and none exceeds total, so while added ≥ 0 and total+added
+// stays below the mark no bin can reach it. Writers decide this once per
+// call, never once per bin.
+func (v *Vector) narrowPath(added int64) bool {
+	return v.wide == nil && added >= 0 && v.total < wideMark-added
+}
+
+// set stores count c in bin i, in counts when it fits and in the wide map
+// when it does not.
+func (v *Vector) set(i int, c int64) {
+	if uint64(c) < wideMark {
+		if v.counts[i] == wideMark {
+			delete(v.wide, i)
+			if len(v.wide) == 0 {
+				v.wide = nil
+			}
+		}
+		v.counts[i] = uint32(c)
+		return
+	}
+	if v.wide == nil {
+		v.wide = make(map[int]int64)
+	}
+	v.counts[i] = wideMark
+	v.wide[i] = c
+}
 
 // NewVector creates a zeroed vector covering [min, max] inclusive with the
 // given divisor (use 1 for exact per-value bins).
@@ -52,27 +112,22 @@ func NewVector(min, max, divisor int64) *Vector {
 	if max < min {
 		panic(fmt.Sprintf("bins: max %d < min %d", max, min))
 	}
-	n := int((max-min)/divisor + 1)
-	return &Vector{Min: min, Divisor: divisor, counts: make([]int64, n), occ: make([]uint64, occWords(n))}
+	v := &Vector{Min: min, Divisor: divisor}
+	v.alloc(int((max-min)/divisor + 1))
+	return v
 }
 
-// FromCounts builds a vector directly from a per-bin count slice (bin i at
-// value min+i*divisor). The slice is retained and from here on owned by the
-// vector: writing to it (or to Counts()) behind the vector's back would
-// leave the occupancy index stale.
+// FromCounts builds a vector from a per-bin count slice (bin i at value
+// min+i*divisor). The counts are copied; the slice stays the caller's.
 func FromCounts(min, divisor int64, counts []int64) *Vector {
 	if divisor <= 0 {
 		panic("bins: divisor must be positive")
 	}
-	// Clip the capacity: whatever lies past len was never ours to vouch for,
-	// and Recycle grows into spare capacity assuming it is zero.
-	counts = counts[:len(counts):len(counts)]
-	v := &Vector{Min: min, Divisor: divisor, counts: counts, occ: make([]uint64, occWords(len(counts)))}
+	v := &Vector{Min: min, Divisor: divisor}
+	v.alloc(len(counts))
 	for i, c := range counts {
 		if c != 0 {
-			v.occ[i>>6] |= 1 << (i & 63)
-			v.total += c
-			v.nonEmpty += positive(c)
+			v.bumpWide(i, c)
 		}
 	}
 	return v
@@ -80,6 +135,10 @@ func FromCounts(min, divisor int64, counts []int64) *Vector {
 
 // NumBins returns the number of bins (the Δ of Table 2).
 func (v *Vector) NumBins() int { return len(v.counts) }
+
+// Capacity returns the largest number of bins Recycle can aim v at without
+// allocating.
+func (v *Vector) Capacity() int { return cap(v.counts) }
 
 // Total returns the total number of values added.
 func (v *Vector) Total() int64 { return v.total }
@@ -101,29 +160,37 @@ func (v *Vector) Value(i int) int64 { return v.Min + int64(i)*v.Divisor }
 
 // Add records one occurrence of value. It panics when the value is outside
 // the configured range — the preprocessor is responsible for range setup.
-func (v *Vector) Add(value int64) {
+func (v *Vector) Add(value int64) { v.AddCount(value, 1) }
+
+// AddCount records count occurrences of value. It is the binner's write per
+// row: the narrow bump inlines here and the wide one stays out of line.
+func (v *Vector) AddCount(value, count int64) {
 	i := v.Index(value)
 	if i < 0 {
 		panic(fmt.Sprintf("bins: value %d outside range [%d, %d]", value, v.Min, v.Min+int64(len(v.counts))*v.Divisor-1))
 	}
-	v.bump(i, 1)
-}
-
-// AddCount records count occurrences of value.
-func (v *Vector) AddCount(value, count int64) {
-	i := v.Index(value)
-	if i < 0 {
-		panic(fmt.Sprintf("bins: value %d outside range", value))
+	if v.narrowPath(count) {
+		v.bumpNarrow(i, count)
+	} else {
+		v.bumpWide(i, count)
 	}
-	v.bump(i, count)
 }
 
-// bump adds count to bin i and keeps the occupancy index and the two tallies
-// in step. Apart from FromCounts, Merge and Recycle, which do the same in
-// bulk, it is the only writer of counts.
-func (v *Vector) bump(i int, count int64) {
-	old := v.counts[i]
-	v.counts[i] = old + count
+// bumpNarrow adds count to bin i when narrowPath(count) holds, and keeps the
+// occupancy index and the two tallies in step; bumpWide does the same for
+// any count. Apart from Merge's narrow loop and Recycle, which do the same
+// in bulk, they are the only writers of counts.
+func (v *Vector) bumpNarrow(i int, count int64) {
+	old := int64(v.counts[i])
+	v.counts[i] = uint32(old + count)
+	v.occ[i>>6] |= 1 << (i & 63)
+	v.total += count
+	v.nonEmpty += positive(old+count) - positive(old)
+}
+
+func (v *Vector) bumpWide(i int, count int64) {
+	old := v.Count(i)
+	v.set(i, old+count)
 	v.occ[i>>6] |= 1 << (i & 63)
 	v.total += count
 	v.nonEmpty += positive(old+count) - positive(old)
@@ -136,7 +203,12 @@ func (v *Vector) bump(i int, count int64) {
 func positive(c int64) int { return 1 - int(uint64(c|(c-1))>>63) }
 
 // Count returns the count in bin i.
-func (v *Vector) Count(i int) int64 { return v.counts[i] }
+func (v *Vector) Count(i int) int64 {
+	if c := v.counts[i]; c != wideMark {
+		return int64(c)
+	}
+	return v.wide[i]
+}
 
 // CountValue returns the count of the bin containing value (0 when out of
 // range).
@@ -145,13 +217,20 @@ func (v *Vector) CountValue(value int64) int64 {
 	if i < 0 {
 		return 0
 	}
-	return v.counts[i]
+	return v.Count(i)
 }
 
-// Counts exposes the underlying count slice. It is read-only: the occupancy
-// index only learns of writes made through Add, AddCount, Merge and
-// FromCounts.
-func (v *Vector) Counts() []int64 { return v.counts }
+// Counts returns a copy of the per-bin counts, bin i at index i.
+func (v *Vector) Counts() []int64 {
+	out := make([]int64, len(v.counts))
+	for i, c := range v.counts {
+		out[i] = int64(c)
+	}
+	for i, c := range v.wide {
+		out[i] = c
+	}
+	return out
+}
 
 // Occupied calls fn with the index and count of every non-empty bin, in
 // ascending index order; fn must not add to v. It is the walk for callers
@@ -163,11 +242,12 @@ func (v *Vector) Counts() []int64 { return v.counts }
 // instructions around the access keeps the load queue full; a loop that
 // calls out per bin keeps two or three. So the counts are gathered a batch
 // at a time in a tight loop of their own, and fn runs over the batch
-// afterwards — worth 3× on a 10 M-bin region with 200 k values.
+// afterwards — worth 3× on a 10 M-bin region with 200 k values. A wide bin's
+// mark is resolved in that second loop, not in the gather.
 func (v *Vector) Occupied(fn func(i int, count int64)) {
 	const batch = 256
 	var idx [batch]int
-	var cnt [batch]int64
+	var cnt [batch]uint32
 	n := 0
 	for w, word := range v.occ {
 		for ; word != 0; word &= word - 1 {
@@ -181,8 +261,12 @@ func (v *Vector) Occupied(fn func(i int, count int64)) {
 			cnt[k] = v.counts[i]
 		}
 		for k, i := range idx[:n] {
-			if c := cnt[k]; c != 0 {
-				fn(i, c)
+			switch c := cnt[k]; c {
+			case 0:
+			case wideMark:
+				fn(i, v.wide[i])
+			default:
+				fn(i, int64(c))
 			}
 		}
 		n = 0
@@ -196,7 +280,8 @@ func (v *Vector) Cardinality() int { return v.nonEmpty }
 func (v *Vector) Clone() *Vector {
 	return &Vector{
 		Min: v.Min, Divisor: v.Divisor, total: v.total, nonEmpty: v.nonEmpty,
-		counts: append([]int64(nil), v.counts...),
+		counts: append([]uint32(nil), v.counts...),
+		wide:   maps.Clone(v.wide),
 		occ:    append([]uint64(nil), v.occ...),
 	}
 }
@@ -228,12 +313,13 @@ func (v *Vector) Recycle(min, divisor int64, n int, cleared func(i int)) {
 		}
 	}
 	clear(v.occ)
+	v.wide = nil
 	// Both arrays are now zero over their whole capacity (every earlier
 	// shrink cleared first), so growing back into it needs no second pass.
 	if n <= cap(v.counts) && occWords(n) <= cap(v.occ) {
 		v.counts, v.occ = v.counts[:n], v.occ[:occWords(n)]
 	} else {
-		v.counts, v.occ = make([]int64, n), make([]uint64, occWords(n))
+		v.alloc(n)
 	}
 	v.Min, v.Divisor, v.total, v.nonEmpty = min, divisor, 0, 0
 }
@@ -247,6 +333,10 @@ func (v *Vector) Merge(other *Vector) error {
 		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
 			v.Min, other.Min, v.Divisor, other.Divisor, len(v.counts), len(other.counts))
 	}
+	if other.wide != nil || !v.narrowPath(other.total) {
+		other.Occupied(v.bumpWide)
+		return nil
+	}
 	filled := 0
 	for w, word := range other.occ {
 		v.occ[w] |= word
@@ -255,7 +345,7 @@ func (v *Vector) Merge(other *Vector) error {
 			old := v.counts[i]
 			c := old + other.counts[i]
 			v.counts[i] = c
-			filled += positive(c) - positive(old)
+			filled += positive(int64(c)) - positive(int64(old))
 		}
 	}
 	v.nonEmpty += filled

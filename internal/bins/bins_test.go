@@ -3,6 +3,7 @@ package bins
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamhist/internal/datagen"
 )
@@ -296,5 +297,23 @@ func TestMergeAll(t *testing.T) {
 	}
 	if _, err := MergeAll(a, NewVector(0, 19, 1)); err == nil {
 		t.Error("mismatched geometry should not merge")
+	}
+}
+
+// TestRegionIsWholeHostLines: a lane's vector and arrays fill whole host
+// cache lines, so two lanes' regions never share one.
+func TestRegionIsWholeHostLines(t *testing.T) {
+	if s := unsafe.Sizeof(Vector{}); s%hostLine != 0 {
+		t.Fatalf("a Vector is %d bytes, not whole %d-byte lines", s, hostLine)
+	}
+	for _, n := range []int{1, 50, 64, 65, 1000} {
+		v := new(Vector)
+		v.Recycle(0, 1, n, nil)
+		if b := cap(v.counts) * 4; b%hostLine != 0 {
+			t.Fatalf("%d bins: counts take %d bytes", n, b)
+		}
+		if b := cap(v.occ) * 8; b%hostLine != 0 {
+			t.Fatalf("%d bins: occupancy index takes %d bytes", n, b)
+		}
 	}
 }

@@ -55,6 +55,26 @@ func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 	if !reflect.DeepEqual(append([]int64{}, v.Counts()...), append([]int64{}, want...)) {
 		t.Fatalf("%s: counts differ from the dense reference", label)
 	}
+	// Bin by bin, and in the width the count needs: a count that fits is
+	// stored in counts, one that does not behind the mark, and the wide map
+	// is nil when no bin needs it.
+	wide := 0
+	for i, w := range want {
+		if got := v.Count(i); got != w {
+			t.Fatalf("%s: Count(%d) = %d, want %d", label, i, got, w)
+		}
+		if got := v.CountValue(v.Value(i)); got != w {
+			t.Fatalf("%s: CountValue(%d) = %d, want %d", label, v.Value(i), got, w)
+		}
+		if isWide := uint64(w) >= wideMark; isWide != (v.counts[i] == wideMark) {
+			t.Fatalf("%s: bin %d with count %d stored behind the mark: %v", label, i, w, !isWide)
+		} else if isWide {
+			wide++
+		}
+	}
+	if len(v.wide) != wide || (wide == 0) != (v.wide == nil) {
+		t.Fatalf("%s: wide map holds %d bins (nil %v), want %d", label, len(v.wide), v.wide == nil, wide)
+	}
 	if got, w := v.Total(), denseTotal(want); got != w {
 		t.Fatalf("%s: Total = %d, want %d", label, got, w)
 	}
@@ -281,4 +301,116 @@ func TestWarmRecycleDoesNotAllocate(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("warm recycle allocates %.0f times per run", allocs)
 	}
+}
+
+// The host stores counts in 32 bits with a wide escape. These hold every
+// observable of a region with counts at and around the mark, below zero, and
+// with a total past 2^32 to the same dense []int64 reference.
+
+const two32 = int64(1) << 32
+
+func TestWideEscapeEqualsDense(t *testing.T) {
+	const n = 130
+	want := make([]int64, n)
+	v := NewVector(-7, -7+(n-1)*3, 3)
+	add := func(label string, i int, c int64) {
+		t.Helper()
+		v.AddCount(v.Value(i), c)
+		want[i] += c
+		checkAgainstDense(t, label, v, want)
+	}
+	add("just below the mark", 1, two32-2)
+	add("at the mark", 64, two32-1)
+	add("past the mark", 129, two32)
+	add("below zero", 3, -5)
+	add("back under the mark", 64, -1)
+	add("back to zero", 3, 5)
+	add("a bin crossing the mark by one", 1, 1)
+	add("far below zero", 70, -3*two32)
+	add("small add to a wide bin", 129, 2)
+
+	// Clone copies the wide map: writing to the clone leaves v alone.
+	clone := v.Clone()
+	checkAgainstDense(t, "Clone", clone, want)
+	clone.AddCount(clone.Value(129), 5)
+	clone.AddCount(clone.Value(70), 3*two32)
+	checkAgainstDense(t, "Clone is deep", v, want)
+
+	// Merging two such regions, and a narrow one into a wide one.
+	other := FromCounts(v.Min, v.Divisor, want)
+	checkAgainstDense(t, "FromCounts", other, want)
+	if err := other.Merge(v); err != nil {
+		t.Fatal(err)
+	}
+	doubled := make([]int64, n)
+	for i, c := range want {
+		doubled[i] = 2 * c
+	}
+	checkAgainstDense(t, "Merge of two wide regions", other, doubled)
+	checkAgainstDense(t, "Merge left its source", v, want)
+	ones := make([]int64, n)
+	for i := range ones {
+		ones[i] = 1
+		doubled[i]++
+	}
+	if err := other.Merge(FromCounts(v.Min, v.Divisor, ones)); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, "Merge of a narrow region into a wide one", other, doubled)
+
+	// Recycle and Reset leave no wide entry behind, and the region fills
+	// again on the narrow path.
+	v.Recycle(0, 1, 200, nil)
+	checkAgainstDense(t, "Recycle", v, make([]int64, 200))
+	v.AddCount(5, 7)
+	refill := make([]int64, 200)
+	refill[5] = 7
+	checkAgainstDense(t, "refill after Recycle", v, refill)
+	other.Reset()
+	checkAgainstDense(t, "Reset", other, make([]int64, n))
+}
+
+// TestTotalPastTwo32: no bin reaches the mark, but the region's total does —
+// through AddCount, FromCounts and Merge. Past that point the writes can no
+// longer rule a wide bin out by the total, and must still be exact.
+func TestTotalPastTwo32(t *testing.T) {
+	const n = 70
+	half := two32/2 - 10
+	want := make([]int64, n)
+	v := NewVector(0, n-1, 1)
+	for _, i := range []int{0, 63, 64} {
+		v.AddCount(int64(i), half)
+		want[i] += half
+	}
+	checkAgainstDense(t, "AddCount past 2^32 in total", v, want)
+	for _, i := range []int{0, 0, 64, 69} {
+		v.AddCount(int64(i), 1)
+		want[i]++
+	}
+	checkAgainstDense(t, "AddCount after the total passed 2^32", v, want)
+
+	fc := FromCounts(0, 1, want)
+	checkAgainstDense(t, "FromCounts past 2^32 in total", fc, want)
+
+	// Two narrow regions whose merged bins stay narrow but whose merged
+	// total does not, then one merge that takes bin 0 over the mark.
+	a := FromCounts(0, 1, []int64{half, 0, 9, half})
+	b := FromCounts(0, 1, []int64{1, 2, 0, half})
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, "Merge past 2^32 in total", a, []int64{half + 1, 2, 9, 2 * half})
+	if err := a.Merge(FromCounts(0, 1, []int64{two32, 0, 0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	want4 := []int64{half + 1 + two32, 2, 9, 2 * half}
+	checkAgainstDense(t, "Merge over the mark", a, want4)
+
+	all, err := MergeAll(a, a.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, "MergeAll of wide regions", all, []int64{2 * want4[0], 4, 18, 4 * half})
+	a.Recycle(0, 1, 4, nil)
+	checkAgainstDense(t, "Recycle after wide", a, make([]int64, 4))
 }

@@ -198,11 +198,11 @@ func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
 		latency:      float64(cfg.Mem.LatencyCycles),
 	}
 	if cfg.Faults == nil {
-		getBinnerScratch().fit(b, pre.NumBins)
+		getBinnerScratch(pre.NumBins).fit(b, pre.NumBins)
 	} else {
 		// The ECC-checked memory model holds the counts until finalizeMem
 		// swaps them in, so the lane carries no bin row of its own — and
-		// stays out of the pool (see binnerScratch).
+		// stays off the free list (see binnerScratch).
 		newBinnerScratch().fit(b, 0)
 		b.mem = hw.NewMemory(int(pre.NumBins), cfg.Faults)
 		b.mem.SetEvents(cfg.MemEvents)
@@ -464,6 +464,13 @@ func (b *Binner) Vector() *bins.Vector {
 
 // CacheHitRate returns the hit rate of the on-chip cache so far.
 func (b *Binner) CacheHitRate() float64 { return b.cache.HitRate() }
+
+// emptyVector returns a zeroed bin region of n bins from min.
+func emptyVector(min, divisor, n int64) *bins.Vector {
+	v := new(bins.Vector)
+	v.Recycle(min, divisor, int(n), nil)
+	return v
+}
 
 func maxf(a, b float64) float64 {
 	if a > b {

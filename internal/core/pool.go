@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 
 	"streamhist/internal/bins"
@@ -22,23 +23,106 @@ import (
 // i/binsPerLine of some occupied bin i of vec, so one walk over the occupied
 // bins clears both. Fault-injected binners break that pairing (their counts
 // live in hw.Memory, and a quarantined bin is zeroed after the fact), so
-// they neither draw from the pool nor return to it.
+// they neither draw from the free list nor return to it.
 type binnerScratch struct {
 	vec         *bins.Vector
 	pending     []float64
 	binsPerLine int64
 	cache       *hw.Cache
+
+	parkedAt uint64 // scratchList.gcs when parked
 }
 
-var binnerScratchPool sync.Pool
+// scratchList is the free list of parked scratch. Every parked scratch is
+// visible to every lane, so the host holds one region per live lane and
+// none beside them. A sync.Pool would not do: its per-P slot is invisible
+// to a Get on another P, so a lane misses a parked region and allocates
+// another. What the list shares with sync.Pool is that scratch parked
+// across two GC cycles is dropped, so an idle process lets its regions go.
+// It learns of the cycles from a finalizer on a sentinel, armed while
+// anything is parked.
+var scratchList struct {
+	sync.Mutex
+	parked []*binnerScratch
+	gcs    uint64 // sentinel finalizers run so far
+	armed  bool
+}
 
-// getBinnerScratch returns pooled scratch, or an empty one; fit decides what
-// suits the requested geometry.
-func getBinnerScratch() *binnerScratch {
-	if v := binnerScratchPool.Get(); v != nil {
-		return v.(*binnerScratch)
+// getBinnerScratch takes the parked scratch whose region fits n bins most
+// tightly, else the largest parked one, else an empty one; fit decides what
+// of it suits the requested geometry.
+func getBinnerScratch(n int64) *binnerScratch {
+	l := &scratchList
+	l.Lock()
+	defer l.Unlock()
+	best := -1
+	for k, sc := range l.parked {
+		if best < 0 || fitsBetter(int64(sc.vec.Capacity()), int64(l.parked[best].vec.Capacity()), n) {
+			best = k
+		}
 	}
-	return newBinnerScratch()
+	if best < 0 {
+		return newBinnerScratch()
+	}
+	sc := l.parked[best]
+	last := len(l.parked) - 1
+	l.parked[best], l.parked[last] = l.parked[last], nil
+	l.parked = l.parked[:last]
+	return sc
+}
+
+// fitsBetter reports whether a region of capacity a bins suits a request
+// for n bins better than one of capacity b: one that fits beats one that
+// does not, the smaller of two that fit wins, and the larger of two that do
+// not.
+func fitsBetter(a, b, n int64) bool {
+	if (a >= n) != (b >= n) {
+		return a >= n
+	}
+	if a >= n {
+		return a < b
+	}
+	return a > b
+}
+
+// putBinnerScratch parks sc on the free list.
+func putBinnerScratch(sc *binnerScratch) {
+	l := &scratchList
+	l.Lock()
+	defer l.Unlock()
+	sc.parkedAt = l.gcs
+	l.parked = append(l.parked, sc)
+	if !l.armed {
+		l.armed = true
+		armGCSentinel()
+	}
+}
+
+// gcSentinel carries a pointer so it is never tiny-allocated beside another
+// object that could keep its block alive past a cycle.
+type gcSentinel struct{ _ *byte }
+
+func armGCSentinel() { runtime.SetFinalizer(&gcSentinel{}, dropStaleScratch) }
+
+// dropStaleScratch runs once per GC cycle while anything is parked: it
+// drops the scratch parked across two cycles and re-arms the sentinel for
+// the next one.
+func dropStaleScratch(*gcSentinel) {
+	l := &scratchList
+	l.Lock()
+	defer l.Unlock()
+	l.gcs++
+	kept := l.parked[:0]
+	for _, sc := range l.parked {
+		if l.gcs-sc.parkedAt < 2 {
+			kept = append(kept, sc)
+		}
+	}
+	clear(l.parked[len(kept):])
+	l.parked = kept
+	if l.armed = len(kept) > 0; l.armed {
+		armGCSentinel()
+	}
 }
 
 // newBinnerScratch returns scratch that holds nothing yet.
@@ -58,7 +142,9 @@ func (sc *binnerScratch) fit(b *Binner, regionBins int64) {
 	if int64(cap(pending)) >= numLines {
 		pending = pending[:numLines]
 	} else {
-		pending = make([]float64, numLines)
+		// Whole 64-byte host cache lines, so that two lanes' tables never
+		// share one (see bins.Vector).
+		pending = make([]float64, numLines, (numLines+7)/8*8)
 	}
 
 	cache := sc.cache
@@ -85,7 +171,7 @@ func (b *Binner) Release() {
 		return
 	}
 	if b.cfg.Faults == nil {
-		binnerScratchPool.Put(&binnerScratch{
+		putBinnerScratch(&binnerScratch{
 			vec: b.vec, pending: b.pending, cache: b.cache,
 			binsPerLine: int64(b.cfg.Mem.BinsPerLine),
 		})

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"streamhist/internal/datagen"
@@ -98,5 +101,126 @@ func TestBinnerReuseAfterAbandonedLane(t *testing.T) {
 		if !bytes.Equal(raws[i], wantRaws[i]) {
 			t.Fatalf("sketch block %d encoding drifted after abandoned-lane reuse", i)
 		}
+	}
+}
+
+// wideRegionBins is the size of an l_extendedprice lane region.
+const wideRegionBins = 10_000_000
+
+// TestFreeListExactAcrossGoroutines: two lanes built on two goroutines and
+// released from a third, round after round, run on the same two regions.
+// The releasing goroutine keeps its P busy until the next round's lanes hold
+// their regions, the way a server handler goes on running after it parks a
+// survivor, so the lanes draw on another P: every parked region must be
+// visible to them all the same.
+func TestFreeListExactAcrossGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	pre, err := RangeFor(0, wideRegionBins-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := [2][]int64{
+		datagen.Take(datagen.NewUniform(1, 0, wideRegionBins), 5_000),
+		datagen.Take(datagen.NewUniform(2, 0, wideRegionBins), 5_000),
+	}
+	ledger := newRegionLedger()
+
+	toRelease, released, stopped := make(chan []*Binner), make(chan struct{}), make(chan struct{})
+	var hold atomic.Bool
+	go func() {
+		defer close(stopped)
+		for lanes := range toRelease {
+			for _, b := range lanes {
+				b.Release()
+			}
+			hold.Store(true)
+			released <- struct{}{}
+			for hold.Load() {
+			}
+		}
+	}()
+	defer func() {
+		hold.Store(false)
+		close(toRelease)
+		<-stopped
+	}()
+
+	for round := 0; round < 50; round++ {
+		built := make(chan *Binner, len(vals))
+		for lane := range vals {
+			go func() {
+				b := ledger.newBinner(DefaultBinnerConfig(), pre)
+				b.PushAll(vals[lane])
+				built <- b
+			}()
+		}
+		lanes := []*Binner{<-built, <-built}
+		hold.Store(false)
+		toRelease <- lanes
+		<-released
+		if n := ledger.allocated(); n > 2 {
+			t.Fatalf("round %d: %d regions allocated for two lanes", round, n)
+		}
+	}
+	if n := ledger.allocated(); n != 2 {
+		t.Fatalf("%d regions allocated for two lanes, want 2", n)
+	}
+}
+
+// TestFreeListBestFit: a small lane takes the smallest parked region that
+// fits, not the wide one, and a wide lane takes the wide one rather than
+// growing the small one.
+func TestFreeListBestFit(t *testing.T) {
+	small, err := RangeFor(0, 49, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := RangeFor(0, wideRegionBins-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultBinnerConfig()
+	emptyFreeList()
+	bw, bs := NewBinner(cfg, wide), NewBinner(cfg, small)
+	wideVec, smallVec := bw.vec, bs.vec
+	bw.Release()
+	bs.Release()
+
+	b := NewBinner(cfg, small)
+	if b.vec != smallVec {
+		t.Fatalf("a 50-bin lane took a region of %d bins, not the parked 50-bin one", b.vec.Capacity())
+	}
+	b.Release()
+	b = NewBinner(cfg, wide)
+	if b.vec != wideVec {
+		t.Fatalf("a %d-bin lane did not take the parked region that fits it", wideRegionBins)
+	}
+	b.Release()
+}
+
+// TestFreeListDropsAfterTwoGCs: like a sync.Pool, the free list lets go of
+// scratch parked across two GC cycles, so an idle process frees its regions.
+func TestFreeListDropsAfterTwoGCs(t *testing.T) {
+	for i := 0; len(parkedVectors()) > 0; i++ {
+		if i == 3 {
+			t.Fatal("the free list did not empty over three GC cycles")
+		}
+		waitGC(t)
+	}
+	pre, err := RangeFor(0, 999, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBinner(DefaultBinnerConfig(), pre)
+	vec := b.vec
+	b.Release()
+
+	waitGC(t)
+	if !slices.Contains(parkedVectors(), vec) {
+		t.Fatal("scratch dropped after one GC cycle")
+	}
+	waitGC(t)
+	if n := len(parkedVectors()); n != 0 {
+		t.Fatalf("%d scratch still parked after two GC cycles", n)
 	}
 }

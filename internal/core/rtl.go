@@ -78,7 +78,7 @@ func NewRTLBinner(cfg BinnerConfig, pre *Preprocessor) *RTLBinner {
 		cfg:            cfg,
 		pre:            pre,
 		cache:          hw.NewCache(cfg.CacheBytes, hw.LineBytes, numLines),
-		vec:            bins.FromCounts(pre.Min, pre.Divisor, make([]int64, pre.NumBins)),
+		vec:            emptyVector(pre.Min, pre.Divisor, pre.NumBins),
 		creditPerCycle: float64(cfg.Mem.RandomOpsPerSec) / float64(cfg.Clock.Hz),
 		burstCost:      burstCost,
 		latency:        cfg.Mem.LatencyCycles,

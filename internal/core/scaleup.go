@@ -97,7 +97,7 @@ func (s ParallelStats) ValuesPerSecond(clk hw.Clock) float64 {
 // cycle per region, so it costs Δ/binsPerLine cycles regardless of how
 // many replicas exist (they are read in parallel from separate memories).
 func (p *ParallelBinner) Finish() (*bins.Vector, ParallelStats, error) {
-	merged := bins.FromCounts(p.geom.Min, p.geom.Divisor, make([]int64, p.geom.NumBins))
+	merged := emptyVector(p.geom.Min, p.geom.Divisor, p.geom.NumBins)
 	var stats ParallelStats
 	laneCycles := make([]int64, 0, len(p.binners))
 	for _, b := range p.binners {

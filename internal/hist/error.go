@@ -42,10 +42,10 @@ func RangeError(h *Histogram, truth *bins.Vector, n int, seed uint64) float64 {
 	rng := datagen.NewRNG(seed)
 
 	// Prefix sums over the dense vector give exact range counts quickly.
-	counts := truth.Counts()
-	prefix := make([]int64, len(counts)+1)
-	for i, c := range counts {
-		prefix[i+1] = prefix[i] + c
+	numBins := truth.NumBins()
+	prefix := make([]int64, numBins+1)
+	for i := 0; i < numBins; i++ {
+		prefix[i+1] = prefix[i] + truth.Count(i)
 	}
 	exact := func(a, b int64) int64 {
 		ia := truth.Index(a)
@@ -54,7 +54,7 @@ func RangeError(h *Histogram, truth *bins.Vector, n int, seed uint64) float64 {
 			ia = 0
 		}
 		if ib < 0 {
-			ib = len(counts) - 1
+			ib = numBins - 1
 		}
 		return prefix[ib+1] - prefix[ia]
 	}

@@ -14,8 +14,8 @@ package hw
 // Residence is a flat byte table indexed by line address over the line
 // universe the caller declares, and the FIFO is a fixed ring: no allocation
 // and no hashing per access. One byte per line is an eighth of a byte per
-// bin at eight bins per line — beside a bin region that costs eight bytes
-// per bin it never decides whether a geometry fits in memory.
+// bin at eight bins per line — beside a bin region that costs four bytes
+// per bin on the host it never decides whether a geometry fits in memory.
 type Cache struct {
 	lines int
 
@@ -29,7 +29,15 @@ type Cache struct {
 
 	hits   int64
 	misses int64
+
+	// Every lookup writes the fields above. The pad makes a Cache two whole
+	// host cache lines, and NewCache makes its tables whole lines, so that
+	// the caches of two binner lanes never share one (see bins.Vector).
+	_ [48]byte
 }
+
+// hostLine is the host's cache-line size in bytes.
+const hostLine = 64
 
 // NewCache builds a cache holding sizeBytes worth of memory lines of
 // lineBytes each, for line addresses in [0, universe). A size of zero
@@ -40,12 +48,15 @@ func NewCache(sizeBytes, lineBytes int, universe int64) *Cache {
 		panic("hw: cache line size must be positive")
 	}
 	n := sizeBytes / lineBytes
+	universe = max(universe, 0)
 	return &Cache{
 		lines:    n,
-		ring:     make([]int64, 0, n),
-		resident: make([]uint8, max(universe, 0)),
+		ring:     make([]int64, 0, roundUp(int64(n), hostLine/8)),
+		resident: make([]uint8, universe, roundUp(universe, hostLine)),
 	}
 }
+
+func roundUp(n, m int64) int64 { return (n + m - 1) / m * m }
 
 // Lines returns the capacity in memory lines.
 func (c *Cache) Lines() int { return c.lines }

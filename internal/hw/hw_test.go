@@ -3,6 +3,7 @@ package hw
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestClockConversions(t *testing.T) {
@@ -271,5 +272,22 @@ func TestCriticalPath(t *testing.T) {
 	// No lanes: just the aggregation pass.
 	if c := CriticalPath(nil, 7); c != 7 {
 		t.Errorf("CriticalPath(nil) = %d, want 7", c)
+	}
+}
+
+// TestCacheIsWholeHostLines: a lane's cache model and its tables fill whole
+// host cache lines, so two lanes' caches never share one.
+func TestCacheIsWholeHostLines(t *testing.T) {
+	if s := unsafe.Sizeof(Cache{}); s%hostLine != 0 {
+		t.Fatalf("a Cache is %d bytes, not whole %d-byte lines", s, hostLine)
+	}
+	for _, universe := range []int64{1, 7, 64, 1000} {
+		c := NewCache(3*LineBytes, LineBytes, universe)
+		if b := cap(c.ring) * 8; b%hostLine != 0 {
+			t.Fatalf("universe %d: ring takes %d bytes", universe, b)
+		}
+		if b := cap(c.resident); b%hostLine != 0 {
+			t.Fatalf("universe %d: residence table takes %d bytes", universe, b)
+		}
 	}
 }
