@@ -21,7 +21,7 @@ PERF_OUT ?= perf_head.json
 PERF_BASE ?= perf_base.json
 PERF_HEAD ?= perf_head.json
 
-.PHONY: check vet build test race fuzz bench bench-json perf-bench perf-gate lint chaos-durable loc knobs
+.PHONY: check vet build test race fuzz bench bench-json perf-bench perf-gate lint chaos-durable loc knobs examples
 
 check: vet build race
 
@@ -76,8 +76,18 @@ knobs:
 	done; \
 	echo "config fields $$fields, flags $$flags, knobs $$((fields + flags))"
 
-# Fuzz passes over every decoder that faces attacker-controlled bytes, and
-# over the bin region's 32-bit store against an int64 reference.
+# examples builds and runs every program under examples/, so one that still
+# compiles but no longer runs to completion fails here.
+examples:
+	@for dir in examples/*/; do \
+		echo "$(GO) run ./$$dir"; \
+		$(GO) run ./$$dir > /dev/null || exit 1; \
+	done
+
+# Fuzz passes, nine targets: every decoder that faces bytes from a peer or a
+# disk (frames, the client's frame reader, trace reports, histograms,
+# snapshots, WAL records, sketches, the page parser), and the bin region's
+# 32-bit store against an int64 reference.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
 # target runs even when an earlier one fails — a red target must not hide the
 # ones listed after it — and the failures are named together at the end.
@@ -90,7 +100,6 @@ FUZZ_TARGETS = \
 	FuzzDecodeWALRecord:./internal/durable/ \
 	FuzzSketchDecode:./internal/sketch/ \
 	FuzzParserFeed:./internal/core/ \
-	FuzzCommandUnmarshal:./internal/core/ \
 	FuzzVectorOps:./internal/bins/
 
 fuzz:

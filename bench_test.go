@@ -629,25 +629,6 @@ func BenchmarkHistogramSerialization(b *testing.B) {
 
 // --- Substrate micro-benchmarks ---------------------------------------------
 
-func BenchmarkRTLBinnerVsFast(b *testing.B) {
-	vals := datagen.Take(datagen.NewZipf(303, 0, 1<<14, 0.9, true), 50_000)
-	b.Run("fast-model", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pre, _ := core.RangeFor(0, 1<<14-1, 1)
-			binner := core.NewBinner(core.DefaultBinnerConfig(), pre)
-			binner.PushAll(vals)
-			binner.Finish()
-		}
-	})
-	b.Run("rtl-tick-level", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pre, _ := core.RangeFor(0, 1<<14-1, 1)
-			rtl := core.NewRTLBinner(core.DefaultBinnerConfig(), pre)
-			rtl.Run(vals)
-		}
-	})
-}
-
 func BenchmarkParserThroughput(b *testing.B) {
 	rel := tpch.Lineitem(50_000, 1, 99)
 	pages := page.Encode(rel)

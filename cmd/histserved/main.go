@@ -64,13 +64,14 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  histserved serve  [-addr :7744] [-rows N] [-seed S] [-lanes N]
+func usage() { fmt.Fprintln(os.Stderr, usageText) }
+
+const usageText = `usage:
+  histserved serve  [-addr :7744] [-rows N] [-seed S] [-workers N] [-lanes N]
                     [-chaos profile] [-chaos-seed S] [-metrics-addr host:port]
                     [-sketch-ndv p] [-sketch-k K] [-sketch-window W]
                     [-no-sketch] [-data-dir DIR] [-checkpoint-interval D]
-                    [-no-durability] [-bundle-dir DIR]
+                    [-bundle-dir DIR]
   histserved tables [-addr host:port]                   list served tables
   histserved scan   [-addr host:port] [-o file] [-trace] <table> <column>
   histserved stats  [-addr host:port] <table> <column>
@@ -93,6 +94,9 @@ cycle profile in pprof format), /debug/pprof/*.
 -bundle-dir is where anomaly trips drop self-contained debug bundles
 (timeline slice + events + pprof profiles), defaulting to <data-dir>/bundles.
 
+-workers bounds how many scans run a statistics side path at once; a scan
+arriving while all are busy streams its pages and skips the refresh.
+
 -lanes fixes the side-path fan-out (parallel Parser+Binner lanes per scan);
 with -lanes 1 the profile total equals the accel-cycles counter exactly.
 
@@ -103,13 +107,12 @@ counters, sliding-window width); -no-sketch disables the chain.
 -data-dir makes the stats catalog durable: crash recovery runs before the
 listener opens (checksummed snapshot + WAL replay), mutations are journaled
 write-ahead, and in-flight scans survive kill -9 via server-side resume.
--checkpoint-interval tunes the background snapshot cadence; -no-durability
-serves ephemeral (bit-identical wire behavior) even with -data-dir set.
+-checkpoint-interval tunes the background snapshot cadence. Without -data-dir
+the catalog is ephemeral (bit-identical wire behavior).
 
 chaos profiles (deterministic fault injection; for testing the fail-open
 posture — never enable in production): corruption-heavy, lane-failure-heavy,
-network-flaky, disk-failure-heavy`)
-}
+network-flaky, disk-failure-heavy`
 
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -127,7 +130,6 @@ func runServe(args []string) error {
 	noSketch := fs.Bool("no-sketch", false, "disable the sketch chain entirely")
 	dataDir := fs.String("data-dir", "", "durability directory for the stats catalog (snapshots + WAL); empty serves ephemeral")
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "background checkpoint period for -data-dir (0 = 30s default, negative disables timed checkpoints)")
-	noDurability := fs.Bool("no-durability", false, "serve ephemeral even when -data-dir is set (bit-identical to a server without durability)")
 	bundleDir := fs.String("bundle-dir", "", "where anomaly trips drop debug bundles (default <data-dir>/bundles; empty without -data-dir disables)")
 	fs.Parse(args)
 
@@ -136,8 +138,9 @@ func runServe(args []string) error {
 	o.Log = log
 
 	cfg := server.Config{DrainWorkers: *workers, ShardLanes: *lanes, Obs: o}
-	cfg.SketchDisabled = *noSketch
-	if *ndvPrec > 0 || *heavyK > 0 || *windowW > 0 {
+	if *noSketch {
+		cfg.Sketch = &sketch.ChainSpec{}
+	} else if *ndvPrec > 0 || *heavyK > 0 || *windowW > 0 {
 		spec := sketch.DefaultChainSpec()
 		if *ndvPrec > 0 {
 			spec.NDVPrecision = *ndvPrec
@@ -148,7 +151,7 @@ func runServe(args []string) error {
 		if *windowW > 0 {
 			spec.WindowW = *windowW
 		}
-		cfg.Sketch = spec
+		cfg.Sketch = &spec
 	}
 	if *chaos != "" {
 		profile, err := faults.ByName(*chaos)
@@ -159,7 +162,7 @@ func runServe(args []string) error {
 		log.Warn("CHAOS MODE: injecting faults; expect Degraded scans",
 			"profile", *chaos, "seed", *chaosSeed)
 	}
-	if *dataDir != "" && !*noDurability {
+	if *dataDir != "" {
 		// Open (and so recover) BEFORE the listener: by the time the first
 		// client connects, the catalog already holds everything that survived
 		// the last process.

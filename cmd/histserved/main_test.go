@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -206,5 +207,44 @@ func TestClientCommandsNameBothVersionsOnMismatch(t *testing.T) {
 		if n := conns.Load() - before; n != 1 {
 			t.Errorf("%s opened %d connections, want 1", name, n)
 		}
+	}
+}
+
+// The serve synopsis in usage() lists exactly the flags `serve -h` prints. The
+// -h output comes from a child run of this test binary, since the flag set
+// exits the process after printing it.
+func TestServeUsageListsEveryFlag(t *testing.T) {
+	if os.Getenv("HISTSERVED_SERVE_HELP") == "1" {
+		runServe([]string{"-h"})
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeUsageListsEveryFlag$")
+	cmd.Env = append(os.Environ(), "HISTSERVED_SERVE_HELP=1")
+	help, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("serve -h: %v\n%s", err, help)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z-]+)`).FindAllStringSubmatch(string(help), -1) {
+		flags = append(flags, m[1])
+	}
+	if len(flags) == 0 {
+		t.Fatalf("serve -h printed no flags:\n%s", help)
+	}
+
+	synopsis, _, _ := strings.Cut(usageText, "histserved tables")
+	_, synopsis, _ = strings.Cut(synopsis, "histserved serve")
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\[(-[a-z-]+)`).FindAllStringSubmatch(synopsis, -1) {
+		listed[m[1]] = true
+	}
+	for _, f := range flags {
+		if !listed[f] {
+			t.Errorf("usage() leaves out serve flag %s", f)
+		}
+		delete(listed, f)
+	}
+	for f := range listed {
+		t.Errorf("usage() lists %s, which serve does not accept", f)
 	}
 }

@@ -400,14 +400,3 @@ func EncodeBuckets(buckets []hist.Bucket) []byte {
 	}
 	return out
 }
-
-// EncodeFrequent serialises a frequency list as (value, count) pairs of
-// 32-bit integers, 8 bytes per entry.
-func EncodeFrequent(freq []hist.FrequentValue) []byte {
-	out := make([]byte, 8*len(freq))
-	for i, f := range freq {
-		binary.LittleEndian.PutUint32(out[i*8:], uint32(f.Value))
-		binary.LittleEndian.PutUint32(out[i*8+4:], uint32(f.Count))
-	}
-	return out
-}

@@ -241,13 +241,3 @@ func TestEncodeBuckets(t *testing.T) {
 		t.Error("second bucket encoding wrong")
 	}
 }
-
-func TestEncodeFrequent(t *testing.T) {
-	enc := EncodeFrequent([]hist.FrequentValue{{Value: 7, Count: 9}})
-	if len(enc) != 8 {
-		t.Fatalf("encoded %d bytes", len(enc))
-	}
-	if binary.LittleEndian.Uint32(enc[0:4]) != 7 || binary.LittleEndian.Uint32(enc[4:8]) != 9 {
-		t.Error("frequent encoding wrong")
-	}
-}

@@ -50,28 +50,3 @@ func ExampleParallelBinner() {
 	// count(3) = 3
 	// total = 7
 }
-
-// ExampleCommand shows the §4 control plane: the host serialises the
-// metadata packet, the accelerator configures itself from it.
-func ExampleCommand() {
-	cmd := core.Command{
-		Column:           core.ColumnSpec{Offset: 8, Type: table.Decimal},
-		Min:              0,
-		Max:              999_999,
-		Divisor:          1,
-		EquiDepthBuckets: 256,
-	}
-	packet, err := cmd.MarshalBinary()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("packet bytes:", len(packet))
-	var decoded core.Command
-	if err := decoded.UnmarshalBinary(packet); err != nil {
-		panic(err)
-	}
-	fmt.Println("decoded buckets:", decoded.EquiDepthBuckets)
-	// Output:
-	// packet bytes: 44
-	// decoded buckets: 256
-}

@@ -41,36 +41,3 @@ func FuzzParserFeed(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCommandUnmarshal hammers the control-plane packet decoder.
-func FuzzCommandUnmarshal(f *testing.F) {
-	good, _ := validCommand().MarshalBinary()
-	f.Add(good)
-	f.Add(make([]byte, CommandSize))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var cmd Command
-		if err := cmd.UnmarshalBinary(data); err != nil {
-			return
-		}
-		// Anything that decodes must validate and re-encode to the same
-		// bytes.
-		if err := cmd.Validate(); err != nil {
-			t.Fatalf("decoded command does not validate: %v", err)
-		}
-		out, err := cmd.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		for i := range out {
-			// Reserved bytes may differ only if the input set them; the
-			// decoder ignores them, the encoder zeroes them.
-			if i == 5 || i >= 40 {
-				continue
-			}
-			if out[i] != data[i] {
-				t.Fatalf("byte %d changed across round trip", i)
-			}
-		}
-	})
-}

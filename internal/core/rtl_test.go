@@ -177,3 +177,21 @@ func TestRTLEmptyRun(t *testing.T) {
 		t.Errorf("empty run produced cycles=%d total=%d", stats.Cycles, vec.Total())
 	}
 }
+
+func BenchmarkRTLBinnerVsFast(b *testing.B) {
+	vals := datagen.Take(datagen.NewZipf(303, 0, 1<<14, 0.9, true), 50_000)
+	b.Run("fast-model", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pre, _ := RangeFor(0, 1<<14-1, 1)
+			binner := NewBinner(DefaultBinnerConfig(), pre)
+			binner.PushAll(vals)
+			binner.Finish()
+		}
+	})
+	b.Run("rtl-tick-level", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pre, _ := RangeFor(0, 1<<14-1, 1)
+			NewRTLBinner(DefaultBinnerConfig(), pre).Run(vals)
+		}
+	})
+}

@@ -105,7 +105,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 // record. The fsync happens on the writer goroutine, off this path.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	m, err := Open(dir, Options{CheckpointInterval: -1, WALSoftLimit: 1 << 40, QueueDepth: 1 << 16})
+	m, err := Open(dir, Options{CheckpointInterval: -1, walSoftLimit: 1 << 40, queueDepth: 1 << 16})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -53,39 +53,42 @@ type Options struct {
 	// the 30s default; negative disables timed checkpoints (threshold and
 	// manual checkpoints still run).
 	CheckpointInterval time.Duration
-	// WALSoftLimit triggers a checkpoint once the current WAL epoch
-	// exceeds this many bytes. 0 means the 4 MiB default; negative
-	// disables the threshold.
-	WALSoftLimit int64
-	// QueueDepth bounds the async WAL queue. 0 means 1024. When the queue
-	// is full, records are dropped (and counted) rather than blocking the
-	// scan path; the next checkpoint re-baselines the lost suffix.
-	QueueDepth int
-	// FsyncInterval caps group-commit frequency: the writer fsyncs when
-	// the queue runs dry, but at most once per interval (a timer covers
-	// the tail). 0 means the 5ms default; negative restores an fsync at
-	// every queue-dry boundary. Records are durable within one interval
-	// of being written; explicit Sync/Checkpoint always flush.
-	FsyncInterval time.Duration
 	// Faults wires the disk fault points (wal.torn, wal.fsync,
 	// snap.corrupt, disk.slow). Nil never fires.
 	Faults *faults.Injector
 	// Reg registers the durability metrics. Nil registers nothing.
 	Reg *obs.Registry
+
+	// WAL tuning: each setting has one right value, and only this package's
+	// benchmarks change it.
+	//
+	// walSoftLimit triggers a checkpoint once the current WAL epoch exceeds
+	// this many bytes. 0 means 4 MiB; negative disables the threshold.
+	walSoftLimit int64
+	// queueDepth bounds the async WAL queue. 0 means 1024. When the queue is
+	// full, records are dropped (and counted) rather than blocking the scan
+	// path; the next checkpoint re-baselines the lost suffix.
+	queueDepth int
+	// fsyncInterval caps group-commit frequency: the writer fsyncs when the
+	// queue runs dry, but at most once per interval (a timer covers the
+	// tail). 0 means 5ms; negative restores an fsync at every queue-dry
+	// boundary. Records are durable within one interval of being written;
+	// explicit Sync/Checkpoint always flush.
+	fsyncInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.CheckpointInterval == 0 {
 		o.CheckpointInterval = 30 * time.Second
 	}
-	if o.WALSoftLimit == 0 {
-		o.WALSoftLimit = 4 << 20
+	if o.walSoftLimit == 0 {
+		o.walSoftLimit = 4 << 20
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
+	if o.queueDepth <= 0 {
+		o.queueDepth = 1024
 	}
-	if o.FsyncInterval == 0 {
-		o.FsyncInterval = 5 * time.Millisecond
+	if o.fsyncInterval == 0 {
+		o.fsyncInterval = 5 * time.Millisecond
 	}
 	return o
 }
@@ -226,7 +229,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		cat:        cat,
 		rep:        rep,
 		met:        newDurMetrics(opts.Reg),
-		ch:         make(chan walMsg, opts.QueueDepth),
+		ch:         make(chan walMsg, opts.queueDepth),
 		stopWriter: make(chan struct{}),
 		killWriter: make(chan struct{}),
 		writerDone: make(chan struct{}),

@@ -76,7 +76,7 @@ type walAck struct {
 // runWriter is the single goroutine that owns the WAL file. It drains the
 // queue, encodes records, applies the disk fault points, and fsyncs at
 // group-commit boundaries — whenever the queue runs dry, but at most once
-// per FsyncInterval (a timer flushes the tail), so a trickle of records
+// per fsyncInterval (a timer flushes the tail), so a trickle of records
 // cannot turn into an fsync per record. Appending never blocks the
 // enqueuing side: backpressure turns into counted drops, not stalls.
 func (m *Manager) runWriter(f *os.File, seq uint64) {
@@ -110,7 +110,7 @@ func (m *Manager) runWriter(f *os.File, seq uint64) {
 	// otherwise arms a timer so the tail still hits disk within one
 	// interval. Explicit control messages (Sync, rotation, shutdown)
 	// bypass the pacing entirely.
-	window := m.opts.FsyncInterval
+	window := m.opts.fsyncInterval
 	var lastSync time.Time
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -165,7 +165,7 @@ func (m *Manager) runWriter(f *os.File, seq uint64) {
 		}
 		m.met.records.Inc()
 		m.met.bytes.Add(int64(len(out)))
-		if m.opts.WALSoftLimit > 0 && m.epochBytes.Load() >= m.opts.WALSoftLimit {
+		if m.opts.walSoftLimit > 0 && m.epochBytes.Load() >= m.opts.walSoftLimit {
 			select {
 			case m.ckptPoke <- struct{}{}:
 			default:

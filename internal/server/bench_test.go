@@ -14,8 +14,8 @@ import (
 )
 
 // BenchmarkServedScanDurable measures what durability costs a served scan
-// end to end. "ephemeral" is a server with no durable manager (the
-// -no-durability configuration); "durable" journals every catalog mutation
+// end to end. "ephemeral" is a server with no durable manager (histserved
+// serve without -data-dir); "durable" journals every catalog mutation
 // and scan-lifecycle event through the async WAL while a 50ms background
 // checkpointer snapshots the catalog under the serving load — deliberately
 // far more aggressive than the 30s production default, so the measured gap

@@ -133,9 +133,10 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	}
 }
 
-// TestServerNoDurabilityBitIdentical pins the -no-durability contract: a
-// server with no durable manager serves byte-for-byte what a durable server
-// serves, and the scan/stats wire exchanges are identical.
+// TestServerNoDurabilityBitIdentical pins the ephemeral contract (histserved
+// serve without -data-dir): a server with no durable manager serves
+// byte-for-byte what a durable server serves, and the scan/stats wire
+// exchanges are identical.
 func TestServerNoDurabilityBitIdentical(t *testing.T) {
 	rel := testRelation(4000)
 	run := func(m *durable.Manager) ([]byte, []byte) {

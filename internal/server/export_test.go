@@ -1,5 +1,7 @@
 package server
 
+import "time"
+
 // WireForm exposes a registered table's stored state to the external tests:
 // the wire-form slab, the page images scans and lanes alias, and the
 // encode-time checksums. It triggers the lazy encode like a first scan does.
@@ -13,3 +15,7 @@ func (s *Server) WireForm(table string) (slab []byte, images [][]byte, sums []ui
 	}
 	return e.slab, images, e.pageSums(), nil
 }
+
+// SetScanDeadline arms the per-scan side-path watchdog, which no served
+// configuration sets. Call it before the first scan.
+func (s *Server) SetScanDeadline(d time.Duration) { s.scanDeadline = d }

@@ -36,16 +36,6 @@ type Config struct {
 	// it just skips the side path (fail open, §4: the accelerator must
 	// never slow the regular flow of data).
 	DrainWorkers int
-	// SideBufDepth is the per-lane side-channel depth in lanes.Units. A full
-	// buffer applies backpressure to that scan instead of dropping values, so
-	// a refreshed histogram is always complete. Queued units alias the stored
-	// page images and pin no memory (only a scan with a page fault point armed
-	// copies them), so the depth is a yield quantum: how many units a lane
-	// works through before it must block and hand its P to the network
-	// poller, where requests on other connections wait to be noticed. Zero
-	// means 3: scans gain nothing measurable from more, Stats reads beside a
-	// scan get slower with every unit added (EXPERIMENTS.md "Transport").
-	SideBufDepth int
 	// ShardLanes is how many parallel Parser+Binner lanes each scan's side
 	// path fans out to (the §7 replication design). Units of
 	// lanes.UnitPages pages are dealt round-robin across the lanes and the
@@ -62,29 +52,15 @@ type Config struct {
 	// and the durable mix, and within 10 % of 16 on the wide-domain one
 	// (EXPERIMENTS.md "Transport floor").
 	PagesPerFrame int
-	// IdleTimeout bounds the wait for the next request on a connection.
-	IdleTimeout time.Duration
 	// WriteTimeout is the response write's progress window: a frame write
 	// that moves less than 16 KiB in one WriteTimeout fails (deadlineWriter).
 	WriteTimeout time.Duration
-	// ShutdownGrace bounds the drain when Serve's context is cancelled.
-	ShutdownGrace time.Duration
-	// TopK and Buckets shape the Compressed histograms installed in the
-	// catalog (T and B of the paper's evaluation setup).
-	TopK, Buckets int
-	// Binner overrides the accelerator simulation parameters.
-	Binner core.BinnerConfig
 	// Faults optionally wires the chaos harness into the serving path:
 	// page corruption and truncation, connection resets, drain-pool
 	// saturation, and bin-memory upsets all draw from this injector's
 	// deterministic per-point streams. Nil (the default) disables every
 	// injection; the fault-handling machinery itself always runs.
 	Faults *faults.Injector
-	// ScanDeadline bounds one scan's statistics side path. A side path
-	// still running when the deadline fires is cancelled — the raw page
-	// stream is never touched — and the scan reports Degraded instead of
-	// installing a possibly stale histogram. Zero means no watchdog.
-	ScanDeadline time.Duration
 	// SideStallTimeout bounds how long the serving goroutine will wait on
 	// a side-path lane that stopped accepting units before retiring it.
 	// Zero means 500ms.
@@ -97,12 +73,9 @@ type Config struct {
 	// Sketch configures the daisy chain of statistic blocks each served
 	// scan's side path runs beside the Binner, so every scan refreshes NDV,
 	// heavy hitters, and a sliding-window aggregate along with the
-	// histogram. The zero spec gets sketch.DefaultChainSpec(); set
-	// SketchDisabled to turn the chain off entirely.
-	Sketch sketch.ChainSpec
-	// SketchDisabled turns the sketch chain off (the histogram side path is
-	// unaffected).
-	SketchDisabled bool
+	// histogram. Nil gets sketch.DefaultChainSpec(); a pointer to the zero
+	// spec turns the chain off (the histogram side path is unaffected).
+	Sketch *sketch.ChainSpec
 	// Durable attaches crash-safe persistence: the server adopts the
 	// manager's recovered catalog (so statistics survive restarts), journals
 	// every served scan's lifecycle at frame granularity, and matches resume
@@ -112,12 +85,32 @@ type Config struct {
 	Durable *durable.Manager
 }
 
+// Settings every deployment gets: each has one right value, so none is a
+// Config field.
+const (
+	// sideBufDepth is the per-lane side-channel depth in lanes.Units. A full
+	// buffer applies backpressure to that scan instead of dropping values, so
+	// a refreshed histogram is always complete. Queued units alias the stored
+	// page images and pin no memory (only a scan with a page fault point armed
+	// copies them), so the depth is a yield quantum: how many units a lane
+	// works through before it must block and hand its P to the network
+	// poller, where requests on other connections wait to be noticed. Scans
+	// gain nothing measurable from more than 3, and Stats reads beside a scan
+	// get slower with every unit added (EXPERIMENTS.md "Transport").
+	sideBufDepth = 3
+	// idleTimeout bounds the wait for the next request on a connection.
+	idleTimeout = 2 * time.Minute
+	// shutdownGrace bounds the drain when Serve's context is cancelled.
+	shutdownGrace = 5 * time.Second
+	// histTopK and histBuckets shape the Compressed histogram every refresh
+	// installs: T exact heavy hitters and B equi-depth buckets over the rest,
+	// the paper's evaluation setup.
+	histTopK, histBuckets = 64, 64
+)
+
 func (c Config) withDefaults() Config {
 	if c.DrainWorkers <= 0 {
 		c.DrainWorkers = 8
-	}
-	if c.SideBufDepth <= 0 {
-		c.SideBufDepth = 3
 	}
 	if c.ShardLanes <= 0 {
 		c.ShardLanes = runtime.GOMAXPROCS(0)
@@ -128,33 +121,15 @@ func (c Config) withDefaults() Config {
 	if c.PagesPerFrame*(page.Size+PageChecksumSize) > MaxPayload {
 		c.PagesPerFrame = MaxPayload / (page.Size + PageChecksumSize)
 	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 30 * time.Second
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
-	}
-	if c.TopK <= 0 {
-		c.TopK = 64
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 64
-	}
-	if c.Binner.Clock.Hz == 0 {
-		faultsOverride := c.Binner.Faults
-		c.Binner = core.DefaultBinnerConfig()
-		c.Binner.Faults = faultsOverride
 	}
 	if c.SideStallTimeout <= 0 {
 		c.SideStallTimeout = 500 * time.Millisecond
 	}
-	if c.SketchDisabled {
-		c.Sketch = sketch.ChainSpec{}
-	} else if !c.Sketch.Enabled() {
-		c.Sketch = sketch.DefaultChainSpec()
+	if c.Sketch == nil {
+		spec := sketch.DefaultChainSpec()
+		c.Sketch = &spec
 	}
 	return c
 }
@@ -249,6 +224,14 @@ type connState struct {
 type Server struct {
 	cfg     Config
 	catalog *dbms.Catalog
+	// binner is the accelerator model every side-path lane simulates.
+	binner core.BinnerConfig
+	// scanDeadline bounds one scan's statistics side path: a side path still
+	// running when it fires is cancelled — the raw page stream is never
+	// touched — and the scan reports Degraded instead of installing a
+	// possibly stale histogram. Zero, the served setting, means no watchdog;
+	// the tests arm it through SetScanDeadline.
+	scanDeadline time.Duration
 
 	mu     sync.RWMutex
 	tables map[string]*tableEntry
@@ -286,6 +269,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:       cfg,
+		binner:    core.DefaultBinnerConfig(),
 		obs:       cfg.Obs,
 		catalog:   catalog,
 		tables:    make(map[string]*tableEntry),
@@ -386,7 +370,7 @@ func (s *Server) lookup(name string) (*tableEntry, error) {
 }
 
 // Serve accepts connections on ln until ctx is cancelled, then drains
-// gracefully (bounded by Config.ShutdownGrace) and returns ErrServerClosed.
+// gracefully (bounded by shutdownGrace) and returns ErrServerClosed.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if s.shuttingDown() {
 		return ErrServerClosed
@@ -407,7 +391,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		conn, err := ln.Accept()
 		if err != nil {
 			if ctx.Err() != nil || s.shuttingDown() {
-				sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+				sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 				defer cancel()
 				if serr := s.Shutdown(sctx); serr != nil {
 					return fmt.Errorf("%w: drain: %v", ErrServerClosed, serr)
@@ -583,7 +567,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 		if s.shuttingDown() {
 			return
 		}
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		f, err := ReadFrame(br)
 		if err != nil {
 			// EOF, idle timeout, or an unframeable stream: nothing to
@@ -873,7 +857,7 @@ func (s *Server) summarise(bw *bufio.Writer, rec *obs.ScanRecord) error {
 		Pages: rec.Pages, Bytes: rec.Bytes, Rows: rec.Rows,
 		Refreshed: rec.Refreshed, Degraded: rec.Degraded,
 		AccelCycles:   rec.AccelCycles,
-		AccelSeconds:  s.cfg.Binner.Clock.Seconds(int64(rec.AccelCycles)),
+		AccelSeconds:  s.binner.Clock.Seconds(int64(rec.AccelCycles)),
 		SkippedTuples: rec.SkippedTuples, QuarantinedPages: rec.QuarantinedPages,
 		LanesRetired: rec.LanesRetired,
 	}
@@ -994,10 +978,10 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 		return nil
 	}
 	eng, err := lanes.Start(lanes.Config{
-		Lanes: s.cfg.ShardLanes, Depth: s.cfg.SideBufDepth, StallTimeout: s.cfg.SideStallTimeout,
+		Lanes: s.cfg.ShardLanes, Depth: sideBufDepth, StallTimeout: s.cfg.SideStallTimeout,
 		Column: meta.spec, Min: meta.min, Max: meta.max, Divisor: 1,
 		Pages: entry.pageImages(), Sums: entry.pageSums(), Bufs: &s.bufPool,
-		Sketch: s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
+		Sketch: *s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
 		Binner: s.laneBinner,
 	})
 	if err != nil {
@@ -1009,8 +993,8 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 	// The only ways a side copy can differ from the stable page images are
 	// the in-flight corruption and truncation points.
 	sp.zeroCopy = !inj.Enabled(faults.PageCorrupt) && !inj.Enabled(faults.PageTruncate)
-	if s.cfg.ScanDeadline > 0 {
-		sp.watchdog = time.AfterFunc(s.cfg.ScanDeadline, eng.Cancel)
+	if s.scanDeadline > 0 {
+		sp.watchdog = time.AfterFunc(s.scanDeadline, eng.Cancel)
 	}
 	return sp
 }
@@ -1021,10 +1005,8 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 // draw from one shared root injector) keeps memory-fault decisions
 // reproducible from the seed alone, whatever the goroutine interleaving.
 func (s *Server) laneBinner(linj *faults.Injector) core.BinnerConfig {
-	bcfg := s.cfg.Binner
-	if bcfg.Faults == nil {
-		bcfg.Faults = linj
-	}
+	bcfg := s.binner
+	bcfg.Faults = linj
 	// Live ECC/latency event sinks: these fire as faults are handled in any
 	// lane (including lanes later retired), where the folded
 	// ecc_corrected/bins_quarantined counters only see merged state.
@@ -1110,7 +1092,7 @@ func (sp *sidePath) finish() {
 	sp.stop()
 	s, rec := sp.s, sp.sc.rec
 	prof := s.obs.Profiler()
-	fan, err := sp.eng.FanIn(rec, 0, prof, s.cfg.Binner.Mem.BinsPerLine)
+	fan, err := sp.eng.FanIn(rec, 0, prof, s.binner.Mem.BinsPerLine)
 	// The lanes FanIn finished flushed their attribution; record the matching
 	// expectation now, so profile and counter agree whatever happens next.
 	var laneSum int64
@@ -1154,7 +1136,7 @@ func (sp *sidePath) install(fan lanes.FanIn) {
 	s, rec, bstats := sp.s, sp.sc.rec, fan.Stats
 	prof := s.obs.Profiler()
 	out := core.Config{
-		CompressedT: s.cfg.TopK, CompressedBuckets: s.cfg.Buckets, Binner: s.cfg.Binner,
+		CompressedT: histTopK, CompressedBuckets: histBuckets, Binner: s.binner,
 	}.Results(fan.Survivor, bstats, prof)
 	// The merge span is charged everything past the lanes' own binning: the
 	// fan-in aggregation pass, the histogram chain, and the merged sketch

@@ -163,7 +163,8 @@ func TestScanWatchdogCancelsSidePath(t *testing.T) {
 	const rows = 20000
 	want := storageBytes(t, rows)
 
-	srv := server.New(server.Config{ScanDeadline: time.Nanosecond})
+	srv := server.New(server.Config{})
+	srv.SetScanDeadline(time.Nanosecond)
 	if err := srv.Register(testRelation(rows)); err != nil {
 		t.Fatal(err)
 	}

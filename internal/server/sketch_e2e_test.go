@@ -87,7 +87,7 @@ func TestServedScanRefreshesSketches(t *testing.T) {
 // histograms, the catalog holds no sketches, and STATS carries an empty
 // sketch list.
 func TestServerSketchDisabled(t *testing.T) {
-	srv := server.New(server.Config{SketchDisabled: true})
+	srv := server.New(server.Config{Sketch: &sketch.ChainSpec{}})
 	if err := srv.Register(testRelation(2000)); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestServerSketchDisabled(t *testing.T) {
 // the served blocks (precision, k, and window width all observable).
 func TestSketchConfigOverridesApply(t *testing.T) {
 	srv := server.New(server.Config{
-		Sketch: sketch.ChainSpec{NDVPrecision: 9, HeavyK: 5, WindowW: 32},
+		Sketch: &sketch.ChainSpec{NDVPrecision: 9, HeavyK: 5, WindowW: 32},
 	})
 	if err := srv.Register(testRelation(2000)); err != nil {
 		t.Fatal(err)

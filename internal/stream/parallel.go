@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamhist/internal/bins"
 	"streamhist/internal/core"
 	"streamhist/internal/faults"
 	"streamhist/internal/hwprof"
@@ -40,23 +39,10 @@ type ParallelDataPath struct {
 	Config core.Config
 	// Shards is the number of parallel lanes; <= 0 means GOMAXPROCS.
 	Shards int
-	// ChunkPages is how many pages ride in one fan-out unit (default
-	// lanes.UnitPages). Larger chunks amortise dispatch overhead; any positive
-	// size is functionally equivalent.
-	ChunkPages int
 	// Faults optionally injects lane-level faults (faults.LanePanic,
 	// faults.LaneStall) into the side path. Each lane gets its own forked
 	// deterministic stream. Nil disables injection.
 	Faults *faults.Injector
-	// StallTimeout bounds how long the splitter will wait on a lane that
-	// stops accepting chunks, and how long the fan-in waits for all lanes to
-	// drain, before retiring them. Zero means DefaultStallTimeout.
-	StallTimeout time.Duration
-	// SelfCheck recomputes the binned view serially after the merge and
-	// fails the scan if the parallel result drifted. Intended for chaos
-	// tests; it doubles the side-path work. Skipped when bin memory
-	// quarantined words (the drift is then expected and accounted).
-	SelfCheck bool
 	// Obs, when non-nil, receives one published obs.ScanRecord per scan — one
 	// hand-over at the tail, as on the server — and whatever the bundle holds
 	// reads it. With a Trace store each scan originates its own trace ID
@@ -81,6 +67,12 @@ type ParallelDataPath struct {
 	// the serial DataPath's even under lane retirement and replay. The zero
 	// spec disables it (zero-cost baseline).
 	Sketch sketch.ChainSpec
+
+	// stallTimeout bounds how long the splitter will wait on a lane that
+	// stops accepting chunks, and how long the fan-in waits for all lanes to
+	// drain, before retiring them. Zero means DefaultStallTimeout; only the
+	// fault tests shorten it.
+	stallTimeout time.Duration
 
 	// pageCache holds the relation's encoded page images across scans: the
 	// pages model the immutable on-disk relation, so re-encoding them every
@@ -162,9 +154,10 @@ type ParallelScanResult struct {
 // is busy with the host copy, small enough to stay a bounded buffer.
 const laneQueueDepth = 4
 
-// Scan streams the relation to the host in page order while dealing page
-// chunks to the shard lanes of one lanes.Engine, then fans the lane states
-// back in: bin vectors merge and the completion cycle becomes the max-lane
+// Scan streams the relation to the host in page order while dealing chunks
+// of chunkPages pages (<= 0 means lanes.UnitPages; any positive size is
+// functionally equivalent) to the shard lanes of one lanes.Engine, then fans
+// the lane states back in: bin vectors merge and the completion cycle becomes the max-lane
 // critical path plus the aggregation pass. The histogram chain then runs over
 // the merged view exactly as in the serial path, so the produced histograms
 // are hist.Equal to DataPath.Scan's — even when lanes are retired, because
@@ -177,12 +170,9 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *Parall
 		shards = runtime.GOMAXPROCS(0)
 	}
 	if chunkPages <= 0 {
-		chunkPages = d.ChunkPages
-	}
-	if chunkPages <= 0 {
 		chunkPages = lanes.UnitPages
 	}
-	stallTimeout := d.StallTimeout
+	stallTimeout := d.stallTimeout
 	if stallTimeout <= 0 {
 		stallTimeout = DefaultStallTimeout
 	}
@@ -270,11 +260,6 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *Parall
 		return nil, fmt.Errorf("stream: side path: %w", err)
 	}
 	mstats := fan.Stats
-	if d.SelfCheck && mstats.BinsQuarantined == 0 {
-		if err := d.selfCheck(pages, fan.Survivor.Vector()); err != nil {
-			return nil, err
-		}
-	}
 	res := d.Config.Results(fan.Survivor, mstats, d.Prof)
 	tr.End(fan.Span, fan.AggregationCycles)
 
@@ -334,36 +319,4 @@ func (d *ParallelDataPath) publish(rec *obs.ScanRecord, res *ParallelScanResult,
 	}
 	reg.Distribution("streamhist_stream_scan_duration_seconds",
 		"Wall-clock duration of parallel scans.", 1e-9).ObserveWithExemplar(rec.WallNS, rec.TraceID)
-}
-
-// selfCheck re-bins the page stream serially — no lanes, no injected lane
-// faults — and confirms the merged parallel view matches bin for bin.
-func (d *ParallelDataPath) selfCheck(pages []*page.Page, vec *bins.Vector) error {
-	p, err := core.RangeFor(d.Config.Min, d.Config.Max, d.Config.Divisor)
-	if err != nil {
-		return err
-	}
-	cfg := d.Config.Binner
-	cfg.Faults = nil
-	parser := core.NewParser(d.Config.Column)
-	binner := core.NewBinner(cfg, p)
-	var vals []int64
-	for _, pg := range pages {
-		vals, err = parser.Feed(pg.Bytes(), vals[:0])
-		if err != nil {
-			return fmt.Errorf("stream: self-check parse: %w", err)
-		}
-		binner.PushAll(vals)
-	}
-	want, _ := binner.Finish()
-	if vec.NumBins() != want.NumBins() || vec.Total() != want.Total() {
-		return fmt.Errorf("stream: self-check failed: parallel view (%d bins, total %d) != serial (%d bins, total %d)",
-			vec.NumBins(), vec.Total(), want.NumBins(), want.Total())
-	}
-	for i := 0; i < want.NumBins(); i++ {
-		if vec.Count(i) != want.Count(i) {
-			return fmt.Errorf("stream: self-check failed: bin %d is %d, serial says %d", i, vec.Count(i), want.Count(i))
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"streamhist/internal/bins"
 	"streamhist/internal/faults"
 	"streamhist/internal/page"
 	"streamhist/internal/tpch"
@@ -31,11 +32,11 @@ func TestParallelDataPathLanePanicsMasked(t *testing.T) {
 			t.Fatal(err)
 		}
 		pdp.Faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
-		pdp.SelfCheck = true
 		res, err := pdp.Scan(io.Discard, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		wantSameBins(t, res.Results.Bins, serial.Results.Bins)
 		if got, want := res.Results.Bins.Total(), serial.Results.Bins.Total(); got != want {
 			t.Fatalf("seed %d: total %d != serial %d (replay must mask retirements)", seed, got, want)
 		}
@@ -66,14 +67,14 @@ func TestParallelDataPathLaneStallsMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdp.Faults = faults.New(11, faults.Profile{faults.LaneStall: 0.5})
-	pdp.StallTimeout = 50 * time.Millisecond
-	pdp.SelfCheck = true
+	pdp.stallTimeout = 50 * time.Millisecond
 
 	start := time.Now()
 	res, err := pdp.Scan(io.Discard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSameBins(t, res.Results.Bins, serial.Results.Bins)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("scan took %v — stall supervision is not bounding waits", elapsed)
 	}
@@ -89,18 +90,22 @@ func TestParallelDataPathLaneStallsMasked(t *testing.T) {
 // and the host stream is byte-identical to storage order.
 func TestParallelDataPathAllLanesLostStillExact(t *testing.T) {
 	rel := tpch.Lineitem(5_000, 1, 23)
+	serial, err := mustDataPath(t, rel, "l_extendedprice").Scan(io.Discard, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pdp, err := NewParallelDataPath(rel, "l_extendedprice", PCIeGen1x8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pdp.Faults = faults.New(4, faults.Profile{faults.LanePanic: 1.0})
-	pdp.SelfCheck = true
 
 	var got bytes.Buffer
 	res, err := pdp.Scan(&got, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSameBins(t, res.Results.Bins, serial.Results.Bins)
 	if res.LanesRetired != 2 {
 		t.Fatalf("rate-1.0 panics retired %d of 2 lanes", res.LanesRetired)
 	}
@@ -139,7 +144,7 @@ func TestParallelDataPathDrainTimeMultiStallNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdp.Faults = faults.New(3, faults.Profile{faults.LaneStall: 1.0})
-	pdp.StallTimeout = 50 * time.Millisecond
+	pdp.stallTimeout = 50 * time.Millisecond
 	// One chunk per lane: nothing stalls during fan-out, so every lane is
 	// still "healthy" when the drain wait begins — the deadlock shape.
 	chunkPages := (len(page.Encode(rel)) + shards - 1) / shards
@@ -183,7 +188,7 @@ func TestParallelDataPathStallRetiredLanesExitAfterScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		pdp.Faults = faults.New(9, faults.Profile{faults.LaneStall: 1.0})
-		pdp.StallTimeout = 30 * time.Millisecond
+		pdp.stallTimeout = 30 * time.Millisecond
 		res, err := pdp.Scan(io.Discard, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +217,7 @@ func TestParallelDataPathHostStreamUnchangedUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdp.Faults = faults.New(2, faults.Profile{faults.LanePanic: 0.2, faults.LaneStall: 0.1})
-	pdp.StallTimeout = 50 * time.Millisecond
+	pdp.stallTimeout = 50 * time.Millisecond
 
 	var got bytes.Buffer
 	if _, err := pdp.Scan(&got, 2); err != nil {
@@ -224,5 +229,21 @@ func TestParallelDataPathHostStreamUnchangedUnderFaults(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("host stream diverged under injected lane faults")
+	}
+}
+
+// wantSameBins fails the test unless got holds, bin for bin, what the serial
+// scan's Binner made: a lane fault the replay did not mask shows here even
+// when totals and bucket boundaries agree.
+func wantSameBins(t *testing.T, got, want *bins.Vector) {
+	t.Helper()
+	if got.NumBins() != want.NumBins() || got.Total() != want.Total() {
+		t.Fatalf("parallel view (%d bins, total %d) != serial (%d bins, total %d)",
+			got.NumBins(), got.Total(), want.NumBins(), want.Total())
+	}
+	for i := 0; i < want.NumBins(); i++ {
+		if got.Count(i) != want.Count(i) {
+			t.Fatalf("bin %d is %d, serial says %d", i, got.Count(i), want.Count(i))
+		}
 	}
 }
