@@ -10,10 +10,11 @@ BENCHJSON ?= BENCH_PR28.json
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
 # same path over the wide-domain column, the served scan over loopback TCP,
-# plus the Table 1 binner cases); the iteration budget and scheduler width
-# are pinned so a base run and a head run on the same machine are comparable,
-# and the 5 repeats are collapsed to a per-metric median by benchjson.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner
+# the Table 1 binner cases, and the binner's per-row loop on three columns);
+# the iteration budget and scheduler width are pinned so a base run and a
+# head run on the same machine are comparable, and the 5 repeats are
+# collapsed to a per-metric median by benchjson.
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner|BenchmarkBinnerPush
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4

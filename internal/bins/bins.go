@@ -1,13 +1,17 @@
 // Package bins implements the "in-memory sorted representation" at the heart
-// of the paper (§4, "Histograms in linear time"): a dense array of
-// occurrence counts indexed by value, filled by a bin-sort pass over the
-// column. Because the array is indexed by value, reading it front to back
-// yields the column's values in sorted order together with their exact
-// frequencies — which is what the statistic blocks consume.
+// of the paper (§4, "Histograms in linear time"): a row of occurrence counts
+// indexed by value, filled by a bin-sort pass over the column. Because the
+// row is indexed by value, reading it front to back yields the column's
+// values in sorted order together with their exact frequencies — which is
+// what the statistic blocks consume.
 //
-// The memory the vector occupies depends on the column's value range (its
-// cardinality upper bound), not on the number of rows, matching the paper's
-// linear-space argument.
+// The modelled region holds one bin per value of the column's range (its
+// cardinality upper bound), whatever the number of rows, matching the paper's
+// linear-space argument. The host keeps a region in one of two forms: dense,
+// an array over the whole range, or sparse, a table of the bins written, so
+// that a wide range a scan touches little of costs host memory for the
+// values it holds rather than for the range it reserves. Every read is the
+// same in both forms.
 package bins
 
 import (
@@ -17,21 +21,21 @@ import (
 	"math/bits"
 )
 
-// Vector is a dense bin array over the value range [Min, Min+len*Divisor).
+// Vector is a bin region over the value range [Min, Min+NumBins*Divisor).
 // Bin i counts occurrences of values v with (v-Min)/Divisor == i.
 //
 // Divisor > 1 coarsens the mapping, assigning several consecutive values to
 // one bin — the paper's example is second-granularity timestamps binned per
 // day (§5.1.1).
 //
-// Beside the counts the vector keeps an occupancy index, one bit per bin,
-// set whenever a bin is written. Every walk over the bins — NonZero, Merge,
-// Reset, the Scanner's read-out — visits the set bits only and so costs
-// O(occupied bins + Δ/64), not O(Δ): a sparse column over a wide value range
-// pays for the values it holds, not for the range it reserves. The invariant
-// is one-sided: every non-zero bin has its bit set. A set bit over a zero bin
-// is harmless, because the walk re-reads the count. Total and Cardinality
-// are tallies kept by the same writes, so neither walks anything.
+// In the dense form, beside the counts the vector keeps an occupancy index,
+// one bit per bin, set whenever a bin is written. Every walk over the bins —
+// NonZero, Merge, Reset, the Scanner's read-out — visits the set bits only
+// and so costs O(occupied bins + Δ/64), not O(Δ). The invariant is
+// one-sided: every non-zero bin has its bit set. A set bit over a zero bin is
+// harmless, because the walk re-reads the count. The sparse form (see sparse)
+// keeps one entry per bin written instead, and a walk costs O(entries). Total
+// and Cardinality are tallies kept by the writes, so neither walks anything.
 //
 // The host stores a count in 4 bytes, half the modelled 8-byte bin. A count
 // that does not fit — negative, or wideMark and above — is stored as
@@ -41,19 +45,31 @@ type Vector struct {
 	Min     int64
 	Divisor int64
 
-	counts   []uint32
+	n        int      // bins
+	counts   []uint32 // dense form
+	occ      []uint64 // dense form
+	sp       *sparse  // the sparse form when non-nil; counts and occ are nil
 	wide     map[int]int64
-	occ      []uint64
 	total    int64
 	nonEmpty int // bins with a count > 0
 
 	// Every write to a bin writes total and nonEmpty too. The pad makes a
 	// Vector two whole host cache lines, so that two lanes' vectors never
 	// share one (see alloc).
-	_ [40]byte
+	_ [24]byte
 }
 
-// wideMark in counts sends the bin's count to the wide map.
+// Form is a vector's host storage form.
+type Form uint8
+
+const (
+	// Dense stores every bin of the range.
+	Dense Form = iota
+	// Sparse stores the bins written; it holds at most MaxSparseBins bins.
+	Sparse
+)
+
+// wideMark in a count cell sends the bin's count to the wide map.
 const wideMark = math.MaxUint32
 
 // hostLine is the host's cache-line size in bytes.
@@ -62,9 +78,9 @@ const hostLine = 64
 // occWords is the occupancy index length for n bins.
 func occWords(n int) int { return (n + 63) >> 6 }
 
-// alloc gives v zeroed arrays for n bins. Each array is a whole number of
-// host cache lines, and Go's allocator gives such a request a size class of
-// whole lines, so no other object shares its lines. Lanes write their
+// alloc gives v zeroed dense arrays for n bins. Each array is a whole number
+// of host cache lines, and Go's allocator gives such a request a size class
+// of whole lines, so no other object shares its lines. Lanes write their
 // regions on every push, side by side: two lanes whose small regions shared
 // lines ran 4–5× slower, and the free list would keep such a pair for good.
 func (v *Vector) alloc(n int) {
@@ -74,8 +90,19 @@ func (v *Vector) alloc(n int) {
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
+// DenseBytes returns the host bytes of a dense region of n bins.
+func DenseBytes(n int) int { return 4*roundUp(n, hostLine/4) + 8*roundUp(occWords(n), hostLine/8) }
+
+// Bytes returns the host bytes of v's count storage in its present form.
+func (v *Vector) Bytes() int {
+	if v.sp != nil {
+		return v.sp.bytes()
+	}
+	return 4*cap(v.counts) + 8*cap(v.occ)
+}
+
 // narrowPath reports whether v can take added more counts, spread over any
-// of its bins, on the uint32 counts alone. With no wide bin every count is in
+// of its bins, on the uint32 cells alone. With no wide bin every count is in
 // [0, wideMark) and none exceeds total, so while added ≥ 0 and total+added
 // stays below the mark no bin can reach it. Writers decide this once per
 // call, never once per bin.
@@ -83,28 +110,28 @@ func (v *Vector) narrowPath(added int64) bool {
 	return v.wide == nil && added >= 0 && v.total < wideMark-added
 }
 
-// set stores count c in bin i, in counts when it fits and in the wide map
-// when it does not.
-func (v *Vector) set(i int, c int64) {
+// widen returns what bin i's cell, holding cell now, must hold for count c —
+// c itself when it fits, else wideMark with c in the wide map — and keeps
+// the map in step.
+func (v *Vector) widen(i int, cell uint32, c int64) uint32 {
 	if uint64(c) < wideMark {
-		if v.counts[i] == wideMark {
+		if cell == wideMark {
 			delete(v.wide, i)
 			if len(v.wide) == 0 {
 				v.wide = nil
 			}
 		}
-		v.counts[i] = uint32(c)
-		return
+		return uint32(c)
 	}
 	if v.wide == nil {
 		v.wide = make(map[int]int64)
 	}
-	v.counts[i] = wideMark
 	v.wide[i] = c
+	return wideMark
 }
 
-// NewVector creates a zeroed vector covering [min, max] inclusive with the
-// given divisor (use 1 for exact per-value bins).
+// NewVector creates a zeroed dense vector covering [min, max] inclusive with
+// the given divisor (use 1 for exact per-value bins).
 func NewVector(min, max, divisor int64) *Vector {
 	if divisor <= 0 {
 		panic("bins: divisor must be positive")
@@ -112,44 +139,56 @@ func NewVector(min, max, divisor int64) *Vector {
 	if max < min {
 		panic(fmt.Sprintf("bins: max %d < min %d", max, min))
 	}
-	v := &Vector{Min: min, Divisor: divisor}
-	v.alloc(int((max-min)/divisor + 1))
+	v := new(Vector)
+	v.Recycle(min, divisor, int((max-min)/divisor+1), Dense, nil)
 	return v
 }
 
-// FromCounts builds a vector from a per-bin count slice (bin i at value
-// min+i*divisor). The counts are copied; the slice stays the caller's.
+// FromCounts builds a dense vector from a per-bin count slice (bin i at
+// value min+i*divisor). The counts are copied; the slice stays the caller's.
 func FromCounts(min, divisor int64, counts []int64) *Vector {
-	if divisor <= 0 {
-		panic("bins: divisor must be positive")
-	}
-	v := &Vector{Min: min, Divisor: divisor}
-	v.alloc(len(counts))
+	v := new(Vector)
+	v.Recycle(min, divisor, len(counts), Dense, nil)
 	for i, c := range counts {
 		if c != 0 {
-			v.bumpWide(i, c)
+			v.AddAt(i, c)
 		}
 	}
 	return v
 }
 
 // NumBins returns the number of bins (the Δ of Table 2).
-func (v *Vector) NumBins() int { return len(v.counts) }
+func (v *Vector) NumBins() int { return v.n }
 
-// Capacity returns the largest number of bins Recycle can aim v at without
-// allocating.
-func (v *Vector) Capacity() int { return cap(v.counts) }
+// Form returns v's host storage form.
+func (v *Vector) Form() Form {
+	if v.sp != nil {
+		return Sparse
+	}
+	return Dense
+}
+
+// Capacity returns the largest number of bins Recycle can aim v at in its
+// present form without allocating — any number for a sparse vector, whose
+// tables grow with the bins written and not with the range.
+func (v *Vector) Capacity() int {
+	if v.sp != nil {
+		return math.MaxInt
+	}
+	return cap(v.counts)
+}
 
 // Total returns the total number of values added.
 func (v *Vector) Total() int64 { return v.total }
 
-// Index maps a value to its bin index, or -1 when out of range.
+// Index maps a value to its bin index, or -1 when out of range. The offset
+// from Min is taken in uint64, where it cannot overflow.
 func (v *Vector) Index(value int64) int {
 	if value < v.Min {
 		return -1
 	}
-	i := (value - v.Min) / v.Divisor
-	if i >= int64(len(v.counts)) {
+	i := (uint64(value) - uint64(v.Min)) / uint64(v.Divisor)
+	if i >= uint64(v.n) {
 		return -1
 	}
 	return int(i)
@@ -162,24 +201,35 @@ func (v *Vector) Value(i int) int64 { return v.Min + int64(i)*v.Divisor }
 // the configured range — the preprocessor is responsible for range setup.
 func (v *Vector) Add(value int64) { v.AddCount(value, 1) }
 
-// AddCount records count occurrences of value. It is the binner's write per
-// row: the narrow bump inlines here and the wide one stays out of line.
+// AddCount records count occurrences of value.
 func (v *Vector) AddCount(value, count int64) {
 	i := v.Index(value)
 	if i < 0 {
-		panic(fmt.Sprintf("bins: value %d outside range [%d, %d]", value, v.Min, v.Min+int64(len(v.counts))*v.Divisor-1))
+		panic(fmt.Sprintf("bins: value %d outside range [%d, %d]", value, v.Min, v.Min+int64(v.n)*v.Divisor-1))
 	}
-	if v.narrowPath(count) {
+	v.AddAt(i, count)
+}
+
+// AddAt adds count to bin i, which must be in [0, NumBins). It is the
+// binner's write per row: the form is one pointer test, the dense narrow
+// bump inlines here, and the rest stays out of line.
+func (v *Vector) AddAt(i int, count int64) {
+	switch {
+	case v.sp != nil:
+		v.bump(i, v.sp.cell(v.sparseBin(i)), count)
+	case v.narrowPath(count):
 		v.bumpNarrow(i, count)
-	} else {
-		v.bumpWide(i, count)
+	default:
+		v.occ[i>>6] |= 1 << (i & 63)
+		v.bump(i, &v.counts[i], count)
 	}
 }
 
-// bumpNarrow adds count to bin i when narrowPath(count) holds, and keeps the
-// occupancy index and the two tallies in step; bumpWide does the same for
-// any count. Apart from Merge's narrow loop and Recycle, which do the same
-// in bulk, they are the only writers of counts.
+// bumpNarrow adds count to dense bin i when narrowPath(count) holds, and
+// keeps the occupancy index and the two tallies in step; bump does the same
+// for any count, on the cell of a bin of either form. Apart from Merge's
+// narrow loop and Recycle, which do the same in bulk, they are the only
+// writers of counts.
 func (v *Vector) bumpNarrow(i int, count int64) {
 	old := int64(v.counts[i])
 	v.counts[i] = uint32(old + count)
@@ -188,10 +238,12 @@ func (v *Vector) bumpNarrow(i int, count int64) {
 	v.nonEmpty += positive(old+count) - positive(old)
 }
 
-func (v *Vector) bumpWide(i int, count int64) {
-	old := v.Count(i)
-	v.set(i, old+count)
-	v.occ[i>>6] |= 1 << (i & 63)
+func (v *Vector) bump(i int, cell *uint32, count int64) {
+	old := int64(*cell)
+	if *cell == wideMark {
+		old = v.wide[i]
+	}
+	*cell = v.widen(i, *cell, old+count)
 	v.total += count
 	v.nonEmpty += positive(old+count) - positive(old)
 }
@@ -202,9 +254,23 @@ func (v *Vector) bumpWide(i int, count int64) {
 // SETcc on the loaded value ran that loop four times slower than this form.
 func positive(c int64) int { return 1 - int(uint64(c|(c-1))>>63) }
 
+// sparseBin checks bin i against the range and returns its sparse key.
+func (v *Vector) sparseBin(i int) uint32 {
+	if uint(i) >= uint(v.n) {
+		panic(fmt.Sprintf("bins: bin %d outside [0, %d)", i, v.n))
+	}
+	return uint32(i)
+}
+
 // Count returns the count in bin i.
 func (v *Vector) Count(i int) int64 {
-	if c := v.counts[i]; c != wideMark {
+	var c uint32
+	if v.sp == nil {
+		c = v.counts[i]
+	} else if k := v.sp.find(v.sparseBin(i)); k >= 0 {
+		c = v.sp.ents[k].count
+	}
+	if c != wideMark {
 		return int64(c)
 	}
 	return v.wide[i]
@@ -222,22 +288,30 @@ func (v *Vector) CountValue(value int64) int64 {
 
 // Counts returns a copy of the per-bin counts, bin i at index i.
 func (v *Vector) Counts() []int64 {
-	out := make([]int64, len(v.counts))
-	for i, c := range v.counts {
-		out[i] = int64(c)
-	}
-	for i, c := range v.wide {
-		out[i] = c
-	}
+	out := make([]int64, v.n)
+	v.each(func(i int, c int64) { out[i] = c })
 	return out
+}
+
+// emit calls fn for bin i with cell c, unless the bin is empty.
+func (v *Vector) emit(fn func(i int, count int64), i int, c uint32) {
+	switch c {
+	case 0:
+	case wideMark:
+		fn(i, v.wide[i])
+	default:
+		fn(i, int64(c))
+	}
 }
 
 // Occupied calls fn with the index and count of every non-empty bin, in
 // ascending index order; fn must not add to v. It is the walk for callers
 // outside the package; Merge and Recycle run the same two-line bit walk with
-// their one-line bodies in place.
+// their one-line bodies in place. A sparse vector written since its last
+// walk sorts its entries first, so that walk must not run beside any other
+// use of v.
 //
-// Over a wide sparse region every count is a cache miss, and what bounds a
+// Over a wide dense region every count is a cache miss, and what bounds a
 // walk is how many of those misses are in flight at once. A loop of a few
 // instructions around the access keeps the load queue full; a loop that
 // calls out per bin keeps two or three. So the counts are gathered a batch
@@ -245,6 +319,11 @@ func (v *Vector) Counts() []int64 {
 // afterwards — worth 3× on a 10 M-bin region with 200 k values. A wide bin's
 // mark is resolved in that second loop, not in the gather.
 func (v *Vector) Occupied(fn func(i int, count int64)) {
+	if v.sp != nil {
+		v.sp.order(v.n)
+		v.each(fn)
+		return
+	}
 	const batch = 256
 	var idx [batch]int
 	var cnt [batch]uint32
@@ -261,59 +340,93 @@ func (v *Vector) Occupied(fn func(i int, count int64)) {
 			cnt[k] = v.counts[i]
 		}
 		for k, i := range idx[:n] {
-			switch c := cnt[k]; c {
-			case 0:
-			case wideMark:
-				fn(i, v.wide[i])
-			default:
-				fn(i, int64(c))
-			}
+			v.emit(fn, i, cnt[k])
 		}
 		n = 0
+	}
+}
+
+// each calls fn for every non-empty bin, in ascending order when v is dense
+// and in storage order when it is sparse; fn must not add to v.
+func (v *Vector) each(fn func(i int, count int64)) {
+	if v.sp == nil {
+		v.Occupied(fn)
+		return
+	}
+	for _, e := range v.sp.ents {
+		v.emit(fn, int(e.bin), e.count)
 	}
 }
 
 // Cardinality returns the number of non-empty bins.
 func (v *Vector) Cardinality() int { return v.nonEmpty }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, in v's form.
 func (v *Vector) Clone() *Vector {
-	return &Vector{
-		Min: v.Min, Divisor: v.Divisor, total: v.total, nonEmpty: v.nonEmpty,
-		counts: append([]uint32(nil), v.counts...),
-		wide:   maps.Clone(v.wide),
-		occ:    append([]uint64(nil), v.occ...),
+	c := &Vector{
+		Min: v.Min, Divisor: v.Divisor, n: v.n, total: v.total, nonEmpty: v.nonEmpty,
+		wide: maps.Clone(v.wide),
 	}
+	if v.sp != nil {
+		c.sp = v.sp.clone()
+	} else {
+		c.counts = append([]uint32(nil), v.counts...)
+		c.occ = append([]uint64(nil), v.occ...)
+	}
+	return c
 }
 
-// Reset zeroes all counts, keeping the range configuration. This mirrors the
-// accelerator reusing a memory region for the next table. Only the occupied
-// bins are written.
-func (v *Vector) Reset() { v.Recycle(v.Min, v.Divisor, len(v.counts), nil) }
+// Reset zeroes all counts, keeping the range configuration and the form.
+// This mirrors the accelerator reusing a memory region for the next table.
+// Only the bins written are cleared.
+func (v *Vector) Reset() { v.Recycle(v.Min, v.Divisor, v.n, v.Form(), nil) }
 
 // Recycle empties v and re-aims it at n bins starting at min with the given
-// divisor, keeping the backing arrays when they are large enough — the
-// pooled form of NewVector. Emptying clears the occupied bins only, so a
-// sparse vector over a wide range recycles in O(occupied + Δ/64) instead of
-// a clear over the whole region. cleared, when non-nil, is called with the
-// index of every non-empty bin (old geometry, ascending) as it is zeroed, so
+// divisor, in the given form, keeping that form's storage when it is large
+// enough — the pooled form of NewVector; storage of a form v leaves is
+// dropped. Emptying clears the bins written only, so a vector over a wide
+// range recycles in O(written + Δ/64) dense and O(written) sparse, not in a
+// clear over the whole region. cleared, when non-nil, is called with the
+// index (old geometry) of every bin written since v was last emptied —
+// ascending in the dense form, in storage order in the sparse one — so that
 // state kept per bin beside the vector can be reset on the same walk. The
 // zero Vector is valid input.
-func (v *Vector) Recycle(min, divisor int64, n int, cleared func(i int)) {
+func (v *Vector) Recycle(min, divisor int64, n int, form Form, cleared func(i int)) {
 	if divisor <= 0 {
 		panic("bins: divisor must be positive")
 	}
-	for w, word := range v.occ {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
-			v.counts[i] = 0
-			if cleared != nil {
-				cleared(i)
+	if n < 0 || form == Sparse && uint64(n) > MaxSparseBins {
+		panic(fmt.Sprintf("bins: %d bins in form %d", n, form))
+	}
+	if v.sp != nil {
+		if cleared != nil {
+			for _, e := range v.sp.ents {
+				cleared(int(e.bin))
 			}
 		}
+	} else {
+		for w, word := range v.occ {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				v.counts[i] = 0
+				if cleared != nil {
+					cleared(i)
+				}
+			}
+		}
+		clear(v.occ)
 	}
-	clear(v.occ)
 	v.wide = nil
+	v.Min, v.Divisor, v.n, v.total, v.nonEmpty = min, divisor, n, 0, 0
+	if form == Sparse {
+		v.counts, v.occ = nil, nil
+		if v.sp == nil {
+			v.sp = new(sparse)
+		}
+		v.sp.reset()
+		return
+	}
+	v.sp = nil
 	// Both arrays are now zero over their whole capacity (every earlier
 	// shrink cleared first), so growing back into it needs no second pass.
 	if n <= cap(v.counts) && occWords(n) <= cap(v.occ) {
@@ -321,20 +434,35 @@ func (v *Vector) Recycle(min, divisor int64, n int, cleared func(i int)) {
 	} else {
 		v.alloc(n)
 	}
-	v.Min, v.Divisor, v.total, v.nonEmpty = min, divisor, 0, 0
 }
 
-// Merge adds other's counts into v. Both vectors must have identical range
-// configuration. This implements the §7 (Future Work) scale-up path where
-// replicated Binner modules produce partial counts in separate memories that
-// are aggregated before histogram creation.
-func (v *Vector) Merge(other *Vector) error {
-	if v.Min != other.Min || v.Divisor != other.Divisor || len(v.counts) != len(other.counts) {
-		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
-			v.Min, other.Min, v.Divisor, other.Divisor, len(v.counts), len(other.counts))
+// Densify moves a sparse vector into the dense form with every count and
+// tally unchanged; a no-op on a dense vector.
+func (v *Vector) Densify() {
+	sp := v.sp
+	if sp == nil {
+		return
 	}
-	if other.wide != nil || !v.narrowPath(other.total) {
-		other.Occupied(v.bumpWide)
+	v.sp = nil
+	v.alloc(v.n)
+	for _, e := range sp.ents {
+		v.counts[e.bin] = e.count
+		v.occ[e.bin>>6] |= 1 << (e.bin & 63)
+	}
+}
+
+// Merge adds other's counts into v, either form into either form. Both
+// vectors must have identical range configuration. This implements the §7
+// (Future Work) scale-up path where replicated Binner modules produce
+// partial counts in separate memories that are aggregated before histogram
+// creation.
+func (v *Vector) Merge(other *Vector) error {
+	if v.Min != other.Min || v.Divisor != other.Divisor || v.n != other.n {
+		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
+			v.Min, other.Min, v.Divisor, other.Divisor, v.n, other.n)
+	}
+	if v.sp != nil || other.sp != nil || other.wide != nil || !v.narrowPath(other.total) {
+		other.each(v.AddAt)
 		return nil
 	}
 	filled := 0
@@ -354,15 +482,16 @@ func (v *Vector) Merge(other *Vector) error {
 }
 
 // MergeAll merges any number of identically configured vectors into a fresh
-// vector — the software form of the adder tree that aggregates replicated
-// Binner memories (§7). The inputs are not modified. At least one vector is
-// required; it defines the geometry the rest must match.
+// vector in the first one's form — the software form of the adder tree that
+// aggregates replicated Binner memories (§7). The inputs are not modified.
+// At least one vector is required; it defines the geometry the rest must
+// match.
 func MergeAll(vs ...*Vector) (*Vector, error) {
 	if len(vs) == 0 {
 		return nil, fmt.Errorf("bins: MergeAll needs at least one vector")
 	}
 	out := new(Vector)
-	out.Recycle(vs[0].Min, vs[0].Divisor, len(vs[0].counts), nil)
+	out.Recycle(vs[0].Min, vs[0].Divisor, vs[0].n, vs[0].Form(), nil)
 	for _, v := range vs {
 		if err := out.Merge(v); err != nil {
 			return nil, err

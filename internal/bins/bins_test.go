@@ -1,6 +1,7 @@
 package bins
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -139,6 +140,16 @@ func TestIndexBoundaries(t *testing.T) {
 	}
 	if v.Index(10) != 0 || v.Index(19) != 9 {
 		t.Error("boundary indices wrong")
+	}
+	// Far above a range that starts below zero, value−Min overflows int64.
+	for _, divisor := range []int64{1, 7} {
+		w := NewVector(-10, 100, divisor)
+		if i := w.Index(math.MaxInt64 - 5); i != -1 {
+			t.Errorf("divisor %d: Index(MaxInt64-5) = %d", divisor, i)
+		}
+		if c := w.CountValue(math.MaxInt64 - 5); c != 0 {
+			t.Errorf("divisor %d: CountValue(MaxInt64-5) = %d", divisor, c)
+		}
 	}
 }
 
@@ -308,7 +319,7 @@ func TestRegionIsWholeHostLines(t *testing.T) {
 	}
 	for _, n := range []int{1, 50, 64, 65, 1000} {
 		v := new(Vector)
-		v.Recycle(0, 1, n, nil)
+		v.Recycle(0, 1, n, Dense, nil)
 		if b := cap(v.counts) * 4; b%hostLine != 0 {
 			t.Fatalf("%d bins: counts take %d bytes", n, b)
 		}

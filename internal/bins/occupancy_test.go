@@ -45,8 +45,20 @@ func denseTotal(counts []int64) int64 {
 	return t
 }
 
-// checkAgainstDense compares everything observable about v with the dense
-// reference row want.
+// cellOf returns the 32-bit cell bin i is stored in, in either form; a
+// sparse bin never written reads 0.
+func cellOf(v *Vector, i int) uint32 {
+	if v.sp == nil {
+		return v.counts[i]
+	}
+	if k := v.sp.find(uint32(i)); k >= 0 {
+		return v.sp.ents[k].count
+	}
+	return 0
+}
+
+// checkAgainstDense compares everything observable about v, in either form,
+// with the dense reference row want.
 func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 	t.Helper()
 	if v.NumBins() != len(want) {
@@ -66,7 +78,7 @@ func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 		if got := v.CountValue(v.Value(i)); got != w {
 			t.Fatalf("%s: CountValue(%d) = %d, want %d", label, v.Value(i), got, w)
 		}
-		if isWide := uint64(w) >= wideMark; isWide != (v.counts[i] == wideMark) {
+		if isWide := uint64(w) >= wideMark; isWide != (cellOf(v, i) == wideMark) {
 			t.Fatalf("%s: bin %d with count %d stored behind the mark: %v", label, i, w, !isWide)
 		} else if isWide {
 			wide++
@@ -121,11 +133,13 @@ func randomRow(rng *datagen.RNG, n int, fill float64) []int64 {
 	return row
 }
 
-// fillVector builds the row through the public write path, in random order,
-// with AddCount(·, 0) calls sprinkled over empty bins: they set occupancy
-// bits over zero counts, which every walk must see through.
-func fillVector(rng *datagen.RNG, min, divisor int64, row []int64) *Vector {
-	v := NewVector(min, min+int64(len(row)-1)*divisor, divisor)
+// fillVector builds the row in form through the public write path, in
+// random order, with AddCount(·, 0) calls sprinkled over empty bins: they
+// set occupancy bits (or add entries) over zero counts, which every walk
+// must see through.
+func fillVector(rng *datagen.RNG, min, divisor int64, row []int64, form Form) *Vector {
+	v := new(Vector)
+	v.Recycle(min, divisor, len(row), form, nil)
 	for _, i := range rng.Perm(len(row)) {
 		val := min + int64(i)*divisor + rng.Int63n(divisor)
 		switch c := row[i]; {
@@ -141,61 +155,70 @@ func fillVector(rng *datagen.RNG, min, divisor int64, row []int64) *Vector {
 	return v
 }
 
+// Each case runs once per form of the vector under test; the vector merged
+// into it is in the other form, and MergeAll mixes all three.
 func TestOccupancyWalkEqualsDenseWalk(t *testing.T) {
 	rng := datagen.NewRNG(20140622)
 	for _, n := range occupancySizes {
 		for _, fill := range []float64{0, 0.02, 0.5, 1} {
 			for _, divisor := range []int64{1, 7} {
-				min := rng.Int63n(1000) - 500
-				a := randomRow(rng, n, fill)
-				b := randomRow(rng, n, 0.3)
-				c := randomRow(rng, n, 1)
-
-				va := fillVector(rng, min, divisor, a)
-				checkAgainstDense(t, "Add/AddCount", va, a)
-				checkAgainstDense(t, "FromCounts", FromCounts(min, divisor, append([]int64{}, a...)), a)
-
-				clone := va.Clone()
-				checkAgainstDense(t, "Clone", clone, a)
-
-				// Merge into the clone; the original must not move.
-				vb := fillVector(rng, min, divisor, b)
-				if err := clone.Merge(vb); err != nil {
-					t.Fatal(err)
+				for _, form := range []Form{Dense, Sparse} {
+					occupancyCase(t, rng, n, fill, divisor, form)
 				}
-				ab := make([]int64, n)
-				for i := range ab {
-					ab[i] = a[i] + b[i]
-				}
-				checkAgainstDense(t, "Merge", clone, ab)
-				checkAgainstDense(t, "Merge left its source", vb, b)
-				checkAgainstDense(t, "Clone is deep", va, a)
-
-				vc := FromCounts(min, divisor, append([]int64{}, c...))
-				all, err := MergeAll(va, vb, vc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				abc := make([]int64, n)
-				for i := range abc {
-					abc[i] = ab[i] + c[i]
-				}
-				checkAgainstDense(t, "MergeAll", all, abc)
-				checkAgainstDense(t, "MergeAll left its inputs", va, a)
-
-				// Reset empties everything, and the vector fills again.
-				all.Reset()
-				checkAgainstDense(t, "Reset", all, make([]int64, n))
-				if all.Min != min || all.Divisor != divisor {
-					t.Fatalf("Reset moved the geometry: min %d divisor %d", all.Min, all.Divisor)
-				}
-				if err := all.Merge(vb); err != nil {
-					t.Fatal(err)
-				}
-				checkAgainstDense(t, "refill after Reset", all, b)
 			}
 		}
 	}
+}
+
+func occupancyCase(t *testing.T, rng *datagen.RNG, n int, fill float64, divisor int64, form Form) {
+	t.Helper()
+	min := rng.Int63n(1000) - 500
+	a := randomRow(rng, n, fill)
+	b := randomRow(rng, n, 0.3)
+	c := randomRow(rng, n, 1)
+
+	va := fillVector(rng, min, divisor, a, form)
+	checkAgainstDense(t, "Add/AddCount", va, a)
+	checkAgainstDense(t, "FromCounts", FromCounts(min, divisor, append([]int64{}, a...)), a)
+
+	clone := va.Clone()
+	checkAgainstDense(t, "Clone", clone, a)
+
+	// Merge into the clone; the original must not move.
+	vb := fillVector(rng, min, divisor, b, 1-form)
+	if err := clone.Merge(vb); err != nil {
+		t.Fatal(err)
+	}
+	ab := make([]int64, n)
+	for i := range ab {
+		ab[i] = a[i] + b[i]
+	}
+	checkAgainstDense(t, "Merge", clone, ab)
+	checkAgainstDense(t, "Merge left its source", vb, b)
+	checkAgainstDense(t, "Clone is deep", va, a)
+
+	vc := FromCounts(min, divisor, append([]int64{}, c...))
+	all, err := MergeAll(va, vb, vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abc := make([]int64, n)
+	for i := range abc {
+		abc[i] = ab[i] + c[i]
+	}
+	checkAgainstDense(t, "MergeAll", all, abc)
+	checkAgainstDense(t, "MergeAll left its inputs", va, a)
+
+	// Reset empties everything, and the vector fills again.
+	all.Reset()
+	checkAgainstDense(t, "Reset", all, make([]int64, n))
+	if all.Min != min || all.Divisor != divisor {
+		t.Fatalf("Reset moved the geometry: min %d divisor %d", all.Min, all.Divisor)
+	}
+	if err := all.Merge(vb); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, "refill after Reset", all, b)
 }
 
 // TestAddCountZeroSetsNoCount: AddCount of 0 may set an occupancy bit, and
@@ -231,7 +254,7 @@ func TestRecycleAcrossGeometries(t *testing.T) {
 		min, divisor := rng.Int63n(100), 1+rng.Int63n(3)
 		var cleared []int
 		prev := append([]int64{}, v.Counts()...)
-		v.Recycle(min, divisor, n, func(i int) { cleared = append(cleared, i) })
+		v.Recycle(min, divisor, n, Dense, func(i int) { cleared = append(cleared, i) })
 
 		// cleared saw exactly the non-empty bins of the previous fill.
 		var wantCleared []int
@@ -276,7 +299,7 @@ func TestRecycleAcrossGeometries(t *testing.T) {
 func TestFromCountsDoesNotTrustSpareCapacity(t *testing.T) {
 	buf := []int64{1, 2, 3, 99, 99, 99}
 	v := FromCounts(0, 1, buf[:3])
-	v.Recycle(0, 1, 6, nil)
+	v.Recycle(0, 1, 6, Dense, nil)
 	checkAgainstDense(t, "grown past a clipped slice", v, make([]int64, 6))
 }
 
@@ -284,7 +307,7 @@ func TestFromCountsDoesNotTrustSpareCapacity(t *testing.T) {
 // re-aiming a vector is allocation-free, whatever it held.
 func TestWarmRecycleDoesNotAllocate(t *testing.T) {
 	v := new(Vector)
-	v.Recycle(0, 1, 4097, nil)
+	v.Recycle(0, 1, 4097, Dense, nil)
 	fill := func() {
 		for i := 0; i < v.NumBins(); i += 37 {
 			v.AddCount(v.Value(i), 2)
@@ -292,9 +315,9 @@ func TestWarmRecycleDoesNotAllocate(t *testing.T) {
 	}
 	fill()
 	if allocs := testing.AllocsPerRun(50, func() {
-		v.Recycle(5, 1, 4000, nil)
+		v.Recycle(5, 1, 4000, Dense, nil)
 		fill()
-		v.Recycle(0, 1, 4097, nil)
+		v.Recycle(0, 1, 4097, Dense, nil)
 		fill()
 		v.Reset()
 		fill()
@@ -360,7 +383,7 @@ func TestWideEscapeEqualsDense(t *testing.T) {
 
 	// Recycle and Reset leave no wide entry behind, and the region fills
 	// again on the narrow path.
-	v.Recycle(0, 1, 200, nil)
+	v.Recycle(0, 1, 200, Dense, nil)
 	checkAgainstDense(t, "Recycle", v, make([]int64, 200))
 	v.AddCount(5, 7)
 	refill := make([]int64, 200)
@@ -411,6 +434,6 @@ func TestTotalPastTwo32(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstDense(t, "MergeAll of wide regions", all, []int64{2 * want4[0], 4, 18, 4 * half})
-	a.Recycle(0, 1, 4, nil)
+	a.Recycle(0, 1, 4, Dense, nil)
 	checkAgainstDense(t, "Recycle after wide", a, make([]int64, 4))
 }

@@ -154,11 +154,9 @@ type Binner struct {
 
 	lastCommit float64
 
-	// pending tracks, per memory line, the cycle at which the line's most
-	// recent write commits; used to detect RAW hazards when the cache
-	// cannot forward. It is a flat table indexed by line — eight bytes per
-	// line, one per bin, beside the eight per bin of the region itself.
-	pending []float64
+	// haz is the RAW-hazard table, read when the cache cannot forward. It
+	// takes the bin region's host form.
+	haz hazards
 
 	randomPeriod float64
 	burstPeriod  float64
@@ -181,6 +179,30 @@ type Binner struct {
 // NewBinner wires a Binner for the given preprocessor. The returned
 // Binner's vector models the off-chip bin region.
 func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
+	return newBinner(cfg, pre, regionForm(pre.NumBins))
+}
+
+// sparseMinBins is the widest bin region a binner starts in the dense host
+// form. A dense region costs the host 4 B of counts and 1 B of hazard table
+// per bin wherever the values fall: past this bound over 20 MB a lane, ten
+// times a core's private cache, so scattered writes miss that cache in
+// either form while the dense one makes resident every page a value lands
+// on. A wider region starts sparse and costs what the scan writes, until
+// promote finds the dense form smaller. Which form holds the bins is
+// invisible to the model.
+const sparseMinBins = 1 << 22
+
+// regionForm is the host form a bin region of n bins starts in.
+func regionForm(n int64) bins.Form {
+	if n > sparseMinBins && n <= bins.MaxSparseBins {
+		return bins.Sparse
+	}
+	return bins.Dense
+}
+
+// newBinner is NewBinner with the region's host form given; a fault-injected
+// binner is dense whatever the form.
+func newBinner(cfg BinnerConfig, pre *Preprocessor, form bins.Form) *Binner {
 	if cfg.Clock.Hz == 0 {
 		cfg.Clock = hw.NewClock(hw.DefaultClockHz)
 	}
@@ -198,12 +220,12 @@ func NewBinner(cfg BinnerConfig, pre *Preprocessor) *Binner {
 		latency:      float64(cfg.Mem.LatencyCycles),
 	}
 	if cfg.Faults == nil {
-		getBinnerScratch(pre.NumBins).fit(b, pre.NumBins)
+		getBinnerScratch(pre.NumBins, form).fit(b, pre.NumBins, form)
 	} else {
 		// The ECC-checked memory model holds the counts until finalizeMem
 		// swaps them in, so the lane carries no bin row of its own — and
 		// stays off the free list (see binnerScratch).
-		newBinnerScratch().fit(b, 0)
+		newBinnerScratch().fit(b, 0, bins.Dense)
 		b.mem = hw.NewMemory(int(pre.NumBins), cfg.Faults)
 		b.mem.SetEvents(cfg.MemEvents)
 	}
@@ -288,9 +310,13 @@ func (b *Binner) pushBatch(values []int64) {
 		}
 
 		line := addr / binsPerLine
+		pending := b.haz.at(line)
 
+		// One cache lookup decides the read, the write's rate and whether
+		// the line enters the cache.
+		hit := b.cache.Lookup(line)
 		var dataReady float64
-		if b.cache.Lookup(line) {
+		if hit {
 			// READ served by the cache: the freshest value of the line is
 			// forwarded between pipeline stages; no memory read op.
 			b.stats.CacheHits++
@@ -302,7 +328,7 @@ func (b *Binner) pushBatch(values []int64) {
 			// the same line must stall the pipeline until that write commits
 			// (§5.1.3). The table's zero value never exceeds readIssue, so
 			// an untouched line never stalls.
-			if pendingCommit := b.pending[line]; pendingCommit > readIssue {
+			if pendingCommit := *pending; pendingCommit > readIssue {
 				if prof != nil {
 					stallSum += pendingCommit - readIssue
 					prof.stallN++
@@ -327,7 +353,7 @@ func (b *Binner) pushBatch(values []int64) {
 				prof.spikeN++
 			}
 		} else {
-			b.vec.AddCount(b.pre.Min+addr*b.pre.Divisor, 1)
+			b.vec.AddAt(int(addr), 1)
 		}
 
 		// WRITE: write-through. Ops to recently touched (cached) lines go at
@@ -335,24 +361,42 @@ func (b *Binner) pushBatch(values []int64) {
 		// only consumes port bandwidth — it does not hold back reads of
 		// later items, which is what the FIFO between the stages buys.
 		period := b.randomPeriod
-		if b.cache.Contains(line) {
+		if hit {
 			period = b.burstPeriod
 		}
 		b.opTime += period
 		writeIssue := maxf(b.opTime, dataReady)
 		commit := writeIssue + b.latency + spike
 		b.stats.MemWriteOps++
-		b.pending[line] = commit
+		*pending = commit
 		if commit > b.lastCommit {
 			b.lastCommit = commit
 		}
-		b.cache.Insert(line)
+		if !hit {
+			b.cache.Insert(line)
+		}
 	}
 
 	if prof != nil {
 		prof.attributeChunk(b.lastCommit-prevCommit,
 			float64(issueN)*b.cfg.PipelineCyclesPerItem,
 			bpSum, stallSum, b.opTime-opBefore, spikeSum)
+	}
+	b.promote()
+}
+
+// promote moves a sparse binner into the dense forms once its tables take
+// more host bytes than the dense ones would, past which the sparse form
+// saves nothing. It runs once per batch and once per merge, never per
+// value, and moves every count and hazard entry over as it is.
+func (b *Binner) promote() {
+	if b.vec.Form() != bins.Sparse {
+		return
+	}
+	lines := b.cache.Universe()
+	if b.vec.Bytes()+b.haz.bytes() > bins.DenseBytes(int(b.pre.NumBins))+8*int(lines) {
+		b.vec.Densify()
+		b.haz.densify(lines)
 	}
 }
 
@@ -375,6 +419,7 @@ func (b *Binner) Merge(other *Binner) error {
 	if err := b.vec.Merge(other.vec); err != nil {
 		return err
 	}
+	b.promote()
 	// Fold the other lane's sketch chain in alongside its bin state. A lane
 	// without a chain contributes nothing; if only the other lane carries
 	// one (an inline replay lane, say), adopt it wholesale.
@@ -465,10 +510,11 @@ func (b *Binner) Vector() *bins.Vector {
 // CacheHitRate returns the hit rate of the on-chip cache so far.
 func (b *Binner) CacheHitRate() float64 { return b.cache.HitRate() }
 
-// emptyVector returns a zeroed bin region of n bins from min.
+// emptyVector returns a zeroed bin region of n bins from min, in the form a
+// binner's region of n bins starts in.
 func emptyVector(min, divisor, n int64) *bins.Vector {
 	v := new(bins.Vector)
-	v.Recycle(min, divisor, int(n), nil)
+	v.Recycle(min, divisor, int(n), regionForm(n), nil)
 	return v
 }
 

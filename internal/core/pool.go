@@ -9,24 +9,26 @@ import (
 )
 
 // binnerScratch is the reusable allocation footprint of one binner lane: the
-// bin region (counts plus occupancy index), the RAW-hazard table, and the
-// on-chip cache model. The parallel scan path builds N lanes per scan;
-// recycling their state keeps the steady-state scan loop free of per-lane
-// allocations, and — because a parked vector knows which of its bins were
-// written — free of per-lane clears over the whole value range as well.
+// bin region, the RAW-hazard table, and the on-chip cache model. The
+// parallel scan path builds N lanes per scan; recycling their state keeps
+// the steady-state scan loop free of per-lane allocations, and — because a
+// parked vector knows which of its bins were written — free of per-lane
+// clears over the whole value range as well. Sparse regions and hazard
+// tables are parked like dense ones.
 //
 // Scratch is parked dirty and reset on reuse, so a recycled lane is
 // observationally identical to a fresh one (the pooled-reuse property tests
-// compare histograms bytewise). What makes the sparse reset sound is that
+// compare histograms bytewise). A sparse table is cleared whole, at the
+// size of what the last scan wrote. What makes the dense reset sound is that
 // the hazard table is only ever written for the line of a bin that is
-// incremented in the same step: every non-zero pending entry sits at line
+// incremented in the same step: every non-zero hazard entry sits at line
 // i/binsPerLine of some occupied bin i of vec, so one walk over the occupied
 // bins clears both. Fault-injected binners break that pairing (their counts
 // live in hw.Memory, and a quarantined bin is zeroed after the fact), so
 // they neither draw from the free list nor return to it.
 type binnerScratch struct {
 	vec         *bins.Vector
-	pending     []float64
+	haz         hazards
 	binsPerLine int64
 	cache       *hw.Cache
 
@@ -48,16 +50,16 @@ var scratchList struct {
 	armed  bool
 }
 
-// getBinnerScratch takes the parked scratch whose region fits n bins most
-// tightly, else the largest parked one, else an empty one; fit decides what
-// of it suits the requested geometry.
-func getBinnerScratch(n int64) *binnerScratch {
+// getBinnerScratch takes the parked scratch whose region fits n bins in form
+// most tightly, else the largest parked one, else an empty one; fit decides
+// what of it suits the requested geometry.
+func getBinnerScratch(n int64, form bins.Form) *binnerScratch {
 	l := &scratchList
 	l.Lock()
 	defer l.Unlock()
 	best := -1
 	for k, sc := range l.parked {
-		if best < 0 || fitsBetter(int64(sc.vec.Capacity()), int64(l.parked[best].vec.Capacity()), n) {
+		if best < 0 || fitsBetter(sc.capacity(form), l.parked[best].capacity(form), n) {
 			best = k
 		}
 	}
@@ -69,6 +71,15 @@ func getBinnerScratch(n int64) *binnerScratch {
 	l.parked[best], l.parked[last] = l.parked[last], nil
 	l.parked = l.parked[:last]
 	return sc
+}
+
+// capacity is how many bins sc's region takes in form without allocating:
+// none when the region is in the other form.
+func (sc *binnerScratch) capacity(form bins.Form) int64 {
+	if sc.vec.Form() != form {
+		return 0
+	}
+	return int64(sc.vec.Capacity())
 }
 
 // fitsBetter reports whether a region of capacity a bins suits a request
@@ -128,24 +139,20 @@ func dropStaleScratch(*gcSentinel) {
 // newBinnerScratch returns scratch that holds nothing yet.
 func newBinnerScratch() *binnerScratch { return &binnerScratch{vec: new(bins.Vector)} }
 
-// fit hands b an empty bin region of regionBins bins, and a zeroed hazard
-// table and a reset cache sized for b's preprocessor, reusing whatever parts
-// of the scratch are large enough and allocating the rest.
-func (sc *binnerScratch) fit(b *Binner, regionBins int64) {
+// fit hands b an empty bin region of regionBins bins in form, and a zeroed
+// hazard table in the same form and a reset cache sized for b's
+// preprocessor, reusing whatever parts of the scratch are large enough and
+// allocating the rest.
+func (sc *binnerScratch) fit(b *Binner, regionBins int64, form bins.Form) {
 	binsPerLine := int64(b.cfg.Mem.BinsPerLine)
 	numLines := (b.pre.NumBins + binsPerLine - 1) / binsPerLine
 
-	pending, oldPerLine := sc.pending, sc.binsPerLine
-	sc.vec.Recycle(b.pre.Min, b.pre.Divisor, int(regionBins), func(i int) {
-		pending[int64(i)/oldPerLine] = 0
-	})
-	if int64(cap(pending)) >= numLines {
-		pending = pending[:numLines]
-	} else {
-		// Whole 64-byte host cache lines, so that two lanes' tables never
-		// share one (see bins.Vector).
-		pending = make([]float64, numLines, (numLines+7)/8*8)
+	var cleared func(i int)
+	if flat, oldPerLine := sc.haz.flat, sc.binsPerLine; flat != nil {
+		cleared = func(i int) { flat[int64(i)/oldPerLine] = 0 }
 	}
+	sc.vec.Recycle(b.pre.Min, b.pre.Divisor, int(regionBins), form, cleared)
+	sc.haz.reset(numLines, form)
 
 	cache := sc.cache
 	if cache != nil && cache.Lines() == b.cfg.CacheBytes/hw.LineBytes && cache.Universe() == numLines {
@@ -153,7 +160,7 @@ func (sc *binnerScratch) fit(b *Binner, regionBins int64) {
 	} else {
 		cache = hw.NewCache(b.cfg.CacheBytes, hw.LineBytes, numLines)
 	}
-	b.vec, b.pending, b.cache = sc.vec, pending, cache
+	b.vec, b.haz, b.cache = sc.vec, sc.haz, cache
 }
 
 // Release parks the binner's reusable state for a future lane. It must only
@@ -172,12 +179,9 @@ func (b *Binner) Release() {
 	}
 	if b.cfg.Faults == nil {
 		putBinnerScratch(&binnerScratch{
-			vec: b.vec, pending: b.pending, cache: b.cache,
+			vec: b.vec, haz: b.haz, cache: b.cache,
 			binsPerLine: int64(b.cfg.Mem.BinsPerLine),
 		})
 	}
-	b.vec = nil
-	b.pending = nil
-	b.cache = nil
-	b.chain = nil
+	b.vec, b.haz, b.cache, b.chain = nil, hazards{}, nil, nil
 }

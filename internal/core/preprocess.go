@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Preprocessor translates column values into bin addresses (§5.1.1): it
@@ -32,6 +33,10 @@ func NewPreprocessor(min, divisor, numBins int64) (*Preprocessor, error) {
 	if numBins < 1 {
 		return nil, fmt.Errorf("core: preprocessor needs at least one bin, got %d", numBins)
 	}
+	// The last bin must start at an int64 value; Address relies on it.
+	if uint64(numBins-1) > (math.MaxInt64-uint64(min))/uint64(divisor) {
+		return nil, fmt.Errorf("core: preprocessor range of %d bins of %d from %d overflows int64", numBins, divisor, min)
+	}
 	return &Preprocessor{Min: min, Divisor: divisor, NumBins: numBins}, nil
 }
 
@@ -47,18 +52,25 @@ func RangeFor(min, max, divisor int64) (*Preprocessor, error) {
 }
 
 // Address maps a value to its bin address; ok is false for out-of-range
-// values (which are counted as dropped).
+// values (which are counted as dropped). The offset from Min is taken in
+// uint64, where it cannot overflow. With Divisor 1 one unsigned comparison
+// is the whole range test: a value below Min wraps to an offset past every
+// bin, because the last bin starts at an int64 value (NewPreprocessor).
+// Other divisors divide once.
 func (p *Preprocessor) Address(value int64) (addr int64, ok bool) {
-	if value < p.Min {
+	off := uint64(value) - uint64(p.Min)
+	if p.Divisor != 1 {
+		if value < p.Min {
+			off = math.MaxUint64
+		} else {
+			off /= uint64(p.Divisor)
+		}
+	}
+	if off >= uint64(p.NumBins) {
 		p.dropped++
 		return 0, false
 	}
-	a := (value - p.Min) / p.Divisor
-	if a >= p.NumBins {
-		p.dropped++
-		return 0, false
-	}
-	return a, true
+	return int64(off), true
 }
 
 // Dropped returns how many values fell outside the configured range.

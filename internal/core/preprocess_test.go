@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPreprocessorBasicMapping(t *testing.T) {
 	p, err := NewPreprocessor(100, 1, 50)
@@ -75,5 +78,36 @@ func TestPreprocessorValidation(t *testing.T) {
 	}
 	if _, err := RangeFor(0, 10, 0); err == nil {
 		t.Error("RangeFor divisor 0 accepted")
+	}
+}
+
+// TestAddressOffsetOverflow: far above a range that starts below zero, v−Min
+// overflowed int64 into a negative address, and PushAll indexed the region
+// with it. Such a value is dropped like any other past the range, at every
+// divisor.
+func TestAddressOffsetOverflow(t *testing.T) {
+	const far = math.MaxInt64 - 5
+	for _, divisor := range []int64{1, 7} {
+		pre, err := RangeFor(-10, 100, divisor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, ok := pre.Address(far); ok {
+			t.Fatalf("divisor %d: Address(MaxInt64-5) = %d, in range", divisor, a)
+		}
+		pre, _ = RangeFor(-10, 100, divisor)
+		b := NewBinner(DefaultBinnerConfig(), pre)
+		b.PushAll([]int64{far, math.MinInt64, -10})
+		vec, st := b.Finish()
+		if st.Dropped != 2 || st.Items != 1 || vec.CountValue(far) != 0 || vec.CountValue(-10) != 1 {
+			t.Fatalf("divisor %d: dropped %d, items %d, far count %d", divisor, st.Dropped, st.Items, vec.CountValue(far))
+		}
+	}
+	// The divisor-1 range test relies on the last bin starting at an int64.
+	if _, err := NewPreprocessor(math.MaxInt64-5, 1, 10); err == nil {
+		t.Error("a range past MaxInt64 accepted")
+	}
+	if _, err := NewPreprocessor(math.MaxInt64-5, 1, 6); err != nil {
+		t.Errorf("a range ending at MaxInt64 rejected: %v", err)
 	}
 }
