@@ -87,8 +87,8 @@ examples:
 
 # Fuzz passes, nine targets: every decoder that faces bytes from a peer or a
 # disk (frames, the client's frame reader, trace reports, histograms,
-# snapshots, WAL records, sketches, the page parser), and the bin region's
-# 32-bit store against an int64 reference.
+# checkpoint recovery, WAL records, sketches, the page parser), and the bin
+# region's 32-bit store against an int64 reference.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
 # target runs even when an earlier one fails — a red target must not hide the
 # ones listed after it — and the failures are named together at the end.
@@ -97,7 +97,7 @@ FUZZ_TARGETS = \
 	FuzzFrameReader:./internal/server/ \
 	FuzzTraceReport:./internal/server/ \
 	FuzzHistogramUnmarshal:./internal/hist/ \
-	FuzzDecodeSnapshot:./internal/durable/ \
+	FuzzCheckpointRecovery:./internal/durable/ \
 	FuzzDecodeWALRecord:./internal/durable/ \
 	FuzzSketchDecode:./internal/sketch/ \
 	FuzzParserFeed:./internal/core/ \

@@ -105,9 +105,9 @@ scan runs beside the histogram (HyperLogLog precision, heavy-hitter
 counters, sliding-window width); -no-sketch disables the chain.
 
 -data-dir makes the stats catalog durable: crash recovery runs before the
-listener opens (checksummed snapshot + WAL replay), mutations are journaled
+listener opens (newest checksummed checkpoint + WAL replay), mutations are journaled
 write-ahead, and in-flight scans survive kill -9 via server-side resume.
--checkpoint-interval tunes the background snapshot cadence. Without -data-dir
+-checkpoint-interval tunes the background checkpoint cadence. Without -data-dir
 the catalog is ephemeral (bit-identical wire behavior).
 
 chaos profiles (deterministic fault injection; for testing the fail-open
@@ -128,7 +128,7 @@ func runServe(args []string) error {
 	heavyK := fs.Int("sketch-k", 0, "SpaceSaving heavy-hitter counters (0 = default)")
 	windowW := fs.Int("sketch-window", 0, "sliding-window width in values (0 = default)")
 	noSketch := fs.Bool("no-sketch", false, "disable the sketch chain entirely")
-	dataDir := fs.String("data-dir", "", "durability directory for the stats catalog (snapshots + WAL); empty serves ephemeral")
+	dataDir := fs.String("data-dir", "", "durability directory for the stats catalog (checkpoints + WAL); empty serves ephemeral")
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "background checkpoint period for -data-dir (0 = 30s default, negative disables timed checkpoints)")
 	bundleDir := fs.String("bundle-dir", "", "where anomaly trips drop debug bundles (default <data-dir>/bundles; empty without -data-dir disables)")
 	fs.Parse(args)
@@ -179,15 +179,15 @@ func runServe(args []string) error {
 		rep := m.Report()
 		log.Info("durable catalog recovered",
 			"dir", *dataDir,
-			"snapshot", rep.SnapshotLoaded,
+			"checkpoint", rep.CheckpointLoaded,
 			"wal_records_replayed", rep.RecordsReplayed,
 			"mutations_applied", rep.MutationsApplied,
 			"truncated", rep.Truncated,
 			"open_scans", len(rep.OpenScans),
 			"elapsed", rep.Elapsed)
-		if rep.SnapshotCorrupt || rep.Truncated {
+		if rep.CheckpointCorrupt || rep.Truncated {
 			log.Warn("recovery hit damaged state; catalog is a verified prefix of the journaled history",
-				"snapshot_corrupt", rep.SnapshotCorrupt, "fallback_snapshot", rep.SnapshotFallback,
+				"checkpoint_corrupt", rep.CheckpointCorrupt, "fallback_checkpoint", rep.CheckpointFallback,
 				"truncated", rep.Truncated)
 		}
 	}

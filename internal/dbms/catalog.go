@@ -1,6 +1,7 @@
 package dbms
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,7 +25,17 @@ type ColumnStats struct {
 	// Version is the table's modification counter at gather time; when it
 	// trails the table's current version the stats are stale.
 	Version uint64
+
+	// enc is the entry's one encoded form (see Encoded), never written
+	// again once installed.
+	enc []byte
 }
+
+// Encoded returns the entry's AppendColumnStats bytes, Version included, as
+// Put made them (or DecodeColumnStats kept them): the WAL, the checkpoint
+// and the Stats reply carry them as they are. It is nil for an entry no
+// catalog installed, or one that failed to encode. Do not modify them.
+func (s *ColumnStats) Encoded() []byte { return s.enc }
 
 // Catalog is the statistics dictionary. The paper's motivating problem is
 // that entries here go stale: "statistics gathering needs to be explicitly
@@ -83,8 +94,14 @@ func (c *Catalog) Version(tableName string) uint64 {
 	return c.versions[tableName]
 }
 
-// Put installs fresh statistics for a column.
+// Put installs fresh statistics for a column. It encodes s once, outside
+// the lock, into a buffer of its own, and under the lock stamps the table's
+// version into s and those bytes, so s may be a shallow copy of an
+// installed entry. An installed entry is never changed: Put a new one.
 func (c *Catalog) Put(tableName, column string, s *ColumnStats) {
+	// An entry that does not encode is installed without bytes (nil on
+	// error): the journal drops it, Stats and checkpoints refuse it.
+	enc, _ := AppendColumnStats(nil, s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cols, ok := c.stats[tableName]
@@ -93,16 +110,21 @@ func (c *Catalog) Put(tableName, column string, s *ColumnStats) {
 		c.stats[tableName] = cols
 	}
 	s.Version = c.versions[tableName]
+	if enc != nil {
+		binary.LittleEndian.PutUint64(enc[entryVersionOffset:], s.Version)
+	}
+	s.enc = enc
 	cols[column] = s
 	if c.journal != nil {
 		c.journal.JournalPut(tableName, column, s)
 	}
 }
 
-// RestorePut installs a recovered entry exactly as journaled: unlike Put it
-// preserves the entry's recorded Version (rather than stamping the current
-// table version), never notifies the journal, and raises the table's version
-// floor so Stale stays consistent after replay.
+// RestorePut installs a recovered entry (one DecodeColumnStats returned)
+// exactly as journaled: unlike Put it preserves the entry's recorded
+// Version (rather than stamping the current table version), never notifies
+// the journal, and raises the table's version floor so Stale stays
+// consistent after replay.
 func (c *Catalog) RestorePut(tableName, column string, s *ColumnStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,6 +158,37 @@ func (c *Catalog) Get(tableName, column string) *ColumnStats {
 	return cols[column]
 }
 
+// Each reads the catalog under one read lock: at first (when not nil), then
+// put for every entry in (table, column) order, then bump for every table
+// version in table order. A journal numbers mutations under the write lock,
+// so a watermark it reads in at counts exactly the mutations the calls that
+// follow show. The callbacks must not call back into the catalog.
+func (c *Catalog) Each(at func(), put func(table, column string, s *ColumnStats), bump func(table string, version uint64)) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if at != nil {
+		at()
+	}
+	for _, tbl := range sortedKeys(c.stats) {
+		cols := c.stats[tbl]
+		for _, col := range sortedKeys(cols) {
+			put(tbl, col, cols[col])
+		}
+	}
+	for _, tbl := range sortedKeys(c.versions) {
+		bump(tbl, c.versions[tbl])
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Stale reports whether the column's statistics trail the table's current
 // version (or are missing entirely).
 func (c *Catalog) Stale(tableName, column string) bool {
@@ -162,12 +215,7 @@ func (c *Catalog) StatsColumns(tableName string) []string {
 	if !ok || len(cols) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(cols))
-	for name := range cols {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(cols)
 }
 
 // EstimateEquals estimates the rows of tableName with column == v, falling

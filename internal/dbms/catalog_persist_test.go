@@ -3,7 +3,6 @@ package dbms
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"streamhist/internal/sketch"
@@ -27,22 +26,31 @@ func persistedCatalog(t *testing.T) *Catalog {
 	return db.Catalog
 }
 
+var persistedColumns = []struct{ tbl, col string }{
+	{"lineitem", "l_quantity"},
+	{"lineitem", "l_extendedprice"},
+	{"customer", "c_acctbal"},
+}
+
+// restore decodes every entry of cat from its installed bytes into a fresh
+// catalog, the way durable recovery rebuilds one.
+func restore(t *testing.T, cat *Catalog) *Catalog {
+	t.Helper()
+	restored := NewCatalog()
+	cat.Each(nil, func(table, column string, s *ColumnStats) {
+		back, rest, err := DecodeColumnStats(s.Encoded())
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s.%s: decode: %v, %d trailing bytes", table, column, err, len(rest))
+		}
+		restored.RestorePut(table, column, back)
+	}, restored.RestoreVersion)
+	return restored
+}
+
 func TestCatalogPersistenceRoundTrip(t *testing.T) {
 	cat := persistedCatalog(t)
-	data, err := cat.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored := NewCatalog()
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ tbl, col string }{
-		{"lineitem", "l_quantity"},
-		{"lineitem", "l_extendedprice"},
-		{"customer", "c_acctbal"},
-	} {
+	restored := restore(t, cat)
+	for _, tc := range persistedColumns {
 		orig := cat.Get(tc.tbl, tc.col)
 		back := restored.Get(tc.tbl, tc.col)
 		if back == nil {
@@ -57,6 +65,10 @@ func TestCatalogPersistenceRoundTrip(t *testing.T) {
 				t.Errorf("%s.%s: estimate differs at %d", tc.tbl, tc.col, v)
 			}
 		}
+		// The decoded entry keeps its own copy of the bytes.
+		if !bytes.Equal(back.Encoded(), orig.Encoded()) || &back.Encoded()[0] == &orig.Encoded()[0] {
+			t.Errorf("%s.%s: decoded entry does not hold a private copy of its bytes", tc.tbl, tc.col)
+		}
 	}
 	// Staleness semantics preserved: versions were restored, so nothing
 	// is stale.
@@ -65,22 +77,22 @@ func TestCatalogPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCatalogPersistenceDeterministic: the bytes Put installs are what
+// AppendColumnStats makes of the entry, every time.
 func TestCatalogPersistenceDeterministic(t *testing.T) {
 	cat := persistedCatalog(t)
-	a, err := cat.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cat.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic lengths: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic at byte %d", i)
+	for _, tc := range persistedColumns {
+		s := cat.Get(tc.tbl, tc.col)
+		a, err := AppendColumnStats(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := AppendColumnStats(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) || !bytes.Equal(a, s.Encoded()) {
+			t.Fatalf("%s.%s: non-deterministic encoding", tc.tbl, tc.col)
 		}
 	}
 }
@@ -88,29 +100,25 @@ func TestCatalogPersistenceDeterministic(t *testing.T) {
 func TestCatalogUnmarshalRejectsGarbage(t *testing.T) {
 	cases := [][]byte{nil, {1, 2, 3}, make([]byte, 16)}
 	for i, data := range cases {
-		c := NewCatalog()
-		if err := c.UnmarshalBinary(data); err == nil {
-			t.Errorf("case %d accepted", i)
+		if _, _, err := DecodeColumnStats(data); !errors.Is(err, ErrCorruptCatalog) {
+			t.Errorf("case %d: got %v, want ErrCorruptCatalog", i, err)
 		}
 	}
-	good, _ := persistedCatalog(t).MarshalBinary()
-	c := NewCatalog()
-	if err := c.UnmarshalBinary(good[:len(good)-3]); err == nil {
-		t.Error("truncated image accepted")
+	good := persistedCatalog(t).Get("lineitem", "l_quantity").Encoded()
+	for cut := 0; cut < len(good); cut++ {
+		if _, _, err := DecodeColumnStats(good[:cut]); err == nil {
+			t.Fatalf("entry truncated to %d of %d bytes accepted", cut, len(good))
+		}
 	}
-	if err := c.UnmarshalBinary(append(good, 9)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	// A v1 image is refused by the version its magic names, not migrated.
-	err := c.UnmarshalBinary([]byte("TATS\x00\x00\x00\x00"))
-	if !errors.Is(err, ErrCorruptCatalog) || !strings.Contains(err.Error(), `"TATS"`) {
-		t.Errorf("v1 image: got %v, want ErrCorruptCatalog naming the version", err)
+	_, rest, err := DecodeColumnStats(append(append([]byte(nil), good...), 9))
+	if err != nil || len(rest) != 1 {
+		t.Errorf("trailing byte: got %d bytes back, err %v; want it returned as rest", len(rest), err)
 	}
 }
 
 // sketchedCatalog builds a catalog whose entries carry sketch blocks and
 // whose table versions run ahead of the entries (a bump after the last
-// gather), so the v2 round trip has something v1 could not represent.
+// gather).
 func sketchedCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	cat := persistedCatalog(t)
@@ -118,22 +126,16 @@ func sketchedCatalog(t *testing.T) *Catalog {
 	for v := int64(0); v < 500; v++ {
 		ch.Push(v % 97)
 	}
-	s := cat.Get("lineitem", "l_quantity")
-	s.Sketches = ch.Blocks()
+	put := *cat.Get("lineitem", "l_quantity")
+	put.Sketches = ch.Blocks()
+	cat.Put("lineitem", "l_quantity", &put)
 	cat.BumpVersion("customer") // version floor now ahead of every entry
 	return cat
 }
 
 func TestCatalogPersistenceV2SketchesAndVersions(t *testing.T) {
 	cat := sketchedCatalog(t)
-	data, err := cat.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewCatalog()
-	if err := restored.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
+	restored := restore(t, cat)
 	// Sketch blocks survive byte-identically (canonical "SK" encoding).
 	origSk, err := sketch.EncodeBlocks(cat.Get("lineitem", "l_quantity").Sketches)
 	if err != nil {
@@ -151,22 +153,20 @@ func TestCatalogPersistenceV2SketchesAndVersions(t *testing.T) {
 			t.Errorf("sketch block %d differs after restore", i)
 		}
 	}
-	// The post-gather bump survives: v1 inferred versions from entries and
-	// would have lost it, so the restored stats would look fresh.
+	// The post-gather bump survives, so the restored stats are stale.
 	if got, want := restored.Version("customer"), cat.Version("customer"); got != want {
 		t.Fatalf("customer version: got %d want %d", got, want)
 	}
 	if !restored.Stale("customer", "c_acctbal") {
 		t.Error("bumped table not stale after restore")
 	}
-	// Marshal of the restored catalog is bit-identical: restore is lossless.
-	data2, err := restored.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Error("restored catalog re-encodes differently")
-	}
+	// Every restored entry re-encodes to the bytes it was decoded from.
+	restored.Each(nil, func(table, column string, s *ColumnStats) {
+		re, err := AppendColumnStats(nil, s)
+		if err != nil || !bytes.Equal(re, s.Encoded()) {
+			t.Errorf("%s.%s re-encodes differently (%v)", table, column, err)
+		}
+	}, func(string, uint64) {})
 }
 
 // recordingJournal captures the mutation stream for ordering assertions.
@@ -210,17 +210,16 @@ func TestCatalogJournalSeesMutationsInOrder(t *testing.T) {
 	}
 }
 
+// TestCatalogPersistEmpty: an entry with no histogram and no sketches still
+// has an encoded form, and it round-trips.
 func TestCatalogPersistEmpty(t *testing.T) {
-	empty := NewCatalog()
-	data, err := empty.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	cat := NewCatalog()
+	cat.Put("x", "y", &ColumnStats{})
+	back, rest, err := DecodeColumnStats(cat.Get("x", "y").Encoded())
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d trailing bytes", err, len(rest))
 	}
-	c := NewCatalog()
-	if err := c.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if c.Get("x", "y") != nil {
-		t.Error("phantom entry")
+	if back.Histogram != nil || back.Sketches != nil || back.RowCount != 0 {
+		t.Errorf("empty entry decoded as %+v", back)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // populate fills a durable dir with n catalog entries spread over a handful
 // of tables and returns after a clean Close, so the state is entirely in the
-// snapshot (recovery cost is dominated by snapshot decode + catalog load).
+// last checkpoint file (recovery cost is dominated by decoding its entries).
 func populate(b *testing.B, dir string, n int) {
 	b.Helper()
 	m, err := Open(dir, Options{CheckpointInterval: -1})
@@ -25,7 +25,7 @@ func populate(b *testing.B, dir string, n int) {
 	}
 }
 
-// BenchmarkRecovery measures cold-start recovery (snapshot load + WAL
+// BenchmarkRecovery measures cold-start recovery (checkpoint load + WAL
 // replay) as a function of catalog size. This is the number EXPERIMENTS.md
 // reports as recovery time vs catalog size.
 func BenchmarkRecovery(b *testing.B) {
@@ -45,7 +45,7 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkRecoveryReplay measures recovery when the state lives in the WAL
-// rather than the snapshot: mutations journaled after the last checkpoint
+// rather than a checkpoint: mutations journaled after the last checkpoint
 // must be decoded, gap-checked, and re-applied one by one.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	for _, n := range []int{128, 1024} {
@@ -74,8 +74,9 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint measures a full checkpoint: WAL rotation, catalog
-// marshal, snapshot encode, atomic install, read-back verify, segment GC.
+// BenchmarkCheckpoint measures a full checkpoint: WAL rotation, framing the
+// installed entries' bytes into records, atomic install, read-back verify,
+// GC.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, n := range []int{128, 1024} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
@@ -101,8 +102,9 @@ func BenchmarkCheckpoint(b *testing.B) {
 }
 
 // BenchmarkWALAppend measures the hot mutation path as the catalog sees it:
-// Put under the write lock, journal hook encodes the entry and enqueues the
-// record. The fsync happens on the writer goroutine, off this path.
+// Put encodes the entry outside the lock, then under it the journal hook
+// enqueues the record carrying those bytes. The fsync happens on the writer
+// goroutine, off this path.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
 	m, err := Open(dir, Options{CheckpointInterval: -1, walSoftLimit: 1 << 40, queueDepth: 1 << 16})

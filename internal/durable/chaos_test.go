@@ -38,7 +38,7 @@ func cloneDir(t *testing.T, src string) string {
 
 // TestDurableChaosPrefixProperty is the file-format half of the kill -9
 // proof: across seeds of the disk-failure-heavy profile (torn WAL writes,
-// suppressed fsyncs, corrupted snapshots, slow disk), apply a random
+// suppressed fsyncs, corrupted checkpoint files, slow disk), apply a random
 // mutation sequence, take crash images at random points, and assert that
 // every image recovers to EXACTLY one of the prefix states of the mutation
 // history — byte-identical catalog encodings, no third outcome. Seeds widen

@@ -2,38 +2,62 @@ package durable
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"streamhist/internal/dbms"
 )
 
-// FuzzDecodeSnapshot drives arbitrary bytes through DecodeSnapshot. The
-// contract: corrupt input never panics and never yields a snapshot that
-// passes checksum verification by accident — anything that does decode must
-// be canonical, re-encoding to the identical bytes.
-func FuzzDecodeSnapshot(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeSnapshot(&Snapshot{}))
-	f.Add(EncodeSnapshot(&Snapshot{
-		BaseLSN: 42, BaseSeq: 7, Lossy: true,
-		Catalog: []byte("not a real catalog"),
-		Scans: []ScanState{
-			{ID: 1, Table: "lineitem", Column: "l_quantity", Start: 8, Pages: 64},
-			{ID: 2, Table: "orders", Column: "o_totalprice"},
-		},
-	}))
-	// A seed with a deliberately flipped payload byte.
-	bad := EncodeSnapshot(&Snapshot{Catalog: []byte("x")})
-	bad[len(bad)-1] ^= 0xFF
-	f.Add(bad)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+// FuzzCheckpointRecovery puts arbitrary bytes in the newest checkpoint file,
+// beside a valid segment, and recovers the directory. The contract: no
+// panic, and every entry recovery installs — from the checkpoint or from the
+// segment replayed on top of it — re-encodes to exactly the bytes it was
+// decoded from.
+func FuzzCheckpointRecovery(f *testing.F) {
+	stats := func(salt int64) []byte {
+		b, err := dbms.AppendColumnStats(nil, testStats(salt))
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		re := EncodeSnapshot(s)
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted non-canonical snapshot: %d bytes in, %d bytes re-encoded", len(data), len(re))
+		return b
+	}
+	var seg []byte
+	seg = AppendRecord(seg, Record{Type: RecPut, LSN: 3, Seq: 2, Table: "t", Column: "b", Stats: stats(2)})
+	seg = AppendRecord(seg, Record{Type: RecBump, LSN: 4, Seq: 3, Table: "t", Version: 1})
+	seg = AppendRecord(seg, Record{Type: RecScanEnd, LSN: 5, ScanID: 1, Pages: 16})
+	valid := appendCheckpoint(nil, Record{LSN: 2, Seq: 1},
+		Record{Type: RecPut, LSN: 2, Seq: 1, Table: "t", Column: "a", Stats: stats(1)},
+		Record{Type: RecScanStart, LSN: 2, ScanID: 1, Table: "t", Column: "a"},
+		Record{Type: RecScanProgress, LSN: 2, ScanID: 1, Pages: 8})
+	f.Add([]byte{})
+	f.Add(valid)
+	last := AppendRecord(nil, Record{Type: RecScanProgress, LSN: 2, ScanID: 1, Pages: 8})
+	f.Add(valid[:len(valid)-len(last)]) // cut at a record boundary
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0xFF
+	f.Add(flipped)
+
+	// One directory per fuzzing process: the segment stays, the checkpoint
+	// file is rewritten for every input.
+	dir := f.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, seqName(segmentPrefix, 2)), seg, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, seqName(checkpointPrefix, 2)), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		cat, _, err := Inspect(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat.Each(nil, func(table, column string, s *dbms.ColumnStats) {
+			re, err := dbms.AppendColumnStats(nil, s)
+			if err != nil || !bytes.Equal(re, s.Encoded()) {
+				t.Fatalf("entry %s.%s does not re-encode to its %d decoded bytes (%v)", table, column, len(s.Encoded()), err)
+			}
+		}, func(string, uint64) {})
 	})
 }
 

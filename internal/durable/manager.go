@@ -2,42 +2,40 @@
 // catalog: the histograms and sketches a served scan installs as a side
 // effect survive kill -9 and come back byte-identical.
 //
-// The design is a classic checkpoint + write-ahead log pair, with every
-// byte on disk checksummed (CRC32C, the same polynomial the page path
-// uses):
+// Everything on disk is WAL records, every byte checksummed (CRC32C, the
+// same polynomial the page path uses), and a put carries the bytes
+// dbms.Catalog.Put encoded at install: nothing here encodes statistics.
 //
-//   - Full snapshots hold the catalog image (dbms v2 encoding, which reuses
-//     the hist v2 and sketch "SK" serializations) plus the in-flight scan
-//     journal, written atomically: tmp file → fsync → demote the old
-//     snapshot to .prev → rename into place → fsync the directory.
 //   - An append-only WAL records every catalog mutation (and scan-journal
-//     event) between snapshots. Appends are asynchronous — a bounded queue
-//     feeds a single writer goroutine that group-commits with fsync
-//     whenever the queue runs dry — so the scan path never waits on disk.
-//     A full queue drops the record rather than stalling; the dense
-//     mutation sequence number carried by catalog records turns any drop
-//     into a detectable gap, and recovery truncates its replay at the first
-//     gap or bad checksum. The recovered catalog is therefore always a
-//     prefix of the true mutation history: stale is possible (and counted),
-//     corrupt or reordered is not. There is no third outcome.
-//   - Checkpoints rotate the WAL to a fresh segment, capture the live
-//     state, verify the written snapshot by reading it back, and only then
-//     delete segments the previous snapshot no longer needs. A checkpoint
-//     that fails verification (e.g. the snap.corrupt fault point) leaves
-//     the old snapshot chain and every segment intact.
+//     event). Appends are asynchronous — a bounded queue feeds a single
+//     writer goroutine that group-commits with fsync whenever the queue
+//     runs dry — so the scan path never waits on disk. A full queue drops
+//     the record rather than stalling; the dense mutation sequence number
+//     carried by catalog records turns any drop into a detectable gap, and
+//     recovery truncates its replay at the first gap or bad checksum. The
+//     recovered catalog is therefore always a prefix of the true mutation
+//     history: stale is possible (and counted), corrupt or reordered is
+//     not. There is no third outcome.
+//   - A checkpoint rotates the WAL to a fresh segment S and writes S's
+//     compacted twin (checkpoint.go). Only once that file reads back does
+//     it delete what is older than the previous verified checkpoint; one
+//     that fails (e.g. the snap.corrupt fault point) deletes itself and
+//     collects nothing, so the fallback and its segments stay.
 //
-// Opening a directory performs recovery — newest valid snapshot, then WAL
-// replay, truncating at the first bad record — and immediately writes a
-// fresh snapshot of the recovered state, so each process starts from a
-// clean baseline and the truncation decision becomes permanent.
+// Opening a directory performs recovery — the newest checkpoint file that
+// decodes completely, then WAL replay of the later segments, truncating at
+// the first bad record — and immediately writes a fresh checkpoint of the
+// recovered state, so each process starts from a clean baseline and the
+// truncation decision becomes permanent.
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,29 +93,23 @@ func (o Options) withDefaults() Options {
 
 // RecoveryReport describes what Open (or Inspect) reconstructed from disk.
 type RecoveryReport struct {
-	// SnapshotLoaded is true when a snapshot seeded the catalog;
-	// SnapshotFallback when it was the .prev file because the current one
-	// was missing or corrupt; SnapshotCorrupt when at least one snapshot
-	// file existed but failed checksum/structural validation.
-	SnapshotLoaded   bool
-	SnapshotFallback bool
-	SnapshotCorrupt  bool
-	// BaseLSN/BaseSeq are the snapshot's fold points (zero without one).
-	BaseLSN uint64
-	BaseSeq uint64
-	// SegmentsScanned / BytesScanned / RecordsReplayed describe the WAL
-	// walk; MutationsApplied counts the put/bump records actually applied
-	// on top of the snapshot.
-	SegmentsScanned  int
-	BytesScanned     int64
+	// CheckpointLoaded is true when a checkpoint file seeded the catalog;
+	// CheckpointFallback when it was not the newest one because a newer
+	// one failed to decode; CheckpointCorrupt when at least one checkpoint
+	// file failed checksum/structural validation.
+	CheckpointLoaded   bool
+	CheckpointFallback bool
+	CheckpointCorrupt  bool
+	// RecordsReplayed counts the WAL records read after the checkpoint;
+	// MutationsApplied the put/bump records among them actually applied.
 	RecordsReplayed  int
 	MutationsApplied int
 	// Truncated is true when replay stopped early at a torn/corrupt
 	// record or a mutation-sequence gap: the recovered catalog is a
 	// proper prefix of the journaled history.
 	Truncated bool
-	// Lossy mirrors the snapshot's lossy flag: the WAL epoch before the
-	// snapshot dropped records under backpressure.
+	// Lossy mirrors the checkpoint's lossy flag: the WAL epoch before the
+	// checkpoint dropped records under backpressure.
 	Lossy bool
 	// OpenScans are in-flight scans recovered from the journal — scans a
 	// client may come back to resume.
@@ -153,10 +145,10 @@ func newDurMetrics(reg *obs.Registry) durMetrics {
 		fsyncsSkipped: reg.Counter("streamhist_durable_wal_fsyncs_skipped_total", "WAL fsync barriers suppressed by the wal.fsync fault point."),
 		tornWrites:    reg.Counter("streamhist_durable_wal_torn_total", "WAL appends torn mid-record by the wal.torn fault point."),
 		drops:         reg.Counter("streamhist_durable_wal_dropped_total", "WAL records dropped under backpressure or behind a torn/broken segment tail."),
-		checkpoints:   reg.Counter("streamhist_durable_checkpoints_total", "Snapshots successfully written, verified, and installed."),
+		checkpoints:   reg.Counter("streamhist_durable_checkpoints_total", "Checkpoint files successfully written, verified, and installed."),
 		ckptFailures:  reg.Counter("streamhist_durable_checkpoint_failures_total", "Checkpoint attempts abandoned on write error or failed read-back verification."),
 		ckptSeconds:   reg.Distribution("streamhist_durable_checkpoint_duration_seconds", "Wall-clock duration of checkpoints.", 1e-9),
-		ckptBytes:     reg.Gauge("streamhist_durable_checkpoint_bytes", "Encoded size of the most recent snapshot."),
+		ckptBytes:     reg.Gauge("streamhist_durable_checkpoint_bytes", "Encoded size of the most recent checkpoint file."),
 
 		recoverySeconds:  reg.Gauge("streamhist_durable_recovery_nanoseconds", "Wall-clock time Open spent recovering state from disk."),
 		recoveryReplayed: reg.Gauge("streamhist_durable_recovery_replayed_records", "WAL records replayed by the most recent recovery."),
@@ -202,7 +194,7 @@ type Manager struct {
 	recovered map[uint64]*ScanState // recovered, not yet adopted or restarted
 
 	ckptMu      sync.Mutex // serializes checkpoints
-	prevCkptSeq uint64     // segment opened by the previous checkpoint's rotation
+	prevCkptSeq uint64     // segment of the last verified checkpoint (0: none)
 
 	closeOnce sync.Once
 }
@@ -210,7 +202,7 @@ type Manager struct {
 // Open recovers the durable state under dir (creating it if needed),
 // attaches the manager as the recovered catalog's journal, starts the WAL
 // writer and the background checkpointer, and writes a fresh baseline
-// snapshot of the recovered state.
+// checkpoint of the recovered state.
 func Open(dir string, opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -254,18 +246,18 @@ func Open(dir string, opts Options) (*Manager, error) {
 	m.met.recoveredScans.Set(int64(len(m.recovered)))
 
 	seg := pos.maxSegSeq + 1
-	f, err := os.OpenFile(filepath.Join(dir, segmentName(seg)),
+	f, err := os.OpenFile(filepath.Join(dir, seqName(segmentPrefix, seg)),
 		os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	go m.runWriter(f, seg)
-	m.prevCkptSeq = seg
+	m.prevCkptSeq = pos.ckptSeq
 
 	// Baseline the recovered state immediately: the replay-truncation
-	// decision becomes permanent, every pre-existing segment becomes
-	// garbage, and the new epoch starts clean.
-	if err := m.checkpoint(); err != nil && !errors.Is(err, errSnapshotUnverified) {
+	// decision becomes permanent and the new epoch starts clean. The
+	// checkpoint recovery loaded stays, with its segments, as the fallback.
+	if err := m.checkpoint(); err != nil && !errors.Is(err, errCheckpointUnverified) {
 		m.Abandon()
 		return nil, fmt.Errorf("durable: baseline checkpoint: %w", err)
 	}
@@ -349,10 +341,11 @@ func (m *Manager) control(kind uint8) (walAck, error) {
 }
 
 // JournalPut implements dbms.CatalogJournal. Called under the catalog's
-// write lock, so sequence numbers are assigned in exactly apply order.
+// write lock, so sequence numbers are assigned in exactly apply order; it
+// enqueues the entry's installed bytes and encodes nothing.
 func (m *Manager) JournalPut(table, column string, s *dbms.ColumnStats) {
-	stats, err := dbms.AppendColumnStats(nil, s)
-	if err != nil {
+	stats := s.Encoded()
+	if stats == nil {
 		m.noteDrop()
 		return
 	}
@@ -469,12 +462,12 @@ func (m *Manager) Sync() error {
 	return err
 }
 
-// errSnapshotUnverified marks a checkpoint whose written snapshot failed
-// read-back verification (e.g. the snap.corrupt fault point fired). The old
-// snapshot chain and all WAL segments were left intact.
-var errSnapshotUnverified = errors.New("durable: snapshot failed read-back verification")
+// errCheckpointUnverified marks a checkpoint whose written file failed
+// read-back verification (e.g. the snap.corrupt fault point fired). The file
+// was deleted; the older checkpoints and every WAL segment were left intact.
+var errCheckpointUnverified = errors.New("durable: checkpoint failed read-back verification")
 
-// Checkpoint captures the live state into a snapshot now. Nil-safe.
+// Checkpoint captures the live state into a checkpoint file now. Nil-safe.
 func (m *Manager) Checkpoint() error {
 	if m == nil {
 		return nil
@@ -489,47 +482,58 @@ func (m *Manager) Checkpoint() error {
 	}
 }
 
-// checkpoint is the actual capture: rotate the WAL, snapshot the live
-// state, verify the snapshot by reading it back, then GC segments the
-// previous snapshot no longer needs. Serialized by ckptMu; runs on the
-// checkpointer goroutine (or the closer), never on the scan path.
+// checkpoint is the actual capture: rotate the WAL to segment S, write the
+// live state as S's checkpoint file, verify the file by reading it back,
+// then delete what the previous verified checkpoint no longer needs.
+// Serialized by ckptMu; runs on the checkpointer goroutine (or the closer),
+// never on the scan path.
 func (m *Manager) checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 	start := time.Now()
+	fail := func(err error) error {
+		m.met.ckptFailures.Inc()
+		return err
+	}
 
 	ack, err := m.control(mkRotate)
 	if err != nil {
-		m.met.ckptFailures.Inc()
-		return err
+		return fail(err)
 	}
-	// Watermarks first, state second: everything with lsn ≤ base /
-	// seq ≤ baseSeq finished mutating the in-memory catalog before the
-	// reads below, so the encoded image folds it. Records above the
-	// watermarks replay idempotently on top.
-	base := ack.lastLSN
-	baseSeq := m.mutSeq.Load()
-	lossy := m.lossyEpoch.Load()
-	img, err := m.cat.MarshalBinary()
-	if err != nil {
-		m.met.ckptFailures.Inc()
-		return err
-	}
+	// Every scan record with lsn ≤ ack.lastLSN changed the in-memory
+	// journal before the reads below. The mutation watermark is read under
+	// the same catalog lock as the entries, so the puts and bumps written
+	// are exactly the mutations with seq ≤ head.Seq; records above either
+	// watermark replay on top. An entry without bytes (its encode failed
+	// at Put) makes a put that does not decode: the read-back refuses it.
+	head := Record{Type: RecCheckpoint, LSN: ack.lastLSN, Lossy: m.lossyEpoch.Load()}
+	var recs []Record
+	m.cat.Each(func() { head.Seq = m.mutSeq.Load() },
+		func(table, column string, s *dbms.ColumnStats) {
+			recs = append(recs, Record{Type: RecPut, Table: table, Column: column, Stats: s.Encoded()})
+		},
+		func(table string, version uint64) {
+			recs = append(recs, Record{Type: RecBump, Table: table, Version: version})
+		})
 	m.scanMu.Lock()
 	scans := make([]ScanState, 0, len(m.openScans))
 	for _, st := range m.openScans {
 		scans = append(scans, *st)
 	}
 	m.scanMu.Unlock()
-	sortScans(scans)
+	slices.SortFunc(scans, byID)
+	for _, sc := range scans {
+		recs = append(recs,
+			Record{Type: RecScanStart, ScanID: sc.ID, Pages: sc.Start, Table: sc.Table, Column: sc.Column},
+			Record{Type: RecScanProgress, ScanID: sc.ID, Pages: sc.Pages})
+	}
+	head.Count = uint32(len(recs))
+	enc := AppendRecord(nil, head)
+	for _, rec := range recs {
+		rec.LSN, rec.Seq = head.LSN, head.Seq
+		enc = AppendRecord(enc, rec)
+	}
 
-	enc := EncodeSnapshot(&Snapshot{
-		BaseLSN: base,
-		BaseSeq: baseSeq,
-		Lossy:   lossy,
-		Catalog: img,
-		Scans:   scans,
-	})
 	inj := m.opts.Faults
 	if inj.Should(faults.SnapCorrupt) {
 		enc[inj.Intn(faults.SnapCorrupt, int64(len(enc)))] ^= 0x40
@@ -537,34 +541,36 @@ func (m *Manager) checkpoint() error {
 	if inj.Should(faults.DiskSlow) {
 		time.Sleep(time.Duration(1+inj.Intn(faults.DiskSlow, 10)) * time.Millisecond)
 	}
-	if err := writeSnapshotFile(m.dir, enc); err != nil {
-		m.met.ckptFailures.Inc()
-		return err
+	name := seqName(checkpointPrefix, ack.seq)
+	if err := writeCheckpointFile(m.dir, name, enc); err != nil {
+		return fail(err)
 	}
-	// Read-back verification: only a snapshot that provably decodes may
-	// authorize deleting the history that predates it. A corrupted write
-	// (snap.corrupt) is caught here; recovery would fall back to .prev.
-	back, err := os.ReadFile(filepath.Join(m.dir, snapName))
+	// Read-back verification: only a checkpoint that recovery would load
+	// may authorize deleting the history that predates it. One that would
+	// not (snap.corrupt) is deleted, so recovery never has to step over it.
+	back, err := os.ReadFile(filepath.Join(m.dir, name))
 	if err == nil {
-		_, err = DecodeSnapshot(back)
+		_, _, _, err = loadCheckpoint(back)
 	}
 	if err != nil {
-		m.met.ckptFailures.Inc()
-		return fmt.Errorf("%w: %v", errSnapshotUnverified, err)
+		os.Remove(filepath.Join(m.dir, name))
+		return fail(fmt.Errorf("%w: %v", errCheckpointUnverified, err))
 	}
 
-	// The epoch whose drops this snapshot healed is sealed; new drops
-	// (necessarily after the baseSeq watermark) re-mark it.
-	if lossy {
+	// The epoch whose drops this checkpoint healed is sealed; new drops
+	// (necessarily after the head.Seq watermark) re-mark it.
+	if head.Lossy {
 		m.lossyEpoch.Store(false)
 	}
-	// GC: the .prev snapshot needs records after its own base, all of
-	// which live in segments ≥ the segment its checkpoint rotated to.
+	// GC: the previous verified checkpoint stays as the fallback, with
+	// every segment from its own onwards; everything older goes. Best
+	// effort: a file left behind is collected by the next checkpoint.
 	if m.prevCkptSeq > 0 {
-		if seqs, err := listSegments(m.dir); err == nil {
-			for _, s := range seqs {
-				if s < m.prevCkptSeq {
-					os.Remove(filepath.Join(m.dir, segmentName(s)))
+		for _, prefix := range []string{checkpointPrefix, segmentPrefix} {
+			seqs, _ := listSeqs(m.dir, prefix)
+			for _, seq := range seqs {
+				if seq < m.prevCkptSeq {
+					os.Remove(filepath.Join(m.dir, seqName(prefix, seq)))
 				}
 			}
 		}
@@ -603,7 +609,7 @@ func (m *Manager) runCheckpointer() {
 	}
 }
 
-// Close stops the checkpointer, captures a final snapshot, flushes the WAL,
+// Close stops the checkpointer, writes a final checkpoint, flushes the WAL,
 // and releases the files. Safe to call once the server has quiesced;
 // nil-safe.
 func (m *Manager) Close() error {
@@ -615,8 +621,8 @@ func (m *Manager) Close() error {
 		close(m.ckptStop)
 		<-m.ckptDone
 		err = m.checkpoint()
-		if errors.Is(err, errSnapshotUnverified) {
-			err = nil // chain + WAL intact; recovery falls back
+		if errors.Is(err, errCheckpointUnverified) {
+			err = nil // older checkpoints + WAL intact; recovery falls back
 		}
 		close(m.stopWriter)
 		<-m.writerDone
@@ -639,20 +645,15 @@ func (m *Manager) Abandon() {
 	})
 }
 
-func sortScans(scans []ScanState) {
-	for i := 1; i < len(scans); i++ {
-		for j := i; j > 0 && scans[j].ID < scans[j-1].ID; j-- {
-			scans[j], scans[j-1] = scans[j-1], scans[j]
-		}
-	}
-}
+func byID(a, b ScanState) int { return cmp.Compare(a.ID, b.ID) }
 
 // logPosition is where recovery left the counters.
 type logPosition struct {
 	maxLSN    uint64
 	maxSeq    uint64
 	maxScanID uint64
-	maxSegSeq uint64
+	maxSegSeq uint64 // highest segment or checkpoint sequence on disk
+	ckptSeq   uint64 // the loaded checkpoint's segment (0: none)
 }
 
 // Inspect performs read-only recovery of a durability directory: what a
@@ -665,81 +666,56 @@ func Inspect(dir string) (*dbms.Catalog, RecoveryReport, error) {
 	return cat, rep, err
 }
 
-// loadSnapshot reads and validates the newest usable snapshot.
-func loadSnapshot(dir string) (*Snapshot, RecoveryReport) {
+// recoverDir rebuilds the catalog and scan journal from dir: the newest
+// checkpoint file that decodes completely, then WAL replay of its segment
+// and the later ones, truncating at the first bad checksum or
+// mutation-sequence gap.
+func recoverDir(dir string) (*dbms.Catalog, RecoveryReport, logPosition, error) {
 	var rep RecoveryReport
-	for i, name := range []string{snapName, snapPrevName} {
-		buf, err := os.ReadFile(filepath.Join(dir, name))
-		if errors.Is(err, fs.ErrNotExist) {
+	var pos logPosition
+	ckpts, err := listSeqs(dir, checkpointPrefix)
+	if err != nil {
+		return nil, rep, pos, err
+	}
+	segs, err := listSeqs(dir, segmentPrefix)
+	if err != nil {
+		return nil, rep, pos, err
+	}
+	for _, seq := range append(segs, ckpts...) {
+		pos.maxSegSeq = max(pos.maxSegSeq, seq)
+	}
+
+	cat, scans := dbms.NewCatalog(), make(map[uint64]*ScanState)
+	for i := len(ckpts) - 1; i >= 0; i-- {
+		// A file that cannot be read is as unusable as a corrupt one.
+		buf, _ := os.ReadFile(filepath.Join(dir, seqName(checkpointPrefix, ckpts[i])))
+		c, sc, head, err := loadCheckpoint(buf)
+		if err != nil {
+			rep.CheckpointCorrupt = true
 			continue
 		}
-		if err == nil {
-			var snap *Snapshot
-			if snap, err = DecodeSnapshot(buf); err == nil {
-				// The snapshot frame verifies; the catalog image inside
-				// it is validated by the caller.
-				rep.SnapshotLoaded = true
-				rep.SnapshotFallback = i > 0
-				rep.BaseLSN = snap.BaseLSN
-				rep.BaseSeq = snap.BaseSeq
-				rep.Lossy = snap.Lossy
-				return snap, rep
-			}
-		}
-		rep.SnapshotCorrupt = true
+		cat, scans = c, sc
+		rep.CheckpointLoaded = true
+		rep.CheckpointFallback = i < len(ckpts)-1
+		rep.Lossy = head.Lossy
+		pos.maxLSN, pos.maxSeq, pos.ckptSeq = head.LSN, head.Seq, ckpts[i]
+		break
 	}
-	return nil, rep
-}
-
-// recoverDir rebuilds the catalog and scan journal from dir: newest valid
-// snapshot, then WAL replay in segment order, truncating at the first bad
-// checksum or mutation-sequence gap.
-func recoverDir(dir string) (*dbms.Catalog, RecoveryReport, logPosition, error) {
-	var pos logPosition
-	cat := dbms.NewCatalog()
-	snap, rep := loadSnapshot(dir)
-	if snap != nil {
-		if err := cat.UnmarshalBinary(snap.Catalog); err != nil {
-			// The frame checksum passed but the image doesn't decode:
-			// treat like a corrupt snapshot and start empty (the WAL
-			// below may still replay onto the empty catalog, gated by
-			// the sequence check, so nothing reordered can load).
-			rep = RecoveryReport{SnapshotCorrupt: true}
-			snap = nil
-			cat = dbms.NewCatalog()
-		}
-	}
-
-	scans := make(map[uint64]*ScanState)
-	if snap != nil {
-		for _, sc := range snap.Scans {
-			cp := sc
-			scans[sc.ID] = &cp
-			if sc.ID > pos.maxScanID {
-				pos.maxScanID = sc.ID
-			}
-		}
-		pos.maxLSN = snap.BaseLSN
-		pos.maxSeq = snap.BaseSeq
+	for id := range scans {
+		pos.maxScanID = max(pos.maxScanID, id)
 	}
 	baseLSN := pos.maxLSN
 	expected := pos.maxSeq + 1
 	halted := false
 
-	seqs, err := listSegments(dir)
-	if err != nil {
-		return nil, rep, pos, err
-	}
-	for _, segSeq := range seqs {
-		if segSeq > pos.maxSegSeq {
-			pos.maxSegSeq = segSeq
+	for _, segSeq := range segs {
+		if segSeq < pos.ckptSeq {
+			continue // folded into the checkpoint
 		}
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(segSeq)))
+		data, err := os.ReadFile(filepath.Join(dir, seqName(segmentPrefix, segSeq)))
 		if err != nil {
 			return nil, rep, pos, err
 		}
-		rep.SegmentsScanned++
-		rep.BytesScanned += int64(len(data))
 		off := 0
 		for off < len(data) {
 			rec, n, err := DecodeRecord(data[off:])
@@ -754,63 +730,29 @@ func recoverDir(dir string) (*dbms.Catalog, RecoveryReport, logPosition, error) 
 			}
 			off += n
 			rep.RecordsReplayed++
-			if rec.LSN > pos.maxLSN {
-				pos.maxLSN = rec.LSN
-			}
+			pos.maxLSN = max(pos.maxLSN, rec.LSN)
+			pos.maxScanID = max(pos.maxScanID, rec.ScanID)
 			switch rec.Type {
 			case RecPut, RecBump:
-				if rec.Seq > pos.maxSeq {
-					pos.maxSeq = rec.Seq
-				}
+				pos.maxSeq = max(pos.maxSeq, rec.Seq)
 				if halted || rec.Seq < expected {
-					continue // already folded in the snapshot
+					continue // already folded in the checkpoint
 				}
-				if rec.Seq > expected {
+				if rec.Seq > expected || applyRecord(cat, scans, rec) != nil {
 					// A mutation was lost (dropped under backpressure,
-					// torn away): applying anything after the gap
-					// would fabricate a history that never existed.
+					// torn away) or does not decode: applying anything
+					// after it would fabricate a history that never
+					// existed.
 					halted = true
 					rep.Truncated = true
 					continue
 				}
-				if rec.Type == RecPut {
-					s, rest, err := dbms.DecodeColumnStats(rec.Stats)
-					if err != nil || len(rest) != 0 {
-						halted = true
-						rep.Truncated = true
-						continue
-					}
-					cat.RestorePut(rec.Table, rec.Column, s)
-				} else {
-					cat.RestoreVersion(rec.Table, rec.Version)
-				}
 				expected++
 				rep.MutationsApplied++
-			case RecScanStart:
-				if rec.LSN <= baseLSN {
-					continue
+			default:
+				if rec.LSN > baseLSN {
+					applyRecord(cat, scans, rec) //nolint:errcheck // scan records never fail
 				}
-				if _, ok := scans[rec.ScanID]; !ok {
-					scans[rec.ScanID] = &ScanState{
-						ID: rec.ScanID, Table: rec.Table, Column: rec.Column,
-						Start: rec.Pages, Pages: rec.Pages,
-					}
-				}
-			case RecScanProgress:
-				if rec.LSN <= baseLSN {
-					continue
-				}
-				if st, ok := scans[rec.ScanID]; ok && rec.Pages > st.Pages {
-					st.Pages = rec.Pages
-				}
-			case RecScanEnd:
-				if rec.LSN <= baseLSN {
-					continue
-				}
-				delete(scans, rec.ScanID)
-			}
-			if rec.ScanID > pos.maxScanID {
-				pos.maxScanID = rec.ScanID
 			}
 		}
 	}
@@ -819,6 +761,6 @@ func recoverDir(dir string) (*dbms.Catalog, RecoveryReport, logPosition, error) 
 	for _, st := range scans {
 		rep.OpenScans = append(rep.OpenScans, *st)
 	}
-	sortScans(rep.OpenScans)
+	slices.SortFunc(rep.OpenScans, byID)
 	return cat, rep, pos, nil
 }

@@ -2,12 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"streamhist/internal/dbms"
+	"streamhist/internal/faults"
 	"streamhist/internal/hist"
 )
 
@@ -26,13 +29,36 @@ func testStats(salt int64) *dbms.ColumnStats {
 	}
 }
 
+// catalogBytes is the tests' canonical encoding of a catalog, the oracle the
+// prefix property compares by: the table versions in table order, then every
+// entry's AppendColumnStats bytes in (table, column) order.
 func catalogBytes(t *testing.T, c *dbms.Catalog) []byte {
 	t.Helper()
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	var versions, entries []byte
+	nv := 0
+	c.Each(nil, func(table, column string, s *dbms.ColumnStats) {
+		entries = appendStr16(appendStr16(entries, table), column)
+		var err error
+		if entries, err = dbms.AppendColumnStats(entries, s); err != nil {
+			t.Fatal(err)
+		}
+	}, func(table string, version uint64) {
+		versions = binary.LittleEndian.AppendUint64(appendStr16(versions, table), version)
+		nv++
+	})
+	out := binary.LittleEndian.AppendUint32(nil, uint32(nv))
+	return append(append(out, versions...), entries...)
+}
+
+// appendCheckpoint encodes a checkpoint file: head (its Count set here),
+// then recs.
+func appendCheckpoint(dst []byte, head Record, recs ...Record) []byte {
+	head.Type, head.Count = RecCheckpoint, uint32(len(recs))
+	dst = AppendRecord(dst, head)
+	for _, r := range recs {
+		dst = AppendRecord(dst, r)
 	}
-	return b
+	return dst
 }
 
 func TestDurableCrashRecoversJournaledMutations(t *testing.T) {
@@ -76,6 +102,8 @@ func TestDurableCrashRecoversJournaledMutations(t *testing.T) {
 	}
 }
 
+// TestDurableCleanCloseLoadsFromSnapshot: a clean close leaves the whole
+// state in the final checkpoint file, with nothing to replay.
 func TestDurableCleanCloseLoadsFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{CheckpointInterval: -1})
@@ -94,14 +122,14 @@ func TestDurableCleanCloseLoadsFromSnapshot(t *testing.T) {
 	}
 	defer m2.Close()
 	rep := m2.Report()
-	if !rep.SnapshotLoaded || rep.SnapshotFallback || rep.SnapshotCorrupt {
-		t.Fatalf("unexpected snapshot flags: %+v", rep)
+	if !rep.CheckpointLoaded || rep.CheckpointFallback || rep.CheckpointCorrupt {
+		t.Fatalf("unexpected checkpoint flags: %+v", rep)
 	}
 	if rep.MutationsApplied != 0 {
 		t.Errorf("clean close should leave nothing to replay, applied %d", rep.MutationsApplied)
 	}
 	if got := catalogBytes(t, m2.Catalog()); !bytes.Equal(got, want) {
-		t.Fatal("snapshot-loaded catalog differs")
+		t.Fatal("checkpoint-loaded catalog differs")
 	}
 }
 
@@ -123,13 +151,13 @@ func TestDurableTornTailTruncates(t *testing.T) {
 	seg = AppendRecord(seg, Record{Type: RecPut, LSN: 2, Seq: 2, Table: "t", Column: "b", Stats: stats(2)})
 	torn := AppendRecord(nil, Record{Type: RecPut, LSN: 3, Seq: 3, Table: "t", Column: "c", Stats: stats(3)})
 	seg = append(seg, torn[:len(torn)/2]...)
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, seqName(segmentPrefix, 1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A later segment holds a post-tear mutation: its sequence (4) gaps
 	// over the torn 3, so it must not be applied.
 	seg2 := AppendRecord(nil, Record{Type: RecPut, LSN: 4, Seq: 4, Table: "t", Column: "d", Stats: stats(4)})
-	if err := os.WriteFile(filepath.Join(dir, segmentName(2)), seg2, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, seqName(segmentPrefix, 2)), seg2, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,44 +220,126 @@ func TestDurableScanJournalRecovery(t *testing.T) {
 	}
 }
 
+// TestDurableSnapshotFallbackToPrev damages the newest checkpoint file after
+// it was verified — cut at a record boundary, or one byte flipped — and
+// requires recovery to fall back to the previous checkpoint and rebuild the
+// rest from the segments the GC kept for exactly this case.
 func TestDurableSnapshotFallbackToPrev(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, buf []byte) []byte
+	}{
+		{"cut-at-record-boundary", func(t *testing.T, buf []byte) []byte {
+			last := 0
+			for off := 0; off < len(buf); {
+				_, n, err := DecodeRecord(buf[off:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				last, off = off, off+n
+			}
+			return buf[:last]
+		}},
+		{"bit-flip-after-verify", func(t *testing.T, buf []byte) []byte {
+			buf[len(buf)/2] ^= 0x01
+			return buf
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Open(dir, Options{CheckpointInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Catalog().Put("t", "a", testStats(1))
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			m.Catalog().Put("t", "b", testStats(2))
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			m.Catalog().BumpVersion("t")
+			m.Catalog().Put("t", "c", testStats(3))
+			want := catalogBytes(t, m.Catalog())
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			m.Abandon()
+
+			ckpts, err := listSeqs(dir, checkpointPrefix)
+			if err != nil || len(ckpts) < 2 {
+				t.Fatalf("checkpoint files %v (%v), want at least two", ckpts, err)
+			}
+			newest := filepath.Join(dir, seqName(checkpointPrefix, ckpts[len(ckpts)-1]))
+			buf, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newest, tc.damage(t, buf), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			cat, rep, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.CheckpointCorrupt || !rep.CheckpointFallback || !rep.CheckpointLoaded || rep.Truncated {
+				t.Fatalf("fallback flags wrong: %+v", rep)
+			}
+			if got := catalogBytes(t, cat); !bytes.Equal(got, want) {
+				t.Fatal("fallback recovery did not reconstruct the full state")
+			}
+		})
+	}
+}
+
+// TestDurableFailedCheckpointsKeepFallback is the regression test for two
+// checkpoints failing in a row: each must delete its own file and collect
+// nothing, so a crash afterwards still recovers every acknowledged entry
+// from the last good checkpoint and the segments after it.
+func TestDurableFailedCheckpointsKeepFallback(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Catalog().Put("t", "a", testStats(1))
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
+	cat := m.Catalog()
+	corrupt := faults.New(1, faults.Profile{faults.SnapCorrupt: 1})
+	for i, col := range []string{"c1", "c2", "c3", "c4"} {
+		cat.Put("t", col, testStats(int64(i)))
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		switch col {
+		case "c1", "c2":
+			if err := m.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after %s: %v", col, err)
+			}
+		case "c3":
+			m.opts.Faults = corrupt
+			for k := 0; k < 2; k++ {
+				if err := m.Checkpoint(); !errors.Is(err, errCheckpointUnverified) {
+					t.Fatalf("corrupted checkpoint %d: got %v, want errCheckpointUnverified", k, err)
+				}
+			}
+			m.opts.Faults = nil
+		}
 	}
-	m.Catalog().Put("t", "b", testStats(2))
-	want := catalogBytes(t, m.Catalog())
-	if err := m.Close(); err != nil { // second snapshot; first demoted to .prev
-		t.Fatal(err)
-	}
+	want := catalogBytes(t, cat)
+	m.Abandon()
 
-	// Corrupt the current snapshot; recovery must fall back to .prev and
-	// reconstruct the rest from the WAL segments the GC kept for exactly
-	// this case.
-	cur := filepath.Join(dir, "catalog.snap")
-	buf, err := os.ReadFile(cur)
+	got, rep, err := Inspect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[len(buf)/2] ^= 0xFF
-	if err := os.WriteFile(cur, buf, 0o644); err != nil {
-		t.Fatal(err)
+	for _, col := range []string{"c1", "c2", "c3", "c4"} {
+		if got.Get("t", col) == nil {
+			t.Errorf("entry %s lost (report %+v)", col, rep)
+		}
 	}
-
-	cat, rep, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.SnapshotCorrupt || !rep.SnapshotFallback || !rep.SnapshotLoaded {
-		t.Fatalf("fallback flags wrong: %+v", rep)
-	}
-	if got := catalogBytes(t, cat); !bytes.Equal(got, want) {
-		t.Fatal("fallback recovery did not reconstruct the full state")
+	if !bytes.Equal(catalogBytes(t, got), want) || rep.Truncated || !rep.CheckpointLoaded {
+		t.Fatalf("recovered state differs from the acknowledged one (report %+v)", rep)
 	}
 }
 
@@ -279,40 +389,45 @@ func TestDurableRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableSnapshotEncodeDecode covers the checkpoint file: a file loads
+// the state it holds, and every single-byte corruption and every
+// truncation, at a record boundary or inside a record, is rejected.
 func TestDurableSnapshotEncodeDecode(t *testing.T) {
-	snap := &Snapshot{
-		BaseLSN: 42,
-		BaseSeq: 17,
-		Lossy:   true,
-		Catalog: []byte{1, 2, 3, 4, 5},
-		Scans: []ScanState{
-			{ID: 1, Table: "t", Column: "a", Start: 0, Pages: 16},
-			{ID: 2, Table: "t", Column: "b", Start: 8, Pages: 8},
-		},
-	}
-	enc := EncodeSnapshot(snap)
-	got, err := DecodeSnapshot(enc)
+	stats, err := dbms.AppendColumnStats(nil, testStats(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.BaseLSN != 42 || got.BaseSeq != 17 || !got.Lossy ||
-		!bytes.Equal(got.Catalog, snap.Catalog) || len(got.Scans) != 2 {
-		t.Fatalf("round trip: %+v", got)
+	recs := []Record{
+		{Type: RecPut, LSN: 42, Seq: 17, Table: "t", Column: "a", Stats: stats},
+		{Type: RecBump, LSN: 42, Seq: 17, Table: "t", Version: 3},
+		{Type: RecScanStart, LSN: 42, ScanID: 2, Pages: 8, Table: "t", Column: "b"},
+		{Type: RecScanProgress, LSN: 42, ScanID: 2, Pages: 16},
 	}
-	if !bytes.Equal(EncodeSnapshot(got), enc) {
-		t.Fatal("decode→encode not canonical")
+	enc := appendCheckpoint(nil, Record{LSN: 42, Seq: 17, Lossy: true}, recs...)
+	cat, scans, head, err := loadCheckpoint(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head.LSN != 42 || head.Seq != 17 || !head.Lossy || head.Count != uint32(len(recs)) {
+		t.Fatalf("round trip: head %+v", head)
+	}
+	if s := cat.Get("t", "a"); s == nil || !bytes.Equal(s.Encoded(), stats) || cat.Version("t") != 3 {
+		t.Fatal("checkpoint did not load its entry and version")
+	}
+	if sc := scans[2]; sc == nil || sc.Start != 8 || sc.Pages != 16 || sc.Column != "b" {
+		t.Fatalf("checkpoint scan = %+v", sc)
 	}
 	// Every single-byte corruption is caught.
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x01
-		if _, err := DecodeSnapshot(mut); err == nil {
+		if _, _, _, err := loadCheckpoint(mut); err == nil {
 			t.Fatalf("byte %d flip not detected", i)
 		}
 	}
-	// Truncations are caught.
-	for _, cut := range []int{1, 8, len(enc) / 2, len(enc) - 1} {
-		if _, err := DecodeSnapshot(enc[:cut]); err == nil {
+	// Truncations are caught, at every record boundary too.
+	for cut := 0; cut < len(enc); cut++ {
+		if _, _, _, err := loadCheckpoint(enc[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}

@@ -36,8 +36,11 @@ import (
 //	RecScanStart    scanID u64, startPage u32, table str16, column str16
 //	RecScanProgress scanID u64, pages u32
 //	RecScanEnd      scanID u64, pages u32
+//	RecCheckpoint   seq u64, flags u8 (bit0: lossy), count u32
 //
-// (str16 = uint16 length + bytes.)
+// (str16 = uint16 length + bytes.) RecCheckpoint heads a checkpoint file
+// (checkpoint.go) and appears nowhere else; its lsn and seq are the base the
+// file folds, and count is the number of records after it.
 const (
 	// RecPut is a full replacement of one column's catalog entry.
 	RecPut uint8 = 1
@@ -50,9 +53,13 @@ const (
 	RecScanProgress uint8 = 4
 	// RecScanEnd closes a scan journal entry.
 	RecScanEnd uint8 = 5
+	// RecCheckpoint heads a checkpoint file.
+	RecCheckpoint uint8 = 6
 )
 
 const (
+	flagLossy uint8 = 1 << 0
+
 	recordMagic      uint16 = 0x4C57
 	recordHeaderSize        = 16
 	recordTrailerLen        = 4
@@ -72,11 +79,13 @@ type Record struct {
 	Type uint8
 	LSN  uint64
 
-	// Seq is the dense catalog-mutation sequence (RecPut, RecBump).
+	// Seq is the dense catalog-mutation sequence (RecPut, RecBump), or the
+	// base sequence a checkpoint folds (RecCheckpoint).
 	Seq    uint64
 	Table  string
 	Column string
-	// Stats is the encoded dbms.ColumnStats entry of a RecPut.
+	// Stats is the encoded dbms.ColumnStats entry of a RecPut. A decoded
+	// record's Stats aliases the buffer it was decoded from.
 	Stats []byte
 	// Version is the new absolute table version of a RecBump.
 	Version uint64
@@ -86,6 +95,11 @@ type Record struct {
 	// Pages is the start page (RecScanStart) or the delivered-pages
 	// high-water mark (RecScanProgress, RecScanEnd).
 	Pages uint32
+
+	// Lossy and Count are a RecCheckpoint's: whether the WAL epoch before
+	// the checkpoint dropped records, and how many records follow it.
+	Lossy bool
+	Count uint32
 }
 
 func appendStr16(dst []byte, s string) []byte {
@@ -130,6 +144,14 @@ func AppendRecord(dst []byte, r Record) []byte {
 	case RecScanProgress, RecScanEnd:
 		dst = binary.LittleEndian.AppendUint64(dst, r.ScanID)
 		dst = binary.LittleEndian.AppendUint32(dst, r.Pages)
+	case RecCheckpoint:
+		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
+		var flags uint8
+		if r.Lossy {
+			flags = flagLossy
+		}
+		dst = append(dst, flags)
+		dst = binary.LittleEndian.AppendUint32(dst, r.Count)
 	default:
 		panic(fmt.Sprintf("durable: AppendRecord: unknown record type %d", r.Type))
 	}
@@ -181,8 +203,9 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 			break
 		}
 		// The entry bytes are validated by dbms.DecodeColumnStats at
-		// apply time; here they are carried opaquely.
-		r.Stats = append([]byte(nil), p...)
+		// apply time, which keeps its own copy; here they are carried
+		// opaquely.
+		r.Stats = p
 		ok = true
 	case RecBump:
 		if len(p) < 8 {
@@ -219,6 +242,14 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 		}
 		r.ScanID = binary.LittleEndian.Uint64(p)
 		r.Pages = binary.LittleEndian.Uint32(p[8:])
+		ok = true
+	case RecCheckpoint:
+		if len(p) != 13 || p[8]&^flagLossy != 0 {
+			break
+		}
+		r.Seq = binary.LittleEndian.Uint64(p)
+		r.Lossy = p[8] != 0
+		r.Count = binary.LittleEndian.Uint32(p[9:])
 		ok = true
 	}
 	if !ok {

@@ -15,20 +15,22 @@ import (
 // WAL segments are append-only files named wal-<seq>.log with a
 // monotonically increasing sequence number. Rotation happens at every
 // checkpoint (and at every Open), so a segment never needs in-place
-// truncation: compaction is "write a snapshot, start a new segment, delete
-// segments the previous snapshot no longer needs". Records carry their own
-// framing and checksums (record.go); segments have no header.
+// truncation: compaction is "start a new segment S, write its compacted
+// twin ckpt-S.log (checkpoint.go), delete what the previous checkpoint no
+// longer needs". Records carry their own framing and checksums (record.go);
+// segments have no header.
 
 const segmentPrefix = "wal-"
 
-func segmentName(seq uint64) string {
-	return fmt.Sprintf("%s%08d.log", segmentPrefix, seq)
+// seqName names the segment or checkpoint file (by prefix) of sequence seq.
+func seqName(prefix string, seq uint64) string {
+	return fmt.Sprintf("%s%08d.log", prefix, seq)
 }
 
-// listSegments returns the segment sequence numbers present in dir, sorted
-// ascending. Files that merely look like segments but do not parse are
-// ignored.
-func listSegments(dir string) ([]uint64, error) {
+// listSeqs returns the sequence numbers of the <prefix><seq>.log files in
+// dir (segments or checkpoints), sorted ascending. Files that merely look
+// like them but do not parse are ignored.
+func listSeqs(dir, prefix string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -36,10 +38,10 @@ func listSegments(dir string) ([]uint64, error) {
 	var seqs []uint64
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, ".log") {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".log") {
 			continue
 		}
-		n, err := strconv.ParseUint(name[len(segmentPrefix):len(name)-len(".log")], 10, 64)
+		n, err := strconv.ParseUint(name[len(prefix):len(name)-len(".log")], 10, 64)
 		if err != nil {
 			continue
 		}
@@ -183,7 +185,7 @@ func (m *Manager) runWriter(f *os.File, seq uint64) {
 			sync()
 			cur.Close()
 			curSeq++
-			nf, err := os.OpenFile(filepath.Join(m.dir, segmentName(curSeq)),
+			nf, err := os.OpenFile(filepath.Join(m.dir, seqName(segmentPrefix, curSeq)),
 				os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				// Without a fresh segment the old (possibly poisoned)

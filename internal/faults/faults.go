@@ -73,8 +73,9 @@ const (
 	// WALFsync makes one WAL fsync barrier silently do nothing (a drive
 	// that acknowledged a flush it never performed).
 	WALFsync Point = "wal.fsync"
-	// SnapCorrupt flips one byte of a snapshot image on its way to disk,
-	// so recovery must reject it by checksum and fall back.
+	// SnapCorrupt flips one byte of a checkpoint file on its way to disk,
+	// so the checkpoint's read-back rejects it by checksum, deletes it and
+	// collects nothing: recovery keeps the previous checkpoint.
 	SnapCorrupt Point = "snap.corrupt"
 	// DiskSlow stretches one durable-layer disk operation by an injected
 	// delay (a saturated device), exercising checkpoint backpressure.

@@ -1,6 +1,9 @@
 package server
 
-import "time"
+import (
+	"bufio"
+	"time"
+)
 
 // WireForm exposes a registered table's stored state to the external tests:
 // the wire-form slab, the page images scans and lanes alias, and the
@@ -19,3 +22,9 @@ func (s *Server) WireForm(table string) (slab []byte, images [][]byte, sums []ui
 // SetScanDeadline arms the per-scan side-path watchdog, which no served
 // configuration sets. Call it before the first scan.
 func (s *Server) SetScanDeadline(d time.Duration) { s.scanDeadline = d }
+
+// WriteStats runs the server side of a Stats read for table.column into bw:
+// the catalog lookup and the reply frame, exactly as a connection gets it.
+func (s *Server) WriteStats(bw *bufio.Writer, table, column string) error {
+	return s.handleStats(bw, ScanRequest{Table: table, Column: column})
+}

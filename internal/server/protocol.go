@@ -571,7 +571,8 @@ func DecodeScanSummary(buf []byte) (ScanSummary, error) {
 // StatsResult is a STATS response: the catalog entry plus the histogram's
 // own binary encoding (hist.Histogram.MarshalBinary) and the serialized
 // sketch blocks the same scan refreshed (internal/sketch encodings), both
-// carried opaquely.
+// carried opaquely. The server answers from the entry's bytes instead
+// (appendStatsHead); the client decodes with DecodeStatsResult.
 type StatsResult struct {
 	RowCount  int64
 	NDistinct int64
@@ -602,6 +603,22 @@ func EncodeStatsResult(s StatsResult) []byte {
 		out = append(out, raw...)
 	}
 	return out
+}
+
+// statsEntryHead is the fixed head of an encoded catalog entry
+// (dbms.AppendColumnStats): ndistinct, rowcount, version.
+const statsEntryHead = 8 + 8 + 8
+
+// appendStatsHead appends the frame header and payload head of the
+// FrameStatsResult answering with entry, a catalog entry's encoded bytes.
+// The two heads differ only in the order of their first two fields, and past
+// them both layouts are the histogram and sketch list, so the frame is this
+// then entry[24:]: the bytes EncodeStatsResult makes of the entry's parts.
+func appendStatsHead(dst, entry []byte) []byte {
+	dst = appendHeader(dst, FrameStatsResult, len(entry))
+	dst = append(dst, entry[8:16]...) // rowcount
+	dst = append(dst, entry[0:8]...)  // ndistinct
+	return append(dst, entry[16:statsEntryHead]...)
 }
 
 // DecodeStatsResult parses a FrameStatsResult payload. The histogram and

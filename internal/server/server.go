@@ -877,26 +877,21 @@ func (s *Server) handleStats(bw *bufio.Writer, req ScanRequest) error {
 		return s.writeError(bw, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, req.Table, req.Column))
 	}
 	st := s.catalog.Get(req.Table, req.Column)
-	if st == nil || st.Histogram == nil {
+	if st == nil || st.Histogram == nil || st.Encoded() == nil {
 		return s.writeError(bw, fmt.Errorf("%w: %q.%q (serve a scan first)", ErrNoStats, req.Table, req.Column))
 	}
-	raw, err := st.Histogram.MarshalBinary()
-	if err != nil {
-		return s.writeError(bw, fmt.Errorf("server: encoding histogram: %v", err))
-	}
-	blobs, err := sketch.EncodeBlocks(st.Sketches)
-	if err != nil {
-		return s.writeError(bw, fmt.Errorf("server: encoding sketches: %v", err))
+	enc := st.Encoded()
+	if len(enc) > MaxPayload {
+		return fmt.Errorf("%w: payload %d exceeds limit %d", ErrBadFrame, len(enc), MaxPayload)
 	}
 	s.metrics.statsServed.Add(1)
-	payload := EncodeStatsResult(StatsResult{
-		RowCount:  st.RowCount,
-		NDistinct: st.NDistinct,
-		Version:   st.Version,
-		Histogram: raw,
-		Sketches:  blobs,
-	})
-	if err := WriteFrame(bw, FrameStatsResult, payload); err != nil {
+	// The header and head go through the writer's own free buffer and the
+	// rest is the installed bytes as they are: a Stats read allocates
+	// nothing.
+	if _, err := bw.Write(appendStatsHead(bw.AvailableBuffer(), enc)); err != nil {
+		return err
+	}
+	if _, err := bw.Write(enc[statsEntryHead:]); err != nil {
 		return err
 	}
 	return bw.Flush()
