@@ -34,17 +34,8 @@ type Client struct {
 	maxAttempts int
 	backoff     time.Duration
 
-	// Observability hooks; all nil-safe, wired by SetObs.
-	o           *obs.Obs
-	redials     *obs.Counter
-	badPages    *obs.Counter
-	scansFailed *obs.Counter
-	// scanSeq numbers this client's logical scans for its records (the
-	// server's records carry the server-side scan id).
-	scanSeq uint64
-	// rec is the in-flight logical scan's record, all redial rounds folded
-	// in; nil (every span call a pointer check) on a client with neither
-	// tracing nor a bundle.
+	// rec is the in-flight traced scan's record, all redial rounds folded
+	// in; nil (every span call a pointer check) on an untraced client.
 	rec *obs.ScanRecord
 
 	// Distributed tracing state (EnableTracing): the client originates a
@@ -63,21 +54,6 @@ func (c *Client) EnableTracing() { c.tracing = true }
 // LastTraceID returns the trace ID the most recent Scan originated (zero
 // before any traced scan) — the handle for /traces?id= on the server.
 func (c *Client) LastTraceID() uint64 { return c.lastTraceID }
-
-// SetObs wires the client's retry machinery into an observability bundle:
-// redials, in-flight checksum failures, and abandoned scans become counters,
-// and each reconnect/backoff decision is logged through the bundle's logger.
-// Never required — an unwired client skips all of it.
-func (c *Client) SetObs(o *obs.Obs) {
-	c.o = o
-	reg := o.Registry()
-	c.redials = reg.Counter("streamhist_client_redials_total",
-		"Reconnects performed to resume interrupted scans.")
-	c.badPages = reg.Counter("streamhist_client_bad_pages_total",
-		"Received pages rejected for an in-flight checksum mismatch.")
-	c.scansFailed = reg.Counter("streamhist_client_scans_failed_total",
-		"Scans abandoned after exhausting the retry budget (or with no redial installed).")
-}
 
 // Dial connects to a histserved address.
 func Dial(addr string) (*Client, error) {
@@ -225,13 +201,8 @@ var errBadPage = fmt.Errorf("client: page failed checksum in flight")
 // server rejection (unknown table or column, bad resume offset) is terminal
 // and surfaces immediately, without consuming the retry budget.
 func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error) {
-	// The scan id is assigned before any work so the retry loop's log
-	// records carry it.
-	c.scanSeq++
-	if c.tracing || c.o != nil {
-		c.rec = obs.StartScan(c.scanSeq, "client", table, column, 16)
-	}
 	if c.tracing {
+		c.rec = obs.StartScan(0, "client", table, column, 16)
 		c.lastTraceID = obs.NewTraceID()
 		c.rec.EnableTrace(c.lastTraceID, 0, obs.SpanSideClient)
 		// The root span covers the whole logical scan: publishing the record
@@ -244,23 +215,12 @@ func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error
 	if rec == nil {
 		return sum, err
 	}
-	if err != nil {
-		rec.Err = err.Error()
-	}
-	if sum != nil {
-		rec.Pages, rec.Bytes, rec.Rows = sum.Pages, sum.Bytes, sum.Rows
-		rec.AccelCycles, rec.Retries = sum.AccelCycles, sum.Retries
-		rec.Refreshed, rec.Degraded = sum.Refreshed, sum.Degraded
-		rec.QuarantinedPages, rec.LanesRetired = sum.QuarantinedPages, sum.LanesRetired
-		rec.SkippedTuples = sum.SkippedTuples
-	}
-	// One record per logical scan, so the client's view of a scan joins the
-	// server's by trace ID, or by table and wall-clock overlap when untraced.
-	// A nil bundle still finalises it, so the spans shipped below are closed.
-	c.o.Publish(rec)
-	// Ship the spans to the server only after a success: a failed scan's
-	// connection is in no known state to carry another frame.
-	if c.tracing && err == nil {
+	// Publishing to the nil bundle only seals the record: the root span ends
+	// where the scan ends, before the spans ship. Ship them only after a
+	// success: a failed scan's connection is in no known state to carry
+	// another frame.
+	(*obs.Obs)(nil).Publish(rec)
+	if err == nil {
 		c.sendTraceReport(rec)
 	}
 	return sum, err
@@ -269,17 +229,14 @@ func (c *Client) Scan(table, column string, sink io.Writer) (*ScanSummary, error
 // sendTraceReport ships the client's recorded spans back to the server in a
 // FrameTraceReport trailer. Strictly fail-open: the scan already succeeded,
 // so a failed or refused trailer only costs trace completeness — the error
-// is logged at debug level and dropped, and no response is ever read (the
-// server never writes one).
+// is dropped, and no response is ever read (the server never writes one).
 func (c *Client) sendTraceReport(ct *obs.ScanRecord) {
 	spans := ct.Spans
 	if len(spans) > server.MaxTraceReportSpans {
 		spans = spans[:server.MaxTraceReportSpans]
 	}
 	payload := server.EncodeTraceReport(server.TraceReport{TraceID: ct.TraceID, Spans: spans})
-	if err := c.send(server.FrameTraceReport, payload); err != nil {
-		c.o.Logger().Debug("trace report dropped", "scan", ct.ID, "err", err.Error())
-	}
+	_ = c.send(server.FrameTraceReport, payload)
 }
 
 // timedWriter wraps the scan sink to time its writes: the window from the
@@ -317,9 +274,6 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 			sum.Retries = retries
 			return sum, nil
 		}
-		if errors.Is(err, errBadPage) {
-			c.badPages.Inc()
-		}
 		if delivered > before {
 			// Forward progress: the failure budget is for getting stuck,
 			// not for how often a long scan trips, so it resets — the loop
@@ -330,17 +284,9 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 			stalled++
 		}
 		if !retryable(err) || c.redial == nil || stalled >= c.maxAttempts {
-			c.scansFailed.Inc()
-			c.o.Logger().Warn("scan abandoned", "scan", c.scanSeq, "table", table,
-				"column", column, "retries", retries, "delivered_pages", delivered,
-				"err", err.Error())
 			return nil, err
 		}
 		retries++
-		c.redials.Inc()
-		c.o.Logger().Warn("scan interrupted, redialling", "scan", c.scanSeq,
-			"table", table, "column", column, "resume_page", delivered,
-			"backoff", backoff, "err", err.Error())
 		bi := c.rec.Begin("backoff")
 		time.Sleep(backoff)
 		c.rec.End(bi, 0)
@@ -349,7 +295,6 @@ func (c *Client) scanWithRetry(table, column string, sink io.Writer) (*ScanSumma
 		rerr := c.reconnect()
 		c.rec.End(di, 0)
 		if rerr != nil {
-			c.scansFailed.Inc()
 			return nil, fmt.Errorf("%w (reconnect failed: %v)", err, rerr)
 		}
 	}

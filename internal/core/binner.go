@@ -507,9 +507,6 @@ func (b *Binner) Vector() *bins.Vector {
 	return b.vec
 }
 
-// CacheHitRate returns the hit rate of the on-chip cache so far.
-func (b *Binner) CacheHitRate() float64 { return b.cache.HitRate() }
-
 // emptyVector returns a zeroed bin region of n bins from min, in the form a
 // binner's region of n bins starts in.
 func emptyVector(min, divisor, n int64) *bins.Vector {

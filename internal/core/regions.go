@@ -92,9 +92,6 @@ func NewPipelinedCircuit(cfg Config, regions int) (*PipelinedCircuit, error) {
 	return &PipelinedCircuit{cfg: cfg, regions: regions}, nil
 }
 
-// Regions returns the number of bin-memory regions.
-func (p *PipelinedCircuit) Regions() int { return p.regions }
-
 // Process runs the scans in order. Functionally each scan is identical to a
 // standalone Circuit run; the timeline models the overlap the decoupling
 // buys: the Binner may start scan N+1 as soon as a region is free, while

@@ -214,16 +214,6 @@ func (h *hitTotals) get(p Point) int64 {
 	return h.hits[p]
 }
 
-func (h *hitTotals) all() map[Point]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[Point]int64, len(h.hits))
-	for p, n := range h.hits {
-		out[p] = n
-	}
-	return out
-}
-
 type pointState struct {
 	rng   uint64
 	rate  float64
@@ -240,14 +230,6 @@ func New(seed uint64, profile Profile) *Injector {
 		states:  make(map[Point]*pointState),
 		agg:     &hitTotals{hits: make(map[Point]int64)},
 	}
-}
-
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
 }
 
 // splitmix64 is the standard 64-bit mixer; one step per decision.
@@ -385,15 +367,6 @@ func (in *Injector) TotalHits(p Point) int64 {
 		return 0
 	}
 	return in.agg.get(p)
-}
-
-// AllTotalHits returns the fork-tree-wide hit counts for every point that has
-// fired at least once. Nil injectors return nil.
-func (in *Injector) AllTotalHits() map[Point]int64 {
-	if in == nil {
-		return nil
-	}
-	return in.agg.all()
 }
 
 // Snapshot returns the per-point hit counts (points never visited are

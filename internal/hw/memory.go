@@ -18,7 +18,6 @@ type Memory struct {
 
 	corrected   int64
 	quarantined int64
-	spikes      int64
 	spikeCycles int64
 
 	events MemEvents
@@ -38,9 +37,6 @@ func NewMemory(n int, inj *faults.Injector) *Memory {
 	}
 	return m
 }
-
-// Words returns the number of addressable words.
-func (m *Memory) Words() int { return len(m.words) }
 
 // scrubWord verifies one resident word, correcting what ECC can correct and
 // zero-quarantining what it cannot. It returns the trustworthy value.
@@ -82,7 +78,6 @@ func (m *Memory) Increment(addr int64) (spike int64) {
 	if m.inj.Should(faults.MemLatencySpike) {
 		// A spike stretches the access by 1–10× the nominal latency.
 		spike = DefaultMemLatencyCycles * (1 + m.inj.Intn(faults.MemLatencySpike, 10))
-		m.spikes++
 		m.spikeCycles += spike
 		if m.events.SpikeCycles != nil {
 			m.events.SpikeCycles.Add(spike)
@@ -139,9 +134,6 @@ func (m *Memory) Corrected() int64 { return m.corrected }
 
 // Quarantined returns how many words were lost to uncorrectable upsets.
 func (m *Memory) Quarantined() int64 { return m.quarantined }
-
-// Spikes returns how many latency spikes fired.
-func (m *Memory) Spikes() int64 { return m.spikes }
 
 // SpikeCycles returns the total injected extra access latency.
 func (m *Memory) SpikeCycles() int64 { return m.spikeCycles }

@@ -95,13 +95,6 @@ func (d *ParallelDataPath) encodedPages() []*page.Page {
 	return d.pageCache
 }
 
-// InvalidatePages drops the cached page images; call after mutating Rel.
-func (d *ParallelDataPath) InvalidatePages() {
-	d.pageCacheMu.Lock()
-	d.pageCache = nil
-	d.pageCacheMu.Unlock()
-}
-
 // Profile snapshots the accumulated cycle attribution (empty when no
 // profiler is wired).
 func (d *ParallelDataPath) Profile() *hwprof.Profile { return d.Prof.Snapshot() }

@@ -170,13 +170,6 @@ func (d *DataPath) encodedPages() []*page.Page {
 	return d.pageCache
 }
 
-// InvalidatePages drops the cached page images; call after mutating Rel.
-func (d *DataPath) InvalidatePages() {
-	d.pageCacheMu.Lock()
-	d.pageCache = nil
-	d.pageCacheMu.Unlock()
-}
-
 // Profile snapshots the accumulated cycle attribution (empty when no
 // profiler is wired).
 func (d *DataPath) Profile() *hwprof.Profile { return d.Prof.Snapshot() }
