@@ -457,12 +457,12 @@ func BenchmarkParallelDataPathObs(b *testing.B) {
 }
 
 // BenchmarkParallelDataPathProf measures the hardware profiler's overhead on
-// the 4-shard parallel data path: "noop" runs with no profiler (every
+// the 4-shard parallel data path: "noop" runs with an empty bundle (every
 // attribution site degrades to one nil check per Push), "profiler" with a
-// live hwprof.Profiler receiving the per-lane cycle attribution. The hot
-// loop only accumulates six float64s per Push; node lookups and atomics
-// happen once per lane at flush, so the two ns/op figures should stay
-// within a few percent.
+// bundle holding only a live hwprof.Profiler receiving the per-lane cycle
+// attribution. The hot loop only accumulates six float64s per Push; node
+// lookups and atomics happen once per lane at flush, so the two ns/op
+// figures should stay within a few percent.
 func BenchmarkParallelDataPathProf(b *testing.B) {
 	rel := tpch.Lineitem(100_000, 10, 305)
 	for _, mode := range []struct {
@@ -477,7 +477,7 @@ func BenchmarkParallelDataPathProf(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dp.Prof = mode.mk()
+			dp.Obs = &obs.Obs{Prof: mode.mk()}
 			b.ReportAllocs()
 			var res *stream.ParallelScanResult
 			for i := 0; i < b.N; i++ {
@@ -568,10 +568,20 @@ func BenchmarkParallelDataPathWide(b *testing.B) {
 // reads in place), so a per-frame allocation creeping back shows as ~25 more
 // allocs/op; and the server hands each frame to the socket in one Write, so
 // writes/op is the frame count plus the summary's, and a return to chunked
-// writes multiplies it.
+// writes multiplies it. The "obs-off" rows run the same scans against a
+// second server whose bundle is empty (&obs.Obs{}: no registry, tracer or
+// profiler), the served path's observability baseline.
 func BenchmarkServedScan(b *testing.B) {
 	rel := tpch.Lineitem(200_000, 1, 307)
-	srv := server.New(server.Config{ShardLanes: 2})
+	benchmarkServed(b, rel, nil)
+	b.Run("obs-off", func(b *testing.B) { benchmarkServed(b, rel, &obs.Obs{}) })
+}
+
+// benchmarkServed serves rel from a server with the given bundle (nil gets
+// the default one) on a loopback listener and runs the raw and l_quantity
+// rows against it.
+func benchmarkServed(b *testing.B, rel *table.Relation, o *obs.Obs) {
+	srv := server.New(server.Config{ShardLanes: 2, Obs: o})
 	if err := srv.Register(rel); err != nil {
 		b.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 // histserved's simulated-hardware cycle profile from /debug/hwprof and
 // renders it with the built-in flat (-top) or tree (-tree) views, or saves
 // the raw pprof protobuf (-o) for `go tool pprof` and flamegraph tooling.
-// The renderers consume the endpoint's text form, so the CLI needs no
-// protobuf decoder; -o fetches the binary form verbatim.
+// The renderers consume the endpoint's JSON form (?format=json), decoded with
+// encoding/json, so the CLI needs no protobuf decoder; -o fetches the binary
+// form verbatim.
 func runProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	addr := addrFlag(fs)
@@ -43,13 +44,9 @@ func runProfile(args []string) error {
 		return nil
 	}
 
-	q.Set("format", "text")
-	body, err := e.get("/debug/hwprof?" + q.Encode())
-	if err != nil {
-		return err
-	}
-	prof, err := hwprof.ParseText(body)
-	if err != nil {
+	q.Set("format", "json")
+	prof := &hwprof.Profile{}
+	if err := e.getJSON("/debug/hwprof?"+q.Encode(), prof); err != nil {
 		return err
 	}
 	if *tree {

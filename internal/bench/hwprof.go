@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"streamhist/internal/hwprof"
+	"streamhist/internal/obs"
 	"streamhist/internal/stream"
 	"streamhist/internal/tpch"
 )
@@ -29,7 +30,7 @@ func HWProf() *Report {
 	if err != nil {
 		panic(err)
 	}
-	dp.Prof = hwprof.New()
+	dp.Obs = &obs.Obs{Prof: hwprof.New()}
 	res, err := dp.Scan(io.Discard, 0)
 	if err != nil {
 		panic(err)

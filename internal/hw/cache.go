@@ -107,15 +107,6 @@ func (c *Cache) Hits() int64 { return c.hits }
 // Misses returns the number of lookup misses so far.
 func (c *Cache) Misses() int64 { return c.misses }
 
-// HitRate returns hits / (hits + misses), or 0 when no lookups happened.
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
-}
-
 // Reset clears contents and statistics, keeping the backing storage — a
 // reset cache is indistinguishable from a new one with the same geometry.
 func (c *Cache) Reset() {

@@ -6,7 +6,7 @@
 // eight bins (§5.1.2).
 //
 // Nothing here executes on real hardware; the package provides the clock
-// and memory arithmetic plus cycle-faithful FIFO/cache building blocks that
+// and memory arithmetic plus the cycle-faithful bin memory and cache that
 // internal/core assembles into the statistical circuit. The constraints the
 // paper's design works around — long memory latency, a bounded op rate,
 // tiny on-chip state — are enforced by these models, which is what makes
@@ -111,12 +111,6 @@ func DefaultMemParams() MemParams {
 	}
 }
 
-// OpsCyclePeriod returns the minimum number of clock cycles between two
-// memory operations under the op-rate bound for the given clock.
-func (m MemParams) OpsCyclePeriod(clk Clock) float64 {
-	return float64(clk.Hz) / float64(m.RandomOpsPerSec)
-}
-
 // AggregationCycles returns the cost of merging replicated bin regions into
 // one before histogram creation (§7, Future Work): the regions live in
 // separate memories and are streamed out in lockstep, one line per cycle per
@@ -146,48 +140,4 @@ func CriticalPath(laneCycles []int64, aggregationCycles int64) int64 {
 		}
 	}
 	return slowest + aggregationCycles
-}
-
-// FIFO is a bounded queue of int64 payloads, the decoupling element between
-// pipeline stages (the read→update queue of §5.1.2). A capacity of zero
-// means unbounded.
-type FIFO struct {
-	buf []int64
-	cap int
-}
-
-// NewFIFO creates a FIFO with the given capacity (0 = unbounded).
-func NewFIFO(capacity int) *FIFO { return &FIFO{cap: capacity} }
-
-// Len returns the number of queued items.
-func (f *FIFO) Len() int { return len(f.buf) }
-
-// Full reports whether the FIFO is at capacity.
-func (f *FIFO) Full() bool { return f.cap > 0 && len(f.buf) >= f.cap }
-
-// Push enqueues v; it reports false when the FIFO is full.
-func (f *FIFO) Push(v int64) bool {
-	if f.Full() {
-		return false
-	}
-	f.buf = append(f.buf, v)
-	return true
-}
-
-// Pop dequeues the oldest item; ok is false when empty.
-func (f *FIFO) Pop() (v int64, ok bool) {
-	if len(f.buf) == 0 {
-		return 0, false
-	}
-	v = f.buf[0]
-	f.buf = f.buf[1:]
-	return v, true
-}
-
-// Peek returns the oldest item without removing it.
-func (f *FIFO) Peek() (v int64, ok bool) {
-	if len(f.buf) == 0 {
-		return 0, false
-	}
-	return f.buf[0], true
 }

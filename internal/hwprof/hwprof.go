@@ -18,8 +18,8 @@
 //
 // Snapshots serialize to the pprof protobuf wire format (see pprof.go), so
 // `go tool pprof` and standard flamegraph tooling work on simulated cycles
-// out of the box, and to a line-oriented text form (see text.go) for the
-// built-in renderers.
+// out of the box, and to JSON through their struct tags, the form the
+// built-in flat and tree renderers (see text.go) are fed over the wire.
 package hwprof
 
 import (
@@ -43,7 +43,7 @@ const (
 )
 
 // frameSep joins stack frames into map keys; frame names must not contain
-// it. It is also the separator of the text serialization.
+// it. The text renderers print stacks with it too.
 const frameSep = ";"
 
 // Node is one attribution bucket: a fixed stack of frames plus two
@@ -146,9 +146,9 @@ func (p *Profiler) TotalCycles() int64 {
 // Sample is one stack's accumulated values in a snapshot.
 type Sample struct {
 	// Stack is outermost-first: lane, module, stage, reason.
-	Stack  []string
-	Cycles int64
-	Events int64
+	Stack  []string `json:"stack"`
+	Cycles int64    `json:"cycles"`
+	Events int64    `json:"events"`
 }
 
 // Profile is an immutable snapshot of a profiler (or the difference of
@@ -156,9 +156,9 @@ type Sample struct {
 type Profile struct {
 	// TimeNanos is when the observation window started (unix nanos);
 	// DurationNanos is its length.
-	TimeNanos     int64
-	DurationNanos int64
-	Samples       []Sample
+	TimeNanos     int64    `json:"time_nanos"`
+	DurationNanos int64    `json:"duration_nanos"`
+	Samples       []Sample `json:"samples"`
 }
 
 // Snapshot captures the current accumulation. Nil profilers yield an empty

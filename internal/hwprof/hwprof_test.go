@@ -3,8 +3,10 @@ package hwprof
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,6 +91,9 @@ func TestSubDelta(t *testing.T) {
 	}
 }
 
+// TestTextRoundTrip: a profile survives the JSON form /debug/hwprof?format=json
+// serves — it decodes back to the same profile — so the flat and tree text
+// histcli renders from the decoded copy is the text the profile renders.
 func TestTextRoundTrip(t *testing.T) {
 	p := New()
 	p.Node("lane0", "binner", "read", ReasonMemWait).Add(123)
@@ -97,28 +102,32 @@ func TestTextRoundTrip(t *testing.T) {
 	ecc.AddEvents(4)
 	snap := p.Snapshot()
 
-	text, err := snap.MarshalText()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseText(text)
-	if err != nil {
-		t.Fatalf("ParseText: %v\n%s", err, text)
+	var back Profile
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, data)
 	}
-	if back.TotalCycles() != snap.TotalCycles() {
-		t.Fatalf("round trip total %d != %d", back.TotalCycles(), snap.TotalCycles())
+	if !reflect.DeepEqual(&back, snap) {
+		t.Fatalf("round trip:\n%+v\nwant:\n%+v", back, *snap)
 	}
-	if len(back.Samples) != len(snap.Samples) {
-		t.Fatalf("round trip kept %d samples, want %d", len(back.Samples), len(snap.Samples))
-	}
-	for i := range back.Samples {
-		a, b := back.Samples[i], snap.Samples[i]
-		if a.Cycles != b.Cycles || a.Events != b.Events || strings.Join(a.Stack, ";") != strings.Join(b.Stack, ";") {
-			t.Fatalf("sample %d: %+v != %+v", i, a, b)
+	for _, render := range []func(*Profile, io.Writer) error{
+		func(p *Profile, w io.Writer) error { return p.WriteTop(w, 0) },
+		(*Profile).WriteTree,
+	} {
+		var want, got bytes.Buffer
+		render(snap, &want)
+		render(&back, &got)
+		if got.String() != want.String() {
+			t.Fatalf("rendered after the round trip:\n%s\nwant:\n%s", got.String(), want.String())
 		}
 	}
-	if _, err := ParseText([]byte("not a profile")); err == nil {
-		t.Fatal("ParseText accepted garbage")
+	for _, key := range []string{`"time_nanos"`, `"duration_nanos"`, `"samples"`, `"stack"`, `"cycles"`, `"events"`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("JSON lacks %s: %s", key, data)
+		}
 	}
 }
 

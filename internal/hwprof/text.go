@@ -1,103 +1,11 @@
 package hwprof
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
-
-// textHeader opens the line-oriented serialization; the version guards the
-// parser against future shape changes.
-const textHeader = "# hwprof/1"
-
-// MarshalText renders the profile in a line-oriented form that survives a
-// round trip through ParseText:
-//
-//	# hwprof/1 time_nanos=... duration_nanos=...
-//	<cycles> <events> lane0;binner;read;mem-wait
-//
-// It is the transport behind `histcli profile`'s renderers, so the CLI
-// needs no protobuf decoder.
-func (p *Profile) MarshalText() ([]byte, error) {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s time_nanos=%d duration_nanos=%d\n", textHeader, p.TimeNanos, p.DurationNanos)
-	for _, s := range p.Samples {
-		fmt.Fprintf(&b, "%d %d %s\n", s.Cycles, s.Events, strings.Join(s.Stack, frameSep))
-	}
-	return b.Bytes(), nil
-}
-
-// ParseText decodes a MarshalText document.
-func ParseText(data []byte) (*Profile, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("hwprof: empty text profile")
-	}
-	header := sc.Text()
-	if !strings.HasPrefix(header, textHeader) {
-		return nil, fmt.Errorf("hwprof: not a text profile (header %q)", firstLine(header))
-	}
-	p := &Profile{}
-	for _, kv := range strings.Fields(header)[2:] {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			continue
-		}
-		v, err := strconv.ParseInt(kv[eq+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("hwprof: header field %q: %w", kv, err)
-		}
-		switch kv[:eq] {
-		case "time_nanos":
-			p.TimeNanos = v
-		case "duration_nanos":
-			p.DurationNanos = v
-		}
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.SplitN(line, " ", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("hwprof: malformed sample line %q", line)
-		}
-		cycles, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("hwprof: sample cycles in %q: %w", line, err)
-		}
-		events, err := strconv.ParseInt(parts[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("hwprof: sample events in %q: %w", line, err)
-		}
-		p.Samples = append(p.Samples, Sample{
-			Stack:  strings.Split(parts[2], frameSep),
-			Cycles: cycles,
-			Events: events,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	p.sort()
-	return p, nil
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	if len(s) > 80 {
-		return s[:80]
-	}
-	return s
-}
 
 // WriteTop renders the n heaviest nodes as a flat table — the profiler's
 // own `pprof -top` — with each node's share of the total and the event

@@ -8,8 +8,12 @@
 //
 // The design discipline mirrors the paper's no-cost-to-the-stream rule: the
 // instrumentation primitives are single atomics (counters, gauges) or a
-// handful of atomics (distributions), registry lookups happen at wiring time
-// rather than on the hot path, and a scan's record and span slab are
+// handful of atomics (distributions), instruments are registered at wiring
+// time rather than on the hot path (getting an existing one again is a
+// lookup under a read lock that allocates nothing), a metric family whose
+// label sets follow the data — the hardware profile's per-stage cycles — is
+// one computed registration evaluated only when the registry is read (a
+// scrape or a timeline tick), and a scan's record and span slab are
 // allocated once per scan — never per page. Turning every instrument off is a nil registry:
 // all instrument methods are nil-safe no-ops, so the same call sites compile
 // to a pointer check when observability is unwired (the pattern

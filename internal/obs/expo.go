@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,22 +19,33 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	lastBase := ""
-	for _, m := range sortedForExposition(r.snapshot()) {
-		if m.base != lastBase {
-			lastBase = m.base
-			if m.help != "" {
-				fmt.Fprintf(bw, "# HELP %s %s\n", m.base, escapeHelp(m.help))
-			}
-			fmt.Fprintf(bw, "# TYPE %s %s\n", m.base, m.kind)
+	// header opens m's family on its first sample, so a computed family
+	// that yields nothing is left out altogether.
+	header := func(m *metric) {
+		if m.base == lastBase {
+			return
 		}
+		lastBase = m.base
+		if m.help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", m.base, escapeHelp(m.help))
+		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", m.base, m.kind)
+	}
+	for _, m := range sortedForExposition(r.snapshot()) {
 		switch m.kind {
 		case kindCounter:
+			header(m)
 			fmt.Fprintf(bw, "%s %d\n", m.name, m.counter.Value())
 		case kindGauge:
+			header(m)
 			fmt.Fprintf(bw, "%s %d\n", m.name, m.gauge.Value())
 		case kindGaugeFunc:
-			fmt.Fprintf(bw, "%s %s\n", m.name, formatFloat(m.fnValue()))
+			m.computed(func(name string, v float64) {
+				header(m)
+				fmt.Fprintf(bw, "%s %s\n", name, formatGauge(v))
+			})
 		case kindDist:
+			header(m)
 			writeSummary(bw, m)
 		}
 	}
@@ -79,6 +91,15 @@ func writeSummary(w io.Writer, m *metric) {
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// formatGauge prints a computed gauge's whole values as integers, the way
+// settable gauges print, and any other value as formatFloat does.
+func formatGauge(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return formatFloat(v)
 }
 
 func escapeHelp(s string) string {

@@ -23,8 +23,8 @@ import (
 //	                newest first (?n=K, default 64): anomalous scans always
 //	                kept, healthy ones 1-in-TailSample
 //	/debug/hwprof   simulated-hardware cycle profile in pprof wire format
-//	                (?seconds=N for a delta window, ?format=text for the
-//	                line-oriented form histcli's renderers consume)
+//	                (?seconds=N for a delta window, ?format=json for the
+//	                JSON form histcli's renderers consume)
 //	/debug/pprof/*  the standard Go profiling endpoints
 //
 // healthy may be nil (always healthy). The handler holds no locks across
@@ -99,10 +99,8 @@ func Handler(o *Obs, healthy func() error) http.Handler {
 			}
 			prof = p.Snapshot().Sub(before)
 		}
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			b, _ := prof.MarshalText()
-			w.Write(b)
+		if r.URL.Query().Get("format") == "json" {
+			WriteJSON(w, prof)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"streamhist/internal/hwprof"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
@@ -139,12 +141,16 @@ func TestHandlerHwprofEdgeCases(t *testing.T) {
 			t.Fatalf("/debug/hwprof%s = %d %q, want 400", q, resp.StatusCode, body)
 		}
 	}
-	resp, body := get(t, srv, "/debug/hwprof?format=text")
+	resp, body := get(t, srv, "/debug/hwprof?format=json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/hwprof on idle profiler = %d %q", resp.StatusCode, body)
 	}
-	if !strings.HasPrefix(string(body), "# hwprof/1") {
-		t.Fatalf("idle text profile missing header: %q", firstOf(body))
+	var idle hwprof.Profile
+	if err := json.Unmarshal(body, &idle); err != nil || idle.TimeNanos == 0 || len(idle.Samples) != 0 {
+		t.Fatalf("idle JSON profile = %+v (%v): %q", idle, err, firstOf(body))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("JSON profile served as %q", ct)
 	}
 
 	noProf := httptest.NewServer(Handler(&Obs{Reg: NewRegistry(), Trace: NewTracer(8)}, nil))

@@ -110,22 +110,32 @@ type metric struct {
 	// fn is atomic (not guarded by the registry mutex) because scrapes read
 	// it after snapshot() has released the lock; re-registration may race
 	// with an in-flight scrape and last-writer-wins is the intended outcome.
-	fn   atomic.Pointer[func() float64]
+	fn   atomic.Pointer[func(emit func(labels string, v float64))]
 	dist *Distribution
 }
 
-// fnValue calls the registered gauge function, or returns 0 when the entry
-// was registered but never wired.
-func (m *metric) fnValue() float64 {
-	if f := m.fn.Load(); f != nil {
-		return (*f)()
+// computed calls the registered gauge function and hands emit each sample it
+// yields under its full name: the entry's own name for an unlabelled sample,
+// the family's base name with the yielded label block otherwise. An entry
+// registered but not yet wired yields nothing.
+func (m *metric) computed(emit func(name string, v float64)) {
+	f := m.fn.Load()
+	if f == nil {
+		return
 	}
-	return 0
+	(*f)(func(labels string, v float64) {
+		if labels == "" {
+			emit(m.name, v)
+		} else {
+			emit(m.base+"{"+labels+"}", v)
+		}
+	})
 }
 
 // Registry is the process-wide instrument dictionary. Registration
-// (get-or-create by name) takes a lock and is meant for wiring time; the
-// returned instruments are updated lock-free. A nil *Registry is valid
+// (get-or-create by name) is meant for wiring time; the returned instruments
+// are updated lock-free, and getting an existing one again is a map lookup
+// under the read lock that allocates nothing. A nil *Registry is valid
 // everywhere and yields nil (no-op) instruments — that is the "no-op
 // registry" the instrumentation-overhead benchmark compares against.
 type Registry struct {
@@ -234,34 +244,41 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // would escape it a second time.
 func LabelValue(raw string) string { return labelEscaper.Replace(raw) }
 
-// register get-or-creates the entry for name, enforcing kind agreement. The
-// instrument itself is instantiated here, before the entry becomes visible
-// to scrapes: an entry published with its instrument still nil would crash a
-// concurrent WritePrometheus. scale only applies to distributions.
+// register get-or-creates the entry for name, enforcing kind agreement. An
+// existing name is found under the read lock before anything is parsed; a
+// new one is validated, and its instrument instantiated before the entry
+// becomes visible to scrapes: an entry published with its instrument still
+// nil would crash a concurrent WritePrometheus. scale only applies to
+// distributions.
 func (r *Registry) register(name, help string, kind metricKind, scale float64) *metric {
-	base, err := splitName(name)
-	if err != nil {
-		panic(err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, m.kind))
+	r.mu.RLock()
+	m, ok := r.byName[name]
+	r.mu.RUnlock()
+	if !ok {
+		base, err := splitName(name)
+		if err != nil {
+			panic(err)
 		}
-		return m
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if m, ok = r.byName[name]; !ok {
+			m = &metric{name: name, base: base, help: help, kind: kind}
+			switch kind {
+			case kindCounter:
+				m.counter = &Counter{name: name}
+			case kindGauge:
+				m.gauge = &Gauge{name: name}
+			case kindDist:
+				m.dist = newDistribution(name, scale)
+			}
+			r.byName[name] = m
+			r.ordered = append(r.ordered, m)
+			return m
+		}
 	}
-	m := &metric{name: name, base: base, help: help, kind: kind}
-	switch kind {
-	case kindCounter:
-		m.counter = &Counter{name: name}
-	case kindGauge:
-		m.gauge = &Gauge{name: name}
-	case kindDist:
-		m.dist = newDistribution(name, scale)
+	if m.kind != kind {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, kind, m.kind))
 	}
-	r.byName[name] = m
-	r.ordered = append(r.ordered, m)
 	return m
 }
 
@@ -288,6 +305,20 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // replaces the function (last writer wins), which lets a restarted component
 // re-wire its gauges.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if fn == nil {
+		return
+	}
+	r.GaugeFuncs(name, help, func(emit func(string, float64)) { emit("", fn()) })
+}
+
+// GaugeFuncs registers a computed gauge family under the base name: every
+// time the registry is read (a scrape, a timeline tick), fn yields one
+// sample per label set through emit — labels is the block's content without
+// braces, its values escaped with LabelValue — so a family whose label sets
+// come and go with the data costs nothing until it is read. The function
+// must be safe for concurrent use; re-registration replaces it as for
+// GaugeFunc.
+func (r *Registry) GaugeFuncs(name, help string, fn func(emit func(labels string, v float64))) {
 	if r == nil || fn == nil {
 		return
 	}
@@ -324,7 +355,8 @@ const (
 type Sample struct {
 	Name string
 	Kind SampleKind
-	// Value is the instrument reading for counters, gauges, and gauge funcs.
+	// Value is the instrument reading for counters, gauges, and computed
+	// gauges (one Sample per label set of a family).
 	Value float64
 	// Dist is the live distribution for SampleDist entries.
 	Dist *Distribution
@@ -346,7 +378,9 @@ func (r *Registry) Samples(buf []Sample) []Sample {
 		case kindGauge:
 			buf = append(buf, Sample{Name: m.name, Kind: SampleGauge, Value: float64(m.gauge.Value())})
 		case kindGaugeFunc:
-			buf = append(buf, Sample{Name: m.name, Kind: SampleGauge, Value: m.fnValue()})
+			m.computed(func(name string, v float64) {
+				buf = append(buf, Sample{Name: name, Kind: SampleGauge, Value: v})
+			})
 		case kindDist:
 			buf = append(buf, Sample{Name: m.name, Kind: SampleDist, Dist: m.dist})
 		}

@@ -122,6 +122,55 @@ func TestGaugeFuncReplacement(t *testing.T) {
 	}
 }
 
+// TestRegistryReRegisterAllocsNothing: getting an existing labelled
+// instrument again is a lookup, not a parse — a per-scan get-or-create must
+// not allocate.
+func TestRegistryReRegisterAllocsNothing(t *testing.T) {
+	r := NewRegistry()
+	const name = `streamhist_test_lane_cycles{lane="3",stage="read"}`
+	g := r.Gauge(name, "help")
+	if n := testing.AllocsPerRun(100, func() {
+		if r.Gauge(name, "help") != g {
+			t.Fatal("re-registration returned a different gauge")
+		}
+	}); n != 0 {
+		t.Fatalf("re-registering a labelled gauge made %v allocs, want 0", n)
+	}
+}
+
+// TestGaugeFuncsFamily: a computed family yields one sample per label set
+// under one HELP/TYPE header at every read, the timeline's Samples included,
+// and a family that yields nothing leaves no header behind.
+func TestGaugeFuncsFamily(t *testing.T) {
+	r := NewRegistry()
+	var sets []string
+	r.GaugeFuncs("streamhist_fam", "family help", func(emit func(string, float64)) {
+		for i, l := range sets {
+			emit(l, float64(i+1)*1e7)
+		}
+	})
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if strings.Contains(sb.String(), "streamhist_fam") {
+		t.Fatalf("empty family exposed:\n%s", sb.String())
+	}
+	sets = []string{`stage="a"`, `stage="b"`}
+	sb.Reset()
+	r.WritePrometheus(&sb)
+	want := "# HELP streamhist_fam family help\n# TYPE streamhist_fam gauge\n" +
+		"streamhist_fam{stage=\"a\"} 10000000\nstreamhist_fam{stage=\"b\"} 20000000\n"
+	if sb.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	if err := ValidateExposition([]byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Samples(nil)
+	if len(got) != 2 || got[1].Name != `streamhist_fam{stage="b"}` || got[1].Value != 2e7 || got[1].Kind != SampleGauge {
+		t.Fatalf("samples = %+v", got)
+	}
+}
+
 func TestCounterRejectsNegativeDeltas(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("streamhist_mono_total", "")

@@ -21,7 +21,7 @@ func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
 	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 32}},
 		Detectors: []Detector{{
-			Name: "quarantine-ratio", Kind: KindRatio,
+			Name:   "quarantine-ratio",
 			Metric: "streamhist_server_pages_quarantined_total",
 			Denom:  "streamhist_server_pages_moved_total",
 			Window: 4, Threshold: 0.05,
@@ -52,7 +52,7 @@ func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
 		t.Fatalf("burst did not trip (trips=%d)", tl.Trips())
 	}
 	a := tl.Anomalies(1)[0]
-	if a.Detector != "quarantine-ratio" || a.Kind != "ratio" || a.Value <= 0.05 {
+	if a.Detector != "quarantine-ratio" || a.Metric != "streamhist_server_pages_quarantined_total" || a.Value <= 0.05 {
 		t.Errorf("anomaly = %+v", a)
 	}
 	if a.TimeMS != now.UnixMilli() {
@@ -98,9 +98,9 @@ func TestDropDetectorNeedsBaselineAndActivity(t *testing.T) {
 	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 64}},
 		Detectors: []Detector{{
-			Name: "throughput-drop", Kind: KindDrop,
+			Name:   "throughput-drop",
 			Metric: "streamhist_server_bytes_moved_total",
-			Window: 2, Trailing: 6, Threshold: 0.3, MinActivity: 1000,
+			Window: 2, Trailing: 6, Threshold: 0.3, Below: true, MinActivity: 1000,
 		}},
 	})
 
@@ -142,7 +142,7 @@ func TestTripWritesDebugBundle(t *testing.T) {
 	tl := NewForTest(o, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
-			Name: "wal-drops", Kind: KindNonZero,
+			Name:   "wal-drops",
 			Metric: "streamhist_durable_wal_dropped_total", Window: 1,
 		}},
 		BundleLimit: 2,
@@ -261,7 +261,7 @@ func TestHTTPHandlerSurfaces(t *testing.T) {
 	tl := NewForTest(o, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
-			Name: "wal-drops", Kind: KindNonZero,
+			Name:   "wal-drops",
 			Metric: "streamhist_durable_wal_dropped_total", Window: 1,
 		}},
 	})

@@ -22,10 +22,15 @@
 //     each tick drains them into the open base window; coarser windows merge
 //     them with the sketch package's pointwise-max HLL merge.
 //
-//   - An anomaly engine runs burn-rate-style detectors over the base ring
-//     after every sealed window: throughput drop versus a trailing mean,
-//     quarantine/degradation ratios, hwprof-consistency drift, WAL drops,
-//     and checkpoint age. A trip (debounced per detector) appends a verdict
+//   - An anomaly engine runs detectors over the base ring after every
+//     sealed window. Every detector is one rule: the sum of a metric over
+//     its last Window windows, divided by a denominator metric's sum over
+//     the same windows (a ratio) or by Window × a trailing mean (a
+//     burn-rate drop) or left as it is, tripping above a threshold or below
+//     it. The six stock detectors are that rule six times: throughput drop
+//     versus a trailing mean, quarantine and degradation ratios,
+//     hwprof-consistency drift, WAL drops, and checkpoint age. A trip
+//     (debounced per detector) appends a verdict
 //     surfaced through /healthz and /anomalies, and — when a bundle
 //     directory is given — writes a self-contained debug bundle: anomaly
 //     verdict, a timeline slice, the tracer's tail-sampled records, the

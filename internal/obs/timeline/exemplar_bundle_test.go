@@ -31,7 +31,7 @@ func TestBundleIncludesExemplarTraces(t *testing.T) {
 	tl := NewForTest(&obs.Obs{Reg: reg, Trace: tracer}, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
-			Name: "wal-drops", Kind: KindNonZero,
+			Name:   "wal-drops",
 			Metric: "streamhist_durable_wal_dropped_total", Window: 1,
 		}},
 		Cooldown: time.Nanosecond,

@@ -50,7 +50,7 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 	tl := timeline.NewForTest(o, t.TempDir(), timeline.TestConfig{
 		Resolutions: []timeline.Res{{Step: time.Second, Len: 60}},
 		Detectors: []timeline.Detector{{
-			Name: "quarantine-ratio", Kind: timeline.KindRatio,
+			Name:   "quarantine-ratio",
 			Metric: "streamhist_server_pages_quarantined_total",
 			Denom:  "streamhist_server_pages_moved_total",
 			Window: 4, Threshold: 0.01,

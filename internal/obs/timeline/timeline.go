@@ -531,17 +531,19 @@ func (t *Timeline) Dropped() int {
 	return t.dropped
 }
 
-// lastVals returns up to n most recent sealed base-window values of metric,
-// oldest first. Caller holds t.mu. Used by the anomaly detectors.
-func (t *Timeline) lastVals(metric string, n int) []float64 {
+// sumWindows sums up to n sealed base-window values of metric, oldest first,
+// leaving out the skip newest windows, and reports how many it summed.
+// Caller holds t.mu. Used by the anomaly detectors.
+func (t *Timeline) sumWindows(metric string, skip, n int) (sum float64, found int) {
 	s, ok := t.series[metric]
-	if !ok || n <= 0 {
-		return nil
+	if !ok {
+		return 0, 0
 	}
 	ring := &s.rings[0].ring
-	out := make([]float64, min(n, ring.Len()))
-	for i := range out {
-		out[i] = ring.At(ring.Len() - len(out) + i).val
+	end := ring.Len() - skip
+	for i := max(end-n, 0); i < end; i++ {
+		sum += ring.At(i).val
+		found++
 	}
-	return out
+	return sum, found
 }

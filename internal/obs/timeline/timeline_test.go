@@ -296,7 +296,7 @@ func TestTimelineRaceHammer(t *testing.T) {
 	tl := NewForTest(o, t.TempDir(), TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 16}, {Step: 3 * time.Second, Len: 8}},
 		Detectors: []Detector{{
-			Name: "hammer-nonzero", Kind: KindNonZero,
+			Name:   "hammer-nonzero",
 			Metric: "hammer_total", Window: 1,
 		}},
 		Cooldown: 10 * time.Second, // simulated time: a handful of bundles

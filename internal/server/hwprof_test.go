@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,19 +13,19 @@ import (
 	"streamhist/internal/server"
 )
 
-// fetchHwprofText pulls /debug/hwprof?format=text through the real
-// introspection handler and parses it back into a profile.
-func fetchHwprofText(t *testing.T, srv *server.Server) *hwprof.Profile {
+// fetchHwprofJSON pulls /debug/hwprof?format=json through the real
+// introspection handler and decodes it back into a profile.
+func fetchHwprofJSON(t *testing.T, srv *server.Server) *hwprof.Profile {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	obs.Handler(srv.Obs(), nil).ServeHTTP(rec,
-		httptest.NewRequest(http.MethodGet, "/debug/hwprof?format=text", nil))
+		httptest.NewRequest(http.MethodGet, "/debug/hwprof?format=json", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/hwprof status %d: %s", rec.Code, rec.Body.String())
 	}
-	prof, err := hwprof.ParseText(rec.Body.Bytes())
-	if err != nil {
-		t.Fatalf("parse hwprof text: %v", err)
+	prof := &hwprof.Profile{}
+	if err := json.Unmarshal(rec.Body.Bytes(), prof); err != nil {
+		t.Fatalf("decode hwprof JSON: %v", err)
 	}
 	return prof
 }
@@ -64,7 +65,7 @@ func TestHwprofEndToEndConsistency(t *testing.T) {
 	if got := srv.Obs().Profiler().TotalCycles(); float64(got) != attributed {
 		t.Fatalf("live profiler total %d != attributed counter %v", got, attributed)
 	}
-	served := fetchHwprofText(t, srv)
+	served := fetchHwprofJSON(t, srv)
 	if got := served.TotalCycles(); float64(got) != attributed {
 		t.Fatalf("/debug/hwprof total %d != attributed counter %v", got, attributed)
 	}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"sort"
 
 	"streamhist/internal/hw"
+	"streamhist/internal/hwprof"
 	"streamhist/internal/obs"
 	"streamhist/internal/sketch"
 )
@@ -56,6 +58,14 @@ type metrics struct {
 	// one gauge per configured shard lane.
 	laneCycles []*obs.Gauge
 
+	// sketchItems and sketchDegraded hold one gauge per block of the
+	// configured sketch chain, in chain order; sketchNDV is there when the
+	// chain has a HyperLogLog block. All three mirror the last refreshed
+	// scan's merged chain.
+	sketchItems    []*obs.Gauge
+	sketchDegraded []*obs.Gauge
+	sketchNDV      *obs.Gauge
+
 	// scanLatency records every served scan's wall-clock duration
 	// (nanoseconds in, seconds out) through the streaming-histogram
 	// distribution, so /metrics p50/p90/p99 come from the repository's own
@@ -68,9 +78,10 @@ type metrics struct {
 	memEvents hw.MemEvents
 }
 
-// newMetrics registers the server's instruments. A nil registry yields nil
-// instruments throughout — every update degrades to a pointer check.
-func newMetrics(reg *obs.Registry, lanes int) metrics {
+// newMetrics registers the server's instruments, the sketch gauges from the
+// blocks spec configures. A nil registry yields nil instruments throughout —
+// every update degrades to a pointer check.
+func newMetrics(reg *obs.Registry, lanes int, spec sketch.ChainSpec) metrics {
 	m := metrics{
 		scansServed:   reg.Counter("streamhist_server_scans_served_total", "Completed SCAN requests."),
 		pagesMoved:    reg.Counter("streamhist_server_pages_moved_total", "Page images delivered across all served scans."),
@@ -115,6 +126,26 @@ func newMetrics(reg *obs.Registry, lanes int) metrics {
 			fmt.Sprintf("streamhist_server_lane_cycles{lane=%q}", fmt.Sprint(i)),
 			"Binning cycles charged to each side-path lane by the most recent refreshed scan.")
 	}
+	if reg != nil {
+		// A chain built from the spec names the blocks every scan's merged
+		// chain will hold, in the same order; only the names are kept.
+		c := sketch.NewChain(spec)
+		bs := c.Blocks()
+		for _, b := range bs {
+			name := obs.LabelValue(b.Name())
+			m.sketchItems = append(m.sketchItems, reg.Gauge(
+				fmt.Sprintf(`streamhist_sketch_items{block="%s"}`, name),
+				"Values consumed per sketch block by the most recent refreshed scan's merged chain."))
+			m.sketchDegraded = append(m.sketchDegraded, reg.Gauge(
+				fmt.Sprintf(`streamhist_sketch_degraded{block="%s"}`, name),
+				"1 when the sketch block's state is suspect (fault-corrupted, retired, or fed an incomplete stream)."))
+		}
+		if bs.HLL() != nil {
+			m.sketchNDV = reg.Gauge("streamhist_sketch_ndv_estimate",
+				"HyperLogLog distinct-count estimate from the most recent refreshed scan.")
+		}
+		c.Release()
+	}
 	return m
 }
 
@@ -126,56 +157,51 @@ func (m *metrics) setLaneCycles(lane int, cycles int64) {
 	}
 }
 
-// publishHwprof mirrors the hardware profiler's cycle totals into gauges,
-// aggregated over lanes to per-(module,stage,reason) so the exposition's
-// cardinality stays bounded by the stack vocabulary, not the lane count.
-// Runs once per refreshed scan, off the data path.
-func (s *Server) publishHwprof() {
-	p := s.obs.Profiler()
-	reg := s.obs.Registry()
-	if p == nil || reg == nil {
+// setSketch mirrors a refreshed scan's merged sketch chain into the sketch
+// gauges: items consumed and degradation per block, plus the HLL NDV
+// estimate. A nil chain, or a server without a registry, sets nothing.
+func (m *metrics) setSketch(c *sketch.Chain) {
+	if c == nil || len(m.sketchItems) == 0 {
 		return
 	}
-	totals := make(map[[3]string]int64)
-	for _, smp := range p.Snapshot().Samples {
-		if len(smp.Stack) != 4 || smp.Cycles == 0 {
-			continue
-		}
-		totals[[3]string{smp.Stack[1], smp.Stack[2], smp.Stack[3]}] += smp.Cycles
-	}
-	for k, v := range totals {
-		reg.Gauge(
-			fmt.Sprintf(`streamhist_hwprof_cycles{module="%s",stage="%s",reason="%s"}`,
-				obs.LabelValue(k[0]), obs.LabelValue(k[1]), obs.LabelValue(k[2])),
-			"Simulated cycles attributed by the hardware profiler, summed over lanes.").Set(v)
-	}
-}
-
-// publishSketch mirrors the most recent refreshed scan's merged sketch chain
-// into gauges: items consumed and degradation per block, plus the HLL NDV
-// estimate. Cardinality is bounded by the chain's block vocabulary. Runs once
-// per refreshed scan, off the data path; a nil chain publishes nothing.
-func (s *Server) publishSketch(c *sketch.Chain) {
-	reg := s.obs.Registry()
-	if c == nil || reg == nil {
-		return
-	}
-	for _, b := range c.Blocks() {
-		name := obs.LabelValue(b.Name())
-		reg.Gauge(
-			fmt.Sprintf(`streamhist_sketch_items{block="%s"}`, name),
-			"Values consumed per sketch block by the most recent refreshed scan's merged chain.").Set(b.Items())
+	bs := c.Blocks()
+	for i, b := range bs[:min(len(bs), len(m.sketchItems))] {
+		m.sketchItems[i].Set(b.Items())
 		var deg int64
 		if b.Degraded() {
 			deg = 1
 		}
-		reg.Gauge(
-			fmt.Sprintf(`streamhist_sketch_degraded{block="%s"}`, name),
-			"1 when the sketch block's state is suspect (fault-corrupted, retired, or fed an incomplete stream).").Set(deg)
+		m.sketchDegraded[i].Set(deg)
 	}
-	if ndv, ok := c.Blocks().NDVEstimate(); ok {
-		reg.Gauge("streamhist_sketch_ndv_estimate",
-			"HyperLogLog distinct-count estimate from the most recent refreshed scan.").Set(int64(ndv + 0.5))
+	if m.sketchNDV != nil {
+		if ndv, ok := bs.NDVEstimate(); ok {
+			m.sketchNDV.Set(int64(ndv + 0.5))
+		}
+	}
+}
+
+// hwprofCycles is the streamhist_hwprof_cycles family: the profiler's cycle
+// totals per (module, stage, reason), summed over lanes so the exposition's
+// cardinality stays bounded by the stack vocabulary, not the lane count. A
+// label set appears once it has cycles. It runs when the registry is read —
+// a scrape or a timeline tick — never on a scan.
+func hwprofCycles(p *hwprof.Profiler) func(emit func(labels string, v float64)) {
+	return func(emit func(string, float64)) {
+		totals := make(map[string]int64)
+		for _, smp := range p.Snapshot().Samples {
+			if len(smp.Stack) == 4 && smp.Cycles != 0 {
+				totals[fmt.Sprintf(`module="%s",stage="%s",reason="%s"`, obs.LabelValue(smp.Stack[1]),
+					obs.LabelValue(smp.Stack[2]), obs.LabelValue(smp.Stack[3]))] += smp.Cycles
+			}
+		}
+		labels := make([]string, 0, len(totals))
+		for l := range totals {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		for _, l := range labels {
+			emit(l, float64(totals[l]))
+		}
 	}
 }
 

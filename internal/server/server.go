@@ -277,7 +277,7 @@ func New(cfg Config) *Server {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]*connState),
 	}
-	s.metrics = newMetrics(cfg.Obs.Registry(), cfg.ShardLanes)
+	s.metrics = newMetrics(cfg.Obs.Registry(), cfg.ShardLanes, *cfg.Sketch)
 	if prof := cfg.Obs.Profiler(); prof != nil {
 		// The self-check of the whole attribution scheme, as a scrapeable
 		// gauge: the profiler's live cycle total must equal what the PR 2
@@ -293,6 +293,8 @@ func New(cfg Config) *Server {
 				}
 				return 0
 			})
+		cfg.Obs.Registry().GaugeFuncs("streamhist_hwprof_cycles",
+			"Simulated cycles attributed by the hardware profiler, summed over lanes.", hwprofCycles(prof))
 	}
 	if inj := cfg.Faults; inj != nil {
 		// One computed gauge per injection point, read from the injector's
@@ -1166,8 +1168,7 @@ func (sp *sidePath) install(fan lanes.FanIn) {
 		RowCount:  relRows,
 	})
 	rec.End(ii, 0)
-	s.publishSketch(sideChain)
-	s.publishHwprof()
+	s.metrics.setSketch(sideChain)
 
 	rec.Rows = uint64(bstats.Items)
 	rec.Refreshed = true

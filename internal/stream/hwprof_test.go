@@ -7,6 +7,7 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/hwprof"
+	"streamhist/internal/obs"
 	"streamhist/internal/tpch"
 )
 
@@ -50,7 +51,7 @@ func TestParallelDataPathProfileConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Prof = hwprof.New()
+	pdp.Obs = &obs.Obs{Prof: hwprof.New()}
 	res, err := pdp.Scan(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestParallelProfileConsistencyUnderFaults(t *testing.T) {
 			faults.MemLatencySpike: 0.02,
 			faults.MemReadFlip:     0.01,
 		})
-		pdp.Prof = hwprof.New()
+		pdp.Obs = &obs.Obs{Prof: hwprof.New()}
 		res, err := pdp.Scan(io.Discard, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

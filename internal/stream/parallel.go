@@ -50,16 +50,14 @@ type ParallelDataPath struct {
 	// fan-out), so standalone stream traces are fetchable through the same
 	// /traces assembly as served scans, and the store tail-samples the record
 	// for /events; a Reg registry also takes a completed scan's counters,
-	// per-lane cycle and stall gauges and duration. Nothing runs on the
-	// per-page hot path. Nil keeps the zero-overhead baseline.
+	// per-lane cycle and stall gauges and duration. A Prof profiler receives
+	// every scan's cycle attribution: each surviving lane's pipeline
+	// decomposition under its "lane<i>" frame (the inline replay lane under
+	// "inline"), and the aggregation fan-in plus histogram chain under
+	// "merged"; retired lanes never flush, so discarded work is never
+	// charged. Nothing runs on the per-page hot path. Nil keeps the
+	// zero-overhead baseline.
 	Obs *obs.Obs
-	// Prof, when non-nil, receives the cycle attribution of every scan:
-	// each surviving lane's pipeline decomposition under its "lane<i>"
-	// frame (the inline replay lane under "inline"), and the aggregation
-	// fan-in plus histogram chain under "merged". Retired lanes never
-	// flush, so discarded work is never charged. Nil keeps the unprofiled
-	// baseline.
-	Prof *hwprof.Profiler
 	// Sketch configures the per-lane daisy chain of statistic blocks
 	// (internal/sketch). Every lane runs its own chain over its share of the
 	// pages, tagging values with their global row ordinal, and the chains
@@ -95,9 +93,9 @@ func (d *ParallelDataPath) encodedPages() []*page.Page {
 	return d.pageCache
 }
 
-// Profile snapshots the accumulated cycle attribution (empty when no
-// profiler is wired).
-func (d *ParallelDataPath) Profile() *hwprof.Profile { return d.Prof.Snapshot() }
+// Profile snapshots the accumulated cycle attribution of the bundle's
+// profiler (empty when none is wired).
+func (d *ParallelDataPath) Profile() *hwprof.Profile { return d.Obs.Profiler().Snapshot() }
 
 // DefaultStallTimeout is how long a lane may block the splitter or the
 // fan-in before being declared stalled and retired.
@@ -186,9 +184,10 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *Parall
 	}
 
 	pages := d.encodedPages()
+	prof := d.Obs.Profiler()
 	bcfg := d.Config.Binner
-	if d.Prof != nil {
-		bcfg.Prof = d.Prof
+	if prof != nil {
+		bcfg.Prof = prof
 	}
 	eng, err := lanes.Start(lanes.Config{
 		Lanes: shards, Depth: laneQueueDepth, StallTimeout: stallTimeout,
@@ -248,12 +247,12 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (out *Parall
 		}
 	}
 
-	fan, err := eng.FanIn(tr, tr.SpanIDAt(fanoutIdx), d.Prof, d.Config.Binner.Mem.BinsPerLine)
+	fan, err := eng.FanIn(tr, tr.SpanIDAt(fanoutIdx), prof, d.Config.Binner.Mem.BinsPerLine)
 	if err != nil {
 		return nil, fmt.Errorf("stream: side path: %w", err)
 	}
 	mstats := fan.Stats
-	res := d.Config.Results(fan.Survivor, mstats, d.Prof)
+	res := d.Config.Results(fan.Survivor, mstats, prof)
 	tr.End(fan.Span, fan.AggregationCycles)
 
 	out = &ParallelScanResult{

@@ -7,6 +7,7 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/hwprof"
+	"streamhist/internal/obs"
 	"streamhist/internal/sketch"
 	"streamhist/internal/tpch"
 )
@@ -212,7 +213,7 @@ func TestParallelDataPathSketchProfileConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdp.Sketch = sketchTestSpec()
-	pdp.Prof = hwprof.New()
+	pdp.Obs = &obs.Obs{Prof: hwprof.New()}
 	res, err := pdp.Scan(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)

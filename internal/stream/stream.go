@@ -53,9 +53,6 @@ func (r *PagesReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TotalBytes returns the size of the whole stream.
-func (r *PagesReader) TotalBytes() int64 { return int64(len(r.pages)) * page.Size }
-
 // Tap is the Splitter: an io.Reader that relays the source unchanged to the
 // host while pushing every byte through the Parser and Binner on the side.
 // The relay path does no transformation whatsoever — the returned bytes are

@@ -20,9 +20,6 @@ func TestPagesReaderStreamsWholePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(data)) != r.TotalBytes() {
-		t.Fatalf("read %d bytes, want %d", len(data), r.TotalBytes())
-	}
 	if len(data)%page.Size != 0 {
 		t.Errorf("stream length %d is not page-aligned", len(data))
 	}
