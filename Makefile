@@ -24,7 +24,7 @@ PERF_OUT ?= perf_head.txt
 PERF_BASE ?= perf_base.txt
 PERF_HEAD ?= perf_head.txt
 
-.PHONY: check vet build test race fuzz bench perf-bench perf-gate lint chaos-durable loc knobs examples
+.PHONY: check vet build test race fuzz bench perf-bench perf-gate lint chaos-durable loc knobs surface examples
 
 check: vet build race
 
@@ -78,6 +78,13 @@ knobs:
 		flags=$$((flags + n)); \
 	done; \
 	echo "config fields $$fields, flags $$flags, knobs $$((fields + flags))"
+
+# surface runs the reachability ratchet alone and prints the size of its
+# golden: every internal/ declaration no program reaches must be listed in
+# testdata/unreachable.golden with a reason, and the log line counts the
+# entries per reason class.
+surface:
+	$(GO) test -run '^TestNoUnreachableCode$$' -v .
 
 # examples builds and runs every program under examples/, so one that still
 # compiles but no longer runs to completion fails here.

@@ -1,11 +1,9 @@
 // Command histbench regenerates every table and figure of the paper's
-// evaluation. Run without arguments to list the experiments; pass one or
-// more IDs (or "all") to execute them.
+// evaluation as aligned text tables. Run without arguments to list the
+// experiments; pass one or more IDs (or "all") to execute them.
 //
 //	histbench all
 //	histbench fig16 table2
-//	histbench -format md fig22      # markdown table
-//	histbench -format csv fig16     # plot-friendly CSV
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 )
 
 func main() {
-	format := flag.String("format", "text", "output format: text, md, csv")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -27,16 +24,6 @@ func main() {
 		usage()
 		return
 	}
-	render, ok := map[string]func(*bench.Report) string{
-		"text": func(r *bench.Report) string { return r.String() },
-		"md":   func(r *bench.Report) string { return r.Markdown() },
-		"csv":  func(r *bench.Report) string { return r.CSV() },
-	}[*format]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "histbench: unknown format %q (text, md, csv)\n", *format)
-		os.Exit(2)
-	}
-
 	ids := args
 	if len(args) == 1 && args[0] == "all" {
 		ids = nil
@@ -52,15 +39,13 @@ func main() {
 		}
 		start := time.Now()
 		report := runner.Run()
-		fmt.Println(render(report))
-		if *format == "text" {
-			fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Println(report)
+		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }
 
 func usage() {
-	fmt.Println("usage: histbench [-format text|md|csv] <experiment>... | all")
+	fmt.Println("usage: histbench <experiment>... | all")
 	fmt.Println()
 	fmt.Println("experiments:")
 	for _, r := range bench.All() {

@@ -33,7 +33,7 @@ func runTrace(args []string) error {
 	}
 	id, err := obs.ParseTraceID(fs.Arg(0))
 	if err != nil || id == 0 {
-		return fmt.Errorf("%q is not a trace id (hex or decimal)", fs.Arg(0))
+		return fmt.Errorf("%q is not a trace id (16 hex digits, 0x-prefixed hex, or decimal)", fs.Arg(0))
 	}
 
 	e := newEndpoint(*addr, 10*time.Second)

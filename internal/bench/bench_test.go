@@ -37,30 +37,6 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-func TestReportMarkdownAndCSV(t *testing.T) {
-	r := &Report{ID: "x", Title: "demo", Columns: []string{"a", "b"}}
-	r.AddRow("1", "va,l\"ue")
-	r.Notes = append(r.Notes, "a note")
-
-	md := r.Markdown()
-	for _, frag := range []string{"### x — demo", "| a | b |", "|---|---|", "> a note"} {
-		if !strings.Contains(md, frag) {
-			t.Errorf("markdown missing %q:\n%s", frag, md)
-		}
-	}
-
-	csv := r.CSV()
-	if !strings.Contains(csv, "a,b\n") {
-		t.Errorf("csv missing header:\n%s", csv)
-	}
-	if !strings.Contains(csv, `"va,l""ue"`) {
-		t.Errorf("csv quoting wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "# a note") {
-		t.Errorf("csv missing note comment:\n%s", csv)
-	}
-}
-
 func TestSecondsFormatting(t *testing.T) {
 	cases := map[float64]string{
 		120:    "120s",

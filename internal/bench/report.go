@@ -86,48 +86,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Markdown renders the report as a GitHub-flavoured markdown table with
-// the notes as a trailing list.
-func (r *Report) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s — %s\n\n", r.ID, r.Title)
-	b.WriteString("| " + strings.Join(r.Columns, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat("---|", len(r.Columns)) + "\n")
-	for _, row := range r.Rows {
-		cells := make([]string, len(r.Columns))
-		copy(cells, row)
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "\n> %s\n", n)
-	}
-	return b.String()
-}
-
-// CSV renders the data rows as RFC-4180-ish CSV (header first, notes as
-// trailing comment lines) for plotting tools.
-func (r *Report) CSV() string {
-	var b strings.Builder
-	quote := func(cells []string) string {
-		out := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			out[i] = c
-		}
-		return strings.Join(out, ",")
-	}
-	b.WriteString(quote(r.Columns) + "\n")
-	for _, row := range r.Rows {
-		b.WriteString(quote(row) + "\n")
-	}
-	for _, n := range r.Notes {
-		b.WriteString("# " + n + "\n")
-	}
-	return b.String()
-}
-
 // seconds formats a duration in seconds with adaptive precision.
 func seconds(s float64) string {
 	switch {

@@ -16,7 +16,6 @@ package bins
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 )
@@ -286,13 +285,6 @@ func (v *Vector) CountValue(value int64) int64 {
 	return v.Count(i)
 }
 
-// Counts returns a copy of the per-bin counts, bin i at index i.
-func (v *Vector) Counts() []int64 {
-	out := make([]int64, v.n)
-	v.each(func(i int, c int64) { out[i] = c })
-	return out
-}
-
 // emit calls fn for bin i with cell c, unless the bin is empty.
 func (v *Vector) emit(fn func(i int, count int64), i int, c uint32) {
 	switch c {
@@ -360,26 +352,6 @@ func (v *Vector) each(fn func(i int, count int64)) {
 
 // Cardinality returns the number of non-empty bins.
 func (v *Vector) Cardinality() int { return v.nonEmpty }
-
-// Clone returns a deep copy, in v's form.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{
-		Min: v.Min, Divisor: v.Divisor, n: v.n, total: v.total, nonEmpty: v.nonEmpty,
-		wide: maps.Clone(v.wide),
-	}
-	if v.sp != nil {
-		c.sp = v.sp.clone()
-	} else {
-		c.counts = append([]uint32(nil), v.counts...)
-		c.occ = append([]uint64(nil), v.occ...)
-	}
-	return c
-}
-
-// Reset zeroes all counts, keeping the range configuration and the form.
-// This mirrors the accelerator reusing a memory region for the next table.
-// Only the bins written are cleared.
-func (v *Vector) Reset() { v.Recycle(v.Min, v.Divisor, v.n, v.Form(), nil) }
 
 // Recycle empties v and re-aims it at n bins starting at min with the given
 // divisor, in the given form, keeping that form's storage when it is large
@@ -479,25 +451,6 @@ func (v *Vector) Merge(other *Vector) error {
 	v.nonEmpty += filled
 	v.total += other.total
 	return nil
-}
-
-// MergeAll merges any number of identically configured vectors into a fresh
-// vector in the first one's form — the software form of the adder tree that
-// aggregates replicated Binner memories (§7). The inputs are not modified.
-// At least one vector is required; it defines the geometry the rest must
-// match.
-func MergeAll(vs ...*Vector) (*Vector, error) {
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("bins: MergeAll needs at least one vector")
-	}
-	out := new(Vector)
-	out.Recycle(vs[0].Min, vs[0].Divisor, vs[0].n, vs[0].Form(), nil)
-	for _, v := range vs {
-		if err := out.Merge(v); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Build bin-sorts values into a fresh vector sized to their range; the

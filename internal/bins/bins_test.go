@@ -199,18 +199,6 @@ func TestNonZeroSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestCloneAndReset(t *testing.T) {
-	v := Build([]int64{1, 2, 2, 3}, 1)
-	c := v.Clone()
-	v.Reset()
-	if v.Total() != 0 || v.Cardinality() != 0 {
-		t.Error("Reset did not clear")
-	}
-	if c.Total() != 4 || c.CountValue(2) != 2 {
-		t.Error("Clone was affected by Reset")
-	}
-}
-
 func TestMergeEqualsConcatenatedBuild(t *testing.T) {
 	// Invariant from DESIGN.md: merging partial counts (the §7 scale-up
 	// path) equals binning the concatenated input.
@@ -268,46 +256,13 @@ func TestTotalInvariant(t *testing.T) {
 			v.Add(int64(x))
 		}
 		var sum int64
-		for _, c := range v.Counts() {
+		for _, c := range countsOf(v) {
 			sum += c
 		}
 		return sum == v.Total() && v.Total() == int64(len(raw))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMergeAll(t *testing.T) {
-	mk := func(vals ...int64) *Vector {
-		v := NewVector(0, 9, 1)
-		for _, x := range vals {
-			v.Add(x)
-		}
-		return v
-	}
-	a, b, c := mk(1, 1, 3), mk(2, 3), mk()
-	merged, err := MergeAll(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Total() != 5 {
-		t.Errorf("total = %d, want 5", merged.Total())
-	}
-	for v, want := range map[int64]int64{1: 2, 2: 1, 3: 2} {
-		if got := merged.CountValue(v); got != want {
-			t.Errorf("count(%d) = %d, want %d", v, got, want)
-		}
-	}
-	// Inputs untouched.
-	if a.Total() != 3 || b.Total() != 2 || c.Total() != 0 {
-		t.Error("MergeAll modified an input vector")
-	}
-	if _, err := MergeAll(); err == nil {
-		t.Error("MergeAll() with no inputs should error")
-	}
-	if _, err := MergeAll(a, NewVector(0, 19, 1)); err == nil {
-		t.Error("mismatched geometry should not merge")
 	}
 }
 

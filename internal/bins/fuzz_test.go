@@ -3,12 +3,12 @@ package bins
 import "testing"
 
 // FuzzVectorOps drives two regions through a byte-chosen sequence of
-// AddCount, Merge, Recycle, Clone and Densify, with counts near zero, near
+// AddCount, Merge, Recycle, copy (Recycle then Merge) and Densify, with counts near zero, near
 // 2^32 and below zero. Each region is held twice, once dense and once
 // sparse, and after every step both copies are held to an []int64
 // reference: the 32-bit store with its wide escape must be
 // indistinguishable from a row of int64 counts in either form, so the two
-// forms agree on every count, walk, tally and clone. A merge takes the
+// forms agree on every count, walk, tally and copy. A merge takes the
 // source's form for each target from the sequence, so every pairing of forms
 // is merged.
 func FuzzVectorOps(f *testing.F) {
@@ -69,11 +69,11 @@ func FuzzVectorOps(f *testing.F) {
 					v.Recycle(min, divisor, size, Form(form), nil)
 				}
 				ra = make([]int64, size)
-			case 4: // b becomes a clone of a
-				b = [2]*Vector{a[0].Clone(), a[1].Clone()}
+			case 4: // b becomes a copy of a
+				b = [2]*Vector{copyOf(t, a[0]), copyOf(t, a[1])}
 				rb = append([]int64(nil), ra...)
-			case 5: // a clone of a's sparse copy moves to the dense form
-				d := a[1].Clone()
+			case 5: // a copy of a's sparse region moves to the dense form
+				d := copyOf(t, a[1])
 				d.Densify()
 				if d.Form() != Dense {
 					t.Fatalf("step %d: Densify left form %d", step, d.Form())

@@ -64,9 +64,6 @@ func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 	if v.NumBins() != len(want) {
 		t.Fatalf("%s: NumBins = %d, want %d", label, v.NumBins(), len(want))
 	}
-	if !reflect.DeepEqual(append([]int64{}, v.Counts()...), append([]int64{}, want...)) {
-		t.Fatalf("%s: counts differ from the dense reference", label)
-	}
 	// Bin by bin, and in the width the count needs: a count that fits is
 	// stored in counts, one that does not behind the mark, and the wide map
 	// is nil when no bin needs it.
@@ -121,6 +118,25 @@ func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 	}
 }
 
+// countsOf returns v's count row, bin i at index i.
+func countsOf(v *Vector) []int64 {
+	row := make([]int64, v.NumBins())
+	v.Occupied(func(i int, c int64) { row[i] = c })
+	return row
+}
+
+// copyOf returns a fresh vector in v's form holding v's counts, made the way
+// a pooled region is refilled: Recycle, then Merge.
+func copyOf(t *testing.T, v *Vector) *Vector {
+	t.Helper()
+	c := new(Vector)
+	c.Recycle(v.Min, v.Divisor, v.NumBins(), v.Form(), nil)
+	if err := c.Merge(v); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // randomRow draws a count row of n bins: fill is the probability that a bin
 // is non-empty (0 = all-empty, 1 = all-full).
 func randomRow(rng *datagen.RNG, n int, fill float64) []int64 {
@@ -156,7 +172,7 @@ func fillVector(rng *datagen.RNG, min, divisor int64, row []int64, form Form) *V
 }
 
 // Each case runs once per form of the vector under test; the vector merged
-// into it is in the other form, and MergeAll mixes all three.
+// into it is in the other form, and a third merge mixes all three.
 func TestOccupancyWalkEqualsDenseWalk(t *testing.T) {
 	rng := datagen.NewRNG(20140622)
 	for _, n := range occupancySizes {
@@ -181,10 +197,10 @@ func occupancyCase(t *testing.T, rng *datagen.RNG, n int, fill float64, divisor 
 	checkAgainstDense(t, "Add/AddCount", va, a)
 	checkAgainstDense(t, "FromCounts", FromCounts(min, divisor, append([]int64{}, a...)), a)
 
-	clone := va.Clone()
-	checkAgainstDense(t, "Clone", clone, a)
+	clone := copyOf(t, va)
+	checkAgainstDense(t, "copy", clone, a)
 
-	// Merge into the clone; the original must not move.
+	// Merge into the copy; the original must not move.
 	vb := fillVector(rng, min, divisor, b, 1-form)
 	if err := clone.Merge(vb); err != nil {
 		t.Fatal(err)
@@ -195,30 +211,30 @@ func occupancyCase(t *testing.T, rng *datagen.RNG, n int, fill float64, divisor 
 	}
 	checkAgainstDense(t, "Merge", clone, ab)
 	checkAgainstDense(t, "Merge left its source", vb, b)
-	checkAgainstDense(t, "Clone is deep", va, a)
+	checkAgainstDense(t, "copy is deep", va, a)
 
 	vc := FromCounts(min, divisor, append([]int64{}, c...))
-	all, err := MergeAll(va, vb, vc)
-	if err != nil {
-		t.Fatal(err)
+	all := copyOf(t, va)
+	for _, src := range []*Vector{vb, vc} {
+		if err := all.Merge(src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	abc := make([]int64, n)
 	for i := range abc {
 		abc[i] = ab[i] + c[i]
 	}
-	checkAgainstDense(t, "MergeAll", all, abc)
-	checkAgainstDense(t, "MergeAll left its inputs", va, a)
+	checkAgainstDense(t, "three-way merge", all, abc)
+	checkAgainstDense(t, "three-way merge left its inputs", va, a)
 
-	// Reset empties everything, and the vector fills again.
-	all.Reset()
-	checkAgainstDense(t, "Reset", all, make([]int64, n))
-	if all.Min != min || all.Divisor != divisor {
-		t.Fatalf("Reset moved the geometry: min %d divisor %d", all.Min, all.Divisor)
-	}
+	// Recycle to the same geometry empties everything, and the vector fills
+	// again.
+	all.Recycle(min, divisor, n, all.Form(), nil)
+	checkAgainstDense(t, "Recycle", all, make([]int64, n))
 	if err := all.Merge(vb); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstDense(t, "refill after Reset", all, b)
+	checkAgainstDense(t, "refill after Recycle", all, b)
 }
 
 // TestAddCountZeroSetsNoCount: AddCount of 0 may set an occupancy bit, and
@@ -253,7 +269,7 @@ func TestRecycleAcrossGeometries(t *testing.T) {
 	for step, n := range []int{4097, 65, 4097, 1, 64, 63, 5000, 64, 4097, 9000, 65} {
 		min, divisor := rng.Int63n(100), 1+rng.Int63n(3)
 		var cleared []int
-		prev := append([]int64{}, v.Counts()...)
+		prev := countsOf(v)
 		v.Recycle(min, divisor, n, Dense, func(i int) { cleared = append(cleared, i) })
 
 		// cleared saw exactly the non-empty bins of the previous fill.
@@ -319,8 +335,6 @@ func TestWarmRecycleDoesNotAllocate(t *testing.T) {
 		fill()
 		v.Recycle(0, 1, 4097, Dense, nil)
 		fill()
-		v.Reset()
-		fill()
 	}); allocs != 0 {
 		t.Fatalf("warm recycle allocates %.0f times per run", allocs)
 	}
@@ -352,12 +366,12 @@ func TestWideEscapeEqualsDense(t *testing.T) {
 	add("far below zero", 70, -3*two32)
 	add("small add to a wide bin", 129, 2)
 
-	// Clone copies the wide map: writing to the clone leaves v alone.
-	clone := v.Clone()
-	checkAgainstDense(t, "Clone", clone, want)
+	// A copy has its own wide map: writing to the copy leaves v alone.
+	clone := copyOf(t, v)
+	checkAgainstDense(t, "copy", clone, want)
 	clone.AddCount(clone.Value(129), 5)
 	clone.AddCount(clone.Value(70), 3*two32)
-	checkAgainstDense(t, "Clone is deep", v, want)
+	checkAgainstDense(t, "copy is deep", v, want)
 
 	// Merging two such regions, and a narrow one into a wide one.
 	other := FromCounts(v.Min, v.Divisor, want)
@@ -381,7 +395,7 @@ func TestWideEscapeEqualsDense(t *testing.T) {
 	}
 	checkAgainstDense(t, "Merge of a narrow region into a wide one", other, doubled)
 
-	// Recycle and Reset leave no wide entry behind, and the region fills
+	// Recycle leaves no wide entry behind, and the region fills
 	// again on the narrow path.
 	v.Recycle(0, 1, 200, Dense, nil)
 	checkAgainstDense(t, "Recycle", v, make([]int64, 200))
@@ -389,8 +403,8 @@ func TestWideEscapeEqualsDense(t *testing.T) {
 	refill := make([]int64, 200)
 	refill[5] = 7
 	checkAgainstDense(t, "refill after Recycle", v, refill)
-	other.Reset()
-	checkAgainstDense(t, "Reset", other, make([]int64, n))
+	other.Recycle(other.Min, other.Divisor, n, other.Form(), nil)
+	checkAgainstDense(t, "Recycle to the same geometry", other, make([]int64, n))
 }
 
 // TestTotalPastTwo32: no bin reaches the mark, but the region's total does —
@@ -429,11 +443,11 @@ func TestTotalPastTwo32(t *testing.T) {
 	want4 := []int64{half + 1 + two32, 2, 9, 2 * half}
 	checkAgainstDense(t, "Merge over the mark", a, want4)
 
-	all, err := MergeAll(a, a.Clone())
-	if err != nil {
+	all := copyOf(t, a)
+	if err := all.Merge(a); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstDense(t, "MergeAll of wide regions", all, []int64{2 * want4[0], 4, 18, 4 * half})
+	checkAgainstDense(t, "Merge of wide regions", all, []int64{2 * want4[0], 4, 18, 4 * half})
 	a.Recycle(0, 1, 4, Dense, nil)
 	checkAgainstDense(t, "Recycle after wide", a, make([]int64, 4))
 }

@@ -42,12 +42,6 @@ func (s *sparse) reset() {
 	s.rebuild(max(len(s.index), minIndex))
 }
 
-func (s *sparse) clone() *sparse {
-	c := *s
-	c.ents, c.spare, c.index = slices.Clone(s.ents), nil, slices.Clone(s.index)
-	return &c
-}
-
 // slot is the home slot of bin: Fibonacci hashing, whose top bits spread a
 // run of consecutive bins over the whole index.
 func (s *sparse) slot(bin uint32) int { return int(uint64(bin) * 0x9E3779B97F4A7C15 >> s.shift) }

@@ -56,9 +56,6 @@ type Parser struct {
 	pos     int // bytes consumed within the current row section
 	colBuf  [8]byte
 	colFill int
-
-	emitted int64
-	bytes   int64
 }
 
 // NewParser builds a Parser for the given column spec.
@@ -76,8 +73,8 @@ func (p *Parser) Feed(chunk []byte, out []int64) ([]int64, error) {
 	// whole page image, decode the column with a strided walk over the page
 	// buffer — zero copies into the FSM's accumulator, no per-byte loop. Any
 	// anomaly (bad magic, inconsistent geometry, a validating column type)
-	// falls back to the FSM below without consuming a byte, so error text,
-	// byte counters, and partial output stay bit-identical to the FSM's.
+	// falls back to the FSM below without consuming a byte, so error text and
+	// partial output stay bit-identical to the FSM's.
 	for p.state == psHeader && p.hdrFill == 0 && p.pageByte == 0 && len(chunk) >= page.Size {
 		fastOut, ok := p.fastPage(chunk[:page.Size], out, colWidth)
 		if !ok {
@@ -87,7 +84,6 @@ func (p *Parser) Feed(chunk []byte, out []int64) ([]int64, error) {
 		chunk = chunk[page.Size:]
 	}
 	for _, b := range chunk {
-		p.bytes++
 		p.pageByte++
 		switch p.state {
 		case psHeader:
@@ -123,7 +119,6 @@ func (p *Parser) Feed(chunk []byte, out []int64) ([]int64, error) {
 					return out, fmt.Errorf("core: parser: %w", err)
 				}
 				out = append(out, v)
-				p.emitted++
 				if p.pos == p.rowWidth {
 					p.endRow()
 				} else {
@@ -151,8 +146,7 @@ func (p *Parser) Feed(chunk []byte, out []int64) ([]int64, error) {
 // parsing could behave differently: bad magic (the FSM raises the error),
 // geometry that walks outside the row region (the FSM's wrap-around
 // semantics apply), or a column type whose decoder can reject values
-// mid-page (DateUnpacked). On success the parser's counters advance exactly
-// as the FSM would have advanced them.
+// mid-page (DateUnpacked).
 func (p *Parser) fastPage(pg []byte, out []int64, colWidth int) ([]int64, bool) {
 	if magic := uint16(pg[0]) | uint16(pg[1])<<8; magic != page.Magic {
 		return out, false
@@ -160,8 +154,7 @@ func (p *Parser) fastPage(pg []byte, out []int64, colWidth int) ([]int64, bool) 
 	rows := int(uint16(pg[2]) | uint16(pg[3])<<8)
 	rowWidth := int(uint16(pg[4]) | uint16(pg[5])<<8)
 	if rows == 0 {
-		p.bytes += page.Size // page of padding only
-		return out, true
+		return out, true // page of padding only
 	}
 	if rowWidth <= 0 || page.HeaderSize+rows*rowWidth > page.Size ||
 		p.spec.Offset+colWidth > rowWidth {
@@ -182,8 +175,6 @@ func (p *Parser) fastPage(pg []byte, out []int64, colWidth int) ([]int64, bool) 
 	default:
 		return out, false
 	}
-	p.bytes += page.Size
-	p.emitted += int64(rows)
 	return out, true
 }
 
@@ -209,12 +200,6 @@ func (p *Parser) endRow() {
 		p.pos = 0
 	}
 }
-
-// Emitted returns the number of values extracted so far.
-func (p *Parser) Emitted() int64 { return p.emitted }
-
-// BytesConsumed returns the number of stream bytes processed so far.
-func (p *Parser) BytesConsumed() int64 { return p.bytes }
 
 // ParsePages is a convenience wrapper that streams whole page images through
 // the FSM and returns the extracted column.

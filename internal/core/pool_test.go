@@ -31,7 +31,8 @@ func poolTestRun(t *testing.T, vals []int64) ([]int64, BinnerStats, [][]byte) {
 	b := NewBinner(cfg, pre)
 	b.PushAll(vals)
 	vec, stats := b.Finish()
-	counts := append([]int64(nil), vec.Counts()...)
+	counts := make([]int64, vec.NumBins())
+	vec.Occupied(func(i int, c int64) { counts[i] = c })
 	raws, err := sketch.EncodeBlocks(b.SketchChain().Blocks())
 	if err != nil {
 		t.Fatal(err)

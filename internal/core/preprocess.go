@@ -21,8 +21,6 @@ type Preprocessor struct {
 	Divisor int64
 	// NumBins is the size of the memory region reserved for bins (Δ).
 	NumBins int64
-
-	dropped int64
 }
 
 // NewPreprocessor validates and builds a preprocessor.
@@ -52,7 +50,7 @@ func RangeFor(min, max, divisor int64) (*Preprocessor, error) {
 }
 
 // Address maps a value to its bin address; ok is false for out-of-range
-// values (which are counted as dropped). The offset from Min is taken in
+// values (the Binner counts them as dropped). The offset from Min is taken in
 // uint64, where it cannot overflow. With Divisor 1 one unsigned comparison
 // is the whole range test: a value below Min wraps to an offset past every
 // bin, because the last bin starts at an int64 value (NewPreprocessor).
@@ -67,11 +65,7 @@ func (p *Preprocessor) Address(value int64) (addr int64, ok bool) {
 		}
 	}
 	if off >= uint64(p.NumBins) {
-		p.dropped++
 		return 0, false
 	}
 	return int64(off), true
 }
-
-// Dropped returns how many values fell outside the configured range.
-func (p *Preprocessor) Dropped() int64 { return p.dropped }

@@ -154,10 +154,6 @@ func (z *Zipf) Next() int64 {
 	return z.val[rank]
 }
 
-// Rank returns the value assigned to 0-based frequency rank r (rank 0 is the
-// most frequent value). Useful for constructing test oracles.
-func (z *Zipf) Rank(r int) int64 { return z.val[r] }
-
 // Spike describes one artificially inflated value: Count extra occurrences
 // of Value are blended into a base stream.
 type Spike struct {

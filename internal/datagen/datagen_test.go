@@ -108,7 +108,7 @@ func TestZipfSkewOrdering(t *testing.T) {
 		n := 200000
 		top := 0
 		for i := 0; i < n; i++ {
-			if z.Next() == z.Rank(0) {
+			if z.Next() == z.val[0] {
 				top++
 			}
 		}
@@ -131,7 +131,7 @@ func TestZipfTheoreticalShare(t *testing.T) {
 	n := 400000
 	top := 0
 	for i := 0; i < n; i++ {
-		if z.Next() == z.Rank(0) {
+		if z.Next() == z.val[0] {
 			top++
 		}
 	}
@@ -145,7 +145,7 @@ func TestZipfShuffleCoversDomain(t *testing.T) {
 	z := NewZipf(8, 1000, 64, 0.75, true)
 	seen := make(map[int64]bool)
 	for i := 0; i < 64; i++ {
-		v := z.Rank(i)
+		v := z.val[i]
 		if v < 1000 || v >= 1064 {
 			t.Fatalf("rank value %d outside domain", v)
 		}

@@ -238,53 +238,6 @@ func (c *Catalog) EstimateLess(tableName, column string, v int64) float64 {
 	return s.Histogram.EstimateLess(v)
 }
 
-// NDVEstimate returns the column's distinct-count estimate, preferring the
-// HLL sketch (which saw every raw value, dropped or not) over the binned
-// view's exact cardinality. ok is false when no statistics exist at all.
-func (c *Catalog) NDVEstimate(tableName, column string) (ndv float64, ok bool) {
-	s := c.Get(tableName, column)
-	if s == nil {
-		return 0, false
-	}
-	if est, found := s.Sketches.NDVEstimate(); found {
-		return est, true
-	}
-	if s.NDistinct > 0 {
-		return float64(s.NDistinct), true
-	}
-	return 0, false
-}
-
-// EstimateEquiJoinRows estimates |A ⋈ B| on A.cA = B.cB with the textbook
-// containment assumption: |A|·|B| / max(ndv(A.cA), ndv(B.cB)). With no NDV
-// for either side it falls back to the smaller row count — the same kind of
-// blind default that produces the bad plans of §2, surfaced here so planner
-// tests can show sketch-backed NDV changing join orders.
-func (c *Catalog) EstimateEquiJoinRows(tableA, colA, tableB, colB string) float64 {
-	rowsA := c.rowCount(tableA, colA)
-	rowsB := c.rowCount(tableB, colB)
-	ndvA, okA := c.NDVEstimate(tableA, colA)
-	ndvB, okB := c.NDVEstimate(tableB, colB)
-	maxNDV := ndvA
-	if ndvB > maxNDV {
-		maxNDV = ndvB
-	}
-	if (!okA && !okB) || maxNDV < 1 {
-		if rowsA < rowsB {
-			return rowsA
-		}
-		return rowsB
-	}
-	return rowsA * rowsB / maxNDV
-}
-
-func (c *Catalog) rowCount(tableName, column string) float64 {
-	if s := c.Get(tableName, column); s != nil {
-		return float64(s.RowCount)
-	}
-	return 1
-}
-
 // Describe renders a short summary of a column's catalog entry.
 func (c *Catalog) Describe(tableName, column string) string {
 	s := c.Get(tableName, column)

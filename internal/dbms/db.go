@@ -85,6 +85,5 @@ func (db *Database) InstallStats(tableName, column string, h *hist.Histogram, nd
 func (db *Database) MutateColumn(tableName string, mutate func(rel *table.Relation)) {
 	t := db.Table(tableName)
 	mutate(t.Rel)
-	t.InvalidatePages()
 	db.Catalog.BumpVersion(tableName)
 }

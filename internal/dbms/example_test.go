@@ -22,14 +22,3 @@ func ExampleChooseJoin() {
 	// est. 5 outer rows → NLJ
 	// est. 120000 outer rows → SMJ
 }
-
-// ExampleJoinPlan_Explain renders the decision like EXPLAIN would.
-func ExampleJoinPlan_Explain() {
-	p := dbms.ChooseJoin(dbms.DefaultPlannerCosts(), 1000, 1000, true)
-	fmt.Println(p.Explain())
-	// Output:
-	// Join using HashJoin  (est. outer=1000 inner=1000 cost=3700)
-	//     NLJ      cost=1000100
-	//     SMJ      cost=33991
-	//   * HashJoin cost=3700
-}

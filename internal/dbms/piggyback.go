@@ -30,9 +30,6 @@ type PiggybackResult struct {
 	ScanTime time.Duration
 }
 
-// nowSeconds is a monotonic clock helper for timing comparisons in tests.
-func nowSeconds() float64 { return float64(time.Now().UnixNano()) / 1e9 }
-
 // FilterEqualsProjectPiggyback runs the same scan as FilterEqualsProject
 // but piggybacks full-column statistics collection on it: every visited
 // row's eqCol value is aggregated, and an equi-depth histogram (with MCV

@@ -2,6 +2,7 @@ package dbms
 
 import (
 	"testing"
+	"time"
 
 	"streamhist/internal/bins"
 	"streamhist/internal/hist"
@@ -63,9 +64,9 @@ func TestPiggybackSlowsTheScan(t *testing.T) {
 	med := func(f func()) float64 {
 		times := make([]float64, runs)
 		for i := range times {
-			start := nowSeconds()
+			start := time.Now()
 			f()
-			times[i] = nowSeconds() - start
+			times[i] = time.Since(start).Seconds()
 		}
 		// insertion sort, take middle
 		for i := 1; i < len(times); i++ {

@@ -68,82 +68,6 @@ type JoinPlan struct {
 	Alternatives map[JoinMethod]float64
 }
 
-// Explain renders the planner's decision the way EXPLAIN would: the chosen
-// operator, its estimated inputs, and every alternative's cost.
-func (p JoinPlan) Explain() string {
-	out := fmt.Sprintf("Join using %s  (est. outer=%.0f inner=%.0f cost=%.0f)",
-		p.Method, p.EstOuter, p.EstInner, p.Cost)
-	for _, m := range []JoinMethod{NestedLoops, SortMerge, Hash} {
-		cost, considered := p.Alternatives[m]
-		if !considered {
-			continue
-		}
-		marker := " "
-		if m == p.Method {
-			marker = "*"
-		}
-		out += fmt.Sprintf("\n  %s %-8s cost=%.0f", marker, m, cost)
-	}
-	return out
-}
-
-// OrderedJoinPlan extends JoinPlan with the join-order decision Fig 1
-// turns on: "The main difference between the two query plans is the order
-// in which the tables are joined".
-type OrderedJoinPlan struct {
-	JoinPlan
-	// Swapped is true when the planner put B on the outer side.
-	Swapped bool
-}
-
-// ChooseJoinOrdered considers both join orders for inputs with estimated
-// sizes estA and estB and returns the cheaper plan. For nested loops the
-// smaller input belongs outside only when it drives an indexed inner; for
-// our scan-based operators the cost is symmetric, but sort-merge and hash
-// care which side is built/sorted first, which is what flips the order in
-// practice.
-func ChooseJoinOrdered(c PlannerCosts, estA, estB float64, equality bool) OrderedJoinPlan {
-	ab := ChooseJoin(c, estA, estB, equality)
-	ba := ChooseJoin(c, estB, estA, equality)
-	if ba.Cost < ab.Cost {
-		return OrderedJoinPlan{JoinPlan: ba, Swapped: true}
-	}
-	return OrderedJoinPlan{JoinPlan: ab}
-}
-
-// EquiJoinPlan is PlanEquiJoin's decision: the physical plan plus the
-// sketch-informed cardinality the planner worked from.
-type EquiJoinPlan struct {
-	OrderedJoinPlan
-	// EstJoinRows is the estimated output cardinality,
-	// |A|·|B| / max(ndv(A.cA), ndv(B.cB)), from Catalog.EstimateEquiJoinRows.
-	EstJoinRows float64
-	// NDVA and NDVB are the per-side distinct-count estimates the output
-	// estimate used (0 when a side had no statistics). With a sketch-bearing
-	// catalog these come from the HLL blocks served scans refreshed — the
-	// NDV is a side effect of data movement, never an ANALYZE.
-	NDVA, NDVB float64
-}
-
-// PlanEquiJoin plans A ⋈ B on A.colA = B.colB from the catalog's statistics:
-// row counts size the join inputs, and the NDV estimates — HLL sketches when
-// served scans have refreshed them, the binned view's cardinality otherwise —
-// size the output. This is the planner-visible payoff of the sketch engine:
-// the same stale-vs-fresh experiments Fig 1 runs on histograms apply to join
-// cardinality through this hook.
-func PlanEquiJoin(cat *Catalog, c PlannerCosts, tableA, colA, tableB, colB string) EquiJoinPlan {
-	rowsA := cat.rowCount(tableA, colA)
-	rowsB := cat.rowCount(tableB, colB)
-	ndvA, _ := cat.NDVEstimate(tableA, colA)
-	ndvB, _ := cat.NDVEstimate(tableB, colB)
-	return EquiJoinPlan{
-		OrderedJoinPlan: ChooseJoinOrdered(c, rowsA, rowsB, true),
-		EstJoinRows:     cat.EstimateEquiJoinRows(tableA, colA, tableB, colB),
-		NDVA:            ndvA,
-		NDVB:            ndvB,
-	}
-}
-
 // ChooseJoin picks the cheapest join method for the estimated input sizes.
 // equality enables the hash join; the paper's Fig 21 note explains that
 // PostgreSQL considers more than nested loops only for equality joins

@@ -73,21 +73,12 @@ type Table struct {
 	Rel    *table.Relation
 	Medium Medium
 
-	pages   []*page.Page // lazily materialised page images
 	indexes map[string]*Index
 }
 
 // NewTable wraps a relation.
 func NewTable(rel *table.Relation, medium Medium) *Table {
 	return &Table{Rel: rel, Medium: medium, indexes: make(map[string]*Index)}
-}
-
-// Pages returns (building on first use) the table's page images.
-func (t *Table) Pages() []*page.Page {
-	if t.pages == nil {
-		t.pages = page.Encode(t.Rel)
-	}
-	return t.pages
 }
 
 // NumPages returns how many pages the table occupies.
@@ -97,12 +88,6 @@ func (t *Table) NumPages() int {
 	n := t.Rel.NumRows()
 	return (n + perPage - 1) / perPage
 }
-
-// SizeBytes returns the table's on-storage footprint (whole pages).
-func (t *Table) SizeBytes() float64 { return float64(t.NumPages()) * page.Size }
-
-// InvalidatePages drops cached page images after the relation was mutated.
-func (t *Table) InvalidatePages() { t.pages = nil }
 
 // Index returns the named column's index, or nil.
 func (t *Table) Index(column string) *Index { return t.indexes[column] }

@@ -438,20 +438,6 @@ func (m *Manager) AdoptRecovered(table, column string) (ScanState, bool) {
 	return *found, true
 }
 
-// RecoveredScans lists the recovered in-flight scans not yet adopted.
-func (m *Manager) RecoveredScans() []ScanState {
-	if m == nil {
-		return nil
-	}
-	m.scanMu.Lock()
-	defer m.scanMu.Unlock()
-	out := make([]ScanState, 0, len(m.recovered))
-	for _, st := range m.recovered {
-		out = append(out, *st)
-	}
-	return out
-}
-
 // Sync blocks until every record enqueued before the call is durably on
 // disk (modulo an injected wal.fsync suppression). Nil-safe.
 func (m *Manager) Sync() error {

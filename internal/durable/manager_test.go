@@ -200,7 +200,7 @@ func TestDurableScanJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	open := m2.RecoveredScans()
+	open := m2.Report().OpenScans
 	if len(open) != 1 {
 		t.Fatalf("recovered %d open scans, want 1: %+v", len(open), open)
 	}

@@ -215,14 +215,12 @@ func (h *hitTotals) get(p Point) int64 {
 }
 
 type pointState struct {
-	rng   uint64
-	rate  float64
-	calls int64
-	hits  int64
+	rng  uint64
+	rate float64
 }
 
 // New builds an injector for the profile. A nil or empty profile yields an
-// injector that never fires (but still counts calls).
+// injector that never fires.
 func New(seed uint64, profile Profile) *Injector {
 	return &Injector{
 		seed:    seed,
@@ -277,12 +275,10 @@ func (in *Injector) Should(p Point) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := in.state(p)
-	st.calls++
 	if st.rate <= 0 {
 		return false
 	}
 	if st.rate >= 1 || st.next() < st.rate {
-		st.hits++
 		in.agg.add(p)
 		return true
 	}
@@ -333,32 +329,6 @@ func (in *Injector) Fork(label string) *Injector {
 	return child
 }
 
-// Hits returns how many times p has fired on this injector.
-func (in *Injector) Hits(p Point) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.states[p]; ok {
-		return st.hits
-	}
-	return 0
-}
-
-// Calls returns how many times p has been visited on this injector.
-func (in *Injector) Calls(p Point) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.states[p]; ok {
-		return st.calls
-	}
-	return 0
-}
-
 // TotalHits returns how many times p has fired across this injector's whole
 // Fork tree (every scan's and lane's child injector included). Nil injectors
 // return 0.
@@ -367,21 +337,4 @@ func (in *Injector) TotalHits(p Point) int64 {
 		return 0
 	}
 	return in.agg.get(p)
-}
-
-// Snapshot returns the per-point hit counts (points never visited are
-// absent). Nil injectors return nil.
-func (in *Injector) Snapshot() map[Point]int64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Point]int64, len(in.states))
-	for p, st := range in.states {
-		if st.hits > 0 {
-			out[p] = st.hits
-		}
-	}
-	return out
 }

@@ -17,7 +17,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.Fork("lane-0") != nil {
 		t.Fatal("nil Fork should stay nil")
 	}
-	if in.Hits(PageCorrupt) != 0 || in.Calls(PageCorrupt) != 0 || in.Snapshot() != nil {
+	if in.TotalHits(PageCorrupt) != 0 {
 		t.Fatal("nil injector reported activity")
 	}
 }
@@ -99,16 +99,13 @@ func TestRates(t *testing.T) {
 			t.Fatal("unconfigured point fired")
 		}
 	}
-	got := float64(in.Hits(PageCorrupt)) / n
+	got := float64(in.TotalHits(PageCorrupt)) / n
 	if got < 0.22 || got > 0.28 {
 		t.Fatalf("observed rate %.3f for configured 0.25", got)
 	}
-	if in.Calls(LanePanic) != n {
-		t.Fatalf("calls at silent point = %d, want %d", in.Calls(LanePanic), n)
-	}
-	snap := in.Snapshot()
-	if snap[ConnReset] != n || snap[PageCorrupt] == 0 || snap[LanePanic] != 0 {
-		t.Fatalf("snapshot %v inconsistent with activity", snap)
+	if in.TotalHits(ConnReset) != n || in.TotalHits(LanePanic) != 0 {
+		t.Fatalf("hits %d at the rate-1 point, %d at the silent one; want %d and 0",
+			in.TotalHits(ConnReset), in.TotalHits(LanePanic), n)
 	}
 }
 
@@ -162,7 +159,9 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if in.Calls(LaneStall) != 8*2000 {
-		t.Fatalf("calls = %d, want %d", in.Calls(LaneStall), 8*2000)
+	// 16 000 draws at rate 0.5: the hit count is within 12 standard
+	// deviations of 8 000 unless draws were lost or counted twice.
+	if hits := in.TotalHits(LaneStall); hits < 7250 || hits > 8750 {
+		t.Fatalf("hits = %d of 16000 draws at rate 0.5", hits)
 	}
 }

@@ -75,21 +75,6 @@ func (h *Histogram) EstimateLess(value int64) float64 {
 	return h.EstimateRange(min, value-1)
 }
 
-// Selectivity converts a row estimate to a fraction of the summarised total.
-func (h *Histogram) Selectivity(rows float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	s := rows / float64(h.Total)
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
-
 // MinValue returns the smallest value the histogram covers.
 func (h *Histogram) MinValue() (int64, bool) {
 	has := false
@@ -105,23 +90,6 @@ func (h *Histogram) MinValue() (int64, bool) {
 		}
 	}
 	return min, has
-}
-
-// MaxValue returns the largest value the histogram covers.
-func (h *Histogram) MaxValue() (int64, bool) {
-	has := false
-	var max int64
-	if len(h.Buckets) > 0 {
-		max = h.Buckets[len(h.Buckets)-1].High
-		has = true
-	}
-	for _, f := range h.Frequent {
-		if !has || f.Value > max {
-			max = f.Value
-			has = true
-		}
-	}
-	return max, has
 }
 
 // findBucket locates the bucket whose [Low, High] range contains value, or

@@ -96,48 +96,29 @@ func TestEstimateLess(t *testing.T) {
 	}
 }
 
-func TestSelectivityClamps(t *testing.T) {
-	h := BuildEquiDepth(buildVec([]int64{1, 2, 3, 4}), 2)
-	if s := h.Selectivity(-5); s != 0 {
-		t.Errorf("negative selectivity = %v", s)
-	}
-	if s := h.Selectivity(100); s != 1 {
-		t.Errorf("overflow selectivity = %v", s)
-	}
-	if s := h.Selectivity(2); s != 0.5 {
-		t.Errorf("selectivity = %v", s)
-	}
-	var empty Histogram
-	if s := empty.Selectivity(1); s != 0 {
-		t.Errorf("empty histogram selectivity = %v", s)
-	}
-}
-
-func TestMinMaxValue(t *testing.T) {
+func TestMinValue(t *testing.T) {
 	vals := []int64{5, 9, 12, 40}
 	h := BuildEquiDepth(buildVec(vals), 2)
 	min, ok := h.MinValue()
 	if !ok || min != 5 {
 		t.Errorf("MinValue = %d, %v", min, ok)
 	}
-	max, ok := h.MaxValue()
-	if !ok || max != 40 {
-		t.Errorf("MaxValue = %d, %v", max, ok)
-	}
 	var empty Histogram
 	if _, ok := empty.MinValue(); ok {
 		t.Error("empty histogram should have no min")
 	}
-	// Compressed: a frequent value outside bucket range must win.
+	// Compressed: a frequent value below the bucket range must win.
 	vals2 := make([]int64, 0)
 	for i := 0; i < 100; i++ {
-		vals2 = append(vals2, 1000)
+		vals2 = append(vals2, -1000)
 	}
 	vals2 = append(vals2, 1, 2, 3)
 	hc := BuildCompressed(buildVec(vals2), 1, 2)
-	max2, _ := hc.MaxValue()
-	if max2 != 1000 {
-		t.Errorf("compressed MaxValue = %d, want 1000 (from frequent list)", max2)
+	if len(hc.Frequent) != 1 || hc.Frequent[0].Value != -1000 || hc.Buckets[0].Low == -1000 {
+		t.Fatalf("fixture: want -1000 in the frequent list only, got %v", hc)
+	}
+	if min2, _ := hc.MinValue(); min2 != -1000 {
+		t.Errorf("compressed MinValue = %d, want -1000 (from frequent list)", min2)
 	}
 }
 

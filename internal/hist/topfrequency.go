@@ -1,7 +1,5 @@
 package hist
 
-import "streamhist/internal/bins"
-
 // TopFrequency is the Oracle-style "TopK representation on the data" that
 // §6.3 lists among the statistics commercial engines gather: when a small
 // number of distinct values dominates the column, the engine stores only
@@ -15,29 +13,6 @@ func topFrequencyName(k Kind) (string, bool) {
 		return "top-frequency", true
 	}
 	return "", false
-}
-
-// BuildTopFrequency constructs a top-frequency histogram with n entries.
-// Following Oracle's validity rule, the construction is only considered
-// applicable when the top n values cover at least a (1 - 1/n) fraction of
-// the rows; ok reports whether that held (the histogram is returned either
-// way, so callers can inspect the coverage).
-func BuildTopFrequency(v *bins.Vector, n int) (h *Histogram, ok bool) {
-	if n <= 0 {
-		panic("hist: top-frequency requires a positive entry count")
-	}
-	nz := v.NonZero()
-	h = &Histogram{Kind: TopFrequency, Total: v.Total(), DistinctTotal: int64(len(nz))}
-	if len(nz) == 0 {
-		return h, false
-	}
-	h.Frequent = topKOfBins(nz, n)
-	var covered int64
-	for _, f := range h.Frequent {
-		covered += f.Count
-	}
-	threshold := float64(v.Total()) * (1 - 1/float64(n))
-	return h, float64(covered) >= threshold
 }
 
 // residual returns the row and distinct counts not covered by the frequent

@@ -19,35 +19,17 @@ func dominatedColumn(heavy int, perHeavy int, tail int) []int64 {
 	return vals
 }
 
-func TestTopFrequencyApplicability(t *testing.T) {
-	// 4 values × 1000 rows + 10 stragglers: top-4 covers 99.75% ≥ 1-1/4.
-	vals := dominatedColumn(4, 1000, 10)
-	h, ok := BuildTopFrequency(buildVec(vals), 4)
-	if !ok {
-		t.Fatal("dominated column should admit a top-frequency histogram")
-	}
-	if len(h.Frequent) != 4 || len(h.Buckets) != 0 {
-		t.Errorf("shape: %d frequent, %d buckets", len(h.Frequent), len(h.Buckets))
-	}
-	// Uniform data: top-4 of 100 equally frequent values covers 4%, far
-	// below 75%.
-	uniform := make([]int64, 0, 1000)
-	for v := int64(0); v < 100; v++ {
-		for c := 0; c < 10; c++ {
-			uniform = append(uniform, v)
-		}
-	}
-	if _, ok := BuildTopFrequency(buildVec(uniform), 4); ok {
-		t.Error("uniform column should not admit a top-frequency histogram")
-	}
+// topFrequency is the top-frequency histogram of vals with n entries: the
+// exact counts of the n most frequent values plus the residual totals.
+func topFrequency(vals []int64, n int) *Histogram {
+	v := buildVec(vals)
+	nz := v.NonZero()
+	return &Histogram{Kind: TopFrequency, Total: v.Total(), DistinctTotal: int64(len(nz)), Frequent: topKOfBins(nz, n)}
 }
 
 func TestTopFrequencyEstimates(t *testing.T) {
 	vals := dominatedColumn(3, 500, 20) // values 0..2 ×500, 1000..1019 ×1
-	h, ok := BuildTopFrequency(buildVec(vals), 3)
-	if !ok {
-		t.Fatal("not applicable")
-	}
+	h := topFrequency(vals, 3)
 	if est := h.EstimateEquals(1); est != 500 {
 		t.Errorf("popular estimate = %v, want exact 500", est)
 	}
@@ -63,37 +45,15 @@ func TestTopFrequencyEstimates(t *testing.T) {
 func TestTopFrequencyResidualEmpty(t *testing.T) {
 	// Every distinct value listed: residual distinct = 0, estimate 0.
 	vals := []int64{1, 1, 2, 2, 3}
-	h, ok := BuildTopFrequency(buildVec(vals), 3)
-	if !ok {
-		t.Fatal("full coverage should be applicable")
-	}
+	h := topFrequency(vals, 3)
 	if est := h.EstimateEquals(99); est != 0 {
 		t.Errorf("estimate outside domain = %v", est)
 	}
 }
 
-func TestTopFrequencyEmptyInput(t *testing.T) {
-	h, ok := BuildTopFrequency(buildVec(nil), 4)
-	if ok {
-		t.Error("empty input applicable")
-	}
-	if h.Total != 0 || len(h.Frequent) != 0 {
-		t.Error("empty input produced content")
-	}
-}
-
-func TestTopFrequencyRejectsBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BuildTopFrequency(buildVec([]int64{1}), 0)
-}
-
 func TestTopFrequencySerializationRoundTrip(t *testing.T) {
 	vals := dominatedColumn(5, 200, 7)
-	h, _ := BuildTopFrequency(buildVec(vals), 5)
+	h := topFrequency(vals, 5)
 	data, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +72,7 @@ func TestTopFrequencySerializationRoundTrip(t *testing.T) {
 
 func TestTopFrequencyQuantile(t *testing.T) {
 	vals := dominatedColumn(2, 500, 0) // 0×500, 1×500
-	h, _ := BuildTopFrequency(buildVec(vals), 2)
+	h := topFrequency(vals, 2)
 	med, err := h.Quantile(0.25)
 	if err != nil {
 		t.Fatal(err)

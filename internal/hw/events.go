@@ -11,7 +11,7 @@ type Adder interface {
 
 // MemEvents is the set of live event sinks a Memory reports into as faults
 // are handled, in addition to its own cumulative accessors (Corrected,
-// Quarantined, SpikeCycles). The accessors answer "what happened to this
+// Quarantined). The accessors answer "what happened to this
 // scan's bin region"; the sinks feed process-lifetime totals a monitoring
 // scrape can watch move in real time. Zero value: no reporting.
 type MemEvents struct {

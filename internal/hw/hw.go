@@ -13,10 +13,7 @@
 // the reproduced throughput and latency curves meaningful.
 package hw
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Default platform parameters, taken from §6 of the paper.
 const (
@@ -73,16 +70,6 @@ func NewClock(hz int64) Clock {
 
 // Seconds converts a cycle count to seconds.
 func (c Clock) Seconds(cycles int64) float64 { return float64(cycles) / float64(c.Hz) }
-
-// Duration converts a cycle count to a time.Duration.
-func (c Clock) Duration(cycles int64) time.Duration {
-	return time.Duration(float64(cycles) / float64(c.Hz) * float64(time.Second))
-}
-
-// Cycles converts a duration to (rounded-down) cycles.
-func (c Clock) Cycles(d time.Duration) int64 {
-	return int64(d.Seconds() * float64(c.Hz))
-}
 
 // String formats the clock.
 func (c Clock) String() string { return fmt.Sprintf("%.0f MHz", float64(c.Hz)/1e6) }

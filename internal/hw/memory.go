@@ -18,7 +18,6 @@ type Memory struct {
 
 	corrected   int64
 	quarantined int64
-	spikeCycles int64
 
 	events MemEvents
 }
@@ -78,7 +77,6 @@ func (m *Memory) Increment(addr int64) (spike int64) {
 	if m.inj.Should(faults.MemLatencySpike) {
 		// A spike stretches the access by 1–10× the nominal latency.
 		spike = DefaultMemLatencyCycles * (1 + m.inj.Intn(faults.MemLatencySpike, 10))
-		m.spikeCycles += spike
 		if m.events.SpikeCycles != nil {
 			m.events.SpikeCycles.Add(spike)
 		}
@@ -134,6 +132,3 @@ func (m *Memory) Corrected() int64 { return m.corrected }
 
 // Quarantined returns how many words were lost to uncorrectable upsets.
 func (m *Memory) Quarantined() int64 { return m.quarantined }
-
-// SpikeCycles returns the total injected extra access latency.
-func (m *Memory) SpikeCycles() int64 { return m.spikeCycles }

@@ -186,20 +186,6 @@ func CountsHistogram(counts []int64) *hist.Histogram {
 	return hist.BuildEquiDepthFromBins(nz, distQuantileBuckets)
 }
 
-// Quantile returns the approximate value (pre-scale units) at q ∈ [0,1], or
-// 0 when nothing was observed yet.
-func (d *Distribution) Quantile(q float64) int64 {
-	h := d.Histogram()
-	if h == nil {
-		return 0
-	}
-	v, err := h.Quantile(q)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // DistNumBins is the fixed bin count of every Distribution: the size of the
 // counts slice CountsInto fills and CountsHistogram reads.
 const DistNumBins = distNumBins

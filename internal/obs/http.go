@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -146,13 +147,18 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// ParseTraceID parses a trace ID as printed by the tools: canonical
-// zero-padded hex (%016x), 0x-prefixed hex, or plain decimal.
+// ParseTraceID parses a trace ID as printed by the tools: a 16-character
+// string is the canonical zero-padded hex (%016x), a 0x-prefixed one is hex,
+// and anything else is decimal.
 func ParseTraceID(s string) (uint64, error) {
-	if v, err := strconv.ParseUint(s, 0, 64); err == nil {
-		return v, nil
+	switch {
+	case len(s) == 16:
+		return strconv.ParseUint(s, 16, 64)
+	case strings.HasPrefix(s, "0x"), strings.HasPrefix(s, "0X"):
+		return strconv.ParseUint(s[2:], 16, 64)
+	default:
+		return strconv.ParseUint(s, 10, 64)
 	}
-	return strconv.ParseUint(s, 16, 64)
 }
 
 // assembleParam resolves the ?id= query of /traces and /debug/tracez into
@@ -166,7 +172,7 @@ func assembleParam(w http.ResponseWriter, r *http.Request, o *Obs) (*AssembledTr
 	}
 	id, err := ParseTraceID(q)
 	if err != nil || id == 0 {
-		http.Error(w, "traces: id must be a hex or decimal trace id", http.StatusBadRequest)
+		http.Error(w, "traces: id must be 16 hex digits, 0x-prefixed hex, or decimal", http.StatusBadRequest)
 		return nil, false
 	}
 	at := o.Tracer().Assemble(id)

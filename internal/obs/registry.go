@@ -11,8 +11,7 @@ import (
 // Counter is a monotonically increasing instrument. The zero value is ready
 // to use; a nil *Counter is a valid no-op, so call sites never need to guard.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Add increments the counter by n. Negative deltas are ignored — counters
@@ -33,14 +32,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Name returns the full metric name the counter was registered under.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
 }
 
 // Gauge is a settable instrument for values that can rise and fall. Nil
@@ -265,7 +256,7 @@ func (r *Registry) register(name, help string, kind metricKind, scale float64) *
 			m = &metric{name: name, base: base, help: help, kind: kind}
 			switch kind {
 			case kindCounter:
-				m.counter = &Counter{name: name}
+				m.counter = new(Counter)
 			case kindGauge:
 				m.gauge = &Gauge{name: name}
 			case kindDist:

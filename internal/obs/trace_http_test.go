@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -21,13 +22,14 @@ func TestTraceEndpointsParamErrors(t *testing.T) {
 			query string
 			want  int
 		}{
-			{"", 400},              // missing id
-			{"?id=", 400},          // empty id
-			{"?id=zz", 400},        // not hex, not decimal
-			{"?id=0", 400},         // zero is the untraced sentinel
-			{"?id=0x0", 400},       // zero in hex
-			{"?id=deadbeef", 404},  // well-formed, unknown
-			{"?id=123456789", 404}, // decimal, unknown
+			{"", 400},                     // missing id
+			{"?id=", 400},                 // empty id
+			{"?id=zz", 400},               // not hex, not decimal
+			{"?id=0", 400},                // zero is the untraced sentinel
+			{"?id=0x0", 400},              // zero in hex
+			{"?id=deadbeef", 400},         // short hex needs the 0x prefix
+			{"?id=00000000deadbeef", 404}, // well-formed, unknown
+			{"?id=123456789", 404},        // decimal, unknown
 		} {
 			resp, body := get(t, srv, endpoint+tc.query)
 			if resp.StatusCode != tc.want {
@@ -84,5 +86,35 @@ func TestTraceEndpointsServeAssembledTrace(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("tracez served no events for a known trace")
+	}
+}
+
+// TestParseTraceIDRoundTrip: every ID the tools print as %016x parses back to
+// itself, those written only in the digits 0-9, or 0-7 after a leading zero,
+// included; 0x-prefixed IDs are hex and everything else is decimal.
+func TestParseTraceIDRoundTrip(t *testing.T) {
+	for _, id := range []uint64{0x1234567812345678, 0x0123456701234567, 0x9000000000000001, 0xabc123, 0, math.MaxUint64} {
+		if got, err := ParseTraceID(fmt.Sprintf("%016x", id)); err != nil || got != id {
+			t.Errorf("ParseTraceID(%016x) = %016x, %v", id, got, err)
+		}
+	}
+	for _, tc := range []struct {
+		s    string
+		want uint64
+	}{
+		{"0x1234567812345678", 0x1234567812345678},
+		{"0Xabc123", 0xabc123},
+		{"123456789", 123456789},
+		{"0755", 755},
+		{"0", 0},
+	} {
+		if got, err := ParseTraceID(tc.s); err != nil || got != tc.want {
+			t.Errorf("ParseTraceID(%q) = %d, %v; want %d", tc.s, got, err, tc.want)
+		}
+	}
+	for _, s := range []string{"", "zz", "deadbeef", "0x", "zzzzzzzzzzzzzzzz"} {
+		if got, err := ParseTraceID(s); err == nil {
+			t.Errorf("ParseTraceID(%q) = %d, want an error", s, got)
+		}
 	}
 }

@@ -22,9 +22,3 @@ func Checksum(buf []byte) uint32 {
 func (p *Page) Checksum() uint32 {
 	return Checksum(p.buf)
 }
-
-// Verify reports whether the page's current image still matches a checksum
-// taken earlier.
-func (p *Page) Verify(sum uint32) bool {
-	return p.Checksum() == sum
-}

@@ -21,7 +21,7 @@ func checksumTestPage(t *testing.T) *Page {
 func TestChecksumDetectsEveryByteFlip(t *testing.T) {
 	p := checksumTestPage(t)
 	sum := p.Checksum()
-	if !p.Verify(sum) {
+	if p.Checksum() != sum {
 		t.Fatal("clean page fails its own checksum")
 	}
 	buf := p.Bytes()
@@ -30,12 +30,12 @@ func TestChecksumDetectsEveryByteFlip(t *testing.T) {
 	for off := 0; off < len(buf); off += 37 {
 		orig := buf[off]
 		buf[off] ^= 0xFF
-		if p.Verify(sum) {
+		if p.Checksum() == sum {
 			t.Fatalf("flip at offset %d not detected", off)
 		}
 		buf[off] = orig
 	}
-	if !p.Verify(sum) {
+	if p.Checksum() != sum {
 		t.Fatal("restored page fails checksum")
 	}
 }

@@ -72,9 +72,6 @@ func (p *Page) NumRows() int { return int(binary.LittleEndian.Uint16(p.buf[2:4])
 // RowWidth returns the encoded width of one row in bytes.
 func (p *Page) RowWidth() int { return int(binary.LittleEndian.Uint16(p.buf[4:6])) }
 
-// NumColumns returns the number of columns in each row.
-func (p *Page) NumColumns() int { return int(binary.LittleEndian.Uint16(p.buf[6:8])) }
-
 // Capacity returns how many rows of this page's width fit on a page.
 func (p *Page) Capacity() int {
 	w := p.RowWidth()
@@ -97,15 +94,6 @@ func (p *Page) AppendRow(schema *table.Schema, row table.Row) bool {
 	return true
 }
 
-// Row decodes row i into dst and returns it.
-func (p *Page) Row(schema *table.Schema, i int, dst table.Row) (table.Row, error) {
-	if i < 0 || i >= p.NumRows() {
-		return nil, fmt.Errorf("page: row %d out of range [0,%d)", i, p.NumRows())
-	}
-	off := HeaderSize + i*p.RowWidth()
-	return DecodeRow(p.buf[off:off+p.RowWidth()], schema, dst)
-}
-
 // EncodeRow writes the fixed-width binary encoding of row into dst, which
 // must be at least schema.RowWidth() bytes.
 func EncodeRow(dst []byte, schema *table.Schema, row table.Row) {
@@ -113,24 +101,6 @@ func EncodeRow(dst []byte, schema *table.Schema, row table.Row) {
 	for i, col := range schema.Columns {
 		off += encodeValue(dst[off:], col.Type, row[i])
 	}
-}
-
-// DecodeRow parses one encoded row, appending the decoded values into dst.
-func DecodeRow(src []byte, schema *table.Schema, dst table.Row) (table.Row, error) {
-	if cap(dst) < schema.NumColumns() {
-		dst = make(table.Row, schema.NumColumns())
-	}
-	dst = dst[:schema.NumColumns()]
-	off := 0
-	for i, col := range schema.Columns {
-		v, n, err := DecodeValue(src[off:], col.Type)
-		if err != nil {
-			return nil, err
-		}
-		dst[i] = v
-		off += n
-	}
-	return dst, nil
 }
 
 func encodeValue(dst []byte, t table.Type, v int64) int {
@@ -211,21 +181,4 @@ func Encode(rel *table.Relation) []*Page {
 		pages = append(pages, cur)
 	}
 	return pages
-}
-
-// Decode reassembles a relation from its page images.
-func Decode(name string, schema *table.Schema, pages []*Page) (*table.Relation, error) {
-	rel := table.NewRelation(name, schema)
-	var row table.Row
-	for _, p := range pages {
-		for i := 0; i < p.NumRows(); i++ {
-			var err error
-			row, err = p.Row(schema, i, row)
-			if err != nil {
-				return nil, err
-			}
-			rel.Append(row)
-		}
-	}
-	return rel, nil
 }

@@ -82,7 +82,7 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	rec := m2.RecoveredScans()
+	rec := m2.Report().OpenScans
 	if len(rec) != 1 || rec[0].Table != "synthetic" || rec[0].Column != "c2" {
 		t.Fatalf("recovered scans %+v, want the interrupted synthetic.c2 scan", rec)
 	}
@@ -128,7 +128,7 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	if int(sum.Pages) != npages-start {
 		t.Fatalf("resumed summary counts %d pages, want %d", sum.Pages, npages-start)
 	}
-	if len(m2.RecoveredScans()) != 0 {
+	if _, ok := m2.AdoptRecovered("synthetic", "c2"); ok {
 		t.Fatal("resume did not adopt the recovered journal entry")
 	}
 }

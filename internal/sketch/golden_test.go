@@ -143,11 +143,11 @@ func TestGoldenV1ForwardDecode(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded %T, want *HLL", b)
 	}
-	if h.Precision() != 10 || h.Items() != 3 || h.Degraded() || !h.Sparse() {
+	if h.Precision() != 10 || h.Items() != 3 || h.Degraded() || h.dense {
 		t.Fatalf("v1 decode drift: p=%d items=%d degraded=%v sparse=%v",
-			h.Precision(), h.Items(), h.Degraded(), h.Sparse())
+			h.Precision(), h.Items(), h.Degraded(), !h.dense)
 	}
-	if h.register(7) != 3 || h.register(900) != 1 {
+	if h.regs[7] != 3 || h.regs[900] != 1 {
 		t.Fatal("v1 decode lost register state")
 	}
 }

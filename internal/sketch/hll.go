@@ -64,9 +64,6 @@ func (h *HLL) Name() string { return "hll" }
 // Precision returns p (tests, rendering).
 func (h *HLL) Precision() int { return int(h.p) }
 
-// Sparse reports whether the sketch still encodes in its sparse form.
-func (h *HLL) Sparse() bool { return !h.dense }
-
 // hashValue mixes a column value into 64 well-distributed bits (the
 // splitmix64 finaliser — the same mixer the fault injector's streams use).
 func hashValue(v int64) uint64 {
@@ -124,9 +121,6 @@ func (h *HLL) noteFill() {
 		h.dense = true
 	}
 }
-
-// register reads one register.
-func (h *HLL) register(idx uint32) uint8 { return h.regs[idx] }
 
 // Estimate returns the distinct-count estimate: the standard bias-corrected
 // harmonic mean, with linear counting below 2.5·m where raw HLL is biased.

@@ -252,14 +252,6 @@ func (c *Chain) SetPos(pos int64) {
 	}
 }
 
-// Pos returns the current stream cursor (tests).
-func (c *Chain) Pos() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.pos
-}
-
 // Push feeds one raw value to every live block and advances the cursor.
 func (c *Chain) Push(v int64) {
 	if c == nil {
@@ -385,20 +377,6 @@ func (c *Chain) Blocks() Blocks {
 		out[i] = c.slots[i].block
 	}
 	return out
-}
-
-// Retired counts blocks detached from the stream by faults.
-func (c *Chain) Retired() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.slots {
-		if c.slots[i].retired {
-			n++
-		}
-	}
-	return n
 }
 
 // Blocks is a set of statistic blocks (a chain's output, a catalog entry's

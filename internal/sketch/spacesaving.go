@@ -297,18 +297,6 @@ func (s *SpaceSaving) Top(n int) []HeavyHitter {
 	return out
 }
 
-// Estimate returns the count bounds for one value. ok is false when the
-// value is untracked, in which case its true frequency is at most the
-// summary's minimum count.
-func (s *SpaceSaving) Estimate(v int64) (hh HeavyHitter, ok bool) {
-	i := s.find(v)
-	if i < 0 {
-		return HeavyHitter{}, false
-	}
-	e := &s.entries[i]
-	return HeavyHitter{Value: e.val, Count: e.count, Err: e.err}, true
-}
-
 // minCount returns the summary's minimum tracked count when at capacity, or
 // 0 otherwise — the upper bound on any untracked value's true frequency.
 func (s *SpaceSaving) minCount() int64 {

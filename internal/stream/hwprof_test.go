@@ -26,7 +26,7 @@ func TestDataPathProfileConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := dp.Profile()
+	prof := dp.Prof.Snapshot()
 	bstats := res.Results.BinnerStats
 	chain := res.Results.Chain
 

@@ -234,16 +234,34 @@ func TestParallelDataPathHostStreamUnchangedUnderFaults(t *testing.T) {
 
 // wantSameBins fails the test unless got holds, bin for bin, what the serial
 // scan's Binner made: a lane fault the replay did not mask shows here even
-// when totals and bucket boundaries agree.
+// when totals and bucket boundaries agree. The two Occupied walks are
+// compared pair by pair, which covers every bin without a lookup per bin of
+// a 10 M-bin sparse region.
 func wantSameBins(t *testing.T, got, want *bins.Vector) {
 	t.Helper()
 	if got.NumBins() != want.NumBins() || got.Total() != want.Total() {
 		t.Fatalf("parallel view (%d bins, total %d) != serial (%d bins, total %d)",
 			got.NumBins(), got.Total(), want.NumBins(), want.Total())
 	}
-	for i := 0; i < want.NumBins(); i++ {
-		if got.Count(i) != want.Count(i) {
-			t.Fatalf("bin %d is %d, serial says %d", i, got.Count(i), want.Count(i))
+	type bin struct {
+		i int
+		c int64
+	}
+	walk := func(v *bins.Vector) []bin {
+		var out []bin
+		v.Occupied(func(i int, c int64) { out = append(out, bin{i, c}) })
+		return out
+	}
+	g, w := walk(got), walk(want)
+	for k := 0; k < len(g) || k < len(w); k++ {
+		switch {
+		case k == len(g):
+			t.Fatalf("bin %d is empty, serial says %d", w[k].i, w[k].c)
+		case k == len(w):
+			t.Fatalf("bin %d is %d, serial says it is empty", g[k].i, g[k].c)
+		case g[k] != w[k]:
+			t.Fatalf("non-empty bin %d of the parallel view is bin %d = %d, serial has bin %d = %d",
+				k, g[k].i, g[k].c, w[k].i, w[k].c)
 		}
 	}
 }

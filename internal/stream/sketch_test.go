@@ -177,7 +177,7 @@ func TestDataPathSketchCycleAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, dp.Profile()
+		return res, dp.Prof.Snapshot()
 	}
 
 	bare, bareProf := run(sketch.ChainSpec{})

@@ -167,10 +167,6 @@ func (d *DataPath) encodedPages() []*page.Page {
 	return d.pageCache
 }
 
-// Profile snapshots the accumulated cycle attribution (empty when no
-// profiler is wired).
-func (d *DataPath) Profile() *hwprof.Profile { return d.Prof.Snapshot() }
-
 // NewDataPath builds a path with the default accelerator configuration for
 // the column's observed value range.
 func NewDataPath(rel *table.Relation, column string, link Link) (*DataPath, error) {

@@ -16,10 +16,7 @@
 //     which is exactly the conversion described in §5.1.1 of the paper.
 package table
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Type enumerates the physical column types understood by the parser and the
 // preprocessor.
@@ -73,16 +70,6 @@ type Column struct {
 	Type Type
 	// Scale is the decimal scale for Decimal columns (value = raw / 10^Scale).
 	Scale int
-}
-
-// Float converts a raw value of this column to a float64 honouring the
-// decimal scale. It is used for result formatting only; all processing is on
-// raw integers.
-func (c Column) Float(raw int64) float64 {
-	if c.Type == Decimal && c.Scale > 0 {
-		return float64(raw) / math.Pow10(c.Scale)
-	}
-	return float64(raw)
 }
 
 // Schema is an ordered list of columns.
@@ -217,8 +204,6 @@ func (r *Relation) ColumnByName(name string) []int64 {
 func (r *Relation) SizeBytes() int64 {
 	return int64(r.NumRows()) * int64(r.Schema.RowWidth())
 }
-
-const daysPerYearAvg = 365.2425
 
 // PackDate converts (year, month, day) to days since 1970-01-01 using the
 // proleptic Gregorian calendar. It is the inverse of UnpackDate.

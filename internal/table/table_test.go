@@ -44,17 +44,6 @@ func TestUnknownTypeWidthPanics(t *testing.T) {
 	Type(200).Width()
 }
 
-func TestColumnFloat(t *testing.T) {
-	price := Column{Name: "p", Type: Decimal, Scale: 2}
-	if got := price.Float(12345); got != 123.45 {
-		t.Errorf("Decimal Float(12345) = %v, want 123.45", got)
-	}
-	plain := Column{Name: "i", Type: Int64}
-	if got := plain.Float(7); got != 7 {
-		t.Errorf("Int64 Float(7) = %v, want 7", got)
-	}
-}
-
 func testSchema() *Schema {
 	return NewSchema(
 		Column{Name: "a", Type: Int64},

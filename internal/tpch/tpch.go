@@ -23,12 +23,6 @@ import (
 	"streamhist/internal/table"
 )
 
-// RowsPerSF is the TPC-H lineitem row count per unit scale factor.
-const RowsPerSF = 6_000_000
-
-// CustomersPerSF is the TPC-H customer row count per unit scale factor.
-const CustomersPerSF = 150_000
-
 // LineitemSchema returns the 8-numeric-column lineitem variant used for the
 // Fig 16/17 experiments ("an eight column version of lineitem using the
 // first eight numeric columns of the original table").

@@ -180,12 +180,6 @@ func TestSyntheticUniform(t *testing.T) {
 	}
 }
 
-func TestRowsPerSFConstants(t *testing.T) {
-	if RowsPerSF != 6_000_000 || CustomersPerSF != 150_000 {
-		t.Error("TPC-H constants wrong")
-	}
-}
-
 func TestOneColumnSchemaUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
