@@ -59,9 +59,9 @@ loc:
 # exported settable fields of the served configuration structs plus the
 # parameters of the timeline's constructor, then the flags of
 # `histserved serve` and of histcli and its subcommands, read from their
-# -h output.
+# -h output. DataPath is listed for the fields ParallelDataPath embeds.
 KNOB_STRUCTS = internal/server/server.go:Config internal/stream/parallel.go:ParallelDataPath \
-	internal/durable/manager.go:Options internal/obs/obs.go:Obs
+	internal/stream/stream.go:DataPath internal/durable/manager.go:Options internal/obs/obs.go:Obs
 KNOB_FLAGS = "histserved serve" histcli "histcli metrics" "histcli profile" "histcli top" "histcli trace"
 knobs:
 	@fields=0; for s in $(KNOB_STRUCTS); do \

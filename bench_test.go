@@ -402,65 +402,10 @@ func BenchmarkParallelDataPath(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDataPathObs measures the instrumentation overhead of the
-// observability layer on the 4-shard parallel data path: "noop" runs with a
-// nil bundle (every span and publish call degrades to a pointer check — the
-// obs-off configuration), "registry" with a bundle holding only a registry,
-// which receives the per-scan counters, per-lane gauges, and the latency
-// distribution, "tracing" layers the scan-record store on top of "registry",
-// so every scan originates a trace ID (root, phases, one span per lane) and a
-// latency exemplar, and "timeline" additionally runs a timeline sampling
-// every instrument and draining the store's entity sketches once per second
-// on its own goroutine (the store is what the timeline reads, so it wires
-// one). All ns/op figures should be within a few
-// percent: instrumentation is charged once per scan, never per page or per
-// value, the timeline rides the sampling tick, never the data path, and a
-// traced scan pays one slab allocation plus a handful of clock reads.
-func BenchmarkParallelDataPathObs(b *testing.B) {
-	rel := tpch.Lineitem(100_000, 10, 305)
-	for _, mode := range []struct {
-		name  string
-		setup func(b *testing.B, dp *stream.ParallelDataPath)
-	}{
-		{"noop", func(b *testing.B, dp *stream.ParallelDataPath) {}},
-		{"registry", func(b *testing.B, dp *stream.ParallelDataPath) {
-			dp.Obs = &obs.Obs{Reg: obs.NewRegistry()}
-		}},
-		{"timeline", func(b *testing.B, dp *stream.ParallelDataPath) {
-			o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
-			tl := timeline.New(o, "")
-			tl.Start()
-			b.Cleanup(tl.Close)
-			dp.Obs = o
-		}},
-		{"tracing", func(b *testing.B, dp *stream.ParallelDataPath) {
-			dp.Obs = &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
-		}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			dp, err := stream.NewParallelDataPath(rel, "l_quantity", stream.TenGbE, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mode.setup(b, dp)
-			b.ReportAllocs()
-			var res *stream.ParallelScanResult
-			for i := 0; i < b.N; i++ {
-				res, err = dp.Scan(io.Discard, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(res.HostBytes)
-		})
-	}
-}
-
 // BenchmarkParallelDataPathProf measures the hardware profiler's overhead on
-// the 4-shard parallel data path: "noop" runs with an empty bundle (every
+// the 4-shard parallel data path: "noop" runs with a nil Prof (every
 // attribution site degrades to one nil check per Push), "profiler" with a
-// bundle holding only a live hwprof.Profiler receiving the per-lane cycle
-// attribution. The hot loop only accumulates six float64s per Push; node
+// live hwprof.Profiler receiving the per-lane cycle attribution. The hot loop only accumulates six float64s per Push; node
 // lookups and atomics happen once per lane at flush, so the two ns/op
 // figures should stay within a few percent.
 func BenchmarkParallelDataPathProf(b *testing.B) {
@@ -477,7 +422,7 @@ func BenchmarkParallelDataPathProf(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dp.Obs = &obs.Obs{Prof: mode.mk()}
+			dp.Prof = mode.mk()
 			b.ReportAllocs()
 			var res *stream.ParallelScanResult
 			for i := 0; i < b.N; i++ {
@@ -570,11 +515,20 @@ func BenchmarkParallelDataPathWide(b *testing.B) {
 // writes/op is the frame count plus the summary's, and a return to chunked
 // writes multiplies it. The "obs-off" rows run the same scans against a
 // second server whose bundle is empty (&obs.Obs{}: no registry, tracer or
-// profiler), the served path's observability baseline.
+// profiler), the served path's observability baseline; the "timeline" rows
+// against a third whose default bundle a started timeline samples once per
+// second on its own goroutine, the cost histserved always pays for it.
 func BenchmarkServedScan(b *testing.B) {
 	rel := tpch.Lineitem(200_000, 1, 307)
 	benchmarkServed(b, rel, nil)
 	b.Run("obs-off", func(b *testing.B) { benchmarkServed(b, rel, &obs.Obs{}) })
+	b.Run("timeline", func(b *testing.B) {
+		o := obs.New()
+		tl := timeline.New(o, "")
+		tl.Start()
+		defer tl.Close()
+		benchmarkServed(b, rel, o)
+	})
 }
 
 // benchmarkServed serves rel from a server with the given bundle (nil gets

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"streamhist/internal/hwprof"
-	"streamhist/internal/obs"
 	"streamhist/internal/stream"
 	"streamhist/internal/tpch"
 )
@@ -30,12 +29,12 @@ func HWProf() *Report {
 	if err != nil {
 		panic(err)
 	}
-	dp.Obs = &obs.Obs{Prof: hwprof.New()}
+	dp.Prof = hwprof.New()
 	res, err := dp.Scan(io.Discard, 0)
 	if err != nil {
 		panic(err)
 	}
-	prof := dp.Profile()
+	prof := dp.Prof.Snapshot()
 
 	total := prof.TotalCycles()
 	for _, s := range prof.Samples {

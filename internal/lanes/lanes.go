@@ -120,8 +120,8 @@ type lane struct {
 // chaos harness's faults (retire the lane) from real ones (surface the error).
 var errInjected = errors.New("injected lane fault")
 
-// Engine is one scan's set of lanes. Every method except Cancel is called
-// from the one goroutine that owns the scan.
+// Engine is one scan's set of lanes. Every method is called from the one
+// goroutine that owns the scan.
 type Engine struct {
 	cfg     Config
 	geom    core.Preprocessor
@@ -132,9 +132,8 @@ type Engine struct {
 	stall *time.Timer
 
 	// release unblocks injected stalls at Join, so no goroutine outlives it.
-	release   chan struct{}
-	cancelled atomic.Bool
-	joined    bool
+	release chan struct{}
+	joined  bool
 
 	replay      *lane
 	retired     int
@@ -206,7 +205,7 @@ func (e *Engine) run(l *lane) {
 	var vals []int64
 	for u := range l.ch {
 		switch {
-		case l.void || l.err != nil || e.cancelled.Load():
+		case l.void || l.err != nil:
 			// Drain only: a poisoned lane fails open, never blocks the feeder.
 		case l.inj.Should(faults.LanePanic):
 			e.putBuf(u)
@@ -275,11 +274,10 @@ func (e *Engine) retire(l *lane) {
 // Feed hands u to the next live lane, round-robin, and returns that lane's
 // index. A full queue applies backpressure for up to StallTimeout — bounded
 // memory — after which the lane is presumed stuck and retired; a lane whose
-// goroutine died is retired on sight. When no lane takes the unit (none left,
-// or the scan was cancelled) Feed returns -1 and the unit's rows are the
-// caller's to account for.
+// goroutine died is retired on sight. When no lane is left to take the unit
+// Feed returns -1 and the unit's rows are the caller's to account for.
 func (e *Engine) Feed(u Unit) int {
-	for tries := 0; tries < len(e.lanes) && !e.cancelled.Load(); tries++ {
+	for tries := 0; tries < len(e.lanes); tries++ {
 		l := &e.lanes[e.next]
 		e.next = (e.next + 1) % len(e.lanes)
 		if l.dead {
@@ -322,11 +320,6 @@ func (e *Engine) stopStall() {
 		<-e.stall.C
 	}
 }
-
-// Cancel forfeits the scan's statistics (the caller's watchdog): lanes drain
-// their queues without binning, Feed refuses further units, every lane reads
-// as Lost and FanIn merges nothing. Safe from any goroutine.
-func (e *Engine) Cancel() { e.cancelled.Store(true) }
 
 // Join ends the input: it unblocks injected stalls first, closes the queues,
 // and waits for the lanes against one absolute deadline, StallTimeout from
@@ -385,7 +378,7 @@ func (e *Engine) Join() {
 // Lost reports, after Join, whether the units Feed gave this lane are missing
 // from the merge. Lane -1 — units Feed refused — always is.
 func (e *Engine) Lost(lane int) bool {
-	return lane < 0 || e.lanes[lane].dead || e.cancelled.Load()
+	return lane < 0 || e.lanes[lane].dead
 }
 
 // Retired is how many lanes the supervisor removed (panic, stall, missed
@@ -421,8 +414,7 @@ func (e *Engine) Replay(units []Unit) error {
 type FanIn struct {
 	// Survivor holds the merged bin region and sketch chain. It belongs to
 	// the caller, which alone decides when (if ever) its scratch may be
-	// released. Nil when nothing was merged: every lane lost and no replay,
-	// or the scan cancelled.
+	// released. Nil when nothing was merged: every lane lost and no replay.
 	Survivor *core.Binner
 	// Stats is the merged accounting with Cycles replaced by the critical
 	// path: the slowest lane plus the aggregation pass.
@@ -444,11 +436,11 @@ type FanIn struct {
 
 // FanIn joins if needed, then finishes every live lane, merges them (and the
 // replay lane) into the first, and prices the result. Every lane gets a span
-// on tr under parent: a retired one marked, with its discarded cycles zeroed,
-// whatever FanIn returns; a live one when it is finished. A lane's real error
-// (a parse failure, a panic nobody injected) is returned before any lane is
-// finished, so nothing is flushed to prof for a scan that fails this way.
-func (e *Engine) FanIn(tr *obs.ScanRecord, parent uint64, prof *hwprof.Profiler, binsPerLine int) (FanIn, error) {
+// on tr: a retired one marked, with its discarded cycles zeroed, whatever
+// FanIn returns; a live one when it is finished. A lane's real error (a parse
+// failure, a panic nobody injected) is returned before any lane is finished,
+// so nothing is flushed to prof for a scan that fails this way.
+func (e *Engine) FanIn(tr *obs.ScanRecord, prof *hwprof.Profiler, binsPerLine int) (FanIn, error) {
 	e.Join()
 	out := FanIn{PerLane: make([]core.BinnerStats, len(e.lanes)), Span: -1}
 	var live [16]*lane
@@ -457,7 +449,7 @@ func (e *Engine) FanIn(tr *obs.ScanRecord, parent uint64, prof *hwprof.Profiler,
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		if l.dead {
-			tr.Reparent(tr.AddSpan("lane", i, l.startNS.Load(), l.endNS.Load(), 0, true), parent)
+			tr.AddSpan("lane", i, l.startNS.Load(), l.endNS.Load(), 0, true)
 			continue
 		}
 		if l.err != nil && err == nil {
@@ -468,8 +460,8 @@ func (e *Engine) FanIn(tr *obs.ScanRecord, parent uint64, prof *hwprof.Profiler,
 	if e.replay != nil {
 		merge = append(merge, e.replay)
 	}
-	if err != nil || e.cancelled.Load() || len(merge) == 0 {
-		// Failed, or incomplete in an unknown way: finish and merge nothing.
+	if err != nil || len(merge) == 0 {
+		// Failed, or nothing survived: finish and merge nothing.
 		return out, err
 	}
 	var cycles [16]int64
@@ -485,7 +477,7 @@ func (e *Engine) FanIn(tr *obs.ScanRecord, parent uint64, prof *hwprof.Profiler,
 		// Wall clock from the lane goroutine's own stamps, hardware cost from
 		// its binning completion cycle: max(lane cycles) + the caller's merge
 		// span is the scan's accelerator time.
-		tr.Reparent(tr.AddSpan(name, l.idx, l.startNS.Load(), l.endNS.Load(), st.Cycles, false), parent)
+		tr.AddSpan(name, l.idx, l.startNS.Load(), l.endNS.Load(), st.Cycles, false)
 	}
 	out.Span = tr.Begin("merge")
 	survivor := merge[0].binner

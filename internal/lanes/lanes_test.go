@@ -87,8 +87,6 @@ type laneCase struct {
 	// damage returns unit k as it is fed, and which of its pages can no
 	// longer be binned from it.
 	damage func(f *fixture, k int) (lanes.Unit, []int)
-	// cancelAt is the unit index before which Cancel is called; -1 never.
-	cancelAt int
 	// wedge blocks every lane inside its Binner callback until the scan is
 	// over: the lanes miss the Join deadline instead of being released by it.
 	wedge bool
@@ -98,10 +96,10 @@ type laneCase struct {
 }
 
 var laneCases = []laneCase{
-	{name: "clean", cancelAt: -1, exactSplit: true},
-	{name: "panic", profile: faults.Profile{faults.LanePanic: 1.0}, cancelAt: -1},
-	{name: "stall", profile: faults.Profile{faults.LaneStall: 1.0}, cancelAt: -1},
-	{name: "truncated", cancelAt: -1, exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
+	{name: "clean", exactSplit: true},
+	{name: "panic", profile: faults.Profile{faults.LanePanic: 1.0}},
+	{name: "stall", profile: faults.Profile{faults.LaneStall: 1.0}},
+	{name: "truncated", exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
 		u := f.sideCopy(f.unit(k))
 		if k%3 != 1 || u.N < 2 {
 			return u, nil
@@ -109,7 +107,7 @@ var laneCases = []laneCase{
 		*u.Buf = (*u.Buf)[:page.Size+page.Size/2] // the second page arrives half
 		return u, []int{u.First + 1}
 	}},
-	{name: "checksum", cancelAt: -1, exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
+	{name: "checksum", exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
 		u := f.sideCopy(f.unit(k))
 		if k%4 != 2 {
 			return u, nil
@@ -117,8 +115,7 @@ var laneCases = []laneCase{
 		(*u.Buf)[page.Size/3] ^= 0x40
 		return u, []int{u.First}
 	}},
-	{name: "cancel", cancelAt: 5},
-	{name: "wedged", cancelAt: -1, wedge: true},
+	{name: "wedged", wedge: true},
 }
 
 // outcome is what one engine run left behind beyond the bin counts, which run
@@ -161,9 +158,6 @@ func (f *fixture) run(t *testing.T, tc laneCase, nLanes int, replay bool) *outco
 	damaged := map[int]bool{}
 	var fed int64
 	for k := range owner {
-		if k == tc.cancelAt {
-			eng.Cancel()
-		}
 		u := f.unit(k)
 		if tc.damage != nil {
 			var bad []int
@@ -218,12 +212,12 @@ func (f *fixture) run(t *testing.T, tc laneCase, nLanes int, replay bool) *outco
 		t.Fatalf("retired %d lanes with no lane fault injected", eng.Retired())
 	}
 
-	if replay && tc.cancelAt < 0 && (eng.Retired() > 0 || len(lost) > 0) {
+	if replay && (eng.Retired() > 0 || len(lost) > 0) {
 		if err := eng.Replay(lost); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fan, err := eng.FanIn(nil, 0, nil, 0)
+	fan, err := eng.FanIn(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +225,7 @@ func (f *fixture) run(t *testing.T, tc laneCase, nLanes int, replay bool) *outco
 	if fan.Survivor != nil {
 		merged = fan.Stats.Items
 	}
-	if tc.cancelAt >= 0 && fan.Survivor != nil {
-		t.Fatal("a cancelled scan merged something")
-	}
-	if !replay || tc.cancelAt >= 0 {
+	if !replay {
 		if merged+lostRows+quarantinedRows != fed {
 			t.Fatalf("merged %d + lost %d + quarantined %d rows != %d fed", merged, lostRows, quarantinedRows, fed)
 		}
@@ -273,9 +264,6 @@ func TestLaneEngineFaults(t *testing.T) {
 				f.run(t, tc, nLanes, false)
 				fresh := f.run(t, tc, nLanes, true)
 				pooled := f.run(t, tc, nLanes, true)
-				if fresh == nil {
-					return // cancelled: nothing merges, with or without replay
-				}
 				for i := range fresh.sketches {
 					if !bytes.Equal(fresh.sketches[i], pooled.sketches[i]) {
 						t.Fatalf("sketch block %d differs on pooled scratch", i)

@@ -37,7 +37,7 @@ type ScanRecord struct {
 	// RootSpanID is the span every locally recorded span parents under by
 	// default; derived deterministically from TraceID and the side salt.
 	RootSpanID uint64 `json:"root_span_id,omitempty"`
-	// Source is the layer that ran the scan: "server", "client" or "stream".
+	// Source is the layer that ran the scan: "server" or "client".
 	Source string `json:"source,omitempty"`
 	Table  string `json:"table"`
 	Column string `json:"column,omitempty"`
@@ -149,24 +149,6 @@ func (r *ScanRecord) assignID(idx int) {
 	sp := &r.Spans[idx]
 	sp.SpanID = DeriveSpanID(r.TraceID, r.side, idx+1)
 	sp.ParentID = r.RootSpanID
-}
-
-// SpanIDAt returns the distributed span ID of span idx (zero when the trace
-// is not distributed or idx is out of range). Nil-safe.
-func (r *ScanRecord) SpanIDAt(idx int) uint64 {
-	if r == nil || idx < 0 || idx >= len(r.Spans) {
-		return 0
-	}
-	return r.Spans[idx].SpanID
-}
-
-// Reparent moves span idx under parentID — how lane spans nest under the
-// streaming phase instead of the root. Nil-safe, no-op outside tracing.
-func (r *ScanRecord) Reparent(idx int, parentID uint64) {
-	if r == nil || idx < 0 || idx >= len(r.Spans) || r.TraceID == 0 || parentID == 0 {
-		return
-	}
-	r.Spans[idx].ParentID = parentID
 }
 
 // End closes the span opened by Begin, attributing hw simulated cycles.

@@ -46,7 +46,6 @@ type Span struct {
 const (
 	SpanSideClient uint64 = 1
 	SpanSideServer uint64 = 2
-	SpanSideStream uint64 = 3
 )
 
 // NewTraceID originates a 64-bit distributed trace ID (never zero — zero is

@@ -15,7 +15,6 @@ func TestDeriveSpanIDDistinct(t *testing.T) {
 	sides := []uint64{
 		SpanSideClient,
 		SpanSideServer,
-		SpanSideStream,
 		SpanSideServer | 1<<8,
 		SpanSideServer | 2<<8,
 		SpanSideServer | 3<<8,
@@ -43,8 +42,8 @@ func TestDeriveSpanIDDistinct(t *testing.T) {
 }
 
 // EnableTrace flips a scan trace into distributed mode: spans get derived
-// IDs parented under the root, BeginRoot takes the root ID itself, and
-// Reparent moves lane spans under a phase span.
+// IDs parented under the root, lane spans recorded by AddSpan included, and
+// BeginRoot takes the root ID itself.
 func TestScanTraceDistributedIDs(t *testing.T) {
 	const traceID, parent = uint64(0x1234), uint64(0x9999)
 	tr := StartScan(1, "client", "lineitem", "l_tax", 8)
@@ -56,7 +55,6 @@ func TestScanTraceDistributedIDs(t *testing.T) {
 	tr.End(child, 0)
 	tr.End(root, 0)
 	lane := tr.AddSpan("lane", 0, 0, 0, 7, false)
-	tr.Reparent(lane, tr.SpanIDAt(child))
 
 	if tr.Spans[root].SpanID != tr.RootSpanID || tr.Spans[root].ParentID != parent {
 		t.Fatalf("root span = %+v, want span id %#x parent %#x", tr.Spans[root], tr.RootSpanID, parent)
@@ -64,14 +62,11 @@ func TestScanTraceDistributedIDs(t *testing.T) {
 	if tr.Spans[child].ParentID != tr.RootSpanID {
 		t.Fatalf("child parent = %#x, want root %#x", tr.Spans[child].ParentID, tr.RootSpanID)
 	}
-	if tr.Spans[lane].ParentID != tr.Spans[child].SpanID {
-		t.Fatalf("reparent did not move the lane span: %+v", tr.Spans[lane])
+	if tr.Spans[lane].ParentID != tr.RootSpanID {
+		t.Fatalf("lane span = %+v, want parent root %#x", tr.Spans[lane], tr.RootSpanID)
 	}
-	// Out-of-range and zero-parent reparents are no-ops, not panics.
-	tr.Reparent(99, 1)
-	tr.Reparent(lane, 0)
-	if tr.Spans[lane].ParentID != tr.Spans[child].SpanID {
-		t.Fatal("zero-parent reparent moved the span")
+	if id := tr.Spans[lane].SpanID; id == 0 || id == tr.RootSpanID || id == tr.Spans[child].SpanID {
+		t.Fatalf("lane span id %#x is zero or collides", id)
 	}
 }
 

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"bufio"
-	"time"
-)
+import "bufio"
 
 // WireForm exposes a registered table's stored state to the external tests:
 // the wire-form slab, the page images scans and lanes alias, and the
@@ -18,10 +15,6 @@ func (s *Server) WireForm(table string) (slab []byte, images [][]byte, sums []ui
 	}
 	return e.slab, images, e.pageSums(), nil
 }
-
-// SetScanDeadline arms the per-scan side-path watchdog, which no served
-// configuration sets. Call it before the first scan.
-func (s *Server) SetScanDeadline(d time.Duration) { s.scanDeadline = d }
 
 // WriteStats runs the server side of a Stats read for table.column into bw:
 // the catalog lookup and the reply frame, exactly as a connection gets it.

@@ -226,15 +226,11 @@ type Server struct {
 	catalog *dbms.Catalog
 	// binner is the accelerator model every side-path lane simulates.
 	binner core.BinnerConfig
-	// scanDeadline bounds one scan's statistics side path: a side path still
-	// running when it fires is cancelled — the raw page stream is never
-	// touched — and the scan reports Degraded instead of installing a
-	// possibly stale histogram. Zero, the served setting, means no watchdog;
-	// the tests arm it through SetScanDeadline.
-	scanDeadline time.Duration
 
 	mu     sync.RWMutex
 	tables map[string]*tableEntry
+	// listBytes sums listEntryBytes over tables: their worst-case LIST reply.
+	listBytes int
 
 	drainSem chan struct{}
 	bufPool  sync.Pool
@@ -325,13 +321,18 @@ func (s *Server) Catalog() *dbms.Catalog { return s.catalog }
 
 // Register adds (or replaces) a relation. Replacing bumps the catalog
 // version so previously gathered statistics read as stale until the next
-// served scan refreshes them.
+// served scan refreshes them. A relation that would make the LIST reply
+// undecodable — more than maxListEntries tables or columns, or a reply over
+// MaxPayload — is refused.
 func (s *Server) Register(rel *table.Relation) error {
 	if rel == nil || rel.Name == "" {
 		return fmt.Errorf("server: relation must have a name")
 	}
 	if len(rel.Name) > maxNameLen {
 		return fmt.Errorf("server: table name %q exceeds %d bytes", rel.Name, maxNameLen)
+	}
+	if n := rel.Schema.NumColumns(); n > maxListEntries {
+		return fmt.Errorf("server: table %q has %d columns, over the LIST limit of %d", rel.Name, n, maxListEntries)
 	}
 	cols := make(map[string]colMeta, rel.Schema.NumColumns())
 	for _, c := range rel.Schema.Columns {
@@ -352,13 +353,36 @@ func (s *Server) Register(rel *table.Relation) error {
 		cols[c.Name] = m
 	}
 	s.mu.Lock()
-	_, replaced := s.tables[rel.Name]
+	old, replaced := s.tables[rel.Name]
+	listBytes := s.listBytes + listEntryBytes(rel)
+	if replaced {
+		listBytes -= listEntryBytes(old.rel)
+	} else if len(s.tables) >= maxListEntries {
+		s.mu.Unlock()
+		return fmt.Errorf("server: table %q would be table %d, over the LIST limit of %d", rel.Name, len(s.tables)+1, maxListEntries)
+	}
+	if 2+listBytes > MaxPayload {
+		s.mu.Unlock()
+		return fmt.Errorf("server: table %q would grow the LIST reply to %d bytes, over the limit of %d", rel.Name, 2+listBytes, MaxPayload)
+	}
+	s.listBytes = listBytes
 	s.tables[rel.Name] = &tableEntry{rel: rel, cols: cols, ppf: s.cfg.PagesPerFrame}
 	s.mu.Unlock()
 	if replaced {
 		s.catalog.BumpVersion(rel.Name)
 	}
 	return nil
+}
+
+// listEntryBytes is the most rel can add to a LIST reply: its name, row count
+// and two column counts, and every column name twice — once as a column and
+// once as a stats column.
+func listEntryBytes(rel *table.Relation) int {
+	n := 2 + len(rel.Name) + 8 + 2 + 2
+	for _, c := range rel.Schema.Columns {
+		n += 2 * (2 + len(c.Name))
+	}
+	return n
 }
 
 func (s *Server) lookup(name string) (*tableEntry, error) {
@@ -828,8 +852,8 @@ func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
 
 // finish completes the scan's side effect into the record. A statistics
 // refresh that was requested and possible but did not happen — saturation,
-// resumption, faults, or the watchdog — must say so: the summary must not
-// read like a clean no-op.
+// resumption or faults — must say so: the summary must not read like a
+// clean no-op.
 func (s *Server) finish(sc *servedScan) {
 	if sc.side != nil {
 		sc.side.finish()
@@ -928,13 +952,12 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 }
 
 // sidePath is the server's policy around one scan's lanes.Engine: it builds
-// the units (the splitter copy), owns the drain-pool slot and the watchdog,
-// and turns what the engine reports into the scan's statistics yield. The
-// side path is strictly subordinate to the raw stream: whatever happens to a
-// lane, a page or the deadline, the page stream is already complete or still
-// completing at full speed. The server cannot re-read the wire, so what the
-// engine lost degrades the statistic — and the degradation is always
-// reported, never silent.
+// the units (the splitter copy), owns the drain-pool slot, and turns what
+// the engine reports into the scan's statistics yield. The side path is
+// strictly subordinate to the raw stream: whatever happens to a lane or a
+// page, the page stream is already complete or still completing at full
+// speed. The server cannot re-read the wire, so what the engine lost degrades
+// the statistic — and the degradation is always reported, never silent.
 type sidePath struct {
 	s *Server
 	// sc is the owning scan: finish() writes the statistics yield into its
@@ -946,8 +969,7 @@ type sidePath struct {
 	// images, so lanes parse those in place and the side copy is skipped.
 	zeroCopy bool
 	// pend is the unit feed is assembling.
-	pend     lanes.Unit
-	watchdog *time.Timer
+	pend lanes.Unit
 	// unitsLost notes units no live lane would take (all retired or all
 	// stalled past the timeout): the merged view is missing that data.
 	unitsLost bool
@@ -990,9 +1012,6 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 	// The only ways a side copy can differ from the stable page images are
 	// the in-flight corruption and truncation points.
 	sp.zeroCopy = !inj.Enabled(faults.PageCorrupt) && !inj.Enabled(faults.PageTruncate)
-	if s.scanDeadline > 0 {
-		sp.watchdog = time.AfterFunc(s.scanDeadline, eng.Cancel)
-	}
 	return sp
 }
 
@@ -1070,9 +1089,6 @@ func (sp *sidePath) stop() {
 		return
 	}
 	sp.stopped = true
-	if sp.watchdog != nil {
-		sp.watchdog.Stop()
-	}
 	sp.eng.Join()
 	sp.s.metrics.pagesQuarantined.Add(sp.eng.Quarantined())
 	sp.s.metrics.lanesRetired.Add(int64(sp.eng.Retired()))
@@ -1089,7 +1105,7 @@ func (sp *sidePath) finish() {
 	sp.stop()
 	s, rec := sp.s, sp.sc.rec
 	prof := s.obs.Profiler()
-	fan, err := sp.eng.FanIn(rec, 0, prof, s.binner.Mem.BinsPerLine)
+	fan, err := sp.eng.FanIn(rec, prof, s.binner.Mem.BinsPerLine)
 	// The lanes FanIn finished flushed their attribution; record the matching
 	// expectation now, so profile and counter agree whatever happens next.
 	var laneSum int64
@@ -1107,8 +1123,7 @@ func (sp *sidePath) finish() {
 	rec.QuarantinedPages = uint32(sp.eng.Quarantined())
 	rec.LanesRetired = uint32(sp.eng.Retired())
 	if fan.Survivor == nil {
-		// The watchdog fired — whatever the lanes hold is incomplete in an
-		// unknown way — or no lane survived. Install nothing.
+		// No lane survived. Install nothing.
 		rec.Degraded = true
 		return
 	}

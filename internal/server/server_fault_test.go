@@ -157,37 +157,6 @@ func TestScanDrainSaturationFailsOpen(t *testing.T) {
 	}
 }
 
-// The per-scan watchdog cancels an overrunning side path while the raw
-// stream completes untouched.
-func TestScanWatchdogCancelsSidePath(t *testing.T) {
-	const rows = 20000
-	want := storageBytes(t, rows)
-
-	srv := server.New(server.Config{})
-	srv.SetScanDeadline(time.Nanosecond)
-	if err := srv.Register(testRelation(rows)); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c := pipeClient(srv)
-	defer c.Close()
-	var got bytes.Buffer
-	sum, err := c.Scan("synthetic", "c1", &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("watchdog touched the raw stream")
-	}
-	if sum.Refreshed {
-		t.Fatal("a 1ns deadline cannot have allowed a refresh")
-	}
-	if !sum.Degraded {
-		t.Fatal("watchdog cancellation must surface as Degraded")
-	}
-}
-
 // Lane panics and stalls inside the server's side path: the scan completes,
 // the stream is exact, and the loss is reported — retired lanes with a
 // Degraded histogram whose skipped count covers the missing rows.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -534,4 +535,55 @@ func TestShardLanesOneMatchesMultiLane(t *testing.T) {
 	if one.NDistinct != eight.NDistinct || one.RowCount != eight.RowCount {
 		t.Fatal("1-lane and 8-lane scans installed different metadata")
 	}
+}
+
+// Register refuses a relation that would make the LIST reply undecodable —
+// a 4 097th table, a 4 097-column schema, or a reply over MaxPayload — so
+// Tables() keeps working however many relations were offered.
+func TestRegisterKeepsListDecodable(t *testing.T) {
+	const limit = 4096
+	oneRow := func(name string, cols int, colName string) *table.Relation {
+		schema := &table.Schema{}
+		for i := 0; i < cols; i++ {
+			schema.Columns = append(schema.Columns, table.Column{Name: fmt.Sprintf("%s%d", colName, i), Type: table.Int64})
+		}
+		rel := table.NewRelation(name, schema)
+		rel.Append(make(table.Row, cols))
+		return rel
+	}
+	wantRefused := func(err error, limit int) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+			t.Fatalf("Register err = %v, want a refusal naming the limit %d", err, limit)
+		}
+	}
+
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	for i := 0; i < limit; i++ {
+		if err := srv.Register(oneRow(fmt.Sprintf("t%d", i), 1, "c")); err != nil {
+			t.Fatalf("table %d: %v", i+1, err)
+		}
+	}
+	wantRefused(srv.Register(oneRow("one-too-many", 1, "c")), limit)
+	// Replacing a registered table adds none.
+	if err := srv.Register(oneRow("t0", 2, "c")); err != nil {
+		t.Fatalf("replace at the limit: %v", err)
+	}
+	c := pipeClient(srv)
+	defer c.Close()
+	tables, err := c.Tables()
+	if err != nil {
+		t.Fatalf("tables at the limit: %v", err)
+	}
+	if len(tables) != limit {
+		t.Fatalf("listed %d tables, registered %d", len(tables), limit)
+	}
+
+	fresh := server.New(server.Config{})
+	defer fresh.Close()
+	wantRefused(fresh.Register(oneRow("wide", limit+1, "c")), limit)
+	// 2 100 columns of 250-byte names fit the count but, listed twice, not
+	// the payload.
+	wantRefused(fresh.Register(oneRow("long", 2100, strings.Repeat("n", 246))), server.MaxPayload)
 }

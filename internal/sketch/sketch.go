@@ -115,10 +115,10 @@ func (b *blockBase) absorb(o *blockBase) {
 	b.degraded = b.degraded || o.degraded
 }
 
-// Default per-value processing costs, in simulated cycles. Like the Table 2
-// chain constants these are model parameters, not measurements: the blocks
-// are pipelined beside the Binner, so their cost is a per-value rate charged
-// to their own hwprof reason, never a stall of the host stream.
+// Per-value processing costs of the blocks, in simulated cycles. Like the
+// Table 2 chain constants these are model parameters, not measurements: the
+// blocks are pipelined beside the Binner, so their cost is a per-value rate
+// charged to their own hwprof reason, never a stall of the host stream.
 const (
 	DefaultHLLCyclesPerValue    = 2
 	DefaultHeavyCyclesPerValue  = 4
@@ -136,10 +136,6 @@ type ChainSpec struct {
 	// WindowW enables the sliding-window aggregate over the last W stream
 	// values. 0 disables.
 	WindowW int
-	// Cycles-per-value overrides; 0 means the block's default.
-	NDVCyclesPerValue    int64
-	HeavyCyclesPerValue  int64
-	WindowCyclesPerValue int64
 }
 
 // DefaultChainSpec is the serving default: NDV, heavy hitters, and a
@@ -188,28 +184,22 @@ func NewChain(spec ChainSpec) *Chain {
 		return nil
 	}
 	c := &Chain{}
-	cpv := func(override, def int64) int64 {
-		if override > 0 {
-			return override
-		}
-		return def
-	}
 	if spec.NDVPrecision > 0 {
 		c.slots = append(c.slots, chainSlot{
 			block: pooledHLL(spec.NDVPrecision),
-			cpv:   cpv(spec.NDVCyclesPerValue, DefaultHLLCyclesPerValue),
+			cpv:   DefaultHLLCyclesPerValue,
 		})
 	}
 	if spec.HeavyK > 0 {
 		c.slots = append(c.slots, chainSlot{
 			block: pooledSpaceSaving(spec.HeavyK),
-			cpv:   cpv(spec.HeavyCyclesPerValue, DefaultHeavyCyclesPerValue),
+			cpv:   DefaultHeavyCyclesPerValue,
 		})
 	}
 	if spec.WindowW > 0 {
 		c.slots = append(c.slots, chainSlot{
 			block: pooledWindow(spec.WindowW),
-			cpv:   cpv(spec.WindowCyclesPerValue, DefaultWindowCyclesPerValue),
+			cpv:   DefaultWindowCyclesPerValue,
 		})
 	}
 	return c

@@ -462,14 +462,6 @@ func TestChainCycleAccounting(t *testing.T) {
 	}
 }
 
-func TestChainCyclesPerValueOverride(t *testing.T) {
-	c := NewChain(ChainSpec{NDVPrecision: 8, NDVCyclesPerValue: 10})
-	c.PushAll(make([]int64, 7))
-	if got := c.TotalCycles(); got != 70 {
-		t.Fatalf("override cycles = %d, want 70", got)
-	}
-}
-
 func TestChainMergeEqualsSerialAcrossPositions(t *testing.T) {
 	// Two lanes fed disjoint page ranges via SetPos must merge to the serial
 	// chain over the concatenated stream.

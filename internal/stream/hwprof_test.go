@@ -7,7 +7,6 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/hwprof"
-	"streamhist/internal/obs"
 	"streamhist/internal/tpch"
 )
 
@@ -51,12 +50,12 @@ func TestParallelDataPathProfileConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Obs = &obs.Obs{Prof: hwprof.New()}
+	pdp.Prof = hwprof.New()
 	res, err := pdp.Scan(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := pdp.Profile()
+	prof := pdp.Prof.Snapshot()
 	chain := res.Results.Chain
 
 	var laneSum, maxLane int64
@@ -98,17 +97,17 @@ func TestParallelProfileConsistencyUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdp.Faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
+		pdp.faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
 		pdp.Config.Binner.Faults = faults.New(seed+100, faults.Profile{
 			faults.MemLatencySpike: 0.02,
 			faults.MemReadFlip:     0.01,
 		})
-		pdp.Obs = &obs.Obs{Prof: hwprof.New()}
+		pdp.Prof = hwprof.New()
 		res, err := pdp.Scan(io.Discard, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		prof := pdp.Profile()
+		prof := pdp.Prof.Snapshot()
 
 		var laneSum int64
 		for i, ls := range res.PerShard {

@@ -31,7 +31,7 @@ func TestParallelDataPathLanePanicsMasked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdp.Faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
+		pdp.faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
 		res, err := pdp.Scan(io.Discard, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -66,7 +66,7 @@ func TestParallelDataPathLaneStallsMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Faults = faults.New(11, faults.Profile{faults.LaneStall: 0.5})
+	pdp.faults = faults.New(11, faults.Profile{faults.LaneStall: 0.5})
 	pdp.stallTimeout = 50 * time.Millisecond
 
 	start := time.Now()
@@ -98,7 +98,7 @@ func TestParallelDataPathAllLanesLostStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Faults = faults.New(4, faults.Profile{faults.LanePanic: 1.0})
+	pdp.faults = faults.New(4, faults.Profile{faults.LanePanic: 1.0})
 
 	var got bytes.Buffer
 	res, err := pdp.Scan(&got, 1)
@@ -143,7 +143,7 @@ func TestParallelDataPathDrainTimeMultiStallNoDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Faults = faults.New(3, faults.Profile{faults.LaneStall: 1.0})
+	pdp.faults = faults.New(3, faults.Profile{faults.LaneStall: 1.0})
 	pdp.stallTimeout = 50 * time.Millisecond
 	// One chunk per lane: nothing stalls during fan-out, so every lane is
 	// still "healthy" when the drain wait begins — the deadlock shape.
@@ -187,7 +187,7 @@ func TestParallelDataPathStallRetiredLanesExitAfterScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdp.Faults = faults.New(9, faults.Profile{faults.LaneStall: 1.0})
+		pdp.faults = faults.New(9, faults.Profile{faults.LaneStall: 1.0})
 		pdp.stallTimeout = 30 * time.Millisecond
 		res, err := pdp.Scan(io.Discard, 1)
 		if err != nil {
@@ -216,7 +216,7 @@ func TestParallelDataPathHostStreamUnchangedUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdp.Faults = faults.New(2, faults.Profile{faults.LanePanic: 0.2, faults.LaneStall: 0.1})
+	pdp.faults = faults.New(2, faults.Profile{faults.LanePanic: 0.2, faults.LaneStall: 0.1})
 	pdp.stallTimeout = 50 * time.Millisecond
 
 	var got bytes.Buffer

@@ -21,7 +21,7 @@ func poolScan(t *testing.T, inj *faults.Injector) (*ParallelScanResult, [][]byte
 		t.Fatal(err)
 	}
 	pdp.Sketch = sketchTestSpec()
-	pdp.Faults = inj
+	pdp.faults = inj
 	res, err := pdp.Scan(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)

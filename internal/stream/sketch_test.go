@@ -7,7 +7,6 @@ import (
 
 	"streamhist/internal/faults"
 	"streamhist/internal/hwprof"
-	"streamhist/internal/obs"
 	"streamhist/internal/sketch"
 	"streamhist/internal/tpch"
 )
@@ -93,7 +92,7 @@ func TestParallelDataPathSketchSurvivesLaneFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		pdp.Sketch = spec
-		pdp.Faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
+		pdp.faults = faults.New(seed, faults.Profile{faults.LanePanic: 0.3})
 		res, err := pdp.Scan(io.Discard, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -137,7 +136,7 @@ func TestParallelDataPathSketchFaultPointsFailOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		pdp.Sketch = spec
-		pdp.Faults = faults.New(seed, faults.Profile{
+		pdp.faults = faults.New(seed, faults.Profile{
 			faults.SketchCorrupt: 0.2,
 			faults.SketchRetire:  0.1,
 		})
@@ -213,12 +212,12 @@ func TestParallelDataPathSketchProfileConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdp.Sketch = sketchTestSpec()
-	pdp.Obs = &obs.Obs{Prof: hwprof.New()}
+	pdp.Prof = hwprof.New()
 	res, err := pdp.Scan(io.Discard, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := pdp.Profile()
+	prof := pdp.Prof.Snapshot()
 
 	var laneSum int64
 	for _, ls := range res.PerShard {
