@@ -1,0 +1,176 @@
+package server_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"streamhist/internal/faults"
+	"streamhist/internal/page"
+	"streamhist/internal/server"
+)
+
+// TestChaosOutcomesPinned pins the served fault model seed by seed: what the
+// wire carried damaged, what the side path quarantined and skipped, what the
+// simulated hardware charged, and the bytes of the catalog entry the scan
+// left behind, for fixed seeds of the two profiles that damage pages, at
+// three frame sizes (one unit a frame, units completed across frames, one
+// frame for the whole relation). The no-third-outcome tests hold the
+// property; this one holds the numbers, so a change to how a fault reaches
+// the lanes that keeps the property but moves one draw shows here. The seeds
+// are fixed whatever STREAMHIST_CHAOS_SEEDS says. Regenerate with -update.
+//
+// It also holds one identity inline: a scan whose side path ran and saw no
+// page fault but in-flight corruption quarantines exactly the pages the
+// client found damaged against the trailer, and, with no bin lost to memory,
+// skips exactly their rows.
+func TestChaosOutcomesPinned(t *testing.T) {
+	const rows, seeds = 11000, 20
+	rel := testRelation(rows)
+	pages := page.Encode(rel)
+	var got strings.Builder
+	for _, name := range []string{faults.ProfileCorruptionHeavy, faults.ProfileNetworkFlaky} {
+		profile, err := faults.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ppf := range []int{2, 20, 64} {
+			for seed := 0; seed < seeds; seed++ {
+				inj := faults.New(uint64(seed), profile)
+				srv := server.New(server.Config{
+					Faults:           inj,
+					PagesPerFrame:    ppf,
+					ShardLanes:       4,
+					SideStallTimeout: time.Minute,
+				})
+				if err := srv.Register(rel); err != nil {
+					t.Fatal(err)
+				}
+				d := drainScan(t, srv, pages)
+				m := srv.Metrics()
+				entry := "none"
+				if st := srv.Catalog().Get("synthetic", "c1"); st != nil && st.Encoded() != nil {
+					entry = fmt.Sprintf("%x", sha256.Sum256(st.Encoded()[24:]))[:16]
+				}
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				line := fmt.Sprintf("%s ppf=%d seed=%d wire-corrupt=%d", name, ppf, seed, len(d.corrupt))
+				if d.sum == nil {
+					line += " summary=none"
+				} else {
+					s := d.sum
+					line += fmt.Sprintf(" quarantined=%d degraded=%t skipped=%d accel=%d",
+						s.QuarantinedPages, s.Degraded, s.SkippedTuples, s.AccelCycles)
+				}
+				fmt.Fprintf(&got, "%s metrics=%d/%d entry=%s\n", line, m.PagesQuarantined, m.LanesRetired, entry)
+
+				if d.sum == nil || !d.sum.Refreshed || inj.TotalHits(faults.PageTruncate) > 0 {
+					continue
+				}
+				if int(d.sum.QuarantinedPages) != len(d.corrupt) {
+					t.Errorf("%s: quarantined %d pages, the wire carried %d corrupt", line, d.sum.QuarantinedPages, len(d.corrupt))
+				}
+				var lost uint64
+				for _, i := range d.corrupt {
+					lost += uint64(pages[i].NumRows())
+				}
+				if m.BinsQuarantined == 0 && d.sum.SkippedTuples != lost {
+					t.Errorf("%s: skipped %d rows, the corrupt pages hold %d", line, d.sum.SkippedTuples, lost)
+				}
+			}
+		}
+	}
+
+	golden := filepath.Join("testdata", "chaos_outcomes.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, g, w)
+		}
+	}
+}
+
+// drained is what a raw client saw of one scan.
+type drained struct {
+	corrupt []int               // pages whose image failed its trailer checksum
+	sum     *server.ScanSummary // nil when the connection died first
+}
+
+// drainScan requests a scan of synthetic.c1 and reads every frame the server
+// sends until the summary or the end of the connection, retrying nothing,
+// then waits for the server side of the connection to finish, so every
+// counter the scan moves has settled.
+func drainScan(t *testing.T, srv *server.Server, pages []*page.Page) drained {
+	t.Helper()
+	sc, cc := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		srv.ServeConn(sc)
+		close(done)
+	}()
+	cc.SetDeadline(time.Now().Add(10 * time.Second))
+	req := server.ScanRequest{Table: "synthetic", Column: "c1"}
+	if _, err := cc.Write(server.AppendFrame(nil, server.FrameScan, server.EncodeScanRequest(req))); err != nil {
+		t.Fatal(err)
+	}
+	var d drained
+	next := 0
+	for d.sum == nil {
+		f, err := server.ReadFrame(cc)
+		if err != nil {
+			break // an injected reset: the scan ends here for this client
+		}
+		switch f.Type {
+		case server.FramePagesCk:
+			n := len(f.Payload) / (page.Size + server.PageChecksumSize)
+			trailer := f.Payload[n*page.Size:]
+			for i := 0; i < n; i++ {
+				if page.Checksum(f.Payload[i*page.Size:(i+1)*page.Size]) != binary.LittleEndian.Uint32(trailer[4*i:]) {
+					d.corrupt = append(d.corrupt, next+i)
+				}
+			}
+			next += n
+		case server.FrameScanEnd:
+			sum, err := server.DecodeScanSummary(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.sum = &sum
+		default:
+			t.Fatalf("unexpected frame type %d", f.Type)
+		}
+	}
+	if next > len(pages) {
+		t.Fatalf("%d pages delivered, the relation has %d", next, len(pages))
+	}
+	cc.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeConn did not return")
+	}
+	return d
+}

@@ -15,7 +15,7 @@ import (
 	"streamhist/internal/server"
 )
 
-var updateDefaults = flag.Bool("update", false, "rewrite testdata/defaults.golden")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files")
 
 // The served defaults, pinned on the wire: one column scan and one Stats read
 // against a Config that sets nothing but ShardLanes, recorded as the raw reply
@@ -40,7 +40,7 @@ func TestDefaultsOnTheWire(t *testing.T) {
 	got := fmt.Sprintf("scan %x\nstats %x\n", sha256.Sum256(scan), sha256.Sum256(stats))
 
 	golden := filepath.Join("testdata", "defaults.golden")
-	if *updateDefaults {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
