@@ -24,7 +24,7 @@ PERF_OUT ?= perf_head.txt
 PERF_BASE ?= perf_base.txt
 PERF_HEAD ?= perf_head.txt
 
-.PHONY: check vet build test race fuzz bench perf-bench perf-gate lint chaos-durable loc knobs surface examples
+.PHONY: check vet build test race fuzz bench perf-bench perf-gate lint chaos chaos-durable loc knobs surface examples
 
 check: vet build race
 
@@ -120,6 +120,17 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz=$$name -fuzztime=$(FUZZTIME) $$pkg || failed="$$failed $$name"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz: FAILED:$$failed"; exit 1; fi
+
+# chaos is the served fault suite under the race detector: the
+# no-third-outcome property and the pinned per-seed outcomes, the lane
+# engine's own fault table, the sketch engine's fail-open assertions and the
+# rest of the fault, resume and deadline tests. STREAMHIST_CHAOS_SEEDS widens
+# the no-third-outcome sweep (default 100 here); STREAMHIST_CHAOS_PROFILE,
+# when set in the environment, pins one profile.
+STREAMHIST_CHAOS_SEEDS ?= 100
+CHAOS_RUN = TestChaos|Fault|Resumed|Quarantine|Watchdog|SlowClient|DeadClient|WriteDeadline|Injector|Profile|Sketch
+chaos:
+	STREAMHIST_CHAOS_SEEDS=$(STREAMHIST_CHAOS_SEEDS) $(GO) test -race -run '$(CHAOS_RUN)' ./internal/server/ ./internal/stream/ ./internal/lanes/ ./internal/hw/ ./internal/faults/ -v
 
 # chaos-durable is the crash-recovery chaos gate: the in-process prefix
 # property (100 randomized kill points under disk-fault injection) plus the

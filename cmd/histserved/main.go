@@ -114,6 +114,23 @@ chaos profiles (deterministic fault injection; for testing the fail-open
 posture — never enable in production): corruption-heavy, lane-failure-heavy,
 network-flaky, disk-failure-heavy`
 
+// checkSketchFlags refuses a sketch chain the server would build but could
+// not serve: a HyperLogLog precision outside 4..16, or a heavy-hitter or
+// window block that alone outgrows one frame (24 B per counter and 16 B per
+// window value when encoded). Zero keeps the default.
+func checkSketchFlags(ndv, k, w int) error {
+	maxK, maxW := server.MaxPayload/24, server.MaxPayload/16
+	switch {
+	case ndv != 0 && (ndv < 4 || ndv > 16):
+		return fmt.Errorf("-sketch-ndv %d: precision must be 4..16", ndv)
+	case k < 0 || k > maxK:
+		return fmt.Errorf("-sketch-k %d: the counters must fit one %d-byte frame (at most %d)", k, server.MaxPayload, maxK)
+	case w < 0 || w > maxW:
+		return fmt.Errorf("-sketch-window %d: the window must fit one %d-byte frame (at most %d values)", w, server.MaxPayload, maxW)
+	}
+	return nil
+}
+
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":7744", "listen address")
@@ -132,6 +149,9 @@ func runServe(args []string) error {
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "background checkpoint period for -data-dir (0 = 30s default, negative disables timed checkpoints)")
 	bundleDir := fs.String("bundle-dir", "", "where anomaly trips drop debug bundles (default <data-dir>/bundles; empty without -data-dir disables)")
 	fs.Parse(args)
+	if err := checkSketchFlags(*ndvPrec, *heavyK, *windowW); err != nil {
+		return err
+	}
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	o := obs.New()

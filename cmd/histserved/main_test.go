@@ -248,3 +248,23 @@ func TestServeUsageListsEveryFlag(t *testing.T) {
 		t.Errorf("usage() lists %s, which serve does not accept", f)
 	}
 }
+
+// serve refuses sketch flags it could build a chain from but never serve: a
+// precision the HyperLogLog would clamp, and a heavy-hitter or window block
+// that alone outgrows one frame. Each is refused before any table is built
+// or any port is opened, naming the flag.
+func TestServeRefusesUnservableSketchFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sketch-ndv", "3"},
+		{"-sketch-ndv", "17"},
+		{"-sketch-k", strconv.Itoa(server.MaxPayload/24 + 1)},
+		{"-sketch-window", strconv.Itoa(server.MaxPayload/16 + 1)},
+		{"-sketch-window", "200000"},
+		{"-sketch-window", "-1"},
+	} {
+		err := runServe(append([]string{"-addr", "127.0.0.1:-1"}, args...))
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("serve %s: %v, want an error naming %s", strings.Join(args, " "), err, args[0])
+		}
+	}
+}

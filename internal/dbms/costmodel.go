@@ -112,14 +112,13 @@ func Postgres() Personality {
 // AnalyzeCostInput describes one ANALYZE invocation for the pure cost
 // functions, independent of any materialised data.
 type AnalyzeCostInput struct {
-	Rows        float64
-	RowWidth    float64 // bytes
-	SamplePct   float64 // 0 < pct <= 100
-	NDistinct   float64 // (estimated) column cardinality
-	Decimal     bool    // fixed-point column
-	Medium      Medium
-	UseIndex    bool // analyze an existing sorted index (DBx only path)
-	IndexOnWide bool // informational: index hides base-row width either way
+	Rows      float64
+	RowWidth  float64 // bytes
+	SamplePct float64 // 0 < pct <= 100
+	NDistinct float64 // (estimated) column cardinality
+	Decimal   bool    // fixed-point column
+	Medium    Medium
+	UseIndex  bool // analyze an existing sorted index (DBx only path)
 }
 
 // EstimateAnalyzeSeconds returns the modelled duration of ANALYZE under the

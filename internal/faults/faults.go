@@ -42,8 +42,9 @@ const (
 
 	// PageCorrupt flips bytes in a page image on the storage read path.
 	PageCorrupt Point = "page.corrupt"
-	// PageTruncate cuts the side-path copy of a frame short of a page
-	// boundary (a slipped DMA transfer into the splitter buffer).
+	// PageTruncate cuts what the side path receives of a unit short of a
+	// page boundary (a slipped DMA transfer into the splitter buffer): the
+	// pages past the cut never arrive whole.
 	PageTruncate Point = "page.truncate"
 
 	// LanePanic makes a shard lane panic mid-chunk.
@@ -287,8 +288,8 @@ func (in *Injector) Should(p Point) bool {
 
 // Enabled reports whether p can ever fire — its configured rate is positive
 // — without consuming a draw or counting a call. Hot paths use it to skip
-// work that only exists to make an armed fault observable (e.g. a defensive
-// copy of bytes a corruption point might damage). Nil injectors fire
+// work that only exists to make an armed fault observable (e.g. a scratch
+// copy of a frame a corruption point might damage). Nil injectors fire
 // nothing.
 func (in *Injector) Enabled(p Point) bool {
 	if in == nil {

@@ -9,7 +9,7 @@
 //
 // The engine supervises its lanes and is strictly subordinate to whoever
 // feeds it: a lane that panics or stalls is retired and its partial state
-// discarded whole, a page that fails its checksum is quarantined and counted,
+// discarded whole, a page its unit marks damaged is quarantined and counted,
 // a feeder never waits on a sick lane longer than Config.StallTimeout, and
 // Join never waits on all of them together longer than that. What the engine
 // guarantees in return is an exact account: after Join, every page fed is
@@ -22,7 +22,6 @@ package lanes
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,16 +34,18 @@ import (
 	"streamhist/internal/sketch"
 )
 
-// Unit is one fan-out unit: the page window [First, First+N) of Config.Pages.
-// With a nil Buf the lane parses the stable page images in place; otherwise
-// Buf is a side copy of those N pages that may have been damaged or cut short
-// on the way, and pages it no longer holds whole are quarantined. Pages are
-// fully packed, so page index × capacity is the global row ordinal of a page's
-// first value — what keeps position-sensitive sketch blocks exact whichever
-// lane a unit lands on and whenever it is replayed.
+// Unit is one fan-out unit: the page window [First, First+N) of Config.Pages,
+// which the lane parses in place, plus the damage the splitter saw on the way.
+// Bit k of Bad marks page First+k as corrupted in flight, and the last Cut
+// pages never arrived whole (a slipped DMA); the lane quarantines both
+// instead of parsing them. Pages are fully packed, so page index × capacity
+// is the global row ordinal of a page's first value — what keeps
+// position-sensitive sketch blocks exact whichever lane a unit lands on and
+// whenever it is replayed.
 type Unit struct {
 	First, N int
-	Buf      *[]byte
+	Bad      uint16
+	Cut      int
 }
 
 // UnitPages is the splitter's dealing quantum. stream.ParallelDataPath deals
@@ -53,6 +54,9 @@ type Unit struct {
 // and with it each lane's cycles, the critical path and every simulated
 // figure — is a function of the relation, not of a transport's frame size.
 const UnitPages = 16
+
+// Unit.Bad must hold one bit per page of a dealt unit; this checks it.
+var _ = Unit{Bad: 1<<UnitPages - 1}
 
 // Config wires one scan's engine. It is plumbing between packages, not a set
 // of options: every field is determined by the caller's own configuration.
@@ -69,11 +73,6 @@ type Config struct {
 	Min, Max, Divisor int64
 	// Pages are the relation's stable page images.
 	Pages []*page.Page
-	// Sums, when non-nil, are the storage-authoritative page checksums every
-	// page is verified against before it is parsed. Nil trusts the pages.
-	Sums []uint32
-	// Bufs, when non-nil, takes back each Unit.Buf once its lane is done.
-	Bufs *sync.Pool
 	// Sketch is the one spec every lane's chain (and the replay lane's) is
 	// built from, so chains always merge blockwise and are never adopted.
 	Sketch sketch.ChainSpec
@@ -157,8 +156,8 @@ func Start(cfg Config) (*Engine, error) {
 		l := &e.lanes[i]
 		l.idx = i
 		// Depth is the caller's yield quantum: how many units a lane works
-		// through before it must block and give up its P (queued units alias
-		// the page images or pooled buffers, so depth pins no memory).
+		// through before it must block and give up its P (queued units are
+		// page windows, so depth pins no memory).
 		l.ch = make(chan Unit, cfg.Depth)
 		l.done = make(chan struct{})
 		if cfg.Faults != nil {
@@ -208,60 +207,37 @@ func (e *Engine) run(l *lane) {
 		case l.void || l.err != nil:
 			// Drain only: a poisoned lane fails open, never blocks the feeder.
 		case l.inj.Should(faults.LanePanic):
-			e.putBuf(u)
 			panic(errInjected)
 		case l.inj.Should(faults.LaneStall):
 			l.void = true
-			e.putBuf(u)
 			<-e.release // hold until Join, then drain
-			continue
 		default:
 			vals, l.err = e.bin(l, parser, u, vals)
 		}
-		e.putBuf(u)
 	}
 	// The lane's share of the sketch fold, done here so the lanes do it side
 	// by side rather than the serial fan-in doing it for all of them.
 	l.binner.FoldSketches()
 }
 
-// bin pushes one unit's pages through l's Parser and Binner: verify, parse,
-// position the sketch cursor, push. Lanes and the inline replay share it.
+// bin pushes one unit's pages through l's Parser and Binner: quarantine what
+// arrived damaged, parse, position the sketch cursor, push. Lanes and the
+// inline replay share it.
 func (e *Engine) bin(l *lane, parser *core.Parser, u Unit, vals []int64) ([]int64, error) {
-	var buf []byte
-	whole := u.N
-	if u.Buf != nil {
-		buf = *u.Buf
-		whole = len(buf) / page.Size
-	}
 	for k := 0; k < u.N; k++ {
 		idx := u.First + k
-		if k >= whole || idx >= len(e.cfg.Pages) {
-			l.quarantined++ // cut away: the page never reached the side copy
-			continue
-		}
-		img := e.cfg.Pages[idx].Bytes()
-		if buf != nil {
-			img = buf[k*page.Size : (k+1)*page.Size]
-		}
-		if e.cfg.Sums != nil && page.Checksum(img) != e.cfg.Sums[idx] {
+		if k >= u.N-u.Cut || u.Bad>>k&1 != 0 || idx >= len(e.cfg.Pages) {
 			l.quarantined++
 			continue
 		}
 		var err error
-		if vals, err = parser.Feed(img, vals[:0]); err != nil {
+		if vals, err = parser.Feed(e.cfg.Pages[idx].Bytes(), vals[:0]); err != nil {
 			return vals, err
 		}
 		l.binner.SetStreamPos(int64(idx) * e.pageCap)
 		l.binner.PushAll(vals)
 	}
 	return vals, nil
-}
-
-func (e *Engine) putBuf(u Unit) {
-	if u.Buf != nil && e.cfg.Bufs != nil {
-		e.cfg.Bufs.Put(u.Buf)
-	}
 }
 
 func (e *Engine) retire(l *lane) {
@@ -309,7 +285,6 @@ func (e *Engine) Feed(u Unit) int {
 		}
 		e.retire(l)
 	}
-	e.putBuf(u)
 	return -1
 }
 
@@ -382,8 +357,8 @@ func (e *Engine) Lost(lane int) bool {
 }
 
 // Retired is how many lanes the supervisor removed (panic, stall, missed
-// deadline); Quarantined is how many pages failed verification or never
-// arrived whole in the joined lanes and the replay. Both settle at Join.
+// deadline); Quarantined is how many pages the joined lanes and the replay
+// skipped as damaged or cut away. Both settle at Join.
 func (e *Engine) Retired() int       { return e.retired }
 func (e *Engine) Quarantined() int64 { return e.quarantined }
 

@@ -3,7 +3,6 @@ package lanes_test
 import (
 	"bytes"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -45,11 +44,10 @@ func newFixture(t *testing.T) *fixture {
 	f := &fixture{cfg: lanes.Config{
 		Depth: queueDepth, StallTimeout: stallTimeout,
 		Column: spec, Min: lo, Max: hi, Divisor: 1,
-		Pages: page.Encode(rel), Bufs: new(sync.Pool),
+		Pages:  page.Encode(rel),
 		Sketch: sketch.DefaultChainSpec(), Fork: "lane%d",
 	}}
 	for _, pg := range f.cfg.Pages {
-		f.cfg.Sums = append(f.cfg.Sums, pg.Checksum())
 		f.rows = append(f.rows, int64(pg.NumRows()))
 	}
 	pre, err := core.RangeFor(lo, hi, 1)
@@ -70,17 +68,6 @@ func (f *fixture) unit(k int) lanes.Unit {
 
 func (f *fixture) units() int { return (len(f.cfg.Pages) + unitPages - 1) / unitPages }
 
-// sideCopy gives u a side buffer holding its pages, as a splitter that cannot
-// alias the stable images would.
-func (f *fixture) sideCopy(u lanes.Unit) lanes.Unit {
-	buf := make([]byte, 0, u.N*page.Size)
-	for _, pg := range f.cfg.Pages[u.First : u.First+u.N] {
-		buf = append(buf, pg.Bytes()...)
-	}
-	u.Buf = &buf
-	return u
-}
-
 type laneCase struct {
 	name    string
 	profile faults.Profile
@@ -100,19 +87,19 @@ var laneCases = []laneCase{
 	{name: "panic", profile: faults.Profile{faults.LanePanic: 1.0}},
 	{name: "stall", profile: faults.Profile{faults.LaneStall: 1.0}},
 	{name: "truncated", exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
-		u := f.sideCopy(f.unit(k))
+		u := f.unit(k)
 		if k%3 != 1 || u.N < 2 {
 			return u, nil
 		}
-		*u.Buf = (*u.Buf)[:page.Size+page.Size/2] // the second page arrives half
+		u.Cut = u.N - 1 // the second page arrives half
 		return u, []int{u.First + 1}
 	}},
 	{name: "checksum", exactSplit: true, damage: func(f *fixture, k int) (lanes.Unit, []int) {
-		u := f.sideCopy(f.unit(k))
+		u := f.unit(k)
 		if k%4 != 2 {
 			return u, nil
 		}
-		(*u.Buf)[page.Size/3] ^= 0x40
+		u.Bad = 1 // the first page is corrupted in flight
 		return u, []int{u.First}
 	}},
 	{name: "wedged", wedge: true},

@@ -60,19 +60,17 @@ type ScanRecord struct {
 	Refreshed bool   `json:"refreshed"`
 	Degraded  bool   `json:"degraded"`
 	Resumed   bool   `json:"resumed,omitempty"`
-	Retries   uint32 `json:"retries,omitempty"`
 	Err       string `json:"error,omitempty"`
 
 	QuarantinedPages uint32 `json:"quarantined_pages,omitempty"`
 	LanesRetired     uint32 `json:"lanes_retired,omitempty"`
 	SkippedTuples    uint64 `json:"skipped_tuples,omitempty"`
-	ReplayedChunks   uint32 `json:"replayed_chunks,omitempty"`
 
 	Spans []Span `json:"spans"`
 
 	// Anomalous is the tail-sampling verdict: anything that failed, degraded,
-	// retried, resumed or shed work is retained unconditionally by the
-	// tracer's tail ring; healthy scans are 1-in-TailSample sampled.
+	// resumed or shed work is retained unconditionally by the tracer's tail
+	// ring; healthy scans are 1-in-TailSample sampled.
 	Anomalous bool `json:"anomalous"`
 
 	begin time.Time // monotonic anchor for Begin/End
@@ -202,9 +200,8 @@ func (r *ScanRecord) seal() {
 			sp.open = false
 		}
 	}
-	r.Anomalous = r.Err != "" || r.Degraded || r.Resumed || r.Retries > 0 ||
-		r.QuarantinedPages > 0 || r.LanesRetired > 0 || r.SkippedTuples > 0 ||
-		r.ReplayedChunks > 0
+	r.Anomalous = r.Err != "" || r.Degraded || r.Resumed ||
+		r.QuarantinedPages > 0 || r.LanesRetired > 0 || r.SkippedTuples > 0
 }
 
 // LogValue renders the record as the attribute group of its one log line:

@@ -35,7 +35,8 @@ func TestChaosNoThirdOutcome(t *testing.T) {
 // TestChaosNoThirdOutcomeWindows holds the same property where the side path
 // assembles its units across frames: 20-page frames over 44 pages end
 // mid-unit twice, so every unit but the first is completed from a later
-// frame — copied, corrupted and cut short under the same fault points.
+// frame — its damage marks carried across, and cut short under the same
+// fault points.
 func TestChaosNoThirdOutcomeWindows(t *testing.T) {
 	checkNoThirdOutcome(t, 11000, 20)
 }

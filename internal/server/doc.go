@@ -11,10 +11,10 @@
 //     frames a scan sends.
 //   - The Splitter is the scan loop: every page frame written to the
 //     client, straight from storage, is also dealt to fixed-depth side
-//     channels as lanes.UnitPages-page windows into the same images (copied
-//     only when a page fault point is armed), the same units whatever the
-//     frame size. The relay path does no transformation — the client
-//     receives storage's bytes, byte for byte.
+//     channels as lanes.UnitPages-page windows into the same images, the
+//     same units whatever the frame size, with the pages it saw arrive
+//     damaged marked on the unit. The relay path does no transformation —
+//     the client receives storage's bytes, byte for byte.
 //   - The statistical circuit is the lane engine behind the channel
 //     (internal/lanes, the same one stream.ParallelDataPath runs): each
 //     lane's Parser FSM extracts the requested column from the page bytes

@@ -1,19 +1,34 @@
 package server
 
-import "bufio"
+import (
+	"bufio"
+	"encoding/binary"
+
+	"streamhist/internal/page"
+)
 
 // WireForm exposes a registered table's stored state to the external tests:
 // the wire-form slab, the page images scans and lanes alias, and the
-// encode-time checksums. It triggers the lazy encode like a first scan does.
+// encode-time checksums, read from the slab's frame trailers. It triggers the
+// lazy encode like a first scan does.
 func (s *Server) WireForm(table string) (slab []byte, images [][]byte, sums []uint32, err error) {
 	e, err := s.lookup(table)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	for _, p := range e.pageImages() {
+	pages := e.pageImages()
+	for _, p := range pages {
 		images = append(images, p.Bytes())
 	}
-	return e.slab, images, e.pageSums(), nil
+	for off := 0; off < len(pages); off += e.ppf {
+		f := e.frame(off)
+		trailer := f[FrameHeaderSize+(min(off+e.ppf, len(pages))-off)*page.Size:]
+		for len(trailer) > 0 {
+			sums = append(sums, binary.LittleEndian.Uint32(trailer))
+			trailer = trailer[PageChecksumSize:]
+		}
+	}
+	return e.slab, images, sums, nil
 }
 
 // WriteStats runs the server side of a Stats read for table.column into bw:

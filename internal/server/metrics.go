@@ -94,7 +94,7 @@ func newMetrics(reg *obs.Registry, lanes int, spec sketch.ChainSpec) metrics {
 		accelCycles:   reg.Counter("streamhist_server_accel_cycles_total", "Simulated accelerator cycles (binning pipeline plus histogram chain) across refreshes."),
 		laneMerges:    reg.Counter("streamhist_server_lane_merges_total", "Binner-state merges performed at side-path fan-in."),
 
-		pagesQuarantined: reg.Counter("streamhist_server_pages_quarantined_total", "Side-path page copies that failed their storage checksum and were skipped."),
+		pagesQuarantined: reg.Counter("streamhist_server_pages_quarantined_total", "Pages the side path skipped because they arrived corrupted or cut short."),
 		lanesRetired:     reg.Counter("streamhist_server_lanes_retired_total", "Side-path lanes abandoned after a panic or a stall past the supervision timeout."),
 		scansDegraded:    reg.Counter("streamhist_server_scans_degraded_total", "Scans whose summary reported a degraded (or absent) statistics side effect."),
 		retriesServed:    reg.Counter("streamhist_server_retries_served_total", "Scans resumed from a nonzero page offset by a reconnecting client."),
@@ -234,8 +234,8 @@ type MetricsSnapshot struct {
 	// LaneMerges counts binner-state merges performed at side-path fan-in
 	// (ShardLanes-1 per refreshed scan).
 	LaneMerges int64
-	// PagesQuarantined counts side-path page copies that failed their
-	// storage checksum and were skipped by the binner.
+	// PagesQuarantined counts pages the side path skipped because they
+	// arrived corrupted or cut short.
 	PagesQuarantined int64
 	// LanesRetired counts side-path lanes abandoned after a panic or a
 	// stall past the supervision timeout.

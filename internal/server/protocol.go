@@ -506,7 +506,7 @@ type ScanSummary struct {
 	// SkippedTuples counts column values the side path could not bin
 	// (quarantined pages plus bin-memory losses) when Degraded is set.
 	SkippedTuples uint64
-	// QuarantinedPages counts pages the side path rejected on checksum.
+	// QuarantinedPages counts pages the side path skipped as damaged.
 	QuarantinedPages uint32
 	// LanesRetired counts side-path lanes the supervisor removed.
 	LanesRetired uint32

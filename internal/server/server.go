@@ -90,13 +90,13 @@ type Config struct {
 const (
 	// sideBufDepth is the per-lane side-channel depth in lanes.Units. A full
 	// buffer applies backpressure to that scan instead of dropping values, so
-	// a refreshed histogram is always complete. Queued units alias the stored
-	// page images and pin no memory (only a scan with a page fault point armed
-	// copies them), so the depth is a yield quantum: how many units a lane
-	// works through before it must block and hand its P to the network
-	// poller, where requests on other connections wait to be noticed. Scans
-	// gain nothing measurable from more than 3, and Stats reads beside a scan
-	// get slower with every unit added (EXPERIMENTS.md "Transport").
+	// a refreshed histogram is always complete. Queued units are windows into
+	// the stored page images and pin no memory, so the depth is a yield
+	// quantum: how many units a lane works through before it must block and
+	// hand its P to the network poller, where requests on other connections
+	// wait to be noticed. Scans gain nothing measurable from more than 3, and
+	// Stats reads beside a scan get slower with every unit added
+	// (EXPERIMENTS.md "Transport").
 	sideBufDepth = 3
 	// idleTimeout bounds the wait for the next request on a connection.
 	idleTimeout = 2 * time.Minute
@@ -153,7 +153,6 @@ type tableEntry struct {
 
 	once  sync.Once
 	pages []*page.Page
-	sums  []uint32
 	// slab is the relation as the exact byte sequence of its FramePagesCk
 	// frames (header, page images, checksum trailer, back to back), so a
 	// frame is served as one Write of a sub-slice. pages point into it. It is
@@ -165,11 +164,11 @@ func (e *tableEntry) encode() {
 	e.once.Do(func() {
 		pages := page.Encode(e.rel)
 		// Checksums are taken here, at encode time, before the images can
-		// travel anywhere: every later consumer verifies against what
-		// storage actually held, not against a possibly corrupted relay.
-		e.sums = make([]uint32, len(pages))
+		// travel anywhere: the client verifies against what storage actually
+		// held, not against a possibly corrupted relay.
+		sums := make([]uint32, len(pages))
 		for i, p := range pages {
-			e.sums[i] = p.Checksum()
+			sums[i] = p.Checksum()
 		}
 		frames := (len(pages) + e.ppf - 1) / e.ppf
 		e.slab = make([]byte, 0, frames*FrameHeaderSize+len(pages)*(page.Size+PageChecksumSize))
@@ -184,7 +183,7 @@ func (e *tableEntry) encode() {
 				// on an image Encode just produced.
 				pages[i], _ = page.FromBytes(e.slab[at:len(e.slab):len(e.slab)])
 			}
-			for _, ck := range e.sums[off:end] {
+			for _, ck := range sums[off:end] {
 				e.slab = binary.LittleEndian.AppendUint32(e.slab, ck)
 			}
 		}
@@ -204,11 +203,6 @@ func (e *tableEntry) frame(off int) []byte {
 func (e *tableEntry) pageImages() []*page.Page {
 	e.encode()
 	return e.pages
-}
-
-func (e *tableEntry) pageSums() []uint32 {
-	e.encode()
-	return e.sums
 }
 
 // connState tracks whether a connection is mid-request, so a graceful
@@ -233,7 +227,6 @@ type Server struct {
 	listBytes int
 
 	drainSem chan struct{}
-	bufPool  sync.Pool
 
 	connMu     sync.Mutex
 	listeners  map[net.Listener]struct{}
@@ -303,10 +296,6 @@ func New(cfg Config) *Server {
 				"Fault-injection hits per point across the whole fork tree.",
 				func() float64 { return float64(inj.TotalHits(p)) })
 		}
-	}
-	s.bufPool.New = func() any {
-		b := make([]byte, 0, lanes.UnitPages*page.Size)
-		return &b
 	}
 	return s
 }
@@ -812,21 +801,26 @@ func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
 	// frame: the damage lands after the checksum trailer was laid down,
 	// exactly like a relay flipping bits after storage vouched for the
 	// bytes. The wire carries the corrupt image (the raw path fails open and
-	// never rewrites data); the trailer is what lets the consumers catch it.
-	// Every other scan sends the stored frames as they are.
+	// never rewrites data); the trailer is what lets the client catch it, and
+	// the side path is told which pages were hit (bad). Every other scan
+	// sends the stored frames as they are.
 	corrupt := inj.Enabled(faults.PageCorrupt)
 	var scratch []byte
+	var bad []bool
 	for off := sc.start; off < len(pages); off += entry.ppf {
 		end := min(off+entry.ppf, len(pages))
 		frame := entry.frame(off)
 		if corrupt {
 			scratch = append(scratch[:0], frame...)
 			frame = scratch
+			bad = bad[:0]
 			for i := off; i < end; i++ {
-				if inj.Should(faults.PageCorrupt) {
+				hit := inj.Should(faults.PageCorrupt)
+				if hit {
 					pos := FrameHeaderSize + (i-off)*page.Size + int(inj.Intn(faults.PageCorrupt, page.Size))
 					frame[pos] ^= byte(1 + inj.Intn(faults.PageCorrupt, 255))
 				}
+				bad = append(bad, hit)
 			}
 		}
 		if inj.Should(faults.ConnReset) {
@@ -844,7 +838,7 @@ func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
 		dm.ScanProgress(sc.jid, uint32(end))
 		sc.journalHW = uint32(end)
 		if sp != nil {
-			sp.feed(frame[FrameHeaderSize:FrameHeaderSize+n], off, inj)
+			sp.feed(off, end, bad, inj)
 		}
 	}
 	return nil
@@ -908,7 +902,9 @@ func (s *Server) handleStats(bw *bufio.Writer, req ScanRequest) error {
 	}
 	enc := st.Encoded()
 	if len(enc) > MaxPayload {
-		return fmt.Errorf("%w: payload %d exceeds limit %d", ErrBadFrame, len(enc), MaxPayload)
+		// The entry cannot ride one frame; the connection itself is fine.
+		return s.writeError(bw, fmt.Errorf("statistics for %q.%q are %d bytes, over the %d-byte frame limit",
+			req.Table, req.Column, len(enc), MaxPayload))
 	}
 	s.metrics.statsServed.Add(1)
 	// The header and head go through the writer's own free buffer and the
@@ -952,7 +948,7 @@ func (s *Server) handleList(bw *bufio.Writer) error {
 }
 
 // sidePath is the server's policy around one scan's lanes.Engine: it builds
-// the units (the splitter copy), owns the drain-pool slot, and turns what
+// the units (the splitter), owns the drain-pool slot, and turns what
 // the engine reports into the scan's statistics yield. The side path is
 // strictly subordinate to the raw stream: whatever happens to a lane or a
 // page, the page stream is already complete or still completing at full
@@ -964,10 +960,6 @@ type sidePath struct {
 	// record and appends the lane, merge, and install spans.
 	sc  *servedScan
 	eng *lanes.Engine
-	// zeroCopy is set when no corruption or truncation fault point is armed
-	// for this scan: the wire frame is then byte-identical to the stable page
-	// images, so lanes parse those in place and the side copy is skipped.
-	zeroCopy bool
 	// pend is the unit feed is assembling.
 	pend lanes.Unit
 	// unitsLost notes units no live lane would take (all retired or all
@@ -999,8 +991,7 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 	eng, err := lanes.Start(lanes.Config{
 		Lanes: s.cfg.ShardLanes, Depth: sideBufDepth, StallTimeout: s.cfg.SideStallTimeout,
 		Column: meta.spec, Min: meta.min, Max: meta.max, Divisor: 1,
-		Pages: entry.pageImages(), Sums: entry.pageSums(), Bufs: &s.bufPool,
-		Sketch: *s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
+		Pages: entry.pageImages(), Sketch: *s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
 		Binner: s.laneBinner,
 	})
 	if err != nil {
@@ -1008,11 +999,7 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 		s.metrics.sideSkipped.Add(1)
 		return nil
 	}
-	sp := &sidePath{s: s, sc: sc, eng: eng}
-	// The only ways a side copy can differ from the stable page images are
-	// the in-flight corruption and truncation points.
-	sp.zeroCopy = !inj.Enabled(faults.PageCorrupt) && !inj.Enabled(faults.PageTruncate)
-	return sp
+	return &sidePath{s: s, sc: sc, eng: eng}
 }
 
 // laneBinner is the Binner configuration of one side-path lane. The lane's
@@ -1031,49 +1018,41 @@ func (s *Server) laneBinner(linj *faults.Injector) core.BinnerConfig {
 	return bcfg
 }
 
-// feed hands the lanes the page images of one relayed frame, which start at
-// page pageOff. A frame of at most lanes.UnitPages pages is one unit. A
-// longer one is cut at the relation's UnitPages boundaries, and the piece its
-// end leaves short of one waits in pend for the next frame to complete it:
-// the units are then the relation's consecutive UnitPages windows whatever
-// the frame size, so which lane bins a page — and every simulated cycle — is
-// what it is at UnitPages a frame. With a fault point armed each unit is a
-// pooled copy, possibly cut short when dealt: an injected truncation is the
-// splitter's DMA slipping, so the side buffer holds only a prefix of pages
-// the wire already carried whole. A unit no lane takes is dropped and the
-// eventual histogram honestly reports the loss.
-func (sp *sidePath) feed(b []byte, pageOff int, inj *faults.Injector) {
+// feed hands the lanes the pages [off, end) of one relayed frame; bad, when
+// non-nil, marks which of them (by index from off) the wire carried corrupt.
+// A frame of at most lanes.UnitPages pages is one unit. A longer one is cut at
+// the relation's UnitPages boundaries, and the piece its end leaves short of
+// one waits in pend for the next frame to complete it: the units are then the
+// relation's consecutive UnitPages windows whatever the frame size, so which
+// lane bins a page — and every simulated cycle — is what it is at UnitPages a
+// frame. A unit no lane takes is dropped and the eventual histogram honestly
+// reports the loss.
+func (sp *sidePath) feed(off, end int, bad []bool, inj *faults.Injector) {
 	windows := sp.sc.entry.ppf > lanes.UnitPages
-	for len(b) > 0 {
-		n := len(b) / page.Size
-		if windows {
-			n = min(n, lanes.UnitPages-pageOff%lanes.UnitPages)
-		}
+	for i := off; i < end; i++ {
 		if sp.pend.N == 0 {
-			sp.pend.First = pageOff
-			if !sp.zeroCopy {
-				sp.pend.Buf = sp.s.bufPool.Get().(*[]byte)
-				*sp.pend.Buf = (*sp.pend.Buf)[:0]
-			}
+			sp.pend.First = i
 		}
-		sp.pend.N += n
-		if sp.pend.Buf != nil {
-			*sp.pend.Buf = append(*sp.pend.Buf, b[:n*page.Size]...)
+		if bad != nil && bad[i-off] {
+			sp.pend.Bad |= 1 << sp.pend.N
 		}
-		b = b[n*page.Size:]
-		pageOff += n
-		if !windows || pageOff%lanes.UnitPages == 0 || pageOff == len(sp.sc.entry.pages) {
+		sp.pend.N++
+		next := i + 1
+		unitEnd := next%lanes.UnitPages == 0 || next == len(sp.sc.entry.pages)
+		if windows && unitEnd || !windows && next == end {
 			sp.deal(inj)
 		}
 	}
 }
 
-// deal feeds the assembled unit to the lanes.
+// deal feeds the assembled unit to the lanes. An injected truncation is the
+// splitter's DMA slipping: the side path receives only a prefix of the bytes
+// the wire already carried whole, and the pages past it are Cut.
 func (sp *sidePath) deal(inj *faults.Injector) {
 	u := sp.pend
 	sp.pend = lanes.Unit{}
-	if u.Buf != nil && inj.Should(faults.PageTruncate) {
-		*u.Buf = (*u.Buf)[:inj.Intn(faults.PageTruncate, int64(len(*u.Buf)))]
+	if inj.Should(faults.PageTruncate) {
+		u.Cut = u.N - int(inj.Intn(faults.PageTruncate, int64(u.N*page.Size)))/page.Size
 	}
 	if sp.eng.Feed(u) < 0 {
 		sp.unitsLost = true

@@ -3,10 +3,14 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 
+	"streamhist/internal/client"
 	"streamhist/internal/dbms"
 	"streamhist/internal/server"
 	"streamhist/internal/sketch"
@@ -148,5 +152,32 @@ func TestShallowCopyPutDoesNotAlias(t *testing.T) {
 	wg.Wait()
 	if orig.Version != 0 || !bytes.Equal(orig.Encoded(), before) || cat.Get(rel.Name, "l_quantity") != orig {
 		t.Fatal("Put of a shallow copy changed the original entry")
+	}
+}
+
+// TestOversizedStatsAnsweredInBand: a catalog entry too large for one frame
+// (a 70 000-value window alone encodes to 1.12 MB) is refused with an error
+// frame that names its size and the limit, and the connection stays usable.
+func TestOversizedStatsAnsweredInBand(t *testing.T) {
+	spec := sketch.DefaultChainSpec()
+	spec.WindowW = 70_000
+	srv := server.New(server.Config{ShardLanes: 2, Sketch: &spec})
+	if err := srv.Register(testRelation(70_000)); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sc, cc := net.Pipe()
+	go srv.ServeConn(sc)
+	c := client.New(cc) // no redial: a dropped connection must show
+	defer c.Close()
+	if _, err := c.Scan("synthetic", "c1", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Stats("synthetic", "c1")
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(server.MaxPayload)) {
+		t.Fatalf("Stats of an oversized entry: %v, want an error naming the %d-byte limit", err, server.MaxPayload)
+	}
+	if _, err := c.Tables(); err != nil {
+		t.Fatalf("Tables after the refused Stats: %v", err)
 	}
 }

@@ -136,10 +136,9 @@ var (
 	PCIeGen1x8 = Link{Name: "PCIe Gen1 x8", BytesPerSec: 2e9}
 )
 
-// DataPath couples a relation, a column choice, and a link.
+// DataPath couples a relation, a column choice (Config.Column), and a link.
 type DataPath struct {
 	Rel    *table.Relation
-	Column string
 	Link   Link
 	Config core.Config
 	// Prof, when non-nil, receives the cycle attribution of every scan:
@@ -178,7 +177,7 @@ func NewDataPath(rel *table.Relation, column string, link Link) (*DataPath, erro
 	if err != nil {
 		return nil, fmt.Errorf("stream: column %q: %w", column, err)
 	}
-	return &DataPath{Rel: rel, Column: column, Link: link, Config: core.DefaultConfig(spec, min, max)}, nil
+	return &DataPath{Rel: rel, Link: link, Config: core.DefaultConfig(spec, min, max)}, nil
 }
 
 // Scan streams the relation to the host through the tap, writing the
