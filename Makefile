@@ -10,12 +10,13 @@ FUZZTIME ?= 30s
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
 # same path over the wide-domain column, the served scan over loopback TCP,
-# the Table 1 binner cases, and the binner's per-row loop on three columns);
+# the Table 1 binner cases, the binner's per-row loop on three columns, and
+# internal/core's histogram chain over the wide and the dense bin region);
 # the iteration budget and scheduler width are pinned so a base run and a
 # head run on the same machine are comparable, and benchdiff collapses the 5
 # repeats to a per-metric median. PERF_DIR is the checkout benchmarked, so
 # one recipe measures both sides of a comparison.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner|BenchmarkBinnerPush
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner|BenchmarkBinnerPush|BenchmarkHistChain
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4
@@ -153,7 +154,7 @@ bench:
 perf-bench:
 	GOMAXPROCS=$(PERF_GOMAXPROCS) $(GO) test -C $(PERF_DIR) -run='^$$' \
 		-bench='$(PERF_BENCH)' -benchmem -benchtime=$(PERF_BENCHTIME) \
-		-count=$(PERF_COUNT) -timeout=30m . | tee $(PERF_OUT)
+		-count=$(PERF_COUNT) -timeout=30m . ./internal/core | tee $(PERF_OUT)
 
 # perf-gate fails on a >10% throughput drop or >5% allocs/op or writes/op
 # growth between two perf-bench outputs (the counts are machine-independent;

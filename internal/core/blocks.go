@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"streamhist/internal/hist"
 )
@@ -38,9 +39,16 @@ func ranksAbove(a, b hist.FrequentValue) bool {
 	return a.Value < b.Value
 }
 
-// insert pushes one item through the register pipeline.
+// insert pushes one item through the register pipeline. The slots stay in
+// rank order, so an item that does not outrank the last slot of a full list
+// would travel every stage and fall off the end leaving the list as it was:
+// it is dropped at the entry instead, and a bin that cannot enter costs one
+// comparison rather than K.
 func (l *insertionList) insert(value, count int64) {
 	cur := hist.FrequentValue{Value: value, Count: count}
+	if l.used == len(l.slots) && !ranksAbove(cur, l.slots[l.used-1]) {
+		return
+	}
 	for i := 0; i < len(l.slots); i++ {
 		if i >= l.used {
 			l.slots[i] = cur
@@ -60,17 +68,36 @@ func (l *insertionList) contents() []hist.FrequentValue {
 	return out
 }
 
-// contains reports whether value is present in the list.
-func (l *insertionList) contains(value int64) bool {
-	for i := 0; i < l.used; i++ {
-		if l.slots[i].Value == value {
-			return true
-		}
-	}
-	return false
+func (l *insertionList) reset() { l.used = 0 }
+
+// ascendingSet is the set a two-pass block consults once per bin in its
+// second pass: the values flagged by the first pass, sorted once, and a
+// cursor that advances with the bins. Both keys the blocks use — bin values
+// and bin ordinals — arrive in ascending order, so a whole pass costs one
+// walk of the set, not one walk per bin.
+type ascendingSet struct {
+	keys []int64
+	next int
 }
 
-func (l *insertionList) reset() { l.used = 0 }
+// reset loads the first n entries of list, in value order.
+func (s *ascendingSet) reset(list *insertionList, n int) {
+	first := list.slots[:min(n, list.used)]
+	s.keys = slices.Grow(s.keys[:0], len(first))
+	for _, e := range first {
+		s.keys = append(s.keys, e.Value)
+	}
+	slices.Sort(s.keys)
+	s.next = 0
+}
+
+// has reports whether k is in the set. Successive calls must not descend.
+func (s *ascendingSet) has(k int64) bool {
+	for s.next < len(s.keys) && s.keys[s.next] < k {
+		s.next++
+	}
+	return s.next < len(s.keys) && s.keys[s.next] == k
+}
 
 // Block is the daisy-chain element interface. The Scanner calls BeginScan /
 // Consume / EndScan for each pass; NeedsScan reports whether the block wants
@@ -218,7 +245,7 @@ type MaxDiffBlock struct {
 	prevCount int64
 	havePrev  bool
 
-	boundary map[int64]bool // ordinals after which a bucket closes
+	boundary ascendingSet // ordinals after which a bucket closes
 
 	cur     hist.Bucket
 	buckets []hist.Bucket
@@ -250,14 +277,7 @@ func (b *MaxDiffBlock) BeginScan(s int) {
 		b.havePrev = false
 	case 1:
 		// Freeze the boundary set from the first scan's diff list.
-		k := b.B - 1
-		b.boundary = make(map[int64]bool, k)
-		for i, e := range b.diffs.contents() {
-			if i >= k {
-				break
-			}
-			b.boundary[e.Value] = true
-		}
+		b.boundary.reset(b.diffs, b.B-1)
 		b.ordinal = 0
 		b.cur = hist.Bucket{}
 		b.buckets = b.buckets[:0]
@@ -289,7 +309,7 @@ func (b *MaxDiffBlock) Consume(s int, value, count int64) {
 		b.cur.Count += count
 		b.cur.Distinct++
 		b.cur.High = value
-		if b.boundary[b.ordinal] {
+		if b.boundary.has(b.ordinal) {
 			b.buckets = append(b.buckets, b.cur)
 			b.cur = hist.Bucket{}
 		}
@@ -316,8 +336,9 @@ type CompressedBlock struct {
 	T, B  int
 	total int64
 
-	top *insertionList
-	ed  *EquiDepthBlock
+	top    *insertionList
+	topSet ascendingSet // pass 1's view of top
+	ed     *EquiDepthBlock
 }
 
 // NewCompressedBlock returns a Compressed block keeping t exact frequent
@@ -349,9 +370,10 @@ func (b *CompressedBlock) BeginScan(s int) {
 		b.top.reset()
 	case 1:
 		var topMass int64
-		for _, f := range b.top.contents() {
+		for _, f := range b.top.slots[:b.top.used] {
 			topMass += f.Count
 		}
+		b.topSet.reset(b.top, b.T)
 		b.ed = NewEquiDepthBlock(b.B, b.total-topMass)
 		b.ed.BeginScan(0)
 	}
@@ -363,7 +385,7 @@ func (b *CompressedBlock) Consume(s int, value, count int64) {
 	case 0:
 		b.top.insert(value, count)
 	case 1:
-		if b.top.contains(value) {
+		if b.topSet.has(value) {
 			return // flagged invalid: exact heavy hitter, not bucketed
 		}
 		b.ed.Consume(0, value, count)

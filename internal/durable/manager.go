@@ -111,8 +111,9 @@ type RecoveryReport struct {
 	// Lossy mirrors the checkpoint's lossy flag: the WAL epoch before the
 	// checkpoint dropped records under backpressure.
 	Lossy bool
-	// OpenScans are in-flight scans recovered from the journal — scans a
-	// client may come back to resume.
+	// OpenScans are scan-journal entries recovered without a scan-end. A
+	// served scan journals nothing, so only a WAL written by an older
+	// server, or a direct ScanStarted caller, leaves any.
 	OpenScans []ScanState
 	// Elapsed is the wall-clock recovery time.
 	Elapsed time.Duration
@@ -152,7 +153,7 @@ func newDurMetrics(reg *obs.Registry) durMetrics {
 
 		recoverySeconds:  reg.Gauge("streamhist_durable_recovery_nanoseconds", "Wall-clock time Open spent recovering state from disk."),
 		recoveryReplayed: reg.Gauge("streamhist_durable_recovery_replayed_records", "WAL records replayed by the most recent recovery."),
-		recoveredScans:   reg.Gauge("streamhist_durable_recovered_scans", "In-flight scans recovered from the journal, awaiting client resume."),
+		recoveredScans:   reg.Gauge("streamhist_durable_recovered_scans", "Scan-journal entries the most recent recovery found still open."),
 	}
 }
 
@@ -191,7 +192,6 @@ type Manager struct {
 
 	scanMu    sync.Mutex
 	openScans map[uint64]*ScanState
-	recovered map[uint64]*ScanState // recovered, not yet adopted or restarted
 
 	ckptMu      sync.Mutex // serializes checkpoints
 	prevCkptSeq uint64     // segment of the last verified checkpoint (0: none)
@@ -230,7 +230,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		ckptStop:   make(chan struct{}),
 		ckptDone:   make(chan struct{}),
 		openScans:  make(map[uint64]*ScanState),
-		recovered:  make(map[uint64]*ScanState),
 	}
 	m.lsn.Store(pos.maxLSN)
 	m.mutSeq.Store(pos.maxSeq)
@@ -238,12 +237,10 @@ func Open(dir string, opts Options) (*Manager, error) {
 	for i := range rep.OpenScans {
 		sc := rep.OpenScans[i]
 		m.openScans[sc.ID] = &sc
-		cp := sc
-		m.recovered[sc.ID] = &cp
 	}
 	m.met.recoverySeconds.Set(int64(rep.Elapsed))
 	m.met.recoveryReplayed.Set(int64(rep.RecordsReplayed))
-	m.met.recoveredScans.Set(int64(len(m.recovered)))
+	m.met.recoveredScans.Set(int64(len(rep.OpenScans)))
 
 	seg := pos.maxSegSeq + 1
 	f, err := os.OpenFile(filepath.Join(dir, seqName(segmentPrefix, seg)),
@@ -408,34 +405,6 @@ func (m *Manager) ScanEnded(id uint64, pages uint32) {
 	delete(m.openScans, id)
 	m.scanMu.Unlock()
 	m.enqueue(Record{Type: RecScanEnd, LSN: m.lsn.Add(1), ScanID: id, Pages: pages})
-}
-
-// AdoptRecovered claims the recovered in-flight scan for table.column, if
-// one exists: the restarted server matches an incoming resume offset to the
-// journal entry a dead process left behind. The entry is consumed (and its
-// journal record closed). Nil-safe.
-func (m *Manager) AdoptRecovered(table, column string) (ScanState, bool) {
-	if m == nil {
-		return ScanState{}, false
-	}
-	m.scanMu.Lock()
-	var found *ScanState
-	for id, st := range m.recovered {
-		if st.Table == table && st.Column == column {
-			found = st
-			delete(m.recovered, id)
-			delete(m.openScans, id)
-			break
-		}
-	}
-	n := len(m.recovered)
-	m.scanMu.Unlock()
-	if found == nil {
-		return ScanState{}, false
-	}
-	m.met.recoveredScans.Set(int64(n))
-	m.enqueue(Record{Type: RecScanEnd, LSN: m.lsn.Add(1), ScanID: found.ID, Pages: found.Pages})
-	return *found, true
 }
 
 // Sync blocks until every record enqueued before the call is durably on

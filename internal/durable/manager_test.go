@@ -207,16 +207,9 @@ func TestDurableScanJournalRecovery(t *testing.T) {
 	if open[0].Table != "lineitem" || open[0].Column != "l_quantity" || open[0].Pages != 16 {
 		t.Fatalf("recovered scan = %+v", open[0])
 	}
-	st, ok := m2.AdoptRecovered("lineitem", "l_quantity")
-	if !ok || st.Pages != 16 {
-		t.Fatalf("adopt = %+v, %v", st, ok)
-	}
-	if _, ok := m2.AdoptRecovered("lineitem", "l_quantity"); ok {
-		t.Error("recovered scan adopted twice")
-	}
 	// New scan IDs never collide with recovered ones.
-	if nid := m2.ScanStarted("x", "y", 0); nid <= st.ID {
-		t.Errorf("new scan id %d not past recovered %d", nid, st.ID)
+	if nid := m2.ScanStarted("x", "y", 0); nid <= open[0].ID {
+		t.Errorf("new scan id %d not past recovered %d", nid, open[0].ID)
 	}
 }
 

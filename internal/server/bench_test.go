@@ -16,7 +16,7 @@ import (
 // BenchmarkServedScanDurable measures what durability costs a served scan
 // end to end. "ephemeral" is a server with no durable manager (histserved
 // serve without -data-dir); "durable" journals every catalog mutation
-// and scan-lifecycle event through the async WAL while a 50ms background
+// through the async WAL while a 50ms background
 // checkpointer snapshots the catalog under the serving load — deliberately
 // far more aggressive than the 30s production default, so the measured gap
 // is an upper bound on the checkpoint + journal overhead; "durable-wal-only"

@@ -17,9 +17,10 @@ import (
 // TestServerRestartRecoversCatalogAndResume is the in-process restart
 // integration test: a durable server gathers statistics, crashes (Abandon —
 // the file state a kill -9 leaves), and a second server opened on the same
-// directory must (a) serve the pre-crash statistics byte-identically, (b)
-// report the interrupted scan as recovered, and (c) complete that scan via a
-// client resume whose total delivery is byte-identical to a clean run.
+// directory must (a) serve the pre-crash statistics byte-identically and (b)
+// complete the scan the crash interrupted via a client resume whose total
+// delivery is byte-identical to a clean run. The resume offset alone drives
+// that: the interrupted scan left nothing in the durable directory.
 func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(4000)
@@ -52,7 +53,7 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	c1.Close()
 
 	// A second scan is interrupted mid-stream: read a few frames, then the
-	// process "dies" — the journal entry it opened never closes.
+	// process "dies".
 	sc2, cc2 := net.Pipe()
 	go srv1.ServeConn(sc2)
 	cc2.SetDeadline(time.Now().Add(10 * time.Second))
@@ -82,10 +83,6 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	rec := m2.Report().OpenScans
-	if len(rec) != 1 || rec[0].Table != "synthetic" || rec[0].Column != "c2" {
-		t.Fatalf("recovered scans %+v, want the interrupted synthetic.c2 scan", rec)
-	}
 	srv2 := server.New(server.Config{Durable: m2, PagesPerFrame: 2})
 	if err := srv2.Register(rel); err != nil {
 		t.Fatal(err)
@@ -112,9 +109,8 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	}
 	c2.Close()
 
-	// (c) The interrupted scan completes via a server-side resume, adopting
-	// the recovered journal entry; prefix + resumed suffix is byte-identical
-	// to a clean run.
+	// (b) The interrupted scan completes via a server-side resume; prefix +
+	// resumed suffix is byte-identical to a clean run.
 	resume, got, sum := rawScan(t, srv2, server.ScanRequest{
 		Table: "synthetic", Column: "c2", Offset: uint32(deliveredPages),
 	})
@@ -127,9 +123,6 @@ func TestServerRestartRecoversCatalogAndResume(t *testing.T) {
 	}
 	if int(sum.Pages) != npages-start {
 		t.Fatalf("resumed summary counts %d pages, want %d", sum.Pages, npages-start)
-	}
-	if _, ok := m2.AdoptRecovered("synthetic", "c2"); ok {
-		t.Fatal("resume did not adopt the recovered journal entry")
 	}
 }
 

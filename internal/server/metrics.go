@@ -30,7 +30,6 @@ type metrics struct {
 	lanesRetired     *obs.Counter
 	scansDegraded    *obs.Counter
 	retriesServed    *obs.Counter
-	resumesAdopted   *obs.Counter
 
 	// traceReports / traceReportsBad count the client span trailers stored
 	// — and the malformed ones dropped without a reply (the trailer is
@@ -98,7 +97,6 @@ func newMetrics(reg *obs.Registry, lanes int, spec sketch.ChainSpec) metrics {
 		lanesRetired:     reg.Counter("streamhist_server_lanes_retired_total", "Side-path lanes abandoned after a panic or a stall past the supervision timeout."),
 		scansDegraded:    reg.Counter("streamhist_server_scans_degraded_total", "Scans whose summary reported a degraded (or absent) statistics side effect."),
 		retriesServed:    reg.Counter("streamhist_server_retries_served_total", "Scans resumed from a nonzero page offset by a reconnecting client."),
-		resumesAdopted:   reg.Counter("streamhist_server_resumes_adopted_total", "Resumed scans matched to an in-flight journal entry recovered from a previous process."),
 
 		traceReports:    reg.Counter("streamhist_server_trace_reports_total", "Client span trailers accepted and stored for trace assembly."),
 		traceReportsBad: reg.Counter("streamhist_server_trace_reports_bad_total", "Malformed client span trailers dropped without a reply."),

@@ -44,7 +44,7 @@ type Config struct {
 	ShardLanes int
 	// PagesPerFrame sets how many 8 KiB page images ride in one FramePagesCk,
 	// capped at what fits MaxPayload (127). It is the transport's unit: one
-	// Write, one journal progress mark and one resume boundary per frame.
+	// Write and one resume boundary per frame.
 	// From lanes.UnitPages up the side path deals the relation's UnitPages
 	// windows to its lanes whatever this is, so no statistic or simulated
 	// cycle depends on it; a smaller frame is one unit. Zero means 64: of 16,
@@ -77,11 +77,10 @@ type Config struct {
 	// spec turns the chain off (the histogram side path is unaffected).
 	Sketch *sketch.ChainSpec
 	// Durable attaches crash-safe persistence: the server adopts the
-	// manager's recovered catalog (so statistics survive restarts), journals
-	// every served scan's lifecycle at frame granularity, and matches resume
-	// offsets against in-flight scans a dead process left behind. All
-	// journal calls are asynchronous and nil-safe — a nil manager is the
-	// ephemeral, byte-identical-to-before configuration.
+	// manager's recovered catalog, so statistics survive restarts, and each
+	// refreshed column's install is one asynchronous WAL record. A scan in
+	// flight writes nothing; a client resumes it by its page offset. A nil
+	// manager is the ephemeral, byte-identical-to-before configuration.
 	Durable *durable.Manager
 }
 
@@ -662,11 +661,7 @@ type servedScan struct {
 	entry *tableEntry
 	meta  colMeta
 	start int // first page streamed: the offset, frame-aligned when resuming
-	// jid is this serving attempt's scan-journal entry and journalHW the page
-	// high-water mark it closes with.
-	jid       uint64
-	journalHW uint32
-	side      *sidePath
+	side  *sidePath
 }
 
 // handleScan streams the relation's raw page images to the client and, on
@@ -715,10 +710,6 @@ func (s *Server) handleScan(conn net.Conn, bw *bufio.Writer, req ScanRequest) (e
 	if err := s.resume(bw, sc); err != nil {
 		return err
 	}
-	// The journal entry for this serving attempt closes whichever way it
-	// exits — only a crash leaves it open, which is exactly what the journal
-	// records.
-	defer func() { s.cfg.Durable.ScanEnded(sc.jid, sc.journalHW) }()
 	// A resumed scan runs no side path: a partial scan cannot yield an
 	// honest histogram.
 	if !rec.Resumed {
@@ -756,47 +747,32 @@ func (s *Server) accept(sc *servedScan) error {
 	return nil
 }
 
-// resume fixes where the stream starts and opens the scan's journal entry.
-// A nonzero request offset resumes an interrupted scan at that page: the
-// start is aligned down to a frame boundary and announced before any pages
-// move, so the frames re-sent from there are byte-identical to the original
-// delivery (same page windows, same checksum trailers) and the client skips
-// the overlap it already verified.
+// resume fixes where the stream starts. A nonzero request offset resumes an
+// interrupted scan at that page: the start is aligned down to a frame
+// boundary and announced before any pages move, so the frames re-sent from
+// there are byte-identical to the original delivery (same page windows, same
+// checksum trailers) and the client skips the overlap it already verified.
+// The offset is all a resume needs, across a restart too: nothing about a
+// scan in flight is written to the durable catalog.
 func (s *Server) resume(bw *bufio.Writer, sc *servedScan) error {
 	sc.start = int(sc.req.Offset)
-	// Scan journal: with durability attached the scan's lifecycle rides the
-	// WAL at frame granularity, so a kill -9 mid-scan leaves a recoverable
-	// in-flight record a restarted server can match a resume against. A
-	// resume consumes the entry the dead process left behind.
-	dm := s.cfg.Durable
-	if sc.rec.Resumed {
-		s.metrics.retriesServed.Add(1)
-		sc.start -= sc.start % sc.entry.ppf
-		if err := WriteFrame(bw, FrameResumeInfo, EncodeResumeInfo(uint32(sc.start))); err != nil {
-			return err
-		}
-		if jrec, ok := dm.AdoptRecovered(sc.req.Table, sc.req.Column); ok {
-			s.metrics.resumesAdopted.Add(1)
-			s.obs.Logger().Info("resume adopted recovered scan", "scan", sc.rec.ID,
-				"journal", jrec.ID, "table", sc.req.Table, "column", sc.req.Column,
-				"journal_pages", jrec.Pages, "resume_page", sc.req.Offset)
-		}
+	if !sc.rec.Resumed {
+		return nil
 	}
-	sc.jid = dm.ScanStarted(sc.req.Table, sc.req.Column, uint32(sc.start))
-	sc.journalHW = uint32(sc.start)
-	return nil
+	s.metrics.retriesServed.Add(1)
+	sc.start -= sc.start % sc.entry.ppf
+	return WriteFrame(bw, FrameResumeInfo, EncodeResumeInfo(uint32(sc.start)))
 }
 
-// stream is the page loop: one Write per stored frame, the journal's
-// progress mark, and the side path's feed. Frames carry a per-page CRC32C
-// trailer (FramePagesCk) computed at encode time, so corruption anywhere
-// downstream of storage is detectable by every consumer.
+// stream is the page loop: one Write per stored frame and the side path's
+// feed. Frames carry a per-page CRC32C trailer (FramePagesCk) computed at
+// encode time, so corruption anywhere downstream of storage is detectable by
+// every consumer.
 func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
 	rec, entry, inj, sp := sc.rec, sc.entry, sc.inj, sc.side
 	si := rec.Begin("stream")
 	defer rec.End(si, 0)
 	pages := entry.pageImages()
-	dm := s.cfg.Durable
 	// Injected in-flight corruption is the one case that needs a scratch
 	// frame: the damage lands after the checksum trailer was laid down,
 	// exactly like a relay flipping bits after storage vouched for the
@@ -835,8 +811,6 @@ func (s *Server) stream(conn net.Conn, bw *bufio.Writer, sc *servedScan) error {
 		n := (end - off) * page.Size
 		rec.Pages += uint32(end - off)
 		rec.Bytes += uint64(n)
-		dm.ScanProgress(sc.jid, uint32(end))
-		sc.journalHW = uint32(end)
 		if sp != nil {
 			sp.feed(off, end, bad, inj)
 		}

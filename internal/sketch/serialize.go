@@ -231,13 +231,14 @@ func decodeHLL(d *decoder) *HLL {
 			d.fail("hll sparse count exceeds register file")
 			return nil
 		}
+		// Entries are taken in one bounds check and read in place.
+		raw := d.bytes(5 * int(n))
+		if d.err != nil {
+			return nil
+		}
 		lastIdx := int64(-1)
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			idx := d.u32()
-			rank := d.u8()
-			if d.err != nil {
-				break
-			}
+		for e := raw; len(e) > 0; e = e[5:] {
+			idx, rank := binary.LittleEndian.Uint32(e), e[4]
 			if idx >= h.m || rank == 0 || rank > maxRank {
 				d.fail("hll sparse entry out of range")
 				break
@@ -318,20 +319,26 @@ func decodeWindow(d *decoder) *Window {
 		d.fail("window geometry out of range")
 		return nil
 	}
+	// Entries are taken in one bounds check, before anything is allocated,
+	// and read in place into a slice of their exact size.
+	raw := d.bytes(16 * int(n))
+	if d.err != nil {
+		return nil
+	}
 	w := NewWindow(int(wcap))
+	if n == 0 {
+		return w
+	}
+	w.buf = make([]winEntry, n)
 	lastPos := int64(-1)
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		pos := int64(d.u64())
-		val := int64(d.u64())
-		if d.err != nil {
-			break
-		}
-		if pos <= lastPos {
+	for i := range w.buf {
+		e := winEntry{pos: int64(binary.LittleEndian.Uint64(raw[16*i:])), val: int64(binary.LittleEndian.Uint64(raw[16*i+8:]))}
+		if e.pos <= lastPos {
 			d.fail("window positions not strictly ascending")
 			break
 		}
-		lastPos = pos
-		w.buf = append(w.buf, winEntry{pos: pos, val: val})
+		lastPos = e.pos
+		w.buf[i] = e
 	}
 	return w
 }
