@@ -95,10 +95,12 @@ examples:
 		$(GO) run ./$$dir > /dev/null || exit 1; \
 	done
 
-# Fuzz passes, nine targets: every decoder that faces bytes from a peer or a
+# Fuzz passes, ten targets: every decoder that faces bytes from a peer or a
 # disk (frames, the client's frame reader, trace reports, histograms,
-# checkpoint recovery, WAL records, sketches, the page parser), and the bin
-# region's 32-bit store against an int64 reference.
+# checkpoint recovery, WAL records, catalog entries, sketches, the page
+# parser), and the bin region's 32-bit store against an int64 reference. The
+# root TestFuzzTargetsListed fails when this list and the module's fuzzers
+# disagree.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
 # target runs even when an earlier one fails — a red target must not hide the
 # ones listed after it — and the failures are named together at the end.
@@ -111,7 +113,8 @@ FUZZ_TARGETS = \
 	FuzzDecodeWALRecord:./internal/durable/ \
 	FuzzSketchDecode:./internal/sketch/ \
 	FuzzParserFeed:./internal/core/ \
-	FuzzVectorOps:./internal/bins/
+	FuzzVectorOps:./internal/bins/ \
+	FuzzDecodeColumnStats:./internal/dbms/
 
 fuzz:
 	@failed=""; \

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"streamhist/internal/hist"
 	"streamhist/internal/sketch"
+	"streamhist/internal/wire"
 )
 
 // Catalog persistence: statistics survive restarts in real engines. An
@@ -31,7 +33,7 @@ var ErrCorruptCatalog = errors.New("dbms: corrupt catalog entry")
 //	per sketch:   uint32 length + "SK" block encoding
 //
 // Encoding is deterministic, so an entry that decodes re-encodes to the
-// bytes it came from.
+// bytes it came from (FuzzDecodeColumnStats holds the decoder to this).
 func AppendColumnStats(dst []byte, s *ColumnStats) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.NDistinct))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.RowCount))
@@ -64,52 +66,28 @@ func AppendColumnStats(dst []byte, s *ColumnStats) ([]byte, error) {
 // pins nothing of buf. Corrupt input yields ErrCorruptCatalog (or the
 // histogram/sketch decoders' own corruption errors), never a panic.
 func DecodeColumnStats(buf []byte) (*ColumnStats, []byte, error) {
-	whole := buf
-	if len(buf) < 8*3+4 {
-		return nil, nil, fmt.Errorf("%w: entry header truncated", ErrCorruptCatalog)
+	d := wire.NewDecoder(buf, ErrCorruptCatalog)
+	s := &ColumnStats{NDistinct: int64(d.U64()), RowCount: int64(d.U64()), Version: d.U64()}
+	hbytes := d.Bytes(int(d.U32()))
+	raws := make([][]byte, d.Count(uint64(d.U16()), math.MaxInt, 4))
+	for i := range raws {
+		raws[i] = d.Bytes(int(d.U32()))
 	}
-	s := &ColumnStats{
-		NDistinct: int64(binary.LittleEndian.Uint64(buf[0:])),
-		RowCount:  int64(binary.LittleEndian.Uint64(buf[8:])),
-		Version:   binary.LittleEndian.Uint64(buf[16:]),
+	if d.Err() != nil {
+		return nil, nil, d.Err()
 	}
-	hlen := binary.LittleEndian.Uint32(buf[24:])
-	buf = buf[28:]
-	if uint64(hlen) > uint64(len(buf)) {
-		return nil, nil, fmt.Errorf("%w: histogram truncated", ErrCorruptCatalog)
-	}
-	if hlen > 0 {
+	if len(hbytes) > 0 {
 		s.Histogram = &hist.Histogram{}
-		if err := s.Histogram.UnmarshalBinary(buf[:hlen]); err != nil {
+		if err := s.Histogram.UnmarshalBinary(hbytes); err != nil {
 			return nil, nil, err
 		}
-		buf = buf[hlen:]
 	}
-	if len(buf) < 2 {
-		return nil, nil, fmt.Errorf("%w: sketch count truncated", ErrCorruptCatalog)
+	blocks, err := sketch.DecodeBlocks(raws)
+	if err != nil {
+		return nil, nil, err
 	}
-	nsk := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if nsk > 0 {
-		raws := make([][]byte, 0, nsk)
-		for i := 0; i < nsk; i++ {
-			if len(buf) < 4 {
-				return nil, nil, fmt.Errorf("%w: sketch %d length truncated", ErrCorruptCatalog, i)
-			}
-			sklen := binary.LittleEndian.Uint32(buf)
-			buf = buf[4:]
-			if uint64(sklen) > uint64(len(buf)) {
-				return nil, nil, fmt.Errorf("%w: sketch %d truncated", ErrCorruptCatalog, i)
-			}
-			raws = append(raws, buf[:sklen])
-			buf = buf[sklen:]
-		}
-		blocks, err := sketch.DecodeBlocks(raws)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.Sketches = blocks
-	}
-	s.enc = append([]byte(nil), whole[:len(whole)-len(buf)]...)
-	return s, buf, nil
+	s.Sketches = blocks
+	rest := d.Rest()
+	s.enc = append([]byte(nil), buf[:len(buf)-len(rest)]...)
+	return s, rest, nil
 }

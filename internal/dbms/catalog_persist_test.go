@@ -104,10 +104,12 @@ func TestCatalogUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: got %v, want ErrCorruptCatalog", i, err)
 		}
 	}
-	good := persistedCatalog(t).Get("lineitem", "l_quantity").Encoded()
+	// Every strict prefix fails as a catalog entry, the sketch list's too:
+	// the entry frames the histogram and each sketch with its length.
+	good := sketchedCatalog(t).Get("lineitem", "l_quantity").Encoded()
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := DecodeColumnStats(good[:cut]); err == nil {
-			t.Fatalf("entry truncated to %d of %d bytes accepted", cut, len(good))
+		if _, _, err := DecodeColumnStats(good[:cut]); !errors.Is(err, ErrCorruptCatalog) {
+			t.Fatalf("entry truncated to %d of %d bytes: got %v, want ErrCorruptCatalog", cut, len(good), err)
 		}
 	}
 	_, rest, err := DecodeColumnStats(append(append([]byte(nil), good...), 9))

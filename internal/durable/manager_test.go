@@ -12,6 +12,7 @@ import (
 	"streamhist/internal/dbms"
 	"streamhist/internal/faults"
 	"streamhist/internal/hist"
+	"streamhist/internal/wire"
 )
 
 // testStats builds a deterministic catalog entry whose histogram content
@@ -37,13 +38,13 @@ func catalogBytes(t *testing.T, c *dbms.Catalog) []byte {
 	var versions, entries []byte
 	nv := 0
 	c.Each(nil, func(table, column string, s *dbms.ColumnStats) {
-		entries = appendStr16(appendStr16(entries, table), column)
+		entries = wire.AppendStr16(wire.AppendStr16(entries, table), column)
 		var err error
 		if entries, err = dbms.AppendColumnStats(entries, s); err != nil {
 			t.Fatal(err)
 		}
 	}, func(table string, version uint64) {
-		versions = binary.LittleEndian.AppendUint64(appendStr16(versions, table), version)
+		versions = binary.LittleEndian.AppendUint64(wire.AppendStr16(versions, table), version)
 		nv++
 	})
 	out := binary.LittleEndian.AppendUint32(nil, uint32(nv))

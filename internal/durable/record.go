@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"streamhist/internal/page"
+	"streamhist/internal/wire"
 )
 
 // WAL record framing. Every record is self-delimiting and self-verifying so
@@ -102,22 +104,6 @@ type Record struct {
 	Count uint32
 }
 
-func appendStr16(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func readStr16(buf []byte) (string, []byte, bool) {
-	if len(buf) < 2 {
-		return "", nil, false
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	if len(buf) < 2+n {
-		return "", nil, false
-	}
-	return string(buf[2 : 2+n]), buf[2+n:], true
-}
-
 // AppendRecord appends r's wire encoding to dst.
 func AppendRecord(dst []byte, r Record) []byte {
 	start := len(dst)
@@ -129,18 +115,18 @@ func AppendRecord(dst []byte, r Record) []byte {
 	switch r.Type {
 	case RecPut:
 		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-		dst = appendStr16(dst, r.Table)
-		dst = appendStr16(dst, r.Column)
+		dst = wire.AppendStr16(dst, r.Table)
+		dst = wire.AppendStr16(dst, r.Column)
 		dst = append(dst, r.Stats...)
 	case RecBump:
 		dst = binary.LittleEndian.AppendUint64(dst, r.Seq)
-		dst = appendStr16(dst, r.Table)
+		dst = wire.AppendStr16(dst, r.Table)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Version)
 	case RecScanStart:
 		dst = binary.LittleEndian.AppendUint64(dst, r.ScanID)
 		dst = binary.LittleEndian.AppendUint32(dst, r.Pages)
-		dst = appendStr16(dst, r.Table)
-		dst = appendStr16(dst, r.Column)
+		dst = wire.AppendStr16(dst, r.Table)
+		dst = wire.AppendStr16(dst, r.Column)
 	case RecScanProgress, RecScanEnd:
 		dst = binary.LittleEndian.AppendUint64(dst, r.ScanID)
 		dst = binary.LittleEndian.AppendUint32(dst, r.Pages)
@@ -164,96 +150,58 @@ func AppendRecord(dst []byte, r Record) []byte {
 // defect yields ErrCorruptRecord; corrupt input never panics.
 func DecodeRecord(buf []byte) (Record, int, error) {
 	var r Record
-	if len(buf) < recordHeaderSize+recordTrailerLen {
-		return r, 0, fmt.Errorf("%w: truncated header", ErrCorruptRecord)
+	d := wire.NewDecoder(buf, ErrCorruptRecord)
+	magic := d.U16()
+	r.Type = d.U8()
+	flags := d.U8()
+	r.LSN = d.U64()
+	plen := d.U32()
+	if magic != recordMagic || flags != 0 || plen > MaxRecordPayload {
+		d.Fail("bad header: magic %#x, flags %#x, payload length %d", magic, flags, plen)
 	}
-	if binary.LittleEndian.Uint16(buf) != recordMagic {
-		return r, 0, fmt.Errorf("%w: bad magic", ErrCorruptRecord)
-	}
-	r.Type = buf[2]
-	if buf[3] != 0 {
-		return r, 0, fmt.Errorf("%w: nonzero flags", ErrCorruptRecord)
-	}
-	r.LSN = binary.LittleEndian.Uint64(buf[4:])
-	plen := binary.LittleEndian.Uint32(buf[12:])
-	if plen > MaxRecordPayload {
-		return r, 0, fmt.Errorf("%w: payload length %d exceeds bound", ErrCorruptRecord, plen)
+	p := wire.NewDecoder(d.Bytes(int(plen)), ErrCorruptRecord)
+	sum := d.U32()
+	if d.Err() != nil {
+		return Record{}, 0, d.Err()
 	}
 	total := recordHeaderSize + int(plen) + recordTrailerLen
-	if len(buf) < total {
-		return r, 0, fmt.Errorf("%w: truncated payload", ErrCorruptRecord)
+	if page.Checksum(buf[:total-recordTrailerLen]) != sum {
+		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
 	}
-	body := buf[:recordHeaderSize+int(plen)]
-	if page.Checksum(body) != binary.LittleEndian.Uint32(buf[recordHeaderSize+int(plen):]) {
-		return r, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
-	}
-	p := body[recordHeaderSize:]
-	ok := false
 	switch r.Type {
 	case RecPut:
-		if len(p) < 8 {
-			break
-		}
-		r.Seq = binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		if r.Table, p, ok = readStr16(p); !ok {
-			break
-		}
-		if r.Column, p, ok = readStr16(p); !ok {
-			break
-		}
+		r.Seq = p.U64()
+		r.Table = p.Str16(math.MaxUint16)
+		r.Column = p.Str16(math.MaxUint16)
 		// The entry bytes are validated by dbms.DecodeColumnStats at
 		// apply time, which keeps its own copy; here they are carried
 		// opaquely.
-		r.Stats = p
-		ok = true
+		r.Stats = p.Rest()
 	case RecBump:
-		if len(p) < 8 {
-			break
-		}
-		r.Seq = binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		if r.Table, p, ok = readStr16(p); !ok {
-			break
-		}
-		if len(p) != 8 {
-			ok = false
-			break
-		}
-		r.Version = binary.LittleEndian.Uint64(p)
-		ok = true
+		r.Seq = p.U64()
+		r.Table = p.Str16(math.MaxUint16)
+		r.Version = p.U64()
 	case RecScanStart:
-		if len(p) < 12 {
-			break
-		}
-		r.ScanID = binary.LittleEndian.Uint64(p)
-		r.Pages = binary.LittleEndian.Uint32(p[8:])
-		p = p[12:]
-		if r.Table, p, ok = readStr16(p); !ok {
-			break
-		}
-		if r.Column, p, ok = readStr16(p); !ok {
-			break
-		}
-		ok = len(p) == 0
+		r.ScanID = p.U64()
+		r.Pages = p.U32()
+		r.Table = p.Str16(math.MaxUint16)
+		r.Column = p.Str16(math.MaxUint16)
 	case RecScanProgress, RecScanEnd:
-		if len(p) != 12 {
-			break
-		}
-		r.ScanID = binary.LittleEndian.Uint64(p)
-		r.Pages = binary.LittleEndian.Uint32(p[8:])
-		ok = true
+		r.ScanID = p.U64()
+		r.Pages = p.U32()
 	case RecCheckpoint:
-		if len(p) != 13 || p[8]&^flagLossy != 0 {
-			break
+		r.Seq = p.U64()
+		flags := p.U8()
+		if flags&^flagLossy != 0 {
+			p.Fail("checkpoint flags %#x", flags)
 		}
-		r.Seq = binary.LittleEndian.Uint64(p)
-		r.Lossy = p[8] != 0
-		r.Count = binary.LittleEndian.Uint32(p[9:])
-		ok = true
+		r.Lossy = flags != 0
+		r.Count = p.U32()
+	default:
+		p.Fail("unknown type")
 	}
-	if !ok {
-		return Record{}, 0, fmt.Errorf("%w: bad type-%d payload", ErrCorruptRecord, r.Type)
+	if err := p.Done(); err != nil {
+		return Record{}, 0, fmt.Errorf("%w (type-%d payload)", err, r.Type)
 	}
 	return r, total, nil
 }

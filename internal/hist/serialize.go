@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"streamhist/internal/wire"
 )
 
 // Binary serialisation for catalog persistence: one compact little-endian
@@ -34,115 +36,62 @@ var ErrCorruptHistogram = errors.New("hist: corrupt serialized histogram")
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (h *Histogram) MarshalBinary() ([]byte, error) {
-	size := 2 + 1 + 1 + 1 + 24 + 4 + 16*len(h.Frequent) + 4 + 32*len(h.Buckets)
-	out := make([]byte, size)
-	off := 0
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(out[off:], v)
-		off += 2
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(out[off:], v)
-		off += 4
-	}
-	put64 := func(v int64) {
-		binary.LittleEndian.PutUint64(out[off:], uint64(v))
-		off += 8
-	}
-	put16(serialMagic)
-	out[off] = serialVersion2
-	off++
-	out[off] = byte(h.Kind)
-	off++
+	out := make([]byte, 0, 2+1+1+1+24+4+16*len(h.Frequent)+4+32*len(h.Buckets))
+	out = binary.LittleEndian.AppendUint16(out, serialMagic)
 	var flags byte
 	if h.Degraded {
 		flags |= flagDegraded
 	}
-	out[off] = flags
-	off++
-	put64(h.Total)
-	put64(h.DistinctTotal)
-	put64(h.Skipped)
-	put32(uint32(len(h.Frequent)))
-	for _, f := range h.Frequent {
-		put64(f.Value)
-		put64(f.Count)
+	out = append(out, serialVersion2, byte(h.Kind), flags)
+	for _, v := range []int64{h.Total, h.DistinctTotal, h.Skipped} {
+		out = binary.LittleEndian.AppendUint64(out, uint64(v))
 	}
-	put32(uint32(len(h.Buckets)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(h.Frequent)))
+	for _, f := range h.Frequent {
+		out = binary.LittleEndian.AppendUint64(out, uint64(f.Value))
+		out = binary.LittleEndian.AppendUint64(out, uint64(f.Count))
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(h.Buckets)))
 	for _, b := range h.Buckets {
-		put64(b.Low)
-		put64(b.High)
-		put64(b.Count)
-		put64(b.Distinct)
+		for _, v := range []int64{b.Low, b.High, b.Count, b.Distinct} {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
 	}
 	return out, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
-	off := 0
-	need := func(n int) error {
-		if len(data)-off < n {
-			return fmt.Errorf("%w: truncated at offset %d", ErrCorruptHistogram, off)
-		}
-		return nil
-	}
-	get64 := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		return v
-	}
-	if err := need(2 + 1); err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint16(data) != serialMagic {
+	d := wire.NewDecoder(data, ErrCorruptHistogram)
+	magic := d.U16()
+	version := d.U8()
+	switch {
+	case d.Err() != nil:
+		return d.Err()
+	case magic != serialMagic:
 		return fmt.Errorf("%w: bad magic", ErrCorruptHistogram)
+	case version != serialVersion2:
+		return fmt.Errorf("%w: unsupported version %#x (this build reads %#x only)", ErrCorruptHistogram, version, serialVersion2)
 	}
-	if data[2] != serialVersion2 {
-		return fmt.Errorf("%w: unsupported version %#x (this build reads %#x only)", ErrCorruptHistogram, data[2], serialVersion2)
-	}
-	if err := need(2 + 1 + 1 + 1 + 24 + 4); err != nil {
-		return err
-	}
-	kind := Kind(data[3])
+	kind := Kind(d.U8())
+	flags := d.U8()
 	if kind > TopFrequency {
-		return fmt.Errorf("%w: unknown kind %d", ErrCorruptHistogram, kind)
+		d.Fail("unknown kind %d", kind)
 	}
-	flags := data[4]
 	if flags&^flagDegraded != 0 {
-		return fmt.Errorf("%w: unknown flags %#x", ErrCorruptHistogram, flags)
+		d.Fail("unknown flags %#x", flags)
 	}
-	off = 5
-	total := get64()
-	distinct := get64()
-	skipped := get64()
-	nf := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if err := need(16 * nf); err != nil {
-		return err
-	}
-	freq := make([]FrequentValue, nf)
+	total, distinct, skipped := int64(d.U64()), int64(d.U64()), int64(d.U64())
+	freq := make([]FrequentValue, d.Count(uint64(d.U32()), math.MaxInt, 16))
 	for i := range freq {
-		freq[i].Value = get64()
-		freq[i].Count = get64()
+		freq[i] = FrequentValue{Value: int64(d.U64()), Count: int64(d.U64())}
 	}
-	if err := need(4); err != nil {
-		return err
-	}
-	nb := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if err := need(32 * nb); err != nil {
-		return err
-	}
-	buckets := make([]Bucket, nb)
+	buckets := make([]Bucket, d.Count(uint64(d.U32()), math.MaxInt, 32))
 	for i := range buckets {
-		buckets[i].Low = get64()
-		buckets[i].High = get64()
-		buckets[i].Count = get64()
-		buckets[i].Distinct = get64()
+		buckets[i] = Bucket{Low: int64(d.U64()), High: int64(d.U64()), Count: int64(d.U64()), Distinct: int64(d.U64())}
 	}
-	if off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptHistogram, len(data)-off)
+	if err := d.Done(); err != nil {
+		return err
 	}
 	if len(freq) == 0 {
 		freq = nil

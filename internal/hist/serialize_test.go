@@ -1,6 +1,8 @@
 package hist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"sort"
@@ -66,6 +68,18 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	comp, _ := BuildCompressed(buildVec([]int64{1, 1, 1, 2, 3}), 1, 2).MarshalBinary()
 	if err := h.UnmarshalBinary(comp[:len(comp)-5]); err == nil {
 		t.Error("truncated stream accepted")
+	}
+	// Every strict prefix, and a frequent count of 2³²−1 (a 64 GiB list if
+	// it were allocated before the bytes behind it were checked).
+	for n := 0; n < len(comp); n++ {
+		if err := h.UnmarshalBinary(comp[:n]); !errors.Is(err, ErrCorruptHistogram) {
+			t.Fatalf("%d-byte prefix of %d: got %v, want ErrCorruptHistogram", n, len(comp), err)
+		}
+	}
+	huge := bytes.Clone(comp)
+	binary.LittleEndian.PutUint32(huge[29:], math.MaxUint32)
+	if err := h.UnmarshalBinary(huge); !errors.Is(err, ErrCorruptHistogram) {
+		t.Errorf("frequent count 2³²−1: got %v, want ErrCorruptHistogram", err)
 	}
 	// Unknown kind byte.
 	bad := append([]byte(nil), good...)

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"streamhist/internal/obs"
+	"streamhist/internal/wire"
 )
 
 // The wire protocol of histserved. Everything that crosses the connection is
@@ -301,28 +302,6 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 
 // ---- payload encodings ----
 
-// appendString appends a u16-length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-// cutString consumes a u16-length-prefixed string from buf.
-func cutString(buf []byte) (string, []byte, error) {
-	if len(buf) < 2 {
-		return "", nil, fmt.Errorf("%w: truncated string length", ErrBadFrame)
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	buf = buf[2:]
-	if n > maxNameLen {
-		return "", nil, fmt.Errorf("%w: string length %d exceeds limit %d", ErrBadFrame, n, maxNameLen)
-	}
-	if len(buf) < n {
-		return "", nil, fmt.Errorf("%w: truncated string body", ErrBadFrame)
-	}
-	return string(buf[:n]), buf[n:], nil
-}
-
 // EncodeResumeInfo serialises a FrameResumeInfo payload: the frame-aligned
 // page index a resumed scan streams from.
 func EncodeResumeInfo(startPage uint32) []byte {
@@ -331,10 +310,12 @@ func EncodeResumeInfo(startPage uint32) []byte {
 
 // DecodeResumeInfo parses a FrameResumeInfo payload.
 func DecodeResumeInfo(buf []byte) (uint32, error) {
-	if len(buf) != 4 {
-		return 0, fmt.Errorf("%w: resume info is %d bytes, want 4", ErrBadFrame, len(buf))
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	start := d.U32()
+	if err := d.Done(); err != nil {
+		return 0, err
 	}
-	return binary.LittleEndian.Uint32(buf), nil
+	return start, nil
 }
 
 // ScanRequest names the relation and column of a SCAN or STATS request.
@@ -361,8 +342,8 @@ const scanRequestTail = 4 + 8 + 8
 // trace ID, parent span ID — every field, every time.
 func EncodeScanRequest(req ScanRequest) []byte {
 	out := make([]byte, 0, 4+len(req.Table)+len(req.Column)+scanRequestTail)
-	out = appendString(out, req.Table)
-	out = appendString(out, req.Column)
+	out = wire.AppendStr16(out, req.Table)
+	out = wire.AppendStr16(out, req.Column)
 	out = binary.LittleEndian.AppendUint32(out, req.Offset)
 	out = binary.LittleEndian.AppendUint64(out, req.TraceID)
 	return binary.LittleEndian.AppendUint64(out, req.ParentSpanID)
@@ -370,27 +351,21 @@ func EncodeScanRequest(req ScanRequest) []byte {
 
 // DecodeScanRequest parses a request payload.
 func DecodeScanRequest(buf []byte) (ScanRequest, error) {
-	table, rest, err := cutString(buf)
-	if err != nil {
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	req := ScanRequest{
+		Table:        d.Str16(maxNameLen),
+		Column:       d.Str16(maxNameLen),
+		Offset:       d.U32(),
+		TraceID:      d.U64(),
+		ParentSpanID: d.U64(),
+	}
+	if err := d.Done(); err != nil {
 		return ScanRequest{}, err
 	}
-	column, rest, err := cutString(rest)
-	if err != nil {
-		return ScanRequest{}, err
-	}
-	if len(rest) != scanRequestTail {
-		return ScanRequest{}, fmt.Errorf("%w: %d bytes after the request's names, want %d", ErrBadFrame, len(rest), scanRequestTail)
-	}
-	if table == "" {
+	if req.Table == "" {
 		return ScanRequest{}, fmt.Errorf("%w: empty table name", ErrBadFrame)
 	}
-	return ScanRequest{
-		Table:        table,
-		Column:       column,
-		Offset:       binary.LittleEndian.Uint32(rest[0:4]),
-		TraceID:      binary.LittleEndian.Uint64(rest[4:12]),
-		ParentSpanID: binary.LittleEndian.Uint64(rest[12:20]),
-	}, nil
+	return req, nil
 }
 
 // TraceReport is a FrameTraceReport payload: the spans one client-side scan
@@ -416,7 +391,7 @@ func EncodeTraceReport(r TraceReport) []byte {
 	out = binary.LittleEndian.AppendUint64(out, r.TraceID)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(r.Spans)))
 	for _, sp := range r.Spans {
-		out = appendString(out, sp.Name)
+		out = wire.AppendStr16(out, sp.Name)
 		out = binary.LittleEndian.AppendUint32(out, uint32(int32(sp.Lane)))
 		out = binary.LittleEndian.AppendUint64(out, uint64(sp.StartNS))
 		out = binary.LittleEndian.AppendUint64(out, uint64(sp.DurNS))
@@ -436,48 +411,34 @@ func EncodeTraceReport(r TraceReport) []byte {
 // posture as every other decoder here: counts and name lengths are bounded
 // before any allocation, trailing bytes are rejected.
 func DecodeTraceReport(buf []byte) (TraceReport, error) {
-	if len(buf) < 8+2 {
-		return TraceReport{}, fmt.Errorf("%w: trace report is %d bytes, want ≥ 10", ErrBadFrame, len(buf))
-	}
-	r := TraceReport{TraceID: binary.LittleEndian.Uint64(buf[0:8])}
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	r := TraceReport{TraceID: d.U64()}
 	if r.TraceID == 0 {
-		return TraceReport{}, fmt.Errorf("%w: trace report with zero trace id", ErrBadFrame)
+		d.Fail("trace report with zero trace id")
 	}
-	n := int(binary.LittleEndian.Uint16(buf[8:10]))
-	if n > MaxTraceReportSpans {
-		return TraceReport{}, fmt.Errorf("%w: trace report claims %d spans", ErrBadFrame, n)
-	}
-	rest := buf[10:]
+	n := d.Count(uint64(d.U16()), MaxTraceReportSpans, 2+traceReportSpanFixed)
 	r.Spans = make([]obs.Span, 0, n)
-	for i := 0; i < n; i++ {
-		name, after, err := cutString(rest)
-		if err != nil {
-			return TraceReport{}, fmt.Errorf("%w: trace report span %d name", ErrBadFrame, i)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		sp := obs.Span{
+			Name:     d.Str16(maxNameLen),
+			Lane:     int(int32(d.U32())),
+			StartNS:  int64(d.U64()),
+			DurNS:    int64(d.U64()),
+			HWCycles: int64(d.U64()),
+			SpanID:   d.U64(),
+			ParentID: d.U64(),
 		}
-		rest = after
-		if len(rest) < traceReportSpanFixed {
-			return TraceReport{}, fmt.Errorf("%w: trace report truncated in span %d", ErrBadFrame, i)
-		}
-		if rest[44]&^byte(1) != 0 {
+		flags := d.U8()
+		if flags&^byte(1) != 0 {
 			// Reserved flag bits must be zero: rejecting them keeps
 			// decode→encode byte-exact, which the fuzz harness enforces.
-			return TraceReport{}, fmt.Errorf("%w: trace report span %d reserved flag bits", ErrBadFrame, i)
+			d.Fail("trace report span %d reserved flag bits", i)
 		}
-		sp := obs.Span{
-			Name:     name,
-			Lane:     int(int32(binary.LittleEndian.Uint32(rest[0:4]))),
-			StartNS:  int64(binary.LittleEndian.Uint64(rest[4:12])),
-			DurNS:    int64(binary.LittleEndian.Uint64(rest[12:20])),
-			HWCycles: int64(binary.LittleEndian.Uint64(rest[20:28])),
-			SpanID:   binary.LittleEndian.Uint64(rest[28:36]),
-			ParentID: binary.LittleEndian.Uint64(rest[36:44]),
-			Retired:  rest[44]&1 != 0,
-		}
-		rest = rest[traceReportSpanFixed:]
+		sp.Retired = flags&1 != 0
 		r.Spans = append(r.Spans, sp)
 	}
-	if len(rest) != 0 {
-		return TraceReport{}, fmt.Errorf("%w: %d trailing bytes in trace report", ErrBadFrame, len(rest))
+	if err := d.Done(); err != nil {
+		return TraceReport{}, err
 	}
 	return r, nil
 }
@@ -547,24 +508,19 @@ func EncodeScanSummary(s ScanSummary) []byte {
 
 // DecodeScanSummary parses a FrameScanEnd payload.
 func DecodeScanSummary(buf []byte) (ScanSummary, error) {
-	if len(buf) != scanSummarySize {
-		return ScanSummary{}, fmt.Errorf("%w: scan summary is %d bytes, want %d", ErrBadFrame, len(buf), scanSummarySize)
-	}
-	var s ScanSummary
-	s.Pages = binary.LittleEndian.Uint32(buf[0:4])
-	s.Bytes = binary.LittleEndian.Uint64(buf[4:12])
-	s.Rows = binary.LittleEndian.Uint64(buf[12:20])
-	flags := buf[20]
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	s := ScanSummary{Pages: d.U32(), Bytes: d.U64(), Rows: d.U64()}
+	flags := d.U8()
 	if flags&^(summaryFlagRefreshed|summaryFlagDegraded) != 0 {
-		return ScanSummary{}, fmt.Errorf("%w: bad summary flags %#x", ErrBadFrame, flags)
+		d.Fail("bad summary flags %#x", flags)
 	}
 	s.Refreshed = flags&summaryFlagRefreshed != 0
 	s.Degraded = flags&summaryFlagDegraded != 0
-	s.AccelCycles = binary.LittleEndian.Uint64(buf[21:29])
-	s.AccelSeconds = math.Float64frombits(binary.LittleEndian.Uint64(buf[29:37]))
-	s.SkippedTuples = binary.LittleEndian.Uint64(buf[37:45])
-	s.QuarantinedPages = binary.LittleEndian.Uint32(buf[45:49])
-	s.LanesRetired = binary.LittleEndian.Uint32(buf[49:53])
+	s.AccelCycles, s.AccelSeconds = d.U64(), math.Float64frombits(d.U64())
+	s.SkippedTuples, s.QuarantinedPages, s.LanesRetired = d.U64(), d.U32(), d.U32()
+	if err := d.Done(); err != nil {
+		return ScanSummary{}, err
+	}
 	return s, nil
 }
 
@@ -626,43 +582,15 @@ func appendStatsHead(dst, entry []byte) []byte {
 // decodes them with hist.Histogram.UnmarshalBinary and sketch.Decode, which
 // detect corruption.
 func DecodeStatsResult(buf []byte) (StatsResult, error) {
-	if len(buf) < statsResultFixed {
-		return StatsResult{}, fmt.Errorf("%w: stats result is %d bytes, want ≥ %d", ErrBadFrame, len(buf), statsResultFixed)
-	}
-	s := StatsResult{
-		RowCount:  int64(binary.LittleEndian.Uint64(buf[0:8])),
-		NDistinct: int64(binary.LittleEndian.Uint64(buf[8:16])),
-		Version:   binary.LittleEndian.Uint64(buf[16:24]),
-	}
-	histLen := int(binary.LittleEndian.Uint32(buf[24:28]))
-	rest := buf[statsResultFixed:]
-	if histLen > len(rest) {
-		return StatsResult{}, fmt.Errorf("%w: stats result histogram length %d exceeds payload", ErrBadFrame, histLen)
-	}
-	s.Histogram = rest[:histLen]
-	rest = rest[histLen:]
-	if len(rest) < 2 {
-		return StatsResult{}, fmt.Errorf("%w: stats result truncated before sketch count", ErrBadFrame)
-	}
-	n := int(binary.LittleEndian.Uint16(rest[0:2]))
-	rest = rest[2:]
-	if n > maxListEntries {
-		return StatsResult{}, fmt.Errorf("%w: stats result claims %d sketches", ErrBadFrame, n)
-	}
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	s := StatsResult{RowCount: int64(d.U64()), NDistinct: int64(d.U64()), Version: d.U64()}
+	s.Histogram = d.Bytes(int(d.U32()))
+	n := d.Count(uint64(d.U16()), maxListEntries, 4)
 	for i := 0; i < n; i++ {
-		if len(rest) < 4 {
-			return StatsResult{}, fmt.Errorf("%w: stats result truncated in sketch %d length", ErrBadFrame, i)
-		}
-		l := int(binary.LittleEndian.Uint32(rest[0:4]))
-		rest = rest[4:]
-		if l > len(rest) {
-			return StatsResult{}, fmt.Errorf("%w: stats result sketch %d length %d exceeds payload", ErrBadFrame, i, l)
-		}
-		s.Sketches = append(s.Sketches, rest[:l])
-		rest = rest[l:]
+		s.Sketches = append(s.Sketches, d.Bytes(int(d.U32())))
 	}
-	if len(rest) != 0 {
-		return StatsResult{}, fmt.Errorf("%w: stats result has %d trailing bytes", ErrBadFrame, len(rest))
+	if err := d.Done(); err != nil {
+		return StatsResult{}, err
 	}
 	return s, nil
 }
@@ -683,72 +611,40 @@ func EncodeTableList(tables []TableInfo) []byte {
 	var out []byte
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(tables)))
 	for _, t := range tables {
-		out = appendString(out, t.Name)
+		out = wire.AppendStr16(out, t.Name)
 		out = binary.LittleEndian.AppendUint64(out, uint64(t.Rows))
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(t.Columns)))
 		for _, c := range t.Columns {
-			out = appendString(out, c)
+			out = wire.AppendStr16(out, c)
 		}
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(t.StatsColumns)))
 		for _, c := range t.StatsColumns {
-			out = appendString(out, c)
+			out = wire.AppendStr16(out, c)
 		}
 	}
 	return out
 }
 
+// tableInfoMin is the smallest encoding of one table-list entry: an empty
+// name, the row count and two empty column lists.
+const tableInfoMin = 2 + 8 + 2 + 2
+
 // DecodeTableList parses a FrameTables payload.
 func DecodeTableList(buf []byte) ([]TableInfo, error) {
-	cutCount := func(b []byte) (int, []byte, error) {
-		if len(b) < 2 {
-			return 0, nil, fmt.Errorf("%w: truncated count", ErrBadFrame)
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	names := func() []string {
+		var out []string
+		for j, n := 0, d.Count(uint64(d.U16()), maxListEntries, 2); j < n; j++ {
+			out = append(out, d.Str16(maxNameLen))
 		}
-		n := int(binary.LittleEndian.Uint16(b))
-		if n > maxListEntries {
-			return 0, nil, fmt.Errorf("%w: count %d exceeds limit %d", ErrBadFrame, n, maxListEntries)
-		}
-		return n, b[2:], nil
+		return out
 	}
-	n, buf, err := cutCount(buf)
-	if err != nil {
+	tables := make([]TableInfo, d.Count(uint64(d.U16()), maxListEntries, tableInfoMin))
+	for i := range tables {
+		tables[i] = TableInfo{Name: d.Str16(maxNameLen), Rows: int64(d.U64()), Columns: names(), StatsColumns: names()}
+	}
+	if err := d.Done(); err != nil {
 		return nil, err
-	}
-	tables := make([]TableInfo, 0, n)
-	for i := 0; i < n; i++ {
-		var t TableInfo
-		if t.Name, buf, err = cutString(buf); err != nil {
-			return nil, err
-		}
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("%w: truncated row count", ErrBadFrame)
-		}
-		t.Rows = int64(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		var nc int
-		if nc, buf, err = cutCount(buf); err != nil {
-			return nil, err
-		}
-		for j := 0; j < nc; j++ {
-			var c string
-			if c, buf, err = cutString(buf); err != nil {
-				return nil, err
-			}
-			t.Columns = append(t.Columns, c)
-		}
-		if nc, buf, err = cutCount(buf); err != nil {
-			return nil, err
-		}
-		for j := 0; j < nc; j++ {
-			var c string
-			if c, buf, err = cutString(buf); err != nil {
-				return nil, err
-			}
-			t.StatsColumns = append(t.StatsColumns, c)
-		}
-		tables = append(tables, t)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in table list", ErrBadFrame, len(buf))
 	}
 	return tables, nil
 }
@@ -779,11 +675,12 @@ func EncodeError(err error) []byte {
 // DecodeError reconstructs the error carried by a FrameError payload. The
 // result wraps the matching sentinel so errors.Is works across the wire.
 func DecodeError(buf []byte) error {
-	if len(buf) < 2 {
-		return fmt.Errorf("%w: truncated error payload", ErrBadFrame)
+	d := wire.NewDecoder(buf, ErrBadFrame)
+	code := d.U16()
+	msg := string(d.Rest())
+	if err := d.Err(); err != nil {
+		return err
 	}
-	code := binary.LittleEndian.Uint16(buf[0:2])
-	msg := string(buf[2:])
 	var sentinel error
 	switch code {
 	case codeUnknownTable:

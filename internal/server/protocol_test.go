@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+
+	"streamhist/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -204,5 +208,79 @@ func TestErrorRoundTrip(t *testing.T) {
 	other := DecodeError(EncodeError(errors.New("disk on fire")))
 	if other == nil || !strings.Contains(other.Error(), "disk on fire") {
 		t.Fatalf("generic error lost its message: %v", other)
+	}
+}
+
+// Every strict prefix of a valid payload fails with ErrBadFrame, without a
+// panic, in each variable-length decoder.
+func TestPayloadPrefixesRejected(t *testing.T) {
+	decoders := map[string]struct {
+		enc    []byte
+		decode func([]byte) error
+	}{
+		"ScanRequest": {
+			EncodeScanRequest(ScanRequest{Table: "lineitem", Column: "l_tax", Offset: 5, TraceID: 9, ParentSpanID: 11}),
+			func(b []byte) error { _, err := DecodeScanRequest(b); return err },
+		},
+		"TraceReport": {
+			EncodeTraceReport(TraceReport{TraceID: 3, Spans: []obs.Span{
+				{Name: "scan", Lane: -1, StartNS: 10, DurNS: 20, SpanID: 4},
+				{Name: "lane", Lane: 2, SpanID: 5, ParentID: 4, Retired: true},
+			}}),
+			func(b []byte) error { _, err := DecodeTraceReport(b); return err },
+		},
+		"StatsResult": {
+			EncodeStatsResult(StatsResult{RowCount: 5, NDistinct: 2, Version: 1, Histogram: []byte{1, 2, 3}, Sketches: [][]byte{{4}, {}, {5, 6}}}),
+			func(b []byte) error { _, err := DecodeStatsResult(b); return err },
+		},
+		"TableList": {
+			EncodeTableList([]TableInfo{{Name: "t", Rows: 3, Columns: []string{"a", "b"}, StatsColumns: []string{"a"}}, {Name: "u"}}),
+			func(b []byte) error { _, err := DecodeTableList(b); return err },
+		},
+	}
+	for name, c := range decoders {
+		if err := c.decode(c.enc); err != nil {
+			t.Fatalf("%s: whole encoding rejected: %v", name, err)
+		}
+		for n := 0; n < len(c.enc); n++ {
+			if err := c.decode(c.enc[:n]); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: %d-byte prefix of %d: err %v, want ErrBadFrame", name, n, len(c.enc), err)
+			}
+		}
+	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, averaged.
+func allocBytes(f func()) uint64 {
+	const runs = 100
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// A count is checked against the bytes left before anything is allocated
+// for it: a 10-byte trace report claiming 4 096 spans, which any client may
+// send and the server never answers, and a 2-byte table list claiming 4 096
+// tables are refused for the price of their error.
+func TestHostileCountsAllocateLittle(t *testing.T) {
+	report := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint64(nil, 1), MaxTraceReportSpans)
+	list := binary.LittleEndian.AppendUint16(nil, maxListEntries)
+	for name, decode := range map[string]func() error{
+		"trace report": func() error { _, err := DecodeTraceReport(report); return err },
+		"table list":   func() error { _, err := DecodeTableList(list); return err },
+	} {
+		if err := decode(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: err %v, want ErrBadFrame", name, err)
+		}
+		b := allocBytes(func() { _ = decode() })
+		if b >= 1024 {
+			t.Errorf("%s: refusing the count allocated %d B per call, want < 1 KiB", name, b)
+		}
+		t.Logf("%s: %d B per refused call", name, b)
 	}
 }

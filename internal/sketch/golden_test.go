@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -174,6 +175,47 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		if _, err := Decode(raw); !errors.Is(err, ErrCorruptSketch) {
 			t.Errorf("%s: Decode = %v, want ErrCorruptSketch", name, err)
 		}
+	}
+}
+
+// Every strict prefix of each fixture's encoding fails with ErrCorruptSketch,
+// and so does an entry count of 2³²−1 in each kind's entry list, refused
+// against the bytes left before anything is allocated for it.
+func TestDecodeRejectsTruncationAndHugeCounts(t *testing.T) {
+	fixtures := goldenFixtures()
+	encoded := func(name string) []byte {
+		raw, err := fixtures[name].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for name := range fixtures {
+		raw := encoded(name)
+		for n := 0; n < len(raw); n++ {
+			if _, err := Decode(raw[:n]); !errors.Is(err, ErrCorruptSketch) {
+				t.Fatalf("%s: %d-byte prefix of %d: got %v, want ErrCorruptSketch", name, n, len(raw), err)
+			}
+		}
+	}
+	// The count follows the 13-byte header and the kind's own fields:
+	// precision and mode, or the capacity.
+	for name, off := range map[string]int{"hll_sparse": headerSize + 2, "spacesaving": headerSize + 4, "window_partial": headerSize + 4} {
+		raw := encoded(name)
+		binary.LittleEndian.PutUint32(raw[off:], math.MaxUint32)
+		if _, err := Decode(raw); !errors.Is(err, ErrCorruptSketch) {
+			t.Errorf("%s: count 2³²−1: got %v, want ErrCorruptSketch", name, err)
+		}
+	}
+	// SpaceSaving entries out of their count-descending order would
+	// re-encode to other bytes.
+	raw := encoded("spacesaving")
+	first := headerSize + 8
+	a, b := bytes.Clone(raw[first:first+24]), raw[first+24:first+48]
+	copy(raw[first:], b)
+	copy(raw[first+24:], a)
+	if _, err := Decode(raw); !errors.Is(err, ErrCorruptSketch) {
+		t.Errorf("spacesaving entries swapped: got %v, want ErrCorruptSketch", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"streamhist/internal/wire"
 )
 
 // Binary serialisation for catalog persistence and the STATS wire, in the
@@ -101,171 +103,83 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// decoder is a bounds-checked little-endian cursor.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil || len(d.buf) < 1 {
-		d.fail("truncated u8")
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail("truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.buf) < 8 {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil || n < 0 || len(d.buf) < n {
-		d.fail("truncated bytes")
-		return nil
-	}
-	v := d.buf[:n]
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrCorruptSketch, msg)
-	}
-}
-
 // Decode parses one serialized sketch. It accepts every published version
 // (currently only v1); unknown kinds and versions are errors, not guesses.
 func Decode(buf []byte) (StatBlock, error) {
-	d := &decoder{buf: buf}
-	magicBytes := d.bytes(2)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if magic := binary.LittleEndian.Uint16(magicBytes); magic != sketchMagic {
+	d := wire.NewDecoder(buf, ErrCorruptSketch)
+	magic := d.U16()
+	version := d.U8()
+	kind := Kind(d.U8())
+	flags := d.U8()
+	items := int64(d.U64())
+	switch {
+	case d.Err() != nil:
+		return nil, d.Err()
+	case magic != sketchMagic:
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorruptSketch, magic)
-	}
-	version := d.u8()
-	kind := Kind(d.u8())
-	flags := d.u8()
-	items := int64(d.u64())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if version != sketchVersion1 {
+	case version != sketchVersion1:
 		return nil, fmt.Errorf("%w: unknown version %#x", ErrCorruptSketch, version)
-	}
-	if flags&^sketchFlagDegraded != 0 {
+	case flags&^sketchFlagDegraded != 0:
 		return nil, fmt.Errorf("%w: bad flags %#x", ErrCorruptSketch, flags)
-	}
-	if items < 0 {
+	case items < 0:
 		return nil, fmt.Errorf("%w: negative item count", ErrCorruptSketch)
 	}
 
+	base := blockBase{items: items, degraded: flags&sketchFlagDegraded != 0}
 	var b StatBlock
 	switch kind {
 	case KindHLL:
-		b = decodeHLL(d)
+		b = decodeHLL(d, base)
 	case KindSpaceSaving:
-		b = decodeSpaceSaving(d)
+		b = decodeSpaceSaving(d, base)
 	case KindWindow:
-		b = decodeWindow(d)
+		b = decodeWindow(d, base)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorruptSketch, uint8(kind))
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSketch, len(d.buf))
-	}
-	switch blk := b.(type) {
-	case *HLL:
-		blk.items = items
-		blk.degraded = flags&sketchFlagDegraded != 0
-	case *SpaceSaving:
-		blk.items = items
-		blk.degraded = flags&sketchFlagDegraded != 0
-	case *Window:
-		blk.items = items
-		blk.degraded = flags&sketchFlagDegraded != 0
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
 
-func decodeHLL(d *decoder) *HLL {
-	p := d.u8()
-	mode := d.u8()
-	if d.err != nil {
-		return nil
-	}
+func decodeHLL(d *wire.Decoder, base blockBase) *HLL {
+	p := d.U8()
+	mode := d.U8()
 	if p < hllMinPrecision || p > hllMaxPrecision {
-		d.fail(fmt.Sprintf("hll precision %d out of range", p))
+		d.Fail("hll precision %d out of range", p)
 		return nil
 	}
 	h := NewHLL(int(p))
+	h.blockBase = base
 	maxRank := uint8(64 - p + 1)
 	switch mode {
 	case 0:
-		n := d.u32()
-		if d.err == nil && n > h.m {
-			d.fail("hll sparse count exceeds register file")
-			return nil
-		}
-		// Entries are taken in one bounds check and read in place.
-		raw := d.bytes(5 * int(n))
-		if d.err != nil {
-			return nil
-		}
+		n := d.Count(uint64(d.U32()), int(h.m), 5)
 		lastIdx := int64(-1)
-		for e := raw; len(e) > 0; e = e[5:] {
-			idx, rank := binary.LittleEndian.Uint32(e), e[4]
+		for i := 0; i < n; i++ {
+			idx, rank := d.U32(), d.U8()
 			if idx >= h.m || rank == 0 || rank > maxRank {
-				d.fail("hll sparse entry out of range")
-				break
+				d.Fail("hll sparse entry out of range")
+			} else if int64(idx) <= lastIdx {
+				d.Fail("hll sparse indices not strictly ascending")
+			} else {
+				lastIdx = int64(idx)
+				h.regs[idx] = rank
 			}
-			if int64(idx) <= lastIdx {
-				d.fail("hll sparse indices not strictly ascending")
-				break
-			}
-			lastIdx = int64(idx)
-			h.regs[idx] = rank
 		}
-		h.touched = n
+		h.touched = uint32(n)
 	case 1:
-		m := d.u32()
-		if d.err == nil && m != h.m {
-			d.fail("hll dense register count mismatch")
+		if d.U32() != h.m {
+			d.Fail("hll dense register count mismatch")
 			return nil
 		}
-		regs := d.bytes(int(m))
-		if d.err != nil {
-			return nil
-		}
+		regs := d.Bytes(int(h.m))
 		copy(h.regs, regs)
 		h.dense = true
 		for _, r := range regs {
 			if r > maxRank {
-				d.fail("hll dense register out of range")
+				d.Fail("hll dense register out of range")
 				break
 			}
 			if r != 0 {
@@ -273,68 +187,63 @@ func decodeHLL(d *decoder) *HLL {
 			}
 		}
 	default:
-		d.fail("hll unknown representation")
+		d.Fail("hll unknown representation")
 	}
 	return h
 }
 
-func decodeSpaceSaving(d *decoder) *SpaceSaving {
-	k := d.u32()
-	n := d.u32()
-	if d.err != nil {
-		return nil
+func decodeSpaceSaving(d *wire.Decoder, base blockBase) *SpaceSaving {
+	k := d.U32()
+	if k == 0 || k > 1<<20 {
+		d.Fail("spacesaving geometry out of range")
 	}
-	if k == 0 || k > 1<<20 || n > k {
-		d.fail("spacesaving geometry out of range")
+	n := d.Count(uint64(d.U32()), int(k), 24)
+	if d.Err() != nil {
 		return nil
 	}
 	s := NewSpaceSaving(int(k))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		v := int64(d.u64())
-		count := int64(d.u64())
-		errBound := int64(d.u64())
-		if d.err != nil {
-			break
-		}
+	s.blockBase = base
+	var prev ssEntry
+	for i := 0; i < n && d.Err() == nil; i++ {
+		v, count, errBound := int64(d.U64()), int64(d.U64()), int64(d.U64())
 		if count < 0 || errBound < 0 || errBound > count {
-			d.fail("spacesaving counter out of range")
-			break
+			d.Fail("spacesaving counter out of range")
+		} else if i > 0 && (count > prev.count || count == prev.count && v <= prev.val) {
+			// Out of the encoding's order the entry would re-encode to
+			// other bytes.
+			d.Fail("spacesaving entries not count-descending, value-ascending")
+		} else if s.find(v) >= 0 {
+			d.Fail("spacesaving duplicate value")
+		} else {
+			s.track(v, count, errBound)
+			prev = ssEntry{val: v, count: count}
 		}
-		if s.find(v) >= 0 {
-			d.fail("spacesaving duplicate value")
-			break
-		}
-		s.track(v, count, errBound)
 	}
 	return s
 }
 
-func decodeWindow(d *decoder) *Window {
-	wcap := d.u32()
-	n := d.u32()
-	if d.err != nil {
-		return nil
+func decodeWindow(d *wire.Decoder, base blockBase) *Window {
+	wcap := d.U32()
+	if wcap > 1<<24 {
+		d.Fail("window geometry out of range")
 	}
-	if wcap > 1<<24 || n > wcap {
-		d.fail("window geometry out of range")
-		return nil
-	}
-	// Entries are taken in one bounds check, before anything is allocated,
-	// and read in place into a slice of their exact size.
-	raw := d.bytes(16 * int(n))
-	if d.err != nil {
+	// The count is checked against the bytes left before the entries'
+	// slice is allocated at its exact size.
+	n := d.Count(uint64(d.U32()), int(wcap), 16)
+	if d.Err() != nil {
 		return nil
 	}
 	w := NewWindow(int(wcap))
+	w.blockBase = base
 	if n == 0 {
 		return w
 	}
 	w.buf = make([]winEntry, n)
 	lastPos := int64(-1)
 	for i := range w.buf {
-		e := winEntry{pos: int64(binary.LittleEndian.Uint64(raw[16*i:])), val: int64(binary.LittleEndian.Uint64(raw[16*i+8:]))}
+		e := winEntry{pos: int64(d.U64()), val: int64(d.U64())}
 		if e.pos <= lastPos {
-			d.fail("window positions not strictly ascending")
+			d.Fail("window positions not strictly ascending")
 			break
 		}
 		lastPos = e.pos
