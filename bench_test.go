@@ -77,8 +77,8 @@ func BenchmarkTable1BinnerIdealPipeline(b *testing.B) {
 	benchmarkBinner(b, vals, 4096*8, cfg)
 }
 
-// BenchmarkBinnerPush isolates the binner's per-row loop — address, cache
-// model, hazard table, bin write — on three columns of the served relation:
+// BenchmarkBinnerPush isolates the binner's per-row loop — address, line
+// table, bin write — on three columns of the served relation:
 // 50 bins, ~200 k bins and ~10 M bins. Rows arrive in page batches of 127,
 // as on a lane. Building and releasing the binner stay outside the timer,
 // so a wide column's region comes off the free list as it does on a server,
@@ -508,7 +508,8 @@ func BenchmarkParallelDataPathWide(b *testing.B) {
 // a real loopback TCP socket, client verify, sink — with the benchmark of
 // record's relation and server configuration. "raw" moves bytes only, so it
 // is all transport; "l_quantity" adds the side path with the default sketch
-// chain. allocs/op and writes/op are what the perf gate watches: transport is
+// chain, and "l_extendedprice" the same over a 10 M-bin region, whose lanes
+// keep it sparse. allocs/op and writes/op are what the perf gate watches: transport is
 // allocation-free per frame (the server sends its stored frames, the client
 // reads in place), so a per-frame allocation creeping back shows as ~25 more
 // allocs/op; and the server hands each frame to the socket in one Write, so
@@ -532,8 +533,8 @@ func BenchmarkServedScan(b *testing.B) {
 }
 
 // benchmarkServed serves rel from a server with the given bundle (nil gets
-// the default one) on a loopback listener and runs the raw and l_quantity
-// rows against it.
+// the default one) on a loopback listener and runs the raw, l_quantity and
+// l_extendedprice rows against it.
 func benchmarkServed(b *testing.B, rel *table.Relation, o *obs.Obs) {
 	srv := server.New(server.Config{ShardLanes: 2, Obs: o})
 	if err := srv.Register(rel); err != nil {
@@ -554,6 +555,7 @@ func benchmarkServed(b *testing.B, rel *table.Relation, o *obs.Obs) {
 	for _, mode := range []struct{ name, column string }{
 		{"raw", ""},
 		{"l_quantity", "l_quantity"},
+		{"l_extendedprice", "l_extendedprice"},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			c, err := client.Dial(ln.Addr().String())

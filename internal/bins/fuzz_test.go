@@ -22,7 +22,7 @@ func FuzzVectorOps(f *testing.F) {
 			var r [2]*Vector
 			for form := range r {
 				r[form] = new(Vector)
-				r[form].Recycle(min, divisor, size, Form(form), nil)
+				r[form].Recycle(min, divisor, size, Form(form))
 			}
 			return r
 		}
@@ -66,7 +66,7 @@ func FuzzVectorOps(f *testing.F) {
 			case 3: // Recycle a, to the same size or a shorter one
 				size := n - int(next())%2*(n/2)
 				for form, v := range a {
-					v.Recycle(min, divisor, size, Form(form), nil)
+					v.Recycle(min, divisor, size, Form(form))
 				}
 				ra = make([]int64, size)
 			case 4: // b becomes a copy of a

@@ -9,28 +9,20 @@ import (
 )
 
 // binnerScratch is the reusable allocation footprint of one binner lane: the
-// bin region, the RAW-hazard table, and the on-chip cache model. The
-// parallel scan path builds N lanes per scan; recycling their state keeps
-// the steady-state scan loop free of per-lane allocations, and — because a
-// parked vector knows which of its bins were written — free of per-lane
-// clears over the whole value range as well. Sparse regions and hazard
-// tables are parked like dense ones.
+// bin region and the line table. The parallel scan path builds N lanes per
+// scan; recycling their state keeps the steady-state scan loop free of
+// per-lane allocations, and — because a parked vector knows which of its
+// bins were written — free of per-lane clears over the whole value range as
+// well. Sparse regions are parked like dense ones.
 //
 // Scratch is parked dirty and reset on reuse, so a recycled lane is
 // observationally identical to a fresh one (the pooled-reuse property tests
-// compare histograms bytewise). A sparse table is cleared whole, at the
-// size of what the last scan wrote. What makes the dense reset sound is that
-// the hazard table is only ever written for the line of a bin that is
-// incremented in the same step: every non-zero hazard entry sits at line
-// i/binsPerLine of some occupied bin i of vec, so one walk over the occupied
-// bins clears both. Fault-injected binners break that pairing (their counts
-// live in hw.Memory, and a quarantined bin is zeroed after the fact), so
-// they neither draw from the free list nor return to it.
+// compare histograms bytewise). The line table is small and cleared whole.
+// Fault-injected binners keep their counts in hw.Memory, not in the vector,
+// so they neither draw from the free list nor return to it.
 type binnerScratch struct {
-	vec         *bins.Vector
-	haz         hazards
-	binsPerLine int64
-	cache       *hw.Cache
+	vec   *bins.Vector
+	lines lineTable
 
 	parkedAt uint64 // scratchList.gcs when parked
 }
@@ -139,28 +131,13 @@ func dropStaleScratch(*gcSentinel) {
 // newBinnerScratch returns scratch that holds nothing yet.
 func newBinnerScratch() *binnerScratch { return &binnerScratch{vec: new(bins.Vector)} }
 
-// fit hands b an empty bin region of regionBins bins in form, and a zeroed
-// hazard table in the same form and a reset cache sized for b's
-// preprocessor, reusing whatever parts of the scratch are large enough and
-// allocating the rest.
+// fit hands b an empty bin region of regionBins bins in form and an empty
+// line table for b's cache, reusing whatever parts of the scratch are large
+// enough and allocating the rest.
 func (sc *binnerScratch) fit(b *Binner, regionBins int64, form bins.Form) {
-	binsPerLine := int64(b.cfg.Mem.BinsPerLine)
-	numLines := (b.pre.NumBins + binsPerLine - 1) / binsPerLine
-
-	var cleared func(i int)
-	if flat, oldPerLine := sc.haz.flat, sc.binsPerLine; flat != nil {
-		cleared = func(i int) { flat[int64(i)/oldPerLine] = 0 }
-	}
-	sc.vec.Recycle(b.pre.Min, b.pre.Divisor, int(regionBins), form, cleared)
-	sc.haz.reset(numLines, form)
-
-	cache := sc.cache
-	if cache != nil && cache.Lines() == b.cfg.CacheBytes/hw.LineBytes && cache.Universe() == numLines {
-		cache.Reset()
-	} else {
-		cache = hw.NewCache(b.cfg.CacheBytes, hw.LineBytes, numLines)
-	}
-	b.vec, b.haz, b.cache = sc.vec, sc.haz, cache
+	sc.vec.Recycle(b.pre.Min, b.pre.Divisor, int(regionBins), form)
+	sc.lines.reset(b.cfg.CacheBytes / hw.LineBytes)
+	b.vec, b.lines = sc.vec, sc.lines
 }
 
 // Release parks the binner's reusable state for a future lane. It must only
@@ -174,14 +151,11 @@ func (sc *binnerScratch) fit(b *Binner, regionBins int64, form bins.Form) {
 // the catalog); call SketchChain().Release() separately under the caller's
 // aliasing guarantees. Idempotent.
 func (b *Binner) Release() {
-	if b == nil || b.cache == nil {
+	if b == nil || b.vec == nil {
 		return
 	}
 	if b.cfg.Faults == nil {
-		putBinnerScratch(&binnerScratch{
-			vec: b.vec, haz: b.haz, cache: b.cache,
-			binsPerLine: int64(b.cfg.Mem.BinsPerLine),
-		})
+		putBinnerScratch(&binnerScratch{vec: b.vec, lines: b.lines})
 	}
-	b.vec, b.haz, b.cache, b.chain = nil, hazards{}, nil, nil
+	b.vec, b.lines, b.chain = nil, lineTable{}, nil
 }

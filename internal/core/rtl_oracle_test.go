@@ -20,7 +20,7 @@ import (
 type RTLBinner struct {
 	cfg   BinnerConfig
 	pre   *Preprocessor
-	cache *hw.Cache
+	cache *fifoCache
 	vec   *bins.Vector
 
 	cycle int64
@@ -76,7 +76,7 @@ func NewRTLBinner(cfg BinnerConfig, pre *Preprocessor) *RTLBinner {
 	return &RTLBinner{
 		cfg:            cfg,
 		pre:            pre,
-		cache:          hw.NewCache(cfg.CacheBytes, hw.LineBytes, numLines),
+		cache:          newFIFOCache(cfg.CacheBytes, hw.LineBytes, numLines),
 		vec:            emptyVector(pre.Min, pre.Divisor, pre.NumBins),
 		creditPerCycle: float64(cfg.Mem.RandomOpsPerSec) / float64(cfg.Clock.Hz),
 		burstCost:      burstCost,
@@ -223,3 +223,83 @@ func (r *RTLBinner) tickInput(values []int64, idx int) int {
 	}
 	return idx
 }
+
+// fifoCache models the small on-chip write-through cache of §5.1.3 as the
+// oracle sees it, apart from the binner's line table: a fixed-size
+// FIFO-replacement table of line addresses, which matches the hardware's
+// "items currently in the pipeline" framing (the set of recently touched
+// lines within the memory-latency window). Residence is a flat byte table
+// indexed by line address over the line universe the caller declares, and
+// the FIFO is a fixed ring.
+type fifoCache struct {
+	lines int
+
+	// ring is the FIFO of resident line addresses, a fixed circular buffer
+	// of capacity lines; head is the oldest entry once full.
+	ring []int64
+	head int
+
+	// resident[line] is non-zero while the line is in the ring.
+	resident []uint8
+
+	hits   int64
+	misses int64
+}
+
+// newFIFOCache builds a cache holding sizeBytes worth of memory lines of
+// lineBytes each, for line addresses in [0, universe). A size of zero
+// disables the cache (every access misses). Lines outside the universe are
+// uncacheable: they always miss and Insert ignores them.
+func newFIFOCache(sizeBytes, lineBytes int, universe int64) *fifoCache {
+	n := sizeBytes / lineBytes
+	return &fifoCache{
+		lines:    n,
+		ring:     make([]int64, 0, n),
+		resident: make([]uint8, max(universe, 0)),
+	}
+}
+
+// Lines returns the capacity in memory lines.
+func (c *fifoCache) Lines() int { return c.lines }
+
+// Lookup reports whether the line is resident, counting a hit or a miss.
+func (c *fifoCache) Lookup(lineAddr int64) bool {
+	if c.Contains(lineAddr) {
+		c.hits++
+		return true
+	}
+	c.misses++
+	return false
+}
+
+// Contains reports residence without touching the statistics.
+func (c *fifoCache) Contains(lineAddr int64) bool {
+	return uint64(lineAddr) < uint64(len(c.resident)) && c.resident[lineAddr] != 0
+}
+
+// Insert makes the line resident (write-through: the caller has also issued
+// the memory write). The oldest line is evicted when at capacity.
+func (c *fifoCache) Insert(lineAddr int64) {
+	// Outside the declared universe the table cannot track the line; treat
+	// it as uncacheable rather than corrupt the ring.
+	if c.lines == 0 || uint64(lineAddr) >= uint64(len(c.resident)) || c.resident[lineAddr] != 0 {
+		return
+	}
+	if len(c.ring) < c.lines {
+		c.ring = append(c.ring, lineAddr)
+	} else {
+		c.resident[c.ring[c.head]] = 0
+		c.ring[c.head] = lineAddr
+		c.head++
+		if c.head == c.lines {
+			c.head = 0
+		}
+	}
+	c.resident[lineAddr] = 1
+}
+
+// Hits returns the number of lookup hits so far.
+func (c *fifoCache) Hits() int64 { return c.hits }
+
+// Misses returns the number of lookup misses so far.
+func (c *fifoCache) Misses() int64 { return c.misses }

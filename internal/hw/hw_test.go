@@ -3,7 +3,6 @@ package hw
 import (
 	"math"
 	"testing"
-	"unsafe"
 )
 
 func TestClockConversions(t *testing.T) {
@@ -48,131 +47,6 @@ func TestMemParamsDefaults(t *testing.T) {
 	}
 }
 
-func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(1024, LineBytes, 64) // 16 lines
-	if c.Lines() != 16 {
-		t.Fatalf("lines = %d", c.Lines())
-	}
-	if c.Lookup(1) {
-		t.Error("cold lookup hit")
-	}
-	c.Insert(1)
-	if !c.Lookup(1) {
-		t.Error("resident lookup missed")
-	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-}
-
-func TestCacheEvictionFIFO(t *testing.T) {
-	c := NewCache(2*LineBytes, LineBytes, 64) // 2 lines
-	c.Insert(1)
-	c.Insert(2)
-	c.Insert(3) // evicts 1
-	if c.Contains(1) {
-		t.Error("line 1 should have been evicted")
-	}
-	if !c.Contains(2) || !c.Contains(3) {
-		t.Error("lines 2 and 3 should be resident")
-	}
-	// Re-inserting a resident line must not evict anything.
-	c.Insert(2)
-	if !c.Contains(3) {
-		t.Error("refresh of resident line evicted another line")
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0, LineBytes, 64)
-	c.Insert(1)
-	if c.Lookup(1) {
-		t.Error("zero-size cache should always miss")
-	}
-	if c.Lines() != 0 {
-		t.Errorf("lines = %d", c.Lines())
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c := NewCache(1024, LineBytes, 64)
-	c.Insert(7)
-	c.Lookup(7)
-	c.Reset()
-	if c.Contains(7) || c.Hits() != 0 || c.Misses() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-// TestCacheOutOfUniverseLine: a line address outside the declared universe
-// (negative, at the edge, far past it) is uncacheable — it misses, Insert
-// ignores it, and it can neither evict a resident line nor take a ring slot.
-func TestCacheOutOfUniverseLine(t *testing.T) {
-	c := NewCache(2*LineBytes, LineBytes, 8) // 2 lines over lines 0..7
-	if c.Universe() != 8 {
-		t.Fatalf("universe = %d", c.Universe())
-	}
-	c.Insert(3)
-	c.Insert(7)
-	for _, line := range []int64{-1, 8, 1 << 40} {
-		c.Insert(line)
-		if c.Contains(line) || c.Lookup(line) {
-			t.Errorf("line %d outside the universe is resident", line)
-		}
-	}
-	if !c.Contains(3) || !c.Contains(7) {
-		t.Error("an out-of-universe insert evicted a resident line")
-	}
-	if c.Hits() != 0 || c.Misses() != 3 {
-		t.Errorf("hits=%d misses=%d, want 0 and 3", c.Hits(), c.Misses())
-	}
-	// The ring still holds exactly the two in-universe lines: the next
-	// insert evicts the oldest of them, not a phantom.
-	c.Insert(5)
-	if c.Contains(3) || !c.Contains(7) || !c.Contains(5) {
-		t.Error("FIFO order disturbed by out-of-universe inserts")
-	}
-}
-
-// TestCacheResetIsSparse: Reset clears residence through the ring, so a
-// reset cache over a wide universe is indistinguishable from a new one
-// whatever was resident, including after the ring wrapped.
-func TestCacheResetIsSparse(t *testing.T) {
-	const universe = 1<<20 + 17 // past the old map-form cut-off
-	c := NewCache(4*LineBytes, LineBytes, universe)
-	for i := int64(0); i < 100; i++ {
-		c.Insert(i * 10_007 % universe)
-		c.Lookup(i)
-	}
-	c.Reset()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Error("Reset kept statistics")
-	}
-	for i := int64(0); i < universe; i++ {
-		if c.Contains(i) {
-			t.Fatalf("line %d still resident after Reset", i)
-		}
-	}
-	// And it fills from empty again: four inserts, no eviction.
-	for i := int64(0); i < 4; i++ {
-		c.Insert(universe - 1 - i)
-	}
-	for i := int64(0); i < 4; i++ {
-		if !c.Contains(universe - 1 - i) {
-			t.Fatalf("line %d missing after refill", universe-1-i)
-		}
-	}
-}
-
-func TestCacheRejectsBadLineSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCache(1024, 0, 64)
-}
-
 // TestCacheCoversLatencyWindow checks the §5.1.3 sizing argument: the 1 KB
 // cache (16 lines of 8 bins) can hold the maximum number of distinct lines
 // touched within the memory access latency window. At the worst-case rate
@@ -214,22 +88,5 @@ func TestCriticalPath(t *testing.T) {
 	// No lanes: just the aggregation pass.
 	if c := CriticalPath(nil, 7); c != 7 {
 		t.Errorf("CriticalPath(nil) = %d, want 7", c)
-	}
-}
-
-// TestCacheIsWholeHostLines: a lane's cache model and its tables fill whole
-// host cache lines, so two lanes' caches never share one.
-func TestCacheIsWholeHostLines(t *testing.T) {
-	if s := unsafe.Sizeof(Cache{}); s%hostLine != 0 {
-		t.Fatalf("a Cache is %d bytes, not whole %d-byte lines", s, hostLine)
-	}
-	for _, universe := range []int64{1, 7, 64, 1000} {
-		c := NewCache(3*LineBytes, LineBytes, universe)
-		if b := cap(c.ring) * 8; b%hostLine != 0 {
-			t.Fatalf("universe %d: ring takes %d bytes", universe, b)
-		}
-		if b := cap(c.resident); b%hostLine != 0 {
-			t.Fatalf("universe %d: residence table takes %d bytes", universe, b)
-		}
 	}
 }
