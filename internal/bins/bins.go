@@ -296,13 +296,14 @@ func (v *Vector) Combine() {
 	}
 }
 
-// combine sorts the sparse entries by bin and sums each bin's run into one
-// entry: the run's counts that are not marks, plus the bin's wide value when
-// any entry of the run is a mark. The sum goes back through widen, so the
-// wide map again holds exactly the bins whose counts do not fit a cell.
+// combine merges the sparse log into the combined entries (see sparse.merge)
+// and sums each bin's run into one entry: the run's counts that are not
+// marks, plus the bin's wide value when any entry of the run is a mark. The
+// sum goes back through widen, so the wide map again holds exactly the bins
+// whose counts do not fit a cell.
 func (v *Vector) combine() {
 	s := v.sp
-	s.order(v.n)
+	s.merge(v.n)
 	ents, out := s.ents, 0
 	v.nonEmpty = 0
 	for k := 0; k < len(ents); out++ {
@@ -483,8 +484,10 @@ func (v *Vector) Densify() {
 // vectors must have identical range configuration. This implements the §7
 // (Future Work) scale-up path where replicated Binner modules produce
 // partial counts in separate memories that are aggregated before histogram
-// creation. Two sparse vectors merge by appending other's entries to v's
-// log, its wide bins' marks among them: one sort when v is next read.
+// creation. Two sparse vectors merge as sorted runs: v combines its log,
+// takes other's combined entries, its wide bins' marks among them, as its
+// new log, and combines again — one linear merge that sorts nothing, since
+// that log already ascends.
 func (v *Vector) Merge(other *Vector) error {
 	if v.Min != other.Min || v.Divisor != other.Divisor || v.n != other.n {
 		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
@@ -493,6 +496,7 @@ func (v *Vector) Merge(other *Vector) error {
 	other.Combine()
 	switch {
 	case v.sp != nil && other.sp != nil:
+		v.Combine()
 		v.sp.ents = append(v.sp.ents, other.sp.ents...)
 		for i, c := range other.wide {
 			if v.wide == nil {
@@ -501,9 +505,7 @@ func (v *Vector) Merge(other *Vector) error {
 			v.wide[i] += c
 		}
 		v.total += other.total
-		if v.sp.logLimit() {
-			v.Combine()
-		}
+		v.Combine()
 		return nil
 	case v.sp != nil || other.sp != nil || other.wide != nil || !v.narrowPath(other.total):
 		other.each(v.AddAt)

@@ -336,3 +336,45 @@ func TestSparseLogStaysBounded(t *testing.T) {
 		t.Fatalf("a warm refill allocates %.0f times", a)
 	}
 }
+
+// TestSparseSortsEachWriteOnce: two sparse lanes over 10.3 M bins each take
+// 100 000 writes of one to bins drawn at random, as a widedomain lane does,
+// and combine on their own, as FoldSketches does. Each lane radix-sorts at
+// most the entries it logged, so no combine sorts the combined part again;
+// merging one lane into the other and reading the result sorts nothing; and
+// the merged region reads as the dense form of the same writes.
+func TestSparseSortsEachWriteOnce(t *testing.T) {
+	const n, writes = 10_300_000, 100_000
+	rng := datagen.NewRNG(17)
+	var dense Vector
+	dense.Recycle(0, 1, n, Dense)
+	lane := func() *Vector {
+		v := new(Vector)
+		v.Recycle(0, 1, n, Sparse)
+		for range writes {
+			i := rng.Intn(n)
+			v.AddAt(i, 1)
+			dense.AddAt(i, 1)
+		}
+		v.Combine()
+		if v.sp.sorted > writes {
+			t.Fatalf("a lane of %d writes radix-sorted %d entries", writes, v.sp.sorted)
+		}
+		return v
+	}
+	a, b := lane(), lane()
+	before := a.sp.sorted
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	got := a.NonZero()
+	if sorted := a.sp.sorted - before; sorted != 0 {
+		t.Fatalf("merging two combined lanes and reading sorted %d entries", sorted)
+	}
+	if a.Total() != dense.Total() || a.Cardinality() != dense.Cardinality() {
+		t.Fatalf("total %d, cardinality %d; dense %d, %d", a.Total(), a.Cardinality(), dense.Total(), dense.Cardinality())
+	}
+	if want := dense.NonZero(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NonZero differs: %d bins, dense %d", len(got), len(want))
+	}
+}

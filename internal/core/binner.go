@@ -457,10 +457,11 @@ func (b *Binner) SetStreamPos(pos int64) {
 // FoldSketches does the part of a deferred chain's fold that needs only this
 // lane's bins — the HLL registers — so that lanes can do it side by side,
 // each when its input ends, before they merge. A sparse region combines its
-// write log here for the same reason, chain or none, so that the merge sorts
-// once. Optional: SketchChain folds whatever is still owed, and a read
-// combines whatever is still logged. Idempotent, and a no-op for a
-// streaming chain.
+// write log here for the same reason, chain or none: every write is sorted
+// on its lane's goroutine, and the serial merge of two combined regions is
+// a linear pass that sorts nothing. Optional: SketchChain folds whatever is
+// still owed, and a read combines whatever is still logged. Idempotent, and
+// a no-op for a streaming chain.
 func (b *Binner) FoldSketches() {
 	b.vec.Combine()
 	b.chain.FoldDistinct(b.vec)

@@ -73,9 +73,14 @@ func (s *Scanner) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 			maxScans = n
 		}
 	}
+	// The blocks of a pass are listed once before its walk, not asked per
+	// bin; a capacity of four holds the paper's whole chain on the stack.
+	pass := make([]Block, 0, 4)
 	for scan := 0; scan < maxScans; scan++ {
+		pass = pass[:0]
 		for _, b := range blocks {
 			if b.NeedsScan(scan) {
+				pass = append(pass, b)
 				b.BeginScan(scan)
 			}
 		}
@@ -84,16 +89,12 @@ func (s *Scanner) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 		// charges the full Δ read-out.
 		vec.Occupied(func(i int, c int64) {
 			v := vec.Value(i)
-			for _, b := range blocks {
-				if b.NeedsScan(scan) {
-					b.Consume(scan, v, c)
-				}
+			for _, b := range pass {
+				b.Consume(scan, v, c)
 			}
 		})
-		for _, b := range blocks {
-			if b.NeedsScan(scan) {
-				b.EndScan(scan)
-			}
+		for _, b := range pass {
+			b.EndScan(scan)
 		}
 	}
 	return s.account(int64(vec.NumBins()), maxScans, blocks)
