@@ -60,7 +60,11 @@ loc:
 # exported settable fields of the served configuration structs plus the
 # parameters of the timeline's constructor, then the flags of
 # `histserved serve` and of histcli and its subcommands, read from their
-# -h output. DataPath is listed for the fields ParallelDataPath embeds.
+# -h output. DataPath is listed for the fields ParallelDataPath embeds. The
+# root TestNoTestOnlyKnobs (`make surface`) reads KNOB_STRUCTS too: every
+# field counted here must be set by a program, or be listed in
+# testdata/knobs.golden naming the test that needs it, so an option only
+# tests use lives in that package's export_test.go instead.
 KNOB_STRUCTS = internal/server/server.go:Config internal/stream/parallel.go:ParallelDataPath \
 	internal/stream/stream.go:DataPath internal/durable/manager.go:Options internal/obs/obs.go:Obs
 KNOB_FLAGS = "histserved serve" histcli "histcli metrics" "histcli profile" "histcli top" "histcli trace"
@@ -80,12 +84,13 @@ knobs:
 	done; \
 	echo "config fields $$fields, flags $$flags, knobs $$((fields + flags))"
 
-# surface runs the reachability ratchet alone and prints the size of its
+# surface runs the two surface ratchets alone and prints the size of each
 # golden: every internal/ declaration no program reaches must be listed in
-# testdata/unreachable.golden with a reason, and the log line counts the
-# entries per reason class.
+# testdata/unreachable.golden with a reason (the log line counts the entries
+# per reason class), and every KNOB_STRUCTS field no program sets in
+# testdata/knobs.golden with the test that needs it.
 surface:
-	$(GO) test -run '^TestNoUnreachableCode$$' -v .
+	$(GO) test -run '^(TestNoUnreachableCode|TestNoTestOnlyKnobs)$$' -v .
 
 # examples builds and runs every program under examples/, so one that still
 # compiles but no longer runs to completion fails here.

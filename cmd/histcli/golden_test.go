@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"streamhist/internal/hwprof"
 	"streamhist/internal/obs"
 	"streamhist/internal/obs/timeline"
 )
@@ -68,10 +67,10 @@ y_total{lane="a b"} 17 1700000000000
 // stock metrics first, the distinct-entity series, sparklines newest on the
 // right, and the frame stamped with its newest window.
 func TestTopCommand(t *testing.T) {
-	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTracer(0)}
-	moved := o.Reg.Counter("streamhist_server_bytes_moved_total", "")
-	served := o.Reg.Counter("streamhist_server_scans_served_total", "")
-	latency := o.Reg.Distribution("streamhist_server_scan_duration_seconds", "", 1e-9)
+	o := obs.New()
+	moved := o.Registry().Counter("streamhist_server_bytes_moved_total", "")
+	served := o.Registry().Counter("streamhist_server_scans_served_total", "")
+	latency := o.Registry().Distribution("streamhist_server_scan_duration_seconds", "", 1e-9)
 	tl := timeline.New(o, "")
 	web := httptest.NewServer(timeline.Handler(tl, o, nil))
 	defer web.Close()
@@ -109,14 +108,15 @@ func TestTopCommand(t *testing.T) {
 // `histcli profile -top` and `-tree` render a hand-charged profiler fetched
 // through /debug/hwprof's text form.
 func TestProfileCommand(t *testing.T) {
-	p := hwprof.New()
+	o := obs.New()
+	p := o.Profiler()
 	p.Node("lane0", "binner", "read", "compute").Add(6000)
 	p.Node("lane0", "binner", "read", "mem-wait").Add(1500)
 	p.Node("lane1", "binner", "read", "compute").Add(5000)
 	p.Node("lane1", "parser", "split", "fifo-full-stall").Add(500)
 	p.Node("merged", "aggregation", "fan-in", "aggregation").Add(2000)
 	p.Node("lane0", "binner", "read", "ecc-correct").AddEvents(3)
-	web := httptest.NewServer(obs.Handler(&obs.Obs{Prof: p}, nil))
+	web := httptest.NewServer(obs.Handler(o, nil))
 	defer web.Close()
 
 	out, err := capture(t, runProfile, "-addr", web.URL, "-top", "3")

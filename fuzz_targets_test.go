@@ -18,7 +18,7 @@ import (
 // job reaches it. The test fails on both, and on an entry listed twice.
 func TestFuzzTargetsListed(t *testing.T) {
 	listed := map[string]bool{}
-	for _, entry := range makefileFuzzTargets(t) {
+	for _, entry := range makefileList(t, "FUZZ_TARGETS") {
 		name, pkg, ok := strings.Cut(entry, ":")
 		key := filepath.Clean(pkg) + ":" + name
 		switch {
@@ -79,17 +79,17 @@ func TestFuzzTargetsListed(t *testing.T) {
 	t.Logf("%d fuzz targets", len(declared))
 }
 
-// makefileFuzzTargets returns the entries of the Makefile's FUZZ_TARGETS
-// assignment, backslash-continued lines joined.
-func makefileFuzzTargets(t *testing.T) []string {
+// makefileList returns the entries of the Makefile's assignment to name,
+// backslash-continued lines joined.
+func makefileList(t *testing.T, name string) []string {
 	t.Helper()
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, ok := strings.Cut(string(mk), "\nFUZZ_TARGETS =")
+	_, rest, ok := strings.Cut(string(mk), "\n"+name+" =")
 	if !ok {
-		t.Fatal("the Makefile assigns no FUZZ_TARGETS")
+		t.Fatalf("the Makefile assigns no %s", name)
 	}
 	var value strings.Builder
 	for _, line := range strings.Split(rest, "\n") {
@@ -101,7 +101,7 @@ func makefileFuzzTargets(t *testing.T) []string {
 	}
 	entries := strings.Fields(value.String())
 	if len(entries) == 0 {
-		t.Fatal("FUZZ_TARGETS is empty")
+		t.Fatalf("%s is empty", name)
 	}
 	return entries
 }

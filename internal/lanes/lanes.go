@@ -20,6 +20,7 @@
 package lanes
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -55,17 +56,36 @@ type Unit struct {
 // figure — is a function of the relation, not of a transport's frame size.
 const UnitPages = 16
 
+// Settings every engine gets: each has one right value, so neither is a
+// Config field.
+const (
+	// queueDepth is each lane's queue in units. A full queue applies
+	// backpressure to the feeder instead of dropping values, so a lane's
+	// region is always complete. Queued units are windows into the stored
+	// page images and pin no memory, so the depth is a yield quantum: how
+	// many units a lane works through before it must block and hand its P
+	// to the network poller, where requests on a server's other connections
+	// wait to be noticed. Scans gain nothing measurable from more than 3,
+	// and Stats reads beside a served scan get slower with every unit added
+	// (EXPERIMENTS.md "Transport").
+	queueDepth = 3
+	// defaultStallTimeout is how long a lane may block a Feed, and all lanes
+	// together Join, before being declared stalled and retired.
+	defaultStallTimeout = 500 * time.Millisecond
+)
+
 // Unit.Bad must hold one bit per page of a dealt unit; this checks it.
 var _ = Unit{Bad: 1<<UnitPages - 1}
 
 // Config wires one scan's engine. It is plumbing between packages, not a set
-// of options: every field is determined by the caller's own configuration.
+// of options: every field but StallTimeout is determined by the caller's own
+// configuration, and the engine fixes its queue depth itself.
 type Config struct {
-	// Lanes is the number of replicated Parser+Binner pairs; Depth is each
-	// lane's queue in units.
-	Lanes, Depth int
+	// Lanes is the number of replicated Parser+Binner pairs.
+	Lanes int
 	// StallTimeout bounds one Feed's wait on a lane that stopped accepting
-	// units, and Join's wait for all lanes together.
+	// units, and Join's wait for all lanes together. Zero means 500 ms; only
+	// the fault tests shorten or lengthen it.
 	StallTimeout time.Duration
 	// Column, Min, Max and Divisor are the host-provided metadata each lane's
 	// Parser and Preprocessor are built from.
@@ -148,6 +168,7 @@ func Start(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.StallTimeout = cmp.Or(cfg.StallTimeout, defaultStallTimeout)
 	e := &Engine{cfg: cfg, geom: *geom, lanes: make([]lane, cfg.Lanes), release: make(chan struct{})}
 	if len(cfg.Pages) > 0 {
 		e.pageCap = int64(cfg.Pages[0].Capacity())
@@ -155,10 +176,7 @@ func Start(cfg Config) (*Engine, error) {
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		l.idx = i
-		// Depth is the caller's yield quantum: how many units a lane works
-		// through before it must block and give up its P (queued units are
-		// page windows, so depth pins no memory).
-		l.ch = make(chan Unit, cfg.Depth)
+		l.ch = make(chan Unit, queueDepth)
 		l.done = make(chan struct{})
 		if cfg.Faults != nil {
 			l.inj = cfg.Faults.Fork(fmt.Sprintf(cfg.Fork, i))

@@ -18,7 +18,6 @@ import (
 const (
 	stallTimeout = 100 * time.Millisecond
 	unitPages    = 2
-	queueDepth   = 2
 )
 
 // fixture is one relation's pages with everything a policy-free caller of the
@@ -42,10 +41,10 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	f := &fixture{cfg: lanes.Config{
-		Depth: queueDepth, StallTimeout: stallTimeout,
 		Column: spec, Min: lo, Max: hi, Divisor: 1,
 		Pages:  page.Encode(rel),
 		Sketch: sketch.DefaultChainSpec(), Fork: "lane%d",
+		StallTimeout: stallTimeout,
 	}}
 	for _, pg := range f.cfg.Pages {
 		f.rows = append(f.rows, int64(pg.NumRows()))

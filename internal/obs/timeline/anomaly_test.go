@@ -15,10 +15,11 @@ import (
 )
 
 func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
-	reg := obs.NewRegistry()
+	o := obs.New()
+	reg := o.Registry()
 	quar := reg.Counter("streamhist_server_pages_quarantined_total", "")
 	moved := reg.Counter("streamhist_server_pages_moved_total", "")
-	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
+	tl := NewForTest(o, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 32}},
 		Detectors: []Detector{{
 			Name:   "quarantine-ratio",
@@ -93,9 +94,10 @@ func TestRatioDetectorTripsAndCoolsDown(t *testing.T) {
 }
 
 func TestDropDetectorNeedsBaselineAndActivity(t *testing.T) {
-	reg := obs.NewRegistry()
+	o := obs.New()
+	reg := o.Registry()
 	bytes := reg.Counter("streamhist_server_bytes_moved_total", "")
-	tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
+	tl := NewForTest(o, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 64}},
 		Detectors: []Detector{{
 			Name:   "throughput-drop",
@@ -136,8 +138,8 @@ func TestDropDetectorNeedsBaselineAndActivity(t *testing.T) {
 
 func TestTripWritesDebugBundle(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	o := &obs.Obs{Reg: reg, Trace: obs.NewTracer(0)}
+	o := obs.New()
+	reg := o.Registry()
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
 	tl := NewForTest(o, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
@@ -256,7 +258,7 @@ func TestTripWritesDebugBundle(t *testing.T) {
 
 func TestHTTPHandlerSurfaces(t *testing.T) {
 	o := obs.New()
-	reg := o.Reg
+	reg := o.Registry()
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
 	tl := NewForTest(o, "", TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},

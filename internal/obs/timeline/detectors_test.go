@@ -139,8 +139,9 @@ func TestDefaultDetectorsTripTick(t *testing.T) {
 			t.Fatalf("%s: not a default detector", tc.name)
 		}
 		seen[tc.name] = true
-		reg := obs.NewRegistry()
-		tl := NewForTest(&obs.Obs{Reg: reg}, "", TestConfig{
+		o := obs.New()
+		reg := o.Registry()
+		tl := NewForTest(o, "", TestConfig{
 			Resolutions: []Res{{Step: time.Second, Len: 64}},
 			Detectors:   det,
 		})

@@ -17,8 +17,8 @@ import (
 func TestBundleIncludesExemplarTraces(t *testing.T) {
 	const traceID = uint64(0x5eed)
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(4)
+	o := obs.New()
+	reg, tracer := o.Registry(), o.Tracer()
 
 	d := reg.Distribution("streamhist_scan_seconds", "docs", 1e-9)
 	d.ObserveWithExemplar(2_000_000, traceID)
@@ -28,7 +28,7 @@ func TestBundleIncludesExemplarTraces(t *testing.T) {
 	tracer.Publish(st)
 
 	c := reg.Counter("streamhist_durable_wal_dropped_total", "")
-	tl := NewForTest(&obs.Obs{Reg: reg, Trace: tracer}, dir, TestConfig{
+	tl := NewForTest(o, dir, TestConfig{
 		Resolutions: []Res{{Step: time.Second, Len: 8}},
 		Detectors: []Detector{{
 			Name:   "wal-drops",

@@ -36,11 +36,10 @@ func TestTimelineReplaysFaultBurst(t *testing.T) {
 	}
 	o := obs.New()
 	srv := server.New(server.Config{
-		Obs:              o,
-		Faults:           faults.New(11, profile),
-		PagesPerFrame:    2,
-		ShardLanes:       4,
-		SideStallTimeout: 50 * time.Millisecond,
+		Obs:           o,
+		Faults:        faults.New(11, profile),
+		PagesPerFrame: 2,
+		ShardLanes:    4,
 	})
 	if err := srv.Register(rel); err != nil {
 		t.Fatal(err)

@@ -43,12 +43,11 @@ func TestChaosOutcomesPinned(t *testing.T) {
 		for _, ppf := range []int{2, 20, 64} {
 			for seed := 0; seed < seeds; seed++ {
 				inj := faults.New(uint64(seed), profile)
-				srv := server.New(server.Config{
-					Faults:           inj,
-					PagesPerFrame:    ppf,
-					ShardLanes:       4,
-					SideStallTimeout: time.Minute,
-				})
+				srv := server.NewForTest(server.Config{
+					Faults:        inj,
+					PagesPerFrame: ppf,
+					ShardLanes:    4,
+				}, server.TestConfig{SideStallTimeout: time.Minute})
 				if err := srv.Register(rel); err != nil {
 					t.Fatal(err)
 				}

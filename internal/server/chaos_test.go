@@ -94,12 +94,11 @@ func checkNoThirdOutcome(t *testing.T, rows, ppf int) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
-				srv := server.New(server.Config{
-					Faults:           faults.New(uint64(seed), profile),
-					PagesPerFrame:    ppf,
-					ShardLanes:       4,
-					SideStallTimeout: 50 * time.Millisecond,
-				})
+				srv := server.NewForTest(server.Config{
+					Faults:        faults.New(uint64(seed), profile),
+					PagesPerFrame: ppf,
+					ShardLanes:    4,
+				}, server.TestConfig{SideStallTimeout: 50 * time.Millisecond})
 				if err := srv.Register(rel); err != nil {
 					t.Fatal(err)
 				}

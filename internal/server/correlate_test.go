@@ -110,7 +110,7 @@ func TestScanIDJoinsLogTraceAndEvent(t *testing.T) {
 
 	// The server publishes after the summary frame is already on the wire,
 	// and observes the latency last of all, so poll for the exemplar.
-	latency := o.Reg.Distribution("streamhist_server_scan_duration_seconds", "", 1e-9)
+	latency := o.Registry().Distribution("streamhist_server_scan_duration_seconds", "", 1e-9)
 	var ex obs.Exemplar
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		var ok bool

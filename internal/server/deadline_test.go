@@ -116,7 +116,7 @@ func TestWriteDeadlineCutsSlowAndDeadReaders(t *testing.T) {
 		}{{"slow", 1 << 10}, {"dead", 0}} {
 			t.Run(tr.name+"/"+rc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				srv := server.New(server.Config{WriteTimeout: wt})
+				srv := server.NewForTest(server.Config{}, server.TestConfig{WriteTimeout: wt})
 				if err := srv.Register(testRelation(20000)); err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func TestWriteDeadlineKeepsSteadyReader(t *testing.T) {
 	}
 	for _, tr := range deadlineTransports {
 		t.Run(tr.name, func(t *testing.T) {
-			srv := server.New(server.Config{WriteTimeout: wt})
+			srv := server.NewForTest(server.Config{}, server.TestConfig{WriteTimeout: wt})
 			if err := srv.Register(testRelation(rows)); err != nil {
 				t.Fatal(err)
 			}

@@ -31,7 +31,7 @@
 //
 // Concurrency model. Each connection gets a goroutine running a
 // request/response loop with an idle deadline and a write deadline that
-// bounds progress (16 KiB per WriteTimeout), not a frame's transfer time.
+// bounds progress (16 KiB per 30 s window), not a frame's transfer time.
 // Each scan's side path takes a slot from a bounded drain-worker pool;
 // within a scan, the fixed-depth channels apply backpressure instead of
 // dropping units, so

@@ -3,9 +3,29 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"time"
 
 	"streamhist/internal/page"
 )
+
+// TestConfig holds the settings New fixes, for tests to shorten or lengthen.
+// Zero fields keep New's value, so NewForTest(cfg, TestConfig{}) serves as
+// New(cfg) does.
+type TestConfig struct {
+	// WriteTimeout is the response write's progress window: a frame write
+	// that moves less than 16 KiB in one WriteTimeout fails. Zero means 30 s.
+	WriteTimeout time.Duration
+	// SideStallTimeout bounds the wait on a side-path lane that stopped
+	// accepting units before it is retired. Zero means 500 ms.
+	SideStallTimeout time.Duration
+}
+
+// NewForTest is New with tc's settings.
+func NewForTest(cfg Config, tc TestConfig) *Server {
+	s := New(cfg)
+	s.writeTimeout, s.sideStallTimeout = tc.WriteTimeout, tc.SideStallTimeout
+	return s
+}
 
 // WireForm exposes a registered table's stored state to the external tests:
 // the wire-form slab, the page images scans and lanes alias, and the

@@ -20,7 +20,7 @@ import (
 // column's true top-k with Err 0.
 func TestServedStatsFoldedSketches(t *testing.T) {
 	rel := tpch.Lineitem(12_000, 1, 23)
-	srv := server.New(server.Config{ShardLanes: 3, SideStallTimeout: time.Minute})
+	srv := server.NewForTest(server.Config{ShardLanes: 3}, server.TestConfig{SideStallTimeout: time.Minute})
 	if err := srv.Register(rel); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestModelIndependentOfFrameSize(t *testing.T) {
 	}
 	var want map[string]outcome
 	for _, ppf := range []int{16, 64, 127} {
-		srv := server.New(server.Config{ShardLanes: 3, PagesPerFrame: ppf, SideStallTimeout: time.Minute})
+		srv := server.NewForTest(server.Config{ShardLanes: 3, PagesPerFrame: ppf}, server.TestConfig{SideStallTimeout: time.Minute})
 		if err := srv.Register(rel); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func TestOverloadTwoOutcomes(t *testing.T) {
 
 	// A lane sizing an 80 MB region beside 31 other clients on a small box
 	// must not be mistaken for a stalled one: this test is about the pool.
-	srv := server.New(server.Config{DrainWorkers: 2, ShardLanes: 2, SideStallTimeout: time.Minute})
+	srv := server.NewForTest(server.Config{DrainWorkers: 2, ShardLanes: 2}, server.TestConfig{SideStallTimeout: time.Minute})
 	if err := srv.Register(rel); err != nil {
 		t.Fatal(err)
 	}

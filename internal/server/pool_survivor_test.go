@@ -27,7 +27,7 @@ import (
 func TestPooledSurvivorScansByteIdentical(t *testing.T) {
 	const table, column = "lineitem", "l_extendedprice"
 	rel := tpch.Lineitem(12_000, 1, 11)
-	srv := server.New(server.Config{ShardLanes: 2, PagesPerFrame: 2, SideStallTimeout: time.Minute})
+	srv := server.NewForTest(server.Config{ShardLanes: 2, PagesPerFrame: 2}, server.TestConfig{SideStallTimeout: time.Minute})
 	if err := srv.Register(rel); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,8 @@ import (
 // ErrServerClosed is returned by Serve after a shutdown.
 var ErrServerClosed = errors.New("server: closed")
 
-// Config tunes a Server. The zero value gets sensible defaults.
+// Config tunes a Server. The zero value gets sensible defaults. A setting
+// only tests change is not a field but a TestConfig one (NewForTest).
 type Config struct {
 	// DrainWorkers bounds how many scans may run a statistics side path at
 	// once. When the pool is exhausted a scan still streams at full speed —
@@ -52,19 +53,12 @@ type Config struct {
 	// and the durable mix, and within 10 % of 16 on the wide-domain one
 	// (EXPERIMENTS.md "Transport floor").
 	PagesPerFrame int
-	// WriteTimeout is the response write's progress window: a frame write
-	// that moves less than 16 KiB in one WriteTimeout fails (deadlineWriter).
-	WriteTimeout time.Duration
 	// Faults optionally wires the chaos harness into the serving path:
 	// page corruption and truncation, connection resets, drain-pool
 	// saturation, and bin-memory upsets all draw from this injector's
 	// deterministic per-point streams. Nil (the default) disables every
 	// injection; the fault-handling machinery itself always runs.
 	Faults *faults.Injector
-	// SideStallTimeout bounds how long the serving goroutine will wait on
-	// a side-path lane that stopped accepting units before retiring it.
-	// Zero means 500ms.
-	SideStallTimeout time.Duration
 	// Obs is the observability bundle: metrics registry, scan tracer, and
 	// structured logger. Nil gets a fresh obs.New() bundle (always-on
 	// observability with a no-op logger); mount obs.Handler(srv.Obs(), ...)
@@ -87,16 +81,10 @@ type Config struct {
 // Settings every deployment gets: each has one right value, so none is a
 // Config field.
 const (
-	// sideBufDepth is the per-lane side-channel depth in lanes.Units. A full
-	// buffer applies backpressure to that scan instead of dropping values, so
-	// a refreshed histogram is always complete. Queued units are windows into
-	// the stored page images and pin no memory, so the depth is a yield
-	// quantum: how many units a lane works through before it must block and
-	// hand its P to the network poller, where requests on other connections
-	// wait to be noticed. Scans gain nothing measurable from more than 3, and
-	// Stats reads beside a scan get slower with every unit added
-	// (EXPERIMENTS.md "Transport").
-	sideBufDepth = 3
+	// writeWindow is the response write's progress window: a frame write
+	// that moves less than deadlineChunk in one window fails
+	// (deadlineWriter).
+	writeWindow = 30 * time.Second
 	// idleTimeout bounds the wait for the next request on a connection.
 	idleTimeout = 2 * time.Minute
 	// shutdownGrace bounds the drain when Serve's context is cancelled.
@@ -119,12 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PagesPerFrame*(page.Size+PageChecksumSize) > MaxPayload {
 		c.PagesPerFrame = MaxPayload / (page.Size + PageChecksumSize)
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.SideStallTimeout <= 0 {
-		c.SideStallTimeout = 500 * time.Millisecond
 	}
 	if c.Sketch == nil {
 		spec := sketch.DefaultChainSpec()
@@ -219,6 +201,9 @@ type Server struct {
 	catalog *dbms.Catalog
 	// binner is the accelerator model every side-path lane simulates.
 	binner core.BinnerConfig
+	// writeTimeout and sideStallTimeout are zero, which keeps writeWindow and
+	// the lane engine's stall timeout, unless a test sets them (NewForTest).
+	writeTimeout, sideStallTimeout time.Duration
 
 	mu     sync.RWMutex
 	tables map[string]*tableEntry
@@ -534,13 +519,13 @@ func (s *Server) closeAllConns() {
 // when it fires part-way, the writer re-arms and carries on only if at least
 // deadlineChunk went out since the last arm, and fails otherwise.
 //
-// A peer is thereby held to deadlineChunk per WriteTimeout, the rate a writer
+// A peer is thereby held to deadlineChunk per writeWindow, the rate a writer
 // re-arming before every 16 KiB chunk enforced. A slow but live client that
 // absorbs that much keeps extending its own deadline however long the frame
 // or the scan; one absorbing less is cut at the end of the first window that
 // falls short — within two windows of slowing down, since the window it
 // slowed in may still be credited with bytes the kernel had room for; and a
-// dead client trips the very next deadline, within one WriteTimeout of the
+// dead client trips the very next deadline, within one writeWindow of the
 // last arm. Short of the deadline the rule costs nothing: one syscall per
 // frame, not one per 16 KiB.
 type deadlineWriter struct {
@@ -548,16 +533,14 @@ type deadlineWriter struct {
 	timeout time.Duration
 }
 
-// deadlineChunk is the least a write must move per WriteTimeout to be
+// deadlineChunk is the least a write must move per writeWindow to be
 // allowed another one.
 const deadlineChunk = 16 << 10
 
 func (w *deadlineWriter) Write(p []byte) (int, error) {
 	var total int
 	for {
-		if w.timeout > 0 {
-			w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-		}
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 		n, err := w.conn.Write(p[total:])
 		total += n
 		if err == nil || n < deadlineChunk || !errors.Is(err, os.ErrDeadlineExceeded) {
@@ -576,7 +559,7 @@ func (s *Server) handleConn(conn net.Conn, st *connState) {
 	// Requests are a few dozen bytes; the 64 KiB goes to the writer, which
 	// batches small replies and passes page frames through untouched.
 	br := bufio.NewReaderSize(conn, 4<<10)
-	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: s.cfg.WriteTimeout}, 64<<10)
+	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: cmp.Or(s.writeTimeout, writeWindow)}, 64<<10)
 	for {
 		if s.shuttingDown() {
 			return
@@ -963,7 +946,7 @@ func (s *Server) startSidePath(sc *servedScan) *sidePath {
 		return nil
 	}
 	eng, err := lanes.Start(lanes.Config{
-		Lanes: s.cfg.ShardLanes, Depth: sideBufDepth, StallTimeout: s.cfg.SideStallTimeout,
+		Lanes: s.cfg.ShardLanes, StallTimeout: s.sideStallTimeout,
 		Column: meta.spec, Min: meta.min, Max: meta.max, Divisor: 1,
 		Pages: entry.pageImages(), Sketch: *s.cfg.Sketch, Faults: inj, Fork: "side-lane%d",
 		Binner: s.laneBinner,
@@ -1033,8 +1016,8 @@ func (sp *sidePath) deal(inj *faults.Injector) {
 	}
 }
 
-// stop ends the side path's input: it joins the lanes (bounded by
-// SideStallTimeout), accounts for the casualties — even a scan abandoned
+// stop ends the side path's input: it joins the lanes (bounded by the
+// engine's stall timeout), accounts for the casualties — even a scan abandoned
 // mid-stream reports what it quarantined and retired — and releases the pool
 // slot. Idempotent; called from the serving goroutine only.
 func (sp *sidePath) stop() {

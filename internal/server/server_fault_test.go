@@ -164,12 +164,11 @@ func TestScanLaneFaultsReportedHonestly(t *testing.T) {
 	const rows = 8000
 	want := storageBytes(t, rows)
 
-	srv := server.New(server.Config{
-		Faults:           faults.New(9, faults.Profile{faults.LanePanic: 0.3, faults.LaneStall: 0.2}),
-		ShardLanes:       4,
-		PagesPerFrame:    2,
-		SideStallTimeout: 50 * time.Millisecond,
-	})
+	srv := server.NewForTest(server.Config{
+		Faults:        faults.New(9, faults.Profile{faults.LanePanic: 0.3, faults.LaneStall: 0.2}),
+		ShardLanes:    4,
+		PagesPerFrame: 2,
+	}, server.TestConfig{SideStallTimeout: 50 * time.Millisecond})
 	if err := srv.Register(testRelation(rows)); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestSlowClientOutlivesWriteDeadline(t *testing.T) {
 	const rows = 20000
 	want := storageBytes(t, rows)
 
-	srv := server.New(server.Config{WriteTimeout: 80 * time.Millisecond})
+	srv := server.NewForTest(server.Config{}, server.TestConfig{WriteTimeout: 80 * time.Millisecond})
 	if err := srv.Register(testRelation(rows)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +324,7 @@ func (r slowReader) Read(p []byte) (int, error) {
 // the serving goroutine.
 func TestDeadClientStillReaped(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := server.New(server.Config{WriteTimeout: 100 * time.Millisecond})
+	srv := server.NewForTest(server.Config{}, server.TestConfig{WriteTimeout: 100 * time.Millisecond})
 	if err := srv.Register(testRelation(20000)); err != nil {
 		t.Fatal(err)
 	}

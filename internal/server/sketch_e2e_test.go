@@ -236,12 +236,11 @@ func TestChaosSketchSurvivesLaneRetirement(t *testing.T) {
 	}
 	cleanRuns, retiredRuns := 0, 0
 	for seed := uint64(0); seed < 12; seed++ {
-		srv := server.New(server.Config{
-			Faults:           faults.New(seed, profile),
-			ShardLanes:       4,
-			PagesPerFrame:    2,
-			SideStallTimeout: 50 * time.Millisecond,
-		})
+		srv := server.NewForTest(server.Config{
+			Faults:        faults.New(seed, profile),
+			ShardLanes:    4,
+			PagesPerFrame: 2,
+		}, server.TestConfig{SideStallTimeout: 50 * time.Millisecond})
 		if err := srv.Register(rel); err != nil {
 			t.Fatal(err)
 		}

@@ -262,7 +262,7 @@ func TestTracedAndUntracedScansDeliverIdenticalBytes(t *testing.T) {
 
 	// A lane retired under test-machine load would show up in the summary;
 	// this test is about tracing, not stalls.
-	srv := server.New(server.Config{SideStallTimeout: time.Minute})
+	srv := server.NewForTest(server.Config{}, server.TestConfig{SideStallTimeout: time.Minute})
 	if err := srv.Register(testRelation(rows)); err != nil {
 		t.Fatal(err)
 	}

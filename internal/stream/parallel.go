@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -24,9 +23,10 @@ import (
 //
 // The host-visible path is untouched: bytes are still relayed to the host in
 // storage order; only the statistical side path fans out, through one
-// lanes.Engine per scan. This path can read its pages again, so its policy
-// toward whatever the engine lost is to replay it (see Scan): lane faults
-// are masked completely and the merged result stays exact.
+// lanes.Engine per scan, whose queue depth and stall timeout are its own.
+// This path can read its pages again, so its policy toward whatever the
+// engine lost is to replay it (see Scan): lane faults are masked completely
+// and the merged result stays exact.
 type ParallelDataPath struct {
 	// DataPath supplies the relation, column, link, circuit configuration,
 	// sketch spec, page cache and profiler. Prof is charged per surviving
@@ -41,15 +41,11 @@ type ParallelDataPath struct {
 	// faults injects lane.panic and lane.stall, one forked stream per lane;
 	// stallTimeout bounds how long the splitter waits on a lane that stops
 	// accepting chunks, and the fan-in on all lanes draining, before
-	// retiring them (zero means DefaultStallTimeout). Only the fault tests
+	// retiring them (zero keeps the engine's 500 ms). Only the fault tests
 	// set either.
 	faults       *faults.Injector
 	stallTimeout time.Duration
 }
-
-// DefaultStallTimeout is how long a lane may block the splitter or the
-// fan-in before being declared stalled and retired.
-const DefaultStallTimeout = 500 * time.Millisecond
 
 // NewParallelDataPath builds a sharded path with the default accelerator
 // configuration for the column's observed value range. shards <= 0 picks
@@ -84,11 +80,6 @@ type ParallelScanResult struct {
 	ReplayedChunks int
 }
 
-// laneQueueDepth is how many chunks may wait in front of one lane: enough
-// that a lane finishing a chunk finds the next one queued while the splitter
-// is busy with the host copy, small enough to stay a bounded buffer.
-const laneQueueDepth = 4
-
 // Scan streams the relation to the host in page order while dealing chunks
 // of chunkPages pages (<= 0 means lanes.UnitPages; any positive size is
 // functionally equivalent) to the shard lanes of one lanes.Engine, then fans
@@ -107,7 +98,6 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 	if chunkPages <= 0 {
 		chunkPages = lanes.UnitPages
 	}
-	stallTimeout := cmp.Or(d.stallTimeout, DefaultStallTimeout)
 
 	pages := d.encodedPages()
 	bcfg := d.Config.Binner
@@ -115,7 +105,7 @@ func (d *ParallelDataPath) Scan(hostSink io.Writer, chunkPages int) (*ParallelSc
 		bcfg.Prof = d.Prof
 	}
 	eng, err := lanes.Start(lanes.Config{
-		Lanes: shards, Depth: laneQueueDepth, StallTimeout: stallTimeout,
+		Lanes: shards, StallTimeout: d.stallTimeout,
 		Column: d.Config.Column, Min: d.Config.Min, Max: d.Config.Max, Divisor: d.Config.Divisor,
 		Pages: pages, Sketch: d.Sketch, Faults: d.faults, Fork: "lane%d",
 		// Lane faults never reach the bin memory here: only an injector the
