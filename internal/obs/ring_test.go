@@ -67,7 +67,7 @@ func TestRing(t *testing.T) {
 // same pointers, and publishing allocates nothing.
 func TestFlightRetentionPolicy(t *testing.T) {
 	const scans = 41
-	o := &Obs{Trace: NewTracer(64)}
+	o := &Obs{trace: NewTracer(64)}
 	var anomalous, healthy int
 	for i := 1; i <= scans; i++ {
 		rec := StartScan(uint64(i), "server", fmt.Sprintf("t%d", i), "c", 0)
@@ -84,7 +84,7 @@ func TestFlightRetentionPolicy(t *testing.T) {
 		}
 	}
 
-	retained := o.Trace.Tail(scans)
+	retained := o.trace.Tail(scans)
 	offered, kept := uint64(scans), uint64(len(retained))
 	wantKeptHealthy := (healthy + TailSample - 1) / TailSample // the 1st, 5th, 9th... healthy record
 	sampledAway := uint64(healthy - wantKeptHealthy)
@@ -114,7 +114,7 @@ func TestFlightRetentionPolicy(t *testing.T) {
 	}
 
 	// The recent-scans view is unsampled and holds the same pointers.
-	recent := o.Trace.Recent(scans)
+	recent := o.trace.Recent(scans)
 	if len(recent) != scans {
 		t.Fatalf("recent-scans ring holds %d of %d scans", len(recent), scans)
 	}
@@ -131,7 +131,7 @@ func TestFlightRetentionPolicy(t *testing.T) {
 	// Numbering, both ring pushes and both sketch updates allocate nothing.
 	rec := StartScan(1, "server", "lineitem", "l_tax", 0)
 	rec.Client = "10.0.0.2:1"
-	if n := testing.AllocsPerRun(100, func() { o.Trace.Publish(rec) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { o.trace.Publish(rec) }); n != 0 {
 		t.Errorf("Tracer.Publish allocates %v times per record", n)
 	}
 }

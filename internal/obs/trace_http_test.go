@@ -43,11 +43,11 @@ func TestTraceEndpointsServeAssembledTrace(t *testing.T) {
 	const traceID = uint64(0xabc123)
 	o := New()
 	clientRoot := DeriveSpanID(traceID, SpanSideClient, 0)
-	o.Trace.Report(traceID, []Span{{Name: "scan", Lane: -1, StartNS: 10, DurNS: 50, SpanID: clientRoot}})
+	o.trace.Report(traceID, []Span{{Name: "scan", Lane: -1, StartNS: 10, DurNS: 50, SpanID: clientRoot}})
 	st := StartScan(1, "server", "lineitem", "l_tax", 4)
 	st.EnableTrace(traceID, clientRoot, SpanSideServer)
 	st.End(st.Begin("accept"), 0)
-	o.Trace.Publish(st)
+	o.trace.Publish(st)
 
 	srv := httptest.NewServer(Handler(o, nil))
 	defer srv.Close()

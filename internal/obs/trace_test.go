@@ -53,7 +53,7 @@ func TestTraceSpans(t *testing.T) {
 		t.Fatalf("fallback span: %+v", ghost)
 	}
 
-	(&Obs{Trace: tr}).Publish(tt)
+	(&Obs{trace: tr}).Publish(tt)
 	if tt.WallNS <= 0 {
 		t.Fatal("publish did not stamp the wall clock")
 	}
