@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Vector is a bin region over the value range [Min, Min+NumBins*Divisor).
@@ -52,13 +53,14 @@ type Vector struct {
 	occ      []uint64 // dense form
 	sp       *sparse  // the sparse form when non-nil; counts and occ are nil
 	wide     map[int]int64
+	idle     map[int]int64 // an emptied wide map kept for the next one (see wideMap)
 	total    int64
 	nonEmpty int // bins with a count > 0
 
 	// Every write to a bin writes total and nonEmpty too. The pad makes a
 	// Vector two whole host cache lines, so that two lanes' vectors never
 	// share one (see alloc).
-	_ [24]byte
+	_ [16]byte
 }
 
 // Form is a vector's host storage form.
@@ -120,16 +122,26 @@ func (v *Vector) widen(i int, cell uint32, c int64) uint32 {
 		if cell == wideMark {
 			delete(v.wide, i)
 			if len(v.wide) == 0 {
-				v.wide = nil
+				v.idle, v.wide = v.wide, nil
 			}
 		}
 		return uint32(c)
 	}
-	if v.wide == nil {
-		v.wide = make(map[int]int64)
-	}
-	v.wide[i] = c
+	v.wideMap()[i] = c
 	return wideMark
+}
+
+// wideMap returns v's wide map, taking the one v last emptied, or a new one,
+// when v has none: a pooled region whose counts go wide scan after scan
+// makes its map once.
+func (v *Vector) wideMap() map[int]int64 {
+	if v.wide == nil {
+		v.wide, v.idle = v.idle, nil
+		if v.wide == nil {
+			v.wide = make(map[int]int64)
+		}
+	}
+	return v.wide
 }
 
 // NewVector creates a zeroed dense vector covering [min, max] inclusive with
@@ -274,10 +286,7 @@ func (v *Vector) sparseAdd(i int, count int64) {
 	case count > 0 && count < wideMark:
 		s.ents = append(s.ents, entry{bin, uint32(count)})
 	case count != 0:
-		if v.wide == nil {
-			v.wide = make(map[int]int64)
-		}
-		v.wide[i] += count
+		v.wideMap()[i] += count
 		s.ents = append(s.ents, entry{bin, wideMark})
 	}
 	if s.logLimit() {
@@ -339,10 +348,7 @@ func (v *Vector) Count(i int) int64 {
 			c = v.sp.ents[k].count
 		}
 	}
-	if c != wideMark {
-		return int64(c)
-	}
-	return v.wide[i]
+	return v.cellCount(i, c)
 }
 
 // CountValue returns the count of the bin containing value (0 when out of
@@ -355,39 +361,53 @@ func (v *Vector) CountValue(value int64) int64 {
 	return v.Count(i)
 }
 
-// emit calls fn for bin i with cell c, unless the bin is empty.
-func (v *Vector) emit(fn func(i int, count int64), i int, c uint32) {
-	switch c {
-	case 0:
-	case wideMark:
-		fn(i, v.wide[i])
-	default:
-		fn(i, int64(c))
-	}
-}
+// batch is the most bins one call of Batches hands over.
+const batch = 256
 
-// Occupied calls fn with the index and count of every non-empty bin, in
-// ascending index order; fn must not add to v. It is the walk for callers
-// outside the package; Merge and Recycle run the same two-line bit walk with
-// their one-line bodies in place. A sparse vector written since its last
-// read combines its log first (see Combine).
+// batchBufs holds the buffers Batches fills. A read hands its slices to a
+// function value, which Go's escape analysis cannot see into, so buffers on
+// the stack would move to the heap on every read.
+var batchBufs = sync.Pool{New: func() any { return new([2][batch]int64) }}
+
+// Batches is the read of the region: it calls fn with the values and counts
+// of its non-empty bins, values[k] holding counts[k], in ascending value
+// order, up to 256 bins a call; fn must not add to v or keep the slices. A
+// sparse vector written since its last read combines its log first (see
+// Combine).
 //
 // Over a wide dense region every count is a cache miss, and what bounds a
 // walk is how many of those misses are in flight at once. A loop of a few
 // instructions around the access keeps the load queue full; a loop that
 // calls out per bin keeps two or three. So the counts are gathered a batch
-// at a time in a tight loop of their own, and fn runs over the batch
+// at a time in a tight loop of their own, and the batch is built from them
 // afterwards — worth 3× on a 10 M-bin region with 200 k values. A wide bin's
-// mark is resolved in that second loop, not in the gather.
-func (v *Vector) Occupied(fn func(i int, count int64)) {
+// mark is resolved in that second loop, not in the gather. A sparse region's
+// entries already lie in order, and are copied out in one loop. Either way a
+// reader pays one call per batch, not one per bin.
+func (v *Vector) Batches(fn func(values, counts []int64)) {
+	buf := batchBufs.Get().(*[2][batch]int64)
+	defer batchBufs.Put(buf)
+	vals, cnts := &buf[0], &buf[1]
 	if v.sp != nil {
 		v.Combine()
-		v.each(fn)
+		n := 0
+		for _, e := range v.sp.ents {
+			if e.count == 0 {
+				continue
+			}
+			vals[n], cnts[n] = v.Value(int(e.bin)), v.cellCount(int(e.bin), e.count)
+			if n++; n == batch {
+				fn(vals[:], cnts[:])
+				n = 0
+			}
+		}
+		if n > 0 {
+			fn(vals[:n], cnts[:n])
+		}
 		return
 	}
-	const batch = 256
 	var idx [batch]int
-	var cnt [batch]uint32
+	var cell [batch]uint32
 	n := 0
 	for w, word := range v.occ {
 		for ; word != 0; word &= word - 1 {
@@ -398,25 +418,38 @@ func (v *Vector) Occupied(fn func(i int, count int64)) {
 			continue
 		}
 		for k, i := range idx[:n] {
-			cnt[k] = v.counts[i]
+			cell[k] = v.counts[i]
 		}
+		m := 0
 		for k, i := range idx[:n] {
-			v.emit(fn, i, cnt[k])
+			if c := cell[k]; c != 0 {
+				vals[m], cnts[m] = v.Value(i), v.cellCount(i, c)
+				m++
+			}
+		}
+		if m > 0 {
+			fn(vals[:m], cnts[:m])
 		}
 		n = 0
 	}
 }
 
-// each calls fn for every non-empty bin of a dense vector or a combined
-// sparse one, in ascending order; fn must not add to v.
-func (v *Vector) each(fn func(i int, count int64)) {
-	if v.sp == nil {
-		v.Occupied(fn)
-		return
+// cellCount returns the count of bin i, whose cell holds c.
+func (v *Vector) cellCount(i int, c uint32) int64 {
+	if c == wideMark {
+		return v.wide[i]
 	}
-	for _, e := range v.sp.ents {
-		v.emit(fn, int(e.bin), e.count)
-	}
+	return int64(c)
+}
+
+// Occupied calls fn with the index and count of every non-empty bin, in
+// ascending index order; fn must not add to v. It is Batches, bin by bin.
+func (v *Vector) Occupied(fn func(i int, count int64)) {
+	v.Batches(func(values, counts []int64) {
+		for k, x := range values {
+			fn(v.Index(x), counts[k])
+		}
+	})
 }
 
 // Cardinality returns the number of non-empty bins.
@@ -444,7 +477,10 @@ func (v *Vector) Recycle(min, divisor int64, n int, form Form) {
 		}
 	}
 	clear(v.occ)
-	v.wide = nil
+	if v.wide != nil {
+		clear(v.wide)
+		v.idle, v.wide = v.wide, nil
+	}
 	v.Min, v.Divisor, v.n, v.total, v.nonEmpty = min, divisor, n, 0, 0
 	if form == Sparse {
 		v.counts, v.occ = nil, nil
@@ -484,10 +520,8 @@ func (v *Vector) Densify() {
 // vectors must have identical range configuration. This implements the §7
 // (Future Work) scale-up path where replicated Binner modules produce
 // partial counts in separate memories that are aggregated before histogram
-// creation. Two sparse vectors merge as sorted runs: v combines its log,
-// takes other's combined entries, its wide bins' marks among them, as its
-// new log, and combines again — one linear merge that sorts nothing, since
-// that log already ascends.
+// creation. Two sparse vectors each combine their logs and then merge as
+// sorted runs (see mergeSparse), in one pass that sorts nothing.
 func (v *Vector) Merge(other *Vector) error {
 	if v.Min != other.Min || v.Divisor != other.Divisor || v.n != other.n {
 		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
@@ -497,18 +531,14 @@ func (v *Vector) Merge(other *Vector) error {
 	switch {
 	case v.sp != nil && other.sp != nil:
 		v.Combine()
-		v.sp.ents = append(v.sp.ents, other.sp.ents...)
-		for i, c := range other.wide {
-			if v.wide == nil {
-				v.wide = make(map[int]int64)
-			}
-			v.wide[i] += c
-		}
-		v.total += other.total
-		v.Combine()
+		v.mergeSparse(other)
 		return nil
 	case v.sp != nil || other.sp != nil || other.wide != nil || !v.narrowPath(other.total):
-		other.each(v.AddAt)
+		other.Batches(func(values, counts []int64) {
+			for k, x := range values {
+				v.AddCount(x, counts[k])
+			}
+		})
 		return nil
 	}
 	filled := 0
@@ -525,6 +555,56 @@ func (v *Vector) Merge(other *Vector) error {
 	v.nonEmpty += filled
 	v.total += other.total
 	return nil
+}
+
+// mergeSparse adds combined sparse region other into combined sparse region
+// v: both runs of entries merge forward into v's spare buffer, which becomes
+// its entries. A bin only one run holds is copied as it is; a bin both hold
+// gets one entry with the two counts summed, each read through its own
+// region's wide map, and the sum goes back through widen. A wide bin of
+// other that v does not hold takes its value into v's wide map first, so its
+// mark can be copied like any other entry.
+func (v *Vector) mergeSparse(other *Vector) {
+	s, x, y := v.sp, v.sp.ents, other.sp.ents
+	for i, c := range other.wide {
+		if _, ok := s.search(uint32(i)); !ok {
+			v.wideMap()[i] = c
+		}
+	}
+	if cap(s.spare) < len(x)+len(y) {
+		s.spare = make([]entry, 0, len(x)+len(y))
+	}
+	out := s.spare[:len(x)+len(y)]
+	nonEmpty := v.nonEmpty + other.nonEmpty
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		e, f := x[i], y[j]
+		if e.bin == f.bin {
+			a, b := v.cellCount(int(e.bin), e.count), other.cellCount(int(f.bin), f.count)
+			sum := a + b
+			cell := uint32(sum)
+			if e.count == wideMark || uint64(sum) >= wideMark {
+				cell = v.widen(int(e.bin), e.count, sum)
+			}
+			out[k] = entry{e.bin, cell}
+			nonEmpty += positive(sum) - positive(a) - positive(b)
+			i, j, k = i+1, j+1, k+1
+			continue
+		}
+		// As in sparse.merge, the pick between the runs compiles to
+		// conditional moves; a bin both hold is the rare case.
+		t := 0
+		if f.bin < e.bin {
+			e, t = f, 1
+		}
+		out[k] = e
+		i, j, k = i+1-t, j+t, k+1
+	}
+	k += copy(out[k:], x[i:])
+	k += copy(out[k:], y[j:])
+	s.ents, s.spare, s.combined = out[:k], x[:0], k
+	v.nonEmpty = nonEmpty
+	v.total += other.total
 }
 
 // Build bin-sorts values into a fresh vector sized to their range; the

@@ -378,3 +378,75 @@ func TestSparseSortsEachWriteOnce(t *testing.T) {
 		t.Fatalf("NonZero differs: %d bins, dense %d", len(got), len(want))
 	}
 }
+
+// TestSparseMergeOnePass: two sparse lanes over 10.3 M bins each take 100 000
+// writes of one at random bins and combine, as widedomain's lanes do, and
+// hold wide bins besides: a bin past 2^32 in one lane that the other writes
+// once, a bin below zero in the other that the first writes three to, a bin
+// wide in both whose sum fits a cell again, and a bin both hold narrow whose
+// sum crosses 2^32. Merging them into an empty region reads exactly as the
+// dense merge of the same lanes, sorts nothing, leaves both lanes as they
+// were, and once warm allocates nothing.
+func TestSparseMergeOnePass(t *testing.T) {
+	const n, writes = 10_300_000, 100_000
+	rng := datagen.NewRNG(23)
+	wideA, wideB, both, crossing := rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n)
+	lane := func(special map[int]int64) (sparse, dense *Vector) {
+		sparse, dense = new(Vector), new(Vector)
+		sparse.Recycle(0, 1, n, Sparse)
+		dense.Recycle(0, 1, n, Dense)
+		for range writes {
+			i := rng.Intn(n)
+			sparse.AddAt(i, 1)
+			dense.AddAt(i, 1)
+		}
+		for i, c := range special {
+			sparse.AddAt(i, c)
+			dense.AddAt(i, c)
+		}
+		sparse.Combine()
+		return sparse, dense
+	}
+	a, da := lane(map[int]int64{wideA: two32 + 5, wideB: 3, both: -5, crossing: two32/2 + 1})
+	b, db := lane(map[int]int64{wideA: 1, wideB: -7, both: two32, crossing: two32 / 2})
+	if err := da.Merge(db); err != nil {
+		t.Fatal(err)
+	}
+	want := da.NonZero()
+	sortedA, sortedB, totalA, totalB := a.sp.sorted, b.sp.sorted, a.Total(), b.Total()
+
+	m := new(Vector)
+	merge := func() {
+		m.Recycle(0, 1, n, Sparse)
+		for _, lane := range []*Vector{a, b} {
+			if err := m.Merge(lane); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merge()
+	if got := m.NonZero(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NonZero differs: %d bins, dense %d", len(got), len(want))
+	}
+	if m.Total() != da.Total() || m.Cardinality() != da.Cardinality() {
+		t.Fatalf("total %d, cardinality %d; dense %d, %d", m.Total(), m.Cardinality(), da.Total(), da.Cardinality())
+	}
+	for _, i := range []int{wideA, wideB, both, crossing} {
+		c := m.Count(i)
+		if c != da.Count(i) || (cellOf(m, i) == wideMark) != (uint64(c) >= wideMark) {
+			t.Fatalf("bin %d reads %d (cell %d), dense %d", i, c, cellOf(m, i), da.Count(i))
+		}
+	}
+	if len(m.wide) != 3 {
+		t.Fatalf("wide map holds %d bins, want 3: %v", len(m.wide), m.wide)
+	}
+	if m.sp.sorted != 0 || a.sp.sorted != sortedA || b.sp.sorted != sortedB {
+		t.Fatalf("merging and reading sorted %d, %d and %d entries", m.sp.sorted, a.sp.sorted-sortedA, b.sp.sorted-sortedB)
+	}
+	if a.Total() != totalA || b.Total() != totalB || a.Count(wideA) != two32+5 || b.Count(wideB) != -7 {
+		t.Fatal("the merge moved a lane")
+	}
+	if allocs := testing.AllocsPerRun(3, merge); allocs != 0 {
+		t.Fatalf("a warm merge allocates %.0f times", allocs)
+	}
+}

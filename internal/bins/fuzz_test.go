@@ -8,19 +8,28 @@ import "testing"
 // held twice, once dense and once sparse, and after every step both copies
 // are held to an []int64 reference: the 32-bit store with its wide escape
 // must be indistinguishable from a row of int64 counts in either form, so
-// the two forms agree on every count, walk, tally and copy. A merge takes
-// the source's form for each target from the sequence, so every pairing of
-// forms is merged. A step's check reads every region, which combines a
-// sparse log; a burst writes 2–8 counts before the next check, and may end
-// in a merge, so that a combine meets an unsorted log of several entries on
-// top of combined ones and a merge lands on a log that is not empty. The
-// burst's seed is in testdata/fuzz.
+// the two forms agree on every count, read (Batches and the walks over it),
+// tally and copy. A merge takes the source's form for each target from the
+// sequence, so every pairing of forms is merged, two sparse regions in one
+// pass. A step's check reads every region, which combines a sparse log; a
+// burst writes 2–8 counts before the next check, and may end in a merge, so
+// that a combine meets an unsorted log of several entries on top of
+// combined ones and a merge lands on a log that is not empty. The burst's
+// seed is in testdata/fuzz.
+//
+// Only an input's first maxOps bytes run. The fuzz engine minimises each new
+// interesting input, trying a number of shorter candidates quadratic in its
+// length, and each candidate runs every step, each step checking four
+// regions: uncapped, one input of a few hundred bytes held both workers at 0
+// executions/s for most of a minute.
 func FuzzVectorOps(f *testing.F) {
+	const maxOps = 64
 	f.Add([]byte{0, 5, 1, 0, 0, 5, 1, 0, 2, 3})
 	f.Add([]byte{0, 64, 1, 3, 1, 64, 1, 3, 2, 1, 4, 2, 0, 3, 0})
 	f.Add([]byte{0, 1, 2, 200, 1, 1, 3, 7, 2, 2, 3, 1, 4, 0, 1, 2, 56, 2, 3})
 	f.Add([]byte{0, 69, 1, 255, 0, 69, 1, 255, 0, 69, 1, 255, 4, 2, 2, 3, 0, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), maxOps)]
 		const min, divisor, n = -3, 2, 70
 		region := func(size int) [2]*Vector {
 			var r [2]*Vector

@@ -116,6 +116,29 @@ func checkAgainstDense(t *testing.T, label string, v *Vector, want []int64) {
 	if seen != nonEmpty {
 		t.Fatalf("%s: Occupied visited %d bins, want %d", label, seen, nonEmpty)
 	}
+	// The batched read: batches of 1 to 256 bins, values ascending across
+	// them, every non-empty bin exactly once with its value and count.
+	var lastValue int64
+	seen = 0
+	v.Batches(func(values, counts []int64) {
+		if len(values) == 0 || len(values) > batch || len(counts) != len(values) {
+			t.Fatalf("%s: Batches handed %d values and %d counts", label, len(values), len(counts))
+		}
+		for k, x := range values {
+			i := v.Index(x)
+			if i < 0 || x != v.Value(i) || seen > 0 && x <= lastValue {
+				t.Fatalf("%s: Batches value %d after %d is not an ascending bin value", label, x, lastValue)
+			}
+			if c := counts[k]; c == 0 || c != want[i] {
+				t.Fatalf("%s: Batches bin %d = %d, want %d", label, i, c, want[i])
+			}
+			lastValue = x
+			seen++
+		}
+	})
+	if seen != nonEmpty {
+		t.Fatalf("%s: Batches read %d bins, want %d", label, seen, nonEmpty)
+	}
 }
 
 // countsOf returns v's count row, bin i at index i.

@@ -23,11 +23,11 @@ const MaxSparseBins = math.MaxUint32
 // folds the log in when the log outgrows logLimit, so a write costs
 // amortised O(1) and the log stays within twice the bins held, and before
 // anything reads the counts. It sorts the log alone — a radix sort (bins are
-// bounded integers), skipped when the log already ascends, as another
-// region's combined entries do when Merge appends them — then merges it with
-// the combined part in one linear pass, so a write is sorted at most once
-// and a merge of two combined regions sorts nothing. The sort and the merge
-// share the region's two buffers, ents and spare.
+// bounded integers), skipped when the log already ascends, as writes in
+// value order do — then merges it with the combined part in one linear pass,
+// so a write is sorted at most once. The sort and the merge share the
+// region's two buffers, ents and spare, and so does Vector.mergeSparse, which
+// merges two combined regions in one pass that sorts nothing.
 type sparse struct {
 	ents     []entry
 	spare    []entry // the second buffer of the sort and the merge

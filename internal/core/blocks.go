@@ -61,6 +61,17 @@ func (l *insertionList) insert(value, count int64) {
 	}
 }
 
+// offer inserts a batch of items in order. Over a wide region nearly every
+// bin fails to outrank the last slot of the full list, so that test is made
+// here, in the loop, and only the bins that pass enter the pipeline.
+func (l *insertionList) offer(values, counts []int64) {
+	for k, c := range counts {
+		if l.used < len(l.slots) || ranksAbove(hist.FrequentValue{Value: values[k], Count: c}, l.slots[l.used-1]) {
+			l.insert(values[k], c)
+		}
+	}
+}
+
 // contents returns the occupied slots in list order (descending count).
 func (l *insertionList) contents() []hist.FrequentValue {
 	out := make([]hist.FrequentValue, l.used)
@@ -93,10 +104,20 @@ func (s *ascendingSet) reset(list *insertionList, n int) {
 
 // has reports whether k is in the set. Successive calls must not descend.
 func (s *ascendingSet) has(k int64) bool {
+	next, ok := s.from(k)
+	return ok && next == k
+}
+
+// from returns the least key at or above k, and false when there is none.
+// Successive calls must not descend.
+func (s *ascendingSet) from(k int64) (int64, bool) {
 	for s.next < len(s.keys) && s.keys[s.next] < k {
 		s.next++
 	}
-	return s.next < len(s.keys) && s.keys[s.next] == k
+	if s.next == len(s.keys) {
+		return 0, false
+	}
+	return s.keys[s.next], true
 }
 
 // Block is the daisy-chain element interface. The Scanner calls BeginScan /
@@ -109,10 +130,13 @@ type Block interface {
 	NeedsScan(s int) bool
 	// BeginScan resets per-pass state.
 	BeginScan(s int)
-	// Consume processes one non-empty bin during pass s. Bins arrive in
-	// ascending value order. The Scanner has already filtered empty bins
-	// (the valid flag of the hardware).
-	Consume(s int, value, count int64)
+	// Consume processes a batch of non-empty bins during pass s: the bin of
+	// value values[k] holds counts[k]. Bins arrive in ascending value order,
+	// batch after batch, and the block must not keep the slices. The Scanner
+	// has already filtered empty bins (the valid flag of the hardware). The
+	// hardware block takes one bin at a time; the host hands it a batch, so
+	// that its loop runs without a call per bin.
+	Consume(s int, values, counts []int64)
 	// EndScan finalises pass s.
 	EndScan(s int)
 	// Scans returns the total number of passes the block needs.
@@ -150,9 +174,9 @@ func (b *TopKBlock) BeginScan(s int) {
 }
 
 // Consume implements Block.
-func (b *TopKBlock) Consume(s int, value, count int64) {
+func (b *TopKBlock) Consume(s int, values, counts []int64) {
 	if s == 0 {
-		b.list.insert(value, count)
+		b.list.offer(values, counts)
 	}
 }
 
@@ -205,20 +229,24 @@ func (b *EquiDepthBlock) BeginScan(s int) {
 }
 
 // Consume implements Block.
-func (b *EquiDepthBlock) Consume(s int, value, count int64) {
+func (b *EquiDepthBlock) Consume(s int, values, counts []int64) {
 	if s != 0 {
 		return
 	}
-	if b.cur.Distinct == 0 {
-		b.cur.Low = value
+	cur := b.cur
+	for k, c := range counts {
+		if cur.Distinct == 0 {
+			cur.Low = values[k]
+		}
+		cur.Count += c
+		cur.Distinct++
+		cur.High = values[k]
+		if cur.Count >= b.limit {
+			b.buckets = append(b.buckets, cur)
+			cur = hist.Bucket{}
+		}
 	}
-	b.cur.Count += count
-	b.cur.Distinct++
-	b.cur.High = value
-	if b.cur.Count >= b.limit {
-		b.buckets = append(b.buckets, b.cur)
-		b.cur = hist.Bucket{}
-	}
+	b.cur = cur
 }
 
 // EndScan implements Block.
@@ -285,35 +313,41 @@ func (b *MaxDiffBlock) BeginScan(s int) {
 }
 
 // Consume implements Block.
-func (b *MaxDiffBlock) Consume(s int, value, count int64) {
+func (b *MaxDiffBlock) Consume(s int, values, counts []int64) {
 	switch s {
 	case 0:
 		// The subtract logic at the block entry replaces the bin count
 		// with the difference to the previous bin. The "value" tracked in
 		// the list is the ordinal of the earlier bin of the pair, i.e.
 		// the position after which a boundary would be placed.
-		if b.havePrev {
-			d := count - b.prevCount
-			if d < 0 {
-				d = -d
+		for _, count := range counts {
+			if b.havePrev {
+				d := count - b.prevCount
+				if d < 0 {
+					d = -d
+				}
+				b.diffs.insert(b.ordinal-1, d)
 			}
-			b.diffs.insert(b.ordinal-1, d)
+			b.prevCount = count
+			b.havePrev = true
+			b.ordinal++
 		}
-		b.prevCount = count
-		b.havePrev = true
-		b.ordinal++
 	case 1:
-		if b.cur.Distinct == 0 {
-			b.cur.Low = value
+		cur := b.cur
+		for k, count := range counts {
+			if cur.Distinct == 0 {
+				cur.Low = values[k]
+			}
+			cur.Count += count
+			cur.Distinct++
+			cur.High = values[k]
+			if b.boundary.has(b.ordinal) {
+				b.buckets = append(b.buckets, cur)
+				cur = hist.Bucket{}
+			}
+			b.ordinal++
 		}
-		b.cur.Count += count
-		b.cur.Distinct++
-		b.cur.High = value
-		if b.boundary.has(b.ordinal) {
-			b.buckets = append(b.buckets, b.cur)
-			b.cur = hist.Bucket{}
-		}
-		b.ordinal++
+		b.cur = cur
 	}
 }
 
@@ -380,15 +414,25 @@ func (b *CompressedBlock) BeginScan(s int) {
 }
 
 // Consume implements Block.
-func (b *CompressedBlock) Consume(s int, value, count int64) {
+func (b *CompressedBlock) Consume(s int, values, counts []int64) {
 	switch s {
 	case 0:
-		b.top.insert(value, count)
+		b.top.offer(values, counts)
 	case 1:
-		if b.topSet.has(value) {
-			return // flagged invalid: exact heavy hitter, not bucketed
+		// The runs between two heavy hitters go to the equi-depth block
+		// whole; a heavy hitter itself is flagged invalid: exact, not
+		// bucketed.
+		for len(values) > 0 {
+			run, top := len(values), false
+			if next, ok := b.topSet.from(values[0]); ok {
+				run, top = slices.BinarySearch(values, next)
+			}
+			b.ed.Consume(0, values[:run], counts[:run])
+			if top {
+				run++
+			}
+			values, counts = values[run:], counts[run:]
 		}
-		b.ed.Consume(0, value, count)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 // membership slot by slot, and Max-diff keeps its boundaries in a map. Kept
 // as executable specifications; TestBlocksMatchFullWalkReference drives
 // them and the live blocks through one chain and requires identical output.
+// They take the Scanner's batches a bin at a time (perBin).
 
 type refList struct {
 	slots []hist.FrequentValue
@@ -58,6 +59,13 @@ func (b *refBlock) NeedsScan(s int) bool { return s < b.scans }
 func (b *refBlock) Scans() int           { return b.scans }
 func (b *refBlock) EndScan(int)          {}
 
+// perBin hands a batch to consume one bin at a time.
+func perBin(s int, values, counts []int64, consume func(s int, value, count int64)) {
+	for k, v := range values {
+		consume(s, v, counts[k])
+	}
+}
+
 type refTopK struct {
 	refBlock
 	list *refList
@@ -67,8 +75,10 @@ func newRefTopK(k int) *refTopK {
 	return &refTopK{refBlock{"refTopK", 1}, &refList{slots: make([]hist.FrequentValue, k)}}
 }
 
-func (b *refTopK) BeginScan(int)                 { b.list.used = 0 }
-func (b *refTopK) Consume(_ int, value, c int64) { b.list.insert(value, c) }
+func (b *refTopK) BeginScan(int) { b.list.used = 0 }
+func (b *refTopK) Consume(s int, values, counts []int64) {
+	perBin(s, values, counts, func(_ int, value, c int64) { b.list.insert(value, c) })
+}
 
 type refMaxDiff struct {
 	refBlock
@@ -101,7 +111,9 @@ func (b *refMaxDiff) BeginScan(s int) {
 	b.cur, b.buckets = hist.Bucket{}, nil
 }
 
-func (b *refMaxDiff) Consume(s int, value, count int64) {
+func (b *refMaxDiff) Consume(s int, values, counts []int64) { perBin(s, values, counts, b.consume) }
+
+func (b *refMaxDiff) consume(s int, value, count int64) {
 	if s == 0 {
 		if b.havePrev {
 			b.diffs.insert(b.ordinal-1, max(count-b.prevCount, b.prevCount-count))
@@ -154,12 +166,14 @@ func (b *refCompressed) BeginScan(s int) {
 	b.ed.BeginScan(0)
 }
 
-func (b *refCompressed) Consume(s int, value, count int64) {
+func (b *refCompressed) Consume(s int, values, counts []int64) { perBin(s, values, counts, b.consume) }
+
+func (b *refCompressed) consume(s int, value, count int64) {
 	switch {
 	case s == 0:
 		b.top.insert(value, count)
 	case !b.top.contains(value):
-		b.ed.Consume(0, value, count)
+		b.ed.Consume(0, []int64{value}, []int64{count})
 	}
 }
 

@@ -99,7 +99,7 @@ func (c *RTLChain) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 				if !p.block.NeedsScan(scan) {
 					continue
 				}
-				p.block.Consume(scan, v, count)
+				p.block.Consume(scan, []int64{v}, []int64{count})
 				p.observe(slotCycle + int64(p.pos)*pass)
 			}
 		}

@@ -65,7 +65,8 @@ func (r ChainResult) Seconds(clk hw.Clock) float64 { return clk.Seconds(r.TotalC
 
 // Run streams the vector through the blocks, performing as many passes as
 // the blocks request, and returns the functional results (via the blocks
-// themselves) plus the cycle accounting.
+// themselves) plus the cycle accounting. Each pass is one bins.Vector.Batches
+// read, and every batch goes to each block of the pass in chain order.
 func (s *Scanner) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 	maxScans := 1
 	for _, b := range blocks {
@@ -85,12 +86,12 @@ func (s *Scanner) Run(vec *bins.Vector, blocks ...Block) ChainResult {
 			}
 		}
 		// Empty bins are invalid-flagged and never reach a block, so the
-		// host walks the occupied ones only; the cycle model below still
-		// charges the full Δ read-out.
-		vec.Occupied(func(i int, c int64) {
-			v := vec.Value(i)
+		// host reads the occupied ones only, a batch at a time, and hands
+		// each batch down the chain; the cycle model below still charges
+		// the full Δ read-out, one bin per delivery period.
+		vec.Batches(func(values, counts []int64) {
 			for _, b := range pass {
-				b.Consume(scan, v, c)
+				b.Consume(scan, values, counts)
 			}
 		})
 		for _, b := range pass {

@@ -73,16 +73,7 @@ func (c *Chain) FoldDistinct(vec *bins.Vector) {
 		if !ok {
 			continue
 		}
-		var batch [256]int64
-		n := 0
-		vec.Occupied(func(i int, _ int64) {
-			batch[n] = vec.Value(i)
-			if n++; n == len(batch) {
-				h.observe(batch[:])
-				n = 0
-			}
-		})
-		h.observe(batch[:n])
+		vec.Batches(func(values, _ []int64) { h.observe(values) })
 	}
 }
 
@@ -107,9 +98,11 @@ func (c *Chain) Fold(vec *bins.Vector) {
 		// floor is the full summary's minimum count: no bin below it can
 		// enter, which spares a wide region the call per bin.
 		var floor int64
-		vec.Occupied(func(i int, count int64) {
-			if count >= floor {
-				floor = exact.offerExact(vec.Value(i), count)
+		vec.Batches(func(values, counts []int64) {
+			for k, count := range counts {
+				if count >= floor {
+					floor = exact.offerExact(values[k], count)
+				}
 			}
 		})
 		_ = exact.Merge(observed) // same kind, same capacity: cannot fail
