@@ -10,13 +10,14 @@ FUZZTIME ?= 30s
 # Perf-gate settings. The gated subset is the hot-path suite (the parallel
 # data path with and without the sketch chain on the friendly column, the
 # same path over the wide-domain column, the served scan over loopback TCP,
-# the Table 1 binner cases, the binner's per-row loop on three columns, and
-# internal/core's histogram chain over the wide and the dense bin region);
+# the Table 1 binner cases, the binner's per-row loop on three columns, one
+# lane's pushes and end-of-input combine on two, and internal/core's
+# histogram chain over the wide and the dense bin region);
 # the iteration budget and scheduler width are pinned so a base run and a
 # head run on the same machine are comparable, and benchdiff collapses the 5
 # repeats to a per-metric median. PERF_DIR is the checkout benchmarked, so
 # one recipe measures both sides of a comparison.
-PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner|BenchmarkBinnerPush|BenchmarkHistChain
+PERF_BENCH ?= BenchmarkParallelDataPathSketch|BenchmarkParallelDataPathWide|BenchmarkServedScan|BenchmarkTable1Binner|BenchmarkBinnerPush|BenchmarkLaneRegion|BenchmarkHistChain
 PERF_BENCHTIME ?= 2s
 PERF_COUNT ?= 5
 PERF_GOMAXPROCS ?= 4
@@ -100,10 +101,12 @@ examples:
 		$(GO) run ./$$dir > /dev/null || exit 1; \
 	done
 
-# Fuzz passes, ten targets: every decoder that faces bytes from a peer or a
-# disk (frames, the client's frame reader, trace reports, histograms,
+# Fuzz passes, eleven targets: every decoder that faces bytes from a peer or
+# a disk (frames, the client's frame reader, trace reports, histograms,
 # checkpoint recovery, WAL records, catalog entries, sketches, the page
-# parser), and the bin region's 32-bit store against an int64 reference. The
+# parser), the bin region's 32-bit store against an int64 reference, and a
+# fault-free served scan of a fuzzed relation shape against the serial data
+# path and the software reference. The
 # root TestFuzzTargetsListed fails when this list and the module's fuzzers
 # disagree.
 # FUZZTIME=30s is the CI smoke setting; the nightly job raises it. Every
@@ -119,7 +122,8 @@ FUZZ_TARGETS = \
 	FuzzSketchDecode:./internal/sketch/ \
 	FuzzParserFeed:./internal/core/ \
 	FuzzVectorOps:./internal/bins/ \
-	FuzzDecodeColumnStats:./internal/dbms/
+	FuzzDecodeColumnStats:./internal/dbms/ \
+	FuzzServedScan:./internal/server/
 
 fuzz:
 	@failed=""; \

@@ -115,6 +115,47 @@ func BenchmarkBinnerPush(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneRegion is one lane's whole bin-region work on the friendly
+// and the wide column of the served relation: the half of the rows one of
+// two lanes bins, pushed in page batches of 127, then FoldSketches, where a
+// lane combines its sparse region's logs. BenchmarkBinnerPush stops before
+// FoldSketches, so work a change moves from the pushes into the combine
+// shows here and not there. Building and releasing the binner stay outside
+// the timer, as there.
+func BenchmarkLaneRegion(b *testing.B) {
+	rel := tpch.Lineitem(200_000, 1, 42)
+	for _, col := range []string{"l_quantity", "l_extendedprice"} {
+		b.Run(col, func(b *testing.B) {
+			all := rel.ColumnByName(col)
+			lo, hi := all[0], all[0]
+			for _, v := range all {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+			pre, err := core.RangeFor(lo, hi, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vals := all[:len(all)/2]
+			b.SetBytes(int64(8 * len(vals)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				binner := core.NewBinner(core.DefaultBinnerConfig(), pre)
+				b.StartTimer()
+				for off := 0; off < len(vals); off += 127 {
+					binner.PushAll(vals[off:min(off+127, len(vals))])
+				}
+				binner.FoldSketches()
+				b.StopTimer()
+				binner.Release()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(vals)), "ns/row")
+		})
+	}
+}
+
 // --- Fig 1 / Fig 21: join executors under good and bad plans ---------------
 
 func q1Fixture(b *testing.B, rows, spike int) (*dbms.Database, []int64) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Vector is a bin region over the value range [Min, Min+NumBins*Divisor).
@@ -34,10 +33,11 @@ import (
 // and so costs O(occupied bins + Δ/64), not O(Δ). The invariant is
 // one-sided: every non-zero bin has its bit set. A set bit over a zero bin is
 // harmless, because the walk re-reads the count. The sparse form (see sparse)
-// keeps a log of the writes instead, combined into one entry per bin before a
-// read, and a walk costs O(entries). Total is a tally kept by the writes, and
-// so is Cardinality in the dense form; the sparse form counts it as it
-// combines.
+// keeps logs of the writes instead, one per partition of the bins, each
+// combined into one entry per bin before a read, and a walk costs
+// O(entries + partitions). Total is a tally kept by the writes, and so is
+// Cardinality in the dense form; the sparse form counts it per partition as
+// it combines.
 //
 // The host stores a count in 4 bytes, half the modelled 8-byte bin. A count
 // that does not fit — negative, or wideMark and above — is stored as
@@ -55,12 +55,13 @@ type Vector struct {
 	wide     map[int]int64
 	idle     map[int]int64 // an emptied wide map kept for the next one (see wideMap)
 	total    int64
-	nonEmpty int // bins with a count > 0
+	nonEmpty int              // dense form: bins with a count > 0
+	buf      *[2][batch]int64 // the buffers Batches fills, made by the first read
 
 	// Every write to a bin writes total and nonEmpty too. The pad makes a
 	// Vector two whole host cache lines, so that two lanes' vectors never
 	// share one (see alloc).
-	_ [16]byte
+	_ [8]byte
 }
 
 // Form is a vector's host storage form.
@@ -277,64 +278,46 @@ func (v *Vector) sparseBin(i int) uint32 {
 	return uint32(i)
 }
 
-// sparseAdd adds count to sparse bin i: an append to the log, with no
-// lookup, whatever the count (see sparse).
+// sparseAdd adds count to sparse bin i: an append to its partition's log,
+// with no lookup, whatever the count (see sparse). The append makes room
+// first, which may combine the partition, and only then does a count a cell
+// cannot hold go to the wide map: a combine between the two would find the
+// bin wide with no mark logged, store its logged sum over the wide value and
+// lose count.
 func (v *Vector) sparseAdd(i int, count int64) {
-	bin, s := v.sparseBin(i), v.sp
+	bin := v.sparseBin(i)
+	if count == 0 {
+		return
+	}
 	v.total += count
-	switch {
-	case count > 0 && count < wideMark:
-		s.ents = append(s.ents, entry{bin, uint32(count)})
-	case count != 0:
+	k := bin >> partBits
+	l := &v.sp.logs[k]
+	if l.fill == chunkLen {
+		v.logChunk(int(k))
+	}
+	e := entry{bin, uint32(count)}
+	if count < 0 || count >= wideMark {
 		v.wideMap()[i] += count
-		s.ents = append(s.ents, entry{bin, wideMark})
+		e.count = wideMark
 	}
-	if s.logLimit() {
-		v.Combine()
-	}
+	l.tail.ents[l.fill] = e
+	l.fill++
 }
 
-// Combine folds a sparse vector's write log into its entries and brings the
-// Cardinality tally up to date; a no-op on a dense vector or an empty log.
+// Combine folds a sparse vector's write logs into their runs and brings the
+// Cardinality tally up to date; a no-op on a dense vector or empty logs.
 // Every read of a sparse vector's counts runs it first, so a read must not
 // run beside any other use of the vector; a caller runs it ahead of the reads
 // to choose where the sort's time goes.
 func (v *Vector) Combine() {
-	if s := v.sp; s != nil && s.combined < len(s.ents) {
-		v.combine()
+	if v.sp == nil {
+		return
 	}
-}
-
-// combine merges the sparse log into the combined entries (see sparse.merge)
-// and sums each bin's run into one entry: the run's counts that are not
-// marks, plus the bin's wide value when any entry of the run is a mark. The
-// sum goes back through widen, so the wide map again holds exactly the bins
-// whose counts do not fit a cell.
-func (v *Vector) combine() {
-	s := v.sp
-	s.merge(v.n)
-	ents, out := s.ents, 0
-	v.nonEmpty = 0
-	for k := 0; k < len(ents); out++ {
-		bin, sum, mark := ents[k].bin, int64(0), uint32(0)
-		for ; k < len(ents) && ents[k].bin == bin; k++ {
-			if c := ents[k].count; c == wideMark {
-				mark = wideMark
-			} else {
-				sum += int64(c)
-			}
+	for k := range v.sp.parts {
+		if v.sp.logs[k].tail != nil {
+			v.combinePart(k)
 		}
-		if mark == wideMark {
-			sum += v.wide[int(bin)]
-		}
-		cell := uint32(sum)
-		if mark == wideMark || sum >= wideMark {
-			cell = v.widen(int(bin), mark, sum)
-		}
-		ents[out] = entry{bin, cell}
-		v.nonEmpty += positive(sum)
 	}
-	s.ents, s.combined = ents[:out], out
 }
 
 // Count returns the count in bin i.
@@ -343,10 +326,12 @@ func (v *Vector) Count(i int) int64 {
 	if v.sp == nil {
 		c = v.counts[i]
 	} else {
-		v.Combine()
-		if k, ok := v.sp.search(v.sparseBin(i)); ok {
-			c = v.sp.ents[k].count
+		bin := v.sparseBin(i)
+		k := int(bin >> partBits)
+		if v.sp.logs[k].tail != nil {
+			v.combinePart(k)
 		}
+		c, _ = v.sp.find(&v.sp.parts[k], bin)
 	}
 	return v.cellCount(i, c)
 }
@@ -364,16 +349,11 @@ func (v *Vector) CountValue(value int64) int64 {
 // batch is the most bins one call of Batches hands over.
 const batch = 256
 
-// batchBufs holds the buffers Batches fills. A read hands its slices to a
-// function value, which Go's escape analysis cannot see into, so buffers on
-// the stack would move to the heap on every read.
-var batchBufs = sync.Pool{New: func() any { return new([2][batch]int64) }}
-
 // Batches is the read of the region: it calls fn with the values and counts
 // of its non-empty bins, values[k] holding counts[k], in ascending value
 // order, up to 256 bins a call; fn must not add to v or keep the slices. A
-// sparse vector written since its last read combines its log first (see
-// Combine).
+// sparse vector written since its last read combines its logs first (see
+// Combine), and is read partition by partition, in order.
 //
 // Over a wide dense region every count is a cache miss, and what bounds a
 // walk is how many of those misses are in flight at once. A loop of a few
@@ -384,21 +364,32 @@ var batchBufs = sync.Pool{New: func() any { return new([2][batch]int64) }}
 // mark is resolved in that second loop, not in the gather. A sparse region's
 // entries already lie in order, and are copied out in one loop. Either way a
 // reader pays one call per batch, not one per bin.
+//
+// The two buffers a batch is built in are v's own, made by its first read
+// and kept across Recycle: a read hands its slices to a function value,
+// which Go's escape analysis cannot see into, so buffers on the stack would
+// move to the heap on every read, and a pool would be emptied by every GC.
 func (v *Vector) Batches(fn func(values, counts []int64)) {
-	buf := batchBufs.Get().(*[2][batch]int64)
-	defer batchBufs.Put(buf)
-	vals, cnts := &buf[0], &buf[1]
+	if v.buf == nil {
+		v.buf = new([2][batch]int64)
+	}
+	vals, cnts := &v.buf[0], &v.buf[1]
 	if v.sp != nil {
 		v.Combine()
 		n := 0
-		for _, e := range v.sp.ents {
-			if e.count == 0 {
-				continue
-			}
-			vals[n], cnts[n] = v.Value(int(e.bin)), v.cellCount(int(e.bin), e.count)
-			if n++; n == batch {
-				fn(vals[:], cnts[:])
-				n = 0
+		for k := range v.sp.parts {
+			r := v.sp.reader(&v.sp.parts[k])
+			for ents := r.next(); ents != nil; ents = r.next() {
+				for _, e := range ents {
+					if e.count == 0 {
+						continue
+					}
+					vals[n], cnts[n] = v.Value(int(e.bin)), v.cellCount(int(e.bin), e.count)
+					if n++; n == batch {
+						fn(vals[:], cnts[:])
+						n = 0
+					}
+				}
 			}
 		}
 		if n > 0 {
@@ -454,16 +445,23 @@ func (v *Vector) Occupied(fn func(i int, count int64)) {
 
 // Cardinality returns the number of non-empty bins.
 func (v *Vector) Cardinality() int {
+	if v.sp == nil {
+		return v.nonEmpty
+	}
 	v.Combine()
-	return v.nonEmpty
+	n := 0
+	for k := range v.sp.parts {
+		n += int(v.sp.parts[k].pos)
+	}
+	return n
 }
 
 // Recycle empties v and re-aims it at n bins starting at min with the given
 // divisor, in the given form, keeping that form's storage when it is large
 // enough — the pooled form of NewVector; storage of a form v leaves is
 // dropped. Emptying clears the bins written only, so a vector over a wide
-// range recycles in O(written + Δ/64) dense and O(1) sparse, not in a clear
-// over the whole region. The zero Vector is valid input.
+// range recycles in O(written + Δ/64) dense and O(partitions) sparse, not in
+// a clear over the whole region. The zero Vector is valid input.
 func (v *Vector) Recycle(min, divisor int64, n int, form Form) {
 	if divisor <= 0 {
 		panic("bins: divisor must be positive")
@@ -487,7 +485,7 @@ func (v *Vector) Recycle(min, divisor int64, n int, form Form) {
 		if v.sp == nil {
 			v.sp = new(sparse)
 		}
-		v.sp.reset()
+		v.sp.reset(n)
 		return
 	}
 	v.sp = nil
@@ -510,9 +508,15 @@ func (v *Vector) Densify() {
 	v.Combine()
 	v.sp = nil
 	v.alloc(v.n)
-	for _, e := range sp.ents {
-		v.counts[e.bin] = e.count
-		v.occ[e.bin>>6] |= 1 << (e.bin & 63)
+	for k := range sp.parts {
+		r := sp.reader(&sp.parts[k])
+		for ents := r.next(); ents != nil; ents = r.next() {
+			for _, e := range ents {
+				v.counts[e.bin] = e.count
+				v.occ[e.bin>>6] |= 1 << (e.bin & 63)
+			}
+		}
+		v.nonEmpty += int(sp.parts[k].pos)
 	}
 }
 
@@ -520,18 +524,17 @@ func (v *Vector) Densify() {
 // vectors must have identical range configuration. This implements the §7
 // (Future Work) scale-up path where replicated Binner modules produce
 // partial counts in separate memories that are aggregated before histogram
-// creation. Two sparse vectors each combine their logs and then merge as
-// sorted runs (see mergeSparse), in one pass that sorts nothing.
+// creation. Two sparse vectors each combine their logs and then merge
+// partition by partition, as sorted runs (see mergePart), in passes that
+// sort nothing.
 func (v *Vector) Merge(other *Vector) error {
-	if v.Min != other.Min || v.Divisor != other.Divisor || v.n != other.n {
-		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
-			v.Min, other.Min, v.Divisor, other.Divisor, v.n, other.n)
+	if err := v.sameGeometry(other); err != nil {
+		return err
 	}
 	other.Combine()
 	switch {
 	case v.sp != nil && other.sp != nil:
-		v.Combine()
-		v.mergeSparse(other)
+		v.mergeSparse([]*Vector{other}, 1)
 		return nil
 	case v.sp != nil || other.sp != nil || other.wide != nil || !v.narrowPath(other.total):
 		other.Batches(func(values, counts []int64) {
@@ -557,54 +560,38 @@ func (v *Vector) Merge(other *Vector) error {
 	return nil
 }
 
-// mergeSparse adds combined sparse region other into combined sparse region
-// v: both runs of entries merge forward into v's spare buffer, which becomes
-// its entries. A bin only one run holds is copied as it is; a bin both hold
-// gets one entry with the two counts summed, each read through its own
-// region's wide map, and the sum goes back through widen. A wide bin of
-// other that v does not hold takes its value into v's wide map first, so its
-// mark can be copied like any other entry.
-func (v *Vector) mergeSparse(other *Vector) {
-	s, x, y := v.sp, v.sp.ents, other.sp.ents
-	for i, c := range other.wide {
-		if _, ok := s.search(uint32(i)); !ok {
-			v.wideMap()[i] = c
-		}
+// sameGeometry returns Merge's error when other does not cover v's bins.
+func (v *Vector) sameGeometry(other *Vector) error {
+	if v.Min != other.Min || v.Divisor != other.Divisor || v.n != other.n {
+		return fmt.Errorf("bins: cannot merge vectors with different geometry (min %d/%d divisor %d/%d bins %d/%d)",
+			v.Min, other.Min, v.Divisor, other.Divisor, v.n, other.n)
 	}
-	if cap(s.spare) < len(x)+len(y) {
-		s.spare = make([]entry, 0, len(x)+len(y))
+	return nil
+}
+
+// MergeAll merges every region of srcs into v, as Merge does one at a time,
+// and reports whether it could merge them all at once, partition by
+// partition, with up to ways goroutines sharing the partitions (see
+// mergeSparse). That takes every region sparse, of v's geometry and holding
+// no wide bin, and their totals together below a cell's mark, so that no sum
+// can go wide; when it reports false it has changed nothing, and the caller
+// merges the regions one by one.
+func (v *Vector) MergeAll(srcs []*Vector, ways int) bool {
+	if v.sp == nil || v.wide != nil {
+		return false
 	}
-	out := s.spare[:len(x)+len(y)]
-	nonEmpty := v.nonEmpty + other.nonEmpty
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		e, f := x[i], y[j]
-		if e.bin == f.bin {
-			a, b := v.cellCount(int(e.bin), e.count), other.cellCount(int(f.bin), f.count)
-			sum := a + b
-			cell := uint32(sum)
-			if e.count == wideMark || uint64(sum) >= wideMark {
-				cell = v.widen(int(e.bin), e.count, sum)
-			}
-			out[k] = entry{e.bin, cell}
-			nonEmpty += positive(sum) - positive(a) - positive(b)
-			i, j, k = i+1, j+1, k+1
-			continue
+	added := int64(0)
+	for _, src := range srcs {
+		if src.sp == nil || src.wide != nil || v.sameGeometry(src) != nil {
+			return false
 		}
-		// As in sparse.merge, the pick between the runs compiles to
-		// conditional moves; a bin both hold is the rare case.
-		t := 0
-		if f.bin < e.bin {
-			e, t = f, 1
-		}
-		out[k] = e
-		i, j, k = i+1-t, j+t, k+1
+		added += src.total
 	}
-	k += copy(out[k:], x[i:])
-	k += copy(out[k:], y[j:])
-	s.ents, s.spare, s.combined = out[:k], x[:0], k
-	v.nonEmpty = nonEmpty
-	v.total += other.total
+	if !v.narrowPath(added) {
+		return false
+	}
+	v.mergeSparse(srcs, ways)
+	return true
 }
 
 // Build bin-sorts values into a fresh vector sized to their range; the

@@ -3,6 +3,7 @@ package bins
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -267,6 +268,47 @@ func TestTotalInvariant(t *testing.T) {
 	}
 }
 
+// TestBatchesBuffersOutliveGC: the buffers a batched read fills are the
+// region's, made by its first read and kept across Recycle, in either form,
+// so a read after a GC cycle, which would empty a pool, allocates nothing,
+// and a Vector is still two host lines.
+func TestBatchesBuffersOutliveGC(t *testing.T) {
+	if s := unsafe.Sizeof(Vector{}); s != 2*hostLine {
+		t.Fatalf("a Vector is %d bytes, want %d", s, 2*hostLine)
+	}
+	for _, form := range []Form{Dense, Sparse} {
+		v := new(Vector)
+		total := int64(0)
+		fill := func() {
+			v.Recycle(-40, 1, 5000, form)
+			for i := 0; i < 5000; i += 3 {
+				v.AddAt(i, int64(i%7))
+			}
+		}
+		read := func() {
+			total = 0
+			v.Batches(func(_, counts []int64) {
+				for _, c := range counts {
+					total += c
+				}
+			})
+		}
+		fill()
+		read()
+		buf := v.buf
+		fill()
+		if v.buf != buf {
+			t.Fatalf("form %d: Recycle dropped the batch buffers", form)
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			runtime.GC()
+			read()
+		}); allocs != 0 || total != v.Total() {
+			t.Fatalf("form %d: a read after a GC allocates %.0f times and reads %d of %d", form, allocs, total, v.Total())
+		}
+	}
+}
+
 // TestRegionIsWholeHostLines: a lane's vector and arrays fill whole host
 // cache lines, so two lanes' regions never share one.
 func TestRegionIsWholeHostLines(t *testing.T) {
@@ -448,5 +490,53 @@ func TestSparseMergeOnePass(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, merge); allocs != 0 {
 		t.Fatalf("a warm merge allocates %.0f times", allocs)
+	}
+}
+
+// TestSparseMergeAll: three lanes of random writes merged into a fourth at
+// once, their partitions shared by three goroutines, read exactly as the
+// dense merge of the same lanes; the merged region then keeps neither the
+// lanes nor the chunks its old runs held, and a lane holding a wide bin is
+// refused with nothing changed.
+func TestSparseMergeAll(t *testing.T) {
+	const n, writes = 1 << 22, 20_000
+	rng := datagen.NewRNG(31)
+	sum := new(Vector)
+	sum.Recycle(0, 1, n, Dense)
+	lane := func() *Vector {
+		v := new(Vector)
+		v.Recycle(0, 1, n, Sparse)
+		for range writes {
+			i := rng.Intn(n)
+			v.AddAt(i, 1)
+			sum.AddAt(i, 1)
+		}
+		return v
+	}
+	m, lanes := lane(), []*Vector{lane(), lane(), lane()}
+	if !m.MergeAll(lanes, 3) {
+		t.Fatal("MergeAll refused narrow sparse lanes")
+	}
+	if got, want := m.NonZero(), sum.NonZero(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NonZero differs: %d bins, dense %d", len(got), len(want))
+	}
+	if m.Total() != sum.Total() || m.Cardinality() != sum.Cardinality() {
+		t.Fatalf("total %d, cardinality %d; dense %d, %d", m.Total(), m.Cardinality(), sum.Total(), sum.Cardinality())
+	}
+	for _, src := range m.sp.srcs[:cap(m.sp.srcs)] {
+		if src != nil {
+			t.Fatal("the merged region still holds a lane")
+		}
+	}
+	for k := range m.sp.parts {
+		if m.sp.parts[k].stale != nil {
+			t.Fatalf("partition %d still holds its old run's chunks", k)
+		}
+	}
+	wide := lane()
+	wide.AddAt(0, -1)
+	total := m.Total()
+	if m.MergeAll([]*Vector{lanes[0], wide}, 2) || m.Total() != total {
+		t.Fatal("MergeAll took a lane with a wide bin")
 	}
 }

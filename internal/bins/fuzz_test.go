@@ -14,8 +14,11 @@ import "testing"
 // pass. A step's check reads every region, which combines a sparse log; a
 // burst writes 2–8 counts before the next check, and may end in a merge, so
 // that a combine meets an unsorted log of several entries on top of
-// combined ones and a merge lands on a log that is not empty. The burst's
-// seed is in testdata/fuzz.
+// combined ones and a merge lands on a log that is not empty. A burst's
+// write may instead be a flood of nearly logFloor ones, so that a write
+// after it meets its partition's log full and sets off a combine. The
+// burst's seed is in testdata/fuzz; the last seed below floods between two
+// halves of 2^32 and a write of -1 to the same bin, whose append combines.
 //
 // Only an input's first maxOps bytes run. The fuzz engine minimises each new
 // interesting input, trying a number of shorter candidates quadratic in its
@@ -28,6 +31,7 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add([]byte{0, 64, 1, 3, 1, 64, 1, 3, 2, 1, 4, 2, 0, 3, 0})
 	f.Add([]byte{0, 1, 2, 200, 1, 1, 3, 7, 2, 2, 3, 1, 4, 0, 1, 2, 56, 2, 3})
 	f.Add([]byte{0, 69, 1, 255, 0, 69, 1, 255, 0, 69, 1, 255, 4, 2, 2, 3, 0, 5})
+	f.Add([]byte{6, 2, 0, 5, 3, 0, 0, 5, 3, 0, 79, 0, 5, 0, 255, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), maxOps)]
 		const min, divisor, n = -3, 2, 70
@@ -61,6 +65,19 @@ func FuzzVectorOps(f *testing.F) {
 				v.AddCount(v.Value(i), c)
 			}
 			ref[i] += c
+		}
+		flood := func(op byte) { // logFloor − op>>5 ones into a (op>>4 even) or b
+			r, ref := a, ra
+			if op>>4&1 == 1 {
+				r, ref = b, rb
+			}
+			for k := range logFloor - int(op>>5) {
+				i := k * 37 % len(ref)
+				for _, v := range r {
+					v.AddCount(v.Value(i), 1)
+				}
+				ref[i]++
+			}
 		}
 		merge := func(step int) { // Merge b into a; it fails exactly when the geometry differs
 			pick := next()
@@ -98,9 +115,13 @@ func FuzzVectorOps(f *testing.F) {
 					t.Fatalf("step %d: Densify left form %d", step, d.Form())
 				}
 				checkAgainstDense(t, "Densify", d, ra)
-			case 6: // a burst of 2–8 AddCounts, then maybe a merge, before the check
+			case 6: // a burst of 2–8 AddCounts or floods, then maybe a merge, before the check
 				for k := 2 + next()%7; k > 0; k-- {
-					add(next())
+					if op := next(); op%16 == 15 {
+						flood(op)
+					} else {
+						add(op)
+					}
 				}
 				if next()&1 == 1 {
 					merge(step)

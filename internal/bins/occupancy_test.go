@@ -40,10 +40,8 @@ func cellOf(v *Vector, i int) uint32 {
 	if v.sp == nil {
 		return v.counts[i]
 	}
-	if k, ok := v.sp.search(uint32(i)); ok {
-		return v.sp.ents[k].count
-	}
-	return 0
+	c, _ := v.sp.find(&v.sp.parts[i>>partBits], uint32(i))
+	return c
 }
 
 // checkAgainstDense compares everything observable about v, in either form,
@@ -479,9 +477,30 @@ func TestTotalPastTwo32(t *testing.T) {
 // it holds wide and negative bins, writes of one to 200 000 bins it has not
 // held, and a merge of two such regions, are still appends to its log. A
 // write that had to find its bin's place in the combined entries would move
-// them once a bin, about 2·10^10 entry moves here.
+// them once a bin, about 2·10^10 entry moves here. First, a count a cell
+// cannot hold is not lost when its append sets off its partition's combine,
+// which finds the bin's logged sum past a cell.
 func TestSparsePastTwo32ManyBins(t *testing.T) {
 	const n, fresh = 1 << 20, 200_000
+	{
+		v, want := new(Vector), make([]int64, n)
+		v.Recycle(0, 1, n, Sparse)
+		add := func(i int, c int64) {
+			v.AddAt(i, c)
+			want[i] += c
+		}
+		const bin = 5
+		add(bin, two32/2)
+		add(bin, two32/2)
+		for i := range logFloor - 2 {
+			add(100+i, 1)
+		}
+		add(bin, -1)
+		if got := v.Count(bin); got != two32-1 {
+			t.Fatalf("bin %d reads %d after a wide write to a full log, want %d", bin, got, int64(two32-1))
+		}
+		checkAgainstDense(t, "a wide write to a full log", v, want)
+	}
 	rng := datagen.NewRNG(11)
 	fill := func(seed int) (*Vector, []int64) {
 		v, want := new(Vector), make([]int64, n)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"streamhist/internal/bins"
 	"streamhist/internal/faults"
@@ -442,6 +443,44 @@ func (b *Binner) Merge(other *Binner) error {
 	return nil
 }
 
+// MergeLanes merges others into b, as Merge does one at a time. When every
+// region is sparse and every chain is deferred alike, so that no chain must
+// fold between two merges, the regions merge at once, partition by
+// partition (bins.Vector.MergeAll), on one goroutine per region, at most
+// one per processor: the lanes have just joined, so their cores are free to
+// share the merge.
+func (b *Binner) MergeLanes(others []*Binner) error {
+	var buf [16]*bins.Vector
+	srcs := buf[:0]
+	b.finalizeMem()
+	for _, o := range others {
+		o.finalizeMem()
+		if (o.chain == nil) != (b.chain == nil) || o.chain.Deferred() != b.chain.Deferred() {
+			srcs = nil
+			break
+		}
+		srcs = append(srcs, o.vec)
+	}
+	if len(srcs) == 0 || !b.vec.MergeAll(srcs, min(len(srcs)+1, runtime.GOMAXPROCS(0))) {
+		for _, o := range others {
+			if err := b.Merge(o); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	b.promote()
+	for _, o := range others {
+		if o.chain != nil {
+			if err := b.chain.Merge(o.chain); err != nil {
+				return err
+			}
+		}
+		b.merged = b.merged.Merge(o.snapshotStats())
+	}
+	return nil
+}
+
 // SetStreamPos repositions the sketch chain's global stream cursor. The
 // parallel path calls this at every page boundary with pageIndex·capacity —
 // pages are fully packed, so that is the page's first row ordinal — which
@@ -457,11 +496,11 @@ func (b *Binner) SetStreamPos(pos int64) {
 // FoldSketches does the part of a deferred chain's fold that needs only this
 // lane's bins — the HLL registers — so that lanes can do it side by side,
 // each when its input ends, before they merge. A sparse region combines its
-// write log here for the same reason, chain or none: every write is sorted
-// on its lane's goroutine, and the serial merge of two combined regions is
-// a linear pass that sorts nothing. Optional: SketchChain folds whatever is
-// still owed, and a read combines whatever is still logged. Idempotent, and
-// a no-op for a streaming chain.
+// partitions' write logs here for the same reason, chain or none: every
+// write is sorted on its lane's goroutine, and the merge of two combined
+// regions is a pass per partition that sorts nothing. Optional: SketchChain
+// folds whatever is still owed, and a read combines whatever is still
+// logged. Idempotent, and a no-op for a streaming chain.
 func (b *Binner) FoldSketches() {
 	b.vec.Combine()
 	b.chain.FoldDistinct(b.vec)

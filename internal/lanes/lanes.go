@@ -475,10 +475,13 @@ func (e *Engine) FanIn(tr *obs.ScanRecord, prof *hwprof.Profiler, binsPerLine in
 	out.Span = tr.Begin("merge")
 	survivor := merge[0].binner
 	merge[0].binner = nil // the caller's from here on; Close must not park it
+	var rest [16]*core.Binner
+	others := rest[:0]
 	for _, l := range merge[1:] {
-		if err := survivor.Merge(l.binner); err != nil {
-			return out, fmt.Errorf("lane merge: %w", err)
-		}
+		others = append(others, l.binner)
+	}
+	if err := survivor.MergeLanes(others); err != nil {
+		return out, fmt.Errorf("lane merge: %w", err)
 	}
 	vec, stats := survivor.Finish()
 	out.Merges = len(merge) - 1
