@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 # data path with and without the sketch chain on the friendly column, the
 # same path over the wide-domain column, the served scan over loopback TCP,
 # the Table 1 binner cases, the binner's per-row loop on three columns, one
-# lane's pushes and end-of-input combine on two, and internal/core's
+# lane's pushes and end-of-input combine on three columns, and internal/core's
 # histogram chain over the wide and the dense bin region);
 # the iteration budget and scheduler width are pinned so a base run and a
 # head run on the same machine are comparable, and benchdiff collapses the 5

@@ -115,16 +115,16 @@ func BenchmarkBinnerPush(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneRegion is one lane's whole bin-region work on the friendly
-// and the wide column of the served relation: the half of the rows one of
-// two lanes bins, pushed in page batches of 127, then FoldSketches, where a
+// BenchmarkLaneRegion is one lane's whole bin-region work on three columns
+// of the served relation — the friendly one, the dense one whose lines miss
+// the cache, and the wide one: the half of the rows one of two lanes bins, pushed in page batches of 127, then FoldSketches, where a
 // lane combines its sparse region's logs. BenchmarkBinnerPush stops before
 // FoldSketches, so work a change moves from the pushes into the combine
 // shows here and not there. Building and releasing the binner stay outside
 // the timer, as there.
 func BenchmarkLaneRegion(b *testing.B) {
 	rel := tpch.Lineitem(200_000, 1, 42)
-	for _, col := range []string{"l_quantity", "l_extendedprice"} {
+	for _, col := range []string{"l_quantity", "l_orderkey", "l_extendedprice"} {
 		b.Run(col, func(b *testing.B) {
 			all := rel.ColumnByName(col)
 			lo, hi := all[0], all[0]

@@ -240,11 +240,37 @@ func (v *Vector) AddAt(i int, count int64) {
 	}
 }
 
+// AddOnes adds one to each bin of bins, each in [0, NumBins), as AddAt(i, 1)
+// would one by one. A dense region the whole batch keeps narrow (see
+// narrowPath) takes it in one loop that sets a bin's occupancy bit and the
+// non-empty tally only when the bin goes from 0 to 1, since a bin above 0
+// has its bit set already; any other region takes the bins one by one.
+func (v *Vector) AddOnes(bins []int) {
+	if v.sp != nil || !v.narrowPath(int64(len(bins))) {
+		for _, i := range bins {
+			v.AddAt(i, 1)
+		}
+		return
+	}
+	counts, occ := v.counts, v.occ
+	filled := 0
+	for _, i := range bins {
+		c := counts[i]
+		counts[i] = c + 1
+		if c == 0 {
+			occ[i>>6] |= 1 << (i & 63)
+			filled++
+		}
+	}
+	v.total += int64(len(bins))
+	v.nonEmpty += filled
+}
+
 // bumpNarrow adds count to dense bin i when narrowPath(count) holds, and
 // keeps the occupancy index and the two tallies in step; bump does the same
-// for any count. Apart from Merge's narrow loop and Recycle, which do the
-// same in bulk, and the sparse log (see sparse), they are the only writers
-// of counts.
+// for any count. Apart from AddOnes and Merge's narrow loops and Recycle,
+// which do the same in bulk, and the sparse log (see sparse), they are the
+// only writers of counts.
 func (v *Vector) bumpNarrow(i int, count int64) {
 	old := int64(v.counts[i])
 	v.counts[i] = uint32(old + count)

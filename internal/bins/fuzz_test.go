@@ -3,8 +3,8 @@ package bins
 import "testing"
 
 // FuzzVectorOps drives two regions through a byte-chosen sequence of
-// AddCount, Merge, Recycle, copy (Recycle then Merge), Densify and bursts of
-// AddCount, with counts near zero, near 2^32 and below zero. Each region is
+// AddCount, Merge, Recycle, copy (Recycle then Merge), Densify, bursts of
+// AddCount and runs of AddOnes, with counts near zero, near 2^32 and below zero. Each region is
 // held twice, once dense and once sparse, and after every step both copies
 // are held to an []int64 reference: the 32-bit store with its wide escape
 // must be indistinguishable from a row of int64 counts in either form, so
@@ -17,8 +17,13 @@ import "testing"
 // combined ones and a merge lands on a log that is not empty. A burst's
 // write may instead be a flood of nearly logFloor ones, so that a write
 // after it meets its partition's log full and sets off a combine. The
-// burst's seed is in testdata/fuzz; the last seed below floods between two
+// burst's seed is in testdata/fuzz; the fifth seed below floods between two
 // halves of 2^32 and a write of -1 to the same bin, whose append combines.
+// A run adds one to each of 1–16 bins, with repeats, through AddOnes, the
+// binner's batched write; the last four seeds run one on narrow regions,
+// on regions whose total is a few counts short of a cell's mark, so that
+// the run leaves the narrow path part way, beside a wide bin, and over a bin
+// two short of the mark, which the run widens.
 //
 // Only an input's first maxOps bytes run. The fuzz engine minimises each new
 // interesting input, trying a number of shorter candidates quadratic in its
@@ -32,6 +37,10 @@ func FuzzVectorOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 200, 1, 1, 3, 7, 2, 2, 3, 1, 4, 0, 1, 2, 56, 2, 3})
 	f.Add([]byte{0, 69, 1, 255, 0, 69, 1, 255, 0, 69, 1, 255, 4, 2, 2, 3, 0, 5})
 	f.Add([]byte{6, 2, 0, 5, 3, 0, 0, 5, 3, 0, 79, 0, 5, 0, 255, 0})
+	f.Add([]byte{7, 30, 60, 0, 1, 2, 3, 3, 2, 1, 0, 3, 3, 2, 2, 1, 1, 0, 0, 7, 31, 9, 1, 1, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0, 3, 3, 3, 3, 2, 3})
+	f.Add([]byte{0, 3, 3, 253, 0, 4, 3, 0, 7, 10, 2, 0, 1, 2, 3, 3, 0, 7, 4, 1, 1, 1, 0, 4, 1, 3, 253, 2, 1})
+	f.Add([]byte{0, 5, 1, 0, 7, 14, 4, 0, 1, 1, 0, 3, 2, 1, 2, 1, 5, 7, 15, 68, 3, 3, 2, 1, 0, 0, 1, 1})
+	f.Add([]byte{0, 6, 1, 254, 7, 2, 6, 0, 0, 4, 7, 3, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), maxOps)]
 		const min, divisor, n = -3, 2, 70
@@ -79,6 +88,22 @@ func FuzzVectorOps(f *testing.F) {
 				ref[i]++
 			}
 		}
+		ones := func() { // a run of 1–16 bins of a (w even) or b, each one of 4 from a base
+			w := next()
+			r, ref := a, ra
+			if w&1 == 1 {
+				r, ref = b, rb
+			}
+			base := int(next())
+			run := make([]int, 1+int(w>>1)%16)
+			for k := range run {
+				run[k] = (base + int(next())%4) % len(ref)
+				ref[run[k]]++
+			}
+			for _, v := range r {
+				v.AddOnes(run)
+			}
+		}
 		merge := func(step int) { // Merge b into a; it fails exactly when the geometry differs
 			pick := next()
 			for form, v := range a {
@@ -94,7 +119,7 @@ func FuzzVectorOps(f *testing.F) {
 			}
 		}
 		for step := 0; len(ops) > 0; step++ {
-			switch op := next() % 7; op {
+			switch op := next() % 8; op {
 			case 0, 1:
 				add(op)
 			case 2:
@@ -126,6 +151,8 @@ func FuzzVectorOps(f *testing.F) {
 				if next()&1 == 1 {
 					merge(step)
 				}
+			case 7:
+				ones()
 			}
 			for form := range a {
 				if a[form].Form() != Form(form) || b[form].Form() != Form(form) {

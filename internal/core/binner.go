@@ -179,6 +179,11 @@ type Binner struct {
 	// chain is this lane's sketch chain; nil when sketches are off (the
 	// zero-cost baseline, same discipline as prof).
 	chain *sketch.Chain
+
+	// rows holds a block's bins between pushBatch's passes; spikes, made
+	// with mem, their latency spikes.
+	rows   [blockRows]int
+	spikes []float64
 }
 
 // NewBinner wires a Binner for the given preprocessor. The returned
@@ -237,6 +242,7 @@ func newBinner(cfg BinnerConfig, pre *Preprocessor, form bins.Form) *Binner {
 		newBinnerScratch().fit(b, 0, bins.Dense)
 		b.mem = hw.NewMemory(int(pre.NumBins), cfg.Faults)
 		b.mem.SetEvents(cfg.MemEvents)
+		b.spikes = make([]float64, blockRows)
 	}
 	if cfg.Prof != nil {
 		lane := cfg.ProfLane
@@ -278,125 +284,191 @@ func (b *Binner) PushAll(values []int64) {
 	b.pushBatch(values)
 }
 
-// pushBatch advances the pipeline model over a batch of values. Profiled
-// runs accumulate the per-cause raw sums in locals and decompose the chunk's
-// total completion-cycle advance once at the end (profile.go); the nil-prof
-// path pays one pointer test per chunk.
+// blockRows is the most rows one pass of pushBatch covers: a page of the
+// served relation's rows in one block, and 2 KB of bin indices between the
+// passes.
+const blockRows = 256
+
+// pushBatch advances the pipeline model over a batch of values, a block of
+// at most blockRows rows at a time, in three passes over each block: address
+// maps the values to bins, model runs the cycle model over those bins, and
+// the bins are written in one call. The split is exact, because the model
+// reads no count and the fault model draws in the first pass, in row order,
+// as it would row by row. Profiled runs sum the per-cause raw cycles over the
+// whole batch and decompose its completion-cycle advance once at the end
+// (profile.go); the nil-prof path pays a pointer test per block.
 func (b *Binner) pushBatch(values []int64) {
-	prof := b.prof
-	var prevCommit, opBefore float64
-	var issueN int64
-	var bpSum, stallSum, spikeSum float64
-	if prof != nil {
-		prevCommit = b.lastCommit
-		opBefore = b.opTime
-	}
-
-	lt, lineShift := &b.lines, b.lineShift
-	for _, value := range values {
-		addr, ok := b.pre.Address(value)
-		if !ok {
-			b.stats.Dropped++
-			// The bins will not hold this value: show it to a deferred chain.
-			b.chain.Observe(value)
-			continue
-		}
-		b.stats.Items++
-		issueN++
-
-		// A new item enters the pipeline no faster than the issue rate
-		// allows, and no earlier than backpressure from the bounded FIFO in
-		// front of the memory port permits (the queue between READ and
-		// UPDATE of §5.1.2 is finite).
-		const maxBacklogCycles = 512
-		b.pipeTime += b.cfg.PipelineCyclesPerItem
-		if b.opTime-b.pipeTime > maxBacklogCycles {
-			if prof != nil {
-				bpSum += (b.opTime - maxBacklogCycles) - b.pipeTime
-				prof.bpN++
-			}
-			b.pipeTime = b.opTime - maxBacklogCycles
-		}
-
-		// One probe of the line table decides the read, the write's rate
-		// and whether the line enters the cache, and gives the commit cycle
-		// of the line's write in flight. The home slot is tried inline.
-		key := lineKey(addr >> lineShift)
-		j := lt.home(key)
-		slot := &lt.slots[j]
-		if slot.key != key {
-			j = lt.find(key, b.opTime)
-			slot = &lt.slots[j]
-		}
-		hit := slot.resident
-		var dataReady float64
-		if hit {
-			// READ served by the cache: the freshest value of the line is
-			// forwarded between pipeline stages; no memory read op.
-			b.stats.CacheHits++
-			dataReady = b.pipeTime
-		} else {
-			b.stats.CacheMisses++
-			readIssue := maxf(b.pipeTime, b.opTime)
-			// Without forwarding, a read that overlaps an in-flight write to
-			// the same line must stall the pipeline until that write commits
-			// (§5.1.3). A line with no write in flight reads 0, which never
-			// exceeds readIssue.
-			if pendingCommit := slot.commit; pendingCommit > readIssue {
-				if prof != nil {
-					stallSum += pendingCommit - readIssue
-					prof.stallN++
-				}
-				b.stats.StallCycles += int64(pendingCommit - readIssue)
-				b.pipeTime = pendingCommit
-				readIssue = pendingCommit
-			}
-			b.opTime = maxf(b.opTime, readIssue) + b.randomPeriod
-			dataReady = readIssue + b.latency
-			b.stats.MemReadOps++
-		}
-
-		// UPDATE: increment the bin (the functional effect). Under fault
-		// injection the update goes through the ECC-checked memory model and
-		// an injected latency spike stretches this item's commit.
-		var spike float64
-		if b.mem != nil {
-			spike = float64(b.mem.Increment(addr))
-			if prof != nil && spike > 0 {
-				spikeSum += spike
-				prof.spikeN++
-			}
-		} else {
-			b.vec.AddAt(int(addr), 1)
-		}
-
-		// WRITE: write-through. Ops to recently touched (cached) lines go at
-		// burst rate; cold lines pay the random-access rate. The write op
-		// only consumes port bandwidth — it does not hold back reads of
-		// later items, which is what the FIFO between the stages buys.
-		period := b.randomPeriod
-		if hit {
-			period = b.burstPeriod
-		}
-		b.opTime += period
-		writeIssue := maxf(b.opTime, dataReady)
-		commit := writeIssue + b.latency + spike
-		b.stats.MemWriteOps++
-		slot.commit = commit
-		if commit > b.lastCommit {
-			b.lastCommit = commit
-		}
-		if !hit {
-			lt.admit(j)
+	prevCommit, opBefore := b.lastCommit, b.opTime
+	issued := b.stats.Items
+	var sums causeSums
+	for len(values) > 0 {
+		block := values[:min(len(values), blockRows)]
+		values = values[len(block):]
+		rows, spikes := b.address(block)
+		sums = b.model(rows, spikes, sums)
+		if b.mem == nil {
+			b.vec.AddOnes(rows)
 		}
 	}
-
-	if prof != nil {
+	if prof := b.prof; prof != nil {
 		prof.attributeChunk(b.lastCommit-prevCommit,
-			float64(issueN)*b.cfg.PipelineCyclesPerItem,
-			bpSum, stallSum, b.opTime-opBefore, spikeSum)
+			float64(b.stats.Items-issued)*b.cfg.PipelineCyclesPerItem,
+			sums.bp, sums.stall, b.opTime-opBefore, sums.spike)
 	}
 	b.promote()
+}
+
+// address is the first pass: it maps block's values to their bins in b.rows
+// and returns those, counting the values it drops and showing them to the
+// chain. Bins are ints, as bins.Vector indexes them, so they cover every
+// region a binner can hold. With the ECC memory model wired, the UPDATE of
+// each bin happens here, in row order, and the latency spike an injected
+// fault adds to the row's commit is returned beside its bin.
+func (b *Binner) address(block []int64) (rows []int, spikes []float64) {
+	// pre is a copy, whose fields the loop keeps in registers.
+	pre, out, n := *b.pre, b.rows[:len(block)], 0
+	for _, value := range block {
+		addr, ok := pre.Address(value)
+		out[n] = int(addr)
+		if ok {
+			n++
+		}
+	}
+	if n < len(block) {
+		// The bins will not hold these values: show them to a deferred chain.
+		for _, value := range block {
+			if _, ok := pre.Address(value); !ok {
+				b.stats.Dropped++
+				b.chain.Observe(value)
+			}
+		}
+	}
+	b.stats.Items += int64(n)
+	rows = out[:n]
+	if b.mem != nil {
+		spikes = b.spikes[:n]
+		for k, addr := range rows {
+			spikes[k] = float64(b.mem.Increment(int64(addr)))
+		}
+	}
+	return rows, spikes
+}
+
+// model is the second pass: the cycle model over one block's bins, spikes
+// their latency spikes or nil. The model's times are locals for the block.
+// A row whose line is resident at its home slot of the line table is a cache
+// hit, taken inline; every other row goes to row. It returns sums with the
+// block's backpressure, stalls and spikes added.
+func (b *Binner) model(rows []int, spikes []float64, sums causeSums) causeSums {
+	const maxBacklogCycles = 512
+	issue, burst, latency := b.cfg.PipelineCyclesPerItem, b.burstPeriod, b.latency
+	pipe, op, last := b.pipeTime, b.opTime, b.lastCommit
+	slots, shift, lineShift := b.lines.slots, b.lines.shift, b.lineShift
+	var hits, bpN, spikeN int64
+	for k := 0; k < len(rows); k++ {
+		var key uint32
+		var spike float64
+		// The hits run in this loop, which leaves it at a row that is not one.
+		for ; k < len(rows); k++ {
+			spike = 0
+			if spikes != nil {
+				if spike = spikes[k]; spike > 0 {
+					sums.spike += spike
+					spikeN++
+				}
+			}
+			// A new item enters the pipeline no faster than the issue rate
+			// allows, and no earlier than backpressure from the bounded FIFO
+			// in front of the memory port permits (the queue between READ
+			// and UPDATE of §5.1.2 is finite).
+			pipe += issue
+			if op-pipe > maxBacklogCycles {
+				sums.bp += (op - maxBacklogCycles) - pipe
+				bpN++
+				pipe = op - maxBacklogCycles
+			}
+			// READ served by the cache: the freshest value of the line is
+			// forwarded between pipeline stages, no memory read op, and the
+			// write-through goes at burst rate. The write op only consumes
+			// port bandwidth — it does not hold back reads of later items,
+			// which is what the FIFO between the stages buys.
+			key = lineKey(int64(rows[k]) >> (lineShift & 63))
+			s := &slots[homeSlot(key, shift)]
+			if s.key != key || !s.resident {
+				break
+			}
+			hits++
+			op += burst
+			commit := maxf(op, pipe) + latency + spike
+			s.commit = commit
+			last = maxf(commit, last)
+		}
+		if k == len(rows) {
+			break
+		}
+		var commit, stall float64
+		pipe, op, commit, stall = b.row(key, spike, pipe, op)
+		sums.stall += stall
+		last = maxf(commit, last)
+		slots, shift = b.lines.slots, b.lines.shift
+	}
+	b.pipeTime, b.opTime, b.lastCommit = pipe, op, last
+	b.stats.CacheHits += hits
+	b.stats.MemWriteOps += int64(len(rows))
+	if b.prof != nil {
+		b.prof.bpN += bpN
+		b.prof.spikeN += spikeN
+	}
+	return sums
+}
+
+// row is the model of a row whose line is not resident at its home slot.
+// One probe of the line table, adding the line if it is absent, decides the
+// read, the write's rate and whether the line enters the cache, and gives
+// the commit cycle of the line's write in flight. It takes the pipeline and
+// port times after the row's issue, and returns them after the row with the
+// row's commit cycle and the cycles it stalled.
+func (b *Binner) row(key uint32, spike, pipe, op float64) (float64, float64, float64, float64) {
+	lt := &b.lines
+	j := lt.find(key, op)
+	slot := &lt.slots[j]
+	hit := slot.resident
+	var dataReady, stall float64
+	if hit {
+		b.stats.CacheHits++
+		dataReady = pipe
+	} else {
+		b.stats.CacheMisses++
+		readIssue := maxf(pipe, op)
+		// Without forwarding, a read that overlaps an in-flight write to
+		// the same line must stall the pipeline until that write commits
+		// (§5.1.3). A line with no write in flight reads 0, which never
+		// exceeds readIssue.
+		if pendingCommit := slot.commit; pendingCommit > readIssue {
+			stall = pendingCommit - readIssue
+			if b.prof != nil {
+				b.prof.stallN++
+			}
+			b.stats.StallCycles += int64(stall)
+			pipe, readIssue = pendingCommit, pendingCommit
+		}
+		op = maxf(op, readIssue) + b.randomPeriod
+		dataReady = readIssue + b.latency
+		b.stats.MemReadOps++
+	}
+	// WRITE: write-through. Ops to recently touched (cached) lines go at
+	// burst rate; cold lines pay the random-access rate.
+	period := b.randomPeriod
+	if hit {
+		period = b.burstPeriod
+	}
+	op += period
+	commit := maxf(op, dataReady) + b.latency + spike
+	slot.commit = commit
+	if !hit {
+		lt.admit(j)
+	}
+	return pipe, op, commit, stall
 }
 
 // promote moves a sparse bin region into the dense form once it takes more

@@ -46,17 +46,18 @@ const minLineSlots = 1 << 10
 // of counts.
 func lineKey(line int64) uint32 { return uint32(line) + 1 }
 
-// home is key's first slot: Fibonacci hashing, whose top bits spread a run
-// of consecutive lines over the whole table.
-func (t *lineTable) home(key uint32) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> (t.shift & 63))
+// homeSlot is key's first slot in a table whose shift is shift: Fibonacci
+// hashing, whose top bits spread a run of consecutive lines over the whole
+// table.
+func homeSlot(key uint32, shift uint8) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> (shift & 63))
 }
 
 // probe returns key's slot and true, or the free slot it would take and
 // false.
 func (t *lineTable) probe(key uint32) (int, bool) {
 	mask := len(t.slots) - 1
-	for j := t.home(key); ; j = (j + 1) & mask {
+	for j := homeSlot(key, t.shift); ; j = (j + 1) & mask {
 		switch t.slots[j].key {
 		case key:
 			return j, true

@@ -55,7 +55,7 @@ func RangeFor(min, max, divisor int64) (*Preprocessor, error) {
 // is the whole range test: a value below Min wraps to an offset past every
 // bin, because the last bin starts at an int64 value (NewPreprocessor).
 // Other divisors divide once.
-func (p *Preprocessor) Address(value int64) (addr int64, ok bool) {
+func (p Preprocessor) Address(value int64) (addr int64, ok bool) {
 	off := uint64(value) - uint64(p.Min)
 	if p.Divisor != 1 {
 		if value < p.Min {

@@ -30,6 +30,10 @@ type binnerProf struct {
 	flushed bool
 }
 
+// causeSums are a batch's raw per-cause cycles, each summed in row order:
+// backpressure, RAW stalls and latency spikes.
+type causeSums struct{ bp, stall, spike float64 }
+
 // attributeChunk decomposes one page chunk's advance of the lane completion
 // cycle (delta) into causes, taking them in a fixed order until the delta
 // is used up: spike, then RAW stall, then pipeline issue, then memory-port

@@ -115,11 +115,15 @@ func (s servedShape) relation() *table.Relation {
 // FuzzServedScan serves one scan and one Stats read of a fuzzed relation
 // shape, fault-free, and holds them to the product's invariants: the bytes
 // delivered are storage's; the scan is refreshed and not degraded; the
-// served histogram equals the serial stream.DataPath's, with equal sketch
-// bytes; and the serial histogram equals internal/hist's reference built
-// from the column's values in the dense form. The shapes cover one-bin to
-// widedomain-wide regions, sparse and dense lane regions, frames shorter
-// and longer than a lane unit, last units cut short and lanes given nothing.
+// hardware profile's cycles add up to the scan arithmetic's
+// (streamhist_hwprof_consistency reads 1); the served histogram equals the
+// serial stream.DataPath's, with equal sketch bytes; and the serial
+// histogram equals internal/hist's reference built from the column's values
+// in the dense form. The shapes cover one-bin to widedomain-wide regions,
+// sparse and dense lane regions, frames shorter and longer than a lane unit,
+// last units cut short and lanes given nothing. Two seeds are the chaos
+// matrix's shapes (TestChaosNoThirdOutcome) as near as a shape encodes
+// them: a skewed column over 511 values rather than a Zipf one over 512.
 func FuzzServedScan(f *testing.F) {
 	perPage := page.New(servedShape{}.relation().Schema).Capacity()
 	f.Add(servedShape{rows: maxServedRows, gen: genWide, card: 255, offset: 901, ppf: 64, lanes: 2, seed: 42}.encode())
@@ -127,6 +131,8 @@ func FuzzServedScan(f *testing.F) {
 	f.Add(servedShape{rows: 2*lanes.UnitPages*perPage + 1, gen: genHotspot, card: 200, offset: -5000, ppf: 20, lanes: 3, seed: 9, hotShift: 10}.encode())
 	f.Add(servedShape{rows: 3000, gen: genSequential, card: 3, offset: -1, ppf: 2, lanes: 4, seed: 1}.encode())
 	f.Add(servedShape{rows: 1, gen: genWide, card: 0, offset: 5, ppf: 1, lanes: 1, seed: 3}.encode())
+	f.Add(servedShape{rows: 3000, gen: genHotspot, card: 255, ppf: 2, lanes: 4, seed: 7, hotShift: 1}.encode())
+	f.Add(servedShape{rows: 11_000, gen: genHotspot, card: 255, ppf: 20, lanes: 4, seed: 7, hotShift: 1}.encode())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		shape := decodeShape(in)
 		rel := shape.relation()
@@ -152,6 +158,9 @@ func FuzzServedScan(f *testing.F) {
 		}
 		if !sum.Refreshed || sum.Degraded || sum.Rows != uint64(shape.rows) {
 			t.Fatalf("%+v: fault-free scan summary %+v", shape, sum)
+		}
+		if v := expoValue(t, scrapeMetrics(t, srv), "streamhist_hwprof_consistency"); v != 1 {
+			t.Fatalf("%+v: streamhist_hwprof_consistency = %v, want 1", shape, v)
 		}
 		st, err := c.Stats("fuzz", "v")
 		if err != nil {
